@@ -17,13 +17,15 @@
 //! scheduler breakdown (staging, parallel wall, worker busy, estimated
 //! barrier wait, mailbox routing) of the production-scale sharded runs.
 //!
-//! `--check` compares every `*_events_per_sec` and `*_speedup` key
-//! (higher is better) and every `*_wall_ms` / `*_ns_per_event` /
-//! `*_per_decision` key (lower is better) against the baseline report,
-//! and fails if any degrades by more than 10%. Speedup keys, being
-//! ratios of two noisy wall times, additionally get a small absolute
-//! slack so values near 0.3x don't flake on scheduler jitter. On top of
-//! the relative comparison, `--check` asserts absolute floors:
+//! `--check` compares every key against the baseline report in the
+//! direction `KEY_GATES` assigns it — higher is better (throughput,
+//! speedups), lower is better (times, per-unit costs, sizes), or
+//! informational (workload shape, counts) — and fails if any gated key
+//! degrades by more than 10%, or if a key has no entry in the table.
+//! Speedup keys, being ratios of two noisy wall times, additionally get
+//! a small absolute slack so values near 0.3x don't flake on scheduler
+//! jitter. On top of the relative comparison, `--check` asserts
+//! absolute floors:
 //! `cti_cache_speedup >= 5` everywhere, and the `shard*_speedup` floors
 //! (×1 >= 0.95, ×4 >= 2.0, and `shard_big_4t_speedup` >= 1.5 at
 //! production scale) on machines with at least four cores.
@@ -994,30 +996,118 @@ fn phases_to_json(phases: &[Exp6Phases]) -> String {
     s
 }
 
+/// How `--check` compares one report key against the baseline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Gate {
+    /// Throughput: a drop beyond the tolerance regresses.
+    Higher,
+    /// A ratio of two noisy wall times (`*_speedup`): as `Higher`, but
+    /// the drop must also exceed [`RATIO_SLACK`] in absolute terms.
+    Ratio,
+    /// Time, size, or per-unit cost: a rise beyond the tolerance
+    /// regresses.
+    Lower,
+    /// Workload shape, counts, and exact-match flags (held by
+    /// `floor_violations` where they matter): never compared.
+    Info,
+}
+
+/// The direction of every report key, spelled out rather than guessed
+/// from suffixes — a suffix rule silently left keys such as
+/// `decide_batch_ns_per_pair` or `fleet_rebalance_ms` ungated.
+const KEY_GATES: &[(&str, Gate)] = &[
+    ("schema_version", Gate::Info),
+    ("quick", Gate::Info),
+    ("micro_events", Gate::Info),
+    ("micro_dense_wheel_events_per_sec", Gate::Higher),
+    ("micro_dense_heap_events_per_sec", Gate::Higher),
+    ("micro_dense_speedup", Gate::Ratio),
+    ("micro_burst_wheel_events_per_sec", Gate::Higher),
+    ("micro_burst_heap_events_per_sec", Gate::Higher),
+    ("micro_burst_speedup", Gate::Ratio),
+    ("micro_jitter_wheel_events_per_sec", Gate::Higher),
+    ("micro_jitter_heap_events_per_sec", Gate::Higher),
+    ("micro_jitter_speedup", Gate::Ratio),
+    ("des_events", Gate::Info),
+    ("des_dispatched", Gate::Info),
+    ("des_wall_ms", Gate::Lower),
+    ("des_events_per_sec", Gate::Higher),
+    ("des_ns_per_event", Gate::Lower),
+    ("des_peak_queue_depth", Gate::Info),
+    ("shard_clusters", Gate::Info),
+    ("shard_rounds", Gate::Info),
+    ("shard_seq_wall_ms", Gate::Lower),
+    ("shard_events_per_sec", Gate::Higher),
+    ("shard_1t_speedup", Gate::Ratio),
+    ("shard_4t_speedup", Gate::Ratio),
+    ("shard_pool_events_per_sec", Gate::Higher),
+    ("shard_pool_1t_speedup", Gate::Ratio),
+    ("shard_pool_4t_speedup", Gate::Ratio),
+    ("shard_big_clusters", Gate::Info),
+    ("shard_big_nodes", Gate::Info),
+    ("shard_big_rounds", Gate::Info),
+    ("shard_big_seq_wall_ms", Gate::Lower),
+    ("shard_big_events_per_sec", Gate::Higher),
+    ("shard_big_1t_speedup", Gate::Ratio),
+    ("shard_big_4t_speedup", Gate::Ratio),
+    ("cti_cache_decisions", Gate::Info),
+    ("cti_cache_exp_per_decision", Gate::Lower),
+    ("cti_cache_reads_per_decision", Gate::Lower),
+    ("cti_cache_speedup", Gate::Ratio),
+    ("cti_fixed_decisions", Gate::Info),
+    ("cti_fixed_speedup", Gate::Ratio),
+    ("cti_fixed_match", Gate::Info),
+    ("cti_simd_tier", Gate::Info),
+    ("cti_simd_pairs", Gate::Info),
+    ("cti_simd_f64_speedup", Gate::Ratio),
+    ("cti_simd_q16_speedup", Gate::Ratio),
+    ("decide_batch_pairs", Gate::Info),
+    ("decide_batch_ns_per_pair", Gate::Lower),
+    ("decide_batch_pairs_per_sec", Gate::Higher),
+    ("snapshot_nodes", Gate::Info),
+    ("snapshot_bytes", Gate::Lower),
+    ("snapshot_save_wall_ms", Gate::Lower),
+    ("snapshot_restore_wall_ms", Gate::Lower),
+    ("daemon_records", Gate::Info),
+    ("daemon_start_wall_ms", Gate::Lower),
+    ("daemon_ingest_wall_ms", Gate::Lower),
+    ("daemon_ingest_events_per_sec", Gate::Higher),
+    ("daemon_ingest_ns_per_event", Gate::Lower),
+    ("daemon_restore_wall_ms", Gate::Lower),
+    ("daemon_query_count", Gate::Info),
+    ("daemon_query_p99_us", Gate::Lower),
+    ("fleet_rebalance_ms", Gate::Lower),
+    ("fleet_migrate_restore", Gate::Lower),
+    ("exp1_trials", Gate::Info),
+    ("exp1_wall_ms", Gate::Lower),
+];
+
+fn gate_of(key: &str) -> Option<Gate> {
+    KEY_GATES.iter().find(|(k, _)| *k == key).map(|&(_, g)| g)
+}
+
 /// Compares current metrics against a baseline report. Returns the list
 /// of regression descriptions (empty = pass). Only keys present in both
-/// reports are compared.
+/// reports are compared; a key missing from [`KEY_GATES`] is reported
+/// rather than skipped, so a new key cannot go ungated by accident.
 fn regressions(metrics: &[(&'static str, f64)], baseline: &str) -> Vec<String> {
     let mut bad = Vec::new();
     for &(key, now) in metrics {
         let Some(base) = json_number(baseline, key) else {
             continue;
         };
-        let is_ratio = key.ends_with("_speedup");
-        let higher_better = key.ends_with("_events_per_sec") || is_ratio;
-        let lower_better = key.ends_with("_wall_ms")
-            || key.ends_with("_ns_per_event")
-            || key.ends_with("_per_decision");
-        let regressed = if higher_better {
+        let regressed = match gate_of(key) {
             // Speedup keys are ratios of two noisy wall times, so a pure
             // relative bound flakes near small values (10% of 0.3 is
             // scheduler jitter); require an absolute drop too.
-            let slack = if is_ratio { RATIO_SLACK } else { 0.0 };
-            now < base * (1.0 - REGRESSION_TOLERANCE) - slack
-        } else if lower_better {
-            now > base * (1.0 + REGRESSION_TOLERANCE)
-        } else {
-            false
+            Some(Gate::Ratio) => now < base * (1.0 - REGRESSION_TOLERANCE) - RATIO_SLACK,
+            Some(Gate::Higher) => now < base * (1.0 - REGRESSION_TOLERANCE),
+            Some(Gate::Lower) => now > base * (1.0 + REGRESSION_TOLERANCE),
+            Some(Gate::Info) => false,
+            None => {
+                bad.push(format!("{key}: no --check direction (add it to KEY_GATES)"));
+                continue;
+            }
         };
         if regressed {
             bad.push(format!(
@@ -1271,5 +1361,77 @@ fn main() {
             }
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The committed baseline report.
+    const BASELINE: &str =
+        include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernel.json"));
+
+    fn baseline_keys() -> Vec<&'static str> {
+        BASELINE
+            .lines()
+            .filter_map(|line| line.trim().strip_prefix('"')?.split('"').next())
+            .collect()
+    }
+
+    #[test]
+    fn every_baseline_key_has_a_gate() {
+        let keys = baseline_keys();
+        assert!(keys.len() > 50, "baseline parse found only {} keys", keys.len());
+        let missing: Vec<_> = keys.iter().filter(|k| gate_of(k).is_none()).collect();
+        assert!(missing.is_empty(), "keys without a --check gate: {missing:?}");
+    }
+
+    #[test]
+    fn gate_table_has_no_duplicates() {
+        for (i, (key, _)) in KEY_GATES.iter().enumerate() {
+            assert!(
+                KEY_GATES[i + 1..].iter().all(|(k, _)| k != key),
+                "{key} listed twice"
+            );
+        }
+    }
+
+    #[test]
+    fn previously_ungated_keys_now_regress() {
+        let baseline = r#"{
+  "decide_batch_ns_per_pair": 20.0,
+  "decide_batch_pairs_per_sec": 50000000.0,
+  "daemon_query_p99_us": 20.0,
+  "fleet_rebalance_ms": 20.0,
+  "snapshot_bytes": 45328
+}"#;
+        let worse = [
+            ("decide_batch_ns_per_pair", 30.0),
+            ("decide_batch_pairs_per_sec", 30_000_000.0),
+            ("daemon_query_p99_us", 30.0),
+            ("fleet_rebalance_ms", 30.0),
+            ("snapshot_bytes", 60_000.0),
+        ];
+        assert_eq!(regressions(&worse, baseline).len(), worse.len());
+        let same = worse.map(|(k, _)| (k, json_number(baseline, k).unwrap()));
+        assert!(regressions(&same, baseline).is_empty());
+    }
+
+    #[test]
+    fn ratio_keys_get_absolute_slack_and_info_keys_never_regress() {
+        let baseline = "{\n  \"shard_4t_speedup\": 0.3,\n  \"daemon_records\": 320\n}";
+        // 0.2 is a 33% relative drop but within the absolute slack.
+        assert!(regressions(&[("shard_4t_speedup", 0.2)], baseline).is_empty());
+        assert_eq!(regressions(&[("shard_4t_speedup", 0.05)], baseline).len(), 1);
+        assert!(regressions(&[("daemon_records", 1.0)], baseline).is_empty());
+    }
+
+    #[test]
+    fn unclassified_keys_are_reported() {
+        let baseline = "{\n  \"brand_new_metric\": 1.0\n}";
+        let bad = regressions(&[("brand_new_metric", 1.0)], baseline);
+        assert_eq!(bad.len(), 1);
+        assert!(bad[0].contains("KEY_GATES"));
     }
 }

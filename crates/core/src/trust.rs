@@ -1054,24 +1054,51 @@ pub struct TrustTableState {
     pub ti_reads: u64,
 }
 
+impl TrustTableState {
+    /// A state describing no table yet: the buffer
+    /// [`TrustTable::export_state_into`] fills.
+    #[must_use]
+    pub fn empty() -> Self {
+        TrustTableState {
+            lambda: 0.0,
+            fault_rate: 0.0,
+            arith: TrustArith::Float64,
+            counters: Vec::new(),
+            cached_ti: Vec::new(),
+            status: Vec::new(),
+            isolation_threshold: None,
+            reintegration: None,
+            exp_evals: 0,
+            ti_reads: 0,
+        }
+    }
+}
+
 impl TrustTable {
     /// Captures the table's complete state for a checkpoint.
     #[must_use]
     pub fn export_state(&self) -> TrustTableState {
-        TrustTableState {
-            lambda: self.params.lambda,
-            fault_rate: self.params.fault_rate,
-            arith: self.params.arith,
-            counters: self.counters.clone(),
-            cached_ti: self.cached_ti.clone(),
-            status: self.status.clone(),
-            isolation_threshold: self.isolation_threshold,
-            reintegration: self
-                .reintegration
-                .map(|p| (p.quarantine_rounds, p.probation_rounds)),
-            exp_evals: self.exp_evals,
-            ti_reads: self.ti_reads.get(),
-        }
+        let mut out = TrustTableState::empty();
+        self.export_state_into(&mut out);
+        out
+    }
+
+    /// [`Self::export_state`] into an existing state, reusing its
+    /// buffers — a checkpoint of many tables captures them one after
+    /// another without allocating per table.
+    pub fn export_state_into(&self, out: &mut TrustTableState) {
+        out.lambda = self.params.lambda;
+        out.fault_rate = self.params.fault_rate;
+        out.arith = self.params.arith;
+        out.counters.clone_from(&self.counters);
+        out.cached_ti.clone_from(&self.cached_ti);
+        out.status.clone_from(&self.status);
+        out.isolation_threshold = self.isolation_threshold;
+        out.reintegration = self
+            .reintegration
+            .map(|p| (p.quarantine_rounds, p.probation_rounds));
+        out.exp_evals = self.exp_evals;
+        out.ti_reads = self.ti_reads.get();
     }
 
     /// Rebuilds a table from checkpointed state, bit-for-bit.

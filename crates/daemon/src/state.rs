@@ -18,7 +18,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use tibfit_experiments::checkpoint::{read_checkpoint, write_checkpoint, CheckpointError};
-use tibfit_sim::snapshot::{SnapshotReader, SnapshotWriter};
+use tibfit_sim::snapshot::{SectionBuf, SnapshotReader, SnapshotWriter};
 
 use crate::queue::QueueStats;
 use crate::tenant::{decision_line_round, EngineKind, Tenant};
@@ -63,35 +63,41 @@ pub fn decision_log_path(decisions_dir: &Path, id: usize) -> PathBuf {
 
 /// Encodes a tenant's durable state.
 ///
+/// The engine checkpoint is written in place inside the engine section
+/// ([`SectionBuf::put_nested`]): the bytes are exactly those of
+/// `put_bytes(&save_sequential(..))` (or `save_sharded`), without
+/// building and copying that blob.
+///
 /// # Errors
 ///
-/// [`DaemonError::Snapshot`] if the engine blob fails to encode.
+/// [`DaemonError::Snapshot`] if the engine state cannot be captured.
 pub fn encode_tenant_state(
     tenant: &Tenant,
     highwater: &[(u64, u64)],
     stats: QueueStats,
 ) -> Result<Vec<u8>, DaemonError> {
-    let blob = tenant.engine_blob()?;
     let mut w = SnapshotWriter::new();
-    w.section(TAG_TENANT_META, |s| {
-        s.put_usize(tenant.id());
-        s.put_u64(tenant.scenario().seed);
-        s.put_u8(tenant.kind().tag());
-        s.put_u64(tenant.round());
-        s.put_usize(highwater.len());
-        for &(src, seq) in highwater {
-            s.put_u64(src);
-            s.put_u64(seq);
-        }
-        s.put_u64(stats.offered);
-        s.put_u64(stats.admitted);
-        s.put_u64(stats.shed_budget);
-        s.put_u64(stats.shed_overflow);
-        s.put_u64(stats.duplicates);
-        s.put_u64(stats.backpressure_waits);
-    });
-    w.section(TAG_TENANT_ENGINE, |s| s.put_bytes(&blob));
+    w.section(TAG_TENANT_META, |s| put_meta(s, tenant, highwater, stats));
+    w.section(TAG_TENANT_ENGINE, |s| s.put_nested(|e| tenant.save_engine_into(e)))?;
     Ok(w.finish())
+}
+
+fn put_meta(s: &mut SectionBuf, tenant: &Tenant, highwater: &[(u64, u64)], stats: QueueStats) {
+    s.put_usize(tenant.id());
+    s.put_u64(tenant.scenario().seed);
+    s.put_u8(tenant.kind().tag());
+    s.put_u64(tenant.round());
+    s.put_usize(highwater.len());
+    for &(src, seq) in highwater {
+        s.put_u64(src);
+        s.put_u64(seq);
+    }
+    s.put_u64(stats.offered);
+    s.put_u64(stats.admitted);
+    s.put_u64(stats.shed_budget);
+    s.put_u64(stats.shed_overflow);
+    s.put_u64(stats.duplicates);
+    s.put_u64(stats.backpressure_waits);
 }
 
 /// Decodes a tenant state file's bytes.
@@ -276,6 +282,60 @@ mod tests {
             Tenant::from_blob(state.id, sc, state.kind, 1, &state.blob).unwrap();
         assert_eq!(restored.round(), 3);
         assert_eq!(restored.trust_digest(), tenant.trust_digest());
+    }
+
+    /// The two-step encoder the engine section used before nesting in
+    /// place: save the engine to a blob of its own, then copy it in.
+    fn encode_two_step(
+        tenant: &Tenant,
+        engine_blob: &[u8],
+        highwater: &[(u64, u64)],
+        stats: QueueStats,
+    ) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        w.section(TAG_TENANT_META, |s| put_meta(s, tenant, highwater, stats));
+        w.section(TAG_TENANT_ENGINE, |s| s.put_bytes(engine_blob));
+        w.finish()
+    }
+
+    #[test]
+    fn encode_matches_the_two_step_reference_on_both_engines() {
+        use tibfit_experiments::checkpoint::{save_sequential, save_sharded};
+
+        let sc = scenario(6);
+        let events = sc.events(9);
+        let hw = vec![(0u64, 9u64), (5, 2)];
+        let stats = QueueStats {
+            offered: 11,
+            admitted: 9,
+            duplicates: 2,
+            ..QueueStats::default()
+        };
+        for kind in [EngineKind::Sequential, EngineKind::Sharded] {
+            let mut tenant = Tenant::new(1, sc.clone(), kind, 2).unwrap();
+            let mut seq = sc.sequential().unwrap();
+            let mut par = sc.sharded(2).unwrap();
+            for (i, p) in events.iter().enumerate() {
+                tenant.apply(&crate::wire::Report {
+                    tenant: 1,
+                    time: i as u64,
+                    src: 0,
+                    seq: i as u64 + 1,
+                    x: p.x,
+                    y: p.y,
+                });
+                seq.run_event(*p);
+                par.run_event(*p);
+            }
+            let engine_blob = match kind {
+                EngineKind::Sequential => save_sequential(&seq).unwrap(),
+                EngineKind::Sharded => save_sharded(&par).unwrap(),
+            };
+            let reference = encode_two_step(&tenant, &engine_blob, &hw, stats);
+            let bytes = encode_tenant_state(&tenant, &hw, stats).unwrap();
+            assert_eq!(bytes, reference, "{kind:?}");
+            assert_eq!(decode_tenant_state(&bytes).unwrap().blob, engine_blob, "{kind:?}");
+        }
     }
 
     #[test]

@@ -9,6 +9,8 @@ use tibfit_experiments::multicluster::{MultiClusterSim, MultiRoundResult};
 use tibfit_experiments::replay::FieldScenario;
 use tibfit_experiments::sharded::ShardedMultiCluster;
 use tibfit_net::geometry::Point;
+use tibfit_net::topology::NodeId;
+use tibfit_sim::snapshot::SnapshotWriter;
 
 use crate::wire::Report;
 use crate::DaemonError;
@@ -122,14 +124,22 @@ fn decode_positions(bits: Vec<(u64, u64)>) -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// FNV-1a over a slice of u64 words, little-endian byte order — the
-/// decision-line trust fingerprint.
+/// Multiplier of the decision-line fingerprint. NOT the standard
+/// 64-bit FNV prime (`0x100_0000_01b3`, one more hex digit): the digest
+/// shipped with this value, every committed decision log embeds it, and
+/// the crash-resume and fleet tests diff logs byte for byte, so it is a
+/// frozen format constant, not a tunable.
+const TRUST_DIGEST_PRIME: u64 = 0x1_0000_01b3;
+
+/// FNV-1a-style hash over a slice of u64 words, little-endian byte
+/// order, with [`TRUST_DIGEST_PRIME`] — the decision-line trust
+/// fingerprint.
 fn fnv1a_u64s(words: &[u64]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &bits in words {
         for byte in bits.to_le_bytes() {
             h ^= u64::from(byte);
-            h = h.wrapping_mul(0x1_0000_01b3);
+            h = h.wrapping_mul(TRUST_DIGEST_PRIME);
         }
     }
     h
@@ -262,10 +272,21 @@ impl Tenant {
         }
     }
 
-    /// Trust index of one node, or `None` out of range.
+    /// Raw trust counter `v` of one node (the value behind
+    /// `TI = e^(−λv)`, bit-equal to its [`Self::trust_digest`] input),
+    /// or `None` out of range. One affiliation lookup plus a binary
+    /// search in the node's cluster, not a walk of the whole field.
     #[must_use]
     pub fn trust_of(&self, node: usize) -> Option<f64> {
-        self.trust_bits().get(node).map(|&bits| f64::from_bits(bits))
+        let node = NodeId(node);
+        match &self.engine {
+            TenantEngine::Sequential(e) => {
+                (node.index() < e.node_count()).then(|| e.trust_counter_of(node))
+            }
+            TenantEngine::Sharded(e) => {
+                (node.index() < e.node_count()).then(|| e.trust_counter_of(node))
+            }
+        }
     }
 
     /// FNV-1a digest over the bit-exact trust vector — a cheap
@@ -344,18 +365,19 @@ impl Tenant {
         let _ = write!(out, " trust={:016x}", fnv1a_u64s(&self.trust_scratch));
     }
 
-    /// Serializes the engine to a checkpoint blob.
+    /// Writes the engine checkpoint's sections into an already-started
+    /// container — the tenant state file nests it in place (see
+    /// [`crate::state::encode_tenant_state`]).
     ///
     /// # Errors
     ///
-    /// [`DaemonError::Snapshot`] on encoding failure.
-    pub fn engine_blob(&self) -> Result<Vec<u8>, DaemonError> {
+    /// [`DaemonError::Snapshot`] if the engine state cannot be captured.
+    pub fn save_engine_into(&self, w: &mut SnapshotWriter) -> Result<(), DaemonError> {
         match &self.engine {
-            TenantEngine::Sequential(e) => {
-                checkpoint::save_sequential(e).map_err(DaemonError::Snapshot)
-            }
-            TenantEngine::Sharded(e) => checkpoint::save_sharded(e).map_err(DaemonError::Snapshot),
+            TenantEngine::Sequential(e) => checkpoint::save_sequential_into(e, w),
+            TenantEngine::Sharded(e) => checkpoint::save_sharded_into(e, w),
         }
+        .map_err(DaemonError::Snapshot)
     }
 }
 
@@ -428,7 +450,9 @@ mod tests {
         for (i, p) in events[..4].iter().enumerate() {
             live.apply(&report(i as u64 + 1, p.x, p.y));
         }
-        let blob = live.engine_blob().unwrap();
+        let mut w = SnapshotWriter::new();
+        live.save_engine_into(&mut w).unwrap();
+        let blob = w.finish();
         let mut restored =
             Tenant::from_blob(0, sc.clone(), EngineKind::Sequential, 1, &blob).unwrap();
         assert_eq!(restored.round(), 4);
@@ -437,6 +461,47 @@ mod tests {
             let b = restored.apply(&report(i as u64 + 5, p.x, p.y));
             assert_eq!(a, b);
         }
+    }
+
+    #[test]
+    fn trust_of_matches_the_full_snapshot_on_both_engines() {
+        // Drift 3.0 with re-election every 4 rounds hands nodes between
+        // clusters, so the lookup is checked across affiliation changes
+        // too (a stale sharded affiliation map fails this test).
+        let sc = FieldScenario {
+            nodes: 64,
+            clusters: 4,
+            field: 60.0,
+            drift_sigma: 3.0,
+            ..small_scenario(tenant_seed(13, 0))
+        };
+        for (kind, threads) in [(EngineKind::Sequential, 1), (EngineKind::Sharded, 2)] {
+            let mut tenant = Tenant::new(0, sc.clone(), kind, threads).unwrap();
+            for (i, p) in sc.events(10).into_iter().enumerate() {
+                tenant.apply(&report(i as u64 + 1, p.x, p.y));
+                let all = tenant.trust_bits();
+                for (node, &bits) in all.iter().enumerate() {
+                    let v = tenant.trust_of(node).expect("node in range");
+                    assert_eq!(v.to_bits(), bits, "{kind:?} round {} node {node}", i + 1);
+                }
+                assert_eq!(tenant.trust_of(all.len()), None);
+                assert_eq!(tenant.trust_of(usize::MAX), None);
+            }
+            assert!(
+                tenant.trust_bits().iter().any(|&b| b != 0),
+                "{kind:?}: the run must move some counter off zero"
+            );
+        }
+    }
+
+    #[test]
+    fn trust_digest_prime_is_pinned() {
+        // Frozen by every committed decision log: a "fix" to the
+        // standard FNV prime would change every trust= field.
+        assert_eq!(fnv1a_u64s(&[]), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a_u64s(&[0]), 0x21ae_156a_281a_39c5);
+        assert_eq!(fnv1a_u64s(&[1, 2]), 0xe64a_ea73_63c8_e066);
+        assert_eq!(fnv1a_u64s(&[0x0123_4567_89ab_cdef]), 0xd5a3_39af_4776_1c55);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! # anything            comment — skipped
 //! R <tenant> <time> <src> <seq> <x> <y>     sensor report
 //! T                                          tick boundary
-//! Q trust <tenant> <node>                    trust-index query
+//! Q trust <tenant> <node>                    trust-counter (v) query
 //! Q round <tenant>                           round-cursor query
 //! Q status                                   fleet/placement status query
 //! ```
@@ -71,7 +71,8 @@ pub struct Report {
 /// A read-only query frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Query {
-    /// Trust index of `node` in `tenant`'s field (bit-exact `f64`).
+    /// Raw trust counter `v` of `node` in `tenant`'s field (bit-exact
+    /// `f64`; the trust index is `TI = e^(−λv)`).
     Trust {
         /// Hosted field index.
         tenant: usize,

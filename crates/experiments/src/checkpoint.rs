@@ -46,7 +46,8 @@ use tibfit_sim::snapshot::{
 };
 
 use crate::multicluster::{
-    ClusterCapture, ClusterState, MultiClusterConfig, MultiClusterSim, SimCapture, COUNTER_NAMES,
+    ClusterCapture, ClusterState, DeploymentHeader, MultiClusterConfig, MultiClusterSim,
+    COUNTER_NAMES,
 };
 use crate::sharded::{ShardedError, ShardedMultiCluster};
 
@@ -112,7 +113,24 @@ impl From<std::io::Error> for CheckpointError {
 /// [`SnapshotError::Unsupported`] if any behaviour or channel in the
 /// deployment has no snapshot form (e.g. level-2 colluders).
 pub fn save_sequential(sim: &MultiClusterSim) -> Result<Vec<u8>, SnapshotError> {
-    Ok(encode(&sim.capture()?))
+    let mut w = SnapshotWriter::new();
+    save_sequential_into(sim, &mut w)?;
+    Ok(w.finish())
+}
+
+/// [`save_sequential`] writing the checkpoint's sections into an
+/// already-started container — e.g. one nested in place inside another
+/// container's section via [`SectionBuf::put_nested`]. On error the
+/// container holds a partial checkpoint and must be discarded.
+///
+/// # Errors
+///
+/// As [`save_sequential`].
+pub fn save_sequential_into(
+    sim: &MultiClusterSim,
+    w: &mut SnapshotWriter,
+) -> Result<(), SnapshotError> {
+    encode_into(&sim.checkpoint_header()?, w, |f| sim.try_for_each_cluster(f))
 }
 
 /// Serializes the sharded engine's current state, at the epoch barrier.
@@ -125,7 +143,22 @@ pub fn save_sequential(sim: &MultiClusterSim) -> Result<Vec<u8>, SnapshotError> 
 /// [`SnapshotError::Unsupported`] if a shard has timers in flight or a
 /// behaviour/channel has no snapshot form.
 pub fn save_sharded(sim: &ShardedMultiCluster) -> Result<Vec<u8>, SnapshotError> {
-    Ok(encode(&sim.capture()?))
+    let mut w = SnapshotWriter::new();
+    save_sharded_into(sim, &mut w)?;
+    Ok(w.finish())
+}
+
+/// [`save_sharded`] writing into an already-started container, as
+/// [`save_sequential_into`].
+///
+/// # Errors
+///
+/// As [`save_sharded`].
+pub fn save_sharded_into(
+    sim: &ShardedMultiCluster,
+    w: &mut SnapshotWriter,
+) -> Result<(), SnapshotError> {
+    encode_into(&sim.checkpoint_header()?, w, |f| sim.try_for_each_cluster(f))
 }
 
 /// Restores a blob into the sequential engine.
@@ -135,14 +168,14 @@ pub fn save_sharded(sim: &ShardedMultiCluster) -> Result<Vec<u8>, SnapshotError>
 /// [`CheckpointError::Snapshot`] for any malformed, corrupt, or
 /// internally inconsistent blob.
 pub fn restore_sequential(bytes: &[u8]) -> Result<MultiClusterSim, CheckpointError> {
-    let cap = decode(bytes)?;
-    let clusters = build_clusters(&cap)?;
+    let (head, captures) = decode(bytes)?;
+    let clusters = build_clusters(&head, captures)?;
     Ok(MultiClusterSim::from_parts(
-        cap.config,
-        cap.sites,
+        head.config,
+        head.sites,
         clusters,
-        cap.n_nodes,
-        cap.round,
+        head.n_nodes,
+        head.round,
     ))
 }
 
@@ -155,14 +188,14 @@ pub fn restore_sequential(bytes: &[u8]) -> Result<MultiClusterSim, CheckpointErr
 /// [`CheckpointError::Snapshot`] for a bad blob,
 /// [`CheckpointError::Engine`] for a zero thread count.
 pub fn restore_sharded(bytes: &[u8], threads: usize) -> Result<ShardedMultiCluster, CheckpointError> {
-    let cap = decode(bytes)?;
-    let clusters = build_clusters(&cap)?;
+    let (head, captures) = decode(bytes)?;
+    let clusters = build_clusters(&head, captures)?;
     Ok(ShardedMultiCluster::from_clusters(
-        cap.config,
-        cap.sites,
+        head.config,
+        head.sites,
         clusters,
-        cap.n_nodes,
-        cap.round,
+        head.n_nodes,
+        head.round,
         threads,
     )?)
 }
@@ -507,36 +540,47 @@ fn decode_cluster(
     })
 }
 
-fn encode(cap: &SimCapture) -> Vec<u8> {
-    let mut w = SnapshotWriter::new();
+/// The encoder both engines share. `for_each_cluster` hands over every
+/// cluster in index order, read in place; each is captured into one
+/// reused buffer and framed straight away, so a checkpoint never holds
+/// a second copy of the whole deployment.
+fn encode_into(
+    head: &DeploymentHeader,
+    w: &mut SnapshotWriter,
+    for_each_cluster: impl FnOnce(
+        &mut dyn FnMut(&ClusterState) -> Result<(), SnapshotError>,
+    ) -> Result<(), SnapshotError>,
+) -> Result<(), SnapshotError> {
     w.section(TAG_DEPLOYMENT, |s| {
-        s.put_u64(cap.round);
-        s.put_usize(cap.n_nodes);
-        s.put_usize(cap.clusters.len());
-        s.put_f64(cap.config.sensing_radius);
-        s.put_f64(cap.config.r_error);
-        s.put_f64(cap.config.trust.lambda);
-        s.put_f64(cap.config.trust.fault_rate);
-        s.put_u8(match cap.config.trust.arith {
+        s.put_u64(head.round);
+        s.put_usize(head.n_nodes);
+        s.put_usize(head.cluster_count);
+        s.put_f64(head.config.sensing_radius);
+        s.put_f64(head.config.r_error);
+        s.put_f64(head.config.trust.lambda);
+        s.put_f64(head.config.trust.fault_rate);
+        s.put_u8(match head.config.trust.arith {
             TrustArith::Float64 => 0,
             TrustArith::FixedQ16 => 1,
         });
-        s.put_f64(cap.config.drift_sigma);
-        s.put_u64(cap.config.reelect_every);
-        s.put_f64(cap.field.0);
-        s.put_f64(cap.field.1);
-        s.put_usize(cap.sites.len());
-        for site in &cap.sites {
+        s.put_f64(head.config.drift_sigma);
+        s.put_u64(head.config.reelect_every);
+        s.put_f64(head.field.0);
+        s.put_f64(head.field.1);
+        s.put_usize(head.sites.len());
+        for site in &head.sites {
             put_point(s, *site);
         }
     });
-    for cluster in &cap.clusters {
-        w.section(TAG_CLUSTER, |s| encode_cluster(s, cluster));
-    }
-    w.finish()
+    let mut scratch = ClusterCapture::empty();
+    for_each_cluster(&mut |cluster| {
+        cluster.capture_into(&mut scratch)?;
+        w.section(TAG_CLUSTER, |s| encode_cluster(s, &scratch));
+        Ok(())
+    })
 }
 
-fn decode(bytes: &[u8]) -> Result<SimCapture, SnapshotError> {
+fn decode(bytes: &[u8]) -> Result<(DeploymentHeader, Vec<ClusterCapture>), SnapshotError> {
     let mut r = SnapshotReader::new(bytes)?;
     let mut s = r.section(TAG_DEPLOYMENT)?;
     let round = s.take_u64()?;
@@ -622,20 +666,25 @@ fn decode(bytes: &[u8]) -> Result<SimCapture, SnapshotError> {
         return Err(SnapshotError::Invalid("node in no cluster"));
     }
 
-    Ok(SimCapture {
+    let head = DeploymentHeader {
         config,
         sites,
-        clusters,
+        cluster_count,
         n_nodes,
         round,
         field: (field_w, field_h),
-    })
+    };
+    Ok((head, clusters))
 }
 
-fn build_clusters(cap: &SimCapture) -> Result<Vec<ClusterState>, SnapshotError> {
-    cap.clusters
-        .iter()
-        .map(|c| ClusterState::from_capture(c.clone(), cap.config, cap.field.0, cap.field.1))
+fn build_clusters(
+    head: &DeploymentHeader,
+    captures: Vec<ClusterCapture>,
+) -> Result<Vec<ClusterState>, SnapshotError> {
+    let (field_w, field_h) = head.field;
+    captures
+        .into_iter()
+        .map(|c| ClusterState::from_capture(c, head.config, field_w, field_h))
         .collect()
 }
 

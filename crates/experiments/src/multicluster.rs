@@ -251,15 +251,37 @@ pub(crate) struct ClusterCapture {
     pub(crate) counters: [u64; COUNTER_NAMES.len()],
 }
 
-/// Engine-agnostic capture of a whole deployment at a round boundary.
-/// Both [`MultiClusterSim`] and the sharded engine produce this, and
-/// either can be rebuilt from it — which is what makes cross-engine
-/// restore (snapshot sequential, resume sharded) work.
+impl ClusterCapture {
+    /// A capture holding nothing yet: the reusable buffer
+    /// [`ClusterState::capture_into`] fills.
+    pub(crate) fn empty() -> Self {
+        ClusterCapture {
+            index: 0,
+            head_position: Point::new(0.0, 0.0),
+            members: Vec::new(),
+            positions: Vec::new(),
+            behaviors: Vec::new(),
+            channel: ChannelSnapshot::Perfect,
+            rng: RngState {
+                s: [0; 4],
+                gauss_spare: None,
+            },
+            trust: TrustTableState::empty(),
+            counters: [0; COUNTER_NAMES.len()],
+        }
+    }
+}
+
+/// The deployment-wide part of a checkpoint: everything except the
+/// clusters. Both [`MultiClusterSim`] and the sharded engine produce
+/// it, and either can be rebuilt from it plus the cluster captures —
+/// which is what makes cross-engine restore (snapshot sequential,
+/// resume sharded) work.
 #[derive(Debug, Clone)]
-pub(crate) struct SimCapture {
+pub(crate) struct DeploymentHeader {
     pub(crate) config: MultiClusterConfig,
     pub(crate) sites: Vec<Point>,
-    pub(crate) clusters: Vec<ClusterCapture>,
+    pub(crate) cluster_count: usize,
     pub(crate) n_nodes: usize,
     pub(crate) round: u64,
     pub(crate) field: (f64, f64),
@@ -582,41 +604,37 @@ impl ClusterState {
         (self.field_w, self.field_h)
     }
 
-    /// Captures this cluster for a checkpoint.
+    /// Captures this cluster for a checkpoint into `out`, reusing its
+    /// buffers (a checkpoint captures every cluster in turn through one
+    /// buffer).
     ///
     /// # Errors
     ///
     /// [`SnapshotError::Unsupported`] if any member behaviour or the
     /// channel has no snapshot form (e.g. level-2 colluders, whose
     /// shared coordinator cannot be serialized).
-    pub(crate) fn capture(&self) -> Result<ClusterCapture, SnapshotError> {
-        let behaviors = self
-            .behaviors
-            .iter()
-            .map(|b| {
+    pub(crate) fn capture_into(&self, out: &mut ClusterCapture) -> Result<(), SnapshotError> {
+        out.behaviors.clear();
+        for b in &self.behaviors {
+            out.behaviors.push(
                 b.snapshot()
-                    .ok_or(SnapshotError::Unsupported("behavior kind cannot be checkpointed"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let channel = self
+                    .ok_or(SnapshotError::Unsupported("behavior kind cannot be checkpointed"))?,
+            );
+        }
+        out.channel = self
             .channel
             .snapshot()
             .ok_or(SnapshotError::Unsupported("channel kind cannot be checkpointed"))?;
-        let mut counters = [0u64; COUNTER_NAMES.len()];
-        for (slot, name) in counters.iter_mut().zip(COUNTER_NAMES) {
+        for (slot, name) in out.counters.iter_mut().zip(COUNTER_NAMES) {
             *slot = self.trace.counter(name);
         }
-        Ok(ClusterCapture {
-            index: self.index,
-            head_position: self.head_position,
-            members: self.members.clone(),
-            positions: self.positions.clone(),
-            behaviors,
-            channel,
-            rng: self.rng.state(),
-            trust: self.engine.table().export_state(),
-            counters,
-        })
+        out.index = self.index;
+        out.head_position = self.head_position;
+        out.members.clone_from(&self.members);
+        out.positions.clone_from(&self.positions);
+        out.rng = self.rng.state();
+        self.engine.table().export_state_into(&mut out.trust);
+        Ok(())
     }
 
     /// Rebuilds a cluster from a capture, bit-identically.
@@ -942,11 +960,7 @@ impl MultiClusterSim {
     /// Panics if the id is out of range.
     #[must_use]
     pub fn position_of(&self, node: NodeId) -> Point {
-        let cluster = &self.clusters[self.affiliation[node.index()]];
-        let local = cluster
-            .members()
-            .binary_search(&node)
-            .expect("member of its own cluster");
+        let (cluster, local) = self.locate(node);
         cluster.position(local)
     }
 
@@ -957,12 +971,30 @@ impl MultiClusterSim {
     /// Panics if the id is out of range.
     #[must_use]
     pub fn trust_of(&self, node: NodeId) -> f64 {
+        let (cluster, local) = self.locate(node);
+        cluster.trust_of(local)
+    }
+
+    /// A node's raw trust counter `v` — bit-equal to its entry in
+    /// [`Self::trust_snapshot`], without building the whole vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range.
+    #[must_use]
+    pub fn trust_counter_of(&self, node: NodeId) -> f64 {
+        let (cluster, local) = self.locate(node);
+        cluster.counter_of(local)
+    }
+
+    /// A node's cluster and its local index there.
+    fn locate(&self, node: NodeId) -> (&ClusterState, usize) {
         let cluster = &self.clusters[self.affiliation[node.index()]];
         let local = cluster
             .members()
             .binary_search(&node)
             .expect("member of its own cluster");
-        cluster.trust_of(local)
+        (cluster, local)
     }
 
     /// Bit-exact snapshot of every node's raw trust counter, indexed by
@@ -1068,33 +1100,36 @@ impl MultiClusterSim {
         (self.config, self.sites, self.clusters, self.round)
     }
 
-    /// Captures the whole deployment for a checkpoint. The sequential
-    /// engine holds no in-flight timers between rounds, so any point
-    /// between two `run_event` calls is a valid capture point.
+    /// The deployment header of a checkpoint. The sequential engine
+    /// holds no in-flight timers between rounds, so any point between
+    /// two `run_event` calls is a valid capture point.
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Unsupported`] if any behaviour or channel cannot
-    /// be snapshotted (see [`ClusterState::capture`]).
-    pub(crate) fn capture(&self) -> Result<SimCapture, SnapshotError> {
+    /// [`SnapshotError::Invalid`] for a deployment without clusters.
+    pub(crate) fn checkpoint_header(&self) -> Result<DeploymentHeader, SnapshotError> {
         let field = self
             .clusters
             .first()
             .map(ClusterState::field)
             .ok_or(SnapshotError::Invalid("deployment has no clusters"))?;
-        let clusters = self
-            .clusters
-            .iter()
-            .map(ClusterState::capture)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(SimCapture {
+        Ok(DeploymentHeader {
             config: self.config,
             sites: self.sites.clone(),
-            clusters,
+            cluster_count: self.clusters.len(),
             n_nodes: self.n_nodes,
             round: self.round,
             field,
         })
+    }
+
+    /// Calls `f` on every cluster in index order, stopping at the first
+    /// error — how a checkpoint reads cluster state in place.
+    pub(crate) fn try_for_each_cluster<E>(
+        &self,
+        f: impl FnMut(&ClusterState) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.clusters.iter().try_for_each(f)
     }
 
     /// Reassembles a simulation from restored cluster states. The

@@ -40,8 +40,8 @@ use tibfit_sim::snapshot::SnapshotError;
 use tibfit_sim::{Duration, Engine, SimTime};
 
 use crate::multicluster::{
-    merge_declarations, partition_clusters, ClusterState, Handoff, MultiClusterConfig,
-    MultiClusterError, MultiRoundResult, MultiClusterSim, SimCapture,
+    merge_declarations, partition_clusters, ClusterState, DeploymentHeader, Handoff,
+    MultiClusterConfig, MultiClusterError, MultiRoundResult, MultiClusterSim,
 };
 
 /// Ticks per decision round (= the fixed epoch window). Must exceed
@@ -257,6 +257,9 @@ pub struct ShardedMultiCluster {
     config: MultiClusterConfig,
     n_nodes: usize,
     round: u64,
+    /// Node → cluster index, as [`MultiClusterSim`] keeps it: refreshed
+    /// whenever handoffs settle, so point lookups skip the shard scan.
+    affiliation: Vec<usize>,
     /// Reused driver-mailbox scratch: one allocation for the whole run
     /// instead of one per epoch.
     driver_buf: Vec<Envelope<ClusterMsg>>,
@@ -340,13 +343,16 @@ impl ShardedMultiCluster {
             .collect();
         let scheduler =
             ShardScheduler::new(shards, Duration::from_ticks(ROUND_TICKS), threads)?;
-        Ok(ShardedMultiCluster {
+        let mut sim = ShardedMultiCluster {
             scheduler,
             config,
             n_nodes,
             round,
+            affiliation: Vec::new(),
             driver_buf: Vec::new(),
-        })
+        };
+        sim.refresh_affiliation();
+        Ok(sim)
     }
 
     /// Number of clusters (= shards).
@@ -521,6 +527,7 @@ impl ShardedMultiCluster {
                 .expect("settlement routes nothing new");
             debug_assert!(settled.is_empty(), "settlement epochs carry no declarations");
             self.driver_buf = settled;
+            self.refresh_affiliation();
         }
     }
 
@@ -531,12 +538,7 @@ impl ShardedMultiCluster {
     /// Panics if the id is out of range.
     #[must_use]
     pub fn cluster_of(&self, node: NodeId) -> usize {
-        self.scheduler
-            .for_each_shard(|ci, s| s.state.members().binary_search(&node).ok().map(|_| ci))
-            .into_iter()
-            .flatten()
-            .next()
-            .expect("every node belongs to a cluster")
+        self.affiliation[node.index()]
     }
 
     /// The trust its own head currently assigns a node.
@@ -546,18 +548,44 @@ impl ShardedMultiCluster {
     /// Panics if the id is out of range.
     #[must_use]
     pub fn trust_of(&self, node: NodeId) -> f64 {
-        self.scheduler
-            .for_each_shard(|_, s| {
-                s.state
-                    .members()
-                    .binary_search(&node)
-                    .ok()
-                    .map(|local| s.state.trust_of(local))
-            })
-            .into_iter()
-            .flatten()
-            .next()
-            .expect("every node belongs to a cluster")
+        self.with_member(node, |state, local| state.trust_of(local))
+    }
+
+    /// A node's raw trust counter `v` — bit-equal to its entry in
+    /// [`Self::trust_snapshot`], without building the whole vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range.
+    #[must_use]
+    pub fn trust_counter_of(&self, node: NodeId) -> f64 {
+        self.with_member(node, |state, local| state.counter_of(local))
+    }
+
+    /// Runs `f` on a node's cluster and its local index there.
+    fn with_member<R>(&self, node: NodeId, f: impl FnOnce(&ClusterState, usize) -> R) -> R {
+        self.scheduler.with_shard(self.cluster_of(node), |s| {
+            let local = s
+                .state
+                .members()
+                .binary_search(&node)
+                .expect("member of its own cluster");
+            f(&s.state, local)
+        })
+    }
+
+    /// Rebuilds the node → cluster map from shard membership. Membership
+    /// only changes when re-election handoffs settle, so this runs at
+    /// construction and after each settlement epoch.
+    fn refresh_affiliation(&mut self) {
+        let affiliation = &mut self.affiliation;
+        affiliation.clear();
+        affiliation.resize(self.n_nodes, 0);
+        self.scheduler.for_each_shard(|ci, s| {
+            for m in s.state.members() {
+                affiliation[m.index()] = ci;
+            }
+        });
     }
 
     /// Bit-exact snapshot of every node's raw trust counter, indexed by
@@ -617,50 +645,52 @@ impl ShardedMultiCluster {
         out
     }
 
-    /// Captures the whole deployment for a checkpoint, at the epoch
-    /// barrier. Between epochs every shard's timer queue is provably
-    /// drained (a round's Sense/Decide pair both fire inside the epoch
-    /// that scheduled it) and every mailbox is empty — settlement epochs
-    /// flush boundary hand-offs — so the capture needs no timer or
+    /// The deployment header of a checkpoint, at the epoch barrier.
+    /// Between epochs every shard's timer queue is provably drained (a
+    /// round's Sense/Decide pair both fire inside the epoch that
+    /// scheduled it) and every mailbox is empty — settlement epochs
+    /// flush boundary hand-offs — so the checkpoint needs no timer or
     /// mailbox section and is byte-identical to what the sequential
-    /// engine captures at the same round.
+    /// engine saves at the same round. This verifies the barrier claim
+    /// shard by shard before anything is captured.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::Unsupported`] if a shard still has timers or
-    /// arrivals in flight (capture attempted mid-epoch), or if any
-    /// behaviour or channel has no snapshot form.
-    pub(crate) fn capture(&self) -> Result<SimCapture, SnapshotError> {
-        let captured = self.scheduler.for_each_shard(|_, s| {
-            if !s.timers.is_idle() || !s.arrivals.is_empty() {
-                return Err(SnapshotError::Unsupported(
-                    "shard has work in flight — capture only at an epoch barrier",
-                ));
-            }
-            s.state.capture().map(|cap| (cap, Arc::clone(&s.sites), s.state.field()))
-        });
-        let mut clusters = Vec::with_capacity(captured.len());
-        let mut sites = Vec::new();
-        let mut field = (0.0, 0.0);
-        for item in captured {
-            let (cap, shard_sites, shard_field) = item?;
-            if sites.is_empty() {
-                sites = shard_sites.to_vec();
-            }
-            field = shard_field;
-            clusters.push(cap);
+    /// arrivals in flight (capture attempted mid-epoch).
+    pub(crate) fn checkpoint_header(&self) -> Result<DeploymentHeader, SnapshotError> {
+        let idle = self
+            .scheduler
+            .for_each_shard(|_, s| s.timers.is_idle() && s.arrivals.is_empty());
+        if idle.contains(&false) {
+            return Err(SnapshotError::Unsupported(
+                "shard has work in flight — capture only at an epoch barrier",
+            ));
         }
-        if clusters.is_empty() {
+        if idle.is_empty() {
             return Err(SnapshotError::Invalid("deployment has no clusters"));
         }
-        Ok(SimCapture {
+        let (sites, field) = self
+            .scheduler
+            .with_shard(0, |s| (s.sites.to_vec(), s.state.field()));
+        Ok(DeploymentHeader {
             config: self.config,
             sites,
-            clusters,
+            cluster_count: idle.len(),
             n_nodes: self.n_nodes,
             round: self.round,
             field,
         })
+    }
+
+    /// Calls `f` on every cluster in index order, stopping at the first
+    /// error — how a checkpoint reads shard state in place.
+    pub(crate) fn try_for_each_cluster<E>(
+        &self,
+        mut f: impl FnMut(&ClusterState) -> Result<(), E>,
+    ) -> Result<(), E> {
+        (0..self.scheduler.shard_count())
+            .try_for_each(|ci| self.scheduler.with_shard(ci, |s| f(&s.state)))
     }
 
     /// Total DES events dispatched across all shard timer queues plus
@@ -761,6 +791,48 @@ mod tests {
                     "threads={threads} round={round}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn point_lookups_track_handoffs_like_the_sequential_engine() {
+        // Drift 0.5 with re-election every 4 rounds moves nodes between
+        // clusters; the sharded affiliation map must follow every move,
+        // whether rounds run one per epoch or batched.
+        for batched in [false, true] {
+            let (mut seq, mut par) = build_pair(7, 2);
+            let start: Vec<usize> = (0..100).map(|i| seq.cluster_of(NodeId(i))).collect();
+            let mut event_rng = SimRng::seed_from(77);
+            for round in 0..5 {
+                let events: Vec<Point> = (0..4)
+                    .map(|_| {
+                        Point::new(
+                            event_rng.uniform_range(0.0, 100.0),
+                            event_rng.uniform_range(0.0, 100.0),
+                        )
+                    })
+                    .collect();
+                for &e in &events {
+                    seq.run_event(e);
+                    if !batched {
+                        par.run_event(e);
+                    }
+                }
+                if batched {
+                    par.run_events(&events);
+                }
+                for (i, &bits) in seq.trust_snapshot().iter().enumerate() {
+                    let node = NodeId(i);
+                    assert_eq!(seq.cluster_of(node), par.cluster_of(node), "round {round} node {i}");
+                    assert_eq!(par.trust_counter_of(node).to_bits(), bits);
+                    assert_eq!(seq.trust_counter_of(node).to_bits(), bits);
+                    assert_eq!(seq.trust_of(node).to_bits(), par.trust_of(node).to_bits());
+                }
+            }
+            assert!(
+                (0..100).any(|i| seq.cluster_of(NodeId(i)) != start[i]),
+                "the scenario must hand at least one node off"
+            );
         }
     }
 

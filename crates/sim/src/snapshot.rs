@@ -194,19 +194,41 @@ pub fn read_framed(r: &mut impl Read, max_len: u64) -> Result<Vec<u8>, FrameErro
     Ok(payload)
 }
 
-/// CRC32 (IEEE 802.3, the zlib polynomial), table-driven.
+/// CRC32 (IEEE 802.3, the zlib polynomial), slice-by-8.
+///
+/// Eight input bytes per step through eight 256-entry tables: table
+/// `k` holds the CRC of byte `i` followed by `k` zero bytes, so one
+/// step folds a whole little-endian 64-bit word with eight independent
+/// lookups instead of eight dependent ones. The tail (< 8 bytes) runs
+/// the classic byte-wise loop over table 0. Values are identical to
+/// the byte-at-a-time definition (pinned against it in the tests).
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc_table();
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -215,10 +237,20 @@ const fn crc_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// Builds a snapshot blob: header first, then CRC-framed sections.
@@ -249,7 +281,12 @@ impl SnapshotWriter {
     /// Starts a blob with the magic and current version.
     #[must_use]
     pub fn new() -> Self {
-        let mut buf = Vec::with_capacity(256);
+        SnapshotWriter::over(Vec::with_capacity(256))
+    }
+
+    /// Starts a blob at the end of `buf` (which may already hold bytes
+    /// of an enclosing container).
+    fn over(mut buf: Vec<u8>) -> Self {
         buf.extend_from_slice(&MAGIC);
         buf.extend_from_slice(&VERSION.to_le_bytes());
         SnapshotWriter { buf }
@@ -257,15 +294,22 @@ impl SnapshotWriter {
 
     /// Appends one section: `f` fills the payload, the writer frames it
     /// with the tag, length, and CRC.
+    ///
+    /// The payload is written in place: the tag and a length
+    /// placeholder go straight into the blob, `f` appends behind them,
+    /// and the length and CRC are patched in over the finished slice —
+    /// no per-section buffer, no copy.
     pub fn section<R>(&mut self, tag: u8, f: impl FnOnce(&mut SectionBuf) -> R) -> R {
-        let mut body = SectionBuf { buf: Vec::new() };
-        let out = f(&mut body);
         self.buf.push(tag);
-        #[allow(clippy::cast_possible_truncation)]
-        let len = body.buf.len() as u32;
-        self.buf.extend_from_slice(&len.to_le_bytes());
-        let crc = crc32(&body.buf);
-        self.buf.extend_from_slice(&body.buf);
+        let len_at = self.buf.len();
+        self.buf.extend_from_slice(&[0; 4]);
+        let mut body = SectionBuf { buf: std::mem::take(&mut self.buf) };
+        let out = f(&mut body);
+        self.buf = body.buf;
+        let payload = &self.buf[len_at + 4..];
+        let len = u32::try_from(payload.len()).expect("a section payload fits its u32 length");
+        let crc = crc32(payload);
+        self.buf[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
         self.buf.extend_from_slice(&crc.to_le_bytes());
         out
     }
@@ -338,6 +382,22 @@ impl SectionBuf {
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.put_usize(bytes.len());
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Appends a nested container built in place by `f`: exactly the
+    /// bytes `put_bytes(&blob)` appends for the `blob` a fresh
+    /// [`SnapshotWriter`] would finish with after `f` (a u64 length,
+    /// then magic, version, and `f`'s sections), without building that
+    /// blob separately and copying it in.
+    pub fn put_nested<R>(&mut self, f: impl FnOnce(&mut SnapshotWriter) -> R) -> R {
+        let len_at = self.buf.len();
+        self.buf.extend_from_slice(&[0; 8]);
+        let mut inner = SnapshotWriter::over(std::mem::take(&mut self.buf));
+        let out = f(&mut inner);
+        self.buf = inner.buf;
+        let len = (self.buf.len() - len_at - 8) as u64;
+        self.buf[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
+        out
     }
 
     /// Appends a length-prefixed UTF-8 string (u16 length).
@@ -788,11 +848,94 @@ mod tests {
         }
     }
 
+    /// The byte-at-a-time CRC32 definition: the differential reference
+    /// for the slice-by-8 production path.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let table = &CRC_TABLES[0];
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ table[((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    fn seeded_bytes(len: usize, seed: u64) -> Vec<u8> {
+        let mut rng = crate::rng::SimRng::seed_from(seed);
+        (0..len).map(|_| rng.next_u64() as u8).collect()
+    }
+
     #[test]
     fn crc32_matches_known_vector() {
         // The canonical zlib check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_table_zero_is_the_bytewise_table() {
+        // Spot values of the reflected 0xEDB88320 table.
+        assert_eq!(CRC_TABLES[0][1], 0x7707_3096);
+        assert_eq!(CRC_TABLES[0][255], 0x2D02_EF8D);
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_at_every_short_length_and_offset() {
+        let data = seeded_bytes(64 + 8, 0xC3C3);
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let slice = &data[offset..offset + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "len {len} at offset {offset}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_on_a_snapshot_sized_buffer() {
+        let data = seeded_bytes(300 * 1024, 42);
+        assert_eq!(crc32(&data), crc32_bytewise(&data));
+    }
+
+    #[test]
+    fn put_nested_equals_put_bytes_of_the_finished_blob() {
+        let fill = |w: &mut SnapshotWriter| {
+            w.section(7, |s| {
+                s.put_u64(99);
+                s.put_str("inner");
+            });
+            w.section(8, |s| s.put_bytes(&[1, 2, 3]));
+        };
+        let mut standalone = SnapshotWriter::new();
+        fill(&mut standalone);
+        let inner = standalone.finish();
+
+        let mut two_step = SnapshotWriter::new();
+        two_step.section(1, |s| {
+            s.put_u8(5);
+            s.put_bytes(&inner);
+            s.put_u8(6);
+        });
+        let mut nested = SnapshotWriter::new();
+        nested.section(1, |s| {
+            s.put_u8(5);
+            s.put_nested(fill);
+            s.put_u8(6);
+        });
+        assert_eq!(nested.finish(), two_step.finish());
+
+        // An empty nested container is just the header.
+        let mut w = SnapshotWriter::new();
+        w.section(3, |s| s.put_nested(|_| ()));
+        let blob = w.finish();
+        let mut r = SnapshotReader::new(&blob).unwrap();
+        let mut s = r.section(3).unwrap();
+        let back = s.take_bytes().unwrap();
+        s.end().unwrap();
+        assert_eq!(back, SnapshotWriter::new().finish());
     }
 
     #[test]
