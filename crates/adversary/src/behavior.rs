@@ -79,6 +79,19 @@ pub trait NodeBehavior {
     /// The behavior's category.
     fn kind(&self) -> BehaviorKind;
 
+    /// Whether this behavior is provably silent when it senses nothing.
+    ///
+    /// Contract: when this returns `true`, an action on a context whose
+    /// [`RoundContext::sensed_event`] is `None` returns `None` (or
+    /// `false` in the binary model) without drawing from the RNG and
+    /// without changing the behavior's own state. Harnesses may then
+    /// skip such calls outright — the multi-cluster engines skip whole
+    /// clusters out of sensing range of a stimulus — with no trace of
+    /// the skip in any result. The default, `false`, promises nothing.
+    fn quiet_unless_sensed(&self) -> bool {
+        false
+    }
+
     /// Captures the behavior's complete state for a checkpoint, or
     /// `None` if this behavior cannot be checkpointed (level-2 colluders
     /// share a live coordinator that cannot survive serialisation).
@@ -284,6 +297,12 @@ impl NodeBehavior for CorrectNode {
         BehaviorKind::Correct
     }
 
+    /// Unsensed, the only draw is the false-alarm `chance(ner)`, which
+    /// consumes nothing at `ner <= 0`.
+    fn quiet_unless_sensed(&self) -> bool {
+        self.ner <= 0.0
+    }
+
     fn snapshot(&self) -> Option<BehaviorSnapshot> {
         Some(BehaviorSnapshot::Correct {
             ner: self.ner,
@@ -398,6 +417,12 @@ impl NodeBehavior for Level0Node {
 
     fn kind(&self) -> BehaviorKind {
         BehaviorKind::Level0
+    }
+
+    /// Unsensed, the false-alarm `chance` consumes nothing at
+    /// `false_alarm <= 0`, and the drop draw only follows a claim.
+    fn quiet_unless_sensed(&self) -> bool {
+        self.config.false_alarm <= 0.0
     }
 
     fn snapshot(&self) -> Option<BehaviorSnapshot> {
@@ -853,6 +878,62 @@ mod tests {
             loc_sigma: 0.0,
             drop_prob: 0.0,
         });
+    }
+
+    #[test]
+    fn quiet_behaviors_leave_rng_and_state_untouched_unsensed() {
+        let l0 = |missed_alarm, false_alarm, drop_prob| {
+            Level0Node::new(Level0Config {
+                missed_alarm,
+                false_alarm,
+                loc_sigma: 4.25,
+                drop_prob,
+            })
+        };
+        let zoo: Vec<Box<dyn NodeBehavior>> = vec![
+            Box::new(CorrectNode::new(0.0, 1.6)),
+            Box::new(CorrectNode::new(0.0, 0.0)),
+            Box::new(CorrectNode::new(0.05, 1.6)),
+            Box::new(l0(0.0, 0.0, 0.25)),
+            Box::new(l0(0.5, 0.0, 1.0)),
+            Box::new(l0(1.0, 0.0, 0.0)),
+            Box::new(l0(0.5, 0.1, 0.25)),
+            Box::new(l0(0.0, 1.0, 0.0)),
+            Box::new(Level1Node::with_paper_thresholds(
+                Level0Config::experiment2(4.25),
+                1.6,
+                TrustParams::experiment2(),
+            )),
+        ];
+        let unsensed = [
+            ctx(None, false),
+            ctx(None, true),
+            ctx(Some(Point::new(90.0, 90.0)), false),
+        ];
+        let mut quiet = 0;
+        for (i, mut b) in zoo.into_iter().enumerate() {
+            if !b.quiet_unless_sensed() {
+                continue;
+            }
+            quiet += 1;
+            let snapshot = b.snapshot();
+            let mut rng = SimRng::seed_from(0xC0 + i as u64);
+            // A pending Gaussian spare is part of the state too.
+            let _ = rng.standard_normal();
+            let before = rng.state();
+            for c in &unsensed {
+                for _ in 0..50 {
+                    assert_eq!(b.located_action(c, &mut rng), None, "behavior {i}");
+                    assert!(!b.binary_action(c, &mut rng), "behavior {i}");
+                }
+            }
+            assert_eq!(rng.state(), before, "behavior {i} drew from the rng");
+            assert_eq!(b.snapshot(), snapshot, "behavior {i} changed itself");
+        }
+        assert_eq!(quiet, 5, "the zoo's quiet members");
+        // Anything that can false-alarm is not quiet.
+        assert!(!CorrectNode::new(0.05, 1.6).quiet_unless_sensed());
+        assert!(!l0(0.0, 0.1, 0.0).quiet_unless_sensed());
     }
 
     #[test]

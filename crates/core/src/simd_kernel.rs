@@ -1187,9 +1187,11 @@ mod neon {
 // Cache-line aligned storage for the hot SoA arrays
 // ---------------------------------------------------------------------------
 
-/// A fixed-length slab whose exposed window starts on a cache-line
-/// boundary — safe code only: the backing `Vec` is over-allocated by one
-/// cache line and the aligned sub-slice is exposed through `Deref`.
+/// A slab whose exposed window starts on a cache-line boundary — safe
+/// code only: the backing `Vec` is over-allocated by one cache line and
+/// the aligned sub-slice is exposed through `Deref`. The length changes
+/// only through [`AlignedSlab::truncate`] and [`AlignedSlab::insert`],
+/// both of which keep the window aligned.
 ///
 /// Used for the trust table's hot SoA weight arrays so a SIMD block's
 /// first gather never straddles a line and two tables' hot arrays don't
@@ -1245,6 +1247,43 @@ impl<T: Copy> AlignedSlab<T> {
             off: 0,
             len: 0,
         }
+    }
+
+    /// Shortens the slab to `len` elements (no-op if it is not longer).
+    /// Never reallocates, so the window stays aligned.
+    pub fn truncate(&mut self, len: usize) {
+        self.len = self.len.min(len);
+    }
+
+    /// Inserts `value` at `index`, shifting later elements up. Grows in
+    /// place while the backing `Vec` has room past the window; otherwise
+    /// moves to a fresh, realigned allocation exactly one element larger,
+    /// so capacity follows the largest length ever held, never doubling.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index > len`.
+    pub fn insert(&mut self, index: usize, value: T) {
+        assert!(
+            index <= self.len,
+            "insert index {index} past length {}",
+            self.len
+        );
+        if self.off + self.len == self.raw.len() {
+            if self.raw.len() < self.raw.capacity() {
+                // Same allocation, so the window's alignment holds.
+                self.raw.push(value);
+            } else {
+                let mut grown = Self::filled(self.len + 1, value);
+                grown[..self.len].copy_from_slice(self);
+                grown.len = self.len;
+                *self = grown;
+            }
+        }
+        let at = self.off + index;
+        self.raw.copy_within(at..self.off + self.len, at + 1);
+        self.raw[at] = value;
+        self.len += 1;
     }
 }
 
@@ -1435,5 +1474,26 @@ mod tests {
         let mut slab = AlignedSlab::from_slice(&[1i64, 2, 3]);
         slab[1] = 9;
         assert_eq!(&*slab, &[1, 9, 3]);
+    }
+
+    #[test]
+    fn aligned_slab_edits_match_vec_and_stay_aligned() {
+        let mut slab = AlignedSlab::from_slice(&[0.5f64, 1.5, 2.5, 3.5]);
+        let mut mirror = vec![0.5f64, 1.5, 2.5, 3.5];
+        let mut rng = tibfit_sim::rng::SimRng::seed_from(0x51AB);
+        for step in 0..400u32 {
+            if mirror.len() > 1 && rng.chance(0.1) {
+                let len = rng.uniform_usize(mirror.len());
+                slab.truncate(len);
+                mirror.truncate(len);
+            } else {
+                let at = rng.uniform_usize(mirror.len() + 1);
+                let v = f64::from(step);
+                slab.insert(at, v);
+                mirror.insert(at, v);
+            }
+            assert_eq!(&*slab, &mirror[..], "step {step}");
+            assert_eq!(slab.as_ptr() as usize % CACHE_LINE, 0, "step {step}");
+        }
     }
 }

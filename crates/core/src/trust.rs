@@ -959,6 +959,92 @@ impl TrustTable {
         }
     }
 
+    /// Removes the nodes `keep` rejects, renumbering the survivors
+    /// densely in their old order — the sending side of a re-election,
+    /// done in place. `keep` sees every id once, in ascending order.
+    ///
+    /// The result is exactly the table `TrustTable::new(params, kept)`
+    /// followed by [`TrustTable::install`] of each survivor's
+    /// [`TrustTable::extract`]ed record would build: the same counters,
+    /// cached TIs, weights and statuses, `exp_evals` equal to the new
+    /// length (one paid exponential per install), `ti_reads` zero, and
+    /// no isolation threshold or reintegration policy. Survivors keep
+    /// their cached TI rather than recomputing it — the write-through
+    /// cache already holds exactly what a fresh install would compute —
+    /// and the buffers keep their capacity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keep` rejects every node (a table is never empty).
+    pub fn retain_nodes(&mut self, mut keep: impl FnMut(NodeId) -> bool) {
+        let mut kept = 0;
+        for i in 0..self.counters.len() {
+            if !keep(NodeId(i)) {
+                continue;
+            }
+            self.counters[kept] = self.counters[i];
+            self.cached_ti[kept] = self.cached_ti[i];
+            self.status[kept] = self.status[i];
+            self.weights[kept] = self.weights[i];
+            if self.fixed.is_some() {
+                self.counters_q[kept] = self.counters_q[i];
+                self.weights_q[kept] = self.weights_q[i];
+            }
+            kept += 1;
+        }
+        assert!(kept > 0, "trust table needs at least one node");
+        self.counters.truncate(kept);
+        self.cached_ti.truncate(kept);
+        self.status.truncate(kept);
+        self.weights.truncate(kept);
+        if self.fixed.is_some() {
+            self.counters_q.truncate(kept);
+            self.weights_q.truncate(kept);
+        }
+        self.reset_as_installed();
+    }
+
+    /// Inserts a hand-off record as node `at`, shifting every later id
+    /// up by one — the receiving side of a re-election, done in place.
+    ///
+    /// The result is exactly the table `TrustTable::new(params, len + 1)`
+    /// followed by [`TrustTable::install`] of every record in the new
+    /// order would build (see [`TrustTable::retain_nodes`] for what that
+    /// covers); only the arrival pays an exponential. Every buffer grows
+    /// by exactly one slot when full, never by doubling.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at > len` or the record's counter is negative or
+    /// non-finite.
+    pub fn insert_node(&mut self, at: usize, record: TrustRecord) {
+        assert!(at <= self.counters.len(), "insert position out of range");
+        self.counters.reserve_exact(1);
+        self.counters.insert(at, 0.0);
+        self.cached_ti.reserve_exact(1);
+        self.cached_ti.insert(at, 1.0);
+        self.status.reserve_exact(1);
+        self.status.insert(at, NodeStatus::Active);
+        self.weights.insert(at, 1.0);
+        if self.fixed.is_some() {
+            self.counters_q.reserve_exact(1);
+            self.counters_q.insert(at, 0);
+            self.weights_q.insert(at, fixed::ONE_Q16);
+        }
+        self.install(NodeId(at), record);
+        self.reset_as_installed();
+    }
+
+    /// The bookkeeping a freshly built table holds after one
+    /// [`TrustTable::install`] per node: one paid exponential each, no
+    /// reads, diagnosis disabled.
+    fn reset_as_installed(&mut self) {
+        self.exp_evals = self.counters.len() as u64;
+        self.ti_reads.set(0);
+        self.isolation_threshold = None;
+        self.reintegration = None;
+    }
+
     /// Installs a hand-off record under a (possibly different) local id —
     /// the receiving side of [`TrustTable::extract`].
     ///
@@ -2059,5 +2145,84 @@ mod tests {
         let mut s = state.clone();
         s.lambda = 1e-9;
         assert_eq!(TrustTable::from_state(&s).unwrap_err(), TrustStateError::BadParams);
+    }
+
+    /// A table with history: counters moved, a quarantine served into
+    /// probation, reads counted, diagnosis configured.
+    fn seasoned_table(params: TrustParams, n: usize, seed: u64) -> TrustTable {
+        let mut t = TrustTable::new(params, n)
+            .with_isolation_threshold(0.5)
+            .with_reintegration(2, 3);
+        let mut rng = tibfit_sim::rng::SimRng::seed_from(seed);
+        for _ in 0..6 * n {
+            let node = NodeId(rng.uniform_usize(n));
+            if rng.chance(0.4) {
+                t.record_faulty(node);
+            } else {
+                t.record_correct(node);
+            }
+            if rng.chance(0.1) {
+                t.tick_round();
+            }
+        }
+        let _ = t.trust_of(NodeId(0));
+        t
+    }
+
+    /// `TrustTable::new(params, records.len())` plus one `install` per
+    /// record: what a re-election used to rebuild.
+    fn installed(params: TrustParams, records: &[TrustRecord]) -> TrustTable {
+        let mut t = TrustTable::new(params, records.len());
+        for (i, &r) in records.iter().enumerate() {
+            t.install(NodeId(i), r);
+        }
+        t
+    }
+
+    fn assert_same_table(got: &TrustTable, want: &TrustTable, what: &str) {
+        assert_eq!(got.export_state(), want.export_state(), "{what}");
+        for i in 0..want.len() {
+            let node = [NodeId(i)];
+            assert_eq!(
+                got.cumulative_trust(&node).to_bits(),
+                want.cumulative_trust(&node).to_bits(),
+                "{what}: weight of node {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn in_place_membership_edits_equal_a_fresh_install() {
+        let backends = [params(), TrustParams::try_new_fixed(0.25, 0.1).unwrap()];
+        for (b, &p) in backends.iter().enumerate() {
+            for seed in 0..20u64 {
+                let mut rng = tibfit_sim::rng::SimRng::seed_from(seed ^ 0xED17);
+                let n = 2 + rng.uniform_usize(14);
+                let mut t = seasoned_table(p, n, seed);
+                let donor = seasoned_table(p, 4, seed + 100);
+                assert!(t.ti_reads() > 0 && t.isolation_threshold.is_some());
+
+                // Departures: drop a random non-empty-leaving subset.
+                let keep: Vec<bool> = (0..n).map(|i| i == 0 || rng.chance(0.7)).collect();
+                let records: Vec<TrustRecord> = (0..n)
+                    .filter(|&i| keep[i])
+                    .map(|i| t.extract(NodeId(i)))
+                    .collect();
+                t.retain_nodes(|id| keep[id.index()]);
+                let mut want = installed(p, &records);
+                assert_same_table(&t, &want, &format!("backend {b} seed {seed} retain"));
+
+                // Arrivals: insert donor records at random positions.
+                let mut records = records;
+                for d in 0..donor.len() {
+                    let at = rng.uniform_usize(records.len() + 1);
+                    let record = donor.extract(NodeId(d));
+                    t.insert_node(at, record);
+                    records.insert(at, record);
+                    want = installed(p, &records);
+                    assert_same_table(&t, &want, &format!("backend {b} seed {seed} insert {d}"));
+                }
+            }
+        }
     }
 }

@@ -312,6 +312,10 @@ struct SlotCore {
     positions: Arc<PositionView>,
     cancel: Arc<AtomicBool>,
     handle: Option<JoinHandle<Result<(), DaemonError>>>,
+    /// Superseded incarnations that had not finished when replaced — a
+    /// wedge, or a panic still unwinding. Each is canceled and fenced,
+    /// so it can only exit; its outcome is harvested once it has.
+    retired: Vec<JoinHandle<Result<(), DaemonError>>>,
     health: Health,
     misses: u32,
     last_heartbeat: u64,
@@ -624,24 +628,49 @@ fn rebuild_tenant(cfg: &DaemonConfig, id: usize) -> Result<(Tenant, u64), Daemon
     }
 }
 
+/// Records how a worker incarnation ended.
+fn record_exit(slot: &mut SlotCore, outcome: std::thread::Result<Result<(), DaemonError>>) {
+    match outcome {
+        Ok(Ok(())) => {}
+        Ok(Err(e)) => slot.last_error = Some(e.to_string()),
+        Err(_) => slot.last_error = Some("worker panicked".into()),
+    }
+}
+
+/// Cancels the slot's current worker and retires its handle, then
+/// harvests every retired incarnation that has finished. An unfinished
+/// one stays retired until a later harvest: a worker that panicked may
+/// still be unwinding when the watchdog replaces it, and its panic must
+/// not be lost.
+fn retire_worker(slot: &mut SlotCore) {
+    slot.cancel.store(true, Ordering::SeqCst);
+    slot.retired.extend(slot.handle.take());
+    harvest_retired(slot, false);
+}
+
+/// Joins retired incarnations and records their outcomes: the finished
+/// ones only, or (`wait`) all of them. Waiting is safe because every
+/// retired worker is canceled and fenced out of its queue, so it can
+/// only exit.
+fn harvest_retired(slot: &mut SlotCore, wait: bool) {
+    let mut i = 0;
+    while i < slot.retired.len() {
+        if wait || slot.retired[i].is_finished() {
+            let outcome = slot.retired.remove(i).join();
+            record_exit(slot, outcome);
+        } else {
+            i += 1;
+        }
+    }
+}
+
 /// Replaces a slot's worker: supersede the log epoch, rebuild the
 /// tenant from its last snapshot, truncate the log to match, replay
 /// the recovery buffer. On failure the tenant is quarantined instead.
 fn respawn_slot(cfg: &DaemonConfig, slot: &mut SlotCore, probation_until: u64) {
-    slot.cancel.store(true, Ordering::SeqCst);
-    if let Some(handle) = slot.handle.take() {
-        if handle.is_finished() {
-            match handle.join() {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => slot.last_error = Some(e.to_string()),
-                Err(_) => {
-                    slot.last_error = Some("worker panicked".into());
-                }
-            }
-        }
-        // A wedged (unfinished) handle is detached: its epoch is
-        // superseded and its cancel flag set, so it can only exit.
-    }
+    // A wedged (unfinished) worker is retired, not joined: its epoch is
+    // superseded below and its cancel flag set, so it can only exit.
+    retire_worker(slot);
     let outcome: Result<(), DaemonError> = (|| {
         // Fence FIRST: bumping the queue generation stops a
         // still-running old incarnation (a wedge, or a watchdog false
@@ -745,12 +774,7 @@ fn watchdog_check(cfg: &DaemonConfig, slot: &mut SlotCore, check_no: u64) -> f64
         }
         slot.restarts += 1;
         if slot.restart_checks.len() > policy.crash_loop_limit {
-            slot.cancel.store(true, Ordering::SeqCst);
-            if let Some(handle) = slot.handle.take() {
-                if handle.is_finished() {
-                    let _ = handle.join();
-                }
-            }
+            retire_worker(slot);
             slot.health = Health::Quarantined {
                 until_check: check_no + policy.probation_checks,
             };
@@ -903,6 +927,7 @@ fn build_slot(
         positions,
         cancel,
         handle: Some(handle),
+        retired: Vec::new(),
         health: Health::Active,
         misses: 0,
         last_heartbeat: 0,
@@ -1203,21 +1228,18 @@ impl Daemon {
         let mut tenants = Vec::with_capacity(slots.len());
         for slot in slots.iter_mut() {
             let quarantined = matches!(slot.health, Health::Quarantined { .. });
-            if let Some(handle) = slot.handle.take() {
-                if quarantined {
-                    // No worker is listening on a quarantined queue;
-                    // the handle (if any) is already dead or canceled.
-                    if handle.is_finished() {
-                        let _ = handle.join();
-                    }
-                } else {
-                    match handle.join() {
-                        Ok(Ok(())) => {}
-                        Ok(Err(e)) => slot.last_error = Some(e.to_string()),
-                        Err(_) => slot.last_error = Some("worker panicked".into()),
-                    }
-                }
+            if quarantined {
+                // No worker is listening on a quarantined queue; the
+                // handle (if any) is already dead or canceled.
+                retire_worker(slot);
+            } else if let Some(handle) = slot.handle.take() {
+                let outcome = handle.join();
+                record_exit(slot, outcome);
             }
+            // Retired incarnations go last, so a panic that was still
+            // unwinding when its worker was replaced is what the report
+            // shows.
+            harvest_retired(slot, true);
             tenants.push(TenantSummary {
                 id: slot.id,
                 applied: slot.shared.applied.load(Ordering::SeqCst),

@@ -72,6 +72,23 @@ enum TenantEngine {
     Sharded(Box<ShardedMultiCluster>),
 }
 
+impl TenantEngine {
+    /// Writes every node's position into `out` (indexed by node id) in
+    /// one pass; `out` keeps its allocation across calls.
+    fn positions_into(&self, out: &mut Vec<(f64, f64)>) {
+        let n = match self {
+            TenantEngine::Sequential(e) => e.node_count(),
+            TenantEngine::Sharded(e) => e.node_count(),
+        };
+        out.resize(n, (0.0, 0.0));
+        let put = |node: NodeId, p: Point| out[node.index()] = (p.x, p.y);
+        match self {
+            TenantEngine::Sequential(e) => e.for_each_position(put),
+            TenantEngine::Sharded(e) => e.for_each_position(put),
+        }
+    }
+}
+
 /// The engine's node positions, shared with the router so admission
 /// can rank pending records by trust impact without touching the
 /// engine. Refreshed by the worker after every applied round; read by
@@ -110,18 +127,10 @@ pub struct Tenant {
     kind: EngineKind,
     engine: TenantEngine,
     positions: Arc<PositionView>,
-    /// Scratch for per-record position refreshes — the apply path runs
-    /// once per admitted record and must not allocate for a full
-    /// position vector each time.
-    pos_scratch: Vec<(u64, u64)>,
-    /// Scratch for the per-record trust digest, same reasoning.
+    /// Scratch for the per-record trust digest — the apply path runs
+    /// once per admitted record and must not allocate a full trust
+    /// vector each time.
     trust_scratch: Vec<u64>,
-}
-
-fn decode_positions(bits: Vec<(u64, u64)>) -> Vec<(f64, f64)> {
-    bits.into_iter()
-        .map(|(x, y)| (f64::from_bits(x), f64::from_bits(y)))
-        .collect()
 }
 
 /// Multiplier of the decision-line fingerprint. NOT the standard
@@ -151,10 +160,8 @@ impl Tenant {
             TenantEngine::Sequential(e) => e.config().sensing_radius,
             TenantEngine::Sharded(e) => e.config().sensing_radius,
         };
-        let bits = match &engine {
-            TenantEngine::Sequential(e) => e.position_snapshot(),
-            TenantEngine::Sharded(e) => e.position_snapshot(),
-        };
+        let mut points = Vec::new();
+        engine.positions_into(&mut points);
         Tenant {
             id,
             scenario,
@@ -162,9 +169,8 @@ impl Tenant {
             engine,
             positions: Arc::new(PositionView {
                 radius,
-                points: Mutex::new(decode_positions(bits)),
+                points: Mutex::new(points),
             }),
-            pos_scratch: Vec::new(),
             trust_scratch: Vec::new(),
         }
     }
@@ -245,7 +251,7 @@ impl Tenant {
     /// view from this engine's state immediately.
     pub fn set_positions(&mut self, view: Arc<PositionView>) {
         debug_assert_eq!(view.radius.to_bits(), self.positions.radius.to_bits());
-        *view.lock() = decode_positions(self.position_bits());
+        self.engine.positions_into(&mut view.lock());
         self.positions = view;
     }
 
@@ -255,13 +261,6 @@ impl Tenant {
         match &self.engine {
             TenantEngine::Sequential(e) => e.round(),
             TenantEngine::Sharded(e) => e.round(),
-        }
-    }
-
-    fn position_bits(&self) -> Vec<(u64, u64)> {
-        match &self.engine {
-            TenantEngine::Sequential(e) => e.position_snapshot(),
-            TenantEngine::Sharded(e) => e.position_snapshot(),
         }
     }
 
@@ -316,19 +315,7 @@ impl Tenant {
             TenantEngine::Sequential(e) => e.run_event(stimulus),
             TenantEngine::Sharded(e) => e.run_event(stimulus),
         };
-        match &self.engine {
-            TenantEngine::Sequential(e) => e.position_snapshot_into(&mut self.pos_scratch),
-            TenantEngine::Sharded(e) => e.position_snapshot_into(&mut self.pos_scratch),
-        }
-        {
-            let mut pts = self.positions.lock();
-            pts.clear();
-            pts.extend(
-                self.pos_scratch
-                    .iter()
-                    .map(|&(x, y)| (f64::from_bits(x), f64::from_bits(y))),
-            );
-        }
+        self.engine.positions_into(&mut self.positions.lock());
         self.decision_line_into(report, &result, out);
     }
 

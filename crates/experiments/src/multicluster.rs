@@ -33,6 +33,8 @@
 //! handed off — fault counter, diagnosis state, and behaviour move with
 //! it, so a liar cannot launder its record by crossing a border.
 
+use std::cell::Cell;
+
 use tibfit_adversary::behavior::{BehaviorSnapshot, NodeBehavior, RoundContext};
 use tibfit_core::engine::{Aggregator, TibfitEngine};
 use tibfit_core::location::LocatedReport;
@@ -287,12 +289,65 @@ pub(crate) struct DeploymentHeader {
     pub(crate) field: (f64, f64),
 }
 
-/// One member's full state, as reassembled during a cluster rebuild.
-struct MemberSlot {
-    node: NodeId,
-    position: Point,
-    behavior: Box<dyn NodeBehavior + Send>,
-    record: TrustRecord,
+/// Relative slack on the sensing radius when a whole cluster is tested
+/// against a stimulus: a box distance computed just past the radius by
+/// rounding can then never hide a member whose own distance test would
+/// still pass.
+const SENSE_REACH_SLACK: f64 = 1.0 + 1e-9;
+
+/// Axis-aligned bounding box of a cluster's member positions — what
+/// event-local sensing tests a stimulus against.
+#[derive(Debug, Clone, Copy)]
+struct Bounds {
+    min_x: f64,
+    min_y: f64,
+    max_x: f64,
+    max_y: f64,
+}
+
+impl Bounds {
+    const EMPTY: Bounds = Bounds {
+        min_x: f64::INFINITY,
+        min_y: f64::INFINITY,
+        max_x: f64::NEG_INFINITY,
+        max_y: f64::NEG_INFINITY,
+    };
+
+    fn of(points: &[Point]) -> Self {
+        let mut b = Bounds::EMPTY;
+        for &p in points {
+            b.include(p);
+        }
+        b
+    }
+
+    fn include(&mut self, p: Point) {
+        // Plain comparisons, not `f64::min`/`max`: positions are finite,
+        // so the NaN handling those pay for is dead weight on the drift
+        // loop.
+        if p.x < self.min_x {
+            self.min_x = p.x;
+        }
+        if p.x > self.max_x {
+            self.max_x = p.x;
+        }
+        if p.y < self.min_y {
+            self.min_y = p.y;
+        }
+        if p.y > self.max_y {
+            self.max_y = p.y;
+        }
+    }
+
+    /// Squared distance from `p` to the box (zero inside). Each axis gap
+    /// is a correctly rounded difference no larger than the gap to any
+    /// point inside the box, so this never exceeds the distance a member
+    /// computes for itself.
+    fn distance_sq_to(&self, p: Point) -> f64 {
+        let dx = (self.min_x - p.x).max(p.x - self.max_x).max(0.0);
+        let dy = (self.min_y - p.y).max(p.y - self.max_y).max(0.0);
+        dx * dx + dy * dy
+    }
 }
 
 /// One cluster as a self-contained unit: head position, members (global
@@ -308,11 +363,19 @@ pub(crate) struct ClusterState {
     head_position: Point,
     /// Global ids, ascending; local id = position in this vector.
     members: Vec<NodeId>,
-    /// Current member positions (drift updates these), local-id order.
-    positions: Vec<Point>,
+    /// Current member positions (drift updates these), local-id order —
+    /// the only copy.
     local_topo: Topology,
     engine: TibfitEngine,
     behaviors: Vec<Box<dyn NodeBehavior + Send>>,
+    /// Members whose behaviour is not
+    /// [`NodeBehavior::quiet_unless_sensed`]: while zero, a stimulus out
+    /// of sensing range of [`ClusterState::bounds`] cannot produce a
+    /// report here.
+    non_quiet: usize,
+    /// Bounding box of the member positions, kept current by drift and
+    /// by every membership edit.
+    bounds: Bounds,
     channel: Box<dyn ChannelModel + Send>,
     pub(crate) rng: SimRng,
     trace: Trace,
@@ -329,6 +392,9 @@ pub(crate) struct ClusterState {
 }
 
 impl ClusterState {
+    /// `non_quiet` is the number of `behaviors` that are not
+    /// [`NodeBehavior::quiet_unless_sensed`], counted by the caller in
+    /// the pass that built them.
     #[allow(clippy::too_many_arguments)]
     fn new(
         index: usize,
@@ -337,13 +403,22 @@ impl ClusterState {
         positions: Vec<Point>,
         config: MultiClusterConfig,
         behaviors: Vec<Box<dyn NodeBehavior + Send>>,
+        non_quiet: usize,
         channel: Box<dyn ChannelModel + Send>,
         rng: SimRng,
         field_w: f64,
         field_h: f64,
     ) -> Self {
         debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "members sorted");
-        let local_topo = Topology::from_positions(positions.clone(), field_w, field_h);
+        debug_assert_eq!(
+            non_quiet,
+            behaviors
+                .iter()
+                .filter(|b| !b.quiet_unless_sensed())
+                .count()
+        );
+        let bounds = Bounds::of(&positions);
+        let local_topo = Topology::from_positions(positions, field_w, field_h);
         let engine = TibfitEngine::new(config.trust, members.len());
         let mut trace = Trace::disabled();
         let c_delivered = trace.register_counter("reports.delivered");
@@ -357,10 +432,11 @@ impl ClusterState {
             index,
             head_position,
             members,
-            positions,
             local_topo,
             engine,
             behaviors,
+            non_quiet,
+            bounds,
             channel,
             rng,
             trace,
@@ -386,7 +462,12 @@ impl ClusterState {
     }
 
     pub(crate) fn position(&self, local: usize) -> Point {
-        self.positions[local]
+        self.local_topo.position(NodeId(local))
+    }
+
+    /// Member positions in local-id order.
+    pub(crate) fn positions(&self) -> &[Point] {
+        self.local_topo.positions()
     }
 
     /// Raw trust counter of a local member (lossless, for snapshots).
@@ -408,19 +489,21 @@ impl ClusterState {
 
     /// Phase 1 of a round: every member acts on the event (consuming this
     /// cluster's stream in member order), and surviving reports reach the
-    /// head through this cluster's channel. Returns local-id reports.
-    pub(crate) fn sense(&mut self, round: u64, event: Point) -> Vec<LocatedReport> {
-        let mut batch = Vec::new();
-        self.sense_into(round, event, &mut batch);
-        batch
-    }
-
-    /// As [`ClusterState::sense`], appending into a caller-owned buffer
-    /// so the sharded engine can lease per-round scratch from its arena
-    /// instead of allocating a fresh batch every round.
+    /// head through this cluster's channel. Appends local-id reports to a
+    /// caller-owned buffer (engine scratch, or the sharded engine's
+    /// per-round arena lease).
+    ///
+    /// Event-local: when every member is
+    /// [`NodeBehavior::quiet_unless_sensed`] and the stimulus lies beyond
+    /// the sensing radius of the members' bounding box, no member senses
+    /// it, so by that contract every member would return `None` without
+    /// drawing — the whole cluster is skipped, with the same result.
     pub(crate) fn sense_into(&mut self, round: u64, event: Point, batch: &mut Vec<LocatedReport>) {
-        for local in 0..self.members.len() {
-            let node_pos = self.positions[local];
+        let reach = self.config.sensing_radius * SENSE_REACH_SLACK;
+        if self.non_quiet == 0 && self.bounds.distance_sq_to(event) > reach * reach {
+            return;
+        }
+        for (local, &node_pos) in self.local_topo.positions().iter().enumerate() {
             let is_neighbor = node_pos.distance_to(event) <= self.config.sensing_radius;
             let ctx = RoundContext {
                 round,
@@ -444,15 +527,8 @@ impl ClusterState {
     /// Phase 2: the head decides from its fragment and judges its
     /// members; judgements feed straight back into the member behaviours
     /// this cluster owns. An empty batch decides nothing (silence about
-    /// an event nobody reported is not evidence).
-    pub(crate) fn decide(&mut self, batch: &[LocatedReport]) -> Vec<Point> {
-        let mut declared = Vec::new();
-        self.decide_into(batch, &mut declared);
-        declared
-    }
-
-    /// As [`ClusterState::decide`], appending declared locations into a
-    /// caller-owned buffer (arena scratch on the sharded hot path).
+    /// an event nobody reported is not evidence). Appends declared
+    /// locations to a caller-owned buffer.
     pub(crate) fn decide_into(&mut self, batch: &[LocatedReport], declared: &mut Vec<Point>) {
         if batch.is_empty() {
             return;
@@ -490,113 +566,103 @@ impl ClusterState {
         if self.config.drift_sigma <= 0.0 {
             return;
         }
+        let mut bounds = Bounds::EMPTY;
         for local in 0..self.members.len() {
-            let p = self.positions[local];
+            let id = NodeId(local);
+            let p = self.local_topo.position(id);
             let dx = self.rng.normal(0.0, self.config.drift_sigma);
             let dy = self.rng.normal(0.0, self.config.drift_sigma);
             let moved = Point::new(
                 (p.x + dx).clamp(0.0, self.field_w),
                 (p.y + dy).clamp(0.0, self.field_h),
             );
-            self.positions[local] = moved;
-            self.local_topo.set_position(NodeId(local), moved);
+            self.local_topo.set_position(id, moved);
+            bounds.include(moved);
         }
+        self.bounds = bounds;
     }
 
-    /// Re-election: members now nearest a *different* site leave, taking
-    /// their trust record and behaviour with them. The cluster never
-    /// gives up its last member (a head with no members is not a
-    /// cluster), evaluated in member order so the retained node is
-    /// deterministic.
-    pub(crate) fn departures(&mut self, sites: &SiteIndex<'_>) -> Vec<Handoff> {
-        let mut leaving = vec![false; self.members.len()];
+    /// Re-election, sending side: members now nearest a *different*
+    /// site leave, taking their trust record and behaviour with them,
+    /// appended to `out` in member order. The cluster never gives up its
+    /// last member (a head with no members is not a cluster), evaluated
+    /// in member order so the retained node is deterministic.
+    ///
+    /// In place: survivors keep their order, their buffers and their
+    /// cached trust ([`TrustTable::retain_nodes`]); nothing is rebuilt.
+    pub(crate) fn departures_into(&mut self, sites: &SiteIndex<'_>, out: &mut Vec<Handoff>) {
+        let first = out.len();
+        let positions = self.local_topo.positions();
+        let index = self.index;
         let mut remaining = self.members.len();
-        for (leave, &position) in leaving.iter_mut().zip(&self.positions) {
-            let dst = sites.nearest(position).expect("non-empty sites");
-            if dst != self.index && remaining > 1 {
-                *leave = true;
+        let mut local = 0;
+        // (local id, destination) of the member the filter just took.
+        let taken = Cell::new((0, 0));
+        let leaving = self.behaviors.extract_if(.., |_| {
+            let i = local;
+            local += 1;
+            let dst = sites.nearest(positions[i]).expect("non-empty sites");
+            let leave = dst != index && remaining > 1;
+            if leave {
                 remaining -= 1;
+                taken.set((i, dst));
             }
-        }
-        if leaving.iter().all(|&l| !l) {
-            return Vec::new();
-        }
-        let records: Vec<TrustRecord> = (0..self.members.len())
-            .map(|l| self.engine.table().extract(NodeId(l)))
-            .collect();
-        let members = std::mem::take(&mut self.members);
-        let positions = std::mem::take(&mut self.positions);
-        let behaviors = std::mem::take(&mut self.behaviors);
-        let mut kept = Vec::with_capacity(remaining);
-        let mut out = Vec::new();
-        for (local, ((node, position), behavior)) in
-            members.into_iter().zip(positions).zip(behaviors).enumerate()
-        {
-            if leaving[local] {
-                let dst = sites.nearest(position).expect("non-empty sites");
-                out.push(Handoff {
-                    node,
-                    position,
-                    record: records[local],
-                    behavior,
-                    dst,
-                });
-            } else {
-                kept.push(MemberSlot {
-                    node,
-                    position,
-                    behavior,
-                    record: records[local],
-                });
-            }
-        }
-        self.trace.bump_by(self.c_handoff_out, out.len() as u64);
-        self.rebuild(kept);
-        out
-    }
-
-    /// Admits handed-off nodes. The rebuild sorts members by global id,
-    /// so the final state is independent of arrival order — determinism
-    /// by construction rather than by careful sequencing.
-    pub(crate) fn admit(&mut self, mut arrivals: Vec<Handoff>) {
-        self.admit_from(&mut arrivals);
-    }
-
-    /// As [`ClusterState::admit`], draining the caller's buffer in place
-    /// so a shard-lifetime scratch vector can be reused across epochs.
-    pub(crate) fn admit_from(&mut self, arrivals: &mut Vec<Handoff>) {
-        if arrivals.is_empty() {
-            return;
-        }
-        self.trace.bump_by(self.c_handoff_in, arrivals.len() as u64);
-        let records: Vec<TrustRecord> = (0..self.members.len())
-            .map(|l| self.engine.table().extract(NodeId(l)))
-            .collect();
-        let members = std::mem::take(&mut self.members);
-        let positions = std::mem::take(&mut self.positions);
-        let behaviors = std::mem::take(&mut self.behaviors);
-        let mut kept: Vec<MemberSlot> = members
-            .into_iter()
-            .zip(positions)
-            .zip(behaviors)
-            .enumerate()
-            .map(|(local, ((node, position), behavior))| MemberSlot {
-                node,
-                position,
+            leave
+        });
+        for behavior in leaving {
+            let (i, dst) = taken.get();
+            self.non_quiet -= usize::from(!behavior.quiet_unless_sensed());
+            out.push(Handoff {
+                node: self.members[i],
+                position: positions[i],
+                record: self.engine.table().extract(NodeId(i)),
                 behavior,
-                record: records[local],
-            })
-            .collect();
-        for h in arrivals.drain(..) {
-            debug_assert_eq!(h.dst, self.index, "handoff routed to wrong cluster");
-            kept.push(MemberSlot {
-                node: h.node,
-                position: h.position,
-                behavior: h.behavior,
-                record: h.record,
+                dst,
             });
         }
-        self.rebuild(kept);
+        let departed = &out[first..];
+        if departed.is_empty() {
+            return;
+        }
+        self.trace
+            .bump_by(self.c_handoff_out, departed.len() as u64);
+        // Departures were taken from the ascending member list in order,
+        // so they are ascending too.
+        let left = |node: NodeId| departed.binary_search_by_key(&node, |h| h.node).is_ok();
+        let members = &self.members;
+        self.local_topo.retain(|id| !left(members[id.index()]));
+        self.engine
+            .table_mut()
+            .retain_nodes(|id| !left(members[id.index()]));
+        self.members.retain(|&node| !left(node));
+        self.bounds = Bounds::of(self.local_topo.positions());
+    }
+
+    /// Re-election, receiving side: admits one handed-off node at its
+    /// sorted position. Members stay sorted by global id whatever order
+    /// arrivals come in, so the final state is independent of arrival
+    /// order — determinism by construction rather than by careful
+    /// sequencing.
+    ///
+    /// In place: every buffer grows by exactly one slot when full and is
+    /// never shrunk (doubling growth across hundreds of clusters would
+    /// show up in resident memory), and only the arrival's trust index
+    /// is recomputed ([`TrustTable::insert_node`]).
+    pub(crate) fn admit(&mut self, h: Handoff) {
+        debug_assert_eq!(h.dst, self.index, "handoff routed to wrong cluster");
+        let at = self
+            .members
+            .binary_search(&h.node)
+            .expect_err("an arrival is not yet a member");
+        self.trace.bump(self.c_handoff_in);
+        self.non_quiet += usize::from(!h.behavior.quiet_unless_sensed());
+        self.bounds.include(h.position);
+        self.members.reserve_exact(1);
+        self.members.insert(at, h.node);
+        self.behaviors.reserve_exact(1);
+        self.behaviors.insert(at, h.behavior);
+        self.local_topo.insert(NodeId(at), h.position);
+        self.engine.table_mut().insert_node(at, h.record);
     }
 
     /// Field dimensions this cluster clamps drift to.
@@ -631,7 +697,8 @@ impl ClusterState {
         out.index = self.index;
         out.head_position = self.head_position;
         out.members.clone_from(&self.members);
-        out.positions.clone_from(&self.positions);
+        out.positions.clear();
+        out.positions.extend_from_slice(self.local_topo.positions());
         out.rng = self.rng.state();
         self.engine.table().export_state_into(&mut out.trust);
         Ok(())
@@ -675,10 +742,15 @@ impl ClusterState {
         {
             return Err(SnapshotError::Invalid("cluster trust params disagree with config"));
         }
+        let mut non_quiet = 0;
         let behaviors = cap
             .behaviors
             .iter()
-            .map(BehaviorSnapshot::restore)
+            .map(|snapshot| {
+                let b = snapshot.restore()?;
+                non_quiet += usize::from(!b.quiet_unless_sensed());
+                Ok(b)
+            })
             .collect::<Result<Vec<_>, _>>()
             .map_err(SnapshotError::Invalid)?;
         let channel = cap
@@ -696,6 +768,7 @@ impl ClusterState {
             cap.positions,
             config,
             behaviors,
+            non_quiet,
             channel,
             rng,
             field_w,
@@ -708,26 +781,6 @@ impl ClusterState {
             }
         }
         Ok(state)
-    }
-
-    /// Reconstructs members/topology/trust from a full slot list.
-    fn rebuild(&mut self, mut slots: Vec<MemberSlot>) {
-        slots.sort_by_key(|s| s.node);
-        let mut members = Vec::with_capacity(slots.len());
-        let mut positions = Vec::with_capacity(slots.len());
-        let mut behaviors = Vec::with_capacity(slots.len());
-        let mut engine = TibfitEngine::new(self.config.trust, slots.len());
-        for (local, slot) in slots.into_iter().enumerate() {
-            members.push(slot.node);
-            positions.push(slot.position);
-            behaviors.push(slot.behavior);
-            engine.table_mut().install(NodeId(local), slot.record);
-        }
-        self.local_topo = Topology::from_positions(positions.clone(), self.field_w, self.field_h);
-        self.members = members;
-        self.positions = positions;
-        self.behaviors = behaviors;
-        self.engine = engine;
     }
 }
 
@@ -767,9 +820,11 @@ pub(crate) fn partition_clusters(
         let mut members = Vec::with_capacity(tagged.len());
         let mut positions = Vec::with_capacity(tagged.len());
         let mut cluster_behaviors = Vec::with_capacity(tagged.len());
+        let mut non_quiet = 0;
         for (node, behavior) in tagged {
             members.push(node);
             positions.push(topo.position(node));
+            non_quiet += usize::from(!behavior.quiet_unless_sensed());
             cluster_behaviors.push(behavior);
         }
         clusters.push(ClusterState::new(
@@ -779,6 +834,7 @@ pub(crate) fn partition_clusters(
             positions,
             config,
             cluster_behaviors,
+            non_quiet,
             channels(ci),
             SimRng::stream(master_seed, ci as u64),
             topo.width(),
@@ -850,6 +906,13 @@ pub struct MultiClusterSim {
     affiliation: Vec<usize>,
     n_nodes: usize,
     round: u64,
+    /// Engine-lifetime scratch, reused every round: one cluster's
+    /// reports, its declared locations, and a re-election's handoffs.
+    /// Per engine, not per cluster — hundreds of per-cluster buffers
+    /// would show up in resident memory.
+    batch: Vec<LocatedReport>,
+    found: Vec<Point>,
+    moving: Vec<Handoff>,
 }
 
 impl MultiClusterSim {
@@ -897,26 +960,9 @@ impl MultiClusterSim {
         let n_nodes = topo.len();
         let clusters =
             partition_clusters(config, &topo, &ch_sites, behaviors, channels, master_seed)?;
-        let mut sim = MultiClusterSim {
-            config,
-            lattice: SiteLattice::detect(&ch_sites),
-            sites: ch_sites,
-            clusters,
-            affiliation: Vec::new(),
-            n_nodes,
-            round: 0,
-        };
-        sim.refresh_affiliation();
-        Ok(sim)
-    }
-
-    fn refresh_affiliation(&mut self) {
-        self.affiliation = vec![usize::MAX; self.n_nodes];
-        for cluster in &self.clusters {
-            for &node in cluster.members() {
-                self.affiliation[node.index()] = cluster.index;
-            }
-        }
+        Ok(MultiClusterSim::from_parts(
+            config, ch_sites, clusters, n_nodes, 0,
+        ))
     }
 
     /// Number of clusters.
@@ -1033,10 +1079,15 @@ impl MultiClusterSim {
     pub fn position_snapshot_into(&self, out: &mut Vec<(u64, u64)>) {
         out.clear();
         out.resize(self.n_nodes, (0u64, 0u64));
+        self.for_each_position(|node, p| out[node.index()] = (p.x.to_bits(), p.y.to_bits()));
+    }
+
+    /// Calls `f` with every node's id and current position, cluster by
+    /// cluster — one pass for callers that lay positions out themselves.
+    pub fn for_each_position(&self, mut f: impl FnMut(NodeId, Point)) {
         for cluster in &self.clusters {
-            for (local, &node) in cluster.members().iter().enumerate() {
-                let p = cluster.position(local);
-                out[node.index()] = (p.x.to_bits(), p.y.to_bits());
+            for (&node, &p) in cluster.members().iter().zip(cluster.positions()) {
+                f(node, p);
             }
         }
     }
@@ -1063,10 +1114,10 @@ impl MultiClusterSim {
         let round = self.round;
         let mut declared: Vec<(usize, Point)> = Vec::new();
         for cluster in &mut self.clusters {
-            let batch = cluster.sense(round, event);
-            for loc in cluster.decide(&batch) {
-                declared.push((cluster.index, loc));
-            }
+            self.batch.clear();
+            cluster.sense_into(round, event, &mut self.batch);
+            cluster.decide_into(&self.batch, &mut self.found);
+            declared.extend(self.found.drain(..).map(|loc| (cluster.index, loc)));
         }
         let result = merge_declarations(event, declared, self.config.r_error);
 
@@ -1074,22 +1125,18 @@ impl MultiClusterSim {
             cluster.drift();
         }
         if self.config.reelect_every > 0 && round.is_multiple_of(self.config.reelect_every) {
-            // Collect in cluster order, deliver grouped by destination:
-            // the same (src, seq) order the sharded engine's mailboxes
-            // impose.
-            let mut inbound: Vec<Vec<Handoff>> =
-                (0..self.clusters.len()).map(|_| Vec::new()).collect();
+            // All departures leave before any arrival is admitted, as in
+            // the sharded engine. Admission order does not matter: a
+            // cluster's state after its arrivals is the same in any
+            // order (see `ClusterState::admit`).
             let sites = SiteIndex::with_lattice(&self.sites, self.lattice);
             for cluster in &mut self.clusters {
-                for h in cluster.departures(&sites) {
-                    let dst = h.dst;
-                    inbound[dst].push(h);
-                }
+                cluster.departures_into(&sites, &mut self.moving);
             }
-            for (ci, arrivals) in inbound.into_iter().enumerate() {
-                self.clusters[ci].admit(arrivals);
+            for h in self.moving.drain(..) {
+                self.affiliation[h.node.index()] = h.dst;
+                self.clusters[h.dst].admit(h);
             }
-            self.refresh_affiliation();
         }
         result
     }
@@ -1141,17 +1188,24 @@ impl MultiClusterSim {
         n_nodes: usize,
         round: u64,
     ) -> Self {
-        let mut sim = MultiClusterSim {
+        let mut affiliation = vec![usize::MAX; n_nodes];
+        for cluster in &clusters {
+            for &node in cluster.members() {
+                affiliation[node.index()] = cluster.index;
+            }
+        }
+        MultiClusterSim {
             config,
             lattice: SiteLattice::detect(&sites),
             sites,
             clusters,
-            affiliation: Vec::new(),
+            affiliation,
             n_nodes,
             round,
-        };
-        sim.refresh_affiliation();
-        sim
+            batch: Vec::new(),
+            found: Vec::new(),
+            moving: Vec::new(),
+        }
     }
 }
 
@@ -1165,11 +1219,245 @@ impl std::fmt::Debug for MultiClusterSim {
     }
 }
 
+/// The pre-in-place round, kept as the differential reference for the
+/// engines' in-place re-election and event-local sensing: every member
+/// senses every stimulus, and every membership change rebuilds the
+/// cluster from a sorted slot list with a fresh trust table.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// One member's full state, as reassembled during a rebuild.
+    struct MemberSlot {
+        node: NodeId,
+        position: Point,
+        behavior: Box<dyn NodeBehavior + Send>,
+        record: TrustRecord,
+    }
+
+    /// Phase 1 with no culling: every member acts.
+    fn sense_all(c: &mut ClusterState, round: u64, event: Point) -> Vec<LocatedReport> {
+        let mut batch = Vec::new();
+        for local in 0..c.members.len() {
+            let node_pos = c.position(local);
+            let ctx = RoundContext {
+                round,
+                node: c.members[local],
+                node_pos,
+                event: Some(event),
+                is_event_neighbor: node_pos.distance_to(event) <= c.config.sensing_radius,
+            };
+            let Some(claim) = c.behaviors[local].located_action(&ctx, &mut c.rng) else {
+                continue;
+            };
+            if c.channel.delivers(node_pos, c.head_position, &mut c.rng) {
+                c.trace.bump(c.c_delivered);
+                batch.push(LocatedReport::new(NodeId(local), claim));
+            } else {
+                c.trace.bump(c.c_dropped);
+            }
+        }
+        batch
+    }
+
+    fn take_slots(c: &mut ClusterState) -> Vec<MemberSlot> {
+        let records: Vec<TrustRecord> = (0..c.members.len())
+            .map(|l| c.engine.table().extract(NodeId(l)))
+            .collect();
+        let positions = c.positions().to_vec();
+        std::mem::take(&mut c.members)
+            .into_iter()
+            .zip(positions)
+            .zip(std::mem::take(&mut c.behaviors))
+            .zip(records)
+            .map(|(((node, position), behavior), record)| MemberSlot {
+                node,
+                position,
+                behavior,
+                record,
+            })
+            .collect()
+    }
+
+    fn rebuild(c: &mut ClusterState, mut slots: Vec<MemberSlot>) {
+        slots.sort_by_key(|s| s.node);
+        let mut positions = Vec::with_capacity(slots.len());
+        let mut engine = TibfitEngine::new(c.config.trust, slots.len());
+        for (local, slot) in slots.into_iter().enumerate() {
+            c.members.push(slot.node);
+            positions.push(slot.position);
+            c.behaviors.push(slot.behavior);
+            engine.table_mut().install(NodeId(local), slot.record);
+        }
+        c.non_quiet = c
+            .behaviors
+            .iter()
+            .filter(|b| !b.quiet_unless_sensed())
+            .count();
+        c.bounds = Bounds::of(&positions);
+        c.local_topo = Topology::from_positions(positions, c.field_w, c.field_h);
+        c.engine = engine;
+    }
+
+    fn departures(c: &mut ClusterState, sites: &SiteIndex<'_>) -> Vec<Handoff> {
+        let mut leaving = vec![false; c.members.len()];
+        let mut remaining = c.members.len();
+        for (leave, &position) in leaving.iter_mut().zip(c.positions()) {
+            if sites.nearest(position) != Some(c.index) && remaining > 1 {
+                *leave = true;
+                remaining -= 1;
+            }
+        }
+        if !leaving.contains(&true) {
+            return Vec::new();
+        }
+        let mut kept = Vec::new();
+        let mut out = Vec::new();
+        for (slot, leave) in take_slots(c).into_iter().zip(leaving) {
+            if leave {
+                out.push(Handoff {
+                    node: slot.node,
+                    position: slot.position,
+                    record: slot.record,
+                    behavior: slot.behavior,
+                    dst: sites.nearest(slot.position).expect("non-empty sites"),
+                });
+            } else {
+                kept.push(slot);
+            }
+        }
+        c.trace.bump_by(c.c_handoff_out, out.len() as u64);
+        rebuild(c, kept);
+        out
+    }
+
+    fn admit(c: &mut ClusterState, arrivals: Vec<Handoff>) {
+        if arrivals.is_empty() {
+            return;
+        }
+        c.trace.bump_by(c.c_handoff_in, arrivals.len() as u64);
+        let mut slots = take_slots(c);
+        slots.extend(arrivals.into_iter().map(|h| MemberSlot {
+            node: h.node,
+            position: h.position,
+            behavior: h.behavior,
+            record: h.record,
+        }));
+        rebuild(c, slots);
+    }
+
+    /// One round of `sim` the old way.
+    pub(crate) fn run_event(sim: &mut MultiClusterSim, event: Point) -> MultiRoundResult {
+        sim.round += 1;
+        let round = sim.round;
+        let mut declared = Vec::new();
+        for c in &mut sim.clusters {
+            let batch = sense_all(c, round, event);
+            let mut found = Vec::new();
+            c.decide_into(&batch, &mut found);
+            declared.extend(found.into_iter().map(|loc| (c.index, loc)));
+        }
+        let result = merge_declarations(event, declared, sim.config.r_error);
+        for c in &mut sim.clusters {
+            c.drift();
+        }
+        if sim.config.reelect_every > 0 && round.is_multiple_of(sim.config.reelect_every) {
+            let mut inbound: Vec<Vec<Handoff>> =
+                (0..sim.clusters.len()).map(|_| Vec::new()).collect();
+            let sites = SiteIndex::with_lattice(&sim.sites, sim.lattice);
+            for c in &mut sim.clusters {
+                for h in departures(c, &sites) {
+                    inbound[h.dst].push(h);
+                }
+            }
+            for (ci, arrivals) in inbound.into_iter().enumerate() {
+                admit(&mut sim.clusters[ci], arrivals);
+            }
+            for c in &sim.clusters {
+                for &node in &c.members {
+                    sim.affiliation[node.index()] = c.index;
+                }
+            }
+        }
+        result
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::{save_sequential, save_sharded};
+    use crate::replay::FieldScenario;
+    use crate::sharded::ShardedMultiCluster;
     use tibfit_adversary::{CorrectNode, Level0Config, Level0Node};
     use tibfit_net::channel::BernoulliLoss;
+
+    /// Either engine, for the differential tests.
+    enum Under {
+        Seq(MultiClusterSim),
+        Sharded(ShardedMultiCluster),
+    }
+
+    impl Under {
+        fn run_event(&mut self, e: Point) -> MultiRoundResult {
+            match self {
+                Under::Seq(s) => s.run_event(e),
+                Under::Sharded(s) => s.run_event(e),
+            }
+        }
+
+        fn checkpoint(&self) -> Vec<u8> {
+            match self {
+                Under::Seq(s) => save_sequential(s),
+                Under::Sharded(s) => save_sharded(s),
+            }
+            .expect("checkpointable")
+        }
+
+        fn check_point_lookups(&self, reference: &MultiClusterSim, what: &str) {
+            for i in 0..reference.node_count() {
+                let node = NodeId(i);
+                let got = match self {
+                    Under::Seq(s) => s.cluster_of(node),
+                    Under::Sharded(s) => s.cluster_of(node),
+                };
+                assert_eq!(got, reference.cluster_of(node), "{what}: node {i}");
+            }
+        }
+    }
+
+    /// Drives `build()`'s deployment through `rounds` stimuli under the
+    /// reference and under each engine, comparing every round's result
+    /// and, after every re-election (and at the end), the checkpoint
+    /// bytes and the affiliation map.
+    fn assert_matches_reference(what: &str, build: impl Fn() -> MultiClusterSim, events: &[Point]) {
+        for threads in [0usize, 1, 4] {
+            let mut reference = build();
+            let mut under = if threads == 0 {
+                Under::Seq(build())
+            } else {
+                Under::Sharded(ShardedMultiCluster::from_sequential(build(), threads).unwrap())
+            };
+            let reelect = reference.config().reelect_every;
+            for (r, &e) in events.iter().enumerate() {
+                let what = format!("{what} threads={threads} round={}", r + 1);
+                assert_eq!(
+                    under.run_event(e),
+                    reference::run_event(&mut reference, e),
+                    "{what}"
+                );
+                let boundary = reelect > 0 && (r as u64 + 1).is_multiple_of(reelect);
+                if boundary || r + 1 == events.len() {
+                    let want = save_sequential(&reference).unwrap();
+                    assert!(
+                        under.checkpoint() == want,
+                        "{what}: checkpoint bytes differ"
+                    );
+                    under.check_point_lookups(&reference, &what);
+                }
+            }
+        }
+    }
 
     fn build(n_faulty: usize, seed: u64) -> MultiClusterSim {
         build_mobile(n_faulty, seed, 0.0, 0)
@@ -1539,6 +1827,86 @@ mod tests {
             for s in &sites {
                 assert!((0.0..=100.0).contains(&s.x) && (0.0..=100.0).contains(&s.y));
             }
+        }
+    }
+
+    #[test]
+    fn in_place_handoff_matches_the_rebuild_reference() {
+        for seed in 0..10u64 {
+            for scenario in [
+                FieldScenario::mobile(seed),
+                FieldScenario {
+                    nodes: 1024,
+                    clusters: 64,
+                    field: 320.0,
+                    faulty: 256,
+                    ..FieldScenario::mobile(seed)
+                },
+            ] {
+                let what = format!("seed {seed} {}n/{}c", scenario.nodes, scenario.clusters);
+                let handoffs = {
+                    let mut sim = scenario.sequential().unwrap();
+                    for e in scenario.events(30) {
+                        sim.run_event(e);
+                    }
+                    sim.counters()
+                        .iter()
+                        .filter(|(n, _)| n.ends_with("handoffs.in"))
+                        .count()
+                };
+                assert!(
+                    handoffs > 0,
+                    "{what}: no handoff — the test would be vacuous"
+                );
+                assert_matches_reference(
+                    &what,
+                    || scenario.sequential().unwrap(),
+                    &scenario.events(30),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn event_local_sensing_matches_sensing_every_member() {
+        // A mixed field: quiet honest nodes and quiet liars everywhere,
+        // plus a band of honest nodes with a natural false-alarm rate
+        // (`ner > 0`, not quiet) that drifts across several clusters.
+        let build = |seed: u64| {
+            let topo = Topology::uniform_grid(400, 160.0, 160.0);
+            let behaviors: Vec<Box<dyn NodeBehavior + Send>> = (0..400)
+                .map(|i| -> Box<dyn NodeBehavior + Send> {
+                    let (col, row) = (i % 20, i / 20);
+                    if row == 9 && col < 12 {
+                        Box::new(CorrectNode::new(0.05, 1.6))
+                    } else if (i * 7 + seed as usize).is_multiple_of(5) {
+                        Box::new(Level0Node::new(Level0Config::experiment2(4.25)))
+                    } else {
+                        Box::new(CorrectNode::new(0.0, 1.6))
+                    }
+                })
+                .collect();
+            MultiClusterSim::new(
+                MultiClusterConfig::paper().mobile(1.5, 3),
+                topo,
+                grid_sites(16, 160.0),
+                behaviors,
+                |_| Box::new(BernoulliLoss::new(0.01)),
+                seed,
+            )
+        };
+        for seed in 0..6u64 {
+            let sim = build(seed);
+            let quiet_clusters = sim.clusters.iter().filter(|c| c.non_quiet == 0).count();
+            assert!(
+                quiet_clusters > 0 && quiet_clusters < sim.clusters.len(),
+                "seed {seed}: both sensing paths must run"
+            );
+            let mut rng = SimRng::seed_from(seed ^ 0x5E);
+            let events: Vec<Point> = (0..45)
+                .map(|_| Point::new(rng.uniform_range(0.0, 160.0), rng.uniform_range(0.0, 160.0)))
+                .collect();
+            assert_matches_reference(&format!("mixed seed {seed}"), || build(seed), &events);
         }
     }
 }

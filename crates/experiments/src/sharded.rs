@@ -118,9 +118,12 @@ struct ClusterShard {
     lattice: Option<SiteLattice>,
     config: MultiClusterConfig,
     timers: Engine<LocalTimer>,
-    /// Shard-lifetime scratch for the inbox triage in [`Shard::step`] —
-    /// reused across epochs so the hot path allocates nothing.
-    arrivals: Vec<Handoff>,
+    /// Shard-lifetime scratch for a re-election's departures, reused
+    /// across epochs so the hot path allocates nothing.
+    departures: Vec<Handoff>,
+    /// Nodes admitted since the driver last looked, so it can update
+    /// its affiliation map for just the moved nodes.
+    moved_in: Vec<NodeId>,
     rounds: Vec<(SimTime, u64)>,
     /// Arena for per-round report batches: `Sense` leases a buffer, the
     /// matching `Decide` releases it, so steady-state rounds allocate no
@@ -143,22 +146,19 @@ impl Shard for ClusterShard {
         // (shard src < DRIVER), so arrivals join the cluster before this
         // round's sensing — the same point in the round cycle where the
         // sequential engine applies them.
-        debug_assert!(self.arrivals.is_empty() && self.rounds.is_empty());
+        debug_assert!(self.rounds.is_empty());
         for env in inbox.drain(..) {
             match env.msg {
-                ClusterMsg::Handoff(h) => self.arrivals.push(h),
+                ClusterMsg::Handoff(h) => {
+                    self.moved_in.push(h.node);
+                    self.state.admit(h);
+                }
                 ClusterMsg::Event { round, event } => {
-                    if !self.arrivals.is_empty() {
-                        self.state.admit_from(&mut self.arrivals);
-                    }
                     self.rounds.push((env.time, round));
                     self.timers.schedule_at(env.time, LocalTimer::Sense { round, event });
                 }
                 ClusterMsg::Declare { .. } => unreachable!("driver-bound message at a shard"),
             }
-        }
-        if !self.arrivals.is_empty() {
-            self.state.admit_from(&mut self.arrivals);
         }
 
         // Pump the DES queue one round at a time: a round's timers all
@@ -205,9 +205,9 @@ impl Shard for ClusterShard {
             self.state.drift();
             if self.config.reelect_every > 0 && round.is_multiple_of(self.config.reelect_every) {
                 let index = SiteIndex::with_lattice(&self.sites, self.lattice);
-                for h in self.state.departures(&index) {
-                    let dst = h.dst;
-                    outbox.send(dst, until, ClusterMsg::Handoff(h));
+                self.state.departures_into(&index, &mut self.departures);
+                for h in self.departures.drain(..) {
+                    outbox.send(h.dst, until, ClusterMsg::Handoff(h));
                 }
             }
         }
@@ -257,8 +257,9 @@ pub struct ShardedMultiCluster {
     config: MultiClusterConfig,
     n_nodes: usize,
     round: u64,
-    /// Node → cluster index, as [`MultiClusterSim`] keeps it: refreshed
-    /// whenever handoffs settle, so point lookups skip the shard scan.
+    /// Node → cluster index, as [`MultiClusterSim`] keeps it: built at
+    /// construction and updated for the moved nodes whenever handoffs
+    /// settle, so point lookups skip the shard scan.
     affiliation: Vec<usize>,
     /// Reused driver-mailbox scratch: one allocation for the whole run
     /// instead of one per epoch.
@@ -331,7 +332,8 @@ impl ShardedMultiCluster {
                 lattice,
                 config,
                 timers: Engine::new(),
-                arrivals: Vec::new(),
+                departures: Vec::new(),
+                moved_in: Vec::new(),
                 rounds: Vec::new(),
                 reports: BufferPool::new(),
                 declared: Vec::new(),
@@ -343,16 +345,20 @@ impl ShardedMultiCluster {
             .collect();
         let scheduler =
             ShardScheduler::new(shards, Duration::from_ticks(ROUND_TICKS), threads)?;
-        let mut sim = ShardedMultiCluster {
+        let mut affiliation = vec![0; n_nodes];
+        scheduler.for_each_shard(|ci, s| {
+            for m in s.state.members() {
+                affiliation[m.index()] = ci;
+            }
+        });
+        Ok(ShardedMultiCluster {
             scheduler,
             config,
             n_nodes,
             round,
-            affiliation: Vec::new(),
+            affiliation,
             driver_buf: Vec::new(),
-        };
-        sim.refresh_affiliation();
-        Ok(sim)
+        })
     }
 
     /// Number of clusters (= shards).
@@ -527,7 +533,14 @@ impl ShardedMultiCluster {
                 .expect("settlement routes nothing new");
             debug_assert!(settled.is_empty(), "settlement epochs carry no declarations");
             self.driver_buf = settled;
-            self.refresh_affiliation();
+            let affiliation = &mut self.affiliation;
+            for ci in 0..self.scheduler.shard_count() {
+                self.scheduler.with_shard_mut(ci, |s| {
+                    for node in s.moved_in.drain(..) {
+                        affiliation[node.index()] = ci;
+                    }
+                });
+            }
         }
     }
 
@@ -574,20 +587,6 @@ impl ShardedMultiCluster {
         })
     }
 
-    /// Rebuilds the node → cluster map from shard membership. Membership
-    /// only changes when re-election handoffs settle, so this runs at
-    /// construction and after each settlement epoch.
-    fn refresh_affiliation(&mut self) {
-        let affiliation = &mut self.affiliation;
-        affiliation.clear();
-        affiliation.resize(self.n_nodes, 0);
-        self.scheduler.for_each_shard(|ci, s| {
-            for m in s.state.members() {
-                affiliation[m.index()] = ci;
-            }
-        });
-    }
-
     /// Bit-exact snapshot of every node's raw trust counter, indexed by
     /// global node id — directly comparable with
     /// [`MultiClusterSim::trust_snapshot`].
@@ -624,12 +623,19 @@ impl ShardedMultiCluster {
     pub fn position_snapshot_into(&self, out: &mut Vec<(u64, u64)>) {
         out.clear();
         out.resize(self.n_nodes, (0u64, 0u64));
-        self.scheduler.for_each_shard(|_, s| {
-            for (local, &node) in s.state.members().iter().enumerate() {
-                let p = s.state.position(local);
-                out[node.index()] = (p.x.to_bits(), p.y.to_bits());
-            }
-        });
+        self.for_each_position(|node, p| out[node.index()] = (p.x.to_bits(), p.y.to_bits()));
+    }
+
+    /// Calls `f` with every node's id and current position, shard by
+    /// shard — one pass for callers that lay positions out themselves.
+    pub fn for_each_position(&self, mut f: impl FnMut(NodeId, Point)) {
+        for ci in 0..self.scheduler.shard_count() {
+            self.scheduler.with_shard(ci, |s| {
+                for (&node, &p) in s.state.members().iter().zip(s.state.positions()) {
+                    f(node, p);
+                }
+            });
+        }
     }
 
     /// All trace counters, prefixed per cluster, sorted the same way as
@@ -656,13 +662,11 @@ impl ShardedMultiCluster {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Unsupported`] if a shard still has timers or
-    /// arrivals in flight (capture attempted mid-epoch).
+    /// [`SnapshotError::Unsupported`] if a shard still has timers or a
+    /// mailbox has messages in flight (capture attempted mid-epoch).
     pub(crate) fn checkpoint_header(&self) -> Result<DeploymentHeader, SnapshotError> {
-        let idle = self
-            .scheduler
-            .for_each_shard(|_, s| s.timers.is_idle() && s.arrivals.is_empty());
-        if idle.contains(&false) {
+        let idle = self.scheduler.for_each_shard(|_, s| s.timers.is_idle());
+        if idle.contains(&false) || self.scheduler.has_pending() {
             return Err(SnapshotError::Unsupported(
                 "shard has work in flight — capture only at an epoch barrier",
             ));

@@ -221,6 +221,11 @@ impl Topology {
     /// Panics if the id is out of range or the position lies outside the
     /// field.
     pub fn set_position(&mut self, id: NodeId, position: Point) {
+        self.check_inside(position);
+        self.positions[id.0] = position;
+    }
+
+    fn check_inside(&self, position: Point) {
         assert!(
             (0.0..=self.width).contains(&position.x)
                 && (0.0..=self.height).contains(&position.y),
@@ -228,7 +233,36 @@ impl Topology {
             self.width,
             self.height
         );
-        self.positions[id.0] = position;
+    }
+
+    /// Every node's position, in id order.
+    #[must_use]
+    pub fn positions(&self) -> &[Point] {
+        &self.positions
+    }
+
+    /// Removes the nodes `keep` rejects, renumbering the survivors
+    /// densely in their old order. `keep` sees every id once, in
+    /// ascending order. Capacity is kept for later [`Topology::insert`]s.
+    pub fn retain(&mut self, mut keep: impl FnMut(NodeId) -> bool) {
+        let mut id = 0;
+        self.positions.retain(|_| {
+            let k = keep(NodeId(id));
+            id += 1;
+            k
+        });
+    }
+
+    /// Inserts a node as id `id`, shifting every later id up by one.
+    /// Capacity grows by exactly one slot when full, never by doubling.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id > len()` or the position lies outside the field.
+    pub fn insert(&mut self, id: NodeId, position: Point) {
+        self.check_inside(position);
+        self.positions.reserve_exact(1);
+        self.positions.insert(id.0, position);
     }
 
     /// The node nearest to a point (ties broken by lower id). `None` only
@@ -346,6 +380,14 @@ pub fn nearest_site(sites: &[Point], p: Point) -> Option<usize> {
 /// magnitude below where the window argument could break). Anything else
 /// — incomplete grids, jittered or arbitrary site sets — falls back to
 /// the linear scan.
+///
+/// On top of the window, most queries never compare a distance at all:
+/// a point strictly inside a cell, by a millionth of the cell on each
+/// axis, is nearest to that cell's own site (see
+/// [`SiteLattice::interior_cell`] for why the margin is conservative).
+/// Points near a cell edge or corner, outside the lattice's extent, or
+/// on a lattice too elongated or too far from the origin for the margin
+/// argument take the exact 3×3 scan.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SiteLattice {
     cols: usize,
@@ -356,7 +398,22 @@ pub struct SiteLattice {
     x0: f64,
     /// Bottom edge of row 0's cell.
     y0: f64,
+    /// Whether the O(1) interior fast path is sound on this lattice
+    /// (see [`SiteLattice::interior_cell`]).
+    interior: bool,
 }
+
+/// Fraction of a cell, on each axis, that a point must keep from every
+/// cell edge for [`SiteLattice`]'s O(1) interior answer.
+const INTERIOR_MARGIN: f64 = 1e-6;
+
+/// Largest cell aspect ratio (`max(dx, dy) / min(dx, dy)`) the interior
+/// fast path accepts.
+const INTERIOR_MAX_ASPECT: f64 = 8.0;
+
+/// Largest distance of the lattice's far edge from the origin, in cells,
+/// the interior fast path accepts.
+const INTERIOR_MAX_CELLS: f64 = (1u64 << 20) as f64;
 
 impl SiteLattice {
     /// Recognises a complete `grid_sites`-style lattice, or `None` if the
@@ -390,13 +447,19 @@ impl SiteLattice {
                 }
             }
         }
+        let x0 = sites[0].x - 0.5 * dx;
+        let y0 = sites[0].y - 0.5 * dy;
+        let interior = dx.max(dy) <= INTERIOR_MAX_ASPECT * dx.min(dy)
+            && (x0.abs() / dx + cols as f64) <= INTERIOR_MAX_CELLS
+            && (y0.abs() / dy + rows as f64) <= INTERIOR_MAX_CELLS;
         Some(SiteLattice {
             cols,
             rows,
             dx,
             dy,
-            x0: sites[0].x - 0.5 * dx,
-            y0: sites[0].y - 0.5 * dy,
+            x0,
+            y0,
+            interior,
         })
     }
 
@@ -438,11 +501,60 @@ impl SiteLattice {
         )
     }
 
-    /// The nearest site to `p` via the 3×3 window — identical result to
-    /// the linear scan, including the lower-index tie-break (the window
+    /// The cell index of `v` along one axis if `v` lies inside the
+    /// lattice's extent and at least [`INTERIOR_MARGIN`] of a cell from
+    /// both of that cell's edges, else `None`.
+    fn interior_axis(v: f64, v0: f64, d: f64, n: usize) -> Option<usize> {
+        let f = (v - v0) / d;
+        let c = f.floor();
+        // `f - c` is exact (Sterbenz), so the margin test sees the true
+        // computed fraction.
+        let frac = f - c;
+        (c >= 0.0 && c < n as f64 && frac > INTERIOR_MARGIN && frac < 1.0 - INTERIOR_MARGIN)
+            .then_some(c as usize)
+    }
+
+    /// The O(1) answer for a point deep inside a lattice cell: that
+    /// cell's own site, or `None` when the point is near an edge or
+    /// corner (or the lattice fails the fast path's preconditions) and
+    /// needs the exact scan.
+    ///
+    /// Why this equals the scan. On an exact lattice the Voronoi cell of
+    /// a site is its rectangular lattice cell, so a point `δ = m·dx`
+    /// inside both x-edges (and likewise in y) is nearer its own site by
+    /// at least `2·dx·δ` in squared distance than any x-neighbour (the
+    /// scan's candidates differ from the own site by at least one whole
+    /// step on some axis). Three errors eat into that gap, each bounded
+    /// far below it at `m = INTERIOR_MARGIN = 1e-6`:
+    ///
+    /// * Detection lets each site sit up to `1e-9·(dx + dy)` off the
+    ///   ideal lattice. That moves or tilts a bisector by at most
+    ///   `1e-9·(1 + aspect)²` of a cell — `8.1e-8` at the accepted
+    ///   aspect bound of 8.
+    /// * The cell fraction is computed as `(v − v0) / d`; its absolute
+    ///   error is a few ulps of the lattice's extent in cells, which the
+    ///   `2^20`-cell bound keeps below `1e-9` of a cell.
+    /// * The scan compares squared distances with a few ulps of relative
+    ///   error (each coordinate difference is correctly rounded), while
+    ///   the relative gap left after the two errors above is `≥ 1e-8`.
+    fn interior_cell(&self, p: Point) -> Option<usize> {
+        if !self.interior {
+            return None;
+        }
+        let c = Self::interior_axis(p.x, self.x0, self.dx, self.cols)?;
+        let r = Self::interior_axis(p.y, self.y0, self.dy, self.rows)?;
+        Some(r * self.cols + c)
+    }
+
+    /// The nearest site to `p`: the O(1) interior answer when it
+    /// applies, else the 3×3 window — identical result to the linear
+    /// scan either way, including the lower-index tie-break (the window
     /// is visited in ascending site index, and a site only replaces the
     /// incumbent when strictly nearer).
     fn nearest(&self, sites: &[Point], p: Point) -> usize {
+        if let Some(i) = self.interior_cell(p) {
+            return i;
+        }
         let cx = Self::cell(p.x, self.x0, self.dx, self.cols);
         let cy = Self::cell(p.y, self.y0, self.dy, self.rows);
         let c_lo = cx.saturating_sub(1);
@@ -789,6 +901,89 @@ mod tests {
         // And exactly on the sites themselves (distance zero).
         for (i, &s) in sites.iter().enumerate() {
             assert_eq!(idx.nearest(s), Some(i));
+        }
+    }
+
+    /// `v` moved `k` ulps up (`k > 0`) or down (`k < 0`).
+    fn ulps(v: f64, k: i32) -> f64 {
+        (0..k.unsigned_abs()).fold(v, |v, _| if k > 0 { v.next_up() } else { v.next_down() })
+    }
+
+    #[test]
+    fn site_index_interior_fast_path_matches_linear_scan() {
+        let mut rng = SimRng::seed_from(0x1A7);
+        for k in [4usize, 9, 16, 64, 256] {
+            for &(w, h) in &[
+                (100.0, 100.0),
+                (640.0, 640.0),
+                (320.0, 40.0),
+                (16.0, 400.0),
+                (0.3, 0.7),
+            ] {
+                let sites = lattice_sites(k, w, h);
+                let lattice = SiteLattice::detect(&sites).expect("complete lattice");
+                let idx = SiteIndex::with_lattice(&sites, Some(lattice));
+                let check = |p: Point, what: &str| {
+                    assert_eq!(
+                        idx.nearest(p),
+                        nearest_site(&sites, p),
+                        "k={k} {w}x{h} {what} {p:?}"
+                    );
+                };
+                // Seeded points, and how many the O(1) path answers.
+                let mut interior = 0;
+                for _ in 0..500 {
+                    let p = Point::new(rng.uniform_range(0.0, w), rng.uniform_range(0.0, h));
+                    check(p, "random");
+                    interior += usize::from(lattice.interior_cell(p).is_some());
+                }
+                let aspect = (lattice.dx / lattice.dy).max(lattice.dy / lattice.dx);
+                if aspect <= INTERIOR_MAX_ASPECT {
+                    assert!(
+                        interior >= 490,
+                        "k={k} {w}x{h}: only {interior}/500 interior"
+                    );
+                } else {
+                    assert_eq!(
+                        interior, 0,
+                        "k={k} {w}x{h}: too elongated for the fast path"
+                    );
+                }
+                // Every cell edge line (field edges included), exactly and
+                // within a few ulps, crossed with every other axis's edges
+                // (corners) and with cell middles (edges).
+                let xs: Vec<f64> = (0..=lattice.cols)
+                    .map(|c| lattice.x0 + c as f64 * lattice.dx)
+                    .collect();
+                let ys: Vec<f64> = (0..=lattice.rows)
+                    .map(|r| lattice.y0 + r as f64 * lattice.dy)
+                    .collect();
+                let mids_x: Vec<f64> = xs.windows(2).map(|e| 0.5 * (e[0] + e[1])).collect();
+                let mids_y: Vec<f64> = ys.windows(2).map(|e| 0.5 * (e[0] + e[1])).collect();
+                for d in -4..=4 {
+                    for &x in &xs {
+                        for &y in ys.iter().chain(&mids_y) {
+                            check(Point::new(ulps(x, d), y), "x-edge");
+                            check(Point::new(ulps(x, d), ulps(y, -d)), "corner");
+                        }
+                    }
+                    for &y in &ys {
+                        for &x in &mids_x {
+                            check(Point::new(x, ulps(y, d)), "y-edge");
+                        }
+                    }
+                }
+                // Just inside and outside the fast path's margin.
+                for &x in &xs {
+                    for f in [0.5, 0.999, 1.001, 2.0] {
+                        let off = f * INTERIOR_MARGIN * lattice.dx;
+                        for &y in &mids_y {
+                            check(Point::new(x + off, y), "margin");
+                            check(Point::new(x - off, y), "margin");
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -624,6 +624,13 @@ impl<S: Shard> ShardScheduler<S> {
             .collect()
     }
 
+    /// Whether any message waits for delivery in the next epoch (a
+    /// driver injection or a routed shard-to-shard envelope).
+    #[must_use]
+    pub fn has_pending(&self) -> bool {
+        self.pending.iter().any(|mailbox| !mailbox.is_empty())
+    }
+
     /// Queues an input message from the driver for delivery to shard
     /// `dst` in the next epoch.
     ///
@@ -1000,6 +1007,18 @@ mod tests {
         // Error messages render.
         assert!(ShardError::ZeroWindow.to_string().contains("window"));
         assert!(ShardError::NoShards.to_string().contains("shard"));
+    }
+
+    #[test]
+    fn has_pending_sees_injections_and_routed_envelopes() {
+        let shards: Vec<RingShard> = (0..2).map(|i| RingShard::new(i, 2, 7)).collect();
+        let mut sched = ShardScheduler::new(shards, Duration::from_ticks(10), 1).unwrap();
+        sched.step_epoch().unwrap();
+        assert!(!sched.has_pending(), "a quiet epoch leaves nothing in flight");
+        sched.inject(1, sched.now(), 5).unwrap();
+        assert!(sched.has_pending(), "a driver injection is in flight");
+        sched.step_epoch().unwrap();
+        assert!(sched.has_pending(), "shard 1 forwarded to shard 0");
     }
 
     /// A shard that advances a local counter and misaddresses one message
