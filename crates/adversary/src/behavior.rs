@@ -864,7 +864,6 @@ mod tests {
         let bad_params = TrustParams {
             lambda: -1.0,
             fault_rate: 0.1,
-            arith: tibfit_core::trust::TrustArith::Float64,
         };
         assert!(level1(1.6, bad_params, Some((0.5, 0.8)), 0.0).restore().is_err());
     }

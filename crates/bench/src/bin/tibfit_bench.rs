@@ -30,10 +30,7 @@
 //! (×1 >= 0.95, ×4 >= 2.0, and `shard_big_4t_speedup` >= 1.5 at
 //! production scale) on machines with at least four cores.
 //! `--floors` asserts the same absolute floors *without* a baseline
-//! file — the CI mode, immune to cross-hardware baseline skew. On
-//! hosts with a wide vector tier (AVX2/NEON) the SIMD kernel floors
-//! also apply: `cti_simd_f64_speedup >= 1.3` and
-//! `cti_simd_q16_speedup >= 1.5` over the forced-scalar batch, and the
+//! file — the CI mode, immune to cross-hardware baseline skew. The
 //! daemon's `daemon_query_p99_us` must stay under 20 ms. Both
 //! modes also gate checkpoint cost: `snapshot_restore_wall_ms` must stay
 //! under 5% of `exp1_wall_ms`, so resuming a crashed sweep is never a
@@ -58,10 +55,8 @@ use tibfit_daemon::fleet::{owner_of, FleetConfig, FleetPolicy, PeerSpec};
 use tibfit_daemon::{Daemon, DaemonConfig};
 use tibfit_core::engine::{Aggregator, TibfitEngine};
 use tibfit_core::location::LocatedReport;
-use tibfit_core::simd_kernel::{self, GroupArena, Tier};
-use tibfit_core::trust::{TrustParams, TrustTable};
+use tibfit_core::trust::TrustParams;
 use tibfit_net::geometry::Point;
-use tibfit_net::topology::NodeId;
 use tibfit_experiments::checkpoint::{restore_sequential, save_sequential};
 use tibfit_experiments::des::{DesClusterSim, DesConfig};
 use tibfit_experiments::exp1;
@@ -449,179 +444,6 @@ fn run_all(quick: bool) -> (Vec<(&'static str, f64)>, Vec<Exp6Phases>) {
     out.push(("cti_cache_exp_per_decision", exp_per_decision));
     out.push(("cti_cache_reads_per_decision", reads_per_decision));
     out.push(("cti_cache_speedup", cti_speedup));
-
-    // Q16.16 fixed-point trust path: the same CTI workload on the
-    // integer backend (LUT exponential, integer CTI fold). The
-    // decisions must match the cached-f64 reference exactly — the bench
-    // doubles as a coarse differential check — and the per-decision
-    // wall clock is published as a ratio against the f64 path so a
-    // regression in the LUT pipeline shows up as `cti_fixed_speedup`
-    // sinking, not as silent absolute drift.
-    let fixed_params = TrustParams::experiment2()
-        .with_fixed_point()
-        .expect("paper calibration survives Q16.16");
-    let mut fixed_engine = TibfitEngine::new(fixed_params, 100);
-    let fixed_start = Instant::now();
-    for _ in 0..cti_decisions {
-        black_box(fixed_engine.located_round(&topo, 20.0, 5.0, &reports));
-    }
-    let cti_fixed_ns = fixed_start.elapsed().as_nanos().max(1);
-    // Decision identity is checked with two *fresh* engines stepped in
-    // lockstep, so the comparison covers the transient phase (trust
-    // decaying from full) as well as steady state — the timed engine
-    // above is already warm and would mask early-round divergence.
-    let mut cmp_fixed = TibfitEngine::new(fixed_params, 100);
-    let mut cmp_ref = TibfitEngine::new(TrustParams::experiment2(), 100);
-    let mut cti_fixed_match = true;
-    for _ in 0..cti_decisions {
-        let got = cmp_fixed.located_round(&topo, 20.0, 5.0, &reports);
-        let want = cmp_ref.located_round(&topo, 20.0, 5.0, &reports);
-        // Compare what the CH acts on — declaration and location per
-        // cluster — not the raw vote weights, whose bits legitimately
-        // differ between the two arithmetic backends.
-        let same = got.decisions.len() == want.decisions.len()
-            && got
-                .decisions
-                .iter()
-                .zip(&want.decisions)
-                .all(|(g, w)| g.event_declared == w.event_declared && g.location == w.location);
-        if !same {
-            cti_fixed_match = false;
-        }
-    }
-    let fixed_exp = fixed_engine.table().exp_evals();
-    let cti_fixed_speedup = cti_ns as f64 / cti_fixed_ns as f64;
-    println!(
-        "cti_fixed: {cti_decisions} decisions in {}: {:.2}x vs cached-f64, \
-         {:.1} LUT-exp/decision, decisions {}",
-        format_ns(cti_fixed_ns),
-        cti_fixed_speedup,
-        fixed_exp as f64 / cti_decisions as f64,
-        if cti_fixed_match { "match" } else { "DIVERGED" },
-    );
-    out.push(("cti_fixed_decisions", cti_decisions as f64));
-    out.push(("cti_fixed_speedup", cti_fixed_speedup));
-    out.push(("cti_fixed_match", f64::from(u8::from(cti_fixed_match))));
-
-    // Explicit-SIMD decision kernels: the batched CTI path with the
-    // kernel pinned to the scalar tier vs the best tier the host
-    // supports, over the *same* arena and weight slab — the ratio
-    // isolates the vector kernel, not memory layout or dispatch. The
-    // two passes must agree bitwise (f64) / exactly (Q16.16): the batch
-    // contract pins every lane to the sequential group-order fold.
-    let simd_nodes = 4096;
-    let simd_pairs: usize = 512;
-    let simd_reps: u32 = if quick { 100 } else { 200 };
-    let simd_samples = 5u32;
-    let simd_tier = simd_kernel::active_tier();
-    let mut simd_rng = SimRng::seed_from(0x51);
-    let perturb = |table: &mut TrustTable, rng: &mut SimRng| {
-        // Penalize ~1/8 of the population with 1..=14 strikes each so
-        // the kernels see mixed trust values and real quarantined
-        // (sign-sentinel) slots, not a constant weight array.
-        for _ in 0..simd_nodes / 8 {
-            let node = NodeId(rng.uniform_usize(simd_nodes));
-            for _ in 0..1 + rng.uniform_usize(14) {
-                table.record_faulty(node);
-            }
-        }
-    };
-    let mut simd_table =
-        TrustTable::new(TrustParams::experiment2(), simd_nodes).with_isolation_threshold(0.05);
-    perturb(&mut simd_table, &mut simd_rng);
-    let mut simd_table_q =
-        TrustTable::new(fixed_params, simd_nodes).with_isolation_threshold(0.05);
-    perturb(&mut simd_table_q, &mut simd_rng);
-    let mut arena = GroupArena::new();
-    let mut group_buf: Vec<NodeId> = Vec::new();
-    for p in 0..simd_pairs {
-        // R group of 24, NR group of 8 per pair — the paper-scale
-        // event-neighborhood split — on deterministic strided members.
-        for (len, salt) in [(24usize, 13usize), (8, 17)] {
-            group_buf.clear();
-            group_buf.extend((0..len).map(|k| NodeId((p * 7 + k * salt) % simd_nodes)));
-            arena.push_group(&group_buf);
-        }
-    }
-    let timed_batch =
-        |table: &TrustTable, tier: Option<Tier>, arena: &mut GroupArena, out: &mut Vec<f64>| {
-            simd_kernel::force_tier(tier);
-            let mut best = f64::INFINITY;
-            for sample in 0..=simd_samples {
-                let start = Instant::now();
-                for _ in 0..simd_reps {
-                    table.cumulative_trust_batch(arena, out);
-                    black_box(out.last());
-                }
-                let ns = start.elapsed().as_nanos() as f64;
-                // Sample 0 is warmup.
-                if sample > 0 && ns < best {
-                    best = ns;
-                }
-            }
-            simd_kernel::force_tier(None);
-            best
-        };
-    let mut out_scalar: Vec<f64> = Vec::new();
-    let mut out_simd: Vec<f64> = Vec::new();
-    let f64_scalar_ns = timed_batch(&simd_table, Some(Tier::Scalar), &mut arena, &mut out_scalar);
-    let f64_simd_ns = timed_batch(&simd_table, None, &mut arena, &mut out_simd);
-    assert!(
-        out_scalar.len() == out_simd.len()
-            && out_scalar
-                .iter()
-                .zip(&out_simd)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-        "SIMD f64 batch must match the scalar tier bitwise"
-    );
-    let q16_scalar_ns = timed_batch(&simd_table_q, Some(Tier::Scalar), &mut arena, &mut out_scalar);
-    let q16_simd_ns = timed_batch(&simd_table_q, None, &mut arena, &mut out_simd);
-    assert!(
-        out_scalar.len() == out_simd.len()
-            && out_scalar
-                .iter()
-                .zip(&out_simd)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-        "SIMD Q16.16 batch must match the scalar tier exactly"
-    );
-    let cti_simd_f64 = f64_scalar_ns / f64_simd_ns;
-    let cti_simd_q16 = q16_scalar_ns / q16_simd_ns;
-    // The batched decision path on top of the same arena: R/NR pairing,
-    // ±0.0 normalization, and the declare rule per pair.
-    let mut verdict_scratch: Vec<f64> = Vec::new();
-    let mut verdicts = Vec::new();
-    let mut decide_best_ns = f64::INFINITY;
-    for sample in 0..=simd_samples {
-        let start = Instant::now();
-        for _ in 0..simd_reps {
-            simd_table.decide_batch(&mut arena, &mut verdict_scratch, &mut verdicts);
-            black_box(verdicts.last());
-        }
-        let ns = start.elapsed().as_nanos() as f64;
-        if sample > 0 && ns < decide_best_ns {
-            decide_best_ns = ns;
-        }
-    }
-    let decide_pairs_total = (simd_pairs as f64) * f64::from(simd_reps);
-    let decide_ns_per_pair = decide_best_ns / decide_pairs_total;
-    let decide_pairs_per_sec = decide_pairs_total / (decide_best_ns / 1e9);
-    println!(
-        "cti_simd/{simd_pairs}_pairs ({} tier, cpu: {}): f64 {:.2}x, q16 {:.2}x; \
-         decide_batch {:.0} ns/pair ({:.2} Mpairs/s)",
-        simd_tier.name(),
-        simd_kernel::cpu_features(),
-        cti_simd_f64,
-        cti_simd_q16,
-        decide_ns_per_pair,
-        decide_pairs_per_sec / 1e6,
-    );
-    out.push(("cti_simd_tier", f64::from(simd_tier as u8)));
-    out.push(("cti_simd_pairs", simd_pairs as f64));
-    out.push(("cti_simd_f64_speedup", cti_simd_f64));
-    out.push(("cti_simd_q16_speedup", cti_simd_q16));
-    out.push(("decide_batch_pairs", simd_pairs as f64));
-    out.push(("decide_batch_ns_per_pair", decide_ns_per_pair));
-    out.push(("decide_batch_pairs_per_sec", decide_pairs_per_sec));
 
     // Checkpoint container: save/restore a mobile multi-cluster
     // deployment mid-run (drifted positions, partially decayed trust).
@@ -1014,7 +836,7 @@ enum Gate {
 
 /// The direction of every report key, spelled out rather than guessed
 /// from suffixes — a suffix rule silently left keys such as
-/// `decide_batch_ns_per_pair` or `fleet_rebalance_ms` ungated.
+/// `fleet_rebalance_ms` ungated.
 const KEY_GATES: &[(&str, Gate)] = &[
     ("schema_version", Gate::Info),
     ("quick", Gate::Info),
@@ -1054,16 +876,6 @@ const KEY_GATES: &[(&str, Gate)] = &[
     ("cti_cache_exp_per_decision", Gate::Lower),
     ("cti_cache_reads_per_decision", Gate::Lower),
     ("cti_cache_speedup", Gate::Ratio),
-    ("cti_fixed_decisions", Gate::Info),
-    ("cti_fixed_speedup", Gate::Ratio),
-    ("cti_fixed_match", Gate::Info),
-    ("cti_simd_tier", Gate::Info),
-    ("cti_simd_pairs", Gate::Info),
-    ("cti_simd_f64_speedup", Gate::Ratio),
-    ("cti_simd_q16_speedup", Gate::Ratio),
-    ("decide_batch_pairs", Gate::Info),
-    ("decide_batch_ns_per_pair", Gate::Lower),
-    ("decide_batch_pairs_per_sec", Gate::Higher),
     ("snapshot_nodes", Gate::Info),
     ("snapshot_bytes", Gate::Lower),
     ("snapshot_save_wall_ms", Gate::Lower),
@@ -1131,43 +943,6 @@ fn floor_violations(metrics: &[(&'static str, f64)]) -> Vec<String> {
     if let Some(s) = get("cti_cache_speedup") {
         if s < 5.0 {
             bad.push(format!("cti_cache_speedup: {s:.2} below the required 5.0x"));
-        }
-    }
-    // The Q16.16 backend must agree with the cached-f64 reference on
-    // every decision — a mismatch is a correctness bug, not a perf
-    // regression, so this floor is unconditional and exact.
-    if let Some(m) = get("cti_fixed_match") {
-        if m != 1.0 {
-            bad.push("cti_fixed_match: fixed-point decisions diverged from f64".to_string());
-        }
-    }
-    // The LUT path trades precision for predictability, not for speed;
-    // still, it must stay within 2x of the cached-f64 wall clock or the
-    // integer pipeline has regressed into doing real work per read.
-    if let Some(s) = get("cti_fixed_speedup") {
-        if s < 0.5 {
-            bad.push(format!("cti_fixed_speedup: {s:.2} below the required 0.5x"));
-        }
-    }
-    // SIMD kernel floors: the scalar fallback *is* the baseline, so the
-    // speedup ratios are only meaningful on hosts with a wide vector
-    // tier (AVX2 or NEON); SSE2's two lanes don't clear these bars.
-    if let Some(tier) = get("cti_simd_tier") {
-        if tier >= 3.0 {
-            for (key, floor) in [
-                ("cti_simd_f64_speedup", 1.3),
-                ("cti_simd_q16_speedup", 1.5),
-            ] {
-                if let Some(v) = get(key) {
-                    if v < floor {
-                        bad.push(format!("{key}: {v:.2} below the required {floor:.2}x"));
-                    }
-                }
-            }
-        } else {
-            println!(
-                "floors: simd tier {tier:.0} — vector speedup floors skipped (need AVX2/NEON)"
-            );
         }
     }
     // The daemon's p99 query-answer latency: a query is a couple of
@@ -1325,11 +1100,6 @@ fn main() {
         // immune to cross-hardware baseline skew. The CTI floor is a
         // deterministic count ratio and always applies; wall-clock shard
         // floors apply only with >= 4 real cores (see floor_violations).
-        println!(
-            "floors: cpu features [{}], simd tier {}",
-            simd_kernel::cpu_features(),
-            simd_kernel::active_tier().name()
-        );
         let bad = floor_violations(&metrics);
         if bad.is_empty() {
             println!("floors: OK");
@@ -1400,15 +1170,11 @@ mod tests {
     #[test]
     fn previously_ungated_keys_now_regress() {
         let baseline = r#"{
-  "decide_batch_ns_per_pair": 20.0,
-  "decide_batch_pairs_per_sec": 50000000.0,
   "daemon_query_p99_us": 20.0,
   "fleet_rebalance_ms": 20.0,
   "snapshot_bytes": 45328
 }"#;
         let worse = [
-            ("decide_batch_ns_per_pair", 30.0),
-            ("decide_batch_pairs_per_sec", 30_000_000.0),
             ("daemon_query_p99_us", 30.0),
             ("fleet_rebalance_ms", 30.0),
             ("snapshot_bytes", 60_000.0),

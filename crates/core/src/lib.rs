@@ -53,7 +53,6 @@
 pub mod binary;
 pub mod concurrent;
 pub mod engine;
-pub mod fixed;
 pub mod lifecycle;
 pub mod location;
 pub mod shadow;

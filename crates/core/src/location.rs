@@ -15,9 +15,8 @@
 //! Reports more than `r_error` from the final `cg` are "thrown out" —
 //! their senders are judged faulty even if the event itself is confirmed.
 
-use crate::simd_kernel::GroupArena;
 use crate::trust::Judgement;
-use crate::vote::{VoteOutcome, Weighting};
+use crate::vote::{run_vote, VoteOutcome, Weighting};
 use tibfit_net::geometry::Point;
 use tibfit_net::topology::{NodeId, Topology};
 
@@ -275,32 +274,7 @@ pub fn decide_located(
     weighting: &Weighting<'_>,
 ) -> Vec<LocatedDecision> {
     assert!(r_s > 0.0, "sensing radius must be positive");
-    let clusters = cluster_reports(reports, r_error);
-
-    // One batched weighing per T_out window instead of two
-    // `group_weight` calls per cluster: phase 1 partitions every
-    // cluster's neighborhood and stacks the R/NR groups into a reused
-    // index arena, phase 2 weighs them all in one SIMD pass
-    // ([`Weighting::group_weights_batch`]), phase 3 assembles the
-    // decisions. Per group the weights are bit-identical to the
-    // per-cluster path (same members, same order, same normalization),
-    // so the decisions — and `ti_reads` — are unchanged; only the
-    // dispatch is amortized. The scratch is thread-local because the
-    // sharded scheduler's persistent workers call this on every epoch:
-    // after the first window each worker runs allocation-free.
-    struct ClusterParts {
-        cg: Point,
-        outliers: Vec<NodeId>,
-        non_neighbor_reporters: Vec<NodeId>,
-        r: Vec<NodeId>,
-        nr: Vec<NodeId>,
-    }
-    thread_local! {
-        static BATCH_SCRATCH: std::cell::RefCell<(GroupArena, Vec<f64>)> =
-            std::cell::RefCell::new((GroupArena::new(), Vec::new()));
-    }
-
-    let parts: Vec<ClusterParts> = clusters
+    cluster_reports(reports, r_error)
         .into_iter()
         .map(|cluster| {
             let neighbors = topo.event_neighbors(cluster.cg, r_s);
@@ -316,57 +290,13 @@ pub fn decide_located(
                     non_neighbor_reporters.push(m.reporter);
                 }
             }
-            // The same neighbor-order-preserving partition `run_vote`
-            // performs (supporters ⊆ neighbors by construction).
-            let mut r = Vec::new();
-            let mut nr = Vec::new();
-            for &n in &neighbors {
-                if supporters.contains(&n) {
-                    r.push(n);
-                } else {
-                    nr.push(n);
-                }
-            }
-            ClusterParts {
-                cg: cluster.cg,
-                outliers,
-                non_neighbor_reporters,
-                r,
-                nr,
-            }
-        })
-        .collect();
-
-    let weights: Vec<f64> = BATCH_SCRATCH.with(|scratch| {
-        let (arena, out) = &mut *scratch.borrow_mut();
-        arena.clear();
-        for p in &parts {
-            arena.push_group(&p.r);
-            arena.push_group(&p.nr);
-        }
-        weighting.group_weights_batch(arena, out);
-        out.clone()
-    });
-
-    parts
-        .into_iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let rw = weights[2 * i];
-            let nrw = weights[2 * i + 1];
-            let vote = VoteOutcome {
-                event_declared: rw > nrw,
-                reporting_weight: rw,
-                non_reporting_weight: nrw,
-                reporters: p.r,
-                non_reporters: p.nr,
-            };
+            let vote = run_vote(&neighbors, &supporters, weighting);
             LocatedDecision {
-                location: p.cg,
+                location: cluster.cg,
                 event_declared: vote.event_declared,
                 vote,
-                outliers: p.outliers,
-                non_neighbor_reporters: p.non_neighbor_reporters,
+                outliers,
+                non_neighbor_reporters,
             }
         })
         .collect()
@@ -647,10 +577,10 @@ mod tests {
 
     #[test]
     fn batched_decisions_match_per_cluster_vote_bitwise() {
-        // The batched weighing inside decide_located must reproduce the
-        // historical per-cluster run_vote path exactly — same partition,
-        // same weights bitwise, same ti_reads — across a multi-cluster
-        // window with quarantined nodes, outliers, and false alarms.
+        // decide_located over a whole T_out batch must reproduce the
+        // per-cluster run_vote path exactly — same partition, same
+        // weights bitwise, same ti_reads — across a multi-cluster window
+        // with quarantined nodes, outliers, and false alarms.
         use crate::vote::run_vote;
         let topo = grid_topo();
         let params = TrustParams::experiment2();

@@ -18,23 +18,6 @@ use std::fmt;
 
 use tibfit_net::topology::NodeId;
 
-use crate::fixed;
-use crate::simd_kernel::{self, AlignedSlab};
-
-/// One R/NR pair's outcome from [`TrustTable::decide_batch`]: the
-/// normalized group weights and the paper's decision rule applied to
-/// them (`reporting_weight > non_reporting_weight`; ties declare no
-/// event).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchVerdict {
-    /// Normalized cumulative trust of the reporting group.
-    pub reporting_weight: f64,
-    /// Normalized cumulative trust of the non-reporting group.
-    pub non_reporting_weight: f64,
-    /// Whether the pair declares an event.
-    pub event_declared: bool,
-}
-
 /// The weight-slot sentinel marking a quarantined node: `-0.0`, whose
 /// addition leaves a non-negative IEEE-754 accumulator bit-identical,
 /// so branch-free CTI folds skip quarantined members for free. The sign
@@ -44,39 +27,52 @@ pub const QUARANTINE_WEIGHT: f64 = -0.0;
 
 /// Whether a dense weight slot holds the quarantine sentinel rather
 /// than a voting weight. This is the *only* sanctioned way to interpret
-/// a weight slot's sign bit; both the SoA fold
-/// ([`TrustTable::cumulative_trust`]) and the AoS per-node dispatch
-/// (`vote::group_weight`'s ±0.0 normalization) go through it, so the
-/// two paths cannot diverge on what "quarantined" looks like.
+/// a weight slot's sign bit; both the CTI fold
+/// ([`TrustTable::cumulative_trust`]) and `vote::group_weight`'s ±0.0
+/// normalization go through it, so the two cannot diverge on what
+/// "quarantined" looks like.
 #[must_use]
 pub fn is_quarantined_weight(w: f64) -> bool {
     w.is_sign_negative()
 }
 
-/// Which arithmetic backend evaluates the TI update and the
-/// cumulative-trust sum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TrustArith {
-    /// IEEE-754 f64 with a write-through `exp()` cache — the reference
-    /// backend, bit-reproducible on one machine but dependent on the
-    /// platform libm's `exp` across architectures.
-    #[default]
-    Float64,
-    /// Q16.16 integer arithmetic ([`crate::fixed`]): lookup-table
-    /// exponential, saturating counters, integer CTI sums. Every value
-    /// it produces is an exact Q16.16 multiple mirrored into the f64
-    /// surface, so snapshots are bit-portable across architectures.
-    /// Selected via [`TrustParams::with_fixed_point`], which validates
-    /// that the calibration survives quantization.
-    FixedQ16,
-}
+/// The exponent `λ·v` at and beyond which `e^(−λ·v)` underflows to
+/// `+0.0` (the smallest subnormal f64 is `e^(−744.4)`).
+const UNDERFLOW_EXPONENT: f64 = 746.0;
 
-/// Q16.16 calibration constants, precomputed once per table.
-#[derive(Debug, Clone, Copy)]
-struct FixedCal {
-    lambda_q: i64,
-    inc_q: i64,
-    dec_q: i64,
+/// The CTI fold behind [`TrustTable::cumulative_trust`], returning
+/// `(sum, reads)`. It seeds `-0.0` (like `Iterator::sum::<f64>`) and
+/// adds strictly in group order; only the order-free gathers and read
+/// counting are unrolled, in chunks of 4.
+///
+/// # Panics
+///
+/// Panics if any index is out of range for `weights`.
+#[inline]
+fn fold_group_f64(weights: &[f64], group: &[NodeId]) -> (f64, u64) {
+    let mut sum = -0.0f64;
+    let mut reads = 0u64;
+    let mut chunks = group.chunks_exact(4);
+    for c in chunks.by_ref() {
+        let w0 = weights[c[0].index()];
+        let w1 = weights[c[1].index()];
+        let w2 = weights[c[2].index()];
+        let w3 = weights[c[3].index()];
+        reads += u64::from(!is_quarantined_weight(w0))
+            + u64::from(!is_quarantined_weight(w1))
+            + u64::from(!is_quarantined_weight(w2))
+            + u64::from(!is_quarantined_weight(w3));
+        sum += w0;
+        sum += w1;
+        sum += w2;
+        sum += w3;
+    }
+    for n in chunks.remainder() {
+        let w = weights[n.index()];
+        reads += u64::from(!is_quarantined_weight(w));
+        sum += w;
+    }
+    (sum, reads)
 }
 
 /// Why a [`TrustParams`] value was rejected.
@@ -113,11 +109,6 @@ pub struct TrustParams {
     /// equal to the correct nodes' NER in Experiment 1 and to 0.1 in
     /// Experiment 2 (to absorb wireless-channel losses).
     pub fault_rate: f64,
-    /// Arithmetic backend for the TI update and CTI sums. Defaults to
-    /// [`TrustArith::Float64`]; select Q16.16 through
-    /// [`TrustParams::with_fixed_point`] so the combination is
-    /// validated against quantization degeneracies.
-    pub arith: TrustArith,
 }
 
 impl TrustParams {
@@ -151,71 +142,7 @@ impl TrustParams {
         if !(0.0..1.0).contains(&fault_rate) {
             return Err(TrustParamsError::InvalidFaultRate(fault_rate));
         }
-        Ok(TrustParams {
-            lambda,
-            fault_rate,
-            arith: TrustArith::Float64,
-        })
-    }
-
-    /// Fallible constructor for the Q16.16 fixed-point backend: on top
-    /// of the [`TrustParams::try_new`] range checks, rejects
-    /// calibrations the integer pipeline cannot faithfully represent —
-    /// combinations where the TI update would overflow or degenerate in
-    /// Q16.16 range.
-    ///
-    /// # Errors
-    ///
-    /// [`TrustParamsError::InvalidLambda`] when `lambda` quantizes to
-    /// zero (< 2⁻¹⁷), exceeds the Q16.16 integer range (> 32768), or is
-    /// so small relative to `1 − f_r` that a faulty report would not
-    /// move the quantized exponent at all (the update would be a no-op
-    /// and a liar could never lose trust).
-    /// [`TrustParamsError::InvalidFaultRate`] when `1 − f_r` quantizes
-    /// to zero, or `f_r` is nonzero yet quantizes to zero (recovery
-    /// would silently never happen).
-    pub fn try_new_fixed(lambda: f64, fault_rate: f64) -> Result<Self, TrustParamsError> {
-        let mut p = TrustParams::try_new(lambda, fault_rate)?;
-        if lambda > 32768.0 {
-            return Err(TrustParamsError::InvalidLambda(lambda));
-        }
-        let lambda_q = fixed::quantize_round(lambda);
-        if lambda_q == 0 {
-            return Err(TrustParamsError::InvalidLambda(lambda));
-        }
-        let inc_q = fixed::quantize_round(1.0 - fault_rate);
-        if inc_q == 0 || (fault_rate > 0.0 && fixed::quantize_round(fault_rate) == 0) {
-            return Err(TrustParamsError::InvalidFaultRate(fault_rate));
-        }
-        // One faulty report must move λ·v by at least one Q16.16 ulp,
-        // or the trust index would be frozen at 1.0 forever.
-        if (lambda_q * inc_q) >> fixed::FRAC_BITS == 0 {
-            return Err(TrustParamsError::InvalidLambda(lambda));
-        }
-        p.arith = TrustArith::FixedQ16;
-        Ok(p)
-    }
-
-    /// Switches a validated parameter set onto the Q16.16 fixed-point
-    /// backend (see [`TrustParams::try_new_fixed`] for the extra
-    /// validation this implies).
-    ///
-    /// # Errors
-    ///
-    /// The same [`TrustParamsError`] values as
-    /// [`TrustParams::try_new_fixed`].
-    pub fn with_fixed_point(self) -> Result<Self, TrustParamsError> {
-        TrustParams::try_new_fixed(self.lambda, self.fault_rate)
-    }
-
-    /// The precomputed Q16.16 calibration, present iff the fixed-point
-    /// backend is selected.
-    fn fixed_cal(&self) -> Option<FixedCal> {
-        (self.arith == TrustArith::FixedQ16).then(|| FixedCal {
-            lambda_q: fixed::quantize_round(self.lambda),
-            inc_q: fixed::quantize_round(1.0 - self.fault_rate),
-            dec_q: fixed::quantize_round(self.fault_rate),
-        })
+        Ok(TrustParams { lambda, fault_rate })
     }
 
     /// Experiment-1 calibration (λ = 0.1, `f_r` = the given NER).
@@ -279,7 +206,8 @@ impl TrustIndex {
         self.v
     }
 
-    /// The trust index `e^(−λ·v)`, always in `(0, 1]`.
+    /// The trust index `e^(−λ·v)`, in `[0, 1]`: it underflows to `+0.0`
+    /// once `λ·v` passes ~745.
     #[must_use]
     pub fn value(&self, params: &TrustParams) -> f64 {
         (-params.lambda * self.v).exp()
@@ -377,23 +305,8 @@ pub struct TrustTable {
     /// the node, so the branch-free sum reproduces the filtered sum
     /// exactly; the sign bit doubles as the participation flag (every real
     /// TI is `>= +0.0`), which is how reads are counted without touching
-    /// `status`. Cache-line aligned so the SIMD batch kernels' gathers
-    /// start on a line boundary and two tables never share a hot line.
-    weights: AlignedSlab<f64>,
-    /// Q16.16 source of truth for the fault counters — populated only
-    /// on the fixed-point backend (empty otherwise). `counters` then
-    /// holds the exact f64 mirror of each entry, so every read path
-    /// (snapshots, exports, votes) works unchanged and bit-portably.
-    counters_q: Vec<i64>,
-    /// Q16.16 voting-weight slots for the fixed backend: the node's TI
-    /// in Q16.16 while it participates, `-1` while quarantined (the
-    /// sign bit is the participation flag, mirroring the f64 array's
-    /// `-0.0` sentinel). Empty on the f64 backend; cache-line aligned
-    /// like `weights`.
-    weights_q: AlignedSlab<i64>,
-    /// Precomputed Q16.16 calibration; `Some` iff `params.arith` is
-    /// [`TrustArith::FixedQ16`].
-    fixed: Option<FixedCal>,
+    /// `status`.
+    weights: Vec<f64>,
     status: Vec<NodeStatus>,
     isolation_threshold: Option<f64>,
     reintegration: Option<ReintegrationPolicy>,
@@ -412,33 +325,16 @@ impl TrustTable {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`, or if `params` selects the fixed-point
-    /// backend but was built by hand (public fields) with a calibration
-    /// [`TrustParams::try_new_fixed`] rejects.
+    /// Panics if `n == 0`.
     #[must_use]
     pub fn new(params: TrustParams, n: usize) -> Self {
         assert!(n > 0, "trust table needs at least one node");
-        if params.arith == TrustArith::FixedQ16 {
-            assert!(
-                TrustParams::try_new_fixed(params.lambda, params.fault_rate).is_ok(),
-                "fixed-point params must pass TrustParams::try_new_fixed"
-            );
-        }
-        let fixed = params.fixed_cal();
-        let n_q = if fixed.is_some() { n } else { 0 };
         TrustTable {
             params,
             counters: vec![0.0; n],
             // e^(−λ·0) is exactly 1.0, so fresh entries need no exp().
             cached_ti: vec![1.0; n],
-            weights: AlignedSlab::filled(n, 1.0),
-            counters_q: vec![0; n_q],
-            weights_q: if n_q == 0 {
-                AlignedSlab::empty()
-            } else {
-                AlignedSlab::filled(n_q, fixed::ONE_Q16)
-            },
-            fixed,
+            weights: vec![1.0; n],
             status: vec![NodeStatus::Active; n],
             isolation_threshold: None,
             reintegration: None,
@@ -447,15 +343,10 @@ impl TrustTable {
         }
     }
 
-    /// Recomputes one node's cached trust index after its counter moved.
-    /// On the fixed backend the Q16.16 counter is authoritative and the
-    /// LUT exponential produces the (exactly mirrorable) cached value;
-    /// either way the refresh counts as one paid exponential.
+    /// Recomputes one node's cached trust index after its counter moved
+    /// (one paid exponential).
     fn refresh_cache(&mut self, i: usize) {
-        self.cached_ti[i] = match self.fixed {
-            Some(cal) => fixed::q16_to_f64(fixed::ti_q16(cal.lambda_q, self.counters_q[i])),
-            None => TrustIndex { v: self.counters[i] }.value(&self.params),
-        };
+        self.cached_ti[i] = TrustIndex { v: self.counters[i] }.value(&self.params);
         self.exp_evals += 1;
         self.sync_weight(i);
     }
@@ -464,21 +355,11 @@ impl TrustTable {
     /// cached TI. Called on every cache refresh and status transition —
     /// the weight array is write-through, never recomputed at read time.
     fn sync_weight(&mut self, i: usize) {
-        let quarantined = matches!(self.status[i], NodeStatus::Quarantined { .. });
-        self.weights[i] = if quarantined {
+        self.weights[i] = if matches!(self.status[i], NodeStatus::Quarantined { .. }) {
             QUARANTINE_WEIGHT
         } else {
             self.cached_ti[i]
         };
-        if self.fixed.is_some() {
-            // cached_ti is an exact Q16.16 mirror here, so the cast
-            // recovers the integer TI losslessly.
-            self.weights_q[i] = if quarantined {
-                -1
-            } else {
-                (self.cached_ti[i] * fixed::ONE_Q16 as f64) as i64
-            };
-        }
     }
 
     /// Total `exp()` evaluations paid so far. Reads ([`TrustTable::trust_of`],
@@ -615,102 +496,17 @@ impl TrustTable {
     /// One branch-free gather over the dense weight slots: quarantined
     /// nodes hold `-0.0`, whose addition leaves a non-negative IEEE-754
     /// accumulator bit-identical, so the unfiltered left-to-right fold
-    /// equals the status-filtered sum exactly. The f64 fold must stay in
-    /// group order (float addition does not commute bitwise), but the
-    /// weight gathers and the read counting are order-free, so the loop
-    /// is chunked to unroll them; reads are counted from the sign bit
-    /// (`-0.0` marks quarantine; every real TI, even one underflowed to
-    /// `+0.0`, is sign-positive), replicating the old rule that only
-    /// non-isolated members cost a read.
+    /// equals the status-filtered sum exactly. The fold stays in group
+    /// order (float addition does not commute bitwise). Reads are
+    /// counted from the sign bit (`-0.0` marks quarantine; every real
+    /// TI, even one underflowed to `+0.0`, is sign-positive), so only
+    /// non-isolated members cost a read. An empty or all-quarantined
+    /// group sums to the `-0.0` seed.
     #[must_use]
     pub fn cumulative_trust(&self, group: &[NodeId]) -> f64 {
-        if self.fixed.is_some() {
-            return self.cumulative_trust_q16(group);
-        }
-        // The f64 fold is pinned bitwise to the sequential group-order
-        // sum, so the single-group path always runs the shared scalar
-        // fold — SIMD pays off only across groups (see
-        // [`TrustTable::cumulative_trust_batch`]).
-        let (sum, reads) = simd_kernel::fold_group_f64(&self.weights, group);
+        let (sum, reads) = fold_group_f64(&self.weights, group);
         self.ti_reads.set(self.ti_reads.get() + reads);
         sum
-    }
-
-    /// The fixed-point CTI fold: an all-integer, branch-free pass over
-    /// the Q16.16 weight slots. The quarantine sentinel is `-1`, so
-    /// `!(w >> 63)` is an all-ones mask exactly for participating
-    /// members — one AND folds the weight, one more counts the read.
-    /// The integer sum is exact (no float rounding, no ordering
-    /// sensitivity) — which also means it may run through the vertical
-    /// SIMD kernel for large groups with exactly equal results; the
-    /// result converts losslessly to f64 and keeps the ±0.0 contract of
-    /// the float fold: `-0.0` iff no member participated, `+0.0` for
-    /// participating members that sum to zero.
-    fn cumulative_trust_q16(&self, group: &[NodeId]) -> f64 {
-        let (sum, reads) = simd_kernel::cti_q16_single(&self.weights_q, group);
-        self.ti_reads.set(self.ti_reads.get() + reads);
-        fixed::cti_sum_to_f64(sum, reads)
-    }
-
-    /// Batched CTI: evaluates every group in `arena` in one pass over
-    /// the weight slots, writing each group's cumulative trust to
-    /// `out[g]` in group-push order. Each result carries the exact bits
-    /// the corresponding [`TrustTable::cumulative_trust`] call would
-    /// return (including the `-0.0` empty/all-quarantined sentinel), and
-    /// `ti_reads` advances by the same total — the batch is
-    /// observationally identical to the per-group loop, it only
-    /// amortizes dispatch and interleaves the folds' dependency chains
-    /// ([`simd_kernel::cti_batch_f64`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an arena index is out of range for this table.
-    pub fn cumulative_trust_batch(&self, arena: &mut simd_kernel::GroupArena, out: &mut Vec<f64>) {
-        let reads = if self.fixed.is_some() {
-            simd_kernel::cti_batch_q16(&self.weights_q, arena, out)
-        } else {
-            simd_kernel::cti_batch_f64(&self.weights, arena, out)
-        };
-        self.ti_reads.set(self.ti_reads.get() + reads);
-    }
-
-    /// Evaluates many R/NR group pairs in one batched pass and applies
-    /// the paper's decision rule (`CTI_R > CTI_NR`; ties declare no
-    /// event) to each pair.
-    ///
-    /// `arena` must hold an even number of groups — pair `i` is groups
-    /// `2i` (reporting) and `2i+1` (non-reporting). The weights written
-    /// to each verdict carry the vote layer's `±0.0` normalization
-    /// ([`crate::vote::group_weight`] semantics): a nonempty group whose
-    /// sum is the `-0.0` sentinel reports `0.0`. `weights_scratch` is
-    /// caller-provided so steady-state batches allocate nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the arena holds an odd number of groups or an index out
-    /// of range for this table.
-    pub fn decide_batch(
-        &self,
-        arena: &mut simd_kernel::GroupArena,
-        weights_scratch: &mut Vec<f64>,
-        out: &mut Vec<BatchVerdict>,
-    ) {
-        assert!(
-            arena.group_count().is_multiple_of(2),
-            "decide_batch needs an even number of groups (R/NR pairs)"
-        );
-        self.cumulative_trust_batch(arena, weights_scratch);
-        for (g, w) in weights_scratch.iter_mut().enumerate() {
-            if is_quarantined_weight(*w) && arena.group_len(g) > 0 {
-                *w = 0.0;
-            }
-        }
-        out.clear();
-        out.extend(weights_scratch.chunks_exact(2).map(|pair| BatchVerdict {
-            reporting_weight: pair[0],
-            non_reporting_weight: pair[1],
-            event_declared: pair[0] > pair[1],
-        }));
     }
 
     /// Records a faulty judgement and runs diagnosis.
@@ -720,15 +516,7 @@ impl TrustTable {
     /// Panics if the id is out of range.
     pub fn record_faulty(&mut self, node: NodeId) {
         let i = node.index();
-        match self.fixed {
-            Some(cal) => {
-                self.counters_q[i] = self.counters_q[i]
-                    .saturating_add(cal.inc_q)
-                    .min(fixed::COUNTER_MAX_Q16);
-                self.counters[i] = fixed::q16_to_f64(self.counters_q[i]);
-            }
-            None => self.counters[i] += self.params.faulty_increment(),
-        }
+        self.counters[i] += self.params.faulty_increment();
         self.refresh_cache(i);
         if let Some(th) = self.isolation_threshold {
             if self.cached_ti[i] < th {
@@ -760,29 +548,10 @@ impl TrustTable {
                 NodeStatus::Active => {}
                 NodeStatus::Quarantined { remaining } => {
                     if remaining <= 1 {
-                        // Probationary trust: as close to the threshold
-                        // as the backend can represent without granting
-                        // more. Float: TI = threshold exactly, i.e.
-                        // v = −ln(threshold)/λ. Fixed: the smallest
-                        // counter whose TI lands strictly below the
-                        // threshold — exact equality is generally
-                        // unrepresentable in Q16.16, and strictly-below
-                        // guarantees that any probationary relapse
-                        // re-quarantines regardless of LUT plateaus.
+                        // Probationary trust: TI = threshold, i.e.
+                        // v = −ln(threshold)/λ.
                         if let Some(th) = self.isolation_threshold {
-                            match self.fixed {
-                                Some(cal) => {
-                                    // ti/2^16 < th ⟺ ti ≤ ceil(th·2^16) − 1.
-                                    let th_q =
-                                        ((th * fixed::ONE_Q16 as f64).ceil() as i64 - 1).max(0);
-                                    self.counters_q[i] =
-                                        fixed::counter_for_ti_at_most(cal.lambda_q, th_q);
-                                    self.counters[i] = fixed::q16_to_f64(self.counters_q[i]);
-                                }
-                                None => {
-                                    self.counters[i] = -th.ln() / self.params.lambda;
-                                }
-                            }
+                            self.counters[i] = -th.ln() / self.params.lambda;
                             self.refresh_cache(i);
                         }
                         self.status[i] = NodeStatus::Probation {
@@ -825,22 +594,10 @@ impl TrustTable {
         // cluster this is the common case, and it is what makes a vote
         // cost O(actually-moved counters) exponentials instead of
         // O(nodes).
-        match self.fixed {
-            Some(cal) => {
-                let before = self.counters_q[i];
-                self.counters_q[i] = (before - cal.dec_q).max(0);
-                if self.counters_q[i] != before {
-                    self.counters[i] = fixed::q16_to_f64(self.counters_q[i]);
-                    self.refresh_cache(i);
-                }
-            }
-            None => {
-                let before = self.counters[i];
-                self.counters[i] = (before - self.params.correct_decrement()).max(0.0);
-                if self.counters[i] != before {
-                    self.refresh_cache(i);
-                }
-            }
+        let before = self.counters[i];
+        self.counters[i] = (before - self.params.correct_decrement()).max(0.0);
+        if self.counters[i] != before {
+            self.refresh_cache(i);
         }
     }
 
@@ -866,69 +623,35 @@ impl TrustTable {
             "counter must be non-negative and finite"
         );
         let i = node.index();
-        self.write_counter(i, counter);
+        self.counters[i] = counter;
         self.refresh_cache(i);
-    }
-
-    /// Stores a counter through the backend: the f64 verbatim on the
-    /// float path, ceil-quantized to Q16.16 on the fixed path (rounding
-    /// *up* never grants trust; exact Q16.16 multiples — everything a
-    /// fixed table itself exports — round-trip unchanged).
-    fn write_counter(&mut self, i: usize, counter: f64) {
-        match self.fixed {
-            Some(_) => {
-                self.counters_q[i] = fixed::quantize_counter_ceil(counter);
-                self.counters[i] = fixed::q16_to_f64(self.counters_q[i]);
-            }
-            None => self.counters[i] = counter,
-        }
     }
 
     /// Resynchronizes one node's trust from an exported TI value — the
     /// receiving side of a [`TrustTable::export`] handoff after the
     /// working table was lost.
     ///
-    /// Both backends guarantee the restored trust never exceeds the
-    /// snapshot: trust is earned back, not granted by recovery. The
-    /// float arm inverts `TI = e^(−λ·v)` through `ln()` (accurate to a
-    /// ~1e-12 round-trip); the fixed arm binary-searches the smallest
-    /// counter whose LUT trust index is at or below the (floor-
-    /// quantized) target, which makes the bound *exact* — a property
-    /// the model checker asserts on every reachable state. The fixed
-    /// arm also honors `ti == 0.0` (a reachable LUT underflow) by
-    /// restoring an underflowed counter; a *negative* TI is outside the
-    /// export domain on both arms and defensively restores full trust
-    /// (float treats `0.0` the same way, since its `exp()` cannot
-    /// underflow at any reachable counter).
+    /// The restored trust never exceeds the snapshot: trust is earned
+    /// back, not granted by recovery. A positive TI is inverted through
+    /// `ln()` (accurate to a ~1e-12 round-trip). A TI of `0.0` — an
+    /// `exp()` underflow, reachable once `λ·v` passes ~745 — restores a
+    /// counter whose TI underflows too. A *negative* TI is outside the
+    /// export domain and defensively restores full trust.
     ///
     /// # Panics
     ///
     /// Panics if the id is out of range or `ti` is not finite.
     pub fn resync_to_ti(&mut self, node: NodeId, ti: f64) {
         assert!(ti.is_finite(), "handoff TI must be finite");
-        match self.fixed {
-            Some(cal) => {
-                let i = node.index();
-                self.counters_q[i] = if ti >= 0.0 {
-                    let ti_q = ((ti * fixed::ONE_Q16 as f64).floor() as i64)
-                        .clamp(0, fixed::ONE_Q16);
-                    fixed::counter_for_ti_at_most(cal.lambda_q, ti_q)
-                } else {
-                    0
-                };
-                self.counters[i] = fixed::q16_to_f64(self.counters_q[i]);
-                self.refresh_cache(i);
-            }
-            None => {
-                // Invert TI = e^(−λ·v); snapshots keep TI in (0, 1].
-                let v = if ti > 0.0 {
-                    -ti.ln() / self.params.lambda
-                } else {
-                    0.0
-                };
-                self.set_counter(node, v.max(0.0));
-            }
-        }
+        let v = if ti > 0.0 {
+            -ti.ln() / self.params.lambda
+        } else if ti == 0.0 {
+            // Capped so the counter stays finite.
+            (UNDERFLOW_EXPONENT / self.params.lambda).min(f64::MAX)
+        } else {
+            0.0
+        };
+        self.set_counter(node, v.max(0.0));
     }
 
     /// Exports `(node, TI)` pairs — the payload of the base-station
@@ -986,10 +709,6 @@ impl TrustTable {
             self.cached_ti[kept] = self.cached_ti[i];
             self.status[kept] = self.status[i];
             self.weights[kept] = self.weights[i];
-            if self.fixed.is_some() {
-                self.counters_q[kept] = self.counters_q[i];
-                self.weights_q[kept] = self.weights_q[i];
-            }
             kept += 1;
         }
         assert!(kept > 0, "trust table needs at least one node");
@@ -997,10 +716,6 @@ impl TrustTable {
         self.cached_ti.truncate(kept);
         self.status.truncate(kept);
         self.weights.truncate(kept);
-        if self.fixed.is_some() {
-            self.counters_q.truncate(kept);
-            self.weights_q.truncate(kept);
-        }
         self.reset_as_installed();
     }
 
@@ -1025,12 +740,8 @@ impl TrustTable {
         self.cached_ti.insert(at, 1.0);
         self.status.reserve_exact(1);
         self.status.insert(at, NodeStatus::Active);
+        self.weights.reserve_exact(1);
         self.weights.insert(at, 1.0);
-        if self.fixed.is_some() {
-            self.counters_q.reserve_exact(1);
-            self.counters_q.insert(at, 0);
-            self.weights_q.insert(at, fixed::ONE_Q16);
-        }
         self.install(NodeId(at), record);
         self.reset_as_installed();
     }
@@ -1058,7 +769,7 @@ impl TrustTable {
             "hand-off counter must be non-negative and finite"
         );
         let i = node.index();
-        self.write_counter(i, record.counter);
+        self.counters[i] = record.counter;
         self.refresh_cache(i);
         self.status[i] = record.status;
         self.sync_weight(i);
@@ -1119,11 +830,6 @@ pub struct TrustTableState {
     pub lambda: f64,
     /// Natural error rate `f_r`.
     pub fault_rate: f64,
-    /// Arithmetic backend the counters and cached TIs were produced by.
-    /// Fixed-point state is validated against the Q16.16 pipeline on
-    /// restore (exact-multiple counters, LUT-recomputed caches), so a
-    /// blob cannot silently restore under the wrong arithmetic.
-    pub arith: TrustArith,
     /// Raw fault counter `v` per node.
     pub counters: Vec<f64>,
     /// Cached `e^(−λ·v)` per node, captured verbatim.
@@ -1148,7 +854,6 @@ impl TrustTableState {
         TrustTableState {
             lambda: 0.0,
             fault_rate: 0.0,
-            arith: TrustArith::Float64,
             counters: Vec::new(),
             cached_ti: Vec::new(),
             status: Vec::new(),
@@ -1175,7 +880,6 @@ impl TrustTable {
     pub fn export_state_into(&self, out: &mut TrustTableState) {
         out.lambda = self.params.lambda;
         out.fault_rate = self.params.fault_rate;
-        out.arith = self.params.arith;
         out.counters.clone_from(&self.counters);
         out.cached_ti.clone_from(&self.cached_ti);
         out.status.clone_from(&self.status);
@@ -1205,11 +909,8 @@ impl TrustTable {
         if n == 0 || state.cached_ti.len() != n || state.status.len() != n {
             return Err(TrustStateError::LengthMismatch);
         }
-        let params = match state.arith {
-            TrustArith::Float64 => TrustParams::try_new(state.lambda, state.fault_rate),
-            TrustArith::FixedQ16 => TrustParams::try_new_fixed(state.lambda, state.fault_rate),
-        }
-        .map_err(|_| TrustStateError::BadParams)?;
+        let params = TrustParams::try_new(state.lambda, state.fault_rate)
+            .map_err(|_| TrustStateError::BadParams)?;
         if let Some(th) = state.isolation_threshold {
             if !(th > 0.0 && th < 1.0) {
                 return Err(TrustStateError::BadThreshold);
@@ -1220,34 +921,12 @@ impl TrustTable {
                 return Err(TrustStateError::BadReintegration);
             }
         }
-        let fixed = params.fixed_cal();
-        let mut counters_q = Vec::with_capacity(if fixed.is_some() { n } else { 0 });
         for (&v, &cached) in state.counters.iter().zip(&state.cached_ti) {
             if !(v.is_finite() && v >= 0.0) {
                 return Err(TrustStateError::BadCounter);
             }
-            match fixed {
-                Some(cal) => {
-                    // Fixed-point counters must be exact Q16.16
-                    // multiples (everything the backend itself writes
-                    // is), and the cached TI must equal the LUT
-                    // recomputation bit-for-bit.
-                    let v_q = fixed::quantize_counter_ceil(v);
-                    if fixed::q16_to_f64(v_q) != v {
-                        return Err(TrustStateError::BadCounter);
-                    }
-                    if cached.to_bits()
-                        != fixed::q16_to_f64(fixed::ti_q16(cal.lambda_q, v_q)).to_bits()
-                    {
-                        return Err(TrustStateError::CacheMismatch);
-                    }
-                    counters_q.push(v_q);
-                }
-                None => {
-                    if cached.to_bits() != (-params.lambda * v).exp().to_bits() {
-                        return Err(TrustStateError::CacheMismatch);
-                    }
-                }
+            if cached.to_bits() != (-params.lambda * v).exp().to_bits() {
+                return Err(TrustStateError::CacheMismatch);
             }
         }
         // The weight slots are derived state (cached TI gated by status),
@@ -1265,29 +944,11 @@ impl TrustTable {
                 }
             })
             .collect();
-        let weights_q: Vec<i64> = if fixed.is_some() {
-            weights
-                .iter()
-                .map(|&w| {
-                    if is_quarantined_weight(w) {
-                        -1
-                    } else {
-                        (w * fixed::ONE_Q16 as f64) as i64
-                    }
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let weights_q = AlignedSlab::from_slice(&weights_q);
         Ok(TrustTable {
             params,
             counters: state.counters.clone(),
             cached_ti: state.cached_ti.clone(),
-            weights: AlignedSlab::from_slice(&weights),
-            counters_q,
-            weights_q,
-            fixed,
+            weights,
             status: state.status.clone(),
             isolation_threshold: state.isolation_threshold,
             reintegration: state.reintegration.map(|(quarantine_rounds, probation_rounds)| {
@@ -1437,6 +1098,10 @@ mod tests {
         t.record_faulty(NodeId(0));
         assert!(t.is_isolated(NodeId(0)));
         assert_eq!(t.cumulative_trust(&[NodeId(0)]), 0.0);
+        // An all-quarantined group, like an empty one, keeps the -0.0
+        // seed: the sentinel bits survive the fold.
+        assert!(is_quarantined_weight(t.cumulative_trust(&[NodeId(0)])));
+        assert!(is_quarantined_weight(t.cumulative_trust(&[])));
     }
 
     #[test]
@@ -1918,174 +1583,17 @@ mod tests {
         }
     }
 
-    fn fixed_params() -> TrustParams {
-        params().with_fixed_point().unwrap()
-    }
-
     #[test]
-    fn fixed_params_reject_degenerate_quantizations() {
-        use TrustParamsError::{InvalidFaultRate, InvalidLambda};
-        assert_eq!(fixed_params().arith, TrustArith::FixedQ16);
-        // λ beyond the Q16.16 integer range.
-        assert_eq!(
-            TrustParams::try_new_fixed(1e6, 0.1).unwrap_err(),
-            InvalidLambda(1e6)
-        );
-        // λ that quantizes to zero — no faulty report could ever move TI.
-        assert!(matches!(
-            TrustParams::try_new_fixed(1e-9, 0.1).unwrap_err(),
-            InvalidLambda(_)
-        ));
-        // Nonzero f_r that quantizes to zero — recovery would silently
-        // never happen.
-        assert!(matches!(
-            TrustParams::try_new_fixed(0.25, 1e-9).unwrap_err(),
-            InvalidFaultRate(_)
-        ));
-        // f_r so close to 1 that the increment quantizes to zero.
-        assert!(matches!(
-            TrustParams::try_new_fixed(0.25, 1.0 - 1e-9).unwrap_err(),
-            InvalidFaultRate(_)
-        ));
-        // The base range checks still apply first.
-        assert!(matches!(
-            TrustParams::try_new_fixed(-1.0, 0.1).unwrap_err(),
-            InvalidLambda(_)
-        ));
-        // The paper calibrations all survive quantization.
-        assert!(TrustParams::experiment1(0.05).with_fixed_point().is_ok());
-        assert!(TrustParams::experiment2().with_fixed_point().is_ok());
-    }
-
-    #[test]
-    fn fixed_state_is_an_exact_q16_mirror() {
-        let mut t = TrustTable::new(fixed_params(), 4);
-        for step in 0..40u64 {
-            let node = NodeId((step % 4) as usize);
-            if step % 3 == 0 {
-                t.record_correct(node);
-            } else {
-                t.record_faulty(node);
-            }
-            for i in 0..4 {
-                let v = t.counter_of(NodeId(i));
-                let ti = t.trust_of(NodeId(i));
-                // Every f64 the fixed backend exposes is an exact
-                // Q16.16 multiple — the mirror loses nothing.
-                assert_eq!(v, fixed::q16_to_f64(fixed::quantize_counter_ceil(v)));
-                assert_eq!(
-                    ti,
-                    fixed::q16_to_f64((ti * fixed::ONE_Q16 as f64) as i64)
-                );
-                assert!((0.0..=1.0).contains(&ti));
-            }
-        }
-    }
-
-    #[test]
-    fn fixed_backend_is_decision_identical_to_float_here() {
-        // Same judgement history through both backends: TIs differ by
-        // quantization, but every status transition and every CTI
-        // comparison with a non-degenerate margin must agree.
-        let mut f = TrustTable::new(params(), 5)
-            .with_isolation_threshold(0.5)
-            .with_reintegration(2, 2);
-        let mut q = TrustTable::new(fixed_params(), 5)
-            .with_isolation_threshold(0.5)
-            .with_reintegration(2, 2);
-        let all: Vec<NodeId> = (0..5).map(NodeId).collect();
-        for round in 0..30u64 {
-            for i in 0..5usize {
-                if (round + i as u64).is_multiple_of(4) {
-                    f.record_faulty(NodeId(i));
-                    q.record_faulty(NodeId(i));
-                } else {
-                    f.record_correct(NodeId(i));
-                    q.record_correct(NodeId(i));
-                }
-            }
-            assert_eq!(f.tick_round(), q.tick_round(), "round {round}");
-            for i in 0..5 {
-                assert_eq!(f.status_of(NodeId(i)), q.status_of(NodeId(i)), "round {round}");
-                assert!((f.trust_of(NodeId(i)) - q.trust_of(NodeId(i))).abs() < 1e-3);
-            }
-            for split in 0..5usize {
-                let (r, nr) = all.split_at(split);
-                let df = f.cumulative_trust(r) > f.cumulative_trust(nr);
-                let dq = q.cumulative_trust(r) > q.cumulative_trust(nr);
-                let margin = (f.cumulative_trust(r) - f.cumulative_trust(nr)).abs();
-                if margin > 1e-2 {
-                    assert_eq!(df, dq, "round {round} split {split}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fixed_cti_matches_filtered_reference_and_keeps_sentinel() {
-        let mut t = TrustTable::new(fixed_params(), 7)
-            .with_isolation_threshold(0.5)
-            .with_reintegration(2, 2);
-        let group: Vec<NodeId> = (0..7).map(NodeId).collect();
-        for round in 0..40u64 {
-            for i in 0..7usize {
-                if (round * 7 + i as u64).is_multiple_of(3) {
-                    t.record_faulty(NodeId(i));
-                } else {
-                    t.record_correct(NodeId(i));
-                }
-            }
-            t.tick_round();
-            for len in [0usize, 1, 3, 4, 5, 7] {
-                let g = &group[..len];
-                assert_eq!(
-                    t.cumulative_trust(g).to_bits(),
-                    reference_cti(&t, g).to_bits(),
-                    "round {round} len {len}"
-                );
-            }
-        }
-        // A fully-quarantined group keeps the -0.0 seed, exactly like
-        // the float fold.
-        let mut u = TrustTable::new(fixed_params(), 2).with_isolation_threshold(0.9);
-        u.record_faulty(NodeId(0));
-        assert!(u.is_isolated(NodeId(0)));
-        assert!(is_quarantined_weight(u.cumulative_trust(&[NodeId(0)])));
-        assert!(is_quarantined_weight(u.cumulative_trust(&[])));
-    }
-
-    #[test]
-    fn fixed_probation_relapse_always_requarantines() {
-        // The fixed probation reset lands *strictly below* the
-        // threshold (exact equality is generally unrepresentable in
-        // Q16.16), so one faulty report during probation must always
-        // re-quarantine — no LUT plateau can absorb it.
-        for th in [0.3, 0.5, 0.5000001, 0.75] {
-            let mut t = TrustTable::new(fixed_params(), 2)
-                .with_isolation_threshold(th)
-                .with_reintegration(1, 3);
-            while !t.is_isolated(NodeId(0)) {
-                t.record_faulty(NodeId(0));
-            }
-            t.tick_round();
-            assert!(matches!(t.status_of(NodeId(0)), NodeStatus::Probation { .. }));
-            assert!(t.trust_of(NodeId(0)) < th, "threshold {th}");
-            t.record_faulty(NodeId(0));
-            assert!(t.is_isolated(NodeId(0)), "threshold {th}");
-        }
-    }
-
-    #[test]
-    fn fixed_resync_never_exceeds_the_snapshot() {
-        let mut t = TrustTable::new(fixed_params(), 4);
+    fn resync_never_exceeds_the_snapshot() {
+        let mut t = TrustTable::new(params(), 4);
         for step in 0..9u64 {
             t.record_faulty(NodeId((step % 4) as usize));
         }
-        // Drive node 3 all the way to LUT underflow (TI = 0 exactly).
-        t.set_counter(NodeId(3), 100.0);
+        // Drive node 3 all the way to exp() underflow (TI = +0.0).
+        t.set_counter(NodeId(3), 5000.0);
         assert_eq!(t.trust_of(NodeId(3)), 0.0);
         let snapshot = t.export();
-        let mut r = TrustTable::new(fixed_params(), 4);
+        let mut r = TrustTable::new(params(), 4);
         for &(node, ti) in &snapshot {
             r.resync_to_ti(node, ti);
             assert!(
@@ -2096,55 +1604,10 @@ mod tests {
         }
         // Full trust round-trips exactly; a wiped-then-resynced node
         // whose snapshot had underflowed stays underflowed.
-        let mut fresh = TrustTable::new(fixed_params(), 1);
+        let mut fresh = TrustTable::new(params(), 1);
         fresh.resync_to_ti(NodeId(0), 1.0);
         assert_eq!(fresh.trust_of(NodeId(0)), 1.0);
         assert_eq!(r.trust_of(NodeId(3)), 0.0);
-    }
-
-    #[test]
-    fn fixed_export_state_round_trips_and_rejects_corruption() {
-        let mut t = TrustTable::new(fixed_params(), 3)
-            .with_isolation_threshold(0.5)
-            .with_reintegration(2, 2);
-        for _ in 0..4 {
-            t.record_faulty(NodeId(1));
-        }
-        t.tick_round();
-        let state = t.export_state();
-        assert_eq!(state.arith, TrustArith::FixedQ16);
-        let r = TrustTable::from_state(&state).unwrap();
-        assert_eq!(r.export_state(), state);
-        for i in 0..3 {
-            assert_eq!(
-                r.cumulative_trust(&[NodeId(i)]).to_bits(),
-                t.cumulative_trust(&[NodeId(i)]).to_bits()
-            );
-        }
-
-        // A counter that is not an exact Q16.16 multiple cannot have
-        // come from the fixed backend.
-        let mut s = state.clone();
-        s.counters[0] = 0.1;
-        s.cached_ti[0] = fixed::q16_to_f64(fixed::ti_q16(
-            fixed::quantize_round(s.lambda),
-            fixed::quantize_counter_ceil(0.1),
-        ));
-        assert_eq!(TrustTable::from_state(&s).unwrap_err(), TrustStateError::BadCounter);
-
-        // A cached TI that doesn't match the LUT recomputation bitwise.
-        let mut s = state.clone();
-        s.cached_ti[1] = (-s.lambda * s.counters[1]).exp();
-        assert_eq!(
-            TrustTable::from_state(&s).unwrap_err(),
-            TrustStateError::CacheMismatch
-        );
-
-        // Params that fail fixed-point validation are rejected even
-        // though the float validator would accept them.
-        let mut s = state.clone();
-        s.lambda = 1e-9;
-        assert_eq!(TrustTable::from_state(&s).unwrap_err(), TrustStateError::BadParams);
     }
 
     /// A table with history: counters moved, a quarantine served into
@@ -2193,35 +1656,33 @@ mod tests {
 
     #[test]
     fn in_place_membership_edits_equal_a_fresh_install() {
-        let backends = [params(), TrustParams::try_new_fixed(0.25, 0.1).unwrap()];
-        for (b, &p) in backends.iter().enumerate() {
-            for seed in 0..20u64 {
-                let mut rng = tibfit_sim::rng::SimRng::seed_from(seed ^ 0xED17);
-                let n = 2 + rng.uniform_usize(14);
-                let mut t = seasoned_table(p, n, seed);
-                let donor = seasoned_table(p, 4, seed + 100);
-                assert!(t.ti_reads() > 0 && t.isolation_threshold.is_some());
+        let p = params();
+        for seed in 0..20u64 {
+            let mut rng = tibfit_sim::rng::SimRng::seed_from(seed ^ 0xED17);
+            let n = 2 + rng.uniform_usize(14);
+            let mut t = seasoned_table(p, n, seed);
+            let donor = seasoned_table(p, 4, seed + 100);
+            assert!(t.ti_reads() > 0 && t.isolation_threshold.is_some());
 
-                // Departures: drop a random non-empty-leaving subset.
-                let keep: Vec<bool> = (0..n).map(|i| i == 0 || rng.chance(0.7)).collect();
-                let records: Vec<TrustRecord> = (0..n)
-                    .filter(|&i| keep[i])
-                    .map(|i| t.extract(NodeId(i)))
-                    .collect();
-                t.retain_nodes(|id| keep[id.index()]);
-                let mut want = installed(p, &records);
-                assert_same_table(&t, &want, &format!("backend {b} seed {seed} retain"));
+            // Departures: drop a random non-empty-leaving subset.
+            let keep: Vec<bool> = (0..n).map(|i| i == 0 || rng.chance(0.7)).collect();
+            let records: Vec<TrustRecord> = (0..n)
+                .filter(|&i| keep[i])
+                .map(|i| t.extract(NodeId(i)))
+                .collect();
+            t.retain_nodes(|id| keep[id.index()]);
+            let mut want = installed(p, &records);
+            assert_same_table(&t, &want, &format!("seed {seed} retain"));
 
-                // Arrivals: insert donor records at random positions.
-                let mut records = records;
-                for d in 0..donor.len() {
-                    let at = rng.uniform_usize(records.len() + 1);
-                    let record = donor.extract(NodeId(d));
-                    t.insert_node(at, record);
-                    records.insert(at, record);
-                    want = installed(p, &records);
-                    assert_same_table(&t, &want, &format!("backend {b} seed {seed} insert {d}"));
-                }
+            // Arrivals: insert donor records at random positions.
+            let mut records = records;
+            for d in 0..donor.len() {
+                let at = rng.uniform_usize(records.len() + 1);
+                let record = donor.extract(NodeId(d));
+                t.insert_node(at, record);
+                records.insert(at, record);
+                want = installed(p, &records);
+                assert_same_table(&t, &want, &format!("seed {seed} insert {d}"));
             }
         }
     }

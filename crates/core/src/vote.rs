@@ -6,7 +6,6 @@
 //! trust index (the paper's CTI comparison); the baseline system weighs
 //! every node at 1, which degenerates to majority voting.
 
-use crate::simd_kernel::GroupArena;
 use crate::trust::{is_quarantined_weight, TrustTable};
 use tibfit_net::topology::NodeId;
 
@@ -21,29 +20,14 @@ pub enum Weighting<'a> {
 }
 
 impl Weighting<'_> {
-    /// The voting weight of one node.
-    #[must_use]
-    pub fn weight_of(&self, node: NodeId) -> f64 {
-        match self {
-            Weighting::Trust(table) => {
-                if table.is_isolated(node) {
-                    0.0
-                } else {
-                    table.trust_of(node)
-                }
-            }
-            Weighting::Uniform => 1.0,
-        }
-    }
-
     /// The cumulative weight of a group (CTI under
     /// [`Weighting::Trust`], head-count under [`Weighting::Uniform`]).
     ///
     /// The trust arm goes through [`TrustTable::cumulative_trust`] — one
-    /// branch-free pass over the table's dense weight slots — rather than
-    /// per-node [`Weighting::weight_of`] calls; both fold the same values
-    /// in the same order (isolated nodes contribute a bit-neutral zero
-    /// either way), so the results are bit-identical.
+    /// branch-free pass over the table's dense weight slots. It is
+    /// bit-identical to folding each member's weight (its TI, or zero
+    /// once isolated) in group order; the tests keep that per-node fold
+    /// as the reference.
     #[must_use]
     pub fn group_weight(&self, group: &[NodeId]) -> f64 {
         match self {
@@ -73,41 +57,6 @@ impl Weighting<'_> {
                 } else {
                     group.len() as f64
                 }
-            }
-        }
-    }
-
-    /// Batched [`Weighting::group_weight`]: evaluates every group in
-    /// `arena` in one pass, writing the normalized weight of group `g`
-    /// to `out[g]`. Bit-identical per group to calling `group_weight` in
-    /// a loop — the trust arm runs the batched CTI kernel
-    /// ([`TrustTable::cumulative_trust_batch`]) and then applies the
-    /// same ±0.0 normalization; the uniform arm is the same head-count.
-    ///
-    /// # Panics
-    ///
-    /// Panics under [`Weighting::Trust`] if an arena index is out of
-    /// range for the table.
-    pub fn group_weights_batch(&self, arena: &mut GroupArena, out: &mut Vec<f64>) {
-        match self {
-            Weighting::Trust(table) => {
-                table.cumulative_trust_batch(arena, out);
-                for (g, w) in out.iter_mut().enumerate() {
-                    if is_quarantined_weight(*w) && arena.group_len(g) > 0 {
-                        *w = 0.0;
-                    }
-                }
-            }
-            Weighting::Uniform => {
-                out.clear();
-                out.extend((0..arena.group_count()).map(|g| {
-                    let len = arena.group_len(g);
-                    if len == 0 {
-                        -0.0
-                    } else {
-                        len as f64
-                    }
-                }));
             }
         }
     }
@@ -185,6 +134,20 @@ mod tests {
     use super::*;
     use crate::trust::TrustParams;
 
+    /// The per-node reference fold: one member's voting weight.
+    fn weight_of(w: &Weighting<'_>, node: NodeId) -> f64 {
+        match w {
+            Weighting::Trust(table) => {
+                if table.is_isolated(node) {
+                    0.0
+                } else {
+                    table.trust_of(node)
+                }
+            }
+            Weighting::Uniform => 1.0,
+        }
+    }
+
     fn ids(v: &[usize]) -> Vec<NodeId> {
         v.iter().map(|&i| NodeId(i)).collect()
     }
@@ -253,8 +216,8 @@ mod tests {
         table.record_faulty(NodeId(2));
         assert!(table.is_isolated(NodeId(2)));
         let w = Weighting::Trust(&table);
-        assert_eq!(w.weight_of(NodeId(2)), 0.0);
-        assert_eq!(w.weight_of(NodeId(0)), 1.0);
+        assert_eq!(weight_of(&w, NodeId(2)), 0.0);
+        assert_eq!(weight_of(&w, NodeId(0)), 1.0);
     }
 
     #[test]
@@ -269,7 +232,7 @@ mod tests {
         table.record_faulty(NodeId(1));
         assert!(table.is_isolated(NodeId(0)) && table.is_isolated(NodeId(1)));
         let w = Weighting::Trust(&table);
-        let reference = |group: &[NodeId]| -> f64 { group.iter().map(|&n| w.weight_of(n)).sum() };
+        let reference = |group: &[NodeId]| -> f64 { group.iter().map(|&n| weight_of(&w, n)).sum() };
         for group in [
             &[][..],
             &[NodeId(0)][..],

@@ -12,11 +12,12 @@
 //! either, and the completed run's declarations, trust trajectories,
 //! counters, and CSVs match the uninterrupted run byte for byte.
 //!
-//! ## Layout (container version 1)
+//! ## Layout (container version 2)
 //!
 //! ```text
 //! section 1 (deployment): round, n_nodes, cluster_count,
-//!     sensing_radius, r_error, λ, f_r, drift_sigma, reelect_every,
+//!     sensing_radius, r_error, λ, f_r, arithmetic byte (always 0),
+//!     drift_sigma, reelect_every,
 //!     field_w, field_h, sites
 //! section 2 × cluster_count (one per cluster, ascending index):
 //!     index, head, members, positions, behaviors, channel, rng,
@@ -34,7 +35,7 @@
 use std::io::Write as _;
 use std::path::Path;
 
-use tibfit_core::trust::{NodeStatus, TrustArith, TrustParams, TrustTableState};
+use tibfit_core::trust::{NodeStatus, TrustParams, TrustTableState};
 use tibfit_net::channel::ChannelSnapshot;
 use tibfit_net::geometry::Point;
 use tibfit_net::topology::NodeId;
@@ -55,6 +56,11 @@ use crate::sharded::{ShardedError, ShardedMultiCluster};
 const TAG_DEPLOYMENT: u8 = 1;
 /// Section tag: one cluster.
 const TAG_CLUSTER: u8 = 2;
+/// The deployment header's trust-arithmetic byte. Version 2 of the
+/// container reserved it for a backend selector; f64 (`0`) is the only
+/// arithmetic left, so it is written as a frozen constant. A blob with
+/// byte `1` came from the retired Q16.16 backend.
+const ARITH_F64: u8 = 0;
 
 /// Why a checkpoint operation failed.
 #[derive(Debug)]
@@ -514,7 +520,6 @@ fn decode_cluster(
     let trust = TrustTableState {
         lambda: trust_params.lambda,
         fault_rate: trust_params.fault_rate,
-        arith: trust_params.arith,
         counters,
         cached_ti,
         status,
@@ -559,10 +564,7 @@ fn encode_into(
         s.put_f64(head.config.r_error);
         s.put_f64(head.config.trust.lambda);
         s.put_f64(head.config.trust.fault_rate);
-        s.put_u8(match head.config.trust.arith {
-            TrustArith::Float64 => 0,
-            TrustArith::FixedQ16 => 1,
-        });
+        s.put_u8(ARITH_F64);
         s.put_f64(head.config.drift_sigma);
         s.put_u64(head.config.reelect_every);
         s.put_f64(head.field.0);
@@ -590,11 +592,15 @@ fn decode(bytes: &[u8]) -> Result<(DeploymentHeader, Vec<ClusterCapture>), Snaps
     let r_error = s.take_f64()?;
     let lambda = s.take_f64()?;
     let fault_rate = s.take_f64()?;
-    let arith = match s.take_u8()? {
-        0 => TrustArith::Float64,
-        1 => TrustArith::FixedQ16,
+    match s.take_u8()? {
+        ARITH_F64 => {}
+        1 => {
+            return Err(SnapshotError::Invalid(
+                "Q16.16 trust arithmetic is no longer supported",
+            ))
+        }
         _ => return Err(SnapshotError::Invalid("unknown trust arithmetic backend")),
-    };
+    }
     let drift_sigma = s.take_f64()?;
     let reelect_every = s.take_u64()?;
     let field_w = s.take_f64()?;
@@ -606,11 +612,8 @@ fn decode(bytes: &[u8]) -> Result<(DeploymentHeader, Vec<ClusterCapture>), Snaps
     }
     s.end()?;
 
-    let trust = match arith {
-        TrustArith::Float64 => TrustParams::try_new(lambda, fault_rate),
-        TrustArith::FixedQ16 => TrustParams::try_new_fixed(lambda, fault_rate),
-    }
-    .map_err(|_| SnapshotError::Invalid("trust params out of range"))?;
+    let trust = TrustParams::try_new(lambda, fault_rate)
+        .map_err(|_| SnapshotError::Invalid("trust params out of range"))?;
     let config = MultiClusterConfig {
         sensing_radius,
         r_error,

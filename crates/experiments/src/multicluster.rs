@@ -738,7 +738,6 @@ impl ClusterState {
         }
         if cap.trust.lambda.to_bits() != config.trust.lambda.to_bits()
             || cap.trust.fault_rate.to_bits() != config.trust.fault_rate.to_bits()
-            || cap.trust.arith != config.trust.arith
         {
             return Err(SnapshotError::Invalid("cluster trust params disagree with config"));
         }

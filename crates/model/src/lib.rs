@@ -18,20 +18,13 @@
 //!    the schedule with no further judgements walks every node
 //!    Quarantined → Probation → Active through exactly the legal
 //!    transitions; nothing wedges. On probation entry the trust lands at
-//!    (f64) or strictly below (Q16.16) the isolation threshold, and one
-//!    probationary relapse always re-quarantines.
+//!    the isolation threshold, and one probationary relapse always
+//!    re-quarantines.
 //! 3. **Trust-mass conservation across failover** — extracting every
 //!    node's record and installing it into a fresh table reproduces
 //!    counters and statuses bit-for-bit, and a lose-then-resync recovery
 //!    from a handoff snapshot never restores *more* trust than the
 //!    snapshot held.
-//!
-//! Every state carries **both arithmetic backends** ([`TrustArith`]
-//! Float64 and FixedQ16) through the same action sequence, so the
-//! checker additionally pins them decision-identical: identical status
-//! transitions, identical reintegration schedules, and identical CTI
-//! decisions whenever the f64 margin is outside a quantization band
-//! (near-ties are counted, not asserted).
 //!
 //! Bounded enumeration is not a proof for unbounded configurations —
 //! see DESIGN.md §15 for exactly what it does and does not establish.
@@ -44,12 +37,6 @@ use std::collections::HashSet;
 use tibfit_core::trust::{NodeStatus, TrustParams, TrustTable};
 use tibfit_core::vote::{run_vote, Weighting};
 use tibfit_net::topology::NodeId;
-
-/// CTI margins below this are "near-ties" for the cross-backend
-/// comparison: the Q16.16 LUT exponential is within ~2·10⁻⁵ of the f64
-/// reference per node, so any margin beyond a small multiple of that
-/// cannot change sign under quantization.
-pub const CROSS_BACKEND_EPS: f64 = 1e-3;
 
 /// One bounded configuration to enumerate.
 #[derive(Debug, Clone, Copy)]
@@ -107,8 +94,6 @@ pub struct CheckReport {
     pub states: u64,
     /// Distinct states on which the invariants were checked.
     pub distinct: u64,
-    /// Cross-backend CTI comparisons skipped as near-ties.
-    pub near_ties: u64,
     /// Invariant violations (empty on success).
     pub violations: Vec<Violation>,
 }
@@ -193,17 +178,13 @@ pub fn cti_decision_violation(
     None
 }
 
-/// One backend's trust export: `(node, TI)` pairs from a CH handoff.
-type TrustExport = Vec<(NodeId, f64)>;
-
-/// Paired model state: the same judgement history through both
-/// arithmetic backends, plus the last CH handoff snapshot (if any).
+/// Model state: the trust table after a judgement history, plus the
+/// last CH handoff snapshot (if any).
 #[derive(Clone)]
 struct State {
-    f64_table: TrustTable,
-    q16_table: TrustTable,
-    /// `(f64 export, q16 export)` captured by the last Handoff action.
-    snapshot: Option<(TrustExport, TrustExport)>,
+    table: TrustTable,
+    /// The `(node, TI)` export captured by the last Handoff action.
+    snapshot: Option<Vec<(NodeId, f64)>>,
 }
 
 /// Cluster-head actions interleaved with the decision rounds.
@@ -225,7 +206,6 @@ struct Checker {
     cfg: ModelConfig,
     visited: HashSet<Vec<u64>>,
     states: u64,
-    near_ties: u64,
     violations: Vec<Violation>,
     trace: Vec<String>,
 }
@@ -254,36 +234,33 @@ impl Checker {
     }
 
     /// An exact fingerprint of a state: every counter bit, every status,
-    /// and the snapshot contents of both backends. Two states with equal
-    /// keys behave identically under every future action, so revisits
-    /// are pruned.
+    /// and the snapshot contents. Two states with equal keys behave
+    /// identically under every future action, so revisits are pruned.
     fn key(&self, s: &State) -> Vec<u64> {
-        let mut k = Vec::with_capacity(8 * self.cfg.nodes + 4);
-        for t in [&s.f64_table, &s.q16_table] {
-            for i in 0..self.cfg.nodes {
-                let node = NodeId(i);
-                k.push(t.counter_of(node).to_bits());
-                match t.status_of(node) {
-                    NodeStatus::Active => {
-                        k.push(0);
-                        k.push(0);
-                    }
-                    NodeStatus::Quarantined { remaining } => {
-                        k.push(1);
-                        k.push(remaining);
-                    }
-                    NodeStatus::Probation { remaining } => {
-                        k.push(2);
-                        k.push(remaining);
-                    }
+        let mut k = Vec::with_capacity(4 * self.cfg.nodes + 2);
+        for i in 0..self.cfg.nodes {
+            let node = NodeId(i);
+            k.push(s.table.counter_of(node).to_bits());
+            match s.table.status_of(node) {
+                NodeStatus::Active => {
+                    k.push(0);
+                    k.push(0);
+                }
+                NodeStatus::Quarantined { remaining } => {
+                    k.push(1);
+                    k.push(remaining);
+                }
+                NodeStatus::Probation { remaining } => {
+                    k.push(2);
+                    k.push(remaining);
                 }
             }
         }
         match &s.snapshot {
             None => k.push(0),
-            Some((f, q)) => {
+            Some(snap) => {
                 k.push(1);
-                for (_, ti) in f.iter().chain(q.iter()) {
+                for (_, ti) in snap {
                     k.push(ti.to_bits());
                 }
             }
@@ -294,57 +271,23 @@ impl Checker {
     // ---- invariant 1: single-fault safety of the CTI rule ----
 
     fn check_decision_rule(&mut self, s: &State) {
-        for (name, table) in [("f64", &s.f64_table), ("q16", &s.q16_table)] {
-            if let Some(detail) = cti_decision_violation(table, &|rw, nrw| rw > nrw) {
-                self.fail("single-fault safety", format!("[{name}] {detail}"));
-            }
+        let table = &s.table;
+        if let Some(detail) = cti_decision_violation(table, &|rw, nrw| rw > nrw) {
+            self.fail("single-fault safety", detail);
         }
-        // Cross-backend: every partition must decide identically unless
-        // the f64 margin sits inside the quantization band.
+        // One run_vote sanity probe per state ties the raw folds back to
+        // the production vote path.
         let all = self.nodes();
-        let (mut r, mut nr) = (Vec::new(), Vec::new());
-        for mask in 0u32..(1 << self.cfg.nodes) {
-            r.clear();
-            nr.clear();
-            for node in &all {
-                if mask & (1 << node.index()) != 0 {
-                    r.push(*node);
-                } else {
-                    nr.push(*node);
-                }
-            }
-            let (frw, fnrw) = (
-                s.f64_table.cumulative_trust(&r),
-                s.f64_table.cumulative_trust(&nr),
+        let mask = (self.states % (1 << self.cfg.nodes)) as u32;
+        let (r, nr): (Vec<NodeId>, Vec<NodeId>) =
+            all.iter().partition(|node| mask & (1 << node.index()) != 0);
+        let out = run_vote(&all, &r, &Weighting::Trust(table));
+        let direct = table.cumulative_trust(&r) > table.cumulative_trust(&nr);
+        if out.event_declared != direct {
+            self.fail(
+                "single-fault safety",
+                format!("run_vote disagrees with the direct fold at mask={mask:#b}"),
             );
-            let (qrw, qnrw) = (
-                s.q16_table.cumulative_trust(&r),
-                s.q16_table.cumulative_trust(&nr),
-            );
-            if (frw - fnrw).abs() <= CROSS_BACKEND_EPS {
-                self.near_ties += 1;
-            } else if (frw > fnrw) != (qrw > qnrw) {
-                self.fail(
-                    "cross-backend decision identity",
-                    format!(
-                        "mask={mask:#b}: f64 {frw} vs {fnrw}, q16 {qrw} vs {qnrw} disagree"
-                    ),
-                );
-            }
-            // One run_vote sanity probe per state ties the raw folds
-            // back to the production vote path.
-            if mask == (self.states % (1 << self.cfg.nodes)) as u32 {
-                for (name, table) in [("f64", &s.f64_table), ("q16", &s.q16_table)] {
-                    let out = run_vote(&all, &r, &Weighting::Trust(table));
-                    let direct = table.cumulative_trust(&r) > table.cumulative_trust(&nr);
-                    if out.event_declared != direct {
-                        self.fail(
-                            "single-fault safety",
-                            format!("[{name}] run_vote disagrees with the direct fold at mask={mask:#b}"),
-                        );
-                    }
-                }
-            }
         }
     }
 
@@ -352,77 +295,69 @@ impl Checker {
 
     fn check_liveness(&mut self, s: &State) {
         let budget = self.cfg.quarantine_rounds + self.cfg.probation_rounds;
-        for (name, table) in [("f64", &s.f64_table), ("q16", &s.q16_table)] {
-            let mut t = table.clone();
-            for tick in 0..budget {
-                let before: Vec<NodeStatus> =
-                    (0..self.cfg.nodes).map(|i| t.status_of(NodeId(i))).collect();
-                t.tick_round();
-                for (i, prev) in before.iter().enumerate() {
-                    let node = NodeId(i);
-                    let now = t.status_of(node);
-                    let legal = match (*prev, now) {
-                        (NodeStatus::Active, NodeStatus::Active) => true,
-                        (
-                            NodeStatus::Quarantined { remaining: a },
-                            NodeStatus::Quarantined { remaining: b },
-                        ) => a > 1 && b == a - 1,
-                        (NodeStatus::Quarantined { remaining }, NodeStatus::Probation { remaining: p }) => {
-                            remaining <= 1 && p == self.cfg.probation_rounds
-                        }
-                        (
-                            NodeStatus::Probation { remaining: a },
-                            NodeStatus::Probation { remaining: b },
-                        ) => a > 1 && b == a - 1,
-                        (NodeStatus::Probation { remaining }, NodeStatus::Active) => remaining <= 1,
-                        _ => false,
-                    };
-                    if !legal {
+        let mut t = s.table.clone();
+        for tick in 0..budget {
+            let before: Vec<NodeStatus> =
+                (0..self.cfg.nodes).map(|i| t.status_of(NodeId(i))).collect();
+            t.tick_round();
+            for (i, prev) in before.iter().enumerate() {
+                let node = NodeId(i);
+                let now = t.status_of(node);
+                let legal = match (*prev, now) {
+                    (NodeStatus::Active, NodeStatus::Active) => true,
+                    (
+                        NodeStatus::Quarantined { remaining: a },
+                        NodeStatus::Quarantined { remaining: b },
+                    ) => a > 1 && b == a - 1,
+                    (NodeStatus::Quarantined { remaining }, NodeStatus::Probation { remaining: p }) => {
+                        remaining <= 1 && p == self.cfg.probation_rounds
+                    }
+                    (
+                        NodeStatus::Probation { remaining: a },
+                        NodeStatus::Probation { remaining: b },
+                    ) => a > 1 && b == a - 1,
+                    (NodeStatus::Probation { remaining }, NodeStatus::Active) => remaining <= 1,
+                    _ => false,
+                };
+                if !legal {
+                    self.fail(
+                        "reintegration liveness",
+                        format!("illegal transition {prev:?} → {now:?} at tick {tick}"),
+                    );
+                    return;
+                }
+                // On probation entry: trust lands at the threshold, and
+                // one relapse must re-quarantine immediately.
+                let entered_probation = matches!(prev, NodeStatus::Quarantined { remaining } if *remaining <= 1);
+                if entered_probation {
+                    let ti = t.trust_of(node);
+                    let th = self.cfg.threshold;
+                    if (ti - th).abs() >= 1e-9 {
                         self.fail(
                             "reintegration liveness",
-                            format!("[{name}] illegal transition {prev:?} → {now:?} at tick {tick}"),
+                            format!("probation entry TI {ti} not pinned to threshold {th}"),
                         );
-                        return;
                     }
-                    // On probation entry: trust lands at the threshold
-                    // (f64) or strictly below it (Q16.16), and one
-                    // relapse must re-quarantine immediately.
-                    let entered_probation = matches!(prev, NodeStatus::Quarantined { remaining } if *remaining <= 1);
-                    if entered_probation {
-                        let ti = t.trust_of(node);
-                        let th = self.cfg.threshold;
-                        let placed_ok = if name == "f64" {
-                            (ti - th).abs() < 1e-9
-                        } else {
-                            ti < th && ti > th - 1e-3
-                        };
-                        if !placed_ok {
-                            self.fail(
-                                "reintegration liveness",
-                                format!("[{name}] probation entry TI {ti} not pinned to threshold {th}"),
-                            );
-                        }
-                        let mut relapse = t.clone();
-                        relapse.record_faulty(node);
-                        if !relapse.is_isolated(node) {
-                            self.fail(
-                                "reintegration liveness",
-                                format!("[{name}] probationary relapse of node {i} did not re-quarantine"),
-                            );
-                        }
+                    let mut relapse = t.clone();
+                    relapse.record_faulty(node);
+                    if !relapse.is_isolated(node) {
+                        self.fail(
+                            "reintegration liveness",
+                            format!("probationary relapse of node {i} did not re-quarantine"),
+                        );
                     }
                 }
             }
-            for i in 0..self.cfg.nodes {
-                if t.status_of(NodeId(i)) != NodeStatus::Active {
-                    self.fail(
-                        "reintegration liveness",
-                        format!(
-                            "[{name}] node {i} wedged in {:?} after {budget} quiet ticks",
-                            t.status_of(NodeId(i))
-                        ),
-                    );
-                }
+        }
+        for i in 0..self.cfg.nodes {
+            if t.status_of(NodeId(i)) != NodeStatus::Active {
+                self.fail(
+                    "reintegration liveness",
+                    format!(
+                        "node {i} wedged in {:?} after {budget} quiet ticks",
+                        t.status_of(NodeId(i))
+                    ),
+                );
             }
         }
     }
@@ -430,31 +365,30 @@ impl Checker {
     // ---- invariant 3: failover conserves trust mass ----
 
     fn check_conservation(&mut self, s: &State) {
-        for (name, table) in [("f64", &s.f64_table), ("q16", &s.q16_table)] {
-            let mut fresh = TrustTable::new(*table.params(), self.cfg.nodes)
-                .with_isolation_threshold(self.cfg.threshold)
-                .with_reintegration(self.cfg.quarantine_rounds, self.cfg.probation_rounds);
-            for i in 0..self.cfg.nodes {
-                let node = NodeId(i);
-                fresh.install(node, table.extract(node));
-            }
-            for i in 0..self.cfg.nodes {
-                let node = NodeId(i);
-                if fresh.counter_of(node).to_bits() != table.counter_of(node).to_bits()
-                    || fresh.status_of(node) != table.status_of(node)
-                    || fresh.trust_of(node).to_bits() != table.trust_of(node).to_bits()
-                {
-                    self.fail(
-                        "failover trust conservation",
-                        format!(
-                            "[{name}] extract→install changed node {i}: counter {} → {}, status {:?} → {:?}",
-                            table.counter_of(node),
-                            fresh.counter_of(node),
-                            table.status_of(node),
-                            fresh.status_of(node),
-                        ),
-                    );
-                }
+        let table = &s.table;
+        let mut fresh = TrustTable::new(*table.params(), self.cfg.nodes)
+            .with_isolation_threshold(self.cfg.threshold)
+            .with_reintegration(self.cfg.quarantine_rounds, self.cfg.probation_rounds);
+        for i in 0..self.cfg.nodes {
+            let node = NodeId(i);
+            fresh.install(node, table.extract(node));
+        }
+        for i in 0..self.cfg.nodes {
+            let node = NodeId(i);
+            if fresh.counter_of(node).to_bits() != table.counter_of(node).to_bits()
+                || fresh.status_of(node) != table.status_of(node)
+                || fresh.trust_of(node).to_bits() != table.trust_of(node).to_bits()
+            {
+                self.fail(
+                    "failover trust conservation",
+                    format!(
+                        "extract→install changed node {i}: counter {} → {}, status {:?} → {:?}",
+                        table.counter_of(node),
+                        fresh.counter_of(node),
+                        table.status_of(node),
+                        fresh.status_of(node),
+                    ),
+                );
             }
         }
     }
@@ -463,21 +397,6 @@ impl Checker {
         self.check_decision_rule(s);
         self.check_liveness(s);
         self.check_conservation(s);
-        // The two backends must agree on every status (a divergent
-        // quarantine would eventually diverge the decisions too).
-        for i in 0..self.cfg.nodes {
-            let node = NodeId(i);
-            if s.f64_table.status_of(node) != s.q16_table.status_of(node) {
-                self.fail(
-                    "cross-backend decision identity",
-                    format!(
-                        "node {i} status diverged: f64 {:?} vs q16 {:?}",
-                        s.f64_table.status_of(node),
-                        s.q16_table.status_of(node)
-                    ),
-                );
-            }
-        }
     }
 
     /// Applies one round (judgement mask, tick, CH action) to a copy of
@@ -492,53 +411,33 @@ impl Checker {
             // Quarantined nodes issue no reports, so they receive no
             // judgements; masks touching them are non-canonical and
             // were filtered by the caller.
-            if next.f64_table.is_isolated(node) {
+            if next.table.is_isolated(node) {
                 continue;
             }
             if mask & (1 << i) != 0 {
-                next.f64_table.record_faulty(node);
-                next.q16_table.record_faulty(node);
+                next.table.record_faulty(node);
             } else {
-                next.f64_table.record_correct(node);
-                next.q16_table.record_correct(node);
+                next.table.record_correct(node);
             }
         }
-        let rf = next.f64_table.tick_round();
-        let rq = next.q16_table.tick_round();
-        if rf != rq {
-            self.fail(
-                "cross-backend decision identity",
-                format!("reintegration schedules diverged: f64 {rf:?} vs q16 {rq:?}"),
-            );
-        }
+        next.table.tick_round();
         match ch {
             ChAction::None => {}
             ChAction::Handoff => {
-                next.snapshot = Some((next.f64_table.export(), next.q16_table.export()));
+                next.snapshot = Some(next.table.export());
             }
             ChAction::LoseAndResync => {
-                let (snap_f, snap_q) = next.snapshot.clone().expect("checked above");
+                let snapshot = next.snapshot.clone().expect("checked above");
                 for i in 0..self.cfg.nodes {
-                    next.f64_table.set_counter(NodeId(i), 0.0);
-                    next.q16_table.set_counter(NodeId(i), 0.0);
+                    next.table.set_counter(NodeId(i), 0.0);
                 }
-                for &(node, ti) in &snap_f {
-                    next.f64_table.resync_to_ti(node, ti);
-                    let restored = next.f64_table.trust_of(node);
+                for &(node, ti) in &snapshot {
+                    next.table.resync_to_ti(node, ti);
+                    let restored = next.table.trust_of(node);
                     if restored > ti + 1e-9 {
                         self.fail(
                             "failover trust conservation",
-                            format!("[f64] resync restored {restored} > snapshot {ti} for node {}", node.index()),
-                        );
-                    }
-                }
-                for &(node, ti) in &snap_q {
-                    next.q16_table.resync_to_ti(node, ti);
-                    let restored = next.q16_table.trust_of(node);
-                    if restored > ti {
-                        self.fail(
-                            "failover trust conservation",
-                            format!("[q16] resync restored {restored} > snapshot {ti} for node {}", node.index()),
+                            format!("resync restored {restored} > snapshot {ti} for node {}", node.index()),
                         );
                     }
                 }
@@ -552,7 +451,7 @@ impl Checker {
             return;
         }
         let quarantined: u32 = (0..self.cfg.nodes)
-            .filter(|&i| s.f64_table.is_isolated(NodeId(i)))
+            .filter(|&i| s.table.is_isolated(NodeId(i)))
             .map(|i| 1 << i)
             .sum();
         for mask in 0u32..(1 << self.cfg.nodes) {
@@ -582,34 +481,26 @@ impl Checker {
 }
 
 /// Exhaustively enumerates one configuration and checks all three
-/// invariants (plus cross-backend decision identity) on every distinct
-/// reachable state.
+/// invariants on every distinct reachable state.
 ///
 /// # Panics
 ///
 /// Panics if the configuration is degenerate (zero nodes/rounds, more
-/// than 16 nodes, or parameters either backend rejects).
+/// than 16 nodes, or invalid trust parameters).
 #[must_use]
 pub fn check(cfg: ModelConfig) -> CheckReport {
     assert!(cfg.nodes > 0 && cfg.nodes <= 16, "bounded model: 1..=16 nodes");
     assert!(cfg.rounds > 0, "bounded model: at least one round");
-    let params_f = TrustParams::new(cfg.lambda, cfg.fault_rate);
-    let params_q = params_f.with_fixed_point().expect("params must survive quantization");
-    let table = |p: TrustParams| {
-        TrustTable::new(p, cfg.nodes)
-            .with_isolation_threshold(cfg.threshold)
-            .with_reintegration(cfg.quarantine_rounds, cfg.probation_rounds)
-    };
     let initial = State {
-        f64_table: table(params_f),
-        q16_table: table(params_q),
+        table: TrustTable::new(TrustParams::new(cfg.lambda, cfg.fault_rate), cfg.nodes)
+            .with_isolation_threshold(cfg.threshold)
+            .with_reintegration(cfg.quarantine_rounds, cfg.probation_rounds),
         snapshot: None,
     };
     let mut checker = Checker {
         cfg,
         visited: HashSet::new(),
         states: 0,
-        near_ties: 0,
         violations: Vec::new(),
         trace: Vec::new(),
     };
@@ -621,16 +512,12 @@ pub fn check(cfg: ModelConfig) -> CheckReport {
         label: cfg.label(),
         states: checker.states + 1,
         distinct: checker.visited.len() as u64,
-        near_ties: checker.near_ties,
         violations: checker.violations,
     }
 }
 
-/// The configuration sweep for a given bound profile. Every entry keeps
-/// λ·(1−f_r) comfortably clear of the isolation threshold's decision
-/// boundary so backend quantization cannot straddle it (the checker
-/// asserts exact status identity, so a deliberately degenerate λ would
-/// report a *model* artifact, not a code bug).
+/// The configuration sweep for a given bound profile: two decay rates
+/// (fast and slow trust loss) under three quarantine/probation policies.
 #[must_use]
 pub fn sweep(nodes: usize, rounds: usize) -> Vec<ModelConfig> {
     let mut configs = Vec::new();

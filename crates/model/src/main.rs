@@ -5,8 +5,8 @@
 //! quarantine/probation/reintegration schedule, and CH
 //! handoff/loss/resync actions over small configurations, asserting the
 //! three protocol invariants (see the library docs and DESIGN.md §15)
-//! on both the f64 and Q16.16 arithmetic backends. Exits nonzero and
-//! prints a counterexample trace on any violation.
+//! on the production f64 trust table. Exits nonzero and prints a
+//! counterexample trace on any violation.
 //!
 //! ```text
 //! tibfit-model [--nodes N] [--rounds R] [--quick] [--widened]
@@ -59,11 +59,10 @@ fn main() -> ExitCode {
         let report = check(cfg);
         total_states += report.distinct;
         println!(
-            "{} {:<55} {:>9} distinct states  {:>7} near-ties  {:>6.1}s",
+            "{} {:<55} {:>9} distinct states  {:>6.1}s",
             if report.ok() { "ok  " } else { "FAIL" },
             report.label,
             report.distinct,
-            report.near_ties,
             t0.elapsed().as_secs_f64(),
         );
         for v in &report.violations {
@@ -84,7 +83,7 @@ fn main() -> ExitCode {
         sweep(nodes, rounds).len(),
         started.elapsed().as_secs_f64(),
         if all_ok {
-            "all invariants hold on both backends"
+            "all invariants hold"
         } else {
             "INVARIANT VIOLATIONS FOUND"
         }

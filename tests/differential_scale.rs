@@ -13,7 +13,6 @@
 
 use tibfit_adversary::behavior::NodeBehavior;
 use tibfit_adversary::{CorrectNode, Level0Config, Level0Node};
-use tibfit_core::simd_kernel;
 use tibfit_experiments::checkpoint::{
     restore_sequential, restore_sharded, save_sequential, save_sharded,
 };
@@ -230,47 +229,5 @@ fn sequential_snapshot_restores_into_sharded_engine() {
         }
         assert_eq!(reference.trust_snapshot(), restored.trust_snapshot());
         assert_eq!(reference.counters(), restored.counters());
-    }
-}
-
-/// Runs a scenario start-to-finish with the SIMD dispatch pinned to
-/// `tier`, returning every observable: per-round decisions, the final
-/// trust snapshot, and the trace counters.
-fn run_pinned(
-    scenario: &Scenario,
-    threads: usize,
-    tier: Option<simd_kernel::Tier>,
-) -> (
-    Vec<tibfit_experiments::multicluster::MultiRoundResult>,
-    Vec<u64>,
-    Vec<(String, u64)>,
-) {
-    simd_kernel::force_tier(tier);
-    let mut sim = scenario.sharded(threads);
-    let decisions = scenario.events().iter().map(|&e| sim.run_event(e)).collect();
-    simd_kernel::force_tier(None);
-    (decisions, sim.trust_snapshot(), sim.counters())
-}
-
-#[test]
-fn simd_dispatch_tier_is_invisible_to_the_engines_ten_seeds() {
-    // The batched decision path dispatches per-CPU (scalar, SSE2, AVX2,
-    // or NEON); whichever tier this host runs, the whole engine must be
-    // bit-identical to the forced-scalar run — decisions, trust bits,
-    // and counters — at every thread count. `force_tier` is process
-    // global, so the two runs of each pair are serialized back-to-back.
-    static TIER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _guard = TIER_LOCK.lock().expect("tier lock never poisoned");
-    for seed in 0..10u64 {
-        let scenario = Scenario::quarantine_heavy(9200 + seed);
-        for threads in [1, 4] {
-            let scalar = run_pinned(&scenario, threads, Some(simd_kernel::Tier::Scalar));
-            let active = run_pinned(&scenario, threads, None);
-            assert_eq!(
-                scalar, active,
-                "SIMD tier changed engine output: seed {seed} threads {threads} (active tier {})",
-                simd_kernel::active_tier().name()
-            );
-        }
     }
 }

@@ -1,6 +1,6 @@
 //! Golden checkpoint blobs: little-endian snapshot containers checked
-//! into `tests/golden/`, one per arithmetic backend, captured from a
-//! fixed warmed-up deployment. Three pins per backend:
+//! into `tests/golden/`. `checkpoint_v2_f64.bin` is captured from a
+//! fixed warmed-up deployment and pinned twice:
 //!
 //! 1. Re-capturing the same deployment reproduces the checked-in blob
 //!    byte-for-byte (the container layout and every encoder are frozen —
@@ -8,9 +8,10 @@
 //!    goldens).
 //! 2. Restoring the blob and extending the run stays in bit-exact
 //!    lockstep with an uninterrupted simulation of the same scenario.
-//! 3. The f64 restore and the Q16.16 restore extend **decision-
-//!    identically**: same `MultiRoundResult` every round, even though
-//!    their trust bits differ.
+//!
+//! `checkpoint_v2_q16.bin` was written by the retired Q16.16 trust
+//! backend. It stays as a fixture: both engines must refuse it with a
+//! typed error.
 //!
 //! Regenerate after a deliberate format change with
 //! `cargo test -p tibfit-experiments --test golden_snapshots -- --ignored`.
@@ -19,7 +20,9 @@ use std::path::PathBuf;
 
 use tibfit_adversary::behavior::NodeBehavior;
 use tibfit_adversary::{CorrectNode, Level0Config, Level0Node};
-use tibfit_experiments::checkpoint::{restore_sequential, save_sequential, CheckpointError};
+use tibfit_experiments::checkpoint::{
+    restore_sequential, restore_sharded, save_sequential, CheckpointError,
+};
 use tibfit_experiments::multicluster::{grid_sites, MultiClusterConfig, MultiClusterSim};
 use tibfit_net::channel::BernoulliLoss;
 use tibfit_net::geometry::Point;
@@ -39,19 +42,13 @@ fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden")).join(name)
 }
 
-fn blob_name(fixed: bool) -> &'static str {
-    if fixed {
-        "checkpoint_v2_q16.bin"
-    } else {
-        "checkpoint_v2_f64.bin"
-    }
-}
+/// The f64 blob every pin is captured from.
+const F64_BLOB: &str = "checkpoint_v2_f64.bin";
+/// A blob from the retired Q16.16 backend (arithmetic byte `1`).
+const Q16_BLOB: &str = "checkpoint_v2_q16.bin";
 
-fn build(fixed: bool) -> MultiClusterSim {
-    let mut config = MultiClusterConfig::paper().mobile(0.6, 3);
-    if fixed {
-        config.trust = config.trust.with_fixed_point().expect("paper calibration survives Q16.16");
-    }
+fn build() -> MultiClusterSim {
+    let config = MultiClusterConfig::paper().mobile(0.6, 3);
     let faulty = SimRng::seed_from(SEED ^ 0xFA).choose_indices(NODES, FAULTY);
     let behaviors: Vec<Box<dyn NodeBehavior + Send>> = (0..NODES)
         .map(|i| -> Box<dyn NodeBehavior + Send> {
@@ -81,8 +78,8 @@ fn events(n: usize, salt: u64) -> Vec<Point> {
 }
 
 /// The warmed-up deployment every golden blob is captured from.
-fn warmed(fixed: bool) -> MultiClusterSim {
-    let mut sim = build(fixed);
+fn warmed() -> MultiClusterSim {
+    let mut sim = build();
     for &event in &events(WARMUP_ROUNDS, 0xE7) {
         sim.run_event(event);
     }
@@ -91,56 +88,60 @@ fn warmed(fixed: bool) -> MultiClusterSim {
 
 #[test]
 fn golden_blobs_match_fresh_capture_bytewise() {
-    for fixed in [false, true] {
-        let blob = save_sequential(&warmed(fixed)).expect("capture succeeds");
-        let path = golden_path(blob_name(fixed));
-        let golden = std::fs::read(&path)
-            .unwrap_or_else(|e| panic!("missing golden blob {}: {e}", path.display()));
-        assert_eq!(
-            blob,
-            golden,
-            "{} no longer matches a fresh capture; if the format change is \
-             intentional, bump snapshot::VERSION and regenerate with \
-             `cargo test --test golden_snapshots -- --ignored`",
-            blob_name(fixed)
-        );
-    }
+    let blob = save_sequential(&warmed()).expect("capture succeeds");
+    let path = golden_path(F64_BLOB);
+    let golden = std::fs::read(&path)
+        .unwrap_or_else(|e| panic!("missing golden blob {}: {e}", path.display()));
+    assert_eq!(
+        blob, golden,
+        "{F64_BLOB} no longer matches a fresh capture; if the format change is \
+         intentional, bump snapshot::VERSION and regenerate with \
+         `cargo test --test golden_snapshots -- --ignored`"
+    );
 }
 
 #[test]
 fn golden_blobs_restore_and_extend_in_lockstep() {
-    for fixed in [false, true] {
-        let golden = std::fs::read(golden_path(blob_name(fixed))).expect("golden blob present");
-        let mut restored = restore_sequential(&golden).expect("golden blob restores");
-        let mut fresh = warmed(fixed);
-        for (round, &event) in events(EXTENSION_ROUNDS, 0x5E).iter().enumerate() {
-            assert_eq!(
-                fresh.run_event(event),
-                restored.run_event(event),
-                "backend fixed={fixed}: restored run diverged at extension round {round}"
-            );
-            assert_eq!(
-                fresh.trust_snapshot(),
-                restored.trust_snapshot(),
-                "backend fixed={fixed}: trust diverged at extension round {round}"
-            );
-        }
-        assert_eq!(fresh.counters(), restored.counters());
+    let golden = std::fs::read(golden_path(F64_BLOB)).expect("golden blob present");
+    let mut restored = restore_sequential(&golden).expect("golden blob restores");
+    let mut fresh = warmed();
+    for (round, &event) in events(EXTENSION_ROUNDS, 0x5E).iter().enumerate() {
+        assert_eq!(
+            fresh.run_event(event),
+            restored.run_event(event),
+            "restored run diverged at extension round {round}"
+        );
+        assert_eq!(
+            fresh.trust_snapshot(),
+            restored.trust_snapshot(),
+            "trust diverged at extension round {round}"
+        );
     }
+    assert_eq!(fresh.counters(), restored.counters());
 }
 
 #[test]
-fn both_backends_extend_decision_identically() {
-    let f64_blob = std::fs::read(golden_path(blob_name(false))).expect("golden blob present");
-    let q16_blob = std::fs::read(golden_path(blob_name(true))).expect("golden blob present");
-    let mut f64_sim = restore_sequential(&f64_blob).expect("restores");
-    let mut q16_sim = restore_sequential(&q16_blob).expect("restores");
-    for (round, &event) in events(EXTENSION_ROUNDS, 0x5E).iter().enumerate() {
-        assert_eq!(
-            f64_sim.run_event(event),
-            q16_sim.run_event(event),
-            "backends disagreed on a decision at extension round {round}"
-        );
+fn q16_blob_is_rejected_with_a_typed_error() {
+    // The blob is intact (magic, version and every CRC check out), so
+    // the decoder reaches the arithmetic byte and must refuse it there —
+    // a typed error from both engines, never a panic or a silent f64
+    // restore of Q16.16 counters.
+    let blob = std::fs::read(golden_path(Q16_BLOB)).expect("golden blob present");
+    let expect_typed = |engine: &str, err: CheckpointError| match err {
+        CheckpointError::Snapshot(SnapshotError::Invalid(msg)) => {
+            assert!(msg.contains("Q16.16"), "{engine}: unexpected message {msg:?}");
+        }
+        other => panic!("{engine}: Q16.16 blob must be Invalid, got {other:?}"),
+    };
+    match restore_sequential(&blob) {
+        Ok(_) => panic!("sequential engine restored a Q16.16 blob"),
+        Err(e) => expect_typed("sequential", e),
+    }
+    for threads in [1, 4] {
+        match restore_sharded(&blob, threads) {
+            Ok(_) => panic!("sharded engine ({threads} threads) restored a Q16.16 blob"),
+            Err(e) => expect_typed("sharded", e),
+        }
     }
 }
 
@@ -150,14 +151,13 @@ fn golden_blobs_are_little_endian_on_disk() {
     // order, so a blob captured on x86 restores on a big-endian box and
     // vice versa. Assert the raw layout directly: magic, then the
     // version's low byte first.
-    for fixed in [false, true] {
-        let blob = std::fs::read(golden_path(blob_name(fixed))).expect("golden blob present");
-        assert_eq!(&blob[..4], &MAGIC, "{}: magic", blob_name(fixed));
+    for name in [F64_BLOB, Q16_BLOB] {
+        let blob = std::fs::read(golden_path(name)).expect("golden blob present");
+        assert_eq!(&blob[..4], &MAGIC, "{name}: magic");
         assert_eq!(
             &blob[4..6],
             &VERSION.to_le_bytes(),
-            "{}: version field is not little-endian",
-            blob_name(fixed)
+            "{name}: version field is not little-endian"
         );
         assert_eq!(blob[4], 2, "low byte of version 2 comes first");
         assert_eq!(blob[5], 0);
@@ -170,7 +170,7 @@ fn byte_swapped_version_is_rejected_with_a_typed_error() {
     // big-endian host would carry the version bytes swapped. The reader
     // must refuse it as an unsupported version — a typed, recoverable
     // error, never a panic or a silent misparse.
-    let mut blob = std::fs::read(golden_path(blob_name(false))).expect("golden blob present");
+    let mut blob = std::fs::read(golden_path(F64_BLOB)).expect("golden blob present");
     blob.swap(4, 5);
     match restore_sequential(&blob) {
         Err(CheckpointError::Snapshot(SnapshotError::UnsupportedVersion { found, supported })) => {
@@ -185,8 +185,8 @@ fn byte_swapped_version_is_rejected_with_a_typed_error() {
 fn byte_swapped_payload_is_rejected_by_the_checksum() {
     // Swapping bytes inside a section payload models endian-confused
     // content under a correct header: the section CRC must catch it.
-    for fixed in [false, true] {
-        let blob = std::fs::read(golden_path(blob_name(fixed))).expect("golden blob present");
+    for name in [F64_BLOB, Q16_BLOB] {
+        let blob = std::fs::read(golden_path(name)).expect("golden blob present");
         // First section: tag at 6, length at 7..11, payload after.
         let section_len =
             u32::from_le_bytes(blob[7..11].try_into().expect("4-byte slice")) as usize;
@@ -201,22 +201,21 @@ fn byte_swapped_payload_is_rejected_by_the_checksum() {
         match restore_sequential(&corrupt) {
             Err(CheckpointError::Snapshot(SnapshotError::CrcMismatch { .. })) => {}
             other => panic!(
-                "{}: swapped payload bytes at {swap_at} must be CrcMismatch, got {other:?}",
-                blob_name(fixed)
+                "{name}: swapped payload bytes at {swap_at} must be CrcMismatch, got {other:?}"
             ),
         }
     }
 }
 
-/// Regenerates the checked-in blobs. Run explicitly after a deliberate
-/// container change: `cargo test --test golden_snapshots -- --ignored`.
+/// Regenerates the checked-in f64 blob. Run explicitly after a
+/// deliberate container change:
+/// `cargo test --test golden_snapshots -- --ignored`. The Q16.16 blob is
+/// a frozen fixture and is never regenerated.
 #[test]
-#[ignore = "writes tests/golden/*.bin; run only to regenerate"]
+#[ignore = "writes tests/golden/checkpoint_v2_f64.bin; run only to regenerate"]
 fn regenerate_golden_blobs() {
     let dir = golden_path("");
     std::fs::create_dir_all(&dir).expect("create tests/golden");
-    for fixed in [false, true] {
-        let blob = save_sequential(&warmed(fixed)).expect("capture succeeds");
-        std::fs::write(golden_path(blob_name(fixed)), &blob).expect("write golden blob");
-    }
+    let blob = save_sequential(&warmed()).expect("capture succeeds");
+    std::fs::write(golden_path(F64_BLOB), &blob).expect("write golden blob");
 }
