@@ -223,11 +223,12 @@ impl LogSink {
     }
 
     /// Supersedes the current epoch without opening a new file: the
-    /// old incarnation's unflushed buffer is dropped and all its
-    /// future writes rejected, while the log file itself stays
-    /// untouched for the respawn sequence to truncate. `reopen` then
-    /// picks up the truncated file (a fresh inode — truncation is
-    /// rename-into-place) under yet another epoch.
+    /// old incarnation's unflushed buffer is dropped, its file handle
+    /// closed and all its future writes rejected, while the log file
+    /// itself stays untouched for the respawn sequence to truncate.
+    /// Truncation cuts that same file in place; `reopen` then opens it
+    /// by path for appending under yet another epoch. The epoch, not
+    /// the file, is what keeps the old incarnation out.
     fn supersede(&mut self) {
         if let Some(old) = self.file.take() {
             let _ = old.into_parts();
@@ -237,7 +238,8 @@ impl LogSink {
 
     /// Supersedes the current epoch (dropping its unflushed buffer —
     /// the recovery replay regenerates those lines) and reopens the
-    /// file for appending. Returns the new epoch.
+    /// file by path for appending (`O_APPEND`), so writes land after
+    /// wherever truncation cut it. Returns the new epoch.
     fn reopen(&mut self) -> Result<u64, DaemonError> {
         // Drop, don't flush: the old buffer may hold lines the
         // truncation just removed.

@@ -370,7 +370,9 @@ impl Tenant {
 
 /// Parses the round number out of a decision line (`D <round> ...`).
 /// `None` for anything that is not a well-formed decision line —
-/// including a partial line torn by a crash.
+/// including a partial line torn by a crash, which is why the digest
+/// must be all 16 lowercase hex digits [`Tenant`] writes: a line torn
+/// inside `trust=` is rejected, not counted as complete.
 #[must_use]
 pub fn decision_line_round(line: &str) -> Option<u64> {
     let mut it = line.split_ascii_whitespace();
@@ -378,12 +380,11 @@ pub fn decision_line_round(line: &str) -> Option<u64> {
         return None;
     }
     let round = it.next()?.parse().ok()?;
-    // A complete line has src, seq, at=, by=, trust=.
-    let rest: Vec<&str> = it.collect();
-    if rest.len() != 5 || !rest[4].starts_with("trust=") {
-        return None;
-    }
-    Some(round)
+    // A complete line has src, seq, at=, by=, trust= and nothing after.
+    let digest = it.nth(4)?.strip_prefix("trust=")?;
+    let is_digest = digest.len() == 16
+        && digest.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    (is_digest && it.next().is_none()).then_some(round)
 }
 
 #[cfg(test)]
@@ -506,11 +507,28 @@ mod tests {
 
     #[test]
     fn decision_round_parser_rejects_torn_lines() {
-        assert_eq!(decision_line_round("D 7 0 9 at=1,2 by=0 trust=00000000deadbeef"), Some(7));
-        assert_eq!(decision_line_round("D 7 0 9 at=1,2 by=0 trust"), None);
-        assert_eq!(decision_line_round("D 7 0 9 at=1,2"), None);
-        assert_eq!(decision_line_round("garbage"), None);
-        assert_eq!(decision_line_round(""), None);
+        let cases = [
+            ("D 7 0 9 at=1,2 by=0 trust=00000000deadbeef", Some(7)),
+            ("D 7 0 9 at=- by=- trust=0123456789abcdef", Some(7)),
+            ("D 7 0 9 at=1,2 by=0 trust", None),
+            ("D 7 0 9 at=1,2", None),
+            ("garbage", None),
+            ("", None),
+            // The digest must be whole: 16 lowercase hex digits, last.
+            ("D 7 0 9 at=1,2 by=0 trust=", None),
+            ("D 7 0 9 at=1,2 by=0 trust=0", None),
+            ("D 7 0 9 at=1,2 by=0 trust=00000000deadbee", None),
+            ("D 7 0 9 at=1,2 by=0 trust=00000000deadbeef0", None),
+            ("D 7 0 9 at=1,2 by=0 trust=00000000DEADBEEF", None),
+            ("D 7 0 9 at=1,2 by=0 trust=00000000deadbeeg", None),
+            ("D 7 0 9 at=1,2 by=0 trust=00000000deadbeef extra", None),
+            ("D 7 0 9 at=1,2 by=0 x=1 trust=00000000deadbeef", None),
+            ("D 7 0 at=1,2 by=0 trust=00000000deadbeef", None),
+            ("D x 0 9 at=1,2 by=0 trust=00000000deadbeef", None),
+        ];
+        for (line, want) in cases {
+            assert_eq!(decision_line_round(line), want, "{line:?}");
+        }
     }
 
     #[test]

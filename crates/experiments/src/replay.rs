@@ -91,10 +91,15 @@ impl FieldScenario {
     }
 
     fn behaviors(&self) -> Vec<Box<dyn NodeBehavior + Send>> {
-        let faulty = SimRng::seed_from(self.seed ^ 0xFA).choose_indices(self.nodes, self.faulty);
+        // Membership mask, as in `exp6_scale`: the same assignment in
+        // O(nodes) instead of a `contains` scan per node.
+        let mut is_faulty = vec![false; self.nodes];
+        for i in SimRng::seed_from(self.seed ^ 0xFA).choose_indices(self.nodes, self.faulty) {
+            is_faulty[i] = true;
+        }
         (0..self.nodes)
             .map(|i| -> Box<dyn NodeBehavior + Send> {
-                if faulty.contains(&i) {
+                if is_faulty[i] {
                     Box::new(Level0Node::new(Level0Config::experiment2(4.25)))
                 } else {
                     Box::new(CorrectNode::new(0.0, self.noise_sigma))
