@@ -4,15 +4,44 @@
 //! counters — plus the decision-log truncation that squares the log
 //! with the snapshot after a crash.
 //!
-//! A tenant file is written atomically (`.tmp` + rename, directory
-//! fsync) via the PR-5 checkpoint machinery, and only at tick
-//! boundaries, so every file on disk is internally consistent: the
-//! engine round, the highwater map, and the counters all describe the
-//! same instant. The decision log is flushed *before* the snapshot is
-//! written, so a snapshot at round `r` implies rounds `1..=r` are in
-//! the log; anything after `r` (including a torn final line) is
-//! regenerated deterministically by the replayed stream and is
-//! truncated away on restore.
+//! **Two slots, committed in place.** A tenant's state lives in two
+//! fixed slot files next to the path [`tenant_state_path`] names
+//! (`tenantN.a.tbsl`, `tenantN.b.tbsl`, see [`tenant_state_slots`]).
+//! Each is a [`SLOT_HEADER`]-byte header — magic, generation, payload
+//! length, a CRC over the payload's top-level section CRCs, and a CRC
+//! of the header itself — followed by the exact
+//! [`encode_tenant_state`] container. A commit re-reads both headers
+//! from disk, overwrites the slot that does not hold the newest valid
+//! generation with the next one (payload first, header last) and calls
+//! `sync_data` once. Once both files exist it creates, renames and
+//! unlinks nothing and never fsyncs the directory. A slot file is
+//! created holding its first commit: written and synced under a
+//! temporary name, renamed into place, then the directory is fsynced,
+//! so a kill mid-creation never leaves a slot that reads as corrupt.
+//! LMDB's twin meta pages work the same way.
+//!
+//! A restore loads the newest slot that validates — header CRC, every
+//! section CRC, and the header's digest of the section CRCs, which
+//! rejects a slot holding sections of two generations — and falls back
+//! to the other, then to a legacy plain `tenantN.tbsn` (what earlier
+//! versions wrote with `.tmp` + rename), which counts as generation 0.
+//! A slot whose header is valid but whose payload is not is demoted
+//! (its header zeroed), so the next commit overwrites it rather than
+//! the slot just loaded. Slot files that exist with none valid are a
+//! typed error; only missing files read as "no state".
+//!
+//! Commits happen only at tick boundaries, so every valid slot is
+//! internally consistent: the engine round, the highwater map, and the
+//! counters all describe the same instant.
+//!
+//! **What a committed snapshot promises.** The decision log is flushed
+//! to the OS *before* the snapshot is committed, so after a process
+//! crash a snapshot at round `r` implies rounds `1..=r` are in the log;
+//! anything after `r` (including a torn final line) is regenerated
+//! deterministically by the replayed stream and is truncated away on
+//! restore. The log is flushed but not fsynced, so a power cut can
+//! keep snapshot `r` while losing log lines at or before `r`: that gap
+//! is still open.
 //!
 //! That ordering is also the log's whole damage model: a crash can
 //! only leave extra or torn bytes *after* round `r`, never damage
@@ -21,12 +50,13 @@
 //! bounded by the bytes after the cut — one snapshot interval plus a
 //! torn tail — however long the log has grown.
 
-use std::fs::OpenOptions;
-use std::io::{self, Read, Seek, SeekFrom};
+use std::cmp::Reverse;
+use std::fs::{File, OpenOptions};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use tibfit_experiments::checkpoint::{read_checkpoint, write_checkpoint, CheckpointError};
-use tibfit_sim::snapshot::{SectionBuf, SnapshotReader, SnapshotWriter};
+use tibfit_experiments::checkpoint::{read_checkpoint, sync_dir, CheckpointError};
+use tibfit_sim::snapshot::{crc32, section_crc_digest, SectionBuf, SnapshotReader, SnapshotWriter};
 
 use crate::queue::QueueStats;
 use crate::tenant::{decision_line_round, EngineKind, Tenant};
@@ -37,6 +67,14 @@ use crate::DaemonError;
 const TAG_TENANT_META: u8 = 20;
 /// Section tag: the engine checkpoint blob.
 const TAG_TENANT_ENGINE: u8 = 21;
+
+/// First four bytes of a state slot.
+const SLOT_MAGIC: [u8; 4] = *b"TBSL";
+
+/// Length of a slot's header: magic · generation (u64 LE) · payload
+/// length (u64 LE) · [`section_crc_digest`] of the payload (u32 LE) ·
+/// CRC32 of the preceding 24 bytes (u32 LE). The payload follows it.
+pub const SLOT_HEADER: usize = 28;
 
 /// Everything a tenant state file holds, decoded.
 pub struct TenantState {
@@ -57,10 +95,28 @@ pub struct TenantState {
     pub blob: Vec<u8>,
 }
 
-/// Path of tenant `id`'s state file under `state_dir`.
+/// A tenant's newest valid snapshot, as committed.
+pub struct StoredState {
+    /// Commit generation: `1, 2, …` for slots, `0` for a legacy file.
+    pub generation: u64,
+    /// The container bytes exactly as [`encode_tenant_state`] made them.
+    pub bytes: Vec<u8>,
+    /// The same bytes, decoded.
+    pub state: TenantState,
+}
+
+/// Path of tenant `id`'s state under `state_dir`: the legacy
+/// single-file name, from which the slot files are derived
+/// ([`tenant_state_slots`]).
 #[must_use]
 pub fn tenant_state_path(state_dir: &Path, id: usize) -> PathBuf {
     state_dir.join(format!("tenant{id}.tbsn"))
+}
+
+/// The two slot files behind the state path `path`.
+#[must_use]
+pub fn tenant_state_slots(path: &Path) -> [PathBuf; 2] {
+    [path.with_extension("a.tbsl"), path.with_extension("b.tbsl")]
 }
 
 /// Path of tenant `id`'s decision log under `decisions_dir`.
@@ -151,30 +207,287 @@ pub fn decode_tenant_state(bytes: &[u8]) -> Result<TenantState, DaemonError> {
     })
 }
 
-/// Writes a tenant state file atomically.
-///
-/// # Errors
-///
-/// [`DaemonError::Checkpoint`] on I/O failure.
-pub fn write_tenant_state(path: &Path, bytes: &[u8]) -> Result<(), DaemonError> {
-    write_checkpoint(path, bytes).map_err(DaemonError::Checkpoint)
+/// A slot's header, decoded.
+#[derive(Clone, Copy, Debug)]
+struct SlotHeader {
+    generation: u64,
+    len: u64,
+    /// [`section_crc_digest`] of the payload.
+    digest: u32,
 }
 
-/// Reads a tenant state file. `Ok(None)` if it does not exist.
+impl SlotHeader {
+    fn encode(self) -> [u8; SLOT_HEADER] {
+        let mut h = [0u8; SLOT_HEADER];
+        h[..4].copy_from_slice(&SLOT_MAGIC);
+        h[4..12].copy_from_slice(&self.generation.to_le_bytes());
+        h[12..20].copy_from_slice(&self.len.to_le_bytes());
+        h[20..24].copy_from_slice(&self.digest.to_le_bytes());
+        let crc = crc32(&h[..24]);
+        h[24..].copy_from_slice(&crc.to_le_bytes());
+        h
+    }
+
+    /// `None` unless the magic and the header CRC check out.
+    fn decode(h: &[u8; SLOT_HEADER]) -> Option<SlotHeader> {
+        let u32_at = |at: usize| u32::from_le_bytes(h[at..at + 4].try_into().expect("4 bytes"));
+        let u64_at = |at: usize| u64::from_le_bytes(h[at..at + 8].try_into().expect("8 bytes"));
+        (h[..4] == SLOT_MAGIC && crc32(&h[..24]) == u32_at(24)).then(|| SlotHeader {
+            generation: u64_at(4),
+            len: u64_at(12),
+            digest: u32_at(20),
+        })
+    }
+}
+
+/// The filesystem operations a commit can make besides reads and
+/// in-place writes, counted per thread in unit tests so the cost of a
+/// commit is pinned rather than assumed.
+#[derive(Clone, Copy)]
+enum FsOp {
+    Create,
+    Rename,
+    SyncData,
+    SyncDir,
+    Unlink,
+}
+
+#[cfg(test)]
+thread_local! {
+    static FS_OPS: std::cell::Cell<[u32; 5]> = const { std::cell::Cell::new([0; 5]) };
+}
+
+fn note(op: FsOp) {
+    #[cfg(test)]
+    FS_OPS.with(|c| {
+        let mut n = c.get();
+        n[op as usize] += 1;
+        c.set(n);
+    });
+    #[cfg(not(test))]
+    let _ = op;
+}
+
+/// Opens a slot file, `None` if it does not exist.
+fn open_slot(path: &Path, write: bool) -> io::Result<Option<File>> {
+    match OpenOptions::new().read(true).write(write).open(path) {
+        Ok(f) => Ok(Some(f)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+/// Reads a freshly opened slot's header: `None` if the file is shorter
+/// than a header or the header does not validate.
+fn read_header(mut file: &File) -> io::Result<Option<SlotHeader>> {
+    let mut h = [0u8; SLOT_HEADER];
+    match file.read_exact(&mut h) {
+        Ok(()) => Ok(SlotHeader::decode(&h)),
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+/// Writes `bytes` and then `header` into a slot in place and syncs its
+/// data once. Payload before header: a process killed in between
+/// leaves the slot's old header over a payload it does not match.
+fn write_slot(mut file: &File, header: SlotHeader, bytes: &[u8]) -> io::Result<()> {
+    file.seek(SeekFrom::Start(SLOT_HEADER as u64))?;
+    file.write_all(bytes)?;
+    file.seek(SeekFrom::Start(0))?;
+    file.write_all(&header.encode())?;
+    note(FsOp::SyncData);
+    file.sync_data()
+}
+
+/// Commits a tenant state container into the slot files behind `path`
+/// (see the module doc): the next generation goes into the slot that
+/// does not hold the newest valid one, with one `sync_data`. Which
+/// slot that is gets re-read from disk on every call, so a writer
+/// holds no "next slot" that could go stale. Creating a slot file also
+/// fsyncs the directory and then removes a legacy `path` file, which
+/// any slot outranks.
 ///
 /// # Errors
 ///
-/// [`DaemonError::Checkpoint`] on I/O failure, [`DaemonError::Snapshot`]
-/// on corruption.
-pub fn read_tenant_state(path: &Path) -> Result<Option<TenantState>, DaemonError> {
-    let bytes = match read_checkpoint(path) {
-        Ok(b) => b,
-        Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok(None)
+/// [`DaemonError::Snapshot`] if `bytes` is not a well-framed container,
+/// [`DaemonError::Io`] on any filesystem failure.
+pub fn write_tenant_state(path: &Path, bytes: &[u8]) -> Result<(), DaemonError> {
+    let digest = section_crc_digest(bytes).map_err(DaemonError::Snapshot)?;
+    let slots = tenant_state_slots(path);
+    let mut files = [None, None];
+    // (slot index, generation) of the newest valid header.
+    let mut newest: Option<(usize, u64)> = None;
+    for (i, slot) in slots.iter().enumerate() {
+        files[i] = open_slot(slot, true).map_err(DaemonError::Io)?;
+        if let Some(file) = &files[i] {
+            if let Some(h) = read_header(file).map_err(DaemonError::Io)? {
+                if newest.is_none_or(|(_, g)| h.generation > g) {
+                    newest = Some((i, h.generation));
+                }
+            }
         }
-        Err(e) => return Err(DaemonError::Checkpoint(e)),
+    }
+    let target = usize::from(newest.is_some_and(|(i, _)| i == 0));
+    let header = SlotHeader {
+        generation: newest.map_or(0, |(_, g)| g) + 1,
+        len: bytes.len() as u64,
+        digest,
     };
-    decode_tenant_state(&bytes).map(Some)
+    let written = match &files[target] {
+        Some(file) => write_slot(file, header, bytes),
+        None => create_slot(&slots[target], path, header, bytes),
+    };
+    written.map_err(DaemonError::Io)
+}
+
+/// Creates a slot file holding its first commit. The commit is written
+/// and synced under a temporary name and renamed into place before the
+/// directory is fsynced, so a slot file never exists without a valid
+/// commit in it: a process killed mid-creation must not leave a slot
+/// that reads as corrupt. The legacy file at `legacy`, which any slot
+/// outranks, then goes.
+fn create_slot(slot: &Path, legacy: &Path, header: SlotHeader, bytes: &[u8]) -> io::Result<()> {
+    let dir = parent_dir(slot);
+    std::fs::create_dir_all(dir)?;
+    let tmp = slot.with_extension("tmp");
+    note(FsOp::Create);
+    write_slot(&File::create(&tmp)?, header, bytes)?;
+    note(FsOp::Rename);
+    std::fs::rename(&tmp, slot)?;
+    note(FsOp::SyncDir);
+    sync_dir(dir)?;
+    note(FsOp::Unlink);
+    match std::fs::remove_file(legacy) {
+        Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
+        _ => Ok(()),
+    }
+}
+
+/// Reads and validates the payload a slot header describes: `None` if
+/// the file is too short for it, its digest or a section CRC does not
+/// match, or it does not decode.
+fn read_slot(mut file: &File, h: SlotHeader) -> io::Result<Option<(Vec<u8>, TenantState)>> {
+    let available = file.metadata()?.len().saturating_sub(SLOT_HEADER as u64);
+    let Some(len) = usize::try_from(h.len).ok().filter(|_| h.len <= available) else {
+        return Ok(None);
+    };
+    let mut bytes = Vec::with_capacity(len);
+    file.seek(SeekFrom::Start(SLOT_HEADER as u64))?;
+    file.take(h.len).read_to_end(&mut bytes)?;
+    if bytes.len() != len || section_crc_digest(&bytes) != Ok(h.digest) {
+        return Ok(None);
+    }
+    Ok(decode_tenant_state(&bytes).ok().map(|state| (bytes, state)))
+}
+
+/// Reads a tenant's newest valid snapshot (see the module doc for the
+/// order slots and a legacy file are tried in). `Ok(None)` only if no
+/// slot file and no legacy file exists.
+///
+/// A slot whose header validates but whose payload does not — a torn
+/// commit — has its header zeroed once another snapshot loads, so the
+/// next commit overwrites it instead of the snapshot just loaded.
+///
+/// # Errors
+///
+/// [`DaemonError::State`] if slot files exist but none (and no legacy
+/// file) is valid, [`DaemonError::Snapshot`] for a corrupt legacy file,
+/// [`DaemonError::Io`] / [`DaemonError::Checkpoint`] on I/O failure.
+pub fn read_tenant_snapshot(path: &Path) -> Result<Option<StoredState>, DaemonError> {
+    let slots = tenant_state_slots(path);
+    let mut found = false;
+    let mut candidates = Vec::with_capacity(2);
+    for (i, slot) in slots.iter().enumerate() {
+        let Some(file) = open_slot(slot, false).map_err(DaemonError::Io)? else {
+            continue;
+        };
+        found = true;
+        if let Some(h) = read_header(&file).map_err(DaemonError::Io)? {
+            candidates.push((h, file, i));
+        }
+    }
+    candidates.sort_by_key(|(h, _, _)| Reverse(h.generation));
+    let mut torn = Vec::new();
+    let mut loaded = None;
+    for (h, file, i) in candidates {
+        match read_slot(&file, h).map_err(DaemonError::Io)? {
+            Some((bytes, state)) => {
+                loaded = Some(StoredState { generation: h.generation, bytes, state });
+                break;
+            }
+            None => torn.push(i),
+        }
+    }
+    let loaded = match loaded {
+        Some(stored) => stored,
+        None => match read_legacy(path)? {
+            Some(stored) => stored,
+            None if found => {
+                return Err(DaemonError::State(format!(
+                    "no valid snapshot in the state slots of {}",
+                    path.display()
+                )))
+            }
+            None => return Ok(None),
+        },
+    };
+    for i in torn {
+        demote(&slots[i]).map_err(DaemonError::Io)?;
+    }
+    Ok(Some(loaded))
+}
+
+/// Reads a legacy single-file state as generation 0, `None` if absent.
+fn read_legacy(path: &Path) -> Result<Option<StoredState>, DaemonError> {
+    match read_checkpoint(path) {
+        Ok(bytes) => {
+            let state = decode_tenant_state(&bytes)?;
+            Ok(Some(StoredState { generation: 0, bytes, state }))
+        }
+        Err(CheckpointError::Io(e)) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(DaemonError::Checkpoint(e)),
+    }
+}
+
+/// Zeroes a slot's header. No sync: until a commit has made the slot
+/// valid again, every commit writes into this slot and leaves the
+/// loaded one alone, so the zeroing needs to outlive nothing else.
+fn demote(slot: &Path) -> io::Result<()> {
+    let mut file = OpenOptions::new().write(true).open(slot)?;
+    file.write_all(&[0; SLOT_HEADER])
+}
+
+/// Reads a tenant's newest valid snapshot, decoded ([`read_tenant_snapshot`]).
+///
+/// # Errors
+///
+/// As [`read_tenant_snapshot`].
+pub fn read_tenant_state(path: &Path) -> Result<Option<TenantState>, DaemonError> {
+    Ok(read_tenant_snapshot(path)?.map(|s| s.state))
+}
+
+/// Retires a tenant's durable state: both slot files and any legacy
+/// file, then fsyncs the directory, so nothing from an earlier hosting
+/// can come back on a later restore.
+///
+/// # Errors
+///
+/// Any filesystem failure but a missing file.
+pub fn remove_tenant_state(path: &Path) -> io::Result<()> {
+    let [a, b] = tenant_state_slots(path);
+    for file in [a.as_path(), b.as_path(), path] {
+        match std::fs::remove_file(file) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+            _ => {}
+        }
+    }
+    sync_dir(parent_dir(path))
+}
+
+/// The directory holding `path` (`.` for a bare file name).
+fn parent_dir(path: &Path) -> &Path {
+    path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."))
 }
 
 /// Backward-scan read size of [`truncate_decision_log`].
@@ -406,6 +719,201 @@ mod tests {
     fn missing_state_file_reads_as_none() {
         let dir = tempdir("missing");
         assert!(read_tenant_state(&tenant_state_path(&dir, 0)).unwrap().is_none());
+    }
+
+    /// Containers for rounds `1..=n` of one tenant, each a different
+    /// payload of the same shape.
+    fn payloads(n: usize) -> Vec<Vec<u8>> {
+        let sc = scenario(9);
+        let mut tenant = Tenant::new(0, sc.clone(), EngineKind::Sequential, 1).unwrap();
+        let mut out = Vec::with_capacity(n);
+        for (i, p) in sc.events(n).into_iter().enumerate() {
+            let seq = i as u64 + 1;
+            tenant.apply(&crate::wire::Report {
+                tenant: 0,
+                time: i as u64,
+                src: 0,
+                seq,
+                x: p.x,
+                y: p.y,
+            });
+            out.push(encode_tenant_state(&tenant, &[(0, seq)], QueueStats::default()).unwrap());
+        }
+        out
+    }
+
+    /// This thread's `[create, rename, sync_data, sync_dir, unlink]`
+    /// counts since the last call.
+    fn take_fs_ops() -> [u32; 5] {
+        FS_OPS.with(|c| c.replace([0; 5]))
+    }
+
+    fn stored(path: &Path) -> (u64, Vec<u8>) {
+        let s = read_tenant_snapshot(path).unwrap().expect("a snapshot");
+        (s.generation, s.bytes)
+    }
+
+    #[test]
+    fn once_both_slots_exist_a_commit_is_one_sync_data_and_nothing_else() {
+        let dir = tempdir("cheap");
+        let path = tenant_state_path(&dir, 0);
+        let p = payloads(10);
+        take_fs_ops();
+        for bytes in &p[..2] {
+            write_tenant_state(&path, bytes).unwrap();
+            // Creating a slot: its data under a temporary name, the
+            // rename, then the directory entry; the legacy file goes
+            // after all of it is durable.
+            assert_eq!(take_fs_ops(), [1, 1, 1, 1, 1]);
+        }
+        let slots = tenant_state_slots(&path);
+        #[cfg(unix)]
+        let inodes = || {
+            use std::os::unix::fs::MetadataExt;
+            slots.clone().map(|s| std::fs::metadata(s).unwrap().ino())
+        };
+        #[cfg(unix)]
+        let before = inodes();
+        for (i, bytes) in p.iter().enumerate().skip(2) {
+            write_tenant_state(&path, bytes).unwrap();
+            assert_eq!(take_fs_ops(), [0, 0, 1, 0, 0], "commit {}", i + 1);
+            assert_eq!(stored(&path), (i as u64 + 1, bytes.clone()));
+        }
+        #[cfg(unix)]
+        assert_eq!(inodes(), before, "no slot was recreated or renamed over");
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["tenant0.a.tbsl", "tenant0.b.tbsl"]);
+        // The newest generation alternates slots, and the payload is the
+        // container byte for byte behind a fixed-size header.
+        let a = std::fs::read(&slots[0]).unwrap();
+        let b = std::fs::read(&slots[1]).unwrap();
+        assert_eq!(&a[SLOT_HEADER..SLOT_HEADER + p[8].len()], &p[8][..]);
+        assert_eq!(&b[SLOT_HEADER..SLOT_HEADER + p[9].len()], &p[9][..]);
+    }
+
+    #[test]
+    fn a_kill_while_creating_a_slot_leaves_no_slot_behind() {
+        let dir = tempdir("create-kill");
+        let path = tenant_state_path(&dir, 0);
+        let p = payloads(2);
+        // What a kill between the temporary file's write and its
+        // rename leaves: no slot, so nothing reads as corrupt.
+        let [a, b] = tenant_state_slots(&path);
+        std::fs::write(a.with_extension("tmp"), &p[0][..100]).unwrap();
+        assert!(read_tenant_state(&path).unwrap().is_none());
+        write_tenant_state(&path, &p[0]).unwrap();
+        assert_eq!(stored(&path), (1, p[0].clone()));
+        std::fs::write(b.with_extension("tmp"), b"").unwrap();
+        assert_eq!(stored(&path), (1, p[0].clone()));
+        write_tenant_state(&path, &p[1]).unwrap();
+        assert_eq!(stored(&path), (2, p[1].clone()));
+        // The next creation reused the temporary name and renamed it.
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
+    }
+
+    #[test]
+    fn the_next_slot_is_read_from_disk_on_every_commit() {
+        let dir = tempdir("reread");
+        let path = tenant_state_path(&dir, 0);
+        let p = payloads(4);
+        for bytes in &p[..3] {
+            write_tenant_state(&path, bytes).unwrap();
+        }
+        // Slot a holds generation 3, b holds 2. Swap them behind the
+        // writer's back, as another incarnation's commits could: a
+        // writer that remembered "b is next" would now overwrite 3.
+        let [a, b] = tenant_state_slots(&path);
+        let (image_a, image_b) = (std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
+        std::fs::write(&a, &image_b).unwrap();
+        std::fs::write(&b, &image_a).unwrap();
+        write_tenant_state(&path, &p[3]).unwrap();
+        assert_eq!(std::fs::read(&b).unwrap(), image_a, "generation 3 is untouched");
+        assert_eq!(stored(&path), (4, p[3].clone()));
+    }
+
+    #[test]
+    fn a_torn_newest_slot_is_overwritten_next_not_the_one_restored() {
+        let dir = tempdir("demote");
+        let path = tenant_state_path(&dir, 0);
+        let p = payloads(4);
+        for bytes in &p[..3] {
+            write_tenant_state(&path, bytes).unwrap();
+        }
+        // Generation 3 in slot a keeps a valid header over a torn payload.
+        let [a, b] = tenant_state_slots(&path);
+        let mut torn = std::fs::read(&a).unwrap();
+        let last = torn.len() - 1;
+        torn[last] ^= 0x5A;
+        std::fs::write(&a, &torn).unwrap();
+        assert_eq!(stored(&path), (2, p[1].clone()));
+        // Without the demotion the next commit would go to b, the only
+        // valid slot, and a crash in that write would lose both.
+        let image_b = std::fs::read(&b).unwrap();
+        write_tenant_state(&path, &p[3]).unwrap();
+        assert_eq!(std::fs::read(&b).unwrap(), image_b);
+        assert_eq!(stored(&path), (3, p[3].clone()));
+    }
+
+    #[test]
+    fn a_legacy_file_is_generation_zero_and_never_outranks_a_slot() {
+        use tibfit_experiments::checkpoint::write_checkpoint;
+
+        let dir = tempdir("legacy");
+        let path = tenant_state_path(&dir, 0);
+        let p = payloads(3);
+        write_checkpoint(&path, &p[0]).unwrap();
+        assert_eq!(stored(&path), (0, p[0].clone()));
+        write_tenant_state(&path, &p[1]).unwrap();
+        assert!(!path.exists(), "the first slot retires the legacy file");
+        // A kill between the slot's creation and the unlink leaves both.
+        write_checkpoint(&path, &p[2]).unwrap();
+        assert_eq!(stored(&path), (1, p[1].clone()));
+        // A torn first slot falls back to the legacy file.
+        let [a, _] = tenant_state_slots(&path);
+        std::fs::write(&a, b"TBSL").unwrap();
+        assert_eq!(stored(&path), (0, p[2].clone()));
+    }
+
+    #[test]
+    fn slot_files_with_nothing_valid_are_a_typed_error() {
+        let dir = tempdir("nothing-valid");
+        let path = tenant_state_path(&dir, 0);
+        let [a, b] = tenant_state_slots(&path);
+        std::fs::write(&a, b"").unwrap();
+        assert!(matches!(read_tenant_state(&path), Err(DaemonError::State(_))));
+        std::fs::write(&b, [0xFFu8; 64]).unwrap();
+        assert!(matches!(read_tenant_state(&path), Err(DaemonError::State(_))));
+        // Both files survive the failed read for inspection.
+        assert!(a.exists() && b.exists());
+    }
+
+    #[test]
+    fn retiring_removes_every_slot_and_the_legacy_file() {
+        let dir = tempdir("retire");
+        let path = tenant_state_path(&dir, 0);
+        for bytes in &payloads(2) {
+            write_tenant_state(&path, bytes).unwrap();
+        }
+        std::fs::write(&path, b"legacy").unwrap();
+        remove_tenant_state(&path).unwrap();
+        assert!(read_tenant_state(&path).unwrap().is_none());
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+        remove_tenant_state(&path).unwrap();
+    }
+
+    #[test]
+    fn a_commit_of_bytes_that_are_not_a_container_is_refused() {
+        let dir = tempdir("junk");
+        let path = tenant_state_path(&dir, 0);
+        assert!(matches!(
+            write_tenant_state(&path, b"not a container"),
+            Err(DaemonError::Snapshot(_))
+        ));
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
     }
 
     #[test]

@@ -50,8 +50,9 @@ use crate::migrate::{
 };
 use crate::queue::{QueuePolicy, QueueStats, SharedQueue, WorkItem};
 use crate::state::{
-    decision_log_path, decode_tenant_state, encode_tenant_state, read_tenant_state,
-    tenant_state_path, truncate_decision_log, write_tenant_state,
+    decision_log_path, decode_tenant_state, encode_tenant_state, read_tenant_snapshot,
+    read_tenant_state, remove_tenant_state, tenant_state_path, truncate_decision_log,
+    write_tenant_state,
 };
 use crate::tenant::{EngineKind, PositionView, Tenant};
 use crate::wire::{parse_fleet_line, parse_line, FleetMsg, Frame, IngestError, Query, Report};
@@ -1631,12 +1632,9 @@ fn install_bundle(ctx: &FleetCtx, bundle: MigrationBundle) -> Result<(), Migrate
     let path = tenant_state_path(&cfg.state_dir, tenant);
     if bundle.state_bytes.is_empty() {
         // The source never snapshotted: the replay buffer is the whole
-        // history and must rebuild from a fresh engine.
-        match std::fs::remove_file(&path) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(MigrateError::Io(e)),
-        }
+        // history and must rebuild from a fresh engine, so every slot
+        // an earlier hosting left behind goes.
+        remove_tenant_state(&path).map_err(MigrateError::Io)?;
     } else {
         let st = decode_tenant_state(&bundle.state_bytes)
             .map_err(|e| MigrateError::Mismatch(format!("embedded state: {e}")))?;
@@ -1741,15 +1739,13 @@ fn migrate_out(ctx: &FleetCtx, tenant: usize, dest: usize) -> Result<(), Migrate
     let scenario = (ctx.cfg.scenario)(tenant_seed(ctx.cfg.master_seed, tenant));
     let state_path = tenant_state_path(&ctx.cfg.state_dir, tenant);
     let outcome = (|| -> Result<(), MigrateError> {
-        let (state_bytes, state_round) = match std::fs::read(&state_path) {
-            Ok(bytes) => {
-                let st = decode_tenant_state(&bytes)
-                    .map_err(|e| MigrateError::Mismatch(format!("state file: {e}")))?;
-                let round = st.round;
-                (bytes, round)
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => (Vec::new(), 0),
-            Err(e) => return Err(MigrateError::Io(e)),
+        // The newest valid slot's container, byte for byte as it was
+        // committed.
+        let (state_bytes, state_round) = match read_tenant_snapshot(&state_path) {
+            Ok(Some(stored)) => (stored.bytes, stored.state.round),
+            Ok(None) => (Vec::new(), 0),
+            Err(DaemonError::Io(e)) => return Err(MigrateError::Io(e)),
+            Err(e) => return Err(MigrateError::Mismatch(format!("state file: {e}"))),
         };
         let bundle = MigrationBundle {
             tenant,

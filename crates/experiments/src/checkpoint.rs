@@ -206,9 +206,11 @@ pub fn restore_sharded(bytes: &[u8], threads: usize) -> Result<ShardedMultiClust
     )?)
 }
 
-/// Writes a checkpoint atomically: the bytes land in `path.tmp` first
-/// and are renamed over `path`, so a crash mid-write can never leave a
-/// half-written blob where a resume would look for one.
+/// Writes a checkpoint atomically: the bytes land in `path.tmp` first,
+/// are fsynced and renamed over `path`, and the directory is fsynced
+/// after the rename. A crash mid-write can never leave a half-written
+/// blob where a resume would look for one, and once this returns the
+/// new file survives a power cut too.
 ///
 /// # Errors
 ///
@@ -216,10 +218,9 @@ pub fn restore_sharded(bytes: &[u8], threads: usize) -> Result<ShardedMultiClust
 pub fn write_checkpoint(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
     // The first checkpoint of a sweep can land before anything else has
     // created the --out directory.
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
+    let parent = path.parent().filter(|p| !p.as_os_str().is_empty());
+    if let Some(parent) = parent {
+        std::fs::create_dir_all(parent)?;
     }
     let tmp = path.with_extension("tmp");
     {
@@ -228,6 +229,21 @@ pub fn write_checkpoint(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError
         f.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
+    sync_dir(parent.unwrap_or(Path::new(".")))?;
+    Ok(())
+}
+
+/// Fsyncs a directory, making the creations, renames and unlinks in it
+/// durable. A no-op where directories cannot be opened as files.
+///
+/// # Errors
+///
+/// Any I/O error from opening or syncing `dir`.
+pub fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    #[cfg(unix)]
+    std::fs::File::open(dir)?.sync_all()?;
+    #[cfg(not(unix))]
+    let _ = dir;
     Ok(())
 }
 

@@ -204,8 +204,14 @@ pub fn read_framed(r: &mut impl Read, max_len: u64) -> Result<Vec<u8>, FrameErro
 /// the byte-at-a-time definition (pinned against it in the tests).
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
+    !crc32_fold(!0, bytes)
+}
+
+/// The CRC register after folding `bytes` into `crc` (pre- and
+/// post-inversion are the caller's), so a CRC can span pieces that are
+/// not contiguous in memory.
+fn crc32_fold(mut crc: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut crc = !0u32;
     let mut words = bytes.chunks_exact(8);
     for w in &mut words {
         let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
@@ -222,7 +228,39 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in words.remainder() {
         crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
-    !crc
+    crc
+}
+
+/// CRC32 over the stored CRCs of a container's top-level sections, in
+/// order: `crc32` of their concatenated little-endian bytes.
+///
+/// Only the framing is walked — magic, version, each section's tag,
+/// length and CRC — so the cost is a few bytes per section, not a pass
+/// over the payloads, and no section CRC is verified here. A commit
+/// record holding this digest binds itself to one exact set of
+/// sections, which per-section CRCs alone cannot: sections torn from
+/// two different blobs each still pass their own check.
+///
+/// # Errors
+///
+/// [`SnapshotError::BadMagic`] / [`SnapshotError::UnsupportedVersion`]
+/// on a bad preamble, [`SnapshotError::Truncated`] if a section runs
+/// past the end of `data`.
+pub fn section_crc_digest(data: &[u8]) -> Result<u32, SnapshotError> {
+    let mut pos = SnapshotReader::new(data)?.pos;
+    let mut crc = !0u32;
+    while pos < data.len() {
+        let len_end = pos.checked_add(5).ok_or(SnapshotError::Truncated)?;
+        let len = data.get(pos + 1..len_end).ok_or(SnapshotError::Truncated)?;
+        let len = u32::from_le_bytes(len.try_into().expect("4-byte slice")) as usize;
+        let crc_at = len_end.checked_add(len).ok_or(SnapshotError::Truncated)?;
+        let stored = data
+            .get(crc_at..crc_at.checked_add(4).ok_or(SnapshotError::Truncated)?)
+            .ok_or(SnapshotError::Truncated)?;
+        crc = crc32_fold(crc, stored);
+        pos = crc_at + 4;
+    }
+    Ok(!crc)
 }
 
 static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
@@ -707,6 +745,41 @@ mod tests {
             SnapshotReader::new(&blob).unwrap_err(),
             SnapshotError::UnsupportedVersion { found: 0xFF, .. }
         ));
+    }
+
+    #[test]
+    fn section_crc_digest_is_the_crc_of_the_stored_section_crcs() {
+        let blob = sample_blob();
+        // Walk the framing by hand: 6-byte preamble, then per section
+        // tag · len · payload · crc.
+        let mut crcs = Vec::new();
+        let mut ends = vec![6];
+        let mut pos = 6;
+        while pos < blob.len() {
+            let len = u32::from_le_bytes(blob[pos + 1..pos + 5].try_into().unwrap()) as usize;
+            crcs.extend_from_slice(&blob[pos + 5 + len..pos + 9 + len]);
+            pos += 9 + len;
+            ends.push(pos);
+        }
+        assert_eq!(crcs.len(), 8);
+        assert_eq!(section_crc_digest(&blob).unwrap(), crc32(&crcs));
+        // Payload bytes are not read; a stored CRC is.
+        let mut flipped = blob.clone();
+        flipped[11] ^= 0x01;
+        assert_eq!(section_crc_digest(&flipped).unwrap(), crc32(&crcs));
+        let mut restamped = blob.clone();
+        let last = restamped.len() - 1;
+        restamped[last] ^= 0x01;
+        assert_ne!(section_crc_digest(&restamped).unwrap(), crc32(&crcs));
+        // A cut at a section boundary is a shorter well-framed blob;
+        // a cut anywhere else is typed.
+        for cut in 6..blob.len() {
+            if !ends.contains(&cut) {
+                assert_eq!(section_crc_digest(&blob[..cut]), Err(SnapshotError::Truncated));
+            }
+        }
+        assert_eq!(section_crc_digest(&blob[..3]), Err(SnapshotError::Truncated));
+        assert_eq!(section_crc_digest(b"XXXX\x02\x00"), Err(SnapshotError::BadMagic));
     }
 
     #[test]
