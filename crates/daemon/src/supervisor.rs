@@ -31,7 +31,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
@@ -631,6 +631,29 @@ fn rebuild_tenant(cfg: &DaemonConfig, id: usize) -> Result<(Tenant, u64), Daemon
     }
 }
 
+/// Cuts tenant `id`'s decision log back to its snapshot `round` (see
+/// [`truncate_decision_log`]) and checks that the log reaches it. A
+/// log whose last kept line is below the snapshot round has lost
+/// lines the engine state already counts: resuming would append after
+/// a permanent gap, so the tenant fails with a typed error instead.
+///
+/// # Errors
+///
+/// [`DaemonError::Io`] from the cut, [`DaemonError::State`] naming both
+/// rounds when the log ends short of the snapshot.
+fn cut_log_to_snapshot(log: &Path, id: usize, round: u64) -> Result<(), DaemonError> {
+    let kept = truncate_decision_log(log, round)?;
+    if kept < round {
+        return Err(DaemonError::State(format!(
+            "tenant {id} decision log {} ends at round {kept} but its snapshot is at round \
+             {round}: resuming would leave rounds {}..={round} missing",
+            log.display(),
+            kept + 1
+        )));
+    }
+    Ok(())
+}
+
 /// Records how a worker incarnation ended.
 fn record_exit(slot: &mut SlotCore, outcome: std::thread::Result<Result<(), DaemonError>>) {
     match outcome {
@@ -688,8 +711,7 @@ fn respawn_slot(cfg: &DaemonConfig, slot: &mut SlotCore, probation_until: u64) {
         // just did) truncate.
         lock_sink(&slot.sink).supersede();
         let (mut tenant, round) = rebuild_tenant(cfg, slot.id)?;
-        let log_path = decision_log_path(&cfg.decisions_dir, slot.id);
-        truncate_decision_log(&log_path, round)?;
+        cut_log_to_snapshot(&decision_log_path(&cfg.decisions_dir, slot.id), slot.id, round)?;
         let epoch = lock_sink(&slot.sink).reopen()?;
         tenant.set_positions(Arc::clone(&slot.positions));
         slot.cancel = Arc::new(AtomicBool::new(false));
@@ -891,7 +913,7 @@ fn build_slot(
         initial_ticks = seed.replay_ticks;
     }
     let log_path = decision_log_path(&cfg.decisions_dir, id);
-    truncate_decision_log(&log_path, round)?;
+    cut_log_to_snapshot(&log_path, id, round)?;
     let sink = Arc::new(Mutex::new(LogSink::new(log_path)));
     let epoch = lock_sink(&sink).reopen()?;
     let positions = tenant.positions();

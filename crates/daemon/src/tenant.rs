@@ -127,10 +127,9 @@ pub struct Tenant {
     kind: EngineKind,
     engine: TenantEngine,
     positions: Arc<PositionView>,
-    /// Scratch for the per-record trust digest — the apply path runs
-    /// once per admitted record and must not allocate a full trust
-    /// vector each time.
-    trust_scratch: Vec<u64>,
+    /// The per-record trust digest, re-hashed only from the first
+    /// trust word that changed since the previous record.
+    digest: TrustDigest,
 }
 
 /// Multiplier of the decision-line fingerprint. NOT the standard
@@ -140,11 +139,18 @@ pub struct Tenant {
 /// frozen format constant, not a tunable.
 const TRUST_DIGEST_PRIME: u64 = 0x1_0000_01b3;
 
+/// FNV-1a offset basis: the fingerprint of an empty trust vector.
+const TRUST_DIGEST_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a-style hash over a slice of u64 words, little-endian byte
 /// order, with [`TRUST_DIGEST_PRIME`] — the decision-line trust
 /// fingerprint.
 fn fnv1a_u64s(words: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_fold(TRUST_DIGEST_BASIS, words)
+}
+
+/// The FNV state after hashing `words` on from state `h`.
+fn fnv1a_fold(mut h: u64, words: &[u64]) -> u64 {
     for &bits in words {
         for byte in bits.to_le_bytes() {
             h ^= u64::from(byte);
@@ -152,6 +158,58 @@ fn fnv1a_u64s(words: &[u64]) -> u64 {
         }
     }
     h
+}
+
+/// Trust words per cached FNV state of a [`TrustDigest`].
+const DIGEST_BLOCK: usize = 64;
+
+/// `fnv1a_u64s` of the trust vector, kept across records so that each
+/// record re-hashes only from the block holding the lowest word that
+/// changed. FNV is a left fold, so the state after any prefix of the
+/// words is enough to carry on from there; a round moves a handful of
+/// counters out of thousands, and the rest of the vector is compared,
+/// not hashed.
+#[derive(Debug, Default)]
+struct TrustDigest {
+    /// The trust words to digest next: the engine fills it before each
+    /// [`Self::update`].
+    words: Vec<u64>,
+    /// The words the last digest covered. Swapped with `words` after
+    /// each update, so the two buffers are the tenant's only trust
+    /// copies and no record copies a vector.
+    prev: Vec<u64>,
+    /// `prefix[b]` is the FNV state after words `[0, 64·b)` of `prev`,
+    /// for every block boundary `b` up to and including the end of the
+    /// vector, so the last entry is the digest. Empty until the first
+    /// update; an update whose vector length differs from `prev`'s
+    /// re-hashes from word 0.
+    prefix: Vec<u64>,
+}
+
+impl TrustDigest {
+    /// Digests `words`, equal to `fnv1a_u64s(&self.words)`, then keeps
+    /// them as the new `prev`.
+    fn update(&mut self) -> u64 {
+        let n = self.words.len();
+        let cached = self.prev.len() == n && self.prefix.len() == n.div_ceil(DIGEST_BLOCK) + 1;
+        let first_changed = if cached {
+            self.words.iter().zip(&self.prev).position(|(a, b)| a != b).unwrap_or(n)
+        } else {
+            0
+        };
+        let block = first_changed / DIGEST_BLOCK;
+        self.prefix.truncate(block + 1);
+        if self.prefix.is_empty() {
+            self.prefix.push(TRUST_DIGEST_BASIS);
+        }
+        let mut h = self.prefix[block];
+        for chunk in self.words[block * DIGEST_BLOCK..].chunks(DIGEST_BLOCK) {
+            h = fnv1a_fold(h, chunk);
+            self.prefix.push(h);
+        }
+        std::mem::swap(&mut self.words, &mut self.prev);
+        h
+    }
 }
 
 impl Tenant {
@@ -171,7 +229,7 @@ impl Tenant {
                 radius,
                 points: Mutex::new(points),
             }),
-            trust_scratch: Vec::new(),
+            digest: TrustDigest::default(),
         }
     }
 
@@ -290,7 +348,9 @@ impl Tenant {
 
     /// FNV-1a digest over the bit-exact trust vector — a cheap
     /// whole-state fingerprint embedded in every decision line, so a
-    /// diff catches divergence at the exact round it appears.
+    /// diff catches divergence at the exact round it appears. This
+    /// hashes the whole vector; the decision line carries the same
+    /// value, kept incrementally by the tenant's `TrustDigest`.
     #[must_use]
     pub fn trust_digest(&self) -> u64 {
         fnv1a_u64s(&self.trust_bits())
@@ -346,10 +406,10 @@ impl Tenant {
             let _ = write!(out, "{c}");
         }
         match &self.engine {
-            TenantEngine::Sequential(e) => e.trust_snapshot_into(&mut self.trust_scratch),
-            TenantEngine::Sharded(e) => e.trust_snapshot_into(&mut self.trust_scratch),
+            TenantEngine::Sequential(e) => e.trust_snapshot_into(&mut self.digest.words),
+            TenantEngine::Sharded(e) => e.trust_snapshot_into(&mut self.digest.words),
         }
-        let _ = write!(out, " trust={:016x}", fnv1a_u64s(&self.trust_scratch));
+        let _ = write!(out, " trust={:016x}", self.digest.update());
     }
 
     /// Writes the engine checkpoint's sections into an already-started
@@ -391,6 +451,7 @@ pub fn decision_line_round(line: &str) -> Option<u64> {
 mod tests {
     use super::*;
     use tibfit_experiments::replay::tenant_seed;
+    use tibfit_sim::rng::SimRng;
 
     fn small_scenario(seed: u64) -> FieldScenario {
         FieldScenario {
@@ -490,6 +551,152 @@ mod tests {
         assert_eq!(fnv1a_u64s(&[0]), 0x21ae_156a_281a_39c5);
         assert_eq!(fnv1a_u64s(&[1, 2]), 0xe64a_ea73_63c8_e066);
         assert_eq!(fnv1a_u64s(&[0x0123_4567_89ab_cdef]), 0xd5a3_39af_4776_1c55);
+    }
+
+    /// The digest a decision line carries.
+    fn line_digest(line: &str) -> u64 {
+        let hex = line.rsplit_once(" trust=").expect("a decision line").1;
+        u64::from_str_radix(hex, 16).expect("a hex digest")
+    }
+
+    /// Every decision line's digest is the full hash of the trust vector
+    /// at that round. Returns how many lines changed the digest.
+    fn assert_lines_carry_full_digests(
+        tenant: &mut Tenant,
+        events: &[Point],
+        first_seq: u64,
+    ) -> usize {
+        let mut changed = 0;
+        let mut last = tenant.trust_digest();
+        for (i, p) in events.iter().enumerate() {
+            let line = tenant.apply(&report(first_seq + i as u64, p.x, p.y));
+            let digest = line_digest(&line);
+            assert_eq!(digest, fnv1a_u64s(&tenant.trust_bits()), "{line}");
+            changed += usize::from(digest != last);
+            last = digest;
+        }
+        changed
+    }
+
+    /// Digests `words` through `digest` and checks it against the full
+    /// hash, and the cache it leaves behind.
+    fn check_digest(digest: &mut TrustDigest, words: &[u64], what: &str) {
+        let n = words.len();
+        digest.words.clear();
+        digest.words.extend_from_slice(words);
+        assert_eq!(digest.update(), fnv1a_u64s(words), "n {n}: {what}");
+        assert_eq!(digest.prev, words, "n {n}: {what}");
+        assert_eq!(digest.prefix.len(), n.div_ceil(DIGEST_BLOCK) + 1, "n {n}: {what}");
+    }
+
+    /// Flips one seeded bit of each in-range word in `at`.
+    fn flip(rng: &mut SimRng, words: &mut [u64], at: &[usize]) {
+        for &i in at {
+            if let Some(w) = words.get_mut(i) {
+                *w ^= 1 << rng.uniform_usize(64);
+            }
+        }
+    }
+
+    #[test]
+    fn cached_trust_digest_is_the_full_hash_under_seeded_mutations() {
+        let mut rng = SimRng::seed_from(0xD16E);
+        for n in [0usize, 1, 63, 64, 65, 127, 128, 130, 1000, 4096, 4133] {
+            let mut digest = TrustDigest::default();
+            let mut words: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
+            check_digest(&mut digest, &words, "first digest");
+            check_digest(&mut digest, &words, "no change");
+            check_digest(&mut digest, &words, "no change again");
+            let last = n.saturating_sub(1);
+            for (at, what) in [
+                (vec![0], "first word"),
+                (vec![last], "last word"),
+                (vec![0, last], "first and last word"),
+                (vec![63], "word 63"),
+                (vec![64], "word 64"),
+                (vec![65], "word 65"),
+                (vec![63, 64, 65], "words 63-65"),
+            ] {
+                flip(&mut rng, &mut words, &at);
+                check_digest(&mut digest, &words, what);
+            }
+            for round in 0..40 {
+                let k = if round % 4 == 0 { n / 3 } else { 1 + rng.uniform_usize(5) };
+                let at: Vec<usize> = (0..k).map(|_| rng.uniform_usize(n.max(1))).collect();
+                flip(&mut rng, &mut words, &at);
+                check_digest(&mut digest, &words, &format!("seeded round {round}, {k} words"));
+            }
+            // A word set back to the value it had two digests ago is
+            // still a change against the previous digest.
+            let before = words.clone();
+            flip(&mut rng, &mut words, &[n / 2]);
+            check_digest(&mut digest, &words, "middle word");
+            check_digest(&mut digest, &before, "middle word restored");
+            // A vector of another length hashes afresh, also where it
+            // starts with the previous vector's words.
+            let mut grown = before.clone();
+            grown.push(rng.next_u64());
+            check_digest(&mut digest, &grown, "grown by one");
+            check_digest(&mut digest, &before, "shrunk by one");
+            check_digest(&mut digest, &before[..n / 2], "halved");
+        }
+    }
+
+    #[test]
+    fn a_restored_tenant_starts_a_fresh_digest_cache() {
+        let sc = FieldScenario {
+            nodes: 200,
+            clusters: 4,
+            field: 100.0,
+            drift_sigma: 2.0,
+            ..small_scenario(tenant_seed(17, 0))
+        };
+        let events = sc.events(16);
+        let mut live = Tenant::new(0, sc.clone(), EngineKind::Sequential, 1).unwrap();
+        assert_lines_carry_full_digests(&mut live, &events[..8], 1);
+        let mut w = SnapshotWriter::new();
+        live.save_engine_into(&mut w).unwrap();
+        let mut restored =
+            Tenant::from_blob(0, sc.clone(), EngineKind::Sequential, 1, &w.finish()).unwrap();
+        assert!(restored.digest.prefix.is_empty(), "a restored tenant has no cached states");
+        assert_lines_carry_full_digests(&mut restored, &events[8..], 9);
+
+        // A migration install rebuilds from the state container a bundle
+        // carries, decoded on the receiving side.
+        let state =
+            crate::state::encode_tenant_state(&live, &[(0, 8)], Default::default()).unwrap();
+        let bundle = crate::migrate::encode_bundle(&crate::migrate::MigrationBundle {
+            tenant: 0,
+            seed: sc.seed,
+            state_round: 8,
+            state_bytes: state,
+            live_highwater: Vec::new(),
+            live_stats: Default::default(),
+            replay: Vec::new(),
+            pending: Vec::new(),
+        });
+        let received = crate::migrate::decode_bundle(&bundle).unwrap();
+        let st = crate::state::decode_tenant_state(&received.state_bytes).unwrap();
+        let mut installed = Tenant::from_blob(0, sc, st.kind, 1, &st.blob).unwrap();
+        assert!(installed.digest.prefix.is_empty(), "an installed tenant has no cached states");
+        assert_lines_carry_full_digests(&mut installed, &events[8..], 9);
+    }
+
+    #[test]
+    fn every_digest_of_a_big_field_replay_is_the_full_hash() {
+        // The big_field benchmark workload's shape: 4096 mobile nodes in
+        // 256 clusters, re-elected every 3 rounds, so affiliations and
+        // the changed counters move across the whole vector.
+        let sc = FieldScenario {
+            nodes: 4096,
+            clusters: 256,
+            field: 640.0,
+            faulty: 1024,
+            ..FieldScenario::mobile(tenant_seed(42, 1))
+        };
+        let mut tenant = Tenant::new(1, sc.clone(), EngineKind::Sequential, 1).unwrap();
+        let changed = assert_lines_carry_full_digests(&mut tenant, &sc.events(150), 1);
+        assert!(changed > 100, "only {changed} of 150 rounds moved a trust counter");
     }
 
     #[test]

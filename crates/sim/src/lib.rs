@@ -41,9 +41,11 @@
 
 // `unsafe` is denied crate-wide; the sanctioned exceptions are the
 // shard scheduler's worker pool (`shard.rs`), whose cursor-partitioned
-// slot handout and lifetime-erased epoch job need it, and the
-// `signal(2)` binding in `shutdown.rs`. Each site carries its own
-// safety argument.
+// slot handout and lifetime-erased epoch job need it, the `signal(2)`
+// binding in `shutdown.rs`, and the one call into the PCLMULQDQ CRC32
+// fold in `snapshot.rs`, made only after the CPU features it is
+// compiled for were detected (the fold itself is safe code). Each site
+// carries its own safety argument.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

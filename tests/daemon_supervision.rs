@@ -241,3 +241,130 @@ fn quarantined_tenant_reintegrates_after_probation() {
     assert_eq!(t0.shed_quarantine, 0, "quiet quarantine sheds nothing");
     assert_eq!(reference.decisions, out.decisions);
 }
+
+// ---------------------------------------------------------------------
+// A decision log that ends below the snapshot round: the engine state
+// counts rounds the log has lost, so resuming would append after a
+// permanent gap. Both restart paths must refuse with a typed error.
+
+/// Cuts `log` to its first `keep` lines.
+fn keep_lines(log: &std::path::Path, keep: usize) {
+    let text = std::fs::read_to_string(log).expect("decision log exists");
+    let kept: String = text.split_inclusive('\n').take(keep).collect();
+    assert_eq!(kept.lines().count(), keep, "the log holds more than {keep} lines");
+    std::fs::write(log, kept).expect("cut the log");
+}
+
+/// The round tenant `t`'s newest snapshot under `dir` was taken at.
+fn snapshot_round(dir: &std::path::Path, t: usize) -> Option<u64> {
+    let path = tibfit_daemon::state::tenant_state_path(dir, t);
+    tibfit_daemon::state::read_tenant_state(&path).ok().flatten().map(|s| s.round)
+}
+
+#[test]
+fn a_log_short_of_the_snapshot_fails_the_start_with_a_typed_error() {
+    let master = 0x5A_05;
+    let dir = fresh_dir("short-log-start");
+    let cfg = || {
+        let mut cfg = DaemonConfig::standard(TENANTS, master, dir.clone());
+        cfg.scenario = small_scenario;
+        cfg.snapshot_every = 2;
+        cfg.watchdog = fast_watchdog();
+        cfg
+    };
+    // Four ticks of two records: the shutdown snapshot is at round 8.
+    let mut daemon = Daemon::new(cfg()).expect("daemon builds");
+    daemon.run(Cursor::new(replay_range(master, 0, 4, 2))).expect("run completes");
+    assert_eq!(snapshot_round(&dir, 0), Some(8));
+    let log = dir.join("decisions").join("tenant0.log");
+    keep_lines(&log, 5);
+    let before = std::fs::read(&log).unwrap();
+
+    match Daemon::new(cfg()) {
+        Err(tibfit_daemon::DaemonError::State(msg)) => {
+            assert!(msg.contains("tenant 0"), "{msg}");
+            assert!(msg.contains("round 5") && msg.contains("round 8"), "{msg}");
+        }
+        Err(other) => panic!("expected a state error, got {other}"),
+        Ok(_) => panic!("a daemon started over a decision log with a hole"),
+    }
+    assert_eq!(std::fs::read(&log).unwrap(), before, "the short log was left as it was");
+}
+
+/// Yields `current`, then runs `gate` before yielding `second`.
+struct GatedReader {
+    current: Cursor<Vec<u8>>,
+    gate: Option<Box<dyn FnOnce() + Send>>,
+    second: Vec<u8>,
+}
+
+impl Read for GatedReader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.current.read(buf)?;
+        if n > 0 {
+            return Ok(n);
+        }
+        match self.gate.take() {
+            Some(gate) => {
+                gate();
+                self.current = Cursor::new(std::mem::take(&mut self.second));
+                self.current.read(buf)
+            }
+            None => Ok(0),
+        }
+    }
+}
+
+#[test]
+fn a_log_short_of_the_snapshot_quarantines_a_respawn() {
+    let master = 0x5A_06;
+    let dir = fresh_dir("short-log-respawn");
+    let log = dir.join("decisions").join("tenant0.log");
+    // Phase 1 is four ticks: tick 4's snapshot is at round 8. Once it
+    // is committed, the log loses rounds 6..=8; then the first record
+    // of phase 2 wedges the worker and the respawn reads snapshot 8. (A
+    // wedge, not a panic: the retired worker then exits cleanly, so the
+    // respawn's error is the tenant's last one.)
+    let gate = {
+        let dir = dir.clone();
+        let log = log.clone();
+        move || {
+            let deadline = std::time::Instant::now() + Duration::from_secs(30);
+            while snapshot_round(&dir, 0) != Some(8) {
+                assert!(std::time::Instant::now() < deadline, "snapshot 8 never landed");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            keep_lines(&log, 5);
+        }
+    };
+    let input = GatedReader {
+        current: Cursor::new(replay_range(master, 0, 4, 2).into_bytes()),
+        gate: Some(Box::new(gate)),
+        second: replay_range(master, 4, 8, 2).into_bytes(),
+    };
+    let fault = WorkerFault {
+        wedge_at_round: Some(9),
+        panic_at_round: None,
+        fail_incarnations: 0,
+    };
+    let mut cfg = DaemonConfig::standard(TENANTS, master, dir.clone());
+    cfg.scenario = small_scenario;
+    cfg.snapshot_every = 2;
+    cfg.watchdog = fast_watchdog();
+    cfg.faults = vec![(0, fault)];
+    let mut daemon = Daemon::new(cfg).expect("daemon builds");
+    let report = daemon.run(BufReader::new(input)).expect("run completes");
+
+    let t0 = &report.tenants[0];
+    assert!(t0.quarantined, "a respawn over a short log must not resume");
+    let msg = t0.last_error.as_deref().unwrap_or_default();
+    assert!(msg.contains("round 5") && msg.contains("round 8"), "{msg}");
+    let text = std::fs::read_to_string(&log).unwrap();
+    let rounds: Vec<u64> = text
+        .lines()
+        .map(|l| tibfit_daemon::tenant::decision_line_round(l).expect("a whole decision line"))
+        .collect();
+    assert_eq!(rounds, [1, 2, 3, 4, 5], "nothing was appended after the gap");
+    assert!(!report.tenants[1].quarantined);
+    assert_eq!(report.tenants[1].restarts, 0, "neighbor untouched");
+}

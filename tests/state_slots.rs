@@ -16,8 +16,8 @@ use tibfit_daemon::migrate::{encode_bundle, push_bundle, MigrationBundle};
 use tibfit_daemon::net_io::ListenSource;
 use tibfit_daemon::queue::QueueStats;
 use tibfit_daemon::state::{
-    decode_tenant_state, encode_tenant_state, read_tenant_snapshot, read_tenant_state,
-    tenant_state_path, tenant_state_slots, write_tenant_state, SLOT_HEADER,
+    decision_log_path, decode_tenant_state, encode_tenant_state, read_tenant_snapshot,
+    read_tenant_state, tenant_state_path, tenant_state_slots, write_tenant_state, SLOT_HEADER,
 };
 use tibfit_daemon::tenant::Tenant;
 use tibfit_daemon::wire::Report;
@@ -35,11 +35,17 @@ fn fresh_dir(tag: &str) -> PathBuf {
 /// Containers for rounds `1..=n` of tenant `id` built from `scenario`:
 /// each a different payload of the same shape.
 fn payloads(id: usize, scenario: &FieldScenario, n: usize) -> Vec<Vec<u8>> {
+    payloads_and_log(id, scenario, n).0
+}
+
+/// [`payloads`], plus the decision log the rounds write.
+fn payloads_and_log(id: usize, scenario: &FieldScenario, n: usize) -> (Vec<Vec<u8>>, String) {
     let mut tenant = Tenant::new(id, scenario.clone(), EngineKind::Sequential, 1).unwrap();
     let mut out = Vec::with_capacity(n);
+    let mut log = String::new();
     for (i, p) in scenario.events(n).into_iter().enumerate() {
         let seq = i as u64 + 1;
-        tenant.apply(&Report {
+        log += &tenant.apply(&Report {
             tenant: id,
             time: i as u64,
             src: 0,
@@ -47,9 +53,10 @@ fn payloads(id: usize, scenario: &FieldScenario, n: usize) -> Vec<Vec<u8>> {
             x: p.x,
             y: p.y,
         });
+        log.push('\n');
         out.push(encode_tenant_state(&tenant, &[(0, seq)], QueueStats::default()).unwrap());
     }
-    out
+    (out, log)
 }
 
 /// A field big enough that a container spans more than 8 KiB.
@@ -404,6 +411,7 @@ fn migration_install_never_resurrects_a_stale_slot() {
     let root = fresh_dir("install");
     let state = root.join("state");
     let mut cfg = DaemonConfig::standard(TENANTS, seed, state.clone());
+    let decisions = cfg.decisions_dir.clone();
     let scenario_of = cfg.scenario;
     let scenario = |t: usize| scenario_of(tenant_seed(seed, t));
     // Tenants 1 and 2 belong to daemon 1, which never runs: daemon 0
@@ -462,8 +470,12 @@ fn migration_install_never_resurrects_a_stale_slot() {
     assert!(read_tenant_snapshot(&path).unwrap().is_none());
     assert!(tenant_state_slots(&path).iter().all(|s| !s.exists()));
     // Tenant 2 arrives with an older round than the stale slots hold:
-    // it must land above generation 5, byte for byte.
-    let shipped = payloads(2, &scenario(2), 2).swap_remove(1);
+    // it must land above generation 5, byte for byte. Its source wrote
+    // the shared decision log through the shipped round.
+    let (mut shipped, log) = payloads_and_log(2, &scenario(2), 2);
+    let shipped = shipped.swap_remove(1);
+    std::fs::create_dir_all(&decisions).unwrap();
+    std::fs::write(decision_log_path(&decisions, 2), log).unwrap();
     push_bundle(&fleet_addr, 2, &bundle(2, shipped.clone())).expect("install tenant 2");
     assert_eq!(loaded(&tenant_state_path(&state, 2)), (6, shipped));
 
