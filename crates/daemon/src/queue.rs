@@ -8,14 +8,29 @@
 //! the router sees a `T` frame it calls [`SharedQueue::end_tick`],
 //! which:
 //!
-//! 1. **Waits** until the worker has fully applied every previously
-//!    issued batch (explicit backpressure — the router stops consuming
+//! 1. **Waits** for the worker only when something it is about to do
+//!    depends on the worker's state. There are four such cases:
+//!    - **(a)** the tick *sheds* (more pending records than the
+//!      budget): the queue drains fully first, so `impact` ranks
+//!      against settled positions;
+//!    - **(b)** the last issued snapshot tick has not completed: the
+//!      worker's [`SharedQueue::snapshot_view`] and
+//!      [`SharedQueue::commit_snapshot`] must see exactly that tick's
+//!      highwaters, counters and replay buffer;
+//!    - **(c)** seeded migration ticks are still replaying;
+//!    - **(d)** the records issued but not yet applied would exceed
+//!      `capacity`.
+//!
+//!    Otherwise the batch is issued behind the ones still in flight,
+//!    so the worker trails the router by at most one snapshot window.
+//!    A wait is explicit backpressure — the router stops consuming
 //!    input, which propagates to the upstream socket, instead of
-//!    letting the queue grow). Each wait is counted.
+//!    letting the queue grow — and each one is counted.
 //! 2. **Admits** at most `tick_budget` pending records, chosen by
 //!    highest *trust impact* (how many deployed nodes can sense the
 //!    stimulus), ties broken by the stable `(time, src, seq)` key.
-//!    Admitted records are applied in `(time, src, seq)` order.
+//!    Admitted records are applied in `(time, src, seq)` order. A tick
+//!    within budget admits everything and never evaluates `impact`.
 //! 3. **Sheds** the rest, counting every one (and logging its key when
 //!    shed recording is on).
 //! 4. **Advances the dedup highwater of every offered record — shed or
@@ -28,9 +43,11 @@
 //!    independent of queue capacity (any capacity ≥ budget) and of
 //!    where a crash lands.
 //!
-//! Because admission happens only after a full drain, the worker
-//! observes every batch against the same engine state in every life of
-//! the process — the property the differential shedding tests pin.
+//! Because ranking happens only after a full drain, the worker
+//! observes every shedding batch against the same engine state in
+//! every life of the process — the property the differential shedding
+//! tests pin. A batch within budget admits the same records whatever
+//! state the engine is in, so it needs no drain.
 //!
 //! ## Recovery buffer
 //!
@@ -45,6 +62,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 use crate::wire::{Query, Report};
 
@@ -125,7 +143,10 @@ pub struct QueueStats {
     pub shed_overflow: u64,
     /// Idempotent duplicate drops.
     pub duplicates: u64,
-    /// Times the router blocked waiting for the worker to drain.
+    /// Tick closes at which the router blocked for the worker: a
+    /// shedding tick's full drain, an unfinished snapshot tick or
+    /// seeded replay, or the capacity bound (see
+    /// [`SharedQueue::end_tick`]). One per blocked close, however long.
     pub backpressure_waits: u64,
 }
 
@@ -156,6 +177,13 @@ struct QueueState {
     highwater: BTreeMap<u64, u64>,
     issued_ticks: u64,
     completed_ticks: u64,
+    /// The tick that must complete before another is issued: the last
+    /// issued snapshot tick, or the last seeded migration tick.
+    barrier: u64,
+    /// Admitted records of each issued-but-uncompleted tick, oldest
+    /// first, and their sum.
+    in_flight: VecDeque<(u64, usize)>,
+    in_flight_records: usize,
     stats: QueueStats,
     shed_log: Vec<(u64, u64, u64)>,
     closed: bool,
@@ -176,17 +204,30 @@ struct QueueState {
 /// matters).
 pub struct SharedQueue {
     policy: QueuePolicy,
+    snapshot_every: u64,
     state: Mutex<QueueState>,
     work_available: Condvar,
     drained: Condvar,
 }
 
 impl SharedQueue {
-    /// Creates an empty queue under `policy`.
+    /// Creates an empty queue under `policy` whose every tick is a
+    /// snapshot tick, so [`SharedQueue::end_tick`] drains the worker
+    /// before each tick it issues.
     #[must_use]
     pub fn new(policy: QueuePolicy) -> Self {
+        Self::with_snapshot_every(policy, 1)
+    }
+
+    /// Creates an empty queue under `policy` for a worker that
+    /// snapshots at every tick divisible by `snapshot_every` (clamped
+    /// to at least 1). Between snapshot ticks the router issues
+    /// batches without waiting for the worker.
+    #[must_use]
+    pub fn with_snapshot_every(policy: QueuePolicy, snapshot_every: u64) -> Self {
         SharedQueue {
             policy,
+            snapshot_every: snapshot_every.max(1),
             state: Mutex::new(QueueState {
                 pending: Vec::new(),
                 pending_keys: BTreeSet::new(),
@@ -197,6 +238,9 @@ impl SharedQueue {
                 highwater: BTreeMap::new(),
                 issued_ticks: 0,
                 completed_ticks: 0,
+                barrier: 0,
+                in_flight: VecDeque::new(),
+                in_flight_records: 0,
                 stats: QueueStats::default(),
                 shed_log: Vec::new(),
                 closed: false,
@@ -237,7 +281,9 @@ impl SharedQueue {
     /// ticks `1..=issued`) to settle the engine before admitting a new
     /// batch against it.
     pub fn seed_ticks(&self, issued: u64) {
-        self.lock().issued_ticks = issued;
+        let mut st = self.lock();
+        st.issued_ticks = issued;
+        st.barrier = issued;
     }
 
     /// Removes and returns the open tick's pending records (migration
@@ -282,18 +328,38 @@ impl SharedQueue {
         self.lock().queries.push(query);
     }
 
-    /// Closes tick `tick`: waits for the worker to drain all previously
-    /// issued work (backpressure), admits up to the budget by greatest
-    /// `impact`, sheds and highwaters the rest, then issues the batch.
+    /// Closes tick `tick`: waits for the worker if the close depends on
+    /// its state, admits up to the budget by greatest `impact`, sheds
+    /// and highwaters the rest, then issues the batch.
     ///
-    /// `impact` is evaluated after the drain, so it sees the engine's
-    /// settled end-of-previous-tick positions — identical in every life
-    /// of the process and in both engines.
+    /// It waits (once counted in [`QueueStats::backpressure_waits`])
+    /// until none of these holds:
+    ///
+    /// - the tick sheds and any issued tick is unfinished: `impact` is
+    ///   evaluated after a full drain, so it sees the engine's settled
+    ///   end-of-previous-tick positions — identical in every life of
+    ///   the process and in both engines;
+    /// - the last issued snapshot tick, or the last seeded migration
+    ///   tick, is unfinished: issuing now would move the highwaters,
+    ///   counters and replay buffer under that tick's snapshot;
+    /// - the records in flight plus this batch would exceed
+    ///   [`QueuePolicy::capacity`].
+    ///
+    /// A tick within budget admits every pending record and never calls
+    /// `impact`.
     pub fn end_tick(&self, tick: u64, impact: impl Fn(&Report) -> u64) -> TickAdmission {
         let mut st = self.lock();
-        if st.issued_ticks != st.completed_ticks {
+        let sheds = st.pending.len() > self.policy.tick_budget;
+        let admit = st.pending.len().min(self.policy.tick_budget);
+        let must_wait = |st: &QueueState| {
+            let settle = if sheds { st.issued_ticks } else { st.barrier };
+            !st.closed
+                && (st.completed_ticks < settle
+                    || st.in_flight_records + admit > self.policy.capacity)
+        };
+        if must_wait(&st) {
             st.stats.backpressure_waits += 1;
-            while st.issued_ticks != st.completed_ticks && !st.closed {
+            while must_wait(&st) {
                 st = self
                     .drained
                     .wait(st)
@@ -304,61 +370,53 @@ impl SharedQueue {
             return TickAdmission::default();
         }
 
-        // Merge arrival-overflow keys now that the worker is quiescent:
-        // highwater mutations happen only here, strictly between the
-        // worker's tick-boundary snapshots.
+        // Merge arrival-overflow keys: highwater mutations happen only
+        // here, and never while the worker snapshots (the snapshot tick
+        // is a barrier above).
         let overflow: Vec<(u64, u64)> = std::mem::take(&mut st.overflow_keys);
         for (src, seq) in overflow {
             let hw = st.highwater.entry(src).or_insert(0);
             *hw = (*hw).max(seq);
         }
 
+        let key = |r: &Report| (r.time, r.src, r.seq);
         let mut batch = std::mem::take(&mut st.pending);
         st.pending_keys.clear();
-        let mut ranked: Vec<(u64, usize)> = batch
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (impact(r), i))
-            .collect();
-        ranked.sort_by(|(ia, a), (ib, b)| {
-            ib.cmp(ia).then_with(|| {
-                let ra = &batch[*a];
-                let rb = &batch[*b];
-                (ra.time, ra.src, ra.seq).cmp(&(rb.time, rb.src, rb.seq))
-            })
-        });
-        let admit = self.policy.tick_budget.min(ranked.len());
-        let mut admitted_idx: Vec<usize> = ranked[..admit].iter().map(|&(_, i)| i).collect();
-        admitted_idx.sort_by_key(|&i| (batch[i].time, batch[i].src, batch[i].seq));
-
         let outcome = TickAdmission {
             admitted: admit,
-            shed: ranked.len() - admit,
+            shed: batch.len() - admit,
         };
-        for &(_, i) in &ranked[admit..] {
-            let r = &batch[i];
-            let hw = st.highwater.entry(r.src).or_insert(0);
-            *hw = (*hw).max(r.seq);
-            if self.policy.record_shed {
-                st.shed_log.push((tick, r.src, r.seq));
+        if sheds {
+            let mut ranked: Vec<(u64, usize)> = batch
+                .iter()
+                .enumerate()
+                .map(|(i, r)| (impact(r), i))
+                .collect();
+            ranked.sort_by(|(ia, a), (ib, b)| {
+                ib.cmp(ia).then_with(|| key(&batch[*a]).cmp(&key(&batch[*b])))
+            });
+            let mut kept = vec![false; batch.len()];
+            for &(_, i) in &ranked[..admit] {
+                kept[i] = true;
             }
+            for &(_, i) in &ranked[admit..] {
+                let r = &batch[i];
+                let hw = st.highwater.entry(r.src).or_insert(0);
+                *hw = (*hw).max(r.seq);
+                if self.policy.record_shed {
+                    st.shed_log.push((tick, r.src, r.seq));
+                }
+            }
+            let mut kept = kept.into_iter();
+            batch.retain(|_| kept.next() == Some(true));
         }
+        batch.sort_by_key(key);
+
         st.stats.shed_budget += outcome.shed as u64;
         st.stats.admitted += outcome.admitted as u64;
 
         let mut items: Vec<WorkItem> = Vec::with_capacity(admit + 2);
-        for i in admitted_idx {
-            let r = std::mem::replace(
-                &mut batch[i],
-                Report {
-                    tenant: 0,
-                    time: 0,
-                    src: 0,
-                    seq: 0,
-                    x: 0.0,
-                    y: 0.0,
-                },
-            );
+        for r in batch {
             let hw = st.highwater.entry(r.src).or_insert(0);
             *hw = (*hw).max(r.seq);
             items.push(WorkItem::Record(r));
@@ -377,9 +435,37 @@ impl SharedQueue {
             st.ready.push_back(item);
         }
         st.issued_ticks = tick;
+        if self.is_snapshot_tick(tick) {
+            st.barrier = tick;
+        }
+        if admit > 0 {
+            st.in_flight.push_back((tick, admit));
+            st.in_flight_records += admit;
+        }
         drop(st);
         self.work_available.notify_all();
         outcome
+    }
+
+    /// Whether the worker snapshots at tick `tick`. The queue owns the
+    /// cadence: [`SharedQueue::end_tick`] holds the next tick back until
+    /// this one completes, so the snapshot sees exactly its highwaters.
+    #[must_use]
+    pub fn is_snapshot_tick(&self, tick: u64) -> bool {
+        tick.is_multiple_of(self.snapshot_every)
+    }
+
+    /// Waits up to `timeout` for every issued tick to complete, and
+    /// returns whether they have. A closed queue counts as settled.
+    pub fn wait_settled(&self, timeout: Duration) -> bool {
+        let st = self.lock();
+        let (st, _) = self
+            .drained
+            .wait_timeout_while(st, timeout, |st| {
+                !st.closed && st.completed_ticks < st.issued_ticks
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+        st.closed || st.completed_ticks >= st.issued_ticks
     }
 
     /// Blocks until a work item is available (or the queue is closed),
@@ -416,6 +502,13 @@ impl SharedQueue {
             return;
         }
         st.completed_ticks = st.completed_ticks.max(tick);
+        while let Some(&(t, records)) = st.in_flight.front() {
+            if t > tick {
+                break;
+            }
+            st.in_flight.pop_front();
+            st.in_flight_records -= records;
+        }
         drop(st);
         self.drained.notify_all();
     }
@@ -426,9 +519,11 @@ impl SharedQueue {
     /// `Ok(false)` without writing if `generation` is superseded: a
     /// replaced worker must not publish a state file (or clear the
     /// buffer) that its replacement's respawn sequence no longer
-    /// accounts for. The write is short (a rename-into-place of an
-    /// already-encoded blob) and happens only at tick boundaries, so
-    /// holding the lock across it is acceptable.
+    /// accounts for. The write is short (an already-encoded blob written
+    /// in place into the older state slot, then one `sync_data`) and
+    /// happens only at snapshot ticks, which the router cannot pass
+    /// until the commit is done anyway, and at shutdown, so holding the
+    /// lock across it is acceptable.
     pub fn commit_snapshot<E>(
         &self,
         generation: u64,
@@ -443,8 +538,9 @@ impl SharedQueue {
         Ok(true)
     }
 
-    /// The dedup highwaters and counters, cloned for a snapshot. Only
-    /// meaningful at a tick boundary (which is when workers call it).
+    /// The dedup highwaters and counters, cloned for a snapshot. At a
+    /// snapshot tick they are exactly those of that tick's issue: the
+    /// router issues nothing further until the tick completes.
     #[must_use]
     pub fn snapshot_view(&self) -> (Vec<(u64, u64)>, QueueStats) {
         let st = self.lock();
@@ -502,6 +598,8 @@ impl SharedQueue {
         let mut st = self.lock();
         st.ready.clear();
         st.completed_ticks = st.issued_ticks;
+        st.in_flight.clear();
+        st.in_flight_records = 0;
         drop(st);
         self.drained.notify_all();
     }
@@ -529,6 +627,9 @@ impl SharedQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     fn report(src: u64, seq: u64, x: f64) -> Report {
         Report {
@@ -721,15 +822,255 @@ mod tests {
 
     #[test]
     fn seeded_ticks_make_end_tick_wait_for_replay_completion() {
-        let q = std::sync::Arc::new(SharedQueue::new(policy(4, 4)));
+        let q = Arc::new(SharedQueue::with_snapshot_every(policy(4, 4), 4));
         q.seed_ticks(3);
         assert!(q.has_outstanding());
-        let q2 = q.clone();
-        let h = std::thread::spawn(move || q2.end_tick(4, |_| 0));
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        let h = close_in_background(&q, 4);
+        wait_for_backpressure(&q, 1);
+        q.complete_tick(0, 2);
+        assert!(!h.is_finished(), "ticks 1..=3 all replay first");
         // Replay completing tick 3 releases the parked end_tick.
         q.complete_tick(0, 3);
         assert_eq!(h.join().unwrap(), TickAdmission::default());
+    }
+
+    /// Closes `tick` on a router thread, offering nothing first.
+    fn close_in_background(
+        q: &Arc<SharedQueue>,
+        tick: u64,
+    ) -> std::thread::JoinHandle<TickAdmission> {
+        let q = Arc::clone(q);
+        std::thread::spawn(move || q.end_tick(tick, |_| 0))
+    }
+
+    /// Spins until `q` has counted `waits` backpressure waits. The
+    /// counter moves just before the router parks, and only a worker
+    /// call can release it, so a test may then assert it is blocked.
+    fn wait_for_backpressure(q: &SharedQueue, waits: u64) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while q.stats().backpressure_waits < waits {
+            assert!(Instant::now() < deadline, "end_tick never blocked");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Pops tick `tick`'s items, returning its records.
+    fn pop_tick(q: &SharedQueue, tick: u64) -> Vec<Report> {
+        let mut records = Vec::new();
+        loop {
+            match q.pop(0) {
+                Some(WorkItem::Record(r)) => records.push(r),
+                Some(WorkItem::TickEnd(t)) => {
+                    assert_eq!(t, tick);
+                    return records;
+                }
+                other => panic!("unexpected item {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn ticks_before_the_snapshot_tick_issue_without_waiting() {
+        let q = SharedQueue::with_snapshot_every(policy(64, 4), 4);
+        for tick in 1..=3 {
+            q.offer(report(1, tick, 0.0));
+            q.end_tick(tick, |_| 0);
+        }
+        assert_eq!(q.stats().backpressure_waits, 0);
+        for tick in 1..=3 {
+            assert_eq!(pop_tick(&q, tick), vec![report(1, tick, 0.0)]);
+        }
+        // Tick 4 is the snapshot tick: it too issues behind the rest.
+        q.end_tick(4, |_| 0);
+        assert_eq!(q.stats().backpressure_waits, 0);
+        assert_eq!(pop_tick(&q, 4), Vec::new());
+    }
+
+    #[test]
+    fn the_tick_after_a_snapshot_tick_waits_for_it() {
+        let q = Arc::new(SharedQueue::with_snapshot_every(policy(64, 4), 4));
+        for tick in 1..=4 {
+            q.end_tick(tick, |_| 0);
+        }
+        let h = close_in_background(&q, 5);
+        wait_for_backpressure(&q, 1);
+        for tick in 1..=3 {
+            q.complete_tick(0, tick);
+            assert!(!h.is_finished(), "end_tick(5) ran before tick 4 completed");
+        }
+        q.complete_tick(0, 4);
+        h.join().unwrap();
+        assert_eq!(q.stats().backpressure_waits, 1);
+        // Ticks 5..=8 form the next window.
+        for tick in 6..=8 {
+            q.end_tick(tick, |_| 0);
+        }
+        assert_eq!(q.stats().backpressure_waits, 1);
+    }
+
+    #[test]
+    fn a_shedding_tick_waits_for_a_full_drain_and_alone_ranks() {
+        let q = Arc::new(SharedQueue::with_snapshot_every(policy(8, 1), 100));
+        let ranked = Arc::new(AtomicUsize::new(0));
+        let impact = {
+            let ranked = Arc::clone(&ranked);
+            move |r: &Report| {
+                ranked.fetch_add(1, AtomicOrdering::SeqCst);
+                r.x as u64
+            }
+        };
+        q.offer(report(1, 1, 0.0));
+        q.end_tick(1, impact.clone());
+        q.offer(report(1, 2, 0.0));
+        q.end_tick(2, impact.clone());
+        assert_eq!(ranked.load(AtomicOrdering::SeqCst), 0, "no tick shed yet");
+        assert_eq!(q.stats().backpressure_waits, 0);
+        for seq in 3..=5 {
+            q.offer(report(1, seq, seq as f64));
+        }
+        let h = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || q.end_tick(3, impact))
+        };
+        wait_for_backpressure(&q, 1);
+        q.complete_tick(0, 1);
+        assert!(!h.is_finished(), "a shedding tick ran with tick 2 in flight");
+        assert_eq!(ranked.load(AtomicOrdering::SeqCst), 0);
+        q.complete_tick(0, 2);
+        assert_eq!(h.join().unwrap(), TickAdmission { admitted: 1, shed: 2 });
+        assert_eq!(ranked.load(AtomicOrdering::SeqCst), 3, "ranked once per record");
+        pop_tick(&q, 1);
+        pop_tick(&q, 2);
+        assert_eq!(pop_tick(&q, 3), vec![report(1, 5, 5.0)]);
+    }
+
+    #[test]
+    fn records_in_flight_never_exceed_capacity() {
+        let capacity = 5;
+        let q = Arc::new(SharedQueue::with_snapshot_every(policy(capacity, 2), 1_000));
+        let worker = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                let mut tick = 0;
+                while let Some(item) = q.pop(0) {
+                    match item {
+                        WorkItem::TickEnd(t) => {
+                            tick = t;
+                            q.complete_tick(0, t);
+                        }
+                        WorkItem::Shutdown => break,
+                        _ => {}
+                    }
+                }
+                tick
+            })
+        };
+        let mut seq = 0;
+        for tick in 1..=200u64 {
+            for _ in 0..tick % 3 {
+                seq += 1;
+                q.offer(report(1, seq, 0.0));
+            }
+            q.end_tick(tick, |_| 0);
+            let st = q.lock();
+            assert!(
+                st.in_flight_records <= capacity,
+                "tick {tick}: {} records in flight",
+                st.in_flight_records
+            );
+        }
+        q.close();
+        assert_eq!(worker.join().unwrap(), 200);
+        assert_eq!(q.stats().admitted, seq);
+    }
+
+    #[test]
+    fn a_tick_that_would_overfill_the_queue_waits_for_room() {
+        let q = Arc::new(SharedQueue::with_snapshot_every(policy(4, 2), 1_000));
+        for tick in 1..=2 {
+            q.offer(report(1, 2 * tick - 1, 0.0));
+            q.offer(report(1, 2 * tick, 0.0));
+            q.end_tick(tick, |_| 0);
+        }
+        assert_eq!(q.stats().backpressure_waits, 0, "4 records fit a capacity of 4");
+        q.offer(report(1, 5, 0.0));
+        let h = close_in_background(&q, 3);
+        wait_for_backpressure(&q, 1);
+        assert!(!h.is_finished(), "a 5th record was issued over capacity 4");
+        q.complete_tick(0, 1);
+        assert_eq!(h.join().unwrap().admitted, 1);
+        assert_eq!(q.lock().in_flight_records, 3);
+    }
+
+    #[test]
+    fn snapshot_view_at_the_snapshot_tick_is_that_ticks_issue() {
+        let q = Arc::new(SharedQueue::with_snapshot_every(policy(64, 4), 2));
+        q.offer(report(1, 1, 0.0));
+        q.end_tick(1, |_| 0);
+        q.offer(report(1, 2, 0.0));
+        q.offer(report(2, 9, 0.0));
+        q.end_tick(2, |_| 0);
+        let at_issue = q.snapshot_view();
+        // The router runs ahead into tick 3 with newer records and
+        // parks at the snapshot-tick barrier.
+        q.offer(report(1, 3, 0.0));
+        q.offer(report(2, 10, 0.0));
+        let h = close_in_background(&q, 3);
+        wait_for_backpressure(&q, 1);
+        // The worker reaches tick 2's end and snapshots.
+        pop_tick(&q, 1);
+        pop_tick(&q, 2);
+        // Offers are counted as they arrive, so `offered` runs ahead;
+        // the highwaters and admission counters are tick 2's.
+        let (highwater, stats) = q.snapshot_view();
+        assert_eq!(highwater, vec![(1, 2), (2, 9)]);
+        assert_eq!(highwater, at_issue.0);
+        assert_eq!((stats.admitted, stats.shed_total()), (3, 0));
+        assert_eq!(q.commit_snapshot(0, || Ok::<(), ()>(())), Ok(true));
+        q.complete_tick(0, 2);
+        h.join().unwrap();
+        // The commit cleared ticks 1..=2 only; tick 3 is replayable.
+        let (_, buffer) = q.recovery_view();
+        assert_eq!(buffer.last(), Some(&WorkItem::TickEnd(3)));
+        assert_eq!(buffer.len(), 3);
+    }
+
+    #[test]
+    fn a_plain_queue_drains_every_tick() {
+        let q = Arc::new(SharedQueue::new(policy(64, 4)));
+        for tick in 1..=3u64 {
+            q.offer(report(1, tick, 0.0));
+            let h = close_in_background(&q, tick);
+            if tick > 1 {
+                wait_for_backpressure(&q, tick - 1);
+                assert!(!h.is_finished(), "tick {tick} issued before tick {} drained", tick - 1);
+                q.complete_tick(0, tick - 1);
+            }
+            assert_eq!(h.join().unwrap().admitted, 1);
+        }
+        assert_eq!(q.stats().backpressure_waits, 2);
+    }
+
+    #[test]
+    fn wait_settled_returns_once_every_issued_tick_completes() {
+        let q = Arc::new(SharedQueue::with_snapshot_every(policy(8, 4), 4));
+        assert!(!q.is_snapshot_tick(3));
+        assert!(q.is_snapshot_tick(4));
+        assert!(q.wait_settled(Duration::ZERO), "nothing issued yet");
+        q.end_tick(1, |_| 0);
+        q.end_tick(2, |_| 0);
+        q.complete_tick(0, 1);
+        assert!(!q.wait_settled(Duration::from_millis(1)), "tick 2 is in flight");
+        let worker = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || q.complete_tick(0, 2))
+        };
+        assert!(q.wait_settled(Duration::from_secs(10)));
+        worker.join().unwrap();
+        // A quarantine abandons what is in flight, which settles it.
+        q.end_tick(3, |_| 0);
+        q.abandon_tick();
+        assert!(q.wait_settled(Duration::ZERO));
     }
 
     #[test]

@@ -29,6 +29,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fs::{File, OpenOptions};
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
@@ -317,15 +318,18 @@ struct SlotCore {
     handle: Option<JoinHandle<Result<(), DaemonError>>>,
     /// Superseded incarnations that had not finished when replaced — a
     /// wedge, or a panic still unwinding. Each is canceled and fenced,
-    /// so it can only exit; its outcome is harvested once it has.
-    retired: Vec<JoinHandle<Result<(), DaemonError>>>,
+    /// so it can only exit; its outcome is harvested once it has. Each
+    /// handle carries its incarnation.
+    retired: Vec<(u64, JoinHandle<Result<(), DaemonError>>)>,
     health: Health,
     misses: u32,
     last_heartbeat: u64,
     incarnation: u64,
     restarts: u64,
     restart_checks: VecDeque<u64>,
-    last_error: Option<String>,
+    /// The newest error and the incarnation it belongs to (see
+    /// [`record_error`]).
+    last_error: Option<(u64, String)>,
 }
 
 struct SupervisorShared {
@@ -416,7 +420,6 @@ struct WorkerTask {
     epoch: u64,
     cancel: Arc<AtomicBool>,
     state_path: PathBuf,
-    snapshot_every: u64,
     fault: WorkerFault,
     recovery: Vec<WorkItem>,
     backoff_seed: u64,
@@ -456,17 +459,49 @@ fn write_snapshot(task: &WorkerTask) -> Result<(), DaemonError> {
     }
 }
 
-fn answer_query(tenant: &Tenant, query: Query) {
+/// What a worker accumulates between tick boundaries.
+#[derive(Default)]
+struct TickOutput {
+    /// Decision lines, pushed to the sink as one block.
+    lines: String,
+    /// Query answers, written to stdout as one block.
+    answers: String,
+    /// When each buffered answer's query was popped, for its latency
+    /// sample.
+    asked: Vec<Instant>,
+}
+
+fn answer_query(tenant: &Tenant, query: Query, out: &mut String) {
     match query {
         Query::Trust { tenant: id, node } => match tenant.trust_of(node) {
-            Some(v) => println!("A trust {id} {node} {v}"),
-            None => println!("A trust {id} {node} -"),
+            Some(v) => writeln!(out, "A trust {id} {node} {v}"),
+            None => writeln!(out, "A trust {id} {node} -"),
         },
-        Query::Round { tenant: id } => println!("A round {id} {}", tenant.round()),
+        Query::Round { tenant: id } => writeln!(out, "A round {id} {}", tenant.round()),
         // Status is answered at the router (it spans every tenant and
         // the peer roster) and never enqueued to a worker.
-        Query::Status => {}
+        Query::Status => Ok(()),
     }
+    .expect("formatting into a String cannot fail");
+}
+
+/// Writes the buffered answers to stdout in one locked write, then
+/// records each query's latency, write included. A failed write (the
+/// reader went away) drops the answers; it must not stop decisions.
+fn flush_answers(task: &WorkerTask, out: &mut TickOutput) {
+    if out.answers.is_empty() {
+        return;
+    }
+    let mut stdout = std::io::stdout().lock();
+    let _ = stdout
+        .write_all(out.answers.as_bytes())
+        .and_then(|()| stdout.flush());
+    drop(stdout);
+    for asked in out.asked.drain(..) {
+        let nanos = u64::try_from(asked.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        task.shared.query_latency.record(nanos);
+    }
+    out.answers.clear();
 }
 
 /// Worker-local decision-line buffer above this size is pushed to the
@@ -483,11 +518,19 @@ fn flush_lines(task: &WorkerTask, buf: &mut String) -> Result<(), DaemonError> {
     Ok(())
 }
 
+/// Writes out everything the worker holds: answers to stdout, decision
+/// lines to the sink, and the sink to its file.
+fn flush_output(task: &WorkerTask, out: &mut TickOutput) -> Result<(), DaemonError> {
+    flush_answers(task, out);
+    flush_lines(task, &mut out.lines)?;
+    lock_sink(&task.sink).flush(task.epoch)
+}
+
 fn process_item(
     task: &mut WorkerTask,
     item: WorkItem,
     live: bool,
-    buf: &mut String,
+    out: &mut TickOutput,
 ) -> Result<Step, DaemonError> {
     match item {
         WorkItem::Record(r) => {
@@ -509,37 +552,34 @@ fn process_item(
             // Buffer the line worker-side instead of taking the sink
             // mutex per record; blocks go to the sink at tick
             // boundaries (or at the size cap on record-dense ticks).
-            task.tenant.apply_into(&r, buf);
-            buf.push('\n');
-            if buf.len() >= LINE_BUFFER_FLUSH_BYTES {
-                flush_lines(task, buf)?;
+            task.tenant.apply_into(&r, &mut out.lines);
+            out.lines.push('\n');
+            if out.lines.len() >= LINE_BUFFER_FLUSH_BYTES {
+                flush_lines(task, &mut out.lines)?;
             }
             task.shared.applied.fetch_add(1, Ordering::SeqCst);
             task.shared.heartbeat.fetch_add(1, Ordering::SeqCst);
         }
         WorkItem::TickEnd(t) => {
-            flush_lines(task, buf)?;
-            lock_sink(&task.sink).flush(task.epoch)?;
+            // Answers first: they never wait on the log or a snapshot.
+            flush_output(task, out)?;
             // Snapshots are suppressed during recovery replay: the live
             // highwater map is ahead of the replay cursor, and pairing
             // it with a mid-replay engine state would poison a later
             // process restart.
-            if live && t % task.snapshot_every == 0 {
+            if live && task.queue.is_snapshot_tick(t) {
                 write_snapshot(task)?;
             }
             task.queue.complete_tick(task.generation, t);
             task.shared.heartbeat.fetch_add(1, Ordering::SeqCst);
         }
         WorkItem::Query(q) => {
-            let started = Instant::now();
-            answer_query(&task.tenant, q);
-            let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            task.shared.query_latency.record(nanos);
+            out.asked.push(Instant::now());
+            answer_query(&task.tenant, q, &mut out.answers);
             task.shared.heartbeat.fetch_add(1, Ordering::SeqCst);
         }
         WorkItem::Shutdown => {
-            flush_lines(task, buf)?;
-            lock_sink(&task.sink).flush(task.epoch)?;
+            flush_output(task, out)?;
             write_snapshot(task)?;
             return Ok(Step::Exit);
         }
@@ -548,24 +588,24 @@ fn process_item(
 }
 
 fn run_worker(mut task: WorkerTask) -> Result<(), DaemonError> {
-    let mut buf = String::new();
+    let mut out = TickOutput::default();
     let recovery = std::mem::take(&mut task.recovery);
     for item in recovery {
-        if let Step::Exit = process_item(&mut task, item, false, &mut buf)? {
+        if let Step::Exit = process_item(&mut task, item, false, &mut out)? {
             return Ok(());
         }
     }
     loop {
         let Some(item) = task.queue.pop(task.generation) else {
             // Queue closed (or this incarnation superseded) without a
-            // Shutdown item reaching us: push what we have and flush
+            // Shutdown item reaching us: write what we have and flush
             // the sink to disk — nothing later will. A superseded
-            // incarnation's block and flush are epoch-dropped.
-            flush_lines(&task, &mut buf)?;
-            lock_sink(&task.sink).flush(task.epoch)?;
+            // incarnation's block and flush are epoch-dropped; its
+            // answers are not, as no replacement re-answers them.
+            flush_output(&task, &mut out)?;
             return Ok(());
         };
-        if let Step::Exit = process_item(&mut task, item, true, &mut buf)? {
+        if let Step::Exit = process_item(&mut task, item, true, &mut out)? {
             return Ok(());
         }
     }
@@ -595,7 +635,6 @@ fn spawn_incarnation(
         epoch,
         cancel,
         state_path: tenant_state_path(&cfg.state_dir, id),
-        snapshot_every: cfg.snapshot_every,
         fault: cfg.fault_for(id),
         recovery,
         backoff_seed: cfg.master_seed ^ (id as u64) ^ (incarnation << 32),
@@ -654,12 +693,27 @@ fn cut_log_to_snapshot(log: &Path, id: usize, round: u64) -> Result<(), DaemonEr
     Ok(())
 }
 
-/// Records how a worker incarnation ended.
-fn record_exit(slot: &mut SlotCore, outcome: std::thread::Result<Result<(), DaemonError>>) {
+/// Records `msg` as the slot's last error unless a newer source has
+/// already recorded one. Sources rank by incarnation; a respawn attempt
+/// ranks as the incarnation it tried to start. So a retired worker
+/// that finishes unwinding late never overwrites the typed error of a
+/// respawn that failed after it was retired.
+fn record_error(slot: &mut SlotCore, incarnation: u64, msg: String) {
+    if slot.last_error.as_ref().is_none_or(|(at, _)| incarnation >= *at) {
+        slot.last_error = Some((incarnation, msg));
+    }
+}
+
+/// Records how worker `incarnation` ended.
+fn record_exit(
+    slot: &mut SlotCore,
+    incarnation: u64,
+    outcome: std::thread::Result<Result<(), DaemonError>>,
+) {
     match outcome {
         Ok(Ok(())) => {}
-        Ok(Err(e)) => slot.last_error = Some(e.to_string()),
-        Err(_) => slot.last_error = Some("worker panicked".into()),
+        Ok(Err(e)) => record_error(slot, incarnation, e.to_string()),
+        Err(_) => record_error(slot, incarnation, "worker panicked".into()),
     }
 }
 
@@ -670,7 +724,9 @@ fn record_exit(slot: &mut SlotCore, outcome: std::thread::Result<Result<(), Daem
 /// not be lost.
 fn retire_worker(slot: &mut SlotCore) {
     slot.cancel.store(true, Ordering::SeqCst);
-    slot.retired.extend(slot.handle.take());
+    let incarnation = slot.incarnation;
+    slot.retired
+        .extend(slot.handle.take().map(|h| (incarnation, h)));
     harvest_retired(slot, false);
 }
 
@@ -681,9 +737,9 @@ fn retire_worker(slot: &mut SlotCore) {
 fn harvest_retired(slot: &mut SlotCore, wait: bool) {
     let mut i = 0;
     while i < slot.retired.len() {
-        if wait || slot.retired[i].is_finished() {
-            let outcome = slot.retired.remove(i).join();
-            record_exit(slot, outcome);
+        if wait || slot.retired[i].1.is_finished() {
+            let (incarnation, handle) = slot.retired.remove(i);
+            record_exit(slot, incarnation, handle.join());
         } else {
             i += 1;
         }
@@ -741,7 +797,8 @@ fn respawn_slot(cfg: &DaemonConfig, slot: &mut SlotCore, probation_until: u64) {
             slot.last_heartbeat = slot.shared.heartbeat.load(Ordering::SeqCst);
         }
         Err(e) => {
-            slot.last_error = Some(e.to_string());
+            let attempted = slot.incarnation + 1;
+            record_error(slot, attempted, e.to_string());
             slot.health = Health::Quarantined {
                 until_check: probation_until,
             };
@@ -885,7 +942,10 @@ fn build_slot(
 ) -> Result<(SlotCore, RouterSlot), DaemonError> {
     let scenario = (cfg.scenario)(tenant_seed(cfg.master_seed, id));
     let path = tenant_state_path(&cfg.state_dir, id);
-    let queue = Arc::new(SharedQueue::new(cfg.queue));
+    let queue = Arc::new(SharedQueue::with_snapshot_every(
+        cfg.queue,
+        cfg.snapshot_every,
+    ));
     let (tenant, round) = match read_tenant_state(&path)? {
         Some(state) => {
             if state.seed != scenario.seed {
@@ -1237,9 +1297,19 @@ impl Daemon {
         // and the listener mid-install; both finish their current
         // operation before exiting, so the slot set is stable below.
         let fleet_summary = self.fleet.take().map(FleetRuntime::stop);
-        // A final tick flushes any open batch and pending queries, and
-        // gives every worker a defined quiescent point before shutdown.
+        // A final tick flushes any open batch and pending queries.
         self.close_tick();
+        // Pipelined ticks let a worker trail its router by up to one
+        // snapshot window. Wait, with the watchdog still running, until
+        // every live worker has applied all it was issued: a worker
+        // that panics or wedges in that window is respawned and replays
+        // it, as anywhere mid-stream. A quarantined tenant has no
+        // worker to wait for.
+        for slot in read_router(&self.router).values() {
+            while slot.shared.health.load(Ordering::SeqCst) != HEALTH_QUARANTINED
+                && !slot.queue.wait_settled(Duration::from_millis(5))
+            {}
+        }
         // Stop the watchdog before closing queues so it cannot
         // misread a cleanly exiting worker as a crash.
         self.sup.stop.store(true, Ordering::SeqCst);
@@ -1258,12 +1328,12 @@ impl Daemon {
                 // handle (if any) is already dead or canceled.
                 retire_worker(slot);
             } else if let Some(handle) = slot.handle.take() {
-                let outcome = handle.join();
-                record_exit(slot, outcome);
+                let incarnation = slot.incarnation;
+                record_exit(slot, incarnation, handle.join());
             }
-            // Retired incarnations go last, so a panic that was still
-            // unwinding when its worker was replaced is what the report
-            // shows.
+            // A panic that was still unwinding when its worker was
+            // replaced reaches the report, unless a newer incarnation or
+            // respawn attempt recorded an error since.
             harvest_retired(slot, true);
             tenants.push(TenantSummary {
                 id: slot.id,
@@ -1272,7 +1342,7 @@ impl Daemon {
                 shed_quarantine: slot.shared.shed_quarantine.load(Ordering::SeqCst),
                 restarts: slot.restarts,
                 quarantined,
-                last_error: slot.last_error.clone(),
+                last_error: slot.last_error.as_ref().map(|(_, e)| e.clone()),
             });
         }
         drop(slots);
@@ -1980,5 +2050,62 @@ impl DaemonReport {
             }
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn small_scenario(seed: u64) -> FieldScenario {
+        FieldScenario {
+            nodes: 16,
+            clusters: 2,
+            field: 40.0,
+            faulty: 4,
+            noise_sigma: 1.0,
+            loss: 0.0,
+            drift_sigma: 0.3,
+            reelect_every: 4,
+            seed,
+        }
+    }
+
+    #[test]
+    fn a_late_panic_never_overwrites_a_newer_respawn_error() {
+        let dir = std::env::temp_dir().join(format!("tibfit-late-harvest-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = DaemonConfig::standard(1, 7, dir.clone());
+        cfg.scenario = small_scenario;
+        std::fs::create_dir_all(&cfg.decisions_dir).unwrap();
+        let (mut slot, _route) = build_slot(&cfg, 0, None).unwrap();
+        // Shut the real worker down: its final snapshot is the state
+        // file the respawn below reads.
+        slot.queue.close();
+        slot.handle.take().unwrap().join().unwrap().unwrap();
+
+        // Incarnation 0 is now a worker that panics only when released,
+        // so it is still running when the watchdog retires it.
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        slot.handle = Some(std::thread::spawn(move || {
+            let _ = gate.recv();
+            panic!("injected late panic");
+        }));
+        // The respawn reads that state file under another master seed
+        // and fails with a typed error.
+        let mut other = cfg.clone();
+        other.master_seed = 8;
+        respawn_slot(&other, &mut slot, 0);
+        assert!(matches!(slot.health, Health::Quarantined { .. }));
+        assert_eq!(slot.retired.len(), 1, "the retired worker is still running");
+        let typed = slot.last_error.clone().expect("the respawn recorded its error");
+        assert!(typed.1.contains("seed"), "{}", typed.1);
+
+        // Only now does the retired incarnation finish, panicking.
+        release.send(()).unwrap();
+        harvest_retired(&mut slot, true);
+        assert!(slot.retired.is_empty());
+        assert_eq!(slot.last_error, Some(typed), "the late panic is older");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -47,6 +47,10 @@ fn decisions(state_dir: &Path) -> Vec<String> {
 }
 
 fn gen_replay(dir: &Path, seed: u64, ticks: u64) -> PathBuf {
+    gen_replay_per_tick(dir, seed, ticks, 1)
+}
+
+fn gen_replay_per_tick(dir: &Path, seed: u64, ticks: u64, per_tick: u64) -> PathBuf {
     let replay = dir.join("events.replay");
     run_ok(&[
         "gen-replay",
@@ -59,7 +63,7 @@ fn gen_replay(dir: &Path, seed: u64, ticks: u64) -> PathBuf {
         "--ticks",
         &ticks.to_string(),
         "--per-tick",
-        "1",
+        &per_tick.to_string(),
     ]);
     replay
 }
@@ -118,6 +122,45 @@ fn seeded_aborts_resume_byte_identical_across_20_seeds() {
         let engine = if seed % 2 == 0 { "seq" } else { "sharded" };
         crash_resume_cycle(seed, engine, 8);
     }
+}
+
+#[test]
+fn an_abort_mid_window_resumes_byte_identical() {
+    // Snapshots every 3 ticks; the abort fires once tick 5 is issued.
+    // The router issues ticks 4 and 5 without waiting for the worker,
+    // so the abort can land while it still trails; tick 3's snapshot
+    // is the newest on disk either way, since tick 4 waited for it.
+    let seed = 970u64;
+    let per_tick = 6;
+    let root = fresh_dir("mid-window");
+    let replay = gen_replay_per_tick(&root, seed, 12, per_tick);
+    let replay = replay.to_str().unwrap();
+    let seed_s = seed.to_string();
+
+    let ref_dir = root.join("ref");
+    run_ok(&serve_args(replay, ref_dir.to_str().unwrap(), &seed_s, "seq"));
+    let reference = decisions(&ref_dir);
+
+    let crash_dir = root.join("crash");
+    let crash_dir_s = crash_dir.to_str().unwrap().to_string();
+    let mut crash_args = serve_args(replay, &crash_dir_s, &seed_s, "seq");
+    crash_args.extend_from_slice(&["--crash-after-ticks", "5"]);
+    let out = Command::new(bin()).args(&crash_args).output().expect("binary spawns");
+    assert!(!out.status.success(), "the crash plan must abort after tick 5");
+    for t in 0..TENANTS {
+        let path = tibfit_daemon::state::tenant_state_path(&crash_dir, t);
+        let state = tibfit_daemon::state::read_tenant_state(&path)
+            .expect("a valid state file")
+            .expect("tick 3's snapshot was committed");
+        assert_eq!(state.round, 3 * per_tick, "tenant {t}: newest snapshot is tick 3's");
+    }
+
+    run_ok(&serve_args(replay, &crash_dir_s, &seed_s, "seq"));
+    assert_eq!(
+        reference,
+        decisions(&crash_dir),
+        "mid-window abort + resume must be byte-identical"
+    );
 }
 
 #[test]

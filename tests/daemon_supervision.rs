@@ -77,10 +77,20 @@ struct RunOutput {
 }
 
 fn run_with(tag: &str, master: u64, faults: Vec<(usize, WorkerFault)>, input: impl Read) -> RunOutput {
+    run_every(tag, master, faults, 2, input)
+}
+
+fn run_every(
+    tag: &str,
+    master: u64,
+    faults: Vec<(usize, WorkerFault)>,
+    snapshot_every: u64,
+    input: impl Read,
+) -> RunOutput {
     let dir = fresh_dir(tag);
     let mut cfg = DaemonConfig::standard(TENANTS, master, dir.clone());
     cfg.scenario = small_scenario;
-    cfg.snapshot_every = 2;
+    cfg.snapshot_every = snapshot_every;
     cfg.watchdog = fast_watchdog();
     cfg.faults = faults;
     let mut daemon = Daemon::new(cfg).expect("daemon builds");
@@ -140,6 +150,113 @@ fn wedged_worker_restarts_with_byte_identical_decisions() {
     assert!(faulted.report.tenants[0].restarts >= 1);
     assert!(!faulted.report.tenants[0].quarantined);
     assert!(faulted.report.min_impact_trust < 1.0);
+}
+
+#[test]
+fn a_stream_within_budget_waits_only_at_snapshot_ticks() {
+    let master = 0x5A_07;
+    let every = 4;
+    let stream = replay_range(master, 0, 40, 3);
+    let out = run_every("pipe-waits", master, Vec::new(), every, Cursor::new(stream));
+    // The router waits only for the tick after each snapshot tick (the
+    // capacity bound never binds at 3 records a tick), so this bound
+    // holds however fast the worker runs.
+    let bound = out.report.ticks.div_ceil(every);
+    for t in &out.report.tenants {
+        assert_eq!(t.stats.shed_total(), 0);
+        assert!(
+            t.stats.backpressure_waits <= bound,
+            "tenant {}: {} waits over {} ticks at snapshot-every {every}",
+            t.id,
+            t.stats.backpressure_waits,
+            out.report.ticks
+        );
+    }
+}
+
+#[test]
+fn a_panic_mid_window_restarts_with_byte_identical_decisions() {
+    let master = 0x5A_08;
+    let every = 4;
+    let stream = replay_range(master, 0, 16, 4);
+    let reference =
+        run_every("window-ref", master, Vec::new(), every, Cursor::new(stream.clone()));
+    // Round 23 is the third record of tick 6. Snapshots are at ticks 4
+    // and 8, so the router may issue ticks 7 and 8 before the worker
+    // reaches it; the respawn then replays ticks 5..=8 from snapshot 4.
+    let fault = WorkerFault {
+        wedge_at_round: None,
+        panic_at_round: Some(23),
+        fail_incarnations: 1,
+    };
+    let faulted =
+        run_every("window-run", master, vec![(0, fault)], every, Cursor::new(stream));
+
+    assert_eq!(reference.decisions, faulted.decisions);
+    let t0 = &faulted.report.tenants[0];
+    assert!(t0.restarts >= 1, "watchdog must restart");
+    assert!(!t0.quarantined);
+    // The replay from snapshot 4 (round 16) re-applied rounds 17..=22.
+    assert_eq!(t0.applied, reference.report.tenants[0].applied + 6);
+    assert_eq!(faulted.report.tenants[1].restarts, 0, "neighbor untouched");
+}
+
+/// Faults tenant 0 at round 58, the second record of tick 15, in a run
+/// of 15 ticks plus the final one shutdown closes, snapshotting every 4
+/// ticks. Nothing waits on tick 15 until shutdown: the router can reach
+/// end-of-stream while the worker is still in window 13..=16, so the
+/// watchdog must keep running until the worker has caught up. A daemon
+/// that hangs on exit fails the test instead of stalling the suite.
+fn fault_in_the_last_window(tag: &'static str, master: u64, fault: WorkerFault, runs: u64) {
+    let every = 4;
+    let stream = replay_range(master, 0, 15, 4);
+    let reference = run_every(tag, master, Vec::new(), every, Cursor::new(stream.clone()));
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let faulted = run_every(
+            &format!("{tag}-run"),
+            master,
+            vec![(0, fault)],
+            every,
+            Cursor::new(stream),
+        );
+        let _ = done.send(faulted);
+    });
+    let faulted = finished
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the faulted daemon exits");
+
+    assert_eq!(faulted.report.ticks, 16);
+    assert_eq!(reference.decisions, faulted.decisions);
+    let t0 = &faulted.report.tenants[0];
+    assert!(t0.restarts >= runs, "watchdog must restart each faulty run");
+    assert!(!t0.quarantined);
+    // Each faulty run re-applied rounds 49..=57 from snapshot 12.
+    assert!(t0.applied >= reference.report.tenants[0].applied + 9 * runs);
+    assert_eq!(faulted.report.tenants[1].restarts, 0, "neighbor untouched");
+}
+
+#[test]
+fn a_panic_in_the_last_window_restarts_before_shutdown() {
+    // Two incarnations panic at the same round: the first respawn
+    // replays into the second panic, so both respawns must happen
+    // while shutdown waits for the worker.
+    let fault = WorkerFault {
+        wedge_at_round: None,
+        panic_at_round: Some(58),
+        fail_incarnations: 2,
+    };
+    fault_in_the_last_window("last-panic", 0x5A_09, fault, 2);
+}
+
+#[test]
+fn a_wedge_in_the_last_window_restarts_before_shutdown() {
+    let fault = WorkerFault {
+        wedge_at_round: Some(58),
+        panic_at_round: None,
+        fail_incarnations: 0,
+    };
+    fault_in_the_last_window("last-wedge", 0x5A_0A, fault, 1);
 }
 
 #[test]
@@ -322,9 +439,9 @@ fn a_log_short_of_the_snapshot_quarantines_a_respawn() {
     let log = dir.join("decisions").join("tenant0.log");
     // Phase 1 is four ticks: tick 4's snapshot is at round 8. Once it
     // is committed, the log loses rounds 6..=8; then the first record
-    // of phase 2 wedges the worker and the respawn reads snapshot 8. (A
-    // wedge, not a panic: the retired worker then exits cleanly, so the
-    // respawn's error is the tenant's last one.)
+    // of phase 2 panics the worker and the respawn reads snapshot 8.
+    // The respawn's typed error is the one reported, even when the
+    // panicking worker finishes unwinding only after it was recorded.
     let gate = {
         let dir = dir.clone();
         let log = log.clone();
@@ -343,9 +460,9 @@ fn a_log_short_of_the_snapshot_quarantines_a_respawn() {
         second: replay_range(master, 4, 8, 2).into_bytes(),
     };
     let fault = WorkerFault {
-        wedge_at_round: Some(9),
-        panic_at_round: None,
-        fail_incarnations: 0,
+        wedge_at_round: None,
+        panic_at_round: Some(9),
+        fail_incarnations: 1,
     };
     let mut cfg = DaemonConfig::standard(TENANTS, master, dir.clone());
     cfg.scenario = small_scenario;
