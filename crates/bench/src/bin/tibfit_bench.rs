@@ -10,25 +10,18 @@
 //! tibfit-bench --quick                      # CI-sized workloads
 //! tibfit-bench --out results/bench.json     # alternate report path
 //! tibfit-bench --check BENCH_kernel.json    # exit 1 on >10% regression
-//! tibfit-bench --profile                    # also write BENCH_phases.json
 //! ```
-//!
-//! `--profile` additionally writes `BENCH_phases.json`, the per-phase
-//! scheduler breakdown (staging, parallel wall, worker busy, estimated
-//! barrier wait, mailbox routing) of the production-scale sharded runs.
 //!
 //! `--check` compares every key against the baseline report in the
 //! direction `KEY_GATES` assigns it — higher is better (throughput,
 //! speedups), lower is better (times, per-unit costs, sizes), or
 //! informational (workload shape, counts) — and fails if any gated key
-//! degrades by more than 10%, or if a key has no entry in the table.
-//! Speedup keys, being ratios of two noisy wall times, additionally get
-//! a small absolute slack so values near 0.3x don't flake on scheduler
-//! jitter. On top of the relative comparison, `--check` asserts
-//! absolute floors:
-//! `cti_cache_speedup >= 5` everywhere, and the `shard*_speedup` floors
-//! (×1 >= 0.95, ×4 >= 2.0, and `shard_big_4t_speedup` >= 1.5 at
-//! production scale) on machines with at least four cores.
+//! degrades by more than 10%, if a key has no entry in the table, or if
+//! a baseline key is no longer reported. Speedup keys, being ratios of
+//! two noisy wall times, additionally get a small absolute slack so
+//! values near 0.3x don't flake on scheduler jitter. On top of the
+//! relative comparison, `--check` asserts absolute floors, starting
+//! with `cti_cache_speedup >= 5`.
 //! `--floors` asserts the same absolute floors *without* a baseline
 //! file — the CI mode, immune to cross-hardware baseline skew. The
 //! daemon's `daemon_query_p99_us` must stay under 20 ms. Both
@@ -60,7 +53,6 @@ use tibfit_net::geometry::Point;
 use tibfit_experiments::checkpoint::{restore_sequential, save_sequential};
 use tibfit_experiments::des::{DesClusterSim, DesConfig};
 use tibfit_experiments::exp1;
-use tibfit_experiments::exp6_scale::{run_exp6, run_exp6_with_phases, Exp6Config, Exp6Phases};
 use tibfit_experiments::multicluster::{grid_sites, MultiClusterConfig, MultiClusterSim};
 use tibfit_experiments::replay::{render_replay, replay_records};
 use tibfit_net::channel::BernoulliLoss;
@@ -177,7 +169,7 @@ fn micro(pattern: &[u64], burst: usize, samples: u32) -> (f64, f64) {
     (wheel, heap)
 }
 
-fn run_all(quick: bool) -> (Vec<(&'static str, f64)>, Vec<Exp6Phases>) {
+fn run_all(quick: bool) -> Vec<(&'static str, f64)> {
     let mut out: Vec<(&'static str, f64)> = Vec::new();
     out.push(("schema_version", 1.0));
     out.push(("quick", f64::from(u8::from(quick))));
@@ -255,155 +247,6 @@ fn run_all(quick: bool) -> (Vec<(&'static str, f64)>, Vec<Exp6Phases>) {
     out.push(("des_events_per_sec", des_eps));
     out.push(("des_ns_per_event", ns_per_event));
     out.push(("des_peak_queue_depth", peak_depth as f64));
-
-    // Sharded multi-cluster engine: the exp6 midpoint (32 clusters,
-    // 640 nodes, mobile workload). Each run_exp6 call re-verifies that
-    // the sharded trust state matches the sequential reference before
-    // reporting numbers. Best elapsed per engine across runs; speedups
-    // are sequential wall-clock over sharded wall-clock, so they mostly
-    // measure orchestration overhead on single-core machines and genuine
-    // parallelism on multicore ones.
-    let shard_rounds = if quick { 10 } else { 40 };
-    let shard_runs = if quick { 2 } else { 4 };
-    let shard_cfg = Exp6Config {
-        clusters: vec![32],
-        threads: vec![1, 4],
-        nodes_per_cluster: 20,
-        events: shard_rounds,
-        faulty_fraction: 0.25,
-        seed: 42,
-        adaptive: false,
-    };
-    // Measures one exp6 sweep config; returns (best seq ns, best ×1 ns,
-    // best ×4 ns, ×1 dispatched). Row order from run_exp6: sequential
-    // (threads = 0), then ×1, ×4.
-    let measure = |cfg: &Exp6Config| {
-        let mut best_ns = [u128::MAX; 3];
-        let mut dispatched = [0u64; 3];
-        for _ in 0..shard_runs {
-            let points = run_exp6(cfg).expect("static sweep config is valid");
-            for (i, p) in points.iter().enumerate() {
-                best_ns[i] = best_ns[i].min(p.elapsed_ns);
-                dispatched[i] = p.dispatched;
-            }
-        }
-        (best_ns, dispatched[1])
-    };
-
-    // Fixed per-round windows: one barrier per event round.
-    let (shard_best_ns, shard_disp) = measure(&shard_cfg);
-    let shard_eps = shard_disp as f64 / (shard_best_ns[1] as f64 / 1e9);
-    let shard_1t = shard_best_ns[0] as f64 / shard_best_ns[1] as f64;
-    let shard_4t = shard_best_ns[0] as f64 / shard_best_ns[2] as f64;
-    println!(
-        "shard/32_clusters: seq {}, x1 {} ({:.2} Mev/s, {:.2}x), x4 {} ({:.2}x)",
-        format_ns(shard_best_ns[0]),
-        format_ns(shard_best_ns[1]),
-        shard_eps / 1e6,
-        shard_1t,
-        format_ns(shard_best_ns[2]),
-        shard_4t,
-    );
-    out.push(("shard_clusters", 32.0));
-    out.push(("shard_rounds", shard_rounds as f64));
-    out.push(("shard_seq_wall_ms", shard_best_ns[0] as f64 / 1e6));
-    out.push(("shard_events_per_sec", shard_eps));
-    out.push(("shard_1t_speedup", shard_1t));
-    out.push(("shard_4t_speedup", shard_4t));
-
-    // Adaptive windows on the persistent pool: one barrier per
-    // re-election stretch (4 rounds on this workload), same sequential
-    // denominator.
-    let pool_cfg = Exp6Config { adaptive: true, ..shard_cfg };
-    let (pool_best_ns, pool_disp) = measure(&pool_cfg);
-    let pool_eps = pool_disp as f64 / (pool_best_ns[1] as f64 / 1e9);
-    let pool_1t = pool_best_ns[0] as f64 / pool_best_ns[1] as f64;
-    let pool_4t = pool_best_ns[0] as f64 / pool_best_ns[2] as f64;
-    println!(
-        "shard_pool/32_clusters (adaptive): x1 {} ({:.2} Mev/s, {:.2}x), x4 {} ({:.2}x)",
-        format_ns(pool_best_ns[1]),
-        pool_eps / 1e6,
-        pool_1t,
-        format_ns(pool_best_ns[2]),
-        pool_4t,
-    );
-    out.push(("shard_pool_events_per_sec", pool_eps));
-    out.push(("shard_pool_1t_speedup", pool_1t));
-    out.push(("shard_pool_4t_speedup", pool_4t));
-
-    // Production-scale sharded point: the exp6 "big smoke" config
-    // (1024 clusters on a complete 32x32 site lattice, 65,536 nodes).
-    // This is the honest-gating workload for the >= 1.5x four-thread
-    // floor below: at 32 clusters each epoch does too little work to
-    // amortize barriers and mailbox routing, so only a deployment this
-    // size can show whether sharding actually wins.
-    //
-    // Methodology — why sequential vs. sharded is apples-to-apples:
-    //   * run_exp6 builds a fresh, *identical* deployment for every
-    //     engine row from the same seed: same topology, same faulty
-    //     set, same per-node RNG streams, same event schedule. The
-    //     sharded engines replay exactly the workload the sequential
-    //     baseline ran, and run_exp6 verifies byte-identical trust
-    //     state (DeterminismViolation otherwise) before a single
-    //     number is reported.
-    //   * Warmup and sampling are symmetric: best-of-`big_runs`
-    //     applies to every row (sequential, x1, x4) of the same sweep,
-    //     so allocator and page-cache warmup effects cancel instead of
-    //     favoring whichever engine runs second.
-    //   * Speedup denominators are wall-clock of the *sequential*
-    //     engine, never of the x1 sharded run — the floor asks "is
-    //     sharding worth it at all", not "do more threads help the
-    //     sharded engine beat itself".
-    let big_cfg = Exp6Config::big_smoke(42);
-    let big_runs = if quick { 2 } else { 3 };
-    let mut big_best = [u128::MAX; 3];
-    let mut big_disp = 0u64;
-    let mut big_phases: Vec<Exp6Phases> = Vec::new();
-    for _ in 0..big_runs {
-        let (points, run_phases) =
-            run_exp6_with_phases(&big_cfg).expect("big smoke config is valid");
-        for (i, p) in points.iter().enumerate() {
-            big_best[i] = big_best[i].min(p.elapsed_ns);
-        }
-        big_disp = points[1].dispatched;
-        // Keep the last run's phase breakdown: by then every engine is
-        // warm, so it is the most representative of steady state.
-        big_phases = run_phases;
-    }
-    let big_nodes = big_cfg.clusters[0] * big_cfg.nodes_per_cluster;
-    let big_eps = big_disp as f64 / (big_best[1] as f64 / 1e9);
-    let big_1t = big_best[0] as f64 / big_best[1] as f64;
-    let big_4t = big_best[0] as f64 / big_best[2] as f64;
-    println!(
-        "shard_big/{}_clusters ({} nodes): seq {}, x1 {} ({:.2} Mev/s, {:.2}x), x4 {} ({:.2}x)",
-        big_cfg.clusters[0],
-        big_nodes,
-        format_ns(big_best[0]),
-        format_ns(big_best[1]),
-        big_eps / 1e6,
-        big_1t,
-        format_ns(big_best[2]),
-        big_4t,
-    );
-    for ph in &big_phases {
-        println!(
-            "  phase/x{}: {} epochs, stage {}, parallel {} (busy {}, barrier est {}), route {}",
-            ph.threads,
-            ph.epochs,
-            format_ns(ph.stage_ns as u128),
-            format_ns(ph.parallel_ns as u128),
-            format_ns(ph.busy_ns as u128),
-            format_ns(ph.barrier_wait_ns() as u128),
-            format_ns(ph.route_ns as u128),
-        );
-    }
-    out.push(("shard_big_clusters", big_cfg.clusters[0] as f64));
-    out.push(("shard_big_nodes", big_nodes as f64));
-    out.push(("shard_big_rounds", big_cfg.events as f64));
-    out.push(("shard_big_seq_wall_ms", big_best[0] as f64 / 1e6));
-    out.push(("shard_big_events_per_sec", big_eps));
-    out.push(("shard_big_1t_speedup", big_1t));
-    out.push(("shard_big_4t_speedup", big_4t));
 
     // Incremental CTI cache: exp() evaluations actually paid per CH
     // decision vs the uncached cost of one exponential per trust-weight
@@ -743,7 +586,7 @@ fn run_all(quick: bool) -> (Vec<(&'static str, f64)>, Vec<Exp6Phases>) {
     out.push(("exp1_trials", trials as f64));
     out.push(("exp1_wall_ms", exp1_best_ns as f64 / 1e6));
 
-    (out, big_phases)
+    out
 }
 
 /// One command round trip against a daemon's fleet port: sends the
@@ -792,32 +635,6 @@ fn to_json(metrics: &[(&'static str, f64)]) -> String {
     s
 }
 
-/// Renders the per-phase scheduler breakdown of the big-config sharded
-/// runs as flat JSON (one key block per `(clusters, threads)` cell), the
-/// `--profile` artifact CI uploads. `barrier_wait_ms` is the estimated
-/// idle time at epoch barriers: parallel wall-clock times participants,
-/// minus the workers' measured busy time.
-fn phases_to_json(phases: &[Exp6Phases]) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"schema_version\": 1");
-    for ph in phases {
-        let prefix = format!("shard_big_c{}_x{}", ph.clusters, ph.threads);
-        s.push_str(&format!(",\n  \"{prefix}_epochs\": {}", ph.epochs));
-        s.push_str(&format!(",\n  \"{prefix}_participants\": {}", ph.participants));
-        for (name, ns) in [
-            ("stage_ms", ph.stage_ns),
-            ("parallel_ms", ph.parallel_ns),
-            ("busy_ms", ph.busy_ns),
-            ("barrier_wait_ms", ph.barrier_wait_ns()),
-            ("route_ms", ph.route_ns),
-        ] {
-            s.push_str(&format!(",\n  \"{prefix}_{name}\": {:.3}", ns as f64 / 1e6));
-        }
-    }
-    s.push_str("\n}\n");
-    s
-}
-
 /// How `--check` compares one report key against the baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Gate {
@@ -856,22 +673,6 @@ const KEY_GATES: &[(&str, Gate)] = &[
     ("des_events_per_sec", Gate::Higher),
     ("des_ns_per_event", Gate::Lower),
     ("des_peak_queue_depth", Gate::Info),
-    ("shard_clusters", Gate::Info),
-    ("shard_rounds", Gate::Info),
-    ("shard_seq_wall_ms", Gate::Lower),
-    ("shard_events_per_sec", Gate::Higher),
-    ("shard_1t_speedup", Gate::Ratio),
-    ("shard_4t_speedup", Gate::Ratio),
-    ("shard_pool_events_per_sec", Gate::Higher),
-    ("shard_pool_1t_speedup", Gate::Ratio),
-    ("shard_pool_4t_speedup", Gate::Ratio),
-    ("shard_big_clusters", Gate::Info),
-    ("shard_big_nodes", Gate::Info),
-    ("shard_big_rounds", Gate::Info),
-    ("shard_big_seq_wall_ms", Gate::Lower),
-    ("shard_big_events_per_sec", Gate::Higher),
-    ("shard_big_1t_speedup", Gate::Ratio),
-    ("shard_big_4t_speedup", Gate::Ratio),
     ("cti_cache_decisions", Gate::Info),
     ("cti_cache_exp_per_decision", Gate::Lower),
     ("cti_cache_reads_per_decision", Gate::Lower),
@@ -898,12 +699,24 @@ fn gate_of(key: &str) -> Option<Gate> {
     KEY_GATES.iter().find(|(k, _)| *k == key).map(|&(_, g)| g)
 }
 
+/// The keys of a flat JSON report, one `"key": value` pair per line as
+/// [`to_json`] writes them.
+fn json_keys(text: &str) -> impl Iterator<Item = &str> {
+    text.lines()
+        .filter_map(|line| line.trim().strip_prefix('"')?.split_once("\":").map(|(k, _)| k))
+}
+
 /// Compares current metrics against a baseline report. Returns the list
-/// of regression descriptions (empty = pass). Only keys present in both
+/// of regression descriptions (empty = pass). Keys present in both
 /// reports are compared; a key missing from [`KEY_GATES`] is reported
-/// rather than skipped, so a new key cannot go ungated by accident.
+/// rather than skipped, so a new key cannot go ungated by accident, and
+/// a baseline key the report no longer emits is reported too, so a gate
+/// cannot vanish by dropping its metric.
 fn regressions(metrics: &[(&'static str, f64)], baseline: &str) -> Vec<String> {
-    let mut bad = Vec::new();
+    let mut bad: Vec<String> = json_keys(baseline)
+        .filter(|&key| metrics.iter().all(|&(k, _)| k != key))
+        .map(|key| format!("{key}: in the baseline but no longer reported"))
+        .collect();
     for &(key, now) in metrics {
         let Some(base) = json_number(baseline, key) else {
             continue;
@@ -933,10 +746,7 @@ fn regressions(metrics: &[(&'static str, f64)], baseline: &str) -> Vec<String> {
 
 /// Absolute performance floors asserted by `--check` on top of the
 /// relative baseline comparison. The CTI-cache floor is a deterministic
-/// count ratio and holds on any hardware; the shard speedup floors are
-/// wall-clock ratios and only meaningful with real parallelism, so they
-/// are skipped (with a notice) on machines with fewer than four cores —
-/// a 4-thread run cannot beat sequential wall-clock on one core.
+/// count ratio and holds on any hardware.
 fn floor_violations(metrics: &[(&'static str, f64)]) -> Vec<String> {
     let mut bad = Vec::new();
     let get = |k: &str| metrics.iter().find(|(key, _)| *key == k).map(|&(_, v)| v);
@@ -958,29 +768,6 @@ fn floor_violations(metrics: &[(&'static str, f64)]) -> Vec<String> {
                 "daemon_query_p99_us: {p99:.0} us exceeds the 20000 us ceiling"
             ));
         }
-    }
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    if cores >= 4 {
-        for (key, floor) in [
-            ("shard_1t_speedup", 0.95),
-            ("shard_4t_speedup", 2.0),
-            ("shard_pool_1t_speedup", 0.95),
-            ("shard_pool_4t_speedup", 2.0),
-            // The tentpole gate: at production scale (65k+ nodes) four
-            // sharded threads must beat the sequential engine by 1.5x,
-            // or the whole sharding apparatus is overhead theater.
-            ("shard_big_4t_speedup", 1.5),
-        ] {
-            if let Some(v) = get(key) {
-                if v < floor {
-                    bad.push(format!("{key}: {v:.2} below the required {floor:.2}x"));
-                }
-            }
-        }
-    } else {
-        println!(
-            "floors: {cores} core(s) available — shard speedup floors skipped (need >= 4)"
-        );
     }
     // Restoring a checkpoint must cost under 5% of the exp1 sweep it
     // can save a crashed run from repeating.
@@ -1042,7 +829,6 @@ fn floor_violations(metrics: &[(&'static str, f64)]) -> Vec<String> {
 fn main() {
     let mut quick = false;
     let mut floors = false;
-    let mut profile: Option<String> = None;
     let mut out_path = String::from("BENCH_kernel.json");
     let mut check_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
@@ -1050,7 +836,6 @@ fn main() {
         match arg.as_str() {
             "--quick" => quick = true,
             "--floors" => floors = true,
-            "--profile" => profile = Some(String::from("BENCH_phases.json")),
             "--out" => match args.next() {
                 Some(p) => out_path = p,
                 None => {
@@ -1067,7 +852,7 @@ fn main() {
             },
             "--help" | "-h" => {
                 println!(
-                    "usage: tibfit-bench [--quick] [--floors] [--profile] [--out <path>] [--check <baseline.json>]"
+                    "usage: tibfit-bench [--quick] [--floors] [--out <path>] [--check <baseline.json>]"
                 );
                 return;
             }
@@ -1078,7 +863,7 @@ fn main() {
         }
     }
 
-    let (metrics, phases) = run_all(quick);
+    let metrics = run_all(quick);
     let json = to_json(&metrics);
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("cannot write {out_path}: {e}");
@@ -1086,20 +871,9 @@ fn main() {
     }
     println!("wrote {out_path}");
 
-    if let Some(phases_path) = profile {
-        let phases_json = phases_to_json(&phases);
-        if let Err(e) = std::fs::write(&phases_path, &phases_json) {
-            eprintln!("cannot write {phases_path}: {e}");
-            std::process::exit(2);
-        }
-        println!("wrote {phases_path}");
-    }
-
     if floors {
         // Floors-only mode for CI: no baseline file needed, so it is
-        // immune to cross-hardware baseline skew. The CTI floor is a
-        // deterministic count ratio and always applies; wall-clock shard
-        // floors apply only with >= 4 real cores (see floor_violations).
+        // immune to cross-hardware baseline skew.
         let bad = floor_violations(&metrics);
         if bad.is_empty() {
             println!("floors: OK");
@@ -1142,17 +916,10 @@ mod tests {
     const BASELINE: &str =
         include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernel.json"));
 
-    fn baseline_keys() -> Vec<&'static str> {
-        BASELINE
-            .lines()
-            .filter_map(|line| line.trim().strip_prefix('"')?.split('"').next())
-            .collect()
-    }
-
     #[test]
     fn every_baseline_key_has_a_gate() {
-        let keys = baseline_keys();
-        assert!(keys.len() > 50, "baseline parse found only {} keys", keys.len());
+        let keys: Vec<_> = json_keys(BASELINE).collect();
+        assert!(keys.len() > 30, "baseline parse found only {} keys", keys.len());
         let missing: Vec<_> = keys.iter().filter(|k| gate_of(k).is_none()).collect();
         assert!(missing.is_empty(), "keys without a --check gate: {missing:?}");
     }
@@ -1186,11 +953,14 @@ mod tests {
 
     #[test]
     fn ratio_keys_get_absolute_slack_and_info_keys_never_regress() {
-        let baseline = "{\n  \"shard_4t_speedup\": 0.3,\n  \"daemon_records\": 320\n}";
+        let baseline = "{\n  \"micro_dense_speedup\": 0.3,\n  \"daemon_records\": 320\n}";
+        let report = |speedup: f64, records: f64| {
+            regressions(&[("micro_dense_speedup", speedup), ("daemon_records", records)], baseline)
+        };
         // 0.2 is a 33% relative drop but within the absolute slack.
-        assert!(regressions(&[("shard_4t_speedup", 0.2)], baseline).is_empty());
-        assert_eq!(regressions(&[("shard_4t_speedup", 0.05)], baseline).len(), 1);
-        assert!(regressions(&[("daemon_records", 1.0)], baseline).is_empty());
+        assert!(report(0.2, 320.0).is_empty());
+        assert_eq!(report(0.05, 320.0).len(), 1);
+        assert!(report(0.3, 1.0).is_empty());
     }
 
     #[test]
@@ -1199,5 +969,19 @@ mod tests {
         let bad = regressions(&[("brand_new_metric", 1.0)], baseline);
         assert_eq!(bad.len(), 1);
         assert!(bad[0].contains("KEY_GATES"));
+    }
+
+    #[test]
+    fn baseline_keys_the_report_no_longer_emits_are_reported() {
+        let baseline = "{\n  \"des_wall_ms\": 2.0,\n  \"retired_speedup\": 0.8\n}";
+        let bad = regressions(&[("des_wall_ms", 2.0)], baseline);
+        assert_eq!(bad, ["retired_speedup: in the baseline but no longer reported"]);
+    }
+
+    #[test]
+    fn every_gate_names_a_baseline_key() {
+        let keys: Vec<_> = json_keys(BASELINE).collect();
+        let stale: Vec<_> = KEY_GATES.iter().filter(|(k, _)| !keys.contains(k)).collect();
+        assert!(stale.is_empty(), "gates for keys the baseline lacks: {stale:?}");
     }
 }

@@ -21,7 +21,7 @@ use std::process::ExitCode;
 
 use tibfit_daemon::fleet::{FleetConfig, FleetPolicy, PeerSpec};
 use tibfit_daemon::net_io::{stream_replay, FanInSource, ListenSource, DEFAULT_STREAM_DEADLINE_MS};
-use tibfit_daemon::{Daemon, DaemonConfig, DaemonReport, EngineKind};
+use tibfit_daemon::{Daemon, DaemonConfig, DaemonReport};
 use tibfit_experiments::replay::{replay_records, write_replay};
 use tibfit_faults::ProcessCrashPlan;
 use tibfit_sim::shutdown;
@@ -44,8 +44,6 @@ SERVE OPTIONS:
   --fan-in <K>             merge K concurrent connections (listen mode)
   --tenants <N>            hosted fields [2]
   --seed <S>               master seed [42]
-  --engine <seq|sharded>   engine flavor [seq]
-  --threads <K>            sharded worker threads [2]
   --state-dir <DIR>        snapshots + manifest [daemon-state]
   --decisions <DIR>        decision logs [<state-dir>/decisions]
   --queue-cap <N>          per-tenant queue capacity [1024]
@@ -183,11 +181,6 @@ fn parse_serve(args: &mut ArgStream) -> Result<ServeOpts, String> {
             }
             "--tenants" => cfg.tenants = args.parsed("--tenants")?,
             "--seed" => cfg.master_seed = args.parsed("--seed")?,
-            "--engine" => {
-                cfg.engine = EngineKind::from_name(&args.value("--engine")?)
-                    .map_err(|e| e.to_string())?;
-            }
-            "--threads" => cfg.threads = args.parsed("--threads")?,
             "--state-dir" => cfg.state_dir = PathBuf::from(args.value("--state-dir")?),
             "--decisions" => decisions = Some(PathBuf::from(args.value("--decisions")?)),
             "--queue-cap" => cfg.queue.capacity = args.parsed("--queue-cap")?,

@@ -30,7 +30,7 @@
 use std::fmt;
 
 use tibfit_experiments::checkpoint::CheckpointError;
-use tibfit_experiments::sharded::ShardedError;
+use tibfit_experiments::multicluster::MultiClusterError;
 use tibfit_sim::snapshot::SnapshotError;
 
 pub mod backoff;
@@ -53,8 +53,8 @@ pub use tenant::EngineKind;
 pub enum DaemonError {
     /// Filesystem or stream I/O.
     Io(std::io::Error),
-    /// An engine rejected its deployment.
-    Engine(ShardedError),
+    /// The engine rejected its deployment.
+    Engine(MultiClusterError),
     /// A snapshot container failed to encode or decode.
     Snapshot(SnapshotError),
     /// A checkpoint file failed to read, write, or restore.

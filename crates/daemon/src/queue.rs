@@ -338,7 +338,7 @@ impl SharedQueue {
     /// - the tick sheds and any issued tick is unfinished: `impact` is
     ///   evaluated after a full drain, so it sees the engine's settled
     ///   end-of-previous-tick positions — identical in every life of
-    ///   the process and in both engines;
+    ///   the process;
     /// - the last issued snapshot tick, or the last seeded migration
     ///   tick, is unfinished: issuing now would move the highwaters,
     ///   counters and replay buffer under that tick's snapshot;

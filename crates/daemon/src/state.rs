@@ -83,7 +83,9 @@ pub struct TenantState {
     /// Scenario master seed the tenant was built from (validated
     /// against the daemon's configuration on restore).
     pub seed: u64,
-    /// Engine flavor the blob was saved from.
+    /// Engine tag of the state file: `Sequential` for every state this
+    /// version writes, `Sharded` for a legacy one (see [`EngineKind`]).
+    /// Either restores the same way.
     pub kind: EngineKind,
     /// Engine round at snapshot time.
     pub round: u64,
@@ -129,8 +131,8 @@ pub fn decision_log_path(decisions_dir: &Path, id: usize) -> PathBuf {
 ///
 /// The engine checkpoint is written in place inside the engine section
 /// ([`SectionBuf::put_nested`]): the bytes are exactly those of
-/// `put_bytes(&save_sequential(..))` (or `save_sharded`), without
-/// building and copying that blob.
+/// `put_bytes(&save_sequential(..))`, without building and copying that
+/// blob.
 ///
 /// # Errors
 ///
@@ -149,7 +151,7 @@ pub fn encode_tenant_state(
 fn put_meta(s: &mut SectionBuf, tenant: &Tenant, highwater: &[(u64, u64)], stats: QueueStats) {
     s.put_usize(tenant.id());
     s.put_u64(tenant.scenario().seed);
-    s.put_u8(tenant.kind().tag());
+    s.put_u8(EngineKind::Sequential.tag());
     s.put_u64(tenant.round());
     s.put_usize(highwater.len());
     for &(src, seq) in highwater {
@@ -663,11 +665,10 @@ mod tests {
     }
 
     #[test]
-    fn encode_matches_the_two_step_reference_on_both_engines() {
-        use tibfit_experiments::checkpoint::{save_sequential, save_sharded};
+    fn encode_matches_the_two_step_reference() {
+        use tibfit_experiments::checkpoint::save_sequential;
 
         let sc = scenario(6);
-        let events = sc.events(9);
         let hw = vec![(0u64, 9u64), (5, 2)];
         let stats = QueueStats {
             offered: 11,
@@ -675,31 +676,24 @@ mod tests {
             duplicates: 2,
             ..QueueStats::default()
         };
-        for kind in [EngineKind::Sequential, EngineKind::Sharded] {
-            let mut tenant = Tenant::new(1, sc.clone(), kind, 2).unwrap();
-            let mut seq = sc.sequential().unwrap();
-            let mut par = sc.sharded(2).unwrap();
-            for (i, p) in events.iter().enumerate() {
-                tenant.apply(&crate::wire::Report {
-                    tenant: 1,
-                    time: i as u64,
-                    src: 0,
-                    seq: i as u64 + 1,
-                    x: p.x,
-                    y: p.y,
-                });
-                seq.run_event(*p);
-                par.run_event(*p);
-            }
-            let engine_blob = match kind {
-                EngineKind::Sequential => save_sequential(&seq).unwrap(),
-                EngineKind::Sharded => save_sharded(&par).unwrap(),
-            };
-            let reference = encode_two_step(&tenant, &engine_blob, &hw, stats);
-            let bytes = encode_tenant_state(&tenant, &hw, stats).unwrap();
-            assert_eq!(bytes, reference, "{kind:?}");
-            assert_eq!(decode_tenant_state(&bytes).unwrap().blob, engine_blob, "{kind:?}");
+        let mut tenant = Tenant::new(1, sc.clone(), EngineKind::Sequential, 1).unwrap();
+        let mut engine = sc.sequential().unwrap();
+        for (i, p) in sc.events(9).iter().enumerate() {
+            tenant.apply(&crate::wire::Report {
+                tenant: 1,
+                time: i as u64,
+                src: 0,
+                seq: i as u64 + 1,
+                x: p.x,
+                y: p.y,
+            });
+            engine.run_event(*p);
         }
+        let engine_blob = save_sequential(&engine).unwrap();
+        let reference = encode_two_step(&tenant, &engine_blob, &hw, stats);
+        let bytes = encode_tenant_state(&tenant, &hw, stats).unwrap();
+        assert_eq!(bytes, reference);
+        assert_eq!(decode_tenant_state(&bytes).unwrap().blob, engine_blob);
     }
 
     #[test]

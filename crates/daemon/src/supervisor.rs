@@ -123,9 +123,7 @@ pub struct DaemonConfig {
     /// Master seed; tenant `t` runs scenario seed
     /// [`tenant_seed`]`(master_seed, t)`.
     pub master_seed: u64,
-    /// Engine flavor for every tenant.
-    pub engine: EngineKind,
-    /// Worker threads per sharded engine.
+    /// Unused: every tenant runs the one engine on its own worker.
     pub threads: usize,
     /// Per-tenant queue sizing.
     pub queue: QueuePolicy,
@@ -161,7 +159,6 @@ impl DaemonConfig {
         DaemonConfig {
             tenants,
             master_seed,
-            engine: EngineKind::Sequential,
             threads: 2,
             queue: QueuePolicy {
                 capacity: 1024,
@@ -183,9 +180,6 @@ impl DaemonConfig {
     fn validated(&self) -> Result<(), DaemonError> {
         if self.tenants == 0 {
             return Err(DaemonError::Config("at least one tenant required".into()));
-        }
-        if self.threads == 0 {
-            return Err(DaemonError::Config("threads must be at least 1".into()));
         }
         if self.snapshot_every == 0 {
             return Err(DaemonError::Config("snapshot-every must be at least 1".into()));
@@ -659,12 +653,12 @@ fn rebuild_tenant(cfg: &DaemonConfig, id: usize) -> Result<(Tenant, u64), Daemon
                     state.seed, scenario.seed
                 )));
             }
-            let tenant = Tenant::from_blob(id, scenario, cfg.engine, cfg.threads, &state.blob)?;
+            let tenant = Tenant::from_blob(id, scenario, state.kind, cfg.threads, &state.blob)?;
             let round = state.round;
             Ok((tenant, round))
         }
         None => {
-            let tenant = Tenant::new(id, scenario, cfg.engine, cfg.threads)?;
+            let tenant = Tenant::new(id, scenario, EngineKind::Sequential, cfg.threads)?;
             Ok((tenant, 0))
         }
     }
@@ -954,12 +948,12 @@ fn build_slot(
                     state.seed, scenario.seed
                 )));
             }
-            let tenant = Tenant::from_blob(id, scenario, cfg.engine, cfg.threads, &state.blob)?;
+            let tenant = Tenant::from_blob(id, scenario, state.kind, cfg.threads, &state.blob)?;
             queue.seed_highwater(state.highwater.iter().copied());
             queue.seed_stats(state.stats);
             (tenant, state.round)
         }
-        None => (Tenant::new(id, scenario, cfg.engine, cfg.threads)?, 0),
+        None => (Tenant::new(id, scenario, EngineKind::Sequential, cfg.threads)?, 0),
     };
     let mut recovery = Vec::new();
     let mut initial_ticks = 0u64;

@@ -1,13 +1,12 @@
-//! One hosted field: an engine (sequential or sharded), its shared
-//! position view for the router's impact metric, and the deterministic
-//! decision-line formatter.
+//! One hosted field: the engine, its shared position view for the
+//! router's impact metric, and the deterministic decision-line
+//! formatter.
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use tibfit_experiments::checkpoint;
 use tibfit_experiments::multicluster::{MultiClusterSim, MultiRoundResult};
 use tibfit_experiments::replay::FieldScenario;
-use tibfit_experiments::sharded::ShardedMultiCluster;
 use tibfit_net::geometry::Point;
 use tibfit_net::topology::NodeId;
 use tibfit_sim::snapshot::SnapshotWriter;
@@ -15,14 +14,17 @@ use tibfit_sim::snapshot::SnapshotWriter;
 use crate::wire::Report;
 use crate::DaemonError;
 
-/// Which engine implementation backs a tenant. Both are bit-identical
-/// (pinned by the differential suite), so the choice is operational:
-/// the sharded engine trades threads for throughput on big fields.
+/// The engine tag a tenant state file carries. Every tenant runs one
+/// engine, [`MultiClusterSim`], and new states are always written with
+/// [`EngineKind::Sequential`]'s tag `0`. Tag `1` marks a state written
+/// by the sharded engine earlier versions offered: its checkpoint blob
+/// is the same bytes, so it restores into the same engine and resumes
+/// byte-identically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// The sequential reference engine.
+    /// Tag `0`: the engine, and the tag every new state carries.
     Sequential,
-    /// The sharded parallel engine.
+    /// Tag `1`: a legacy state from the removed sharded engine.
     Sharded,
 }
 
@@ -48,45 +50,13 @@ impl EngineKind {
             other => Err(DaemonError::State(format!("unknown engine tag {other}"))),
         }
     }
-
-    /// CLI spelling.
-    ///
-    /// # Errors
-    ///
-    /// [`DaemonError::Config`] on an unknown name.
-    pub fn from_name(name: &str) -> Result<Self, DaemonError> {
-        match name {
-            "seq" | "sequential" => Ok(EngineKind::Sequential),
-            "sharded" | "par" => Ok(EngineKind::Sharded),
-            other => Err(DaemonError::Config(format!(
-                "unknown engine {other:?} (expected seq|sharded)"
-            ))),
-        }
-    }
 }
 
-enum TenantEngine {
-    // Boxed: the engines carry cache-line-aligned hot state, so the
-    // variants are far larger than the enum's other residents.
-    Sequential(Box<MultiClusterSim>),
-    Sharded(Box<ShardedMultiCluster>),
-}
-
-impl TenantEngine {
-    /// Writes every node's position into `out` (indexed by node id) in
-    /// one pass; `out` keeps its allocation across calls.
-    fn positions_into(&self, out: &mut Vec<(f64, f64)>) {
-        let n = match self {
-            TenantEngine::Sequential(e) => e.node_count(),
-            TenantEngine::Sharded(e) => e.node_count(),
-        };
-        out.resize(n, (0.0, 0.0));
-        let put = |node: NodeId, p: Point| out[node.index()] = (p.x, p.y);
-        match self {
-            TenantEngine::Sequential(e) => e.for_each_position(put),
-            TenantEngine::Sharded(e) => e.for_each_position(put),
-        }
-    }
+/// Writes every node's position into `out` (indexed by node id) in one
+/// pass; `out` keeps its allocation across calls.
+fn positions_into(engine: &MultiClusterSim, out: &mut Vec<(f64, f64)>) {
+    out.resize(engine.node_count(), (0.0, 0.0));
+    engine.for_each_position(|node, p| out[node.index()] = (p.x, p.y));
 }
 
 /// The engine's node positions, shared with the router so admission
@@ -124,8 +94,7 @@ impl PositionView {
 pub struct Tenant {
     id: usize,
     scenario: FieldScenario,
-    kind: EngineKind,
-    engine: TenantEngine,
+    engine: MultiClusterSim,
     positions: Arc<PositionView>,
     /// The per-record trust digest, re-hashed only from the first
     /// trust word that changed since the previous record.
@@ -213,27 +182,23 @@ impl TrustDigest {
 }
 
 impl Tenant {
-    fn build(id: usize, scenario: FieldScenario, kind: EngineKind, engine: TenantEngine) -> Self {
-        let radius = match &engine {
-            TenantEngine::Sequential(e) => e.config().sensing_radius,
-            TenantEngine::Sharded(e) => e.config().sensing_radius,
-        };
+    fn build(id: usize, scenario: FieldScenario, engine: MultiClusterSim) -> Self {
         let mut points = Vec::new();
-        engine.positions_into(&mut points);
+        positions_into(&engine, &mut points);
         Tenant {
             id,
             scenario,
-            kind,
-            engine,
             positions: Arc::new(PositionView {
-                radius,
+                radius: engine.config().sensing_radius,
                 points: Mutex::new(points),
             }),
+            engine,
             digest: TrustDigest::default(),
         }
     }
 
-    /// Builds a fresh tenant from its scenario.
+    /// Builds a fresh tenant from its scenario. `kind` and `threads`
+    /// are ignored: every tenant runs the one engine.
     ///
     /// # Errors
     ///
@@ -241,21 +206,16 @@ impl Tenant {
     pub fn new(
         id: usize,
         scenario: FieldScenario,
-        kind: EngineKind,
-        threads: usize,
+        _kind: EngineKind,
+        _threads: usize,
     ) -> Result<Self, DaemonError> {
-        let engine = match kind {
-            EngineKind::Sequential => {
-                TenantEngine::Sequential(Box::new(scenario.sequential().map_err(DaemonError::Engine)?))
-            }
-            EngineKind::Sharded => {
-                TenantEngine::Sharded(Box::new(scenario.sharded(threads).map_err(DaemonError::Engine)?))
-            }
-        };
-        Ok(Tenant::build(id, scenario, kind, engine))
+        let engine = scenario.sequential().map_err(DaemonError::Engine)?;
+        Ok(Tenant::build(id, scenario, engine))
     }
 
-    /// Rebuilds a tenant from a checkpointed engine blob.
+    /// Rebuilds a tenant from a checkpointed engine blob. `kind` and
+    /// `threads` are ignored: a blob restores the same way whichever
+    /// engine tag its state file carries.
     ///
     /// # Errors
     ///
@@ -264,19 +224,12 @@ impl Tenant {
     pub fn from_blob(
         id: usize,
         scenario: FieldScenario,
-        kind: EngineKind,
-        threads: usize,
+        _kind: EngineKind,
+        _threads: usize,
         blob: &[u8],
     ) -> Result<Self, DaemonError> {
-        let engine = match kind {
-            EngineKind::Sequential => TenantEngine::Sequential(Box::new(
-                checkpoint::restore_sequential(blob).map_err(DaemonError::Checkpoint)?,
-            )),
-            EngineKind::Sharded => TenantEngine::Sharded(Box::new(
-                checkpoint::restore_sharded(blob, threads).map_err(DaemonError::Checkpoint)?,
-            )),
-        };
-        Ok(Tenant::build(id, scenario, kind, engine))
+        let engine = checkpoint::restore_sequential(blob).map_err(DaemonError::Checkpoint)?;
+        Ok(Tenant::build(id, scenario, engine))
     }
 
     /// Tenant index.
@@ -291,12 +244,6 @@ impl Tenant {
         &self.scenario
     }
 
-    /// Engine flavor.
-    #[must_use]
-    pub fn kind(&self) -> EngineKind {
-        self.kind
-    }
-
     /// The shared position view the router ranks impact with.
     #[must_use]
     pub fn positions(&self) -> Arc<PositionView> {
@@ -309,24 +256,18 @@ impl Tenant {
     /// view from this engine's state immediately.
     pub fn set_positions(&mut self, view: Arc<PositionView>) {
         debug_assert_eq!(view.radius.to_bits(), self.positions.radius.to_bits());
-        self.engine.positions_into(&mut view.lock());
+        positions_into(&self.engine, &mut view.lock());
         self.positions = view;
     }
 
     /// Completed event rounds.
     #[must_use]
     pub fn round(&self) -> u64 {
-        match &self.engine {
-            TenantEngine::Sequential(e) => e.round(),
-            TenantEngine::Sharded(e) => e.round(),
-        }
+        self.engine.round()
     }
 
     fn trust_bits(&self) -> Vec<u64> {
-        match &self.engine {
-            TenantEngine::Sequential(e) => e.trust_snapshot(),
-            TenantEngine::Sharded(e) => e.trust_snapshot(),
-        }
+        self.engine.trust_snapshot()
     }
 
     /// Raw trust counter `v` of one node (the value behind
@@ -335,15 +276,7 @@ impl Tenant {
     /// search in the node's cluster, not a walk of the whole field.
     #[must_use]
     pub fn trust_of(&self, node: usize) -> Option<f64> {
-        let node = NodeId(node);
-        match &self.engine {
-            TenantEngine::Sequential(e) => {
-                (node.index() < e.node_count()).then(|| e.trust_counter_of(node))
-            }
-            TenantEngine::Sharded(e) => {
-                (node.index() < e.node_count()).then(|| e.trust_counter_of(node))
-            }
-        }
+        (node < self.engine.node_count()).then(|| self.engine.trust_counter_of(NodeId(node)))
     }
 
     /// FNV-1a digest over the bit-exact trust vector — a cheap
@@ -371,11 +304,8 @@ impl Tenant {
     /// allocation beyond what the engine round itself needs.
     pub fn apply_into(&mut self, report: &Report, out: &mut String) {
         let stimulus = Point::new(report.x, report.y);
-        let result = match &mut self.engine {
-            TenantEngine::Sequential(e) => e.run_event(stimulus),
-            TenantEngine::Sharded(e) => e.run_event(stimulus),
-        };
-        self.engine.positions_into(&mut self.positions.lock());
+        let result = self.engine.run_event(stimulus);
+        positions_into(&self.engine, &mut self.positions.lock());
         self.decision_line_into(report, &result, out);
     }
 
@@ -405,10 +335,7 @@ impl Tenant {
             }
             let _ = write!(out, "{c}");
         }
-        match &self.engine {
-            TenantEngine::Sequential(e) => e.trust_snapshot_into(&mut self.digest.words),
-            TenantEngine::Sharded(e) => e.trust_snapshot_into(&mut self.digest.words),
-        }
+        self.engine.trust_snapshot_into(&mut self.digest.words);
         let _ = write!(out, " trust={:016x}", self.digest.update());
     }
 
@@ -420,11 +347,7 @@ impl Tenant {
     ///
     /// [`DaemonError::Snapshot`] if the engine state cannot be captured.
     pub fn save_engine_into(&self, w: &mut SnapshotWriter) -> Result<(), DaemonError> {
-        match &self.engine {
-            TenantEngine::Sequential(e) => checkpoint::save_sequential_into(e, w),
-            TenantEngine::Sharded(e) => checkpoint::save_sharded_into(e, w),
-        }
-        .map_err(DaemonError::Snapshot)
+        checkpoint::save_sequential_into(&self.engine, w).map_err(DaemonError::Snapshot)
     }
 }
 
@@ -479,19 +402,6 @@ mod tests {
     }
 
     #[test]
-    fn engines_produce_identical_decision_lines() {
-        let sc = small_scenario(tenant_seed(11, 0));
-        let mut seq = Tenant::new(0, sc.clone(), EngineKind::Sequential, 1).unwrap();
-        let mut par = Tenant::new(0, sc.clone(), EngineKind::Sharded, 2).unwrap();
-        for (i, p) in sc.events(6).into_iter().enumerate() {
-            let a = seq.apply(&report(i as u64 + 1, p.x, p.y));
-            let b = par.apply(&report(i as u64 + 1, p.x, p.y));
-            assert_eq!(a, b, "round {i}");
-            assert!(a.starts_with(&format!("D {} ", i + 1)));
-        }
-    }
-
-    #[test]
     fn blob_round_trip_resumes_identically() {
         let sc = small_scenario(5);
         let mut live = Tenant::new(0, sc.clone(), EngineKind::Sequential, 1).unwrap();
@@ -502,21 +412,23 @@ mod tests {
         let mut w = SnapshotWriter::new();
         live.save_engine_into(&mut w).unwrap();
         let blob = w.finish();
-        let mut restored =
-            Tenant::from_blob(0, sc.clone(), EngineKind::Sequential, 1, &blob).unwrap();
-        assert_eq!(restored.round(), 4);
+        // A legacy state's tag restores the same blob the same way.
+        let mut restored = [EngineKind::Sequential, EngineKind::Sharded]
+            .map(|kind| Tenant::from_blob(0, sc.clone(), kind, 1, &blob).unwrap());
         for (i, p) in events[4..].iter().enumerate() {
-            let a = live.apply(&report(i as u64 + 5, p.x, p.y));
-            let b = restored.apply(&report(i as u64 + 5, p.x, p.y));
-            assert_eq!(a, b);
+            let want = live.apply(&report(i as u64 + 5, p.x, p.y));
+            for tenant in &mut restored {
+                assert_eq!(tenant.apply(&report(i as u64 + 5, p.x, p.y)), want);
+            }
         }
+        assert!(restored.iter().all(|t| t.round() == 8));
     }
 
     #[test]
-    fn trust_of_matches_the_full_snapshot_on_both_engines() {
+    fn trust_of_matches_the_full_snapshot() {
         // Drift 3.0 with re-election every 4 rounds hands nodes between
         // clusters, so the lookup is checked across affiliation changes
-        // too (a stale sharded affiliation map fails this test).
+        // too (a stale affiliation map fails this test).
         let sc = FieldScenario {
             nodes: 64,
             clusters: 4,
@@ -524,23 +436,21 @@ mod tests {
             drift_sigma: 3.0,
             ..small_scenario(tenant_seed(13, 0))
         };
-        for (kind, threads) in [(EngineKind::Sequential, 1), (EngineKind::Sharded, 2)] {
-            let mut tenant = Tenant::new(0, sc.clone(), kind, threads).unwrap();
-            for (i, p) in sc.events(10).into_iter().enumerate() {
-                tenant.apply(&report(i as u64 + 1, p.x, p.y));
-                let all = tenant.trust_bits();
-                for (node, &bits) in all.iter().enumerate() {
-                    let v = tenant.trust_of(node).expect("node in range");
-                    assert_eq!(v.to_bits(), bits, "{kind:?} round {} node {node}", i + 1);
-                }
-                assert_eq!(tenant.trust_of(all.len()), None);
-                assert_eq!(tenant.trust_of(usize::MAX), None);
+        let mut tenant = Tenant::new(0, sc.clone(), EngineKind::Sequential, 1).unwrap();
+        for (i, p) in sc.events(10).into_iter().enumerate() {
+            tenant.apply(&report(i as u64 + 1, p.x, p.y));
+            let all = tenant.trust_bits();
+            for (node, &bits) in all.iter().enumerate() {
+                let v = tenant.trust_of(node).expect("node in range");
+                assert_eq!(v.to_bits(), bits, "round {} node {node}", i + 1);
             }
-            assert!(
-                tenant.trust_bits().iter().any(|&b| b != 0),
-                "{kind:?}: the run must move some counter off zero"
-            );
+            assert_eq!(tenant.trust_of(all.len()), None);
+            assert_eq!(tenant.trust_of(usize::MAX), None);
         }
+        assert!(
+            tenant.trust_bits().iter().any(|&b| b != 0),
+            "the run must move some counter off zero"
+        );
     }
 
     #[test]
@@ -744,8 +654,5 @@ mod tests {
             assert_eq!(EngineKind::from_tag(kind.tag()).unwrap(), kind);
         }
         assert!(EngineKind::from_tag(9).is_err());
-        assert_eq!(EngineKind::from_name("seq").unwrap(), EngineKind::Sequential);
-        assert_eq!(EngineKind::from_name("sharded").unwrap(), EngineKind::Sharded);
-        assert!(EngineKind::from_name("gpu").is_err());
     }
 }

@@ -90,8 +90,7 @@ fn usage() -> String {
      exp6 only: --checkpoint-every N writes a crash-resumable checkpoint every N event \
      rounds (to --resume PATH, default <out>/exp6_scale.tbsn); rerunning with the same \
      flags resumes from it. --big runs the production-scale sweep (409,600 and \
-     1,000,000 nodes) instead of the paper-scale one — every cell still runs the full \
-     determinism check against the sequential reference."
+     1,000,000 nodes) instead of the default one."
         .to_string()
 }
 

@@ -1,16 +1,15 @@
-//! Checkpoint/restore for the multi-cluster engines.
+//! Checkpoint/restore for the multi-cluster engine.
 //!
 //! A checkpoint captures a deployment at a round boundary — the only
 //! instant where no timers are in flight and no reports are buffered —
 //! and serializes it into the versioned, CRC-framed container from
-//! [`tibfit_sim::snapshot`]. The format is *engine-agnostic*: the same
-//! blob restores into the sequential [`MultiClusterSim`] or the sharded
-//! [`ShardedMultiCluster`] at any thread count, and both engines save
-//! byte-identical blobs at the same logical round. That is what makes
+//! [`tibfit_sim::snapshot`]. That is what makes
 //! kill-anywhere/resume-bit-identical work: the crash harness in
-//! `tests/crash_resume.rs` snapshots under one engine, resumes under
-//! either, and the completed run's declarations, trust trajectories,
-//! counters, and CSVs match the uninterrupted run byte for byte.
+//! `tests/crash_resume.rs` snapshots a [`MultiClusterSim`], resumes it,
+//! and the completed run's declarations, trust trajectories, counters,
+//! and CSVs match the uninterrupted run byte for byte. The format
+//! carries no engine tag: blobs an earlier, since removed sharded engine
+//! saved are the same bytes and restore here unchanged.
 //!
 //! ## Layout (container version 2)
 //!
@@ -47,10 +46,9 @@ use tibfit_sim::snapshot::{
 };
 
 use crate::multicluster::{
-    ClusterCapture, ClusterState, DeploymentHeader, MultiClusterConfig, MultiClusterSim,
-    COUNTER_NAMES,
+    ClusterCapture, ClusterState, DeploymentHeader, MultiClusterConfig, MultiClusterError,
+    MultiClusterSim, COUNTER_NAMES,
 };
-use crate::sharded::{ShardedError, ShardedMultiCluster};
 
 /// Section tag: deployment-wide header.
 const TAG_DEPLOYMENT: u8 = 1;
@@ -67,9 +65,8 @@ const ARITH_F64: u8 = 0;
 pub enum CheckpointError {
     /// The blob was malformed, corrupt, or version-skewed.
     Snapshot(SnapshotError),
-    /// The decoded deployment was rejected by an engine constructor
-    /// (e.g. a zero worker-thread count on the sharded path).
-    Engine(ShardedError),
+    /// The decoded deployment was rejected by the engine.
+    Engine(MultiClusterError),
     /// Reading or writing the checkpoint file failed.
     Io(std::io::Error),
 }
@@ -97,12 +94,6 @@ impl std::error::Error for CheckpointError {
 impl From<SnapshotError> for CheckpointError {
     fn from(e: SnapshotError) -> Self {
         CheckpointError::Snapshot(e)
-    }
-}
-
-impl From<ShardedError> for CheckpointError {
-    fn from(e: ShardedError) -> Self {
-        CheckpointError::Engine(e)
     }
 }
 
@@ -139,35 +130,7 @@ pub fn save_sequential_into(
     encode_into(&sim.checkpoint_header()?, w, |f| sim.try_for_each_cluster(f))
 }
 
-/// Serializes the sharded engine's current state, at the epoch barrier.
-///
-/// At the same logical round this produces bytes identical to
-/// [`save_sequential`] on the equivalent sequential simulation.
-///
-/// # Errors
-///
-/// [`SnapshotError::Unsupported`] if a shard has timers in flight or a
-/// behaviour/channel has no snapshot form.
-pub fn save_sharded(sim: &ShardedMultiCluster) -> Result<Vec<u8>, SnapshotError> {
-    let mut w = SnapshotWriter::new();
-    save_sharded_into(sim, &mut w)?;
-    Ok(w.finish())
-}
-
-/// [`save_sharded`] writing into an already-started container, as
-/// [`save_sequential_into`].
-///
-/// # Errors
-///
-/// As [`save_sharded`].
-pub fn save_sharded_into(
-    sim: &ShardedMultiCluster,
-    w: &mut SnapshotWriter,
-) -> Result<(), SnapshotError> {
-    encode_into(&sim.checkpoint_header()?, w, |f| sim.try_for_each_cluster(f))
-}
-
-/// Restores a blob into the sequential engine.
+/// Restores a blob into the engine.
 ///
 /// # Errors
 ///
@@ -183,27 +146,6 @@ pub fn restore_sequential(bytes: &[u8]) -> Result<MultiClusterSim, CheckpointErr
         head.n_nodes,
         head.round,
     ))
-}
-
-/// Restores a blob into the sharded engine over `threads` workers. The
-/// blob need not have been saved by the sharded engine — cross-engine
-/// restore is the point of the shared format.
-///
-/// # Errors
-///
-/// [`CheckpointError::Snapshot`] for a bad blob,
-/// [`CheckpointError::Engine`] for a zero thread count.
-pub fn restore_sharded(bytes: &[u8], threads: usize) -> Result<ShardedMultiCluster, CheckpointError> {
-    let (head, captures) = decode(bytes)?;
-    let clusters = build_clusters(&head, captures)?;
-    Ok(ShardedMultiCluster::from_clusters(
-        head.config,
-        head.sites,
-        clusters,
-        head.n_nodes,
-        head.round,
-        threads,
-    )?)
 }
 
 /// Writes a checkpoint atomically: the bytes land in `path.tmp` first,
@@ -561,7 +503,7 @@ fn decode_cluster(
     })
 }
 
-/// The encoder both engines share. `for_each_cluster` hands over every
+/// The checkpoint encoder. `for_each_cluster` hands over every
 /// cluster in index order, read in place; each is captured into one
 /// reused buffer and framed straight away, so a checkpoint never holds
 /// a second copy of the whole deployment.
@@ -762,16 +704,6 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_sharded_save_identical_bytes() {
-        let mut sim = build(22);
-        run_rounds(&mut sim, 0, 6);
-        let blob_seq = save_sequential(&sim).unwrap();
-        let sharded = ShardedMultiCluster::from_sequential(sim, 2).unwrap();
-        let blob_par = save_sharded(&sharded).unwrap();
-        assert_eq!(blob_seq, blob_par, "both engines share one snapshot format");
-    }
-
-    #[test]
     fn restored_run_matches_uninterrupted_run() {
         let mut full = build(23);
         run_rounds(&mut full, 0, 12);
@@ -785,16 +717,6 @@ mod tests {
         assert_eq!(full.trust_snapshot(), resumed.trust_snapshot());
         assert_eq!(full.position_snapshot(), resumed.position_snapshot());
         assert_eq!(full.counters(), resumed.counters());
-    }
-
-    #[test]
-    fn cross_engine_restore_matches() {
-        let mut seq = build(24);
-        run_rounds(&mut seq, 0, 5);
-        let blob = save_sequential(&seq).unwrap();
-        let par = restore_sharded(&blob, 4).unwrap();
-        assert_eq!(seq.trust_snapshot(), par.trust_snapshot());
-        assert_eq!(seq.counters(), par.counters());
     }
 
     #[test]
@@ -819,11 +741,6 @@ mod tests {
                 "bit flip at {offset} accepted"
             );
         }
-        // Zero threads is an engine error, not a panic.
-        assert!(matches!(
-            restore_sharded(&blob, 0),
-            Err(CheckpointError::Engine(_))
-        ));
     }
 
     #[test]

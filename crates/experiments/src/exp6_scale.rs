@@ -1,16 +1,12 @@
-//! Experiment 6: scale sweep of the sharded multi-cluster engine.
+//! Experiment 6: scale sweep of the multi-cluster engine.
 //!
-//! Sweeps cluster counts × worker-thread counts over a constant-density
-//! field (one node per 10×10 cell, 20 nodes per cluster), runs the same
-//! mobile workload on every engine configuration, and reports throughput
-//! (DES events + routed envelopes per second) plus speedup over the
-//! sequential reference engine.
-//!
-//! Every cell of the sweep doubles as a determinism check: the trust
-//! checksum after the run must be identical across all thread counts
-//! *and* equal to the sequential engine's — a mismatch aborts the sweep
-//! with [`Exp6Error::DeterminismViolation`] rather than emitting numbers
-//! from a broken engine.
+//! Sweeps cluster counts over a constant-density field (one node per
+//! 10×10 cell), runs the same mobile workload at every size, and reports
+//! the wall-clock of the event rounds, the detection rate, and a
+//! checksum of the final trust state. The checksum and detection rate
+//! are pure functions of the seed and the deployment, so two runs of the
+//! same sweep — or a run killed and resumed from its checkpoint — agree
+//! on them exactly; only `elapsed_ns` is wall-clock noise.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -25,17 +21,14 @@ use tibfit_sim::rng::SimRng;
 use tibfit_sim::shutdown;
 use tibfit_sim::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 
-use crate::checkpoint::{read_checkpoint, restore_sharded, save_sharded, write_checkpoint};
-use crate::multicluster::{grid_sites, MultiClusterConfig, MultiClusterSim};
-use crate::sharded::{ShardedError, ShardedMultiCluster};
+use crate::checkpoint::{read_checkpoint, restore_sequential, save_sequential, write_checkpoint};
+use crate::multicluster::{grid_sites, MultiClusterConfig, MultiClusterError, MultiClusterSim};
 
 /// Sweep parameters.
 #[derive(Debug, Clone)]
 pub struct Exp6Config {
     /// Cluster counts to sweep.
     pub clusters: Vec<usize>,
-    /// Worker-thread counts to sweep per cluster count.
-    pub threads: Vec<usize>,
     /// Nodes deployed per cluster (field area scales to keep density).
     pub nodes_per_cluster: usize,
     /// Event rounds per run.
@@ -44,26 +37,18 @@ pub struct Exp6Config {
     pub faulty_fraction: f64,
     /// Master seed.
     pub seed: u64,
-    /// Drive the sharded engines through adaptive epochs
-    /// (`run_events`: one barrier per re-election stretch) instead of the
-    /// fixed per-round windows. The determinism oracle still compares
-    /// against the sequential reference either way.
-    pub adaptive: bool,
 }
 
 impl Exp6Config {
-    /// The sweep from the issue: clusters ∈ {5, 32, 128, 256},
-    /// threads ∈ {1, 2, 4, 8}.
+    /// The default sweep: clusters ∈ {5, 32, 128, 256} at 20 nodes each.
     #[must_use]
     pub fn paper_scale(seed: u64) -> Self {
         Exp6Config {
             clusters: vec![5, 32, 128, 256],
-            threads: vec![1, 2, 4, 8],
             nodes_per_cluster: 20,
             events: 40,
             faulty_fraction: 0.25,
             seed,
-            adaptive: false,
         }
     }
 
@@ -72,12 +57,10 @@ impl Exp6Config {
     pub fn smoke(seed: u64) -> Self {
         Exp6Config {
             clusters: vec![2, 4],
-            threads: vec![1, 2],
             nodes_per_cluster: 10,
             events: 8,
             faulty_fraction: 0.25,
             seed,
-            adaptive: false,
         }
     }
 
@@ -93,37 +76,11 @@ impl Exp6Config {
     pub fn big(seed: u64) -> Self {
         Exp6Config {
             clusters: vec![4096, 10_000],
-            threads: vec![1, 2, 4, 8],
             nodes_per_cluster: 100,
             events: 12,
             faulty_fraction: 0.25,
             seed,
-            adaptive: false,
         }
-    }
-
-    /// The reduced big config the bench floors and CI smoke run: one
-    /// 1 024-cluster / 65 536-node point, sequential vs ×1 and ×4. Big
-    /// enough that per-epoch shard work dwarfs the barrier (the regime
-    /// the `shard_big_4t` floor asserts), small enough for CI minutes.
-    #[must_use]
-    pub fn big_smoke(seed: u64) -> Self {
-        Exp6Config {
-            clusters: vec![1024],
-            threads: vec![1, 4],
-            nodes_per_cluster: 64,
-            events: 10,
-            faulty_fraction: 0.25,
-            seed,
-            adaptive: false,
-        }
-    }
-
-    /// Switches the sharded engines onto the adaptive-epoch driver.
-    #[must_use]
-    pub fn adaptive(mut self) -> Self {
-        self.adaptive = true;
-        self
     }
 
     /// Validates the sweep parameters.
@@ -133,13 +90,7 @@ impl Exp6Config {
     /// Returns the first violated constraint.
     pub fn validate(&self) -> Result<(), Exp6Error> {
         if self.clusters.is_empty() {
-            return Err(Exp6Error::EmptySweep("clusters"));
-        }
-        if self.threads.is_empty() {
-            return Err(Exp6Error::EmptySweep("threads"));
-        }
-        if self.threads.contains(&0) {
-            return Err(Exp6Error::ZeroThreads);
+            return Err(Exp6Error::EmptySweep);
         }
         if self.nodes_per_cluster == 0 {
             return Err(Exp6Error::NoNodes);
@@ -157,10 +108,8 @@ impl Exp6Config {
 /// Why the sweep was rejected or aborted.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Exp6Error {
-    /// A sweep axis has no points.
-    EmptySweep(&'static str),
-    /// A thread count of zero was requested.
-    ZeroThreads,
+    /// No cluster counts to sweep.
+    EmptySweep,
     /// Zero nodes per cluster.
     NoNodes,
     /// Zero event rounds.
@@ -168,15 +117,7 @@ pub enum Exp6Error {
     /// The faulty fraction is outside `[0, 1]`.
     BadFaultyFraction(f64),
     /// Engine construction failed.
-    Engine(ShardedError),
-    /// Two engine configurations that must agree produced different
-    /// trust state — the determinism guarantee is broken.
-    DeterminismViolation {
-        /// Cluster count of the offending run.
-        clusters: usize,
-        /// Thread count of the offending run.
-        threads: usize,
-    },
+    Engine(MultiClusterError),
     /// A sweep checkpoint could not be written, read, or decoded, or
     /// does not belong to this sweep configuration.
     Checkpoint(String),
@@ -185,19 +126,13 @@ pub enum Exp6Error {
 impl std::fmt::Display for Exp6Error {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Exp6Error::EmptySweep(axis) => write!(f, "sweep axis `{axis}` has no points"),
-            Exp6Error::ZeroThreads => write!(f, "thread counts must be at least 1"),
+            Exp6Error::EmptySweep => write!(f, "the sweep has no cluster counts"),
             Exp6Error::NoNodes => write!(f, "need at least one node per cluster"),
             Exp6Error::NoEvents => write!(f, "need at least one event round"),
             Exp6Error::BadFaultyFraction(x) => {
                 write!(f, "faulty fraction {x} outside [0, 1]")
             }
             Exp6Error::Engine(e) => write!(f, "engine construction failed: {e}"),
-            Exp6Error::DeterminismViolation { clusters, threads } => write!(
-                f,
-                "determinism violation: {clusters} clusters at {threads} threads \
-                 diverged from the sequential reference"
-            ),
             Exp6Error::Checkpoint(what) => write!(f, "sweep checkpoint: {what}"),
         }
     }
@@ -205,31 +140,17 @@ impl std::fmt::Display for Exp6Error {
 
 impl std::error::Error for Exp6Error {}
 
-impl From<ShardedError> for Exp6Error {
-    fn from(e: ShardedError) -> Self {
-        Exp6Error::Engine(e)
-    }
-}
-
 /// One cell of the sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Exp6Point {
-    /// Cluster (= shard) count.
+    /// Cluster count.
     pub clusters: usize,
-    /// Worker threads (0 = the sequential reference engine).
-    pub threads: usize,
     /// Total deployed nodes.
     pub nodes: usize,
     /// Event rounds run.
     pub events: usize,
-    /// Wall-clock for the run, nanoseconds.
+    /// Wall-clock of the event rounds, nanoseconds.
     pub elapsed_ns: u128,
-    /// DES events + routed envelopes processed (sharded engines only).
-    pub dispatched: u64,
-    /// `dispatched` per wall-clock second (sharded engines only).
-    pub events_per_sec: f64,
-    /// Sequential wall-clock / this run's wall-clock.
-    pub speedup: f64,
     /// Fraction of events localized within `r_error`.
     pub detection_rate: f64,
     /// Order-independent fold of the final trust snapshot; equal cells
@@ -243,18 +164,17 @@ fn checksum(bits: &[u64]) -> u64 {
     })
 }
 
-struct Deployment {
-    config: MultiClusterConfig,
-    topo: Topology,
-    sites: Vec<Point>,
-    behaviors: Vec<Box<dyn NodeBehavior + Send>>,
+/// Side of the square field holding `n_clusters` clusters at constant
+/// density: one node per 10×10 cell, like the paper's 100 nodes on a
+/// 100×100 field.
+fn field_side(cfg: &Exp6Config, n_clusters: usize) -> f64 {
+    ((n_clusters * cfg.nodes_per_cluster) as f64).sqrt() * 10.0
 }
 
-fn deployment(cfg: &Exp6Config, n_clusters: usize) -> Deployment {
+/// Builds the deployment of one sweep cell.
+fn deployment(cfg: &Exp6Config, n_clusters: usize) -> Result<MultiClusterSim, Exp6Error> {
     let nodes = n_clusters * cfg.nodes_per_cluster;
-    // Constant density: one node per 10×10 cell, like the paper's
-    // 100 nodes on a 100×100 field.
-    let field = (nodes as f64).sqrt() * 10.0;
+    let field = field_side(cfg, n_clusters);
     let topo = Topology::uniform_grid(nodes, field, field);
     let n_faulty = (nodes as f64 * cfg.faulty_fraction).round() as usize;
     let faulty = SimRng::seed_from(cfg.seed ^ 0xFA17).choose_indices(nodes, n_faulty);
@@ -274,189 +194,78 @@ fn deployment(cfg: &Exp6Config, n_clusters: usize) -> Deployment {
             }
         })
         .collect();
-    Deployment {
-        config: MultiClusterConfig::paper().mobile(0.5, 4),
+    MultiClusterSim::try_new(
+        MultiClusterConfig::paper().mobile(0.5, 4),
         topo,
-        sites: grid_sites(n_clusters, field),
+        grid_sites(n_clusters, field),
         behaviors,
-    }
+        |_| Box::new(BernoulliLoss::new(0.005)),
+        cfg.seed,
+    )
+    .map_err(Exp6Error::Engine)
 }
 
-fn event_schedule(cfg: &Exp6Config, field: f64) -> Vec<Point> {
+fn event_schedule(cfg: &Exp6Config, n_clusters: usize) -> Vec<Point> {
+    let field = field_side(cfg, n_clusters);
     let mut rng = SimRng::seed_from(cfg.seed ^ 0xE7E7);
     (0..cfg.events)
         .map(|_| Point::new(rng.uniform_range(0.0, field), rng.uniform_range(0.0, field)))
         .collect()
 }
 
-/// Per-phase scheduler time of one sharded sweep cell, from
-/// [`tibfit_sim::shard::PhaseProfile`]: where each epoch's wall-clock
-/// actually went. The phases partition the scheduler's sequential
-/// sections exactly; `busy_ns` overlaps `parallel_ns` (it is the sum of
-/// per-participant work inside the parallel span), which is what lets
-/// [`Exp6Phases::barrier_wait_ns`] estimate synchronization loss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Exp6Phases {
-    /// Cluster (= shard) count of the cell.
-    pub clusters: usize,
-    /// Worker threads of the cell.
-    pub threads: usize,
-    /// Epochs the scheduler ran.
-    pub epochs: u64,
-    /// Sequential pre-phase: draining pending mailboxes into inboxes.
-    pub stage_ns: u64,
-    /// Wall-clock of the parallel shard-step phase, barrier included.
-    pub parallel_ns: u64,
-    /// Summed per-participant busy time inside the parallel phase.
-    pub busy_ns: u64,
-    /// Sequential post-phase: batched outbox flush and driver sort.
-    pub route_ns: u64,
-    /// Threads participating in the parallel phase (pool + caller).
-    pub participants: u64,
+/// Runs `events` on `sim` and counts the rounds that localized their
+/// event within `r_error`.
+fn run_rounds(sim: &mut MultiClusterSim, events: &[Point]) -> usize {
+    let r_error = sim.config().r_error;
+    events
+        .iter()
+        .filter(|&&e| sim.run_event(e).detected_within(r_error))
+        .count()
 }
 
-impl Exp6Phases {
-    /// Estimated time participants spent waiting at the epoch barrier
-    /// (plus imbalance): the parallel span costs `parallel_ns` on each
-    /// of the `participants` threads; whatever wasn't measured busy was
-    /// spent waiting.
-    #[must_use]
-    pub fn barrier_wait_ns(&self) -> u64 {
-        (self.parallel_ns * self.participants).saturating_sub(self.busy_ns)
+fn finish_point(sim: &MultiClusterSim, hits: usize, events: usize, elapsed_ns: u128) -> Exp6Point {
+    Exp6Point {
+        clusters: sim.cluster_count(),
+        nodes: sim.node_count(),
+        events,
+        elapsed_ns: elapsed_ns.max(1),
+        detection_rate: hits as f64 / events as f64,
+        trust_checksum: checksum(&sim.trust_snapshot()),
     }
 }
 
-/// Runs the sweep. For each cluster count the sequential engine runs
-/// first (reported with `threads = 0`), then each sharded thread count;
-/// all runs on identical inputs.
+/// Runs the sweep: one row per cluster count, in configuration order.
 ///
 /// # Errors
 ///
-/// Returns [`Exp6Error`] for invalid sweep parameters, engine
-/// construction failures, or a cross-engine state mismatch.
+/// Returns [`Exp6Error`] for invalid sweep parameters or engine
+/// construction failures.
 pub fn run_exp6(cfg: &Exp6Config) -> Result<Vec<Exp6Point>, Exp6Error> {
-    run_exp6_with_phases(cfg).map(|(points, _)| points)
-}
-
-/// As [`run_exp6`], additionally returning the per-phase scheduler
-/// breakdown of every sharded cell (`tibfit-bench --profile` renders
-/// these; the sequential baseline has no phases).
-///
-/// # Errors
-///
-/// Identical to [`run_exp6`].
-pub fn run_exp6_with_phases(
-    cfg: &Exp6Config,
-) -> Result<(Vec<Exp6Point>, Vec<Exp6Phases>), Exp6Error> {
     cfg.validate()?;
-    let mut out = Vec::new();
-    let mut phases = Vec::new();
-    for &n_clusters in &cfg.clusters {
-        let nodes = n_clusters * cfg.nodes_per_cluster;
-        let field = (nodes as f64).sqrt() * 10.0;
-        let events = event_schedule(cfg, field);
-
-        // Sequential reference: the speedup denominator and the
-        // determinism oracle.
-        let d0 = deployment(cfg, n_clusters);
-        let mut seq = MultiClusterSim::try_new(
-            d0.config,
-            d0.topo,
-            d0.sites,
-            d0.behaviors,
-            |_| Box::new(BernoulliLoss::new(0.005)),
-            cfg.seed,
-        )
-        .map_err(ShardedError::Cluster)?;
-        let start = Instant::now();
-        let mut seq_hits = 0usize;
-        for &e in &events {
-            seq_hits += usize::from(seq.run_event(e).detected_within(d0.config.r_error));
-        }
-        let seq_ns = start.elapsed().as_nanos().max(1);
-        let seq_sum = checksum(&seq.trust_snapshot());
-        out.push(Exp6Point {
-            clusters: n_clusters,
-            threads: 0,
-            nodes,
-            events: events.len(),
-            elapsed_ns: seq_ns,
-            dispatched: 0,
-            events_per_sec: 0.0,
-            speedup: 1.0,
-            detection_rate: seq_hits as f64 / events.len() as f64,
-            trust_checksum: seq_sum,
-        });
-
-        for &threads in &cfg.threads {
-            let d = deployment(cfg, n_clusters);
-            let mut par = ShardedMultiCluster::try_new(
-                d.config,
-                d.topo,
-                d.sites,
-                d.behaviors,
-                |_| Box::new(BernoulliLoss::new(0.005)),
-                cfg.seed,
-                threads,
-            )?;
+    cfg.clusters
+        .iter()
+        .map(|&n_clusters| {
+            let mut sim = deployment(cfg, n_clusters)?;
+            let events = event_schedule(cfg, n_clusters);
             let start = Instant::now();
-            let mut hits = 0usize;
-            if cfg.adaptive {
-                for r in par.run_events(&events) {
-                    hits += usize::from(r.detected_within(d.config.r_error));
-                }
-            } else {
-                for &e in &events {
-                    hits += usize::from(par.run_event(e).detected_within(d.config.r_error));
-                }
-            }
-            let ns = start.elapsed().as_nanos().max(1);
-            let sum = checksum(&par.trust_snapshot());
-            if sum != seq_sum || hits != seq_hits {
-                return Err(Exp6Error::DeterminismViolation {
-                    clusters: n_clusters,
-                    threads,
-                });
-            }
-            let dispatched = par.events_dispatched();
-            let profile = par.phase_profile();
-            phases.push(Exp6Phases {
-                clusters: n_clusters,
-                threads,
-                epochs: profile.epochs,
-                stage_ns: profile.stage_ns,
-                parallel_ns: profile.parallel_ns,
-                busy_ns: profile.busy_ns,
-                route_ns: profile.route_ns,
-                participants: par.parallel_participants() as u64,
-            });
-            out.push(Exp6Point {
-                clusters: n_clusters,
-                threads,
-                nodes,
-                events: events.len(),
-                elapsed_ns: ns,
-                dispatched,
-                events_per_sec: dispatched as f64 / (ns as f64 / 1e9),
-                speedup: seq_ns as f64 / ns as f64,
-                detection_rate: hits as f64 / events.len() as f64,
-                trust_checksum: sum,
-            });
-        }
-    }
-    Ok((out, phases))
+            let hits = run_rounds(&mut sim, &events);
+            Ok(finish_point(&sim, hits, events.len(), start.elapsed().as_nanos()))
+        })
+        .collect()
 }
 
-/// Section tag: sweep-progress header of a resumable run.
-const TAG_SWEEP: u8 = 10;
+/// Section tag: sweep-progress header of a resumable run. Tags 10 and
+/// 11 framed the layout of the removed thread axis; a checkpoint in that
+/// layout is refused at its first section.
+const TAG_SWEEP: u8 = 13;
 /// Section tag: one completed sweep row.
-const TAG_POINT: u8 = 11;
+const TAG_POINT: u8 = 14;
 /// Section tag: the in-flight run's embedded engine snapshot.
 const TAG_ENGINE: u8 = 12;
 
 /// Progress of a resumable sweep: the completed rows (a prefix of the
-/// deterministic cell order) plus, if a sharded run was mid-flight at
-/// the last checkpoint, its partial state and engine snapshot.
+/// cluster counts) plus, if a cell was mid-flight at the last
+/// checkpoint, its partial state and engine snapshot.
 #[derive(Debug, Default)]
 struct SweepProgress {
     completed: Vec<Exp6Point>,
@@ -473,13 +282,9 @@ struct InFlight {
 
 fn encode_point(s: &mut tibfit_sim::snapshot::SectionBuf, p: &Exp6Point) {
     s.put_usize(p.clusters);
-    s.put_usize(p.threads);
     s.put_usize(p.nodes);
     s.put_usize(p.events);
     s.put_u64(u64::try_from(p.elapsed_ns).unwrap_or(u64::MAX));
-    s.put_u64(p.dispatched);
-    s.put_f64(p.events_per_sec);
-    s.put_f64(p.speedup);
     s.put_f64(p.detection_rate);
     s.put_u64(p.trust_checksum);
 }
@@ -487,13 +292,9 @@ fn encode_point(s: &mut tibfit_sim::snapshot::SectionBuf, p: &Exp6Point) {
 fn decode_point(s: &mut tibfit_sim::snapshot::SectionReader<'_>) -> Result<Exp6Point, SnapshotError> {
     Ok(Exp6Point {
         clusters: s.take_usize()?,
-        threads: s.take_usize()?,
         nodes: s.take_usize()?,
         events: s.take_usize()?,
         elapsed_ns: u128::from(s.take_u64()?),
-        dispatched: s.take_u64()?,
-        events_per_sec: s.take_f64()?,
-        speedup: s.take_f64()?,
         detection_rate: s.take_f64()?,
         trust_checksum: s.take_u64()?,
     })
@@ -508,7 +309,6 @@ fn save_progress(
     let mut w = SnapshotWriter::new();
     w.section(TAG_SWEEP, |s| {
         s.put_u64(cfg.seed);
-        s.put_bool(cfg.adaptive);
         s.put_usize(completed.len());
         match in_flight {
             Some(f) => {
@@ -534,7 +334,6 @@ fn load_progress(cfg: &Exp6Config, path: &Path) -> Result<SweepProgress, Exp6Err
         let mut r = SnapshotReader::new(bytes)?;
         let mut s = r.section(TAG_SWEEP)?;
         let seed = s.take_u64()?;
-        let adaptive = s.take_bool()?;
         let n_completed = s.take_usize()?;
         let partial = if s.take_bool()? {
             Some((s.take_usize()?, s.take_usize()?, s.take_u64()?))
@@ -542,7 +341,7 @@ fn load_progress(cfg: &Exp6Config, path: &Path) -> Result<SweepProgress, Exp6Err
             None
         };
         s.end()?;
-        if seed != cfg.seed || adaptive != cfg.adaptive {
+        if seed != cfg.seed {
             return Err(SnapshotError::Invalid("checkpoint belongs to a different sweep"));
         }
         let mut completed = Vec::with_capacity(n_completed.min(4096));
@@ -567,31 +366,17 @@ fn load_progress(cfg: &Exp6Config, path: &Path) -> Result<SweepProgress, Exp6Err
     decode(&bytes).map_err(|e| Exp6Error::Checkpoint(e.to_string()))
 }
 
-/// The deterministic cell order of a sweep: for each cluster count, the
-/// sequential baseline (threads = 0), then each sharded thread count.
-fn sweep_cells(cfg: &Exp6Config) -> Vec<(usize, usize)> {
-    let mut cells = Vec::new();
-    for &n_clusters in &cfg.clusters {
-        cells.push((n_clusters, 0));
-        for &threads in &cfg.threads {
-            cells.push((n_clusters, threads));
-        }
-    }
-    cells
-}
-
 /// As [`run_exp6`], but crash-resumable: every `checkpoint_every` event
-/// rounds of a sharded run, the full engine state and all completed
-/// rows are written atomically to `path`. If `path` already holds a
-/// checkpoint of the *same* sweep (same seed and driver), the run picks
-/// up where it left off — completed rows are not recomputed and the
-/// in-flight engine resumes from its snapshot, bit-identically. The
-/// file is removed once the sweep completes.
+/// rounds, the full engine state and all completed rows are written
+/// atomically to `path`. If `path` already holds a checkpoint of the
+/// *same* sweep (same seed and cluster counts), the run picks up where
+/// it left off — completed rows are not recomputed and the in-flight
+/// engine resumes from its snapshot, bit-identically. The file is
+/// removed once the sweep completes.
 ///
-/// The detection rates, trust checksums, and determinism oracle are
-/// unaffected by where (or whether) a run was interrupted; only the
-/// wall-clock columns differ, since a resumed cell's `dispatched` count
-/// restarts at its last checkpoint.
+/// The detection rates and trust checksums are unaffected by where (or
+/// whether) a run was interrupted; only `elapsed_ns`, which times the
+/// event rounds and not the checkpoint writes, differs.
 ///
 /// # Errors
 ///
@@ -645,7 +430,6 @@ pub fn run_exp6_resumable_interruptible(
 /// checkpoint write, simulating the process dying with a valid
 /// checkpoint on disk. The tests use it to prove a killed sweep resumes
 /// to the same rows.
-#[allow(clippy::too_many_lines)]
 fn run_resumable_inner(
     cfg: &Exp6Config,
     checkpoint_every: u64,
@@ -667,132 +451,54 @@ fn run_resumable_inner(
             "checkpoint interval must be at least one round".into(),
         ));
     }
-    let cells = sweep_cells(cfg);
     let progress = if path.exists() {
         load_progress(cfg, path)?
     } else {
         SweepProgress::default()
     };
-    if progress.completed.len() > cells.len() {
+    if progress.completed.len() > cfg.clusters.len() {
         return Err(Exp6Error::Checkpoint("checkpoint has more rows than the sweep".into()));
     }
-    for (row, &(n_clusters, threads)) in progress.completed.iter().zip(&cells) {
-        if row.clusters != n_clusters || row.threads != threads {
+    for (row, &n_clusters) in progress.completed.iter().zip(&cfg.clusters) {
+        if row.clusters != n_clusters {
             return Err(Exp6Error::Checkpoint("checkpoint rows disagree with the sweep".into()));
         }
     }
-    if progress.in_flight.is_some()
-        && cells.get(progress.completed.len()).is_none_or(|&(_, th)| th == 0)
-    {
-        // Sequential baselines are never checkpointed mid-run.
-        return Err(Exp6Error::Checkpoint("in-flight state on a non-sharded cell".into()));
+    if progress.in_flight.is_some() && progress.completed.len() == cfg.clusters.len() {
+        return Err(Exp6Error::Checkpoint("in-flight state after the last cell".into()));
     }
 
     let mut out = progress.completed;
     let mut in_flight = progress.in_flight;
-    for &(n_clusters, threads) in cells.iter().skip(out.len()) {
+    for &n_clusters in cfg.clusters.iter().skip(out.len()) {
         // Cell boundaries are natural stop points: every completed row
         // is already checkpointed, so an interrupt here loses nothing.
         if in_flight.is_none() && should_stop() {
             return Ok(SweepOutcome::Interrupted(out));
         }
-        let nodes = n_clusters * cfg.nodes_per_cluster;
-        let field = (nodes as f64).sqrt() * 10.0;
-        let events = event_schedule(cfg, field);
-
-        if threads == 0 {
-            // Sequential baseline: cheap enough to rerun in full after a
-            // crash, so it is only persisted once complete.
-            let d0 = deployment(cfg, n_clusters);
-            let mut seq = MultiClusterSim::try_new(
-                d0.config,
-                d0.topo,
-                d0.sites,
-                d0.behaviors,
-                |_| Box::new(BernoulliLoss::new(0.005)),
-                cfg.seed,
-            )
-            .map_err(ShardedError::Cluster)?;
-            let start = Instant::now();
-            let mut hits = 0usize;
-            for &e in &events {
-                hits += usize::from(seq.run_event(e).detected_within(d0.config.r_error));
-            }
-            let ns = start.elapsed().as_nanos().max(1);
-            out.push(Exp6Point {
-                clusters: n_clusters,
-                threads: 0,
-                nodes,
-                events: events.len(),
-                elapsed_ns: ns,
-                dispatched: 0,
-                events_per_sec: 0.0,
-                speedup: 1.0,
-                detection_rate: hits as f64 / events.len() as f64,
-                trust_checksum: checksum(&seq.trust_snapshot()),
-            });
-            save_progress(path, cfg, &out, None)?;
-            after_save()?;
-            continue;
-        }
-
-        // The group's sequential row is always completed first, so its
-        // stats are recoverable from the prefix even after a resume.
-        let seq_row = out
-            .iter()
-            .rev()
-            .find(|p| p.clusters == n_clusters && p.threads == 0)
-            .ok_or_else(|| Exp6Error::Checkpoint("missing sequential baseline row".into()))?;
-        let seq_ns = seq_row.elapsed_ns.max(1);
-        let seq_sum = seq_row.trust_checksum;
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let seq_hits = (seq_row.detection_rate * events.len() as f64).round() as usize;
-
-        // Every exp6 deployment uses the paper config's localisation
-        // tolerance (see `deployment`).
-        let r_error = MultiClusterConfig::paper().r_error;
-        let (mut par, mut rounds_done, mut hits, elapsed_prior) = match in_flight.take() {
+        let events = event_schedule(cfg, n_clusters);
+        let (mut sim, mut rounds_done, mut hits, mut elapsed_ns) = match in_flight.take() {
             Some(f) => {
-                let par = restore_sharded(&f.blob, threads)
+                let sim = restore_sequential(&f.blob)
                     .map_err(|e| Exp6Error::Checkpoint(e.to_string()))?;
-                (par, f.rounds_done, f.hits, f.elapsed_ns)
+                (sim, f.rounds_done, f.hits, f.elapsed_ns)
             }
-            None => {
-                let d = deployment(cfg, n_clusters);
-                let par = ShardedMultiCluster::try_new(
-                    d.config,
-                    d.topo,
-                    d.sites,
-                    d.behaviors,
-                    |_| Box::new(BernoulliLoss::new(0.005)),
-                    cfg.seed,
-                    threads,
-                )?;
-                (par, 0, 0, 0)
-            }
+            None => (deployment(cfg, n_clusters)?, 0, 0, 0),
         };
-        if rounds_done > events.len() {
-            return Err(Exp6Error::Checkpoint("in-flight rounds exceed the schedule".into()));
+        if rounds_done > events.len() || sim.cluster_count() != n_clusters {
+            return Err(Exp6Error::Checkpoint("in-flight state disagrees with the sweep".into()));
         }
-        let start = Instant::now();
         while rounds_done < events.len() {
             let chunk = (checkpoint_every as usize).min(events.len() - rounds_done);
-            let slice = &events[rounds_done..rounds_done + chunk];
-            if cfg.adaptive {
-                for r in par.run_events(slice) {
-                    hits += usize::from(r.detected_within(r_error));
-                }
-            } else {
-                for &e in slice {
-                    hits += usize::from(par.run_event(e).detected_within(r_error));
-                }
-            }
+            // Only the rounds are timed, not the checkpoint writes.
+            let start = Instant::now();
+            hits += run_rounds(&mut sim, &events[rounds_done..rounds_done + chunk]);
+            elapsed_ns = elapsed_ns
+                .saturating_add(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
             rounds_done += chunk;
             if rounds_done < events.len() {
                 let blob =
-                    save_sharded(&par).map_err(|e| Exp6Error::Checkpoint(e.to_string()))?;
-                let elapsed_ns = elapsed_prior
-                    .saturating_add(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
+                    save_sequential(&sim).map_err(|e| Exp6Error::Checkpoint(e.to_string()))?;
                 save_progress(
                     path,
                     cfg,
@@ -807,26 +513,7 @@ fn run_resumable_inner(
                 }
             }
         }
-        let ns = u128::from(elapsed_prior)
-            .saturating_add(start.elapsed().as_nanos())
-            .max(1);
-        let sum = checksum(&par.trust_snapshot());
-        if sum != seq_sum || hits != seq_hits {
-            return Err(Exp6Error::DeterminismViolation { clusters: n_clusters, threads });
-        }
-        let dispatched = par.events_dispatched();
-        out.push(Exp6Point {
-            clusters: n_clusters,
-            threads,
-            nodes,
-            events: events.len(),
-            elapsed_ns: ns,
-            dispatched,
-            events_per_sec: dispatched as f64 / (ns as f64 / 1e9),
-            speedup: seq_ns as f64 / ns as f64,
-            detection_rate: hits as f64 / events.len() as f64,
-            trust_checksum: sum,
-        });
+        out.push(finish_point(&sim, hits, events.len(), u128::from(elapsed_ns)));
         save_progress(path, cfg, &out, None)?;
         after_save()?;
     }
@@ -834,25 +521,14 @@ fn run_resumable_inner(
     Ok(SweepOutcome::Complete(out))
 }
 
-/// Renders the sweep as CSV (one row per engine configuration).
+/// Renders the sweep as CSV (one row per cluster count).
 #[must_use]
 pub fn to_csv(points: &[Exp6Point]) -> String {
-    let mut out = String::from(
-        "clusters,threads,nodes,events,elapsed_ns,dispatched,events_per_sec,speedup,detection_rate,trust_checksum\n",
-    );
+    let mut out = String::from("clusters,nodes,events,elapsed_ns,detection_rate,trust_checksum\n");
     for p in points {
         out.push_str(&format!(
-            "{},{},{},{},{},{},{:.1},{:.3},{:.4},{:016x}\n",
-            p.clusters,
-            p.threads,
-            p.nodes,
-            p.events,
-            p.elapsed_ns,
-            p.dispatched,
-            p.events_per_sec,
-            p.speedup,
-            p.detection_rate,
-            p.trust_checksum,
+            "{},{},{},{},{:.4},{:016x}\n",
+            p.clusters, p.nodes, p.events, p.elapsed_ns, p.detection_rate, p.trust_checksum,
         ));
     }
     out
@@ -874,23 +550,18 @@ pub fn write_csv(points: &[Exp6Point], dir: &Path) -> io::Result<PathBuf> {
 #[must_use]
 pub fn to_markdown(points: &[Exp6Point]) -> String {
     let mut out = String::from(
-        "### exp6 — sharded engine scale sweep\n\n\
-         | clusters | engine | elapsed | events/sec | speedup | detect |\n\
-         |---|---|---|---|---|---|\n",
+        "### exp6 — multi-cluster engine scale sweep\n\n\
+         | clusters | nodes | elapsed | per event | detect |\n\
+         |---|---|---|---|---|\n",
     );
     for p in points {
-        let engine = if p.threads == 0 {
-            "sequential".to_string()
-        } else {
-            format!("sharded ×{}", p.threads)
-        };
+        let ms = p.elapsed_ns as f64 / 1e6;
         out.push_str(&format!(
-            "| {} | {} | {:.2} ms | {:.0} | {:.2}x | {:.3} |\n",
+            "| {} | {} | {:.2} ms | {:.3} ms | {:.3} |\n",
             p.clusters,
-            engine,
-            p.elapsed_ns as f64 / 1e6,
-            p.events_per_sec,
-            p.speedup,
+            p.nodes,
+            ms,
+            ms / p.events as f64,
             p.detection_rate,
         ));
     }
@@ -909,77 +580,62 @@ mod tests {
         {
             let cfg = Exp6Config {
                 clusters: vec![clusters],
-                threads: vec![1],
                 nodes_per_cluster: npc,
                 events,
                 faulty_fraction: 0.25,
                 seed: 42,
-                adaptive: false,
             };
             let t = Instant::now();
             let points = run_exp6(&cfg).unwrap();
             println!(
-                "big_probe {clusters}x{npc} ({} nodes, {events} events): total {:.2}s, seq {:.2}s, x1 {:.2}s",
+                "big_probe {clusters}x{npc} ({} nodes, {events} events): total {:.2}s, rounds {:.2}s",
                 clusters * npc,
                 t.elapsed().as_secs_f64(),
                 points[0].elapsed_ns as f64 / 1e9,
-                points[1].elapsed_ns as f64 / 1e9,
             );
         }
     }
 
-    #[test]
-    fn smoke_sweep_runs_and_agrees() {
-        let points = run_exp6(&Exp6Config::smoke(11)).unwrap();
-        // 2 cluster counts × (1 sequential + 2 sharded) rows.
-        assert_eq!(points.len(), 6);
-        for group in points.chunks(3) {
-            let base = group[0].trust_checksum;
-            assert!(group.iter().all(|p| p.trust_checksum == base));
-            assert!(group.iter().all(|p| p.nodes == group[0].nodes));
-        }
-        assert!(points.iter().all(|p| p.elapsed_ns > 0));
-        assert!(points.iter().filter(|p| p.threads > 0).all(|p| p.dispatched > 0));
+    /// The timing-free columns that must survive any interruption.
+    fn deterministic_fields(p: &Exp6Point) -> (usize, usize, usize, f64, u64) {
+        (p.clusters, p.nodes, p.events, p.detection_rate, p.trust_checksum)
     }
 
     #[test]
-    fn phases_cover_every_sharded_cell() {
-        let cfg = Exp6Config::smoke(19);
-        let (points, phases) = run_exp6_with_phases(&cfg).unwrap();
-        let sharded = points.iter().filter(|p| p.threads > 0).count();
-        assert_eq!(phases.len(), sharded);
-        for (ph, pt) in phases.iter().zip(points.iter().filter(|p| p.threads > 0)) {
-            assert_eq!((ph.clusters, ph.threads), (pt.clusters, pt.threads));
-            assert!(ph.epochs > 0, "scheduler ran epochs");
-            assert!(ph.participants >= 1);
-            assert!(ph.busy_ns > 0, "shard work was measured");
-            // The wall-clock the row reports must cover the profiled
-            // sequential sections (they are a subset of the run).
-            assert!(u128::from(ph.stage_ns + ph.route_ns) <= pt.elapsed_ns);
-            // Busy time never exceeds the whole parallel span across
-            // all participants.
-            assert!(ph.busy_ns <= ph.parallel_ns * ph.participants);
-            let _ = ph.barrier_wait_ns(); // never panics
+    fn smoke_sweep_runs_and_agrees() {
+        let cfg = Exp6Config::smoke(11);
+        let points = run_exp6(&cfg).unwrap();
+        assert_eq!(points.len(), cfg.clusters.len());
+        for (p, &clusters) in points.iter().zip(&cfg.clusters) {
+            assert_eq!((p.clusters, p.nodes), (clusters, clusters * cfg.nodes_per_cluster));
+            assert_eq!(p.events, cfg.events);
+            assert!(p.elapsed_ns > 0);
         }
-        // The plain runner returns the same rows (up to wall-clock).
-        let plain = run_exp6(&cfg).unwrap();
-        assert_eq!(plain.len(), points.len());
-        for (a, b) in plain.iter().zip(&points) {
+        // A second run agrees on everything but the wall-clock.
+        let again = run_exp6(&cfg).unwrap();
+        for (a, b) in points.iter().zip(&again) {
             assert_eq!(deterministic_fields(a), deterministic_fields(b));
         }
     }
 
     #[test]
-    fn adaptive_sweep_agrees_with_sequential_oracle() {
-        // The internal DeterminismViolation check compares every adaptive
-        // run against the sequential engine; surviving it is the proof.
-        let fixed = run_exp6(&Exp6Config::smoke(11)).unwrap();
-        let adaptive = run_exp6(&Exp6Config::smoke(11).adaptive()).unwrap();
-        assert_eq!(fixed.len(), adaptive.len());
-        for (a, b) in fixed.iter().zip(&adaptive) {
-            assert_eq!(a.trust_checksum, b.trust_checksum);
-            assert_eq!(a.detection_rate, b.detection_rate);
-        }
+    fn paper_sweep_at_seed_42_keeps_its_checksums() {
+        // The committed results/exp6_scale.csv rows: the sweep's trust
+        // state and detections, pinned across engine refactors.
+        let points = run_exp6(&Exp6Config::paper_scale(42)).unwrap();
+        let got: Vec<(usize, f64, u64)> = points
+            .iter()
+            .map(|p| (p.clusters, p.detection_rate, p.trust_checksum))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (5, 1.0, 0xaf8d_fc6e_4ea4_9fa8),
+                (32, 1.0, 0x9bbf_9461_94f8_f0ac),
+                (128, 1.0, 0x3350_7572_604e_1181),
+                (256, 0.95, 0xd846_6d77_1ffc_48d2),
+            ]
+        );
     }
 
     #[test]
@@ -987,34 +643,24 @@ mod tests {
         let points = run_exp6(&Exp6Config::smoke(5)).unwrap();
         let csv = to_csv(&points);
         let lines: Vec<&str> = csv.lines().collect();
-        assert!(lines[0].starts_with("clusters,threads,"));
+        assert_eq!(lines[0], "clusters,nodes,events,elapsed_ns,detection_rate,trust_checksum");
         assert_eq!(lines.len(), points.len() + 1);
+        assert!(lines[1..].iter().all(|l| l.split(',').count() == 6));
     }
 
     #[test]
-    fn markdown_labels_engines() {
+    fn markdown_has_a_row_per_cluster_count() {
         let points = run_exp6(&Exp6Config::smoke(5)).unwrap();
         let md = to_markdown(&points);
-        assert!(md.contains("sequential"));
-        assert!(md.contains("sharded ×2"));
+        assert!(md.contains("| 2 | 20 |"));
+        assert!(md.contains("| 4 | 40 |"));
     }
 
     #[test]
     fn validate_rejects_each_bad_config() {
         let ok = Exp6Config::smoke(1);
         let cases: Vec<(Exp6Config, Exp6Error)> = vec![
-            (
-                Exp6Config { clusters: vec![], ..ok.clone() },
-                Exp6Error::EmptySweep("clusters"),
-            ),
-            (
-                Exp6Config { threads: vec![], ..ok.clone() },
-                Exp6Error::EmptySweep("threads"),
-            ),
-            (
-                Exp6Config { threads: vec![1, 0], ..ok.clone() },
-                Exp6Error::ZeroThreads,
-            ),
+            (Exp6Config { clusters: vec![], ..ok.clone() }, Exp6Error::EmptySweep),
             (
                 Exp6Config { nodes_per_cluster: 0, ..ok.clone() },
                 Exp6Error::NoNodes,
@@ -1039,11 +685,6 @@ mod tests {
         path
     }
 
-    /// The timing-free columns that must survive any interruption.
-    fn deterministic_fields(p: &Exp6Point) -> (usize, usize, usize, usize, f64, u64) {
-        (p.clusters, p.threads, p.nodes, p.events, p.detection_rate, p.trust_checksum)
-    }
-
     #[test]
     fn resumable_sweep_matches_plain_and_cleans_up() {
         let cfg = Exp6Config::smoke(17);
@@ -1061,8 +702,9 @@ mod tests {
     fn killed_sweep_resumes_to_identical_rows() {
         let cfg = Exp6Config::smoke(33);
         let baseline = run_exp6(&cfg).unwrap();
-        // Kill after every possible checkpoint write in turn — mid-cell
-        // and at cell boundaries both — and resume each time.
+        // Kill after every possible checkpoint write in turn — three
+        // mid-cell and one at the end of each of the two cells — and
+        // resume each time.
         for kill_at in 1..=8 {
             let path = ckpt_path(&format!("killed-{kill_at}.tbsn"));
             let err = run_resumable_inner(&cfg, 2, &path, Some(kill_at), || false).unwrap_err();
@@ -1078,25 +720,12 @@ mod tests {
     }
 
     #[test]
-    fn killed_adaptive_sweep_resumes_too() {
-        let cfg = Exp6Config::smoke(41).adaptive();
-        let baseline = run_exp6(&cfg).unwrap();
-        let path = ckpt_path("killed-adaptive.tbsn");
-        let err = run_resumable_inner(&cfg, 3, &path, Some(3), || false).unwrap_err();
-        assert_eq!(err, Exp6Error::Checkpoint("injected crash".into()));
-        let resumed = run_exp6_resumable(&cfg, 3, &path).unwrap();
-        for (a, b) in baseline.iter().zip(&resumed) {
-            assert_eq!(deterministic_fields(a), deterministic_fields(b));
-        }
-    }
-
-    #[test]
     fn graceful_stop_keeps_checkpoint_and_resumes_to_identical_rows() {
         let cfg = Exp6Config::smoke(67);
         let baseline = run_exp6(&cfg).unwrap();
         // Request a stop after the n-th poll, for every poll point the
         // sweep has — cell boundaries and mid-cell checkpoints alike.
-        for stop_at in 1..=6u32 {
+        for stop_at in 1..=8u32 {
             let path = ckpt_path(&format!("graceful-{stop_at}.tbsn"));
             let mut polls = 0u32;
             let outcome =
@@ -1117,7 +746,7 @@ mod tests {
             }
             // Everything already computed must be on disk (unless the
             // stop fired before any work happened).
-            assert!(partial.is_empty() || path.exists(), "stop #{stop_at}");
+            assert_eq!(path.exists(), stop_at > 1, "stop #{stop_at}");
             let resumed = run_exp6_resumable(&cfg, 2, &path).unwrap();
             assert_eq!(baseline.len(), resumed.len(), "stop #{stop_at}");
             for (a, b) in baseline.iter().zip(&resumed) {
@@ -1137,7 +766,7 @@ mod tests {
         let SweepOutcome::Complete(points) = outcome else {
             panic!("no signal was sent; the sweep must complete");
         };
-        assert_eq!(points.len(), sweep_cells(&cfg).len());
+        assert_eq!(points.len(), cfg.clusters.len());
         assert!(!path.exists());
     }
 
@@ -1158,6 +787,15 @@ mod tests {
             Err(Exp6Error::Checkpoint(_))
         ));
 
+        // A checkpoint of other cluster counts, too.
+        let sizes = ckpt_path("other-sizes.tbsn");
+        let resized = Exp6Config { clusters: vec![3, 4], ..cfg.clone() };
+        let _ = run_resumable_inner(&resized, 2, &sizes, Some(1), || false).unwrap_err();
+        assert!(matches!(
+            run_exp6_resumable(&cfg, 2, &sizes),
+            Err(Exp6Error::Checkpoint(_))
+        ));
+
         // Corrupt bytes surface as a typed error, never a panic.
         let garbage = ckpt_path("garbage.tbsn");
         std::fs::write(&garbage, b"TBSN but not really").unwrap();
@@ -1165,7 +803,8 @@ mod tests {
             run_exp6_resumable(&cfg, 2, &garbage),
             Err(Exp6Error::Checkpoint(_))
         ));
-        let _ = std::fs::remove_file(&theirs);
-        let _ = std::fs::remove_file(&garbage);
+        for path in [theirs, sizes, garbage] {
+            let _ = std::fs::remove_file(path);
+        }
     }
 }

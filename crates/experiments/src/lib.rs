@@ -39,6 +39,5 @@ pub mod multicluster;
 pub mod network;
 pub mod replay;
 pub mod report;
-pub mod sharded;
 
 pub use network::{BinaryRoundResult, ClusterSim, ClusterSimConfig, LocatedRoundResult, Role};

@@ -22,10 +22,8 @@
 //! own RNG stream derived as `SimRng::stream(master_seed, cluster_index)`.
 //! Nothing a cluster does consumes another cluster's stream, so the
 //! per-round result is a pure function of `(master_seed, cluster
-//! composition, event sequence)` — which is exactly what lets the sharded
-//! engine in [`crate::sharded`] run clusters on worker threads and still
-//! reproduce this sequential reference bit-for-bit. The differential
-//! suite (`tests/differential_shards.rs`) pins that equivalence.
+//! composition, event sequence)`, independent of the order clusters are
+//! visited in.
 //!
 //! With [`MultiClusterConfig::mobile`], nodes drift each round (Gaussian
 //! step from the owning cluster's stream) and affiliation is re-evaluated
@@ -198,13 +196,13 @@ pub fn grid_sites(k: usize, field: f64) -> Vec<Point> {
 
 /// A node changing clusters: its identity, current position, full trust
 /// record, and behaviour move together to the destination cluster.
-pub(crate) struct Handoff {
-    pub(crate) node: NodeId,
-    pub(crate) position: Point,
-    pub(crate) record: TrustRecord,
-    pub(crate) behavior: Box<dyn NodeBehavior + Send>,
+struct Handoff {
+    node: NodeId,
+    position: Point,
+    record: TrustRecord,
+    behavior: Box<dyn NodeBehavior + Send>,
     /// Destination cluster index.
-    pub(crate) dst: usize,
+    dst: usize,
 }
 
 impl std::fmt::Debug for Handoff {
@@ -238,7 +236,7 @@ pub(crate) const COUNTER_NAMES: [&str; 7] = [
 ///
 /// Captures exist only at round boundaries, where no timers are in
 /// flight and no reports are buffered — so no event-queue section is
-/// needed here; the sharded engine asserts that invariant at save time.
+/// needed here.
 #[derive(Debug, Clone)]
 pub(crate) struct ClusterCapture {
     pub(crate) index: usize,
@@ -275,10 +273,8 @@ impl ClusterCapture {
 }
 
 /// The deployment-wide part of a checkpoint: everything except the
-/// clusters. Both [`MultiClusterSim`] and the sharded engine produce
-/// it, and either can be rebuilt from it plus the cluster captures —
-/// which is what makes cross-engine restore (snapshot sequential,
-/// resume sharded) work.
+/// clusters. A [`MultiClusterSim`] is rebuilt from it plus the cluster
+/// captures.
 #[derive(Debug, Clone)]
 pub(crate) struct DeploymentHeader {
     pub(crate) config: MultiClusterConfig,
@@ -353,13 +349,8 @@ impl Bounds {
 /// One cluster as a self-contained unit: head position, members (global
 /// ids, ascending), their positions/behaviours, the head's engine, the
 /// cluster's channel instance, its private RNG stream, and its trace.
-///
-/// Both the sequential [`MultiClusterSim`] and the sharded engine run
-/// rounds through this type's methods, so any behavioural difference
-/// between the two can only come from orchestration — which is exactly
-/// what the differential suite isolates.
 pub(crate) struct ClusterState {
-    pub(crate) index: usize,
+    index: usize,
     head_position: Point,
     /// Global ids, ascending; local id = position in this vector.
     members: Vec<NodeId>,
@@ -377,7 +368,7 @@ pub(crate) struct ClusterState {
     /// by every membership edit.
     bounds: Bounds,
     channel: Box<dyn ChannelModel + Send>,
-    pub(crate) rng: SimRng,
+    rng: SimRng,
     trace: Trace,
     c_delivered: CounterId,
     c_dropped: CounterId,
@@ -453,52 +444,47 @@ impl ClusterState {
         }
     }
 
-    pub(crate) fn members(&self) -> &[NodeId] {
+    fn members(&self) -> &[NodeId] {
         &self.members
     }
 
-    pub(crate) fn head_position(&self) -> Point {
-        self.head_position
-    }
-
-    pub(crate) fn position(&self, local: usize) -> Point {
+    fn position(&self, local: usize) -> Point {
         self.local_topo.position(NodeId(local))
     }
 
     /// Member positions in local-id order.
-    pub(crate) fn positions(&self) -> &[Point] {
+    fn positions(&self) -> &[Point] {
         self.local_topo.positions()
     }
 
     /// Raw trust counter of a local member (lossless, for snapshots).
-    pub(crate) fn counter_of(&self, local: usize) -> f64 {
+    fn counter_of(&self, local: usize) -> f64 {
         self.engine.table().counter_of(NodeId(local))
     }
 
     /// Trust index of a local member.
-    pub(crate) fn trust_of(&self, local: usize) -> f64 {
+    fn trust_of(&self, local: usize) -> f64 {
         self.engine
             .trust_of(NodeId(local))
             .expect("TIBFIT keeps trust")
     }
 
     /// Non-zero trace counters, sorted by name.
-    pub(crate) fn counters(&self) -> Vec<(&'static str, u64)> {
+    fn counters(&self) -> Vec<(&'static str, u64)> {
         self.trace.counters()
     }
 
     /// Phase 1 of a round: every member acts on the event (consuming this
     /// cluster's stream in member order), and surviving reports reach the
-    /// head through this cluster's channel. Appends local-id reports to a
-    /// caller-owned buffer (engine scratch, or the sharded engine's
-    /// per-round arena lease).
+    /// head through this cluster's channel. Appends local-id reports to
+    /// the engine's scratch buffer.
     ///
     /// Event-local: when every member is
     /// [`NodeBehavior::quiet_unless_sensed`] and the stimulus lies beyond
     /// the sensing radius of the members' bounding box, no member senses
     /// it, so by that contract every member would return `None` without
     /// drawing — the whole cluster is skipped, with the same result.
-    pub(crate) fn sense_into(&mut self, round: u64, event: Point, batch: &mut Vec<LocatedReport>) {
+    fn sense_into(&mut self, round: u64, event: Point, batch: &mut Vec<LocatedReport>) {
         let reach = self.config.sensing_radius * SENSE_REACH_SLACK;
         if self.non_quiet == 0 && self.bounds.distance_sq_to(event) > reach * reach {
             return;
@@ -529,7 +515,7 @@ impl ClusterState {
     /// this cluster owns. An empty batch decides nothing (silence about
     /// an event nobody reported is not evidence). Appends declared
     /// locations to a caller-owned buffer.
-    pub(crate) fn decide_into(&mut self, batch: &[LocatedReport], declared: &mut Vec<Point>) {
+    fn decide_into(&mut self, batch: &[LocatedReport], declared: &mut Vec<Point>) {
         if batch.is_empty() {
             return;
         }
@@ -562,7 +548,7 @@ impl ClusterState {
 
     /// End-of-round mobility: each member takes a Gaussian step (clamped
     /// to the field) drawn from this cluster's stream, in member order.
-    pub(crate) fn drift(&mut self) {
+    fn drift(&mut self) {
         if self.config.drift_sigma <= 0.0 {
             return;
         }
@@ -590,7 +576,7 @@ impl ClusterState {
     ///
     /// In place: survivors keep their order, their buffers and their
     /// cached trust ([`TrustTable::retain_nodes`]); nothing is rebuilt.
-    pub(crate) fn departures_into(&mut self, sites: &SiteIndex<'_>, out: &mut Vec<Handoff>) {
+    fn departures_into(&mut self, sites: &SiteIndex<'_>, out: &mut Vec<Handoff>) {
         let first = out.len();
         let positions = self.local_topo.positions();
         let index = self.index;
@@ -648,7 +634,7 @@ impl ClusterState {
     /// never shrunk (doubling growth across hundreds of clusters would
     /// show up in resident memory), and only the arrival's trust index
     /// is recomputed ([`TrustTable::insert_node`]).
-    pub(crate) fn admit(&mut self, h: Handoff) {
+    fn admit(&mut self, h: Handoff) {
         debug_assert_eq!(h.dst, self.index, "handoff routed to wrong cluster");
         let at = self
             .members
@@ -666,7 +652,7 @@ impl ClusterState {
     }
 
     /// Field dimensions this cluster clamps drift to.
-    pub(crate) fn field(&self) -> (f64, f64) {
+    fn field(&self) -> (f64, f64) {
         (self.field_w, self.field_h)
     }
 
@@ -783,10 +769,9 @@ impl ClusterState {
     }
 }
 
-/// Builds the per-cluster states shared by the sequential and sharded
-/// engines: Voronoi affiliation over `ch_sites`, one [`ClusterState`] per
+/// Builds the per-cluster states: Voronoi affiliation over `ch_sites`, one [`ClusterState`] per
 /// site with its own channel instance and RNG stream.
-pub(crate) fn partition_clusters(
+fn partition_clusters(
     config: MultiClusterConfig,
     topo: &Topology,
     ch_sites: &[Point],
@@ -868,7 +853,7 @@ impl MultiRoundResult {
 /// within `r_error` of an accepted one are averaged into it, others open
 /// a new accepted location. Input order is cluster order, which both
 /// engines produce identically.
-pub(crate) fn merge_declarations(
+fn merge_declarations(
     event: Point,
     declared: Vec<(usize, Point)>,
     r_error: f64,
@@ -1124,8 +1109,8 @@ impl MultiClusterSim {
             cluster.drift();
         }
         if self.config.reelect_every > 0 && round.is_multiple_of(self.config.reelect_every) {
-            // All departures leave before any arrival is admitted, as in
-            // the sharded engine. Admission order does not matter: a
+            // All departures leave before any arrival is admitted.
+            // Admission order does not matter: a
             // cluster's state after its arrivals is the same in any
             // order (see `ClusterState::admit`).
             let sites = SiteIndex::with_lattice(&self.sites, self.lattice);
@@ -1138,12 +1123,6 @@ impl MultiClusterSim {
             }
         }
         result
-    }
-
-    /// Decomposes the simulation into its per-cluster states (the sharded
-    /// engine wraps each in a shard).
-    pub(crate) fn into_clusters(self) -> (MultiClusterConfig, Vec<Point>, Vec<ClusterState>, u64) {
-        (self.config, self.sites, self.clusters, self.round)
     }
 
     /// The deployment header of a checkpoint. The sequential engine
@@ -1223,7 +1202,7 @@ impl std::fmt::Debug for MultiClusterSim {
 /// senses every stimulus, and every membership change rebuilds the
 /// cluster from a sorted slot list with a fresh trust table.
 #[cfg(test)]
-pub(crate) mod reference {
+mod reference {
     use super::*;
 
     /// One member's full state, as reassembled during a rebuild.
@@ -1346,7 +1325,7 @@ pub(crate) mod reference {
     }
 
     /// One round of `sim` the old way.
-    pub(crate) fn run_event(sim: &mut MultiClusterSim, event: Point) -> MultiRoundResult {
+    pub(super) fn run_event(sim: &mut MultiClusterSim, event: Point) -> MultiRoundResult {
         sim.round += 1;
         let round = sim.round;
         let mut declared = Vec::new();
@@ -1385,74 +1364,31 @@ pub(crate) mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::{save_sequential, save_sharded};
+    use crate::checkpoint::save_sequential;
     use crate::replay::FieldScenario;
-    use crate::sharded::ShardedMultiCluster;
     use tibfit_adversary::{CorrectNode, Level0Config, Level0Node};
     use tibfit_net::channel::BernoulliLoss;
 
-    /// Either engine, for the differential tests.
-    enum Under {
-        Seq(MultiClusterSim),
-        Sharded(ShardedMultiCluster),
-    }
-
-    impl Under {
-        fn run_event(&mut self, e: Point) -> MultiRoundResult {
-            match self {
-                Under::Seq(s) => s.run_event(e),
-                Under::Sharded(s) => s.run_event(e),
-            }
-        }
-
-        fn checkpoint(&self) -> Vec<u8> {
-            match self {
-                Under::Seq(s) => save_sequential(s),
-                Under::Sharded(s) => save_sharded(s),
-            }
-            .expect("checkpointable")
-        }
-
-        fn check_point_lookups(&self, reference: &MultiClusterSim, what: &str) {
-            for i in 0..reference.node_count() {
-                let node = NodeId(i);
-                let got = match self {
-                    Under::Seq(s) => s.cluster_of(node),
-                    Under::Sharded(s) => s.cluster_of(node),
-                };
-                assert_eq!(got, reference.cluster_of(node), "{what}: node {i}");
-            }
-        }
-    }
-
-    /// Drives `build()`'s deployment through `rounds` stimuli under the
-    /// reference and under each engine, comparing every round's result
+    /// Drives `build()`'s deployment through `events` under the engine
+    /// and under the rebuild reference, comparing every round's result
     /// and, after every re-election (and at the end), the checkpoint
     /// bytes and the affiliation map.
     fn assert_matches_reference(what: &str, build: impl Fn() -> MultiClusterSim, events: &[Point]) {
-        for threads in [0usize, 1, 4] {
-            let mut reference = build();
-            let mut under = if threads == 0 {
-                Under::Seq(build())
-            } else {
-                Under::Sharded(ShardedMultiCluster::from_sequential(build(), threads).unwrap())
-            };
-            let reelect = reference.config().reelect_every;
-            for (r, &e) in events.iter().enumerate() {
-                let what = format!("{what} threads={threads} round={}", r + 1);
-                assert_eq!(
-                    under.run_event(e),
-                    reference::run_event(&mut reference, e),
-                    "{what}"
+        let mut reference = build();
+        let mut sim = build();
+        let reelect = reference.config().reelect_every;
+        for (r, &e) in events.iter().enumerate() {
+            let what = format!("{what} round={}", r + 1);
+            assert_eq!(sim.run_event(e), reference::run_event(&mut reference, e), "{what}");
+            let boundary = reelect > 0 && (r as u64 + 1).is_multiple_of(reelect);
+            if boundary || r + 1 == events.len() {
+                assert!(
+                    save_sequential(&sim).unwrap() == save_sequential(&reference).unwrap(),
+                    "{what}: checkpoint bytes differ"
                 );
-                let boundary = reelect > 0 && (r as u64 + 1).is_multiple_of(reelect);
-                if boundary || r + 1 == events.len() {
-                    let want = save_sequential(&reference).unwrap();
-                    assert!(
-                        under.checkpoint() == want,
-                        "{what}: checkpoint bytes differ"
-                    );
-                    under.check_point_lookups(&reference, &what);
+                for i in 0..reference.node_count() {
+                    let node = NodeId(i);
+                    assert_eq!(sim.cluster_of(node), reference.cluster_of(node), "{what}: node {i}");
                 }
             }
         }

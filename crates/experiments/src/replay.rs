@@ -38,17 +38,16 @@ use tibfit_net::geometry::Point;
 use tibfit_net::topology::Topology;
 use tibfit_sim::rng::SimRng;
 
-use crate::multicluster::{grid_sites, MultiClusterConfig, MultiClusterSim};
-use crate::sharded::{ShardedError, ShardedMultiCluster};
+use crate::multicluster::{grid_sites, MultiClusterConfig, MultiClusterError, MultiClusterSim};
 
-/// A deployment recipe both engines can be built from — the mobile
-/// scenario the differential and crash harnesses use (drift,
+/// A deployment recipe the engine is built from — the mobile scenario
+/// the daemon's tenants and the crash harnesses use (drift,
 /// re-election, lossy channels, level-0 liars).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FieldScenario {
     /// Deployed nodes.
     pub nodes: usize,
-    /// Cluster (= shard) count.
+    /// Cluster count.
     pub clusters: usize,
     /// Square field side length.
     pub field: f64,
@@ -108,12 +107,12 @@ impl FieldScenario {
             .collect()
     }
 
-    /// Builds the sequential reference engine.
+    /// Builds the engine.
     ///
     /// # Errors
     ///
     /// Anything [`MultiClusterSim::try_new`] rejects.
-    pub fn sequential(&self) -> Result<MultiClusterSim, ShardedError> {
+    pub fn sequential(&self) -> Result<MultiClusterSim, MultiClusterError> {
         MultiClusterSim::try_new(
             self.config(),
             Topology::uniform_grid(self.nodes, self.field, self.field),
@@ -121,24 +120,6 @@ impl FieldScenario {
             self.behaviors(),
             |_| Box::new(BernoulliLoss::new(self.loss)),
             self.seed,
-        )
-        .map_err(ShardedError::Cluster)
-    }
-
-    /// Builds the sharded engine over `threads` workers.
-    ///
-    /// # Errors
-    ///
-    /// Anything [`ShardedMultiCluster::try_new`] rejects.
-    pub fn sharded(&self, threads: usize) -> Result<ShardedMultiCluster, ShardedError> {
-        ShardedMultiCluster::try_new(
-            self.config(),
-            Topology::uniform_grid(self.nodes, self.field, self.field),
-            grid_sites(self.clusters, self.field),
-            self.behaviors(),
-            |_| Box::new(BernoulliLoss::new(self.loss)),
-            self.seed,
-            threads,
         )
     }
 
@@ -325,18 +306,5 @@ mod tests {
         let b = tenant_seed(42, 1);
         assert_ne!(a, b);
         assert_eq!(a, tenant_seed(42, 0));
-    }
-
-    #[test]
-    fn scenario_engines_agree() {
-        let sc = FieldScenario::mobile(5);
-        let mut seq = sc.sequential().unwrap();
-        let mut par = sc.sharded(2).unwrap();
-        for e in sc.events(4) {
-            let a = seq.run_event(e);
-            let b = par.run_event(e);
-            assert_eq!(a, b);
-        }
-        assert_eq!(seq.trust_snapshot(), par.trust_snapshot());
     }
 }

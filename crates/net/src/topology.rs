@@ -303,7 +303,7 @@ impl Topology {
     /// `sites`: a node is a border node if the site nearest to it and the
     /// second-nearest are within `margin` of equidistant. These are the
     /// nodes whose cluster affiliation can flip under small position
-    /// drift, i.e. the only nodes that ever generate cross-shard handoff
+    /// drift, i.e. the only nodes that ever generate cross-cluster handoff
     /// traffic. Returned in ascending id order.
     ///
     /// # Panics
@@ -342,8 +342,8 @@ impl Topology {
 /// `None` if `sites` is empty.
 ///
 /// The tie-break makes Voronoi affiliation a deterministic function of
-/// geometry, which the sharded engine relies on: the same node position
-/// yields the same owning shard on every run and thread count.
+/// geometry: the same node position yields the same owning cluster on
+/// every run.
 #[must_use]
 pub fn nearest_site(sites: &[Point], p: Point) -> Option<usize> {
     sites
@@ -489,16 +489,6 @@ impl SiteLattice {
         } else {
             c as usize
         }
-    }
-
-    /// The lattice cell `(col, row)` containing `p`, clamped to the
-    /// grid — the locality key cache-aware shard placement sorts by.
-    #[must_use]
-    pub fn cell_of(&self, p: Point) -> (usize, usize) {
-        (
-            Self::cell(p.x, self.x0, self.dx, self.cols),
-            Self::cell(p.y, self.y0, self.dy, self.rows),
-        )
     }
 
     /// The cell index of `v` along one axis if `v` lies inside the

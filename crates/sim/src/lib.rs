@@ -10,11 +10,6 @@
 //!   ([`EventQueue`], [`Engine`]),
 //! * seedable, reproducible randomness and the distributions the paper's
 //!   workloads need ([`rng::SimRng`]),
-//! * a conservative window-synchronized shard scheduler for running
-//!   nearly independent partitions in parallel without losing
-//!   reproducibility ([`shard::ShardScheduler`]),
-//! * recycling buffer pools that make per-epoch scratch allocation-free
-//!   across epochs ([`arena::BufferPool`]),
 //! * statistics accumulators for building the paper's figures
 //!   ([`stats::Running`], [`stats::Series`]),
 //! * a versioned, CRC-framed binary container for checkpoint blobs
@@ -40,12 +35,10 @@
 //! ```
 
 // `unsafe` is denied crate-wide; the sanctioned exceptions are the
-// shard scheduler's worker pool (`shard.rs`), whose cursor-partitioned
-// slot handout and lifetime-erased epoch job need it, the `signal(2)`
-// binding in `shutdown.rs`, and the one call into the PCLMULQDQ CRC32
-// fold in `snapshot.rs`, made only after the CPU features it is
-// compiled for were detected (the fold itself is safe code). Each site
-// carries its own safety argument.
+// `signal(2)` binding in `shutdown.rs` and the one call into the
+// PCLMULQDQ CRC32 fold in `snapshot.rs`, made only after the CPU
+// features it is compiled for were detected (the fold itself is safe
+// code). Each site carries its own safety argument.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -53,10 +46,7 @@ mod clock;
 mod engine;
 mod queue;
 
-pub mod arena;
-pub mod cache;
 pub mod rng;
-pub mod shard;
 pub mod shutdown;
 pub mod snapshot;
 pub mod stats;

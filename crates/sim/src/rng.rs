@@ -17,6 +17,34 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Derives the RNG stream seed for one numbered stream (a cluster, a
+/// tenant, ...) from a master seed.
+///
+/// The derivation is a pure function of `(master, stream)` — two
+/// SplitMix64-style avalanche rounds over the pair — so it is independent
+/// of the order in which streams are created. Distinct `(master, stream)`
+/// pairs produce decorrelated seeds even for adjacent indices.
+///
+/// ```rust
+/// use tibfit_sim::rng::stream_seed;
+/// assert_eq!(stream_seed(42, 3), stream_seed(42, 3));
+/// assert_ne!(stream_seed(42, 3), stream_seed(42, 4));
+/// assert_ne!(stream_seed(42, 3), stream_seed(43, 3));
+/// ```
+#[must_use]
+pub fn stream_seed(master: u64, stream: u64) -> u64 {
+    let mut z = master ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    // Second round decorrelates (master, stream) from (master^1, stream^1)
+    // style near-collisions.
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// A seedable random number generator with simulation-oriented helpers.
 ///
 /// ```rust
@@ -70,13 +98,12 @@ impl SimRng {
     /// seed.
     ///
     /// Unlike [`SimRng::fork`], which consumes parent output, this is a
-    /// pure function of `(master, stream)` — the stream a shard receives
-    /// does not depend on how many siblings were created before it or in
-    /// what order, which is what keeps sharded runs bit-identical to
-    /// sequential ones (see [`crate::shard::stream_seed`]).
+    /// pure function of `(master, stream)` — the stream a cluster
+    /// receives does not depend on how many siblings were created before
+    /// it or in what order (see [`stream_seed`]).
     #[must_use]
     pub fn stream(master: u64, stream: u64) -> SimRng {
-        SimRng::seed_from(crate::shard::stream_seed(master, stream))
+        SimRng::seed_from(stream_seed(master, stream))
     }
 
     /// Captures the generator's complete internal state.
@@ -242,6 +269,18 @@ impl SimRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stream_seed_is_order_free_and_distinct() {
+        let a: Vec<u64> = (0..64).map(|i| stream_seed(7, i)).collect();
+        let b: Vec<u64> = (0..64).rev().map(|i| stream_seed(7, i)).collect();
+        let b_rev: Vec<u64> = b.into_iter().rev().collect();
+        assert_eq!(a, b_rev);
+        let mut dedup = a.clone();
+        dedup.sort_unstable();
+        dedup.dedup();
+        assert_eq!(dedup.len(), 64, "derived seeds must not collide");
+    }
 
     #[test]
     fn deterministic_for_same_seed() {

@@ -2,9 +2,7 @@
 //! latest checkpoint, and the completed run must be byte-identical to a
 //! run that was never interrupted — same declarations, same bit-exact
 //! trust trajectories, same positions, same trace counters, and the
-//! same rendered CSV, for the sequential engine and the sharded engine
-//! at every tested thread count, including cross-engine restores
-//! (snapshot under one engine, resume under the other).
+//! same rendered CSV.
 //!
 //! The kill round comes from `CrashPlan::seeded`, so every seed dies
 //! somewhere different but reproducibly. Rounds completed after the
@@ -13,175 +11,31 @@
 
 use std::fmt::Write as _;
 
-use tibfit_adversary::behavior::NodeBehavior;
-use tibfit_adversary::{CorrectNode, Level0Config, Level0Node};
 use tibfit_experiments::checkpoint::{
-    read_checkpoint, restore_sequential, restore_sharded, save_sequential, save_sharded,
-    write_checkpoint,
+    read_checkpoint, restore_sequential, save_sequential, write_checkpoint,
 };
-use tibfit_experiments::multicluster::{
-    grid_sites, MultiClusterConfig, MultiClusterSim, MultiRoundResult,
-};
-use tibfit_experiments::sharded::ShardedMultiCluster;
+use tibfit_experiments::multicluster::{MultiClusterSim, MultiRoundResult};
+use tibfit_experiments::replay::FieldScenario;
 use tibfit_faults::CrashPlan;
-use tibfit_net::channel::BernoulliLoss;
 use tibfit_net::geometry::Point;
-use tibfit_net::topology::Topology;
-use tibfit_sim::rng::SimRng;
 
-/// A deployment recipe both engines are built from (the mobile scenario
-/// from `differential_shards.rs`: drift, re-election, lossy channels).
-#[derive(Debug, Clone)]
-struct Scenario {
-    nodes: usize,
-    clusters: usize,
-    field: f64,
-    faulty: usize,
-    noise_sigma: f64,
-    loss: f64,
-    drift_sigma: f64,
-    reelect_every: u64,
-    rounds: usize,
-    seed: u64,
+/// Event rounds per run.
+const ROUNDS: usize = 12;
+
+/// The mobile scenario (drift, re-election, lossy channels) and its
+/// event stream.
+fn scenario(seed: u64) -> (FieldScenario, Vec<Point>) {
+    let sc = FieldScenario::mobile(seed);
+    let events = sc.events(ROUNDS);
+    (sc, events)
 }
 
-impl Scenario {
-    fn mobile(seed: u64) -> Self {
-        Scenario {
-            nodes: 64,
-            clusters: 4,
-            field: 80.0,
-            faulty: 16,
-            noise_sigma: 1.6,
-            loss: 0.005,
-            drift_sigma: 0.6,
-            reelect_every: 3,
-            rounds: 12,
-            seed,
-        }
-    }
-
-    fn config(&self) -> MultiClusterConfig {
-        MultiClusterConfig::paper().mobile(self.drift_sigma, self.reelect_every)
-    }
-
-    fn behaviors(&self) -> Vec<Box<dyn NodeBehavior + Send>> {
-        let faulty = SimRng::seed_from(self.seed ^ 0xFA).choose_indices(self.nodes, self.faulty);
-        (0..self.nodes)
-            .map(|i| -> Box<dyn NodeBehavior + Send> {
-                if faulty.contains(&i) {
-                    Box::new(Level0Node::new(Level0Config::experiment2(4.25)))
-                } else {
-                    Box::new(CorrectNode::new(0.0, self.noise_sigma))
-                }
-            })
-            .collect()
-    }
-
-    fn sequential(&self) -> MultiClusterSim {
-        MultiClusterSim::try_new(
-            self.config(),
-            Topology::uniform_grid(self.nodes, self.field, self.field),
-            grid_sites(self.clusters, self.field),
-            self.behaviors(),
-            |_| Box::new(BernoulliLoss::new(self.loss)),
-            self.seed,
-        )
-        .expect("scenario configs are valid")
-    }
-
-    fn sharded(&self, threads: usize) -> ShardedMultiCluster {
-        ShardedMultiCluster::try_new(
-            self.config(),
-            Topology::uniform_grid(self.nodes, self.field, self.field),
-            grid_sites(self.clusters, self.field),
-            self.behaviors(),
-            |_| Box::new(BernoulliLoss::new(self.loss)),
-            self.seed,
-            threads,
-        )
-        .expect("scenario configs are valid")
-    }
-
-    fn events(&self) -> Vec<Point> {
-        let mut rng = SimRng::seed_from(self.seed ^ 0xE7);
-        (0..self.rounds)
-            .map(|_| {
-                Point::new(
-                    rng.uniform_range(0.0, self.field),
-                    rng.uniform_range(0.0, self.field),
-                )
-            })
-            .collect()
-    }
-
-    fn build(&self, engine: EngineKind) -> Engine {
-        match engine {
-            EngineKind::Sequential => Engine::Seq(Box::new(self.sequential())),
-            EngineKind::Sharded(threads) => Engine::Par(Box::new(self.sharded(threads))),
-        }
-    }
+fn build(sc: &FieldScenario) -> MultiClusterSim {
+    sc.sequential().expect("scenario configs are valid")
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EngineKind {
-    Sequential,
-    Sharded(usize),
-}
-
-/// Uniform driver over both engines so the crash harness is written once.
-enum Engine {
-    // Boxed: cache-line-aligned engine state makes the variants large.
-    Seq(Box<MultiClusterSim>),
-    Par(Box<ShardedMultiCluster>),
-}
-
-impl Engine {
-    fn run_event(&mut self, event: Point) -> MultiRoundResult {
-        match self {
-            Engine::Seq(e) => e.run_event(event),
-            Engine::Par(e) => e.run_event(event),
-        }
-    }
-
-    fn save(&self) -> Vec<u8> {
-        match self {
-            Engine::Seq(e) => save_sequential(e).expect("scenario is checkpointable"),
-            Engine::Par(e) => save_sharded(e).expect("barrier state is checkpointable"),
-        }
-    }
-
-    fn restore(kind: EngineKind, blob: &[u8]) -> Engine {
-        match kind {
-            EngineKind::Sequential => {
-                Engine::Seq(Box::new(restore_sequential(blob).expect("own blob restores")))
-            }
-            EngineKind::Sharded(threads) => {
-                Engine::Par(Box::new(restore_sharded(blob, threads).expect("own blob restores")))
-            }
-        }
-    }
-
-    fn trust_snapshot(&self) -> Vec<u64> {
-        match self {
-            Engine::Seq(e) => e.trust_snapshot(),
-            Engine::Par(e) => e.trust_snapshot(),
-        }
-    }
-
-    fn position_snapshot(&self) -> Vec<(u64, u64)> {
-        match self {
-            Engine::Seq(e) => e.position_snapshot(),
-            Engine::Par(e) => e.position_snapshot(),
-        }
-    }
-
-    fn counters(&self) -> Vec<(String, u64)> {
-        match self {
-            Engine::Seq(e) => e.counters(),
-            Engine::Par(e) => e.counters(),
-        }
-    }
+fn save(engine: &MultiClusterSim) -> Vec<u8> {
+    save_sequential(engine).expect("scenario is checkpointable")
 }
 
 /// One round, digested: event fingerprint, declared points (bit-exact),
@@ -201,7 +55,7 @@ struct RunOutput {
     csv: Vec<u8>,
 }
 
-fn digest(results: &[MultiRoundResult], engine: &Engine) -> RunOutput {
+fn digest(results: &[MultiRoundResult], engine: &MultiClusterSim) -> RunOutput {
     let rows: Vec<_> = results
         .iter()
         .map(|r| {
@@ -243,33 +97,24 @@ fn digest(results: &[MultiRoundResult], engine: &Engine) -> RunOutput {
 }
 
 /// The reference: run every event with no interruption.
-fn uninterrupted(scenario: &Scenario, kind: EngineKind) -> RunOutput {
-    let mut engine = scenario.build(kind);
-    let results: Vec<_> = scenario
-        .events()
-        .iter()
-        .map(|&e| engine.run_event(e))
-        .collect();
+fn uninterrupted(seed: u64) -> RunOutput {
+    let (sc, events) = scenario(seed);
+    let mut engine = build(&sc);
+    let results: Vec<_> = events.iter().map(|&e| engine.run_event(e)).collect();
     digest(&results, &engine)
 }
 
 /// The harness under test: checkpoint every `checkpoint_every` rounds,
 /// kill the engine at the plan's round (discarding everything done since
-/// the last checkpoint, exactly like a dead process), restore under
-/// `resume_kind`, and run to completion.
+/// the last checkpoint, exactly like a dead process), restore, and run
+/// to completion.
 ///
 /// If the crash lands before the first checkpoint there is nothing to
 /// restore: the harness starts over from round zero, which is the
 /// correct degenerate recovery.
-fn crash_and_resume(
-    scenario: &Scenario,
-    kind: EngineKind,
-    resume_kind: EngineKind,
-    checkpoint_every: u64,
-    plan: CrashPlan,
-) -> RunOutput {
-    let events = scenario.events();
-    let mut engine = scenario.build(kind);
+fn crash_and_resume(seed: u64, checkpoint_every: u64, plan: CrashPlan) -> RunOutput {
+    let (sc, events) = scenario(seed);
+    let mut engine = build(&sc);
     let mut checkpoint: Option<(u64, Vec<u8>)> = None;
     let mut results: Vec<MultiRoundResult> = Vec::new();
     let mut crashed = false;
@@ -283,7 +128,7 @@ fn crash_and_resume(
         results.push(engine.run_event(event));
         let done = completed + 1;
         if done.is_multiple_of(checkpoint_every) && (done as usize) < events.len() {
-            checkpoint = Some((done, engine.save()));
+            checkpoint = Some((done, save(&engine)));
         }
     }
     assert!(crashed, "plan must kill inside the horizon");
@@ -291,8 +136,8 @@ fn crash_and_resume(
     // The process is dead: everything not checkpointed is gone.
     drop(engine);
     let (resume_round, mut engine) = match &checkpoint {
-        Some((round, blob)) => (*round, Engine::restore(resume_kind, blob)),
-        None => (0, scenario.build(resume_kind)),
+        Some((round, blob)) => (*round, restore_sequential(blob).expect("own blob restores")),
+        None => (0, build(&sc)),
     };
     results.truncate(resume_round as usize);
     for &event in &events[resume_round as usize..] {
@@ -301,67 +146,15 @@ fn crash_and_resume(
     digest(&results, &engine)
 }
 
-fn assert_crash_resume_identical(seed: u64, kind: EngineKind, resume_kind: EngineKind) {
-    let scenario = Scenario::mobile(seed);
-    let plan = CrashPlan::seeded(seed, scenario.rounds as u64);
-    let expected = uninterrupted(&scenario, resume_kind);
-    let resumed = crash_and_resume(&scenario, kind, resume_kind, 3, plan);
-    assert_eq!(
-        expected, resumed,
-        "kill-and-resume diverged: seed {seed} kill_round {} {kind:?} -> {resume_kind:?}",
-        plan.kill_round
-    );
-}
-
 #[test]
 fn twenty_seeds_sequential_engine() {
-    for seed in 0..20u64 {
-        assert_crash_resume_identical(2000 + seed, EngineKind::Sequential, EngineKind::Sequential);
-    }
-}
-
-#[test]
-fn twenty_seeds_sharded_one_thread() {
-    for seed in 0..20u64 {
-        assert_crash_resume_identical(
-            2100 + seed,
-            EngineKind::Sharded(1),
-            EngineKind::Sharded(1),
-        );
-    }
-}
-
-#[test]
-fn twenty_seeds_sharded_four_threads() {
-    for seed in 0..20u64 {
-        assert_crash_resume_identical(
-            2200 + seed,
-            EngineKind::Sharded(4),
-            EngineKind::Sharded(4),
-        );
-    }
-}
-
-#[test]
-fn cross_engine_restore_sequential_to_sharded() {
-    // Snapshot under the sequential engine, crash, resume sharded — the
-    // shared blob format makes the direction irrelevant.
-    for seed in 0..20u64 {
-        assert_crash_resume_identical(
-            2300 + seed,
-            EngineKind::Sequential,
-            EngineKind::Sharded(4),
-        );
-    }
-}
-
-#[test]
-fn cross_engine_restore_sharded_to_sequential() {
-    for seed in 0..10u64 {
-        assert_crash_resume_identical(
-            2400 + seed,
-            EngineKind::Sharded(4),
-            EngineKind::Sequential,
+    for seed in 2000..2020u64 {
+        let plan = CrashPlan::seeded(seed, ROUNDS as u64);
+        assert_eq!(
+            uninterrupted(seed),
+            crash_and_resume(seed, 3, plan),
+            "kill-and-resume diverged: seed {seed} kill_round {}",
+            plan.kill_round
         );
     }
 }
@@ -371,14 +164,10 @@ fn every_kill_round_is_recoverable() {
     // Not just the seeded rounds: kill after every single round of one
     // scenario (checkpoints at 1 with every round a boundary) and the
     // resume must always complete identically.
-    let scenario = Scenario::mobile(4242);
-    for engine in [EngineKind::Sequential, EngineKind::Sharded(2)] {
-        let expected = uninterrupted(&scenario, engine);
-        for kill in 1..scenario.rounds as u64 {
-            let resumed =
-                crash_and_resume(&scenario, engine, engine, 1, CrashPlan::at(kill));
-            assert_eq!(expected, resumed, "kill at {kill} diverged under {engine:?}");
-        }
+    let expected = uninterrupted(4242);
+    for kill in 1..ROUNDS as u64 {
+        let resumed = crash_and_resume(4242, 1, CrashPlan::at(kill));
+        assert_eq!(expected, resumed, "kill at {kill} diverged");
     }
 }
 
@@ -390,14 +179,11 @@ fn smoke_two_seeds_through_files() {
     let dir = std::env::temp_dir().join(format!("tibfit-crash-smoke-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir is writable");
     for seed in [7u64, 8u64] {
-        let scenario = Scenario::mobile(seed);
-        let events = scenario.events();
-        let plan = CrashPlan::seeded(seed, scenario.rounds as u64);
+        let (sc, events) = scenario(seed);
+        let plan = CrashPlan::seeded(seed, ROUNDS as u64);
         let path = dir.join(format!("smoke-{seed}.tbsn"));
 
-        let expected = uninterrupted(&scenario, EngineKind::Sharded(2));
-
-        let mut engine = scenario.build(EngineKind::Sharded(2));
+        let mut engine = build(&sc);
         let mut saved_round = 0u64;
         let mut results = Vec::new();
         for (round, &event) in events.iter().enumerate() {
@@ -407,7 +193,7 @@ fn smoke_two_seeds_through_files() {
             results.push(engine.run_event(event));
             let done = round as u64 + 1;
             if done.is_multiple_of(2) {
-                write_checkpoint(&path, &engine.save()).expect("checkpoint write succeeds");
+                write_checkpoint(&path, &save(&engine)).expect("checkpoint write succeeds");
                 saved_round = done;
             }
         }
@@ -415,43 +201,15 @@ fn smoke_two_seeds_through_files() {
 
         let mut engine = if saved_round > 0 {
             let blob = read_checkpoint(&path).expect("checkpoint reads back");
-            Engine::restore(EngineKind::Sharded(2), &blob)
+            restore_sequential(&blob).expect("own blob restores")
         } else {
-            scenario.build(EngineKind::Sharded(2))
+            build(&sc)
         };
         results.truncate(saved_round as usize);
         for &event in &events[saved_round as usize..] {
             results.push(engine.run_event(event));
         }
-        assert_eq!(expected, digest(&results, &engine), "smoke seed {seed}");
+        assert_eq!(uninterrupted(seed), digest(&results, &engine), "smoke seed {seed}");
     }
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Nightly differential variant: the sharded engine runs with a
-/// checkpoint/restore cycle injected mid-run at every thread count and
-/// must stay in lockstep with an uninterrupted sequential reference.
-#[test]
-fn differential_with_mid_run_checkpoint() {
-    for seed in 0..5u64 {
-        let scenario = Scenario::mobile(6000 + seed);
-        let events = scenario.events();
-        let expected = uninterrupted(&scenario, EngineKind::Sequential);
-        for threads in [1, 2, 4, 8] {
-            let half = events.len() / 2;
-            let mut par = scenario.sharded(threads);
-            let mut results: Vec<_> =
-                events[..half].iter().map(|&e| par.run_event(e)).collect();
-            // Round-trip through bytes mid-run, then keep going.
-            let blob = save_sharded(&par).expect("barrier state is checkpointable");
-            drop(par);
-            let mut par = restore_sharded(&blob, threads).expect("own blob restores");
-            results.extend(events[half..].iter().map(|&e| par.run_event(e)));
-            let got = digest(&results, &Engine::Par(Box::new(par)));
-            assert_eq!(
-                expected, got,
-                "mid-run checkpoint diverged: seed {seed} threads {threads}"
-            );
-        }
-    }
 }

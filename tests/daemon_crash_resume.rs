@@ -13,6 +13,9 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::Duration;
 
+use tibfit_daemon::state::{read_tenant_state, tenant_state_path};
+use tibfit_daemon::EngineKind;
+
 const TENANTS: usize = 2;
 
 fn bin() -> &'static str {
@@ -68,35 +71,30 @@ fn gen_replay_per_tick(dir: &Path, seed: u64, ticks: u64, per_tick: u64) -> Path
     replay
 }
 
-fn serve_args<'a>(
-    replay: &'a str,
-    state: &'a str,
-    seed: &'a str,
-    engine: &'a str,
-) -> Vec<&'a str> {
+fn serve_args<'a>(replay: &'a str, state: &'a str, seed: &'a str) -> Vec<&'a str> {
     vec![
         "serve", "--replay", replay, "--state-dir", state, "--seed", seed, "--tenants", "2",
-        "--engine", engine, "--threads", "2", "--snapshot-every", "3",
+        "--snapshot-every", "3",
     ]
 }
 
 /// One seeded crash/resume cycle: reference run, aborted run, resumed
 /// run, byte-compare. Returns the tick the crash plan fired at (for
 /// coverage reporting).
-fn crash_resume_cycle(seed: u64, engine: &str, ticks: u64) {
-    let root = fresh_dir(&format!("seed{seed}-{engine}"));
+fn crash_resume_cycle(seed: u64, ticks: u64) {
+    let root = fresh_dir(&format!("seed{seed}"));
     let replay = gen_replay(&root, seed, ticks);
     let replay = replay.to_str().unwrap();
     let seed_s = seed.to_string();
 
     let ref_dir = root.join("ref");
-    run_ok(&serve_args(replay, ref_dir.to_str().unwrap(), &seed_s, engine));
+    run_ok(&serve_args(replay, ref_dir.to_str().unwrap(), &seed_s));
     let reference = decisions(&ref_dir);
     assert!(!reference[0].is_empty(), "reference run must decide something");
 
     let crash_dir = root.join("crash");
     let crash_dir_s = crash_dir.to_str().unwrap().to_string();
-    let mut crash_args = serve_args(replay, &crash_dir_s, &seed_s, engine);
+    let mut crash_args = serve_args(replay, &crash_dir_s, &seed_s);
     let horizon = ticks.to_string();
     crash_args.extend_from_slice(&["--crash-seed", &seed_s, "--crash-horizon", &horizon]);
     let out = Command::new(bin()).args(&crash_args).output().expect("binary spawns");
@@ -107,20 +105,19 @@ fn crash_resume_cycle(seed: u64, engine: &str, ticks: u64) {
 
     // Same state dir, same replay: dedup drops everything the snapshot
     // already covers and regenerates the rest.
-    let resumed_stdout = run_ok(&serve_args(replay, &crash_dir_s, &seed_s, engine));
+    let resumed_stdout = run_ok(&serve_args(replay, &crash_dir_s, &seed_s));
     assert!(resumed_stdout.contains("daemon.exit eof"));
     assert_eq!(
         reference,
         decisions(&crash_dir),
-        "seed {seed} engine {engine}: resumed decisions must be byte-identical"
+        "seed {seed}: resumed decisions must be byte-identical"
     );
 }
 
 #[test]
 fn seeded_aborts_resume_byte_identical_across_20_seeds() {
     for seed in 0..20u64 {
-        let engine = if seed % 2 == 0 { "seq" } else { "sharded" };
-        crash_resume_cycle(seed, engine, 8);
+        crash_resume_cycle(seed, 8);
     }
 }
 
@@ -138,12 +135,12 @@ fn an_abort_mid_window_resumes_byte_identical() {
     let seed_s = seed.to_string();
 
     let ref_dir = root.join("ref");
-    run_ok(&serve_args(replay, ref_dir.to_str().unwrap(), &seed_s, "seq"));
+    run_ok(&serve_args(replay, ref_dir.to_str().unwrap(), &seed_s));
     let reference = decisions(&ref_dir);
 
     let crash_dir = root.join("crash");
     let crash_dir_s = crash_dir.to_str().unwrap().to_string();
-    let mut crash_args = serve_args(replay, &crash_dir_s, &seed_s, "seq");
+    let mut crash_args = serve_args(replay, &crash_dir_s, &seed_s);
     crash_args.extend_from_slice(&["--crash-after-ticks", "5"]);
     let out = Command::new(bin()).args(&crash_args).output().expect("binary spawns");
     assert!(!out.status.success(), "the crash plan must abort after tick 5");
@@ -155,7 +152,7 @@ fn an_abort_mid_window_resumes_byte_identical() {
         assert_eq!(state.round, 3 * per_tick, "tenant {t}: newest snapshot is tick 3's");
     }
 
-    run_ok(&serve_args(replay, &crash_dir_s, &seed_s, "seq"));
+    run_ok(&serve_args(replay, &crash_dir_s, &seed_s));
     assert_eq!(
         reference,
         decisions(&crash_dir),
@@ -173,13 +170,13 @@ fn raced_sigkill_resumes_byte_identical() {
         let seed_s = seed.to_string();
 
         let ref_dir = root.join("ref");
-        run_ok(&serve_args(replay, ref_dir.to_str().unwrap(), &seed_s, "seq"));
+        run_ok(&serve_args(replay, ref_dir.to_str().unwrap(), &seed_s));
         let reference = decisions(&ref_dir);
 
         let kill_dir = root.join("killed");
         let kill_dir_s = kill_dir.to_str().unwrap().to_string();
         let mut child = Command::new(bin())
-            .args(serve_args(replay, &kill_dir_s, &seed_s, "seq"))
+            .args(serve_args(replay, &kill_dir_s, &seed_s))
             .stdout(Stdio::null())
             .stderr(Stdio::null())
             .spawn()
@@ -191,7 +188,7 @@ fn raced_sigkill_resumes_byte_identical() {
         let _ = child.kill();
         let _ = child.wait();
 
-        run_ok(&serve_args(replay, &kill_dir_s, &seed_s, "seq"));
+        run_ok(&serve_args(replay, &kill_dir_s, &seed_s));
         assert_eq!(
             reference,
             decisions(&kill_dir),
@@ -209,7 +206,7 @@ fn sigterm_drains_cleanly_and_resume_completes() {
     let seed_s = seed.to_string();
 
     let ref_dir = root.join("ref");
-    run_ok(&serve_args(replay, ref_dir.to_str().unwrap(), &seed_s, "seq"));
+    run_ok(&serve_args(replay, ref_dir.to_str().unwrap(), &seed_s));
     let reference = decisions(&ref_dir);
 
     // Feed roughly half the stream over stdin, SIGTERM, then one wake
@@ -220,7 +217,7 @@ fn sigterm_drains_cleanly_and_resume_completes() {
 
     let drain_dir = root.join("drained");
     let drain_dir_s = drain_dir.to_str().unwrap().to_string();
-    let mut args = serve_args(replay, &drain_dir_s, &seed_s, "seq");
+    let mut args = serve_args(replay, &drain_dir_s, &seed_s);
     args.retain(|a| *a != "--replay" && *a != replay);
     args.push("--stdin");
     let mut child = Command::new(bin())
@@ -256,6 +253,54 @@ fn sigterm_drains_cleanly_and_resume_completes() {
     );
 
     // Resume over the full replay: the drained half dedups away.
-    run_ok(&serve_args(replay, &drain_dir_s, &seed_s, "seq"));
+    run_ok(&serve_args(replay, &drain_dir_s, &seed_s));
     assert_eq!(reference, decisions(&drain_dir));
+}
+
+/// The engine tag of each tenant's newest committed state in `dir`.
+fn state_kinds(dir: &Path) -> Vec<EngineKind> {
+    (0..TENANTS)
+        .map(|t| {
+            read_tenant_state(&tenant_state_path(dir, t))
+                .expect("state reads")
+                .expect("state exists")
+                .kind
+        })
+        .collect()
+}
+
+#[test]
+fn legacy_sharded_state_resumes_byte_identically() {
+    // `tests/golden/legacy_sharded` was written by a daemon running the
+    // sharded engine earlier versions offered: `--seed 7 --tenants 2
+    // --snapshot-every 3` over `legacy.replay` (12 ticks of 2 records),
+    // aborted after tick 10. Its slot files carry engine tag 1 and a
+    // round-18 snapshot; tenant 0's log runs two lines past it.
+    // `reference/` holds that version's uninterrupted logs.
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/legacy_sharded");
+    let state = fresh_dir("legacy").join("state");
+    std::fs::create_dir_all(state.join("decisions")).expect("state dir");
+    for sub in ["", "decisions"] {
+        for entry in std::fs::read_dir(fixture.join("state").join(sub)).expect("fixture present") {
+            let path = entry.expect("fixture entry").path();
+            if path.is_file() {
+                let to = state.join(sub).join(path.file_name().expect("file name"));
+                std::fs::copy(&path, to).expect("fixture copies");
+            }
+        }
+    }
+    assert_eq!(state_kinds(&state), [EngineKind::Sharded; TENANTS]);
+
+    let replay = fixture.join("legacy.replay");
+    let stdout = run_ok(&serve_args(replay.to_str().unwrap(), state.to_str().unwrap(), "7"));
+    assert!(stdout.contains("daemon.exit eof"));
+    let reference: Vec<String> = (0..TENANTS)
+        .map(|t| {
+            std::fs::read_to_string(fixture.join("reference").join(format!("tenant{t}.log")))
+                .expect("reference log")
+        })
+        .collect();
+    assert_eq!(decisions(&state), reference, "a legacy state must resume byte-identically");
+    // The resumed daemon's commits carry the one engine's tag.
+    assert_eq!(state_kinds(&state), [EngineKind::Sequential; TENANTS]);
 }

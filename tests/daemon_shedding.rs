@@ -1,16 +1,16 @@
 //! Deterministic load-shedding: same seed + same overload profile ⇒
 //! identical shed set and identical final decisions, at any queue
-//! capacity at or above the tick budget, across both engines.
+//! capacity at or above the tick budget.
 //!
 //! The shed set must be a pure function of `(seed, stream)` — never of
-//! queue sizing, engine flavor, or scheduling — because crash-resume
-//! byte-identity depends on re-deriving it exactly.
+//! queue sizing or scheduling — because crash-resume byte-identity
+//! depends on re-deriving it exactly.
 
 use std::io::Cursor;
 use std::path::PathBuf;
 
 use tibfit_daemon::queue::QueuePolicy;
-use tibfit_daemon::{Daemon, DaemonConfig, DaemonReport, EngineKind};
+use tibfit_daemon::{Daemon, DaemonConfig, DaemonReport};
 use tibfit_experiments::replay::{tenant_seed, FieldScenario};
 
 fn small_scenario(seed: u64) -> FieldScenario {
@@ -61,7 +61,6 @@ struct RunOutput {
 
 fn run_daemon(
     tag: &str,
-    engine: EngineKind,
     capacity: usize,
     budget: usize,
     master: u64,
@@ -69,8 +68,6 @@ fn run_daemon(
 ) -> RunOutput {
     let dir = fresh_dir(tag);
     let mut cfg = DaemonConfig::standard(2, master, dir.clone());
-    cfg.engine = engine;
-    cfg.threads = 2;
     cfg.scenario = small_scenario;
     cfg.queue = QueuePolicy {
         capacity,
@@ -98,7 +95,7 @@ fn run_daemon(
 fn shed_set_is_identical_across_queue_capacities() {
     let replay = overload_replay(2, 90, 12, 9);
     let budget = 3;
-    let base = run_daemon("cap-base", EngineKind::Sequential, budget, budget, 90, &replay);
+    let base = run_daemon("cap-base", budget, budget, 90, &replay);
     // Overload is real: 9 offered, 3 admitted per tick.
     assert!(base.report.tenants[0].stats.shed_budget > 0);
     assert_eq!(
@@ -107,27 +104,17 @@ fn shed_set_is_identical_across_queue_capacities() {
         "budget admits exactly its quota under sustained overload"
     );
     for (tag, cap) in [("cap-2x", 2 * budget), ("cap-8x", 8 * budget), ("cap-64", 64)] {
-        let other = run_daemon(tag, EngineKind::Sequential, cap, budget, 90, &replay);
+        let other = run_daemon(tag, cap, budget, 90, &replay);
         assert_eq!(base.shed_logs, other.shed_logs, "shed set at capacity {cap}");
         assert_eq!(base.decisions, other.decisions, "decisions at capacity {cap}");
     }
 }
 
 #[test]
-fn shed_set_is_identical_across_engines() {
-    let replay = overload_replay(2, 91, 10, 7);
-    let seq = run_daemon("eng-seq", EngineKind::Sequential, 8, 2, 91, &replay);
-    let par = run_daemon("eng-par", EngineKind::Sharded, 8, 2, 91, &replay);
-    assert_eq!(seq.shed_logs, par.shed_logs);
-    assert_eq!(seq.decisions, par.decisions);
-    assert!(!seq.decisions[0].is_empty());
-}
-
-#[test]
 fn repeated_runs_are_bit_identical() {
     let replay = overload_replay(2, 92, 8, 5);
-    let a = run_daemon("rep-a", EngineKind::Sequential, 4, 2, 92, &replay);
-    let b = run_daemon("rep-b", EngineKind::Sequential, 4, 2, 92, &replay);
+    let a = run_daemon("rep-a", 4, 2, 92, &replay);
+    let b = run_daemon("rep-b", 4, 2, 92, &replay);
     assert_eq!(a.shed_logs, b.shed_logs);
     assert_eq!(a.decisions, b.decisions);
     // Everything except backpressure_waits (wall-clock dependent) is
@@ -146,7 +133,7 @@ fn repeated_runs_are_bit_identical() {
 fn sustained_overload_stays_bounded_and_counted() {
     // 10× overload: budget 2, 20 records per tenant per tick.
     let replay = overload_replay(2, 93, 10, 20);
-    let out = run_daemon("overload", EngineKind::Sequential, 4, 2, 93, &replay);
+    let out = run_daemon("overload", 4, 2, 93, &replay);
     let t0 = &out.report.tenants[0];
     assert_eq!(t0.stats.offered, 200);
     assert_eq!(t0.stats.admitted, 20);
@@ -171,8 +158,8 @@ fn duplicate_and_shed_replays_are_idempotent() {
         s.push_str(&replay);
         s
     };
-    let once = run_daemon("idem-once", EngineKind::Sequential, 4, 2, 94, &replay);
-    let twice = run_daemon("idem-twice", EngineKind::Sequential, 4, 2, 94, &doubled);
+    let once = run_daemon("idem-once", 4, 2, 94, &replay);
+    let twice = run_daemon("idem-twice", 4, 2, 94, &doubled);
     assert_eq!(once.decisions, twice.decisions);
     assert_eq!(once.shed_logs[0], twice.shed_logs[0]);
     assert_eq!(

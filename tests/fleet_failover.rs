@@ -109,7 +109,6 @@ fn fleet_serve_cmd(
     replay: &str,
     shared: &str,
     seed: u64,
-    engine: &str,
     id: usize,
     ports: &[u16],
     fleet_seed: u64,
@@ -126,10 +125,6 @@ fn fleet_serve_cmd(
         &seed.to_string(),
         "--tenants",
         &TENANTS.to_string(),
-        "--engine",
-        engine,
-        "--threads",
-        "2",
         "--snapshot-every",
         "3",
         "--fleet-id",
@@ -159,10 +154,10 @@ fn fleet_serve_cmd(
 
 /// One failover cycle: reference run, 3-daemon fleet run with the
 /// victim aborting at a seeded tick, byte-compare the merged logs.
-fn failover_cycle(k: u64, engine: &str, fleet_seed: u64) {
+fn failover_cycle(k: u64, fleet_seed: u64) {
     let seed = 1300 + k;
     let ticks = 10u64;
-    let root = fresh_dir(&format!("fo{k}-{engine}"));
+    let root = fresh_dir(&format!("fo{k}"));
     let replay = gen_replay(&root, seed, ticks);
     let replay = replay.to_str().unwrap();
     let seed_s = seed.to_string();
@@ -170,7 +165,7 @@ fn failover_cycle(k: u64, engine: &str, fleet_seed: u64) {
     let ref_dir = root.join("ref");
     run_ok(&[
         "serve", "--replay", replay, "--state-dir", ref_dir.to_str().unwrap(), "--seed", &seed_s,
-        "--tenants", "3", "--engine", engine, "--threads", "2", "--snapshot-every", "3",
+        "--tenants", "3", "--snapshot-every", "3",
     ]);
     let want = decisions(&ref_dir);
     assert!(!want[0].is_empty(), "reference run must decide something");
@@ -182,7 +177,7 @@ fn failover_cycle(k: u64, engine: &str, fleet_seed: u64) {
     let children: Vec<_> = (0..3)
         .map(|i| {
             let mut cmd =
-                fleet_serve_cmd(replay, &shared_s, seed, engine, i, &ports, fleet_seed, 2000);
+                fleet_serve_cmd(replay, &shared_s, seed, i, &ports, fleet_seed, 2000);
             if i == victim {
                 // The seeded abort: the process dies without unwinding
                 // at a deterministic tick in [1, ticks) — the
@@ -216,7 +211,7 @@ fn failover_cycle(k: u64, engine: &str, fleet_seed: u64) {
         }
         assert!(
             out.status.success(),
-            "k={k} engine={engine}: survivor {i} must exit cleanly:\n{}",
+            "k={k}: survivor {i} must exit cleanly:\n{}",
             String::from_utf8_lossy(&out.stdout)
         );
         let stdout = String::from_utf8_lossy(&out.stdout);
@@ -224,25 +219,24 @@ fn failover_cycle(k: u64, engine: &str, fleet_seed: u64) {
     }
     assert!(
         rebalances >= 1,
-        "k={k} engine={engine}: the victim's tenant must be adopted"
+        "k={k}: the victim's tenant must be adopted"
     );
     assert_eq!(
         want,
         decisions(&shared),
-        "k={k} engine={engine}: merged fleet logs must be byte-identical to the reference"
+        "k={k}: merged fleet logs must be byte-identical to the reference"
     );
 }
 
 #[test]
-fn seeded_kills_rebalance_byte_identical_across_20_points_and_both_engines() {
+fn seeded_kills_rebalance_byte_identical_across_20_points() {
     let fleet_seed = bijective_fleet_seed();
     // Chunked parallelism: each cycle runs 4 processes and sleeps
     // through detection + linger, so batching keeps wall time sane.
     for chunk in (0..20u64).collect::<Vec<_>>().chunks(5) {
         std::thread::scope(|scope| {
             for &k in chunk {
-                let engine = if k % 2 == 0 { "seq" } else { "sharded" };
-                scope.spawn(move || failover_cycle(k, engine, fleet_seed));
+                scope.spawn(move || failover_cycle(k, fleet_seed));
             }
         });
     }
@@ -259,7 +253,7 @@ fn raced_real_sigkill_rebalances_byte_identical() {
     let ref_dir = root.join("ref");
     run_ok(&[
         "serve", "--replay", replay, "--state-dir", ref_dir.to_str().unwrap(), "--seed", "1999",
-        "--tenants", "3", "--engine", "seq", "--threads", "2", "--snapshot-every", "3",
+        "--tenants", "3", "--snapshot-every", "3",
     ]);
     let want = decisions(&ref_dir);
 
@@ -269,7 +263,7 @@ fn raced_real_sigkill_rebalances_byte_identical() {
     let victim = 1usize;
     let mut children: Vec<_> = (0..3)
         .map(|i| {
-            fleet_serve_cmd(replay, &shared_s, seed, "seq", i, &ports, fleet_seed, 2000)
+            fleet_serve_cmd(replay, &shared_s, seed, i, &ports, fleet_seed, 2000)
                 .stdout(Stdio::piped())
                 .stderr(Stdio::null())
                 .spawn()
@@ -368,7 +362,7 @@ fn rolling_migrate_drill_is_byte_identical_and_lossless() {
     let ref_dir = root.join("ref");
     run_ok(&[
         "serve", "--replay", replay_s, "--state-dir", ref_dir.to_str().unwrap(), "--seed", "2042",
-        "--tenants", "3", "--engine", "seq", "--threads", "2", "--snapshot-every", "3",
+        "--tenants", "3", "--snapshot-every", "3",
     ]);
     let want = decisions(&ref_dir);
 
@@ -405,10 +399,6 @@ fn rolling_migrate_drill_is_byte_identical_and_lossless() {
                     "2042",
                     "--tenants",
                     "3",
-                    "--engine",
-                    "seq",
-                    "--threads",
-                    "2",
                     "--snapshot-every",
                     "3",
                     "--fleet-id",

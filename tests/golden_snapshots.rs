@@ -10,8 +10,8 @@
 //!    lockstep with an uninterrupted simulation of the same scenario.
 //!
 //! `checkpoint_v2_q16.bin` was written by the retired Q16.16 trust
-//! backend. It stays as a fixture: both engines must refuse it with a
-//! typed error.
+//! backend. It stays as a fixture: restore must refuse it with a typed
+//! error.
 //!
 //! Regenerate after a deliberate format change with
 //! `cargo test -p tibfit-experiments --test golden_snapshots -- --ignored`.
@@ -20,9 +20,7 @@ use std::path::PathBuf;
 
 use tibfit_adversary::behavior::NodeBehavior;
 use tibfit_adversary::{CorrectNode, Level0Config, Level0Node};
-use tibfit_experiments::checkpoint::{
-    restore_sequential, restore_sharded, save_sequential, CheckpointError,
-};
+use tibfit_experiments::checkpoint::{restore_sequential, save_sequential, CheckpointError};
 use tibfit_experiments::multicluster::{grid_sites, MultiClusterConfig, MultiClusterSim};
 use tibfit_net::channel::BernoulliLoss;
 use tibfit_net::geometry::Point;
@@ -124,24 +122,15 @@ fn golden_blobs_restore_and_extend_in_lockstep() {
 fn q16_blob_is_rejected_with_a_typed_error() {
     // The blob is intact (magic, version and every CRC check out), so
     // the decoder reaches the arithmetic byte and must refuse it there —
-    // a typed error from both engines, never a panic or a silent f64
-    // restore of Q16.16 counters.
+    // a typed error, never a panic or a silent f64 restore of Q16.16
+    // counters.
     let blob = std::fs::read(golden_path(Q16_BLOB)).expect("golden blob present");
-    let expect_typed = |engine: &str, err: CheckpointError| match err {
-        CheckpointError::Snapshot(SnapshotError::Invalid(msg)) => {
-            assert!(msg.contains("Q16.16"), "{engine}: unexpected message {msg:?}");
-        }
-        other => panic!("{engine}: Q16.16 blob must be Invalid, got {other:?}"),
-    };
     match restore_sequential(&blob) {
-        Ok(_) => panic!("sequential engine restored a Q16.16 blob"),
-        Err(e) => expect_typed("sequential", e),
-    }
-    for threads in [1, 4] {
-        match restore_sharded(&blob, threads) {
-            Ok(_) => panic!("sharded engine ({threads} threads) restored a Q16.16 blob"),
-            Err(e) => expect_typed("sharded", e),
+        Ok(_) => panic!("the engine restored a Q16.16 blob"),
+        Err(CheckpointError::Snapshot(SnapshotError::Invalid(msg))) => {
+            assert!(msg.contains("Q16.16"), "unexpected message {msg:?}");
         }
+        Err(other) => panic!("Q16.16 blob must be Invalid, got {other:?}"),
     }
 }
 

@@ -10,7 +10,7 @@
 
 use tibfit_adversary::behavior::NodeBehavior;
 use tibfit_adversary::{CorrectNode, Level0Config, Level0Node};
-use tibfit_experiments::checkpoint::{restore_sequential, restore_sharded, save_sequential};
+use tibfit_experiments::checkpoint::{restore_sequential, save_sequential};
 use tibfit_experiments::multicluster::{grid_sites, MultiClusterConfig, MultiClusterSim};
 use tibfit_net::channel::BernoulliLoss;
 use tibfit_net::geometry::Point;
@@ -49,17 +49,13 @@ fn real_blob(seed: u64) -> Vec<u8> {
     save_sequential(&sim).expect("fuzz scenario is checkpointable")
 }
 
-/// Both restore paths must reject the blob; neither may panic. (A panic
-/// fails the test on its own — the assertions pin the "never silently
-/// loads" half.)
+/// Restore must reject the blob without panicking. (A panic fails the
+/// test on its own — the assertion pins the "never silently loads"
+/// half.)
 fn assert_rejected(bad: &[u8], what: &str) {
     assert!(
         restore_sequential(bad).is_err(),
-        "sequential restore accepted a corrupt blob: {what}"
-    );
-    assert!(
-        restore_sharded(bad, 2).is_err(),
-        "sharded restore accepted a corrupt blob: {what}"
+        "restore accepted a corrupt blob: {what}"
     );
 }
 

@@ -255,8 +255,6 @@ fn serve(replay: &Path, state: &Path) -> String {
             "31",
             "--tenants",
             "2",
-            "--engine",
-            "seq",
             "--snapshot-every",
             "3",
         ])
