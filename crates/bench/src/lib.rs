@@ -1,43 +1,5 @@
-//! Dependency-free micro-benchmark harness for the `benches/` binaries.
-//!
-//! The container has no network access, so the usual bench framework
-//! cannot be pulled in; this is the thin slice of it the figures need:
-//! warmup, a fixed sample count, and median/mean wall-clock per
-//! iteration printed in a stable one-line format.
-
-use std::time::Instant;
-
-/// Prevents the optimiser from deleting a benchmarked computation.
-///
-/// Same contract as `std::hint::black_box`, re-exported so bench files
-/// have a single import.
-pub use std::hint::black_box;
-
-/// Runs `f` repeatedly and prints `name: median ... mean ... (samples)`.
-///
-/// Each sample times one call of `f`; `samples` of them are taken after
-/// three warmup calls. Keep `f` itself coarse enough (micro- to
-/// milliseconds) that per-call timer overhead is noise.
-pub fn bench<R>(name: &str, samples: u32, mut f: impl FnMut() -> R) {
-    for _ in 0..3 {
-        black_box(f());
-    }
-    let mut times_ns: Vec<u128> = Vec::with_capacity(samples as usize);
-    for _ in 0..samples {
-        let start = Instant::now();
-        black_box(f());
-        times_ns.push(start.elapsed().as_nanos());
-    }
-    times_ns.sort_unstable();
-    let median = times_ns[times_ns.len() / 2];
-    let mean = times_ns.iter().sum::<u128>() / times_ns.len() as u128;
-    println!(
-        "{name}: median {} mean {} ({} samples)",
-        format_ns(median),
-        format_ns(mean),
-        samples
-    );
-}
+//! Helpers for the `tibfit-bench` binary: the flat-JSON report reader
+//! and an adaptive-unit time formatter.
 
 /// Extracts the numeric value of `key` from a *flat* JSON object with
 /// unique keys (the `BENCH_kernel.json` format emitted by
@@ -86,12 +48,12 @@ mod tests {
   "schema_version": 1,
   "des_events_per_sec": 1234567.8,
   "des_wall_ms": 42.5,
-  "micro_dense_speedup": 3.1e0
+  "cti_cache_speedup": 3.1e0
 }"#;
         assert_eq!(json_number(text, "schema_version"), Some(1.0));
         assert_eq!(json_number(text, "des_events_per_sec"), Some(1_234_567.8));
         assert_eq!(json_number(text, "des_wall_ms"), Some(42.5));
-        assert_eq!(json_number(text, "micro_dense_speedup"), Some(3.1));
+        assert_eq!(json_number(text, "cti_cache_speedup"), Some(3.1));
         assert_eq!(json_number(text, "missing"), None);
     }
 
@@ -99,13 +61,5 @@ mod tests {
     fn json_number_ignores_malformed_values() {
         assert_eq!(json_number(r#"{"k": "text"}"#, "k"), None);
         assert_eq!(json_number("", "k"), None);
-    }
-
-    #[test]
-    fn bench_runs_the_closure() {
-        let mut calls = 0u32;
-        bench("noop", 5, || calls += 1);
-        // 3 warmup + 5 timed.
-        assert_eq!(calls, 8);
     }
 }

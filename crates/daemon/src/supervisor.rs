@@ -2065,6 +2065,33 @@ mod tests {
         }
     }
 
+    /// The query-latency histogram is fed by the workers' answers: a
+    /// replay with `Q trust`/`Q round` lines yields a positive p99, and a
+    /// replay without queries leaves it at zero.
+    #[test]
+    fn query_latency_p99_is_recorded_only_for_answered_queries() {
+        use tibfit_experiments::replay::{render_replay, replay_records};
+        let stream = render_replay(&replay_records(1, 7, 2, 1));
+        let run = |name: &str, replay: String| {
+            let dir = std::env::temp_dir()
+                .join(format!("tibfit-query-p99-{name}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut daemon = Daemon::new(DaemonConfig::standard(1, 7, dir.clone())).unwrap();
+            daemon.run(std::io::Cursor::new(replay.into_bytes())).unwrap();
+            let p99 = daemon.query_latency_p99_us();
+            let _ = std::fs::remove_dir_all(&dir);
+            p99
+        };
+        assert_eq!(run("none", stream.clone()), 0.0);
+        let mut queried = stream;
+        for i in 0..8 {
+            let _ = writeln!(queried, "Q trust 0 {i}");
+        }
+        queried.push_str("Q round 0\n");
+        let p99 = run("some", queried);
+        assert!(p99 > 0.0, "no query latencies recorded: {p99}");
+    }
+
     #[test]
     fn a_late_panic_never_overwrites_a_newer_respawn_error() {
         let dir = std::env::temp_dir().join(format!("tibfit-late-harvest-{}", std::process::id()));

@@ -46,8 +46,8 @@ use tibfit_sim::snapshot::{
 };
 
 use crate::multicluster::{
-    ClusterCapture, ClusterState, DeploymentHeader, MultiClusterConfig, MultiClusterError,
-    MultiClusterSim, COUNTER_NAMES,
+    ClusterCapture, ClusterState, DeploymentHeader, MultiClusterConfig, MultiClusterSim,
+    COUNTER_NAMES,
 };
 
 /// Section tag: deployment-wide header.
@@ -65,8 +65,6 @@ const ARITH_F64: u8 = 0;
 pub enum CheckpointError {
     /// The blob was malformed, corrupt, or version-skewed.
     Snapshot(SnapshotError),
-    /// The decoded deployment was rejected by the engine.
-    Engine(MultiClusterError),
     /// Reading or writing the checkpoint file failed.
     Io(std::io::Error),
 }
@@ -75,7 +73,6 @@ impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CheckpointError::Snapshot(e) => write!(f, "checkpoint rejected: {e}"),
-            CheckpointError::Engine(e) => write!(f, "restored deployment rejected: {e}"),
             CheckpointError::Io(e) => write!(f, "checkpoint I/O failed: {e}"),
         }
     }
@@ -85,7 +82,6 @@ impl std::error::Error for CheckpointError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CheckpointError::Snapshot(e) => Some(e),
-            CheckpointError::Engine(e) => Some(e),
             CheckpointError::Io(e) => Some(e),
         }
     }

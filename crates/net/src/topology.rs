@@ -298,44 +298,6 @@ impl Topology {
             .map(|&p| index.nearest(p).expect("need at least one site"))
             .collect()
     }
-
-    /// Nodes in the *border region* of the Voronoi partition induced by
-    /// `sites`: a node is a border node if the site nearest to it and the
-    /// second-nearest are within `margin` of equidistant. These are the
-    /// nodes whose cluster affiliation can flip under small position
-    /// drift, i.e. the only nodes that ever generate cross-cluster handoff
-    /// traffic. Returned in ascending id order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sites` is empty or `margin` is negative.
-    #[must_use]
-    pub fn border_nodes(&self, sites: &[Point], margin: f64) -> Vec<NodeId> {
-        assert!(!sites.is_empty(), "need at least one site");
-        assert!(margin >= 0.0, "border margin must be non-negative");
-        if sites.len() == 1 {
-            return Vec::new(); // one cell, no borders
-        }
-        self.positions
-            .iter()
-            .enumerate()
-            .filter(|(_, &p)| {
-                let mut best = f64::INFINITY;
-                let mut second = f64::INFINITY;
-                for site in sites {
-                    let d = site.distance_to(p);
-                    if d < best {
-                        second = best;
-                        best = d;
-                    } else if d < second {
-                        second = d;
-                    }
-                }
-                second - best <= margin
-            })
-            .map(|(i, _)| NodeId(i))
-            .collect()
-    }
 }
 
 /// Index of the site nearest to `p` (ties broken by lower index), or
@@ -757,38 +719,6 @@ mod tests {
         }
         // Both clusters are non-empty for a centered pair of sites.
         assert!(aff.contains(&0) && aff.contains(&1));
-    }
-
-    #[test]
-    fn border_nodes_lie_near_the_bisector() {
-        let t = Topology::uniform_grid(100, 100.0, 100.0);
-        let sites = vec![Point::new(25.0, 50.0), Point::new(75.0, 50.0)];
-        // The bisector is x = 50; a 12-unit margin captures the two grid
-        // columns adjacent to it and nothing else.
-        let border = t.border_nodes(&sites, 12.0);
-        assert!(!border.is_empty());
-        for &id in &border {
-            let x = t.position(id).x;
-            assert!((x - 50.0).abs() < 12.0, "node {id} at x={x} is not near the bisector");
-        }
-        // Nodes far from the bisector are excluded.
-        let far: Vec<NodeId> = t
-            .node_ids()
-            .filter(|&id| (t.position(id).x - 50.0).abs() > 30.0)
-            .collect();
-        for id in far {
-            assert!(!border.contains(&id));
-        }
-        // Sorted ascending.
-        let mut sorted = border.clone();
-        sorted.sort_unstable();
-        assert_eq!(border, sorted);
-    }
-
-    #[test]
-    fn border_nodes_single_site_is_empty() {
-        let t = Topology::uniform_grid(9, 10.0, 10.0);
-        assert!(t.border_nodes(&[Point::new(5.0, 5.0)], 100.0).is_empty());
     }
 
     #[test]

@@ -54,4 +54,4 @@ pub mod trace;
 
 pub use clock::{Duration, SimTime};
 pub use engine::{Engine, TimerHandle};
-pub use queue::{EventQueue, HeapEventQueue, WHEEL_SPAN};
+pub use queue::{EventQueue, WHEEL_SPAN};

@@ -10,8 +10,8 @@
 //! Ordering is *identical* to the previous `BinaryHeap` implementation:
 //! events pop in `(time, sequence)` order, where the sequence number makes
 //! same-time events pop in insertion (FIFO) order. That equivalence is
-//! enforced by a randomized differential test against
-//! [`HeapEventQueue`], the retained reference implementation.
+//! enforced by a randomized differential test (`tests/differential_queue.rs`)
+//! against a plain `BinaryHeap` reference queue kept in the test itself.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -309,62 +309,6 @@ impl<E: std::fmt::Debug> std::fmt::Debug for EventQueue<E> {
     }
 }
 
-/// The previous `BinaryHeap`-backed queue, kept as the reference
-/// implementation: the randomized differential test drives it in lockstep
-/// with [`EventQueue`], and `tibfit-bench` uses it as the scheduler
-/// baseline. Not used by [`crate::Engine`].
-#[derive(Default)]
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    next_seq: u64,
-}
-
-impl<E> HeapEventQueue<E> {
-    /// Creates an empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
-    }
-
-    /// Enqueues `event` to fire at `time`.
-    pub fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry { time, seq, event });
-    }
-
-    /// Removes and returns the earliest event, or `None` if empty.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| (e.time, e.event))
-    }
-
-    /// Returns the firing time of the earliest event without removing it.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// `true` when no events are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drops all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -515,22 +459,5 @@ mod tests {
     fn debug_output_nonempty() {
         let q: EventQueue<()> = EventQueue::new();
         assert!(format!("{q:?}").contains("EventQueue"));
-    }
-
-    #[test]
-    fn heap_queue_matches_basic_contract() {
-        let mut q = HeapEventQueue::new();
-        q.push(SimTime::from_ticks(5), "late");
-        q.push(SimTime::from_ticks(1), "early");
-        q.push(SimTime::from_ticks(1), "early-second");
-        assert_eq!(q.peek_time(), Some(SimTime::from_ticks(1)));
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.pop(), Some((SimTime::from_ticks(1), "early")));
-        assert_eq!(q.pop(), Some((SimTime::from_ticks(1), "early-second")));
-        assert_eq!(q.pop(), Some((SimTime::from_ticks(5), "late")));
-        assert!(q.is_empty());
-        q.push(SimTime::ZERO, "x");
-        q.clear();
-        assert_eq!(q.pop(), None);
     }
 }

@@ -4,8 +4,83 @@
 //! thousands of randomized operations, including dense same-tick bursts,
 //! far-future overflow pushes, pushes behind the cursor, and clears.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
 use tibfit_sim::rng::SimRng;
-use tibfit_sim::{EventQueue, HeapEventQueue, SimTime, WHEEL_SPAN};
+use tibfit_sim::{EventQueue, SimTime, WHEEL_SPAN};
+
+/// A heap entry, ordered so the *earliest* `(time, seq)` is the max.
+struct Entry<E> {
+    time: SimTime,
+    seq: u64,
+    event: E,
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.time == other.time && self.seq == other.seq
+    }
+}
+
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .time
+            .cmp(&self.time)
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+/// The `BinaryHeap`-backed queue the timer wheel replaced, kept here as
+/// the reference: `(time, sequence)` order, FIFO among same-time events.
+struct HeapEventQueue<E> {
+    heap: BinaryHeap<Entry<E>>,
+    next_seq: u64,
+}
+
+impl<E> HeapEventQueue<E> {
+    fn new() -> Self {
+        HeapEventQueue {
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+        }
+    }
+
+    fn push(&mut self, time: SimTime, event: E) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Entry { time, seq, event });
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.heap.pop().map(|e| (e.time, e.event))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|e| e.time)
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.heap.clear();
+    }
+}
 
 /// Drives both queues with an identical op stream and asserts lockstep
 /// equality. Each payload is unique so FIFO tie-break violations cannot
@@ -57,6 +132,23 @@ fn drive(seed: u64, ops: usize, time_fn: impl Fn(&mut SimRng, u64) -> u64) {
             break;
         }
     }
+}
+
+#[test]
+fn heap_queue_matches_basic_contract() {
+    let mut q = HeapEventQueue::new();
+    q.push(SimTime::from_ticks(5), "late");
+    q.push(SimTime::from_ticks(1), "early");
+    q.push(SimTime::from_ticks(1), "early-second");
+    assert_eq!(q.peek_time(), Some(SimTime::from_ticks(1)));
+    assert_eq!(q.len(), 3);
+    assert_eq!(q.pop(), Some((SimTime::from_ticks(1), "early")));
+    assert_eq!(q.pop(), Some((SimTime::from_ticks(1), "early-second")));
+    assert_eq!(q.pop(), Some((SimTime::from_ticks(5), "late")));
+    assert!(q.is_empty());
+    q.push(SimTime::ZERO, "x");
+    q.clear();
+    assert_eq!(q.pop(), None);
 }
 
 #[test]
