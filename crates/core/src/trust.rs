@@ -846,49 +846,60 @@ pub struct TrustTableState {
     pub ti_reads: u64,
 }
 
-impl TrustTableState {
-    /// A state describing no table yet: the buffer
-    /// [`TrustTable::export_state_into`] fills.
-    #[must_use]
-    pub fn empty() -> Self {
-        TrustTableState {
-            lambda: 0.0,
-            fault_rate: 0.0,
-            counters: Vec::new(),
-            cached_ti: Vec::new(),
-            status: Vec::new(),
-            isolation_threshold: None,
-            reintegration: None,
-            exp_evals: 0,
-            ti_reads: 0,
-        }
-    }
+/// A [`TrustTableState`] read in place: the same fields, borrowing the
+/// table's per-node columns instead of copying them — what a checkpoint
+/// encoder writes from.
+#[derive(Debug, Clone, Copy)]
+pub struct TrustTableStateRef<'a> {
+    /// Raw fault counter `v` per node.
+    pub counters: &'a [f64],
+    /// Cached `e^(−λ·v)` per node.
+    pub cached_ti: &'a [f64],
+    /// Diagnosis state per node.
+    pub status: &'a [NodeStatus],
+    /// Diagnosis threshold, if enabled.
+    pub isolation_threshold: Option<f64>,
+    /// `(quarantine_rounds, probation_rounds)`, if recovery is enabled.
+    pub reintegration: Option<(u64, u64)>,
+    /// `exp()` evaluations paid so far.
+    pub exp_evals: u64,
+    /// Cached trust-index reads served so far.
+    pub ti_reads: u64,
 }
 
 impl TrustTable {
     /// Captures the table's complete state for a checkpoint.
     #[must_use]
     pub fn export_state(&self) -> TrustTableState {
-        let mut out = TrustTableState::empty();
-        self.export_state_into(&mut out);
-        out
+        let r = self.state_ref();
+        TrustTableState {
+            lambda: self.params.lambda,
+            fault_rate: self.params.fault_rate,
+            counters: r.counters.to_vec(),
+            cached_ti: r.cached_ti.to_vec(),
+            status: r.status.to_vec(),
+            isolation_threshold: r.isolation_threshold,
+            reintegration: r.reintegration,
+            exp_evals: r.exp_evals,
+            ti_reads: r.ti_reads,
+        }
     }
 
-    /// [`Self::export_state`] into an existing state, reusing its
-    /// buffers — a checkpoint of many tables captures them one after
-    /// another without allocating per table.
-    pub fn export_state_into(&self, out: &mut TrustTableState) {
-        out.lambda = self.params.lambda;
-        out.fault_rate = self.params.fault_rate;
-        out.counters.clone_from(&self.counters);
-        out.cached_ti.clone_from(&self.cached_ti);
-        out.status.clone_from(&self.status);
-        out.isolation_threshold = self.isolation_threshold;
-        out.reintegration = self
-            .reintegration
-            .map(|p| (p.quarantine_rounds, p.probation_rounds));
-        out.exp_evals = self.exp_evals;
-        out.ti_reads = self.ti_reads.get();
+    /// The table's complete state, read in place (λ and `f_r` are in
+    /// [`Self::params`]).
+    #[must_use]
+    pub fn state_ref(&self) -> TrustTableStateRef<'_> {
+        TrustTableStateRef {
+            counters: &self.counters,
+            cached_ti: &self.cached_ti,
+            status: &self.status,
+            isolation_threshold: self.isolation_threshold,
+            reintegration: self
+                .reintegration
+                .map(|p| (p.quarantine_rounds, p.probation_rounds)),
+            exp_evals: self.exp_evals,
+            ti_reads: self.ti_reads.get(),
+        }
     }
 
     /// Rebuilds a table from checkpointed state, bit-for-bit.

@@ -546,7 +546,8 @@ fn process_item(
             // Buffer the line worker-side instead of taking the sink
             // mutex per record; blocks go to the sink at tick
             // boundaries (or at the size cap on record-dense ticks).
-            task.tenant.apply_into(&r, &mut out.lines);
+            // The position view is published once, at the tick's end.
+            task.tenant.apply_record(&r, &mut out.lines);
             out.lines.push('\n');
             if out.lines.len() >= LINE_BUFFER_FLUSH_BYTES {
                 flush_lines(task, &mut out.lines)?;
@@ -555,6 +556,8 @@ fn process_item(
             task.shared.heartbeat.fetch_add(1, Ordering::SeqCst);
         }
         WorkItem::TickEnd(t) => {
+            // The router reads the view only after this tick completes.
+            task.tenant.publish_positions();
             // Answers first: they never wait on the log or a snapshot.
             flush_output(task, out)?;
             // Snapshots are suppressed during recovery replay: the live
@@ -2090,6 +2093,58 @@ mod tests {
         queried.push_str("Q round 0\n");
         let p99 = run("some", queried);
         assert!(p99 > 0.0, "no query latencies recorded: {p99}");
+    }
+
+    /// The router's view of a mobile tenant equals the engine's node
+    /// positions after every tick's drain barrier, including the first
+    /// tick after a worker respawn, although the worker publishes it
+    /// only at tick ends.
+    #[test]
+    fn the_router_view_after_each_tick_is_the_engine_positions() {
+        let dir = std::env::temp_dir().join(format!("tibfit-view-ticks-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = DaemonConfig::standard(1, 11, dir.clone());
+        cfg.scenario = small_scenario;
+        cfg.snapshot_every = 3;
+        std::fs::create_dir_all(&cfg.decisions_dir).unwrap();
+        let (mut slot, route) = build_slot(&cfg, 0, None).unwrap();
+        let scenario = small_scenario(tenant_seed(11, 0));
+        let mut reference = scenario.sequential().unwrap();
+        let engine_points = |engine: &tibfit_experiments::multicluster::MultiClusterSim| {
+            let mut out = vec![(0.0, 0.0); engine.node_count()];
+            engine.for_each_position(|node, p| out[node.index()] = (p.x, p.y));
+            out
+        };
+        assert_eq!(route.positions.points(), engine_points(&reference));
+        let per_tick = 3;
+        let events = scenario.events(12 * per_tick);
+        for tick in 1..=12u64 {
+            for (k, p) in events[(tick as usize - 1) * per_tick..][..per_tick].iter().enumerate() {
+                route.queue.offer(Report {
+                    tenant: 0,
+                    time: tick,
+                    src: 0,
+                    seq: (tick - 1) * per_tick as u64 + k as u64 + 1,
+                    x: p.x,
+                    y: p.y,
+                });
+                reference.run_event(*p);
+            }
+            let positions = Arc::clone(&route.positions);
+            route.queue.end_tick(tick, move |r| positions.impact_of(r.x, r.y));
+            assert!(route.queue.wait_settled(Duration::from_secs(30)), "tick {tick}");
+            assert_eq!(route.positions.points(), engine_points(&reference), "tick {tick}");
+            if tick == 7 {
+                // A replacement restores tick 6's snapshot and replays
+                // tick 7 before it takes tick 8.
+                respawn_slot(&cfg, &mut slot, 0);
+                assert!(matches!(slot.health, Health::Probation { .. }));
+            }
+        }
+        assert!(slot.incarnation >= 1, "the worker was respawned");
+        slot.queue.close();
+        slot.handle.take().unwrap().join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -61,8 +61,9 @@ fn positions_into(engine: &MultiClusterSim, out: &mut Vec<(f64, f64)>) {
 
 /// The engine's node positions, shared with the router so admission
 /// can rank pending records by trust impact without touching the
-/// engine. Refreshed by the worker after every applied round; read by
-/// the router only after the drain barrier, so reads always see a
+/// engine. The worker publishes it once per tick, at the tick's end and
+/// before it completes the tick (`Tenant::publish_positions`); the
+/// router reads it only after the drain barrier, so reads always see a
 /// settled tick boundary.
 pub struct PositionView {
     radius: f64,
@@ -72,6 +73,12 @@ pub struct PositionView {
 impl PositionView {
     fn lock(&self) -> MutexGuard<'_, Vec<(f64, f64)>> {
         self.points.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The published points, node-id order.
+    #[cfg(test)]
+    pub(crate) fn points(&self) -> Vec<(f64, f64)> {
+        self.lock().clone()
     }
 
     /// How many deployed nodes can sense a stimulus at `(x, y)` — the
@@ -96,6 +103,9 @@ pub struct Tenant {
     scenario: FieldScenario,
     engine: MultiClusterSim,
     positions: Arc<PositionView>,
+    /// Whether a round has moved nodes since the view was last
+    /// published.
+    positions_stale: bool,
     /// The per-record trust digest, re-hashed only from the first
     /// trust word that changed since the previous record.
     digest: TrustDigest,
@@ -132,41 +142,66 @@ fn fnv1a_fold(mut h: u64, words: &[u64]) -> u64 {
 /// Trust words per cached FNV state of a [`TrustDigest`].
 const DIGEST_BLOCK: usize = 64;
 
-/// `fnv1a_u64s` of the trust vector, kept across records so that each
-/// record re-hashes only from the block holding the lowest word that
-/// changed. FNV is a left fold, so the state after any prefix of the
-/// words is enough to carry on from there; a round moves a handful of
-/// counters out of thousands, and the rest of the vector is compared,
-/// not hashed.
+/// `fnv1a_u64s` of the engine's trust vector, kept across records. The
+/// tenant holds the vector itself, in global node order, and a round
+/// patches only the words it judged; the digest is then re-hashed only
+/// from the block holding the lowest word that changed. FNV is a left
+/// fold, so the state after any prefix of the words is enough to carry
+/// on from there, and a round moves a handful of counters out of
+/// thousands. A fresh, restored or installed tenant starts empty and
+/// fills the vector in full at its first record, so building a tenant
+/// pays no hashing.
 #[derive(Debug, Default)]
 struct TrustDigest {
-    /// The trust words to digest next: the engine fills it before each
-    /// [`Self::update`].
+    /// Every node's raw trust counter bits, indexed by node id: equal
+    /// to the engine's `trust_snapshot` after every record (empty
+    /// before the first).
     words: Vec<u64>,
-    /// The words the last digest covered. Swapped with `words` after
-    /// each update, so the two buffers are the tenant's only trust
-    /// copies and no record copies a vector.
-    prev: Vec<u64>,
-    /// `prefix[b]` is the FNV state after words `[0, 64·b)` of `prev`,
-    /// for every block boundary `b` up to and including the end of the
-    /// vector, so the last entry is the digest. Empty until the first
-    /// update; an update whose vector length differs from `prev`'s
-    /// re-hashes from word 0.
+    /// `prefix[b]` is the FNV state after words `[0, 64·b)`, for every
+    /// block boundary `b` up to and including the end of the vector, so
+    /// the last entry is the digest.
     prefix: Vec<u64>,
 }
 
 impl TrustDigest {
-    /// Digests `words`, equal to `fnv1a_u64s(&self.words)`, then keeps
-    /// them as the new `prev`.
-    fn update(&mut self) -> u64 {
-        let n = self.words.len();
-        let cached = self.prev.len() == n && self.prefix.len() == n.div_ceil(DIGEST_BLOCK) + 1;
-        let first_changed = if cached {
-            self.words.iter().zip(&self.prev).position(|(a, b)| a != b).unwrap_or(n)
-        } else {
-            0
-        };
-        let block = first_changed / DIGEST_BLOCK;
+    /// The digest after `engine`'s latest round: its judged words
+    /// patched in, or, on a tenant's first record, its whole trust
+    /// vector taken and hashed from word 0.
+    fn after_round(&mut self, engine: &MultiClusterSim) -> u64 {
+        if self.prefix.is_empty() {
+            engine.trust_snapshot_into(&mut self.words);
+            self.rehash_from(0);
+            return self.digest();
+        }
+        self.patch(
+            engine
+                .judged_nodes()
+                .iter()
+                .map(|&node| (node.index(), engine.trust_counter_of(node).to_bits())),
+        )
+    }
+
+    /// Sets each `(index, bits)` word and returns the digest of the
+    /// patched vector, re-hashed from the block of the lowest word
+    /// whose value changed (no change, no hashing).
+    fn patch(&mut self, changes: impl IntoIterator<Item = (usize, u64)>) -> u64 {
+        let mut first = usize::MAX;
+        for (i, bits) in changes {
+            let word = &mut self.words[i];
+            if *word != bits {
+                *word = bits;
+                first = first.min(i);
+            }
+        }
+        if first != usize::MAX {
+            self.rehash_from(first / DIGEST_BLOCK);
+        }
+        self.digest()
+    }
+
+    /// Drops the cached states from block `block` on and hashes the
+    /// words from there to the end.
+    fn rehash_from(&mut self, block: usize) {
         self.prefix.truncate(block + 1);
         if self.prefix.is_empty() {
             self.prefix.push(TRUST_DIGEST_BASIS);
@@ -176,8 +211,11 @@ impl TrustDigest {
             h = fnv1a_fold(h, chunk);
             self.prefix.push(h);
         }
-        std::mem::swap(&mut self.words, &mut self.prev);
-        h
+    }
+
+    /// `fnv1a_u64s(&self.words)`.
+    fn digest(&self) -> u64 {
+        *self.prefix.last().expect("a filled digest")
     }
 }
 
@@ -192,6 +230,7 @@ impl Tenant {
                 radius: engine.config().sensing_radius,
                 points: Mutex::new(points),
             }),
+            positions_stale: false,
             engine,
             digest: TrustDigest::default(),
         }
@@ -258,6 +297,17 @@ impl Tenant {
         debug_assert_eq!(view.radius.to_bits(), self.positions.radius.to_bits());
         positions_into(&self.engine, &mut view.lock());
         self.positions = view;
+        self.positions_stale = false;
+    }
+
+    /// Publishes the engine's current node positions to the shared
+    /// view, if a round has moved them since the last publish. The
+    /// worker calls this once per tick, at the tick's end.
+    pub(crate) fn publish_positions(&mut self) {
+        if self.positions_stale {
+            positions_into(&self.engine, &mut self.positions.lock());
+            self.positions_stale = false;
+        }
     }
 
     /// Completed event rounds.
@@ -266,6 +316,7 @@ impl Tenant {
         self.engine.round()
     }
 
+    #[cfg(test)]
     fn trust_bits(&self) -> Vec<u64> {
         self.engine.trust_snapshot()
     }
@@ -282,11 +333,11 @@ impl Tenant {
     /// FNV-1a digest over the bit-exact trust vector — a cheap
     /// whole-state fingerprint embedded in every decision line, so a
     /// diff catches divergence at the exact round it appears. This
-    /// hashes the whole vector; the decision line carries the same
-    /// value, kept incrementally by the tenant's `TrustDigest`.
+    /// hashes the engine's whole vector; the decision line carries the
+    /// same value, kept incrementally by the tenant's `TrustDigest`.
     #[must_use]
     pub fn trust_digest(&self) -> u64 {
-        fnv1a_u64s(&self.trust_bits())
+        fnv1a_u64s(&self.engine.trust_snapshot())
     }
 
     /// Applies one admitted report: runs the event round, refreshes the
@@ -298,14 +349,24 @@ impl Tenant {
     }
 
     /// [`Self::apply`] appending the decision line to a caller-owned
-    /// buffer (no trailing newline). The worker's per-record hot path:
-    /// position refresh, trust digest, and line formatting all reuse
-    /// scratch buffers, so a steady-state apply performs no heap
-    /// allocation beyond what the engine round itself needs.
+    /// buffer (no trailing newline): `apply_record`, then
+    /// `publish_positions`, for callers that drive a tenant
+    /// record by record with no tick end of their own.
     pub fn apply_into(&mut self, report: &Report, out: &mut String) {
+        self.apply_record(report, out);
+        self.publish_positions();
+    }
+
+    /// Runs one admitted report's event round and appends its decision
+    /// line to `out` (no trailing newline), leaving the shared position
+    /// view for the tick's end. The worker's per-record hot path: the
+    /// trust digest patches only the judged words and line formatting
+    /// reuses the caller's buffer, so a steady-state apply performs no
+    /// heap allocation beyond what the engine round itself needs.
+    pub(crate) fn apply_record(&mut self, report: &Report, out: &mut String) {
         let stimulus = Point::new(report.x, report.y);
         let result = self.engine.run_event(stimulus);
-        positions_into(&self.engine, &mut self.positions.lock());
+        self.positions_stale = true;
         self.decision_line_into(report, &result, out);
     }
 
@@ -335,8 +396,7 @@ impl Tenant {
             }
             let _ = write!(out, "{c}");
         }
-        self.engine.trust_snapshot_into(&mut self.digest.words);
-        let _ = write!(out, " trust={:016x}", self.digest.update());
+        let _ = write!(out, " trust={:016x}", self.digest.after_round(&self.engine));
     }
 
     /// Writes the engine checkpoint's sections into an already-started
@@ -470,7 +530,9 @@ mod tests {
     }
 
     /// Every decision line's digest is the full hash of the trust vector
-    /// at that round. Returns how many lines changed the digest.
+    /// at that round, and the tenant's patched word vector is the
+    /// engine's whole trust snapshot. Returns how many lines changed the
+    /// digest.
     fn assert_lines_carry_full_digests(
         tenant: &mut Tenant,
         events: &[Point],
@@ -481,21 +543,33 @@ mod tests {
         for (i, p) in events.iter().enumerate() {
             let line = tenant.apply(&report(first_seq + i as u64, p.x, p.y));
             let digest = line_digest(&line);
-            assert_eq!(digest, fnv1a_u64s(&tenant.trust_bits()), "{line}");
+            let words = tenant.trust_bits();
+            assert_eq!(tenant.digest.words, words, "{line}");
+            assert_eq!(digest, fnv1a_u64s(&words), "{line}");
             changed += usize::from(digest != last);
             last = digest;
         }
         changed
     }
 
-    /// Digests `words` through `digest` and checks it against the full
-    /// hash, and the cache it leaves behind.
-    fn check_digest(digest: &mut TrustDigest, words: &[u64], what: &str) {
+    /// A digest over `words`, hashed from word 0.
+    fn filled(words: &[u64]) -> TrustDigest {
+        let mut digest = TrustDigest {
+            words: words.to_vec(),
+            prefix: Vec::new(),
+        };
+        digest.rehash_from(0);
+        digest
+    }
+
+    /// Patches `digest` to `words` through the entries in `at` (out of
+    /// range ones dropped) and checks the result against the full hash,
+    /// and the cache it leaves behind.
+    fn check_patch(digest: &mut TrustDigest, words: &[u64], at: &[usize], what: &str) {
         let n = words.len();
-        digest.words.clear();
-        digest.words.extend_from_slice(words);
-        assert_eq!(digest.update(), fnv1a_u64s(words), "n {n}: {what}");
-        assert_eq!(digest.prev, words, "n {n}: {what}");
+        let changes = at.iter().filter(|&&i| i < n).map(|&i| (i, words[i]));
+        assert_eq!(digest.patch(changes), fnv1a_u64s(words), "n {n}: {what}");
+        assert_eq!(digest.words, words, "n {n}: {what}");
         assert_eq!(digest.prefix.len(), n.div_ceil(DIGEST_BLOCK) + 1, "n {n}: {what}");
     }
 
@@ -512,11 +586,11 @@ mod tests {
     fn cached_trust_digest_is_the_full_hash_under_seeded_mutations() {
         let mut rng = SimRng::seed_from(0xD16E);
         for n in [0usize, 1, 63, 64, 65, 127, 128, 130, 1000, 4096, 4133] {
-            let mut digest = TrustDigest::default();
             let mut words: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
-            check_digest(&mut digest, &words, "first digest");
-            check_digest(&mut digest, &words, "no change");
-            check_digest(&mut digest, &words, "no change again");
+            let mut digest = filled(&words);
+            assert_eq!(digest.digest(), fnv1a_u64s(&words), "n {n}: first digest");
+            check_patch(&mut digest, &words, &[], "no change");
+            check_patch(&mut digest, &words, &[0, n / 2], "unchanged words patched");
             let last = n.saturating_sub(1);
             for (at, what) in [
                 (vec![0], "first word"),
@@ -526,29 +600,28 @@ mod tests {
                 (vec![64], "word 64"),
                 (vec![65], "word 65"),
                 (vec![63, 64, 65], "words 63-65"),
+                (vec![65, 64, 63, 64], "words 63-65 out of order, one twice"),
             ] {
                 flip(&mut rng, &mut words, &at);
-                check_digest(&mut digest, &words, what);
+                check_patch(&mut digest, &words, &at, what);
             }
             for round in 0..40 {
                 let k = if round % 4 == 0 { n / 3 } else { 1 + rng.uniform_usize(5) };
                 let at: Vec<usize> = (0..k).map(|_| rng.uniform_usize(n.max(1))).collect();
                 flip(&mut rng, &mut words, &at);
-                check_digest(&mut digest, &words, &format!("seeded round {round}, {k} words"));
+                check_patch(&mut digest, &words, &at, &format!("seeded round {round}, {k} words"));
             }
             // A word set back to the value it had two digests ago is
             // still a change against the previous digest.
             let before = words.clone();
             flip(&mut rng, &mut words, &[n / 2]);
-            check_digest(&mut digest, &words, "middle word");
-            check_digest(&mut digest, &before, "middle word restored");
-            // A vector of another length hashes afresh, also where it
-            // starts with the previous vector's words.
+            check_patch(&mut digest, &words, &[n / 2], "middle word");
+            check_patch(&mut digest, &before, &[n / 2], "middle word restored");
+            // A fill of another vector hashes afresh.
             let mut grown = before.clone();
             grown.push(rng.next_u64());
-            check_digest(&mut digest, &grown, "grown by one");
-            check_digest(&mut digest, &before, "shrunk by one");
-            check_digest(&mut digest, &before[..n / 2], "halved");
+            let digest = filled(&grown);
+            assert_eq!(digest.digest(), fnv1a_u64s(&grown), "n {n}: grown by one");
         }
     }
 
@@ -568,7 +641,7 @@ mod tests {
         live.save_engine_into(&mut w).unwrap();
         let mut restored =
             Tenant::from_blob(0, sc.clone(), EngineKind::Sequential, 1, &w.finish()).unwrap();
-        assert!(restored.digest.prefix.is_empty(), "a restored tenant has no cached states");
+        assert!(restored.digest.prefix.is_empty(), "a restored tenant fills at its first record");
         assert_lines_carry_full_digests(&mut restored, &events[8..], 9);
 
         // A migration install rebuilds from the state container a bundle
@@ -588,7 +661,10 @@ mod tests {
         let received = crate::migrate::decode_bundle(&bundle).unwrap();
         let st = crate::state::decode_tenant_state(&received.state_bytes).unwrap();
         let mut installed = Tenant::from_blob(0, sc, st.kind, 1, &st.blob).unwrap();
-        assert!(installed.digest.prefix.is_empty(), "an installed tenant has no cached states");
+        assert!(
+            installed.digest.prefix.is_empty(),
+            "an installed tenant fills at its first record"
+        );
         assert_lines_carry_full_digests(&mut installed, &events[8..], 9);
     }
 
@@ -607,6 +683,43 @@ mod tests {
         let mut tenant = Tenant::new(1, sc.clone(), EngineKind::Sequential, 1).unwrap();
         let changed = assert_lines_carry_full_digests(&mut tenant, &sc.events(150), 1);
         assert!(changed > 100, "only {changed} of 150 rounds moved a trust counter");
+    }
+
+    /// Every node's position in node-id order, as the view holds them.
+    fn engine_points(tenant: &Tenant) -> Vec<(f64, f64)> {
+        let mut out = Vec::new();
+        positions_into(&tenant.engine, &mut out);
+        out
+    }
+
+    #[test]
+    fn the_position_view_moves_only_when_published() {
+        let sc = small_scenario(11);
+        let mut tenant = Tenant::new(0, sc.clone(), EngineKind::Sequential, 1).unwrap();
+        let view = tenant.positions();
+        let start = view.points();
+        assert_eq!(start, engine_points(&tenant), "a fresh tenant publishes its positions");
+        let events = sc.events(6);
+        let mut line = String::new();
+        for (i, p) in events[..3].iter().enumerate() {
+            tenant.apply_record(&report(i as u64 + 1, p.x, p.y), &mut line);
+        }
+        assert_ne!(engine_points(&tenant), start, "drift must move someone");
+        assert_eq!(view.points(), start, "records alone leave the view at the tick start");
+        tenant.publish_positions();
+        assert_eq!(view.points(), engine_points(&tenant));
+        // `apply_into` publishes per record.
+        tenant.apply_into(&report(4, events[3].x, events[3].y), &mut line);
+        assert_eq!(view.points(), engine_points(&tenant));
+        // A replacement attached to a stale view refreshes it at once.
+        tenant.apply_record(&report(5, events[4].x, events[4].y), &mut line);
+        let mut w = SnapshotWriter::new();
+        tenant.save_engine_into(&mut w).unwrap();
+        let mut replacement =
+            Tenant::from_blob(0, sc, EngineKind::Sequential, 1, &w.finish()).unwrap();
+        assert_ne!(view.points(), engine_points(&replacement));
+        replacement.set_positions(Arc::clone(&view));
+        assert_eq!(view.points(), engine_points(&replacement));
     }
 
     #[test]

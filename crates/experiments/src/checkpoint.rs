@@ -376,36 +376,66 @@ fn take_status(s: &mut SectionReader<'_>) -> Result<NodeStatus, SnapshotError> {
     }
 }
 
-fn encode_cluster(s: &mut SectionBuf, cap: &ClusterCapture) {
-    s.put_usize(cap.index);
-    put_point(s, cap.head_position);
-    s.put_usize(cap.members.len());
-    for m in &cap.members {
-        s.put_usize(m.index());
+/// A point's bytes as [`put_point`] writes them.
+fn point_bytes(p: &Point) -> [u8; 16] {
+    let mut out = [0; 16];
+    out[..8].copy_from_slice(&p.x.to_bits().to_le_bytes());
+    out[8..].copy_from_slice(&p.y.to_bits().to_le_bytes());
+    out
+}
+
+/// Bytes a checkpoint reserves per node: id, position, a level-0
+/// behaviour (tag and four f64s), counter, cached TI and a status tag,
+/// rounded up. Honest nodes take less and level-1 nodes more.
+const RESERVE_NODE_BYTES: usize = 80;
+
+/// Bytes a checkpoint reserves per cluster for its section frame and
+/// fixed fields (index, head, counts, channel, RNG, trust settings and
+/// trace counters) and its site in the deployment section, rounded up.
+const RESERVE_CLUSTER_BYTES: usize = 256;
+
+/// Writes one cluster section straight from the live cluster: each
+/// fixed-size array field (members, positions, counters, cached TI) in
+/// one pass, behaviours and statuses member by member, and the trace
+/// counters through their handles.
+///
+/// # Errors
+///
+/// [`SnapshotError::Unsupported`] if a member behaviour or the channel
+/// has no snapshot form (e.g. level-2 colluders, whose shared
+/// coordinator cannot be serialized).
+fn encode_cluster(s: &mut SectionBuf, c: &ClusterState) -> Result<(), SnapshotError> {
+    let members = c.members();
+    s.put_usize(c.index());
+    put_point(s, c.head_position());
+    s.put_usize(members.len());
+    s.put_records(members, |m| (m.index() as u64).to_le_bytes());
+    s.put_records(c.positions(), point_bytes);
+    for b in c.behaviors() {
+        let snapshot = b
+            .snapshot()
+            .ok_or(SnapshotError::Unsupported("behavior kind cannot be checkpointed"))?;
+        put_behavior(s, &snapshot);
     }
-    for p in &cap.positions {
-        put_point(s, *p);
-    }
-    for b in &cap.behaviors {
-        put_behavior(s, b);
-    }
-    put_channel(s, &cap.channel);
-    for w in cap.rng.s {
+    let channel = c
+        .channel()
+        .snapshot()
+        .ok_or(SnapshotError::Unsupported("channel kind cannot be checkpointed"))?;
+    put_channel(s, &channel);
+    let rng = c.rng_state();
+    for w in rng.s {
         s.put_u64(w);
     }
-    s.put_opt_f64(cap.rng.gauss_spare);
+    s.put_opt_f64(rng.gauss_spare);
     // Trust table. λ/f_r are deployment-wide (section 1), not repeated.
-    for v in &cap.trust.counters {
-        s.put_f64(*v);
-    }
-    for ti in &cap.trust.cached_ti {
-        s.put_f64(*ti);
-    }
-    for st in &cap.trust.status {
+    let trust = c.trust_state();
+    s.put_records(trust.counters, |v| v.to_bits().to_le_bytes());
+    s.put_records(trust.cached_ti, |ti| ti.to_bits().to_le_bytes());
+    for st in trust.status {
         put_status(s, *st);
     }
-    s.put_opt_f64(cap.trust.isolation_threshold);
-    match cap.trust.reintegration {
+    s.put_opt_f64(trust.isolation_threshold);
+    match trust.reintegration {
         Some((q, p)) => {
             s.put_bool(true);
             s.put_u64(q);
@@ -413,11 +443,12 @@ fn encode_cluster(s: &mut SectionBuf, cap: &ClusterCapture) {
         }
         None => s.put_bool(false),
     }
-    s.put_u64(cap.trust.exp_evals);
-    s.put_u64(cap.trust.ti_reads);
-    for c in cap.counters {
-        s.put_u64(c);
+    s.put_u64(trust.exp_evals);
+    s.put_u64(trust.ti_reads);
+    for v in c.trace_counters() {
+        s.put_u64(v);
     }
+    Ok(())
 }
 
 fn decode_cluster(
@@ -500,9 +531,11 @@ fn decode_cluster(
 }
 
 /// The checkpoint encoder. `for_each_cluster` hands over every
-/// cluster in index order, read in place; each is captured into one
-/// reused buffer and framed straight away, so a checkpoint never holds
-/// a second copy of the whole deployment.
+/// cluster in index order, read in place; each is written straight
+/// into its framed section, with no staging copy. The blob's buffer is
+/// sized once up front from the node and cluster counts, so a typical
+/// checkpoint grows it in one step instead of doubling its way up
+/// (the reserved tail past the written bytes is never touched).
 fn encode_into(
     head: &DeploymentHeader,
     w: &mut SnapshotWriter,
@@ -510,6 +543,7 @@ fn encode_into(
         &mut dyn FnMut(&ClusterState) -> Result<(), SnapshotError>,
     ) -> Result<(), SnapshotError>,
 ) -> Result<(), SnapshotError> {
+    w.reserve(head.n_nodes * RESERVE_NODE_BYTES + head.cluster_count * RESERVE_CLUSTER_BYTES);
     w.section(TAG_DEPLOYMENT, |s| {
         s.put_u64(head.round);
         s.put_usize(head.n_nodes);
@@ -528,12 +562,7 @@ fn encode_into(
             put_point(s, *site);
         }
     });
-    let mut scratch = ClusterCapture::empty();
-    for_each_cluster(&mut |cluster| {
-        cluster.capture_into(&mut scratch)?;
-        w.section(TAG_CLUSTER, |s| encode_cluster(s, &scratch));
-        Ok(())
-    })
+    for_each_cluster(&mut |cluster| w.section(TAG_CLUSTER, |s| encode_cluster(s, cluster)))
 }
 
 fn decode(bytes: &[u8]) -> Result<(DeploymentHeader, Vec<ClusterCapture>), SnapshotError> {
@@ -686,6 +715,180 @@ mod tests {
         for _ in 0..count {
             let event = Point::new(rng.uniform_range(0.0, 80.0), rng.uniform_range(0.0, 80.0));
             sim.run_event(event);
+        }
+    }
+
+    /// The capture-then-encode save the one-pass encoder replaced, kept
+    /// as its differential reference: every cluster is first copied into
+    /// a [`ClusterCapture`], then written element by element, with the
+    /// trace counters looked up by name.
+    fn reference_save(sim: &MultiClusterSim) -> Vec<u8> {
+        fn encode_capture(s: &mut SectionBuf, cap: &ClusterCapture) {
+            s.put_usize(cap.index);
+            put_point(s, cap.head_position);
+            s.put_usize(cap.members.len());
+            for m in &cap.members {
+                s.put_usize(m.index());
+            }
+            for p in &cap.positions {
+                put_point(s, *p);
+            }
+            for b in &cap.behaviors {
+                put_behavior(s, b);
+            }
+            put_channel(s, &cap.channel);
+            for w in cap.rng.s {
+                s.put_u64(w);
+            }
+            s.put_opt_f64(cap.rng.gauss_spare);
+            for v in &cap.trust.counters {
+                s.put_f64(*v);
+            }
+            for ti in &cap.trust.cached_ti {
+                s.put_f64(*ti);
+            }
+            for st in &cap.trust.status {
+                put_status(s, *st);
+            }
+            s.put_opt_f64(cap.trust.isolation_threshold);
+            match cap.trust.reintegration {
+                Some((q, p)) => {
+                    s.put_bool(true);
+                    s.put_u64(q);
+                    s.put_u64(p);
+                }
+                None => s.put_bool(false),
+            }
+            s.put_u64(cap.trust.exp_evals);
+            s.put_u64(cap.trust.ti_reads);
+            for c in cap.counters {
+                s.put_u64(c);
+            }
+        }
+        let head = sim.checkpoint_header().unwrap();
+        let mut w = SnapshotWriter::new();
+        w.section(TAG_DEPLOYMENT, |s| {
+            s.put_u64(head.round);
+            s.put_usize(head.n_nodes);
+            s.put_usize(head.cluster_count);
+            s.put_f64(head.config.sensing_radius);
+            s.put_f64(head.config.r_error);
+            s.put_f64(head.config.trust.lambda);
+            s.put_f64(head.config.trust.fault_rate);
+            s.put_u8(ARITH_F64);
+            s.put_f64(head.config.drift_sigma);
+            s.put_u64(head.config.reelect_every);
+            s.put_f64(head.field.0);
+            s.put_f64(head.field.1);
+            s.put_usize(head.sites.len());
+            for site in &head.sites {
+                put_point(s, *site);
+            }
+        });
+        let by_name: std::collections::HashMap<String, u64> = sim.counters().into_iter().collect();
+        sim.try_for_each_cluster(|c| -> Result<(), SnapshotError> {
+            let t = c.trust_state();
+            let trace = c.trace_counters();
+            let cap = ClusterCapture {
+                index: c.index(),
+                head_position: c.head_position(),
+                members: c.members().to_vec(),
+                positions: c.positions().to_vec(),
+                behaviors: c.behaviors().iter().map(|b| b.snapshot().unwrap()).collect(),
+                channel: c.channel().snapshot().unwrap(),
+                rng: c.rng_state(),
+                trust: TrustTableState {
+                    lambda: head.config.trust.lambda,
+                    fault_rate: head.config.trust.fault_rate,
+                    counters: t.counters.to_vec(),
+                    cached_ti: t.cached_ti.to_vec(),
+                    status: t.status.to_vec(),
+                    isolation_threshold: t.isolation_threshold,
+                    reintegration: t.reintegration,
+                    exp_evals: t.exp_evals,
+                    ti_reads: t.ti_reads,
+                },
+                counters: std::array::from_fn(|i| {
+                    let name = format!("c{}.{}", c.index(), COUNTER_NAMES[i]);
+                    let value = by_name.get(&name).copied().unwrap_or(0);
+                    assert_eq!(value, trace[i], "{name}");
+                    value
+                }),
+            };
+            w.section(TAG_CLUSTER, |s| encode_capture(s, &cap));
+            Ok(())
+        })
+        .unwrap();
+        w.finish()
+    }
+
+    /// A deployment with every behaviour and channel kind a checkpoint
+    /// can hold: honest, level-0 and level-1 nodes, Gilbert–Elliott and
+    /// Bernoulli channels.
+    fn build_mixed(seed: u64) -> MultiClusterSim {
+        use tibfit_adversary::Level1Node;
+        use tibfit_net::channel::GilbertElliott;
+        let topo = Topology::uniform_grid(144, 96.0, 96.0);
+        let params = MultiClusterConfig::paper().trust;
+        let behaviors: Vec<Box<dyn NodeBehavior + Send>> = (0..144)
+            .map(|i| -> Box<dyn NodeBehavior + Send> {
+                match i % 5 {
+                    0 => Box::new(Level0Node::new(Level0Config::experiment2(4.25))),
+                    1 => Box::new(Level1Node::new(
+                        Level0Config::experiment2(4.25),
+                        1.6,
+                        params,
+                        0.5,
+                        0.8,
+                    )),
+                    _ => Box::new(CorrectNode::new(0.01, 1.6)),
+                }
+            })
+            .collect();
+        MultiClusterSim::new(
+            MultiClusterConfig::paper().mobile(0.8, 2),
+            topo,
+            crate::multicluster::grid_sites(9, 96.0),
+            behaviors,
+            |ci| -> Box<dyn ChannelModel + Send> {
+                if ci % 2 == 0 {
+                    Box::new(GilbertElliott::new(0.1, 0.3, 0.01, 0.5))
+                } else {
+                    Box::new(BernoulliLoss::new(0.02))
+                }
+            },
+            seed,
+        )
+    }
+
+    #[test]
+    fn one_pass_encoder_matches_the_capture_reference() {
+        use crate::replay::FieldScenario;
+        let big = FieldScenario {
+            nodes: 4096,
+            clusters: 256,
+            field: 640.0,
+            faulty: 1024,
+            ..FieldScenario::mobile(0xB1)
+        };
+        let mut sims = [
+            ("paper five-CH", build(31), 80.0),
+            ("mixed kinds", build_mixed(32), 96.0),
+            ("big field", big.sequential().unwrap(), 640.0),
+        ];
+        for (what, sim, field) in &mut sims {
+            let mut rng = SimRng::seed_from(0x0E);
+            for round in 0..=12 {
+                if round > 0 {
+                    let x = rng.uniform_range(0.0, *field);
+                    let y = rng.uniform_range(0.0, *field);
+                    sim.run_event(Point::new(x, y));
+                }
+                assert!(
+                    save_sequential(sim).unwrap() == reference_save(sim),
+                    "{what} round {round}: encoders disagree"
+                );
+            }
         }
     }
 

@@ -36,10 +36,12 @@ use std::cell::Cell;
 use tibfit_adversary::behavior::{BehaviorSnapshot, NodeBehavior, RoundContext};
 use tibfit_core::engine::{Aggregator, TibfitEngine};
 use tibfit_core::location::LocatedReport;
-use tibfit_core::trust::{TrustParams, TrustRecord, TrustTable, TrustTableState};
+use tibfit_core::trust::{
+    TrustParams, TrustRecord, TrustTable, TrustTableState, TrustTableStateRef,
+};
 use tibfit_net::channel::{ChannelModel, ChannelSnapshot};
 use tibfit_net::geometry::Point;
-use tibfit_net::topology::{NodeId, SiteIndex, SiteLattice, Topology};
+use tibfit_net::topology::{CellBox, NodeId, SiteIndex, SiteLattice, Topology};
 use tibfit_sim::rng::{RngState, SimRng};
 use tibfit_sim::snapshot::SnapshotError;
 use tibfit_sim::trace::{CounterId, Trace};
@@ -216,8 +218,8 @@ impl std::fmt::Debug for Handoff {
 }
 
 /// Names of the per-cluster trace counters, in registration order. This
-/// doubles as the checkpoint schema for counter values: a
-/// [`ClusterCapture`] stores one `u64` per entry, in this order.
+/// doubles as the checkpoint schema for counter values: a cluster
+/// section stores one `u64` per entry, in this order.
 pub(crate) const COUNTER_NAMES: [&str; 7] = [
     "reports.delivered",
     "reports.dropped",
@@ -232,10 +234,10 @@ pub(crate) const COUNTER_NAMES: [&str; 7] = [
 /// geometry, behaviour snapshots, channel snapshot, RNG state, the full
 /// trust-table state (including the cached-TI column, so the restored
 /// engine's `exp_evals` evolution matches the original), and the trace
-/// counter values.
+/// counter values — what a checkpoint's cluster section decodes into.
 ///
-/// Captures exist only at round boundaries, where no timers are in
-/// flight and no reports are buffered — so no event-queue section is
+/// Checkpoints are taken only at round boundaries, where no timers are
+/// in flight and no reports are buffered — so no event-queue section is
 /// needed here.
 #[derive(Debug, Clone)]
 pub(crate) struct ClusterCapture {
@@ -249,27 +251,6 @@ pub(crate) struct ClusterCapture {
     pub(crate) trust: TrustTableState,
     /// Values of the counters in [`COUNTER_NAMES`], same order.
     pub(crate) counters: [u64; COUNTER_NAMES.len()],
-}
-
-impl ClusterCapture {
-    /// A capture holding nothing yet: the reusable buffer
-    /// [`ClusterState::capture_into`] fills.
-    pub(crate) fn empty() -> Self {
-        ClusterCapture {
-            index: 0,
-            head_position: Point::new(0.0, 0.0),
-            members: Vec::new(),
-            positions: Vec::new(),
-            behaviors: Vec::new(),
-            channel: ChannelSnapshot::Perfect,
-            rng: RngState {
-                s: [0; 4],
-                gauss_spare: None,
-            },
-            trust: TrustTableState::empty(),
-            counters: [0; COUNTER_NAMES.len()],
-        }
-    }
 }
 
 /// The deployment-wide part of a checkpoint: everything except the
@@ -367,6 +348,11 @@ pub(crate) struct ClusterState {
     /// Bounding box of the member positions, kept current by drift and
     /// by every membership edit.
     bounds: Bounds,
+    /// The conservative interior of this cluster's own lattice cell
+    /// ([`SiteLattice::own_cell_box`]): a member inside it is still
+    /// nearest to this head, so re-election skips its lookup. `None`
+    /// off a lattice; set by [`MultiClusterSim::from_parts`].
+    own_cell: Option<CellBox>,
     channel: Box<dyn ChannelModel + Send>,
     rng: SimRng,
     trace: Trace,
@@ -428,6 +414,7 @@ impl ClusterState {
             behaviors,
             non_quiet,
             bounds,
+            own_cell: None,
             channel,
             rng,
             trace,
@@ -444,7 +431,17 @@ impl ClusterState {
         }
     }
 
-    fn members(&self) -> &[NodeId] {
+    /// The cluster's index, which is also its head's site index.
+    pub(crate) fn index(&self) -> usize {
+        self.index
+    }
+
+    pub(crate) fn head_position(&self) -> Point {
+        self.head_position
+    }
+
+    /// Global ids, ascending.
+    pub(crate) fn members(&self) -> &[NodeId] {
         &self.members
     }
 
@@ -453,8 +450,41 @@ impl ClusterState {
     }
 
     /// Member positions in local-id order.
-    fn positions(&self) -> &[Point] {
+    pub(crate) fn positions(&self) -> &[Point] {
         self.local_topo.positions()
+    }
+
+    /// Member behaviours in local-id order.
+    pub(crate) fn behaviors(&self) -> &[Box<dyn NodeBehavior + Send>] {
+        &self.behaviors
+    }
+
+    pub(crate) fn channel(&self) -> &(dyn ChannelModel + Send) {
+        &*self.channel
+    }
+
+    pub(crate) fn rng_state(&self) -> RngState {
+        self.rng.state()
+    }
+
+    /// The head's trust table, read in place.
+    pub(crate) fn trust_state(&self) -> TrustTableStateRef<'_> {
+        self.engine.table().state_ref()
+    }
+
+    /// Values of the counters in [`COUNTER_NAMES`], same order, read
+    /// through their registered handles.
+    pub(crate) fn trace_counters(&self) -> [u64; COUNTER_NAMES.len()] {
+        [
+            self.c_delivered,
+            self.c_dropped,
+            self.c_decided,
+            self.c_declared,
+            self.c_handoff_out,
+            self.c_handoff_in,
+            self.c_exp_evals,
+        ]
+        .map(|id| self.trace.counter_value(id))
     }
 
     /// Raw trust counter of a local member (lossless, for snapshots).
@@ -514,8 +544,14 @@ impl ClusterState {
     /// members; judgements feed straight back into the member behaviours
     /// this cluster owns. An empty batch decides nothing (silence about
     /// an event nobody reported is not evidence). Appends declared
-    /// locations to a caller-owned buffer.
-    fn decide_into(&mut self, batch: &[LocatedReport], declared: &mut Vec<Point>) {
+    /// locations to `declared` and the global id of every judged member
+    /// (the only counters a round writes) to `judged`.
+    fn decide_into(
+        &mut self,
+        batch: &[LocatedReport],
+        declared: &mut Vec<Point>,
+        judged: &mut Vec<NodeId>,
+    ) {
         if batch.is_empty() {
             return;
         }
@@ -533,6 +569,7 @@ impl ClusterState {
             .bump_by(self.c_exp_evals, self.engine.table().exp_evals() - exp_before);
         for &(local, judgement) in &result.judgements {
             self.behaviors[local.index()].observe_judgement(judgement);
+            judged.push(self.members[local.index()]);
         }
         let before = declared.len();
         declared.extend(
@@ -576,10 +613,14 @@ impl ClusterState {
     ///
     /// In place: survivors keep their order, their buffers and their
     /// cached trust ([`TrustTable::retain_nodes`]); nothing is rebuilt.
+    /// A member still inside [`ClusterState::own_cell`] stays without a
+    /// nearest-site lookup: the box proves the lookup would name this
+    /// cluster.
     fn departures_into(&mut self, sites: &SiteIndex<'_>, out: &mut Vec<Handoff>) {
         let first = out.len();
         let positions = self.local_topo.positions();
         let index = self.index;
+        let own_cell = self.own_cell;
         let mut remaining = self.members.len();
         let mut local = 0;
         // (local id, destination) of the member the filter just took.
@@ -587,6 +628,9 @@ impl ClusterState {
         let leaving = self.behaviors.extract_if(.., |_| {
             let i = local;
             local += 1;
+            if own_cell.is_some_and(|b| b.contains(positions[i])) {
+                return false;
+            }
             let dst = sites.nearest(positions[i]).expect("non-empty sites");
             let leave = dst != index && remaining > 1;
             if leave {
@@ -654,40 +698,6 @@ impl ClusterState {
     /// Field dimensions this cluster clamps drift to.
     fn field(&self) -> (f64, f64) {
         (self.field_w, self.field_h)
-    }
-
-    /// Captures this cluster for a checkpoint into `out`, reusing its
-    /// buffers (a checkpoint captures every cluster in turn through one
-    /// buffer).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Unsupported`] if any member behaviour or the
-    /// channel has no snapshot form (e.g. level-2 colluders, whose
-    /// shared coordinator cannot be serialized).
-    pub(crate) fn capture_into(&self, out: &mut ClusterCapture) -> Result<(), SnapshotError> {
-        out.behaviors.clear();
-        for b in &self.behaviors {
-            out.behaviors.push(
-                b.snapshot()
-                    .ok_or(SnapshotError::Unsupported("behavior kind cannot be checkpointed"))?,
-            );
-        }
-        out.channel = self
-            .channel
-            .snapshot()
-            .ok_or(SnapshotError::Unsupported("channel kind cannot be checkpointed"))?;
-        for (slot, name) in out.counters.iter_mut().zip(COUNTER_NAMES) {
-            *slot = self.trace.counter(name);
-        }
-        out.index = self.index;
-        out.head_position = self.head_position;
-        out.members.clone_from(&self.members);
-        out.positions.clear();
-        out.positions.extend_from_slice(self.local_topo.positions());
-        out.rng = self.rng.state();
-        self.engine.table().export_state_into(&mut out.trust);
-        Ok(())
     }
 
     /// Rebuilds a cluster from a capture, bit-identically.
@@ -897,6 +907,9 @@ pub struct MultiClusterSim {
     batch: Vec<LocatedReport>,
     found: Vec<Point>,
     moving: Vec<Handoff>,
+    /// Global ids the last [`Self::run_event`] judged, in judgement
+    /// order (see [`Self::judged_nodes`]).
+    judged: Vec<NodeId>,
 }
 
 impl MultiClusterSim {
@@ -1050,6 +1063,18 @@ impl MultiClusterSim {
         }
     }
 
+    /// Global ids of the nodes the last [`Self::run_event`] judged, in
+    /// judgement order (a node judged by two decisions appears twice):
+    /// the only trust counters that round wrote. A round's judgements
+    /// are its only counter writes — re-election moves a counter with
+    /// its node but never changes it — so a caller holding the previous
+    /// [`Self::trust_snapshot`] brings it up to date by re-reading these
+    /// entries alone ([`Self::trust_counter_of`]).
+    #[must_use]
+    pub fn judged_nodes(&self) -> &[NodeId] {
+        &self.judged
+    }
+
     /// Bit-exact snapshot of every node's position.
     #[must_use]
     pub fn position_snapshot(&self) -> Vec<(u64, u64)> {
@@ -1097,10 +1122,11 @@ impl MultiClusterSim {
         self.round += 1;
         let round = self.round;
         let mut declared: Vec<(usize, Point)> = Vec::new();
+        self.judged.clear();
         for cluster in &mut self.clusters {
             self.batch.clear();
             cluster.sense_into(round, event, &mut self.batch);
-            cluster.decide_into(&self.batch, &mut self.found);
+            cluster.decide_into(&self.batch, &mut self.found, &mut self.judged);
             declared.extend(self.found.drain(..).map(|loc| (cluster.index, loc)));
         }
         let result = merge_declarations(event, declared, self.config.r_error);
@@ -1162,19 +1188,21 @@ impl MultiClusterSim {
     pub(crate) fn from_parts(
         config: MultiClusterConfig,
         sites: Vec<Point>,
-        clusters: Vec<ClusterState>,
+        mut clusters: Vec<ClusterState>,
         n_nodes: usize,
         round: u64,
     ) -> Self {
+        let lattice = SiteLattice::detect(&sites);
         let mut affiliation = vec![usize::MAX; n_nodes];
-        for cluster in &clusters {
+        for cluster in &mut clusters {
             for &node in cluster.members() {
                 affiliation[node.index()] = cluster.index;
             }
+            cluster.own_cell = lattice.and_then(|l| l.own_cell_box(cluster.index));
         }
         MultiClusterSim {
             config,
-            lattice: SiteLattice::detect(&sites),
+            lattice,
             sites,
             clusters,
             affiliation,
@@ -1183,6 +1211,7 @@ impl MultiClusterSim {
             batch: Vec::new(),
             found: Vec::new(),
             moving: Vec::new(),
+            judged: Vec::new(),
         }
     }
 }
@@ -1332,7 +1361,7 @@ mod reference {
         for c in &mut sim.clusters {
             let batch = sense_all(c, round, event);
             let mut found = Vec::new();
-            c.decide_into(&batch, &mut found);
+            c.decide_into(&batch, &mut found, &mut Vec::new());
             declared.extend(found.into_iter().map(|loc| (c.index, loc)));
         }
         let result = merge_declarations(event, declared, sim.config.r_error);
@@ -1800,6 +1829,67 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_round_writes_only_the_counters_it_judged() {
+        // Mobile, re-electing every 3 rounds: handoffs move counters
+        // between clusters without changing them.
+        let scenario = FieldScenario {
+            nodes: 1024,
+            clusters: 64,
+            field: 320.0,
+            faulty: 256,
+            ..FieldScenario::mobile(0x1D6)
+        };
+        let mut sim = scenario.sequential().unwrap();
+        let mut before = sim.trust_snapshot();
+        let mut judged_rounds = 0;
+        for (r, e) in scenario.events(60).into_iter().enumerate() {
+            sim.run_event(e);
+            let after = sim.trust_snapshot();
+            let judged = sim.judged_nodes();
+            judged_rounds += usize::from(!judged.is_empty());
+            for (i, (a, b)) in before.iter().zip(&after).enumerate() {
+                if a != b {
+                    assert!(judged.contains(&NodeId(i)), "round {}: node {i} unjudged", r + 1);
+                }
+            }
+            before = after;
+        }
+        assert!(judged_rounds > 30, "only {judged_rounds} of 60 rounds judged anyone");
+    }
+
+    #[test]
+    fn own_cell_reelection_matches_the_reference_on_a_big_field() {
+        // The big_field benchmark's shape: 4096 mobile nodes under 256
+        // lattice heads, re-elected every 3 rounds. The engine skips the
+        // nearest-site lookup for members inside their own cell's box;
+        // the reference looks up every member. Checkpoint bytes are
+        // compared after every re-election.
+        let scenario = FieldScenario {
+            nodes: 4096,
+            clusters: 256,
+            field: 640.0,
+            faulty: 1024,
+            ..FieldScenario::mobile(0x0B16)
+        };
+        let sim = scenario.sequential().unwrap();
+        let boxed = sim.clusters.iter().filter(|c| c.own_cell.is_some()).count();
+        assert_eq!(boxed, 256, "every lattice cluster has an own-cell box");
+        let events = scenario.events(24);
+        let mut probe = scenario.sequential().unwrap();
+        for &e in &events {
+            probe.run_event(e);
+        }
+        let handoffs: u64 = probe
+            .counters()
+            .iter()
+            .filter(|(n, _)| n.ends_with("handoffs.in"))
+            .map(|&(_, v)| v)
+            .sum();
+        assert!(handoffs > 0, "no handoff — the test would be vacuous");
+        assert_matches_reference("big field", || scenario.sequential().unwrap(), &events);
     }
 
     #[test]

@@ -369,6 +369,12 @@ pub struct SiteLattice {
 /// cell edge for [`SiteLattice`]'s O(1) interior answer.
 const INTERIOR_MARGIN: f64 = 1e-6;
 
+/// Fraction of a cell, on each axis, that [`SiteLattice::own_cell_box`]
+/// keeps from every cell edge: twice [`INTERIOR_MARGIN`], so the
+/// rounding in the box bounds (below `1e-9` of a cell) can never admit
+/// a point that [`SiteLattice::interior_cell`] would send to the scan.
+const OWN_BOX_MARGIN: f64 = 2.0 * INTERIOR_MARGIN;
+
 /// Largest cell aspect ratio (`max(dx, dy) / min(dx, dy)`) the interior
 /// fast path accepts.
 const INTERIOR_MAX_ASPECT: f64 = 8.0;
@@ -498,6 +504,35 @@ impl SiteLattice {
         Some(r * self.cols + c)
     }
 
+    /// A box strictly inside site `site`'s own lattice cell, by
+    /// `OWN_BOX_MARGIN` (two millionths) of a cell on each axis, or `None` when the
+    /// lattice fails the interior fast path's preconditions or `site`
+    /// is out of range. Every point [`CellBox::contains`] is nearest to
+    /// `site` ([`SiteIndex::nearest`] returns `site` for it), so a
+    /// caller that knows a point's current site skips the lookup for
+    /// points still inside that site's box.
+    ///
+    /// Why the box is safe. Each bound is `v0 + (k + M)·d` in f64, off
+    /// its exact value by a few ulps of the lattice's far edge: under
+    /// the `2^20`-cell bound, below `1e-9` of a cell. A point strictly
+    /// inside the computed box is therefore at least `M − 1e-9` of a
+    /// cell inside its cell, and the interior fast path's own
+    /// fraction (again within `1e-9` of a cell) clears the margin
+    /// `M / 2` with room to spare: it answers `site`.
+    #[must_use]
+    pub fn own_cell_box(&self, site: usize) -> Option<CellBox> {
+        if !self.interior || site >= self.len() {
+            return None;
+        }
+        let (c, r) = ((site % self.cols) as f64, (site / self.cols) as f64);
+        Some(CellBox {
+            min_x: self.x0 + (c + OWN_BOX_MARGIN) * self.dx,
+            max_x: self.x0 + (c + 1.0 - OWN_BOX_MARGIN) * self.dx,
+            min_y: self.y0 + (r + OWN_BOX_MARGIN) * self.dy,
+            max_y: self.y0 + (r + 1.0 - OWN_BOX_MARGIN) * self.dy,
+        })
+    }
+
     /// The nearest site to `p`: the O(1) interior answer when it
     /// applies, else the 3×3 window — identical result to the linear
     /// scan either way, including the lower-index tie-break (the window
@@ -526,6 +561,29 @@ impl SiteLattice {
             }
         }
         best
+    }
+}
+
+/// The inside of one site's lattice cell, less a margin on every side
+/// (see [`SiteLattice::own_cell_box`]): a point strictly inside it is
+/// nearest to that site.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CellBox {
+    /// Lower x bound (exclusive).
+    pub min_x: f64,
+    /// Upper x bound (exclusive).
+    pub max_x: f64,
+    /// Lower y bound (exclusive).
+    pub min_y: f64,
+    /// Upper y bound (exclusive).
+    pub max_y: f64,
+}
+
+impl CellBox {
+    /// Whether `p` lies strictly inside the box.
+    #[must_use]
+    pub fn contains(&self, p: Point) -> bool {
+        p.x > self.min_x && p.x < self.max_x && p.y > self.min_y && p.y < self.max_y
     }
 }
 

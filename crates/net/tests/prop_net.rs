@@ -5,7 +5,7 @@
 
 use tibfit_net::channel::{BernoulliLoss, ChannelModel, DistanceLoss, Perfect};
 use tibfit_net::geometry::{Point, Polar};
-use tibfit_net::topology::Topology;
+use tibfit_net::topology::{nearest_site, SiteIndex, SiteLattice, Topology};
 use tibfit_sim::rng::SimRng;
 
 fn case_seeds(n: u64) -> impl Iterator<Item = u64> {
@@ -179,4 +179,168 @@ fn polar_constructor_total() {
         let p = Polar::new(r, theta);
         assert_eq!(p.r, r);
     }
+}
+
+/// Row-major cell centres of a `cols × rows` lattice of `dx × dy` cells
+/// whose lower-left corner is `origin` — `grid_sites` when the origin is
+/// zero and the field is square.
+fn lattice(cols: usize, rows: usize, origin: Point, dx: f64, dy: f64) -> Vec<Point> {
+    (0..rows)
+        .flat_map(|r| {
+            (0..cols).map(move |c| {
+                Point::new(
+                    origin.x + (c as f64 + 0.5) * dx,
+                    origin.y + (r as f64 + 0.5) * dy,
+                )
+            })
+        })
+        .collect()
+}
+
+/// `v` moved `k` ulps up (`k > 0`) or down (`k < 0`).
+fn ulps(v: f64, k: i32) -> f64 {
+    (0..k.unsigned_abs()).fold(v, |v, _| if k > 0 { v.next_up() } else { v.next_down() })
+}
+
+/// The lattices the own-cell box is checked on: `grid_sites(k, field)`
+/// for k ∈ {4, 16, 64, 256}, then offset and elongated ones up to the
+/// interior fast path's aspect bound of 8, and two past it. Lattice
+/// detection wants `grid_sites`' column count, `ceil(sqrt(k))`, so the
+/// elongation is in the cell, not in the column/row split.
+fn own_box_lattices() -> Vec<(String, usize, usize, Point, f64, f64)> {
+    let mut out = Vec::new();
+    for (k, field) in [(4usize, 100.0), (16, 100.0), (64, 320.0), (256, 640.0), (256, 0.7)] {
+        let cols = (k as f64).sqrt().ceil() as usize;
+        let rows = k.div_ceil(cols);
+        let (dx, dy) = (field / cols as f64, field / rows as f64);
+        out.push((format!("grid_sites({k}, {field})"), cols, rows, Point::new(0.0, 0.0), dx, dy));
+    }
+    for (cols, rows, origin, dx, dy) in [
+        (8usize, 8usize, Point::new(-517.25, 1e4 + 0.1), 12.5, 12.5),
+        (4, 3, Point::new(3.0, -7.5), 40.0, 5.0),
+        (5, 4, Point::new(1e5, 2e5), 0.75, 6.0),
+        (6, 6, Point::new(-0.001, 0.002), 1.0 / 3.0, 1.0 / 3.0),
+        (8, 7, Point::new(-64.0, 12.0), 3.0, 1.5),
+        (4, 3, Point::new(0.0, 0.0), 2.0, 18.0),
+        (6, 5, Point::new(11.0, 0.0), 90.0, 10.0),
+    ] {
+        out.push((format!("{cols}x{rows} at {origin} cell {dx}x{dy}"), cols, rows, origin, dx, dy));
+    }
+    out
+}
+
+/// Inside its own box, a point is nearest to the box's site; outside
+/// the lattice no box applies; and a lattice too elongated for the
+/// interior fast path gets no box at all.
+#[test]
+fn own_cell_box_implies_own_site() {
+    let mut rng = SimRng::seed_from(0x0B0C);
+    for (what, cols, rows, origin, dx, dy) in own_box_lattices() {
+        let sites = lattice(cols, rows, origin, dx, dy);
+        let lattice = SiteLattice::detect(&sites).expect("a complete lattice");
+        let index = SiteIndex::new(&sites);
+        let elongated = dx.max(dy) > 8.0 * dx.min(dy);
+        let check = |site: usize, p: Point, how: &str| {
+            let b = lattice.own_cell_box(site).expect("a box");
+            if b.contains(p) {
+                assert_eq!(index.nearest(p), Some(site), "{what}: site {site} {how} {p:?}");
+                if sites.len() <= 64 {
+                    assert_eq!(nearest_site(&sites, p), Some(site), "{what}: {how} {p:?}");
+                }
+            }
+        };
+        for site in 0..sites.len() {
+            let Some(b) = lattice.own_cell_box(site) else {
+                assert!(elongated, "{what}: site {site} has no box");
+                continue;
+            };
+            assert!(!elongated, "{what}: an elongated lattice got a box");
+            let (c, r) = ((site % cols) as f64, (site / cols) as f64);
+            let cell = (
+                origin.x + c * dx,
+                origin.x + (c + 1.0) * dx,
+                origin.y + r * dy,
+                origin.y + (r + 1.0) * dy,
+            );
+            let mid = Point::new(0.5 * (cell.0 + cell.1), 0.5 * (cell.2 + cell.3));
+            assert!(b.contains(mid), "{what}: site {site}'s box misses its centre");
+            // Seeded points across the box.
+            for _ in 0..8 {
+                let p = Point::new(
+                    rng.uniform_range(b.min_x, b.max_x),
+                    rng.uniform_range(b.min_y, b.max_y),
+                );
+                check(site, p, "random");
+            }
+            for k in 1..=4 {
+                for d in [-k, k] {
+                    // The box's own edges and corners, a few ulps either way.
+                    for x in [b.min_x, b.max_x] {
+                        check(site, Point::new(ulps(x, d), mid.y), "box x-edge");
+                        for y in [b.min_y, b.max_y] {
+                            check(site, Point::new(ulps(x, d), ulps(y, -d)), "box corner");
+                        }
+                    }
+                    for y in [b.min_y, b.max_y] {
+                        check(site, Point::new(mid.x, ulps(y, d)), "box y-edge");
+                    }
+                    // The cell's edges a few ulps in: never inside the box.
+                    for p in [
+                        Point::new(ulps(cell.0, k), mid.y),
+                        Point::new(ulps(cell.1, -k), mid.y),
+                        Point::new(mid.x, ulps(cell.2, k)),
+                        Point::new(mid.x, ulps(cell.3, -k)),
+                    ] {
+                        assert!(!b.contains(p), "{what}: site {site} box holds cell edge {p:?}");
+                    }
+                }
+            }
+            // At the margin: half the box margin in is outside the box,
+            // twice it is inside, and either way the box never lies.
+            let m = 2e-6;
+            for f in [0.5, 0.999, 1.001, 2.0] {
+                for (p, inside) in [
+                    (Point::new(cell.0 + f * m * dx, mid.y), f > 1.0),
+                    (Point::new(cell.1 - f * m * dx, mid.y), f > 1.0),
+                    (Point::new(mid.x, cell.2 + f * m * dy), f > 1.0),
+                    (Point::new(mid.x, cell.3 - f * m * dy), f > 1.0),
+                ] {
+                    if f == 0.5 || f == 2.0 {
+                        assert_eq!(b.contains(p), inside, "{what}: site {site} margin {f} {p:?}");
+                    }
+                    check(site, p, "margin");
+                }
+            }
+        }
+        // Outside the lattice's extent no site's box applies.
+        if elongated {
+            continue;
+        }
+        let (w, h) = (cols as f64 * dx, rows as f64 * dy);
+        for _ in 0..200 {
+            let x = rng.uniform_range(origin.x - w, origin.x + 2.0 * w);
+            let y = rng.uniform_range(origin.y - h, origin.y + 2.0 * h);
+            let outside = x <= origin.x || x >= origin.x + w || y <= origin.y || y >= origin.y + h;
+            if !outside {
+                continue;
+            }
+            let p = Point::new(x, y);
+            for site in 0..sites.len() {
+                let b = lattice.own_cell_box(site).expect("a box");
+                assert!(!b.contains(p), "{what}: site {site}'s box holds outside point {p:?}");
+            }
+        }
+        assert_eq!(lattice.own_cell_box(sites.len()), None, "{what}: out-of-range site");
+    }
+}
+
+/// Sites that are not a complete lattice have no lattice, so no box:
+/// callers keep the plain nearest-site lookup for them.
+#[test]
+fn non_lattice_sites_get_no_own_cell_box() {
+    let mut bent = lattice(4, 4, Point::new(0.0, 0.0), 10.0, 10.0);
+    bent[5] = bent[5].offset(0.5, 0.0);
+    assert!(SiteLattice::detect(&bent).is_none());
+    assert!(SiteLattice::detect(&lattice(4, 4, Point::new(0.0, 0.0), 10.0, 10.0)[..15]).is_none());
+    assert!(SiteLattice::detect(&[Point::new(1.0, 1.0), Point::new(2.0, 2.0)]).is_none());
 }

@@ -480,6 +480,11 @@ impl SnapshotWriter {
         out
     }
 
+    /// Makes room for at least `additional` more bytes of sections.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
     /// The finished blob.
     #[must_use]
     pub fn finish(self) -> Vec<u8> {
@@ -539,6 +544,22 @@ impl SectionBuf {
                 self.put_f64(x);
             }
             None => self.put_bool(false),
+        }
+    }
+
+    /// Appends one fixed-size record per item, `encode(item)` each, in
+    /// one pass: the section grows once by `W · items.len()` bytes and
+    /// every record is copied into its slot. The bytes are exactly what
+    /// appending the records one by one would give.
+    pub fn put_records<T, const W: usize>(
+        &mut self,
+        items: &[T],
+        mut encode: impl FnMut(&T) -> [u8; W],
+    ) {
+        let at = self.buf.len();
+        self.buf.resize(at + W * items.len(), 0);
+        for (slot, item) in self.buf[at..].chunks_exact_mut(W).zip(items) {
+            slot.copy_from_slice(&encode(item));
         }
     }
 
@@ -820,6 +841,39 @@ impl SectionReader<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn put_records_writes_what_per_item_puts_write() {
+        let words = [0u64, 1, u64::MAX, 0x0123_4567_89ab_cdef];
+        let pairs = [(1.5f64, -0.0f64), (f64::MIN_POSITIVE, 3e300)];
+        let mut one_pass = SnapshotWriter::new();
+        one_pass.reserve(64);
+        one_pass.section(3, |s| {
+            s.put_u8(9);
+            s.put_records(&words, |w| w.to_le_bytes());
+            s.put_records(&[] as &[u64], |w| w.to_le_bytes());
+            s.put_records(&pairs, |&(x, y)| {
+                let mut b = [0; 16];
+                b[..8].copy_from_slice(&x.to_bits().to_le_bytes());
+                b[8..].copy_from_slice(&y.to_bits().to_le_bytes());
+                b
+            });
+            s.put_u8(7);
+        });
+        let mut each = SnapshotWriter::new();
+        each.section(3, |s| {
+            s.put_u8(9);
+            for w in words {
+                s.put_u64(w);
+            }
+            for (x, y) in pairs {
+                s.put_f64(x);
+                s.put_f64(y);
+            }
+            s.put_u8(7);
+        });
+        assert_eq!(one_pass.finish(), each.finish());
+    }
 
     fn sample_blob() -> Vec<u8> {
         let mut w = SnapshotWriter::new();

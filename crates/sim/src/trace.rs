@@ -195,6 +195,13 @@ impl Trace {
             .map_or(0, |i| self.counter_slots[i])
     }
 
+    /// Current value of an interned counter: an indexed read, where
+    /// [`Trace::counter`] searches the names.
+    #[must_use]
+    pub fn counter_value(&self, id: CounterId) -> u64 {
+        self.counter_slots[id.0 as usize]
+    }
+
     /// All counters with a non-zero value, sorted by name.
     #[must_use]
     pub fn counters(&self) -> Vec<(&'static str, u64)> {
@@ -336,6 +343,7 @@ mod tests {
         trace.count("shared");
         trace.bump(id);
         assert_eq!(trace.counter("shared"), 2);
+        assert_eq!(trace.counter_value(id), 2);
     }
 
     #[test]

@@ -167,3 +167,61 @@ fn duplicate_and_shed_replays_are_idempotent() {
         once.report.tenants[0].stats.offered
     );
 }
+
+/// FNV-1a (standard 64-bit parameters) over `bytes`, folded into `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// The benchmark's `flood` shape on the default mobile field: 640
+/// records per tenant per tick against the default budget of 64, so
+/// nine in ten are shed by impact, ranked against node positions that
+/// drift every round. The admitted set, the shed log and the decisions
+/// are pinned to what a worker publishing its positions after every
+/// record produced: publishing once per tick, at the tick's end, must
+/// admit exactly the same records.
+#[test]
+fn a_flood_run_admits_the_same_records_as_per_record_position_views() {
+    let (master, ticks, per_tick) = (42u64, 8u64, 640u64);
+    let streams: Vec<Vec<_>> = (0..2)
+        .map(|t| FieldScenario::mobile(tenant_seed(master, t)).events((ticks * per_tick) as usize))
+        .collect();
+    let mut replay = String::new();
+    for time in 0..ticks {
+        for (tenant, stream) in streams.iter().enumerate() {
+            for k in 0..per_tick {
+                let p = stream[(time * per_tick + k) as usize];
+                let seq = time * per_tick + k + 1;
+                replay.push_str(&format!("R {tenant} {time} {tenant} {seq} {} {}\n", p.x, p.y));
+            }
+        }
+        replay.push_str("T\n");
+    }
+    let dir = fresh_dir("flood-views");
+    let mut cfg = DaemonConfig::standard(2, master, dir.clone());
+    cfg.queue.record_shed = true;
+    let mut daemon = Daemon::new(cfg).expect("daemon builds");
+    let report = daemon.run(Cursor::new(replay)).expect("run succeeds");
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for (t, tenant) in report.tenants.iter().enumerate() {
+        assert_eq!(tenant.stats.admitted, ticks * 64, "tenant {t}");
+        assert_eq!(tenant.stats.shed_budget, ticks * (per_tick - 64), "tenant {t}");
+        for (tick, src, seq) in daemon.shed_log_of(t) {
+            for v in [tick, src, seq] {
+                h = fnv1a(h, &v.to_le_bytes());
+            }
+        }
+        let log = std::fs::read(dir.join("decisions").join(format!("tenant{t}.log")))
+            .expect("decision log exists");
+        h = fnv1a(h, &log);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(h, FLOOD_DIGEST, "shed logs and decisions digest {h:#018x}");
+}
+
+/// The digest of the flood run above with per-record position views.
+const FLOOD_DIGEST: u64 = 0x5255_aedb_ad52_9cda;

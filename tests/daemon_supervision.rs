@@ -485,3 +485,40 @@ fn a_log_short_of_the_snapshot_quarantines_a_respawn() {
     assert!(!report.tenants[1].quarantined);
     assert_eq!(report.tenants[1].restarts, 0, "neighbor untouched");
 }
+
+/// The digest on every decision line of a respawned worker is the full
+/// hash of the engine's trust vector at that round: the replacement
+/// fills its trust words afresh from the snapshot it restores and then
+/// patches them record by record, like any fresh tenant.
+#[test]
+fn a_respawned_worker_writes_full_trust_digests() {
+    use tibfit_daemon::tenant::{EngineKind, Tenant};
+    use tibfit_daemon::wire::Report;
+
+    let master = 0x5A_0D;
+    let stream = replay_range(master, 0, 12, 2);
+    let fault = WorkerFault {
+        wedge_at_round: None,
+        panic_at_round: Some(9),
+        fail_incarnations: 1,
+    };
+    let faulted = run_with("respawn-digest", master, vec![(0, fault)], Cursor::new(stream));
+    assert!(faulted.report.tenants[0].restarts >= 1, "watchdog must restart");
+
+    let scenario = small_scenario(tenant_seed(master, 0));
+    let events = scenario.events(24);
+    let mut stepped = Tenant::new(0, scenario, EngineKind::Sequential, 1).unwrap();
+    let lines: Vec<&str> = faulted.decisions[0].lines().collect();
+    assert_eq!(lines.len(), 24);
+    for (i, (line, p)) in lines.iter().zip(&events).enumerate() {
+        let seq = i as u64 + 1;
+        let report = Report { tenant: 0, time: i as u64 / 2, src: 0, seq, x: p.x, y: p.y };
+        stepped.apply(&report);
+        let digest = line.rsplit_once(" trust=").expect("a decision line").1;
+        assert_eq!(
+            u64::from_str_radix(digest, 16).unwrap(),
+            stepped.trust_digest(),
+            "round {seq}: {line}"
+        );
+    }
+}
