@@ -67,18 +67,21 @@ impl Default for FleetPolicy {
 
 impl FleetPolicy {
     /// Consecutive misses at which trust first dips under the floor —
-    /// `ceil(-ln(floor) / λ)`, the fleet analogue of the watchdog's
-    /// `misses_to_suspect`.
+    /// the fleet analogue of the watchdog's `misses_to_suspect`.
     #[must_use]
     pub fn misses_to_quarantine(&self) -> u32 {
-        let mut misses = 0u32;
-        let mut trust = 1.0f64;
-        while trust >= self.trust_floor && misses < 1_000 {
-            misses += 1;
-            trust = (-self.lambda * f64::from(misses)).exp();
-        }
-        misses
+        misses_under_floor(self.lambda, self.trust_floor)
     }
+}
+
+/// The Impact detector's suspicion point, shared by the worker watchdog
+/// and the peer view: the smallest miss count `m ≥ 1` whose trust
+/// `e^(-λ·m)` is under `floor`, about `ceil(-ln(floor) / λ)`. A λ too
+/// small to get there within 1000 misses yields 1000.
+pub(crate) fn misses_under_floor(lambda: f64, floor: f64) -> u32 {
+    (1..1_000)
+        .find(|&m| (-lambda * f64::from(m)).exp() < floor)
+        .unwrap_or(1_000)
 }
 
 /// One peer daemon's identity and fleet address.
@@ -326,6 +329,20 @@ mod tests {
                 assert!(without_1.contains(&after));
             }
         }
+    }
+
+    #[test]
+    fn default_policies_suspect_at_the_pinned_miss_counts() {
+        // Watchdog: e^(-0.6·2) = 0.30 ≥ 0.25 > e^(-0.6·3) = 0.17.
+        assert_eq!(crate::WatchdogPolicy::default().misses_to_suspect(), 3);
+        // Fleet: e^(-0.8·3) = 0.091 ≥ 0.05 > e^(-0.8·4) = 0.041.
+        assert_eq!(FleetPolicy::default().misses_to_quarantine(), 4);
+        assert_eq!(misses_under_floor(0.6, 0.25), 3);
+        assert_eq!(misses_under_floor(0.8, 0.05), 4);
+        // A floor above 1 is crossed by the first miss; a vanishing λ
+        // stops at the cap.
+        assert_eq!(misses_under_floor(0.8, 2.0), 1);
+        assert_eq!(misses_under_floor(1e-12, 0.5), 1_000);
     }
 
     #[test]

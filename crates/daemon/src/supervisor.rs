@@ -44,7 +44,7 @@ use tibfit_sim::shutdown;
 use tibfit_sim::snapshot::read_framed;
 
 use crate::backoff::JitteredBackoff;
-use crate::fleet::{owner_of, FleetConfig, PeerState, PeerView};
+use crate::fleet::{misses_under_floor, owner_of, FleetConfig, PeerState, PeerView};
 use crate::latency;
 use crate::migrate::{
     decode_bundle, encode_bundle, push_bundle, MigrateError, MigrationBundle, MAX_BUNDLE_BYTES,
@@ -56,7 +56,7 @@ use crate::state::{
     write_tenant_state,
 };
 use crate::tenant::{EngineKind, PositionView, Tenant};
-use crate::wire::{parse_fleet_line, parse_line, FleetMsg, Frame, IngestError, Query, Report};
+use crate::wire::{parse_fleet_line, read_frame, FleetMsg, Frame, Query, Report};
 use crate::DaemonError;
 
 /// Impact-style watchdog tuning.
@@ -93,11 +93,7 @@ impl WatchdogPolicy {
     /// Checks a worker must miss before its trust crosses the floor.
     #[must_use]
     pub fn misses_to_suspect(&self) -> u32 {
-        let mut v = 0u32;
-        while (-self.lambda * f64::from(v + 1)).exp() >= self.trust_floor && v < 1_000 {
-            v += 1;
-        }
-        v + 1
+        misses_under_floor(self.lambda, self.trust_floor)
     }
 }
 
@@ -239,10 +235,7 @@ impl LogSink {
     fn reopen(&mut self) -> Result<u64, DaemonError> {
         // Drop, don't flush: the old buffer may hold lines the
         // truncation just removed.
-        if let Some(old) = self.file.take() {
-            let _ = old.into_parts();
-        }
-        self.epoch += 1;
+        self.supersede();
         let file = OpenOptions::new()
             .create(true)
             .append(true)
@@ -280,7 +273,10 @@ impl LogSink {
     }
 }
 
-/// Health state byte shared with the router.
+/// A slot's health, the byte in [`SlotShared::health`]. The router
+/// sheds a quarantined tenant's ingest; the watchdog moves a slot
+/// between the three, each quarantine or probation ending at the
+/// slot's `until_check`.
 const HEALTH_ACTIVE: u8 = 0;
 const HEALTH_QUARANTINED: u8 = 1;
 const HEALTH_PROBATION: u8 = 2;
@@ -295,19 +291,12 @@ struct SlotShared {
     query_latency: latency::Histogram,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Health {
-    Active,
-    Quarantined { until_check: u64 },
-    Probation { until_check: u64 },
-}
-
 struct SlotCore {
     id: usize,
-    queue: Arc<SharedQueue>,
-    shared: Arc<SlotShared>,
+    /// The router's handles to this tenant: the same `Arc`s its entry
+    /// in the router map holds.
+    route: RouterSlot,
     sink: Arc<Mutex<LogSink>>,
-    positions: Arc<PositionView>,
     cancel: Arc<AtomicBool>,
     handle: Option<JoinHandle<Result<(), DaemonError>>>,
     /// Superseded incarnations that had not finished when replaced — a
@@ -315,7 +304,8 @@ struct SlotCore {
     /// so it can only exit; its outcome is harvested once it has. Each
     /// handle carries its incarnation.
     retired: Vec<(u64, JoinHandle<Result<(), DaemonError>>)>,
-    health: Health,
+    /// The check at which a quarantine or probation ends.
+    until_check: u64,
     misses: u32,
     last_heartbeat: u64,
     incarnation: u64,
@@ -324,6 +314,25 @@ struct SlotCore {
     /// The newest error and the incarnation it belongs to (see
     /// [`record_error`]).
     last_error: Option<(u64, String)>,
+}
+
+impl SlotCore {
+    fn health(&self) -> u8 {
+        self.route.shared.health.load(Ordering::SeqCst)
+    }
+
+    fn set_health(&mut self, health: u8, until_check: u64) {
+        self.route.shared.health.store(health, Ordering::SeqCst);
+        self.until_check = until_check;
+    }
+
+    /// Sheds the tenant until check `until_check`: its undelivered work
+    /// is dropped and its issued ticks released, so the router never
+    /// waits on it. The recovery buffer stays for the respawn.
+    fn quarantine(&mut self, until_check: u64) {
+        self.set_health(HEALTH_QUARANTINED, until_check);
+        self.route.queue.abandon_tick();
+    }
 }
 
 struct SupervisorShared {
@@ -363,7 +372,7 @@ pub struct DaemonReport {
     pub ticks: u64,
     /// Lines rejected by the parser, total.
     pub rejected: u64,
-    /// Rejection breakdown by [`IngestError::kind`].
+    /// Rejection breakdown by [`crate::wire::IngestError::kind`].
     pub rejected_by_kind: Vec<(String, u64)>,
     /// Per-tenant summaries, tenant order.
     pub tenants: Vec<TenantSummary>,
@@ -608,63 +617,87 @@ fn run_worker(mut task: WorkerTask) -> Result<(), DaemonError> {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn spawn_incarnation(
+/// What a tenant's newest state slot holds besides the engine: the
+/// round it was taken at and the queue's dedup highwaters and counters
+/// at that round. All empty for a tenant without a snapshot.
+#[derive(Default)]
+struct SnapshotMeta {
+    round: u64,
+    highwater: Vec<(u64, u64)>,
+    stats: QueueStats,
+}
+
+/// Loads tenant `id` from its newest state slot, or fresh from the
+/// scenario when it has none. Every worker start, first or replacement,
+/// reads the state directory here and nowhere else.
+///
+/// # Errors
+///
+/// [`DaemonError::State`] when the slot's seed is not the configured
+/// one, and any error reading, decoding or restoring the slot.
+fn load_tenant(cfg: &DaemonConfig, id: usize) -> Result<(Tenant, SnapshotMeta), DaemonError> {
+    let scenario = (cfg.scenario)(tenant_seed(cfg.master_seed, id));
+    let Some(state) = read_tenant_state(&tenant_state_path(&cfg.state_dir, id))? else {
+        let tenant = Tenant::new(id, scenario, EngineKind::Sequential, cfg.threads)?;
+        return Ok((tenant, SnapshotMeta::default()));
+    };
+    if state.seed != scenario.seed {
+        return Err(DaemonError::State(format!(
+            "tenant {id} state file has seed {} but the configuration expects {}",
+            state.seed, scenario.seed
+        )));
+    }
+    let tenant = Tenant::from_blob(id, scenario, state.kind, cfg.threads, &state.blob)?;
+    let meta = SnapshotMeta {
+        round: state.round,
+        highwater: state.highwater,
+        stats: state.stats,
+    };
+    Ok((tenant, meta))
+}
+
+/// Starts worker `incarnation` of the slot on `tenant`, restored at
+/// snapshot `round`: cuts the decision log back to that round, opens a
+/// new sink epoch, attaches the tenant to the router's position view,
+/// and spawns the worker fenced at queue `generation`, with `recovery`
+/// to replay before it takes live work. This is the only place a
+/// tenant worker thread is spawned. On error nothing is spawned and
+/// the slot keeps its incarnation.
+fn start_worker(
     cfg: &DaemonConfig,
-    id: usize,
-    tenant: Tenant,
-    queue: Arc<SharedQueue>,
-    shared: Arc<SlotShared>,
-    sink: Arc<Mutex<LogSink>>,
-    epoch: u64,
-    cancel: Arc<AtomicBool>,
+    slot: &mut SlotCore,
+    mut tenant: Tenant,
+    round: u64,
     incarnation: u64,
     generation: u64,
     recovery: Vec<WorkItem>,
-) -> JoinHandle<Result<(), DaemonError>> {
+) -> Result<(), DaemonError> {
+    let id = slot.id;
+    cut_log_to_snapshot(&decision_log_path(&cfg.decisions_dir, id), id, round)?;
+    let epoch = lock_sink(&slot.sink).reopen()?;
+    tenant.set_positions(Arc::clone(&slot.route.positions));
+    slot.cancel = Arc::new(AtomicBool::new(false));
+    slot.incarnation = incarnation;
     let task = WorkerTask {
         incarnation,
         generation,
         tenant,
-        queue,
-        shared,
-        sink,
+        queue: Arc::clone(&slot.route.queue),
+        shared: Arc::clone(&slot.route.shared),
+        sink: Arc::clone(&slot.sink),
         epoch,
-        cancel,
+        cancel: Arc::clone(&slot.cancel),
         state_path: tenant_state_path(&cfg.state_dir, id),
         fault: cfg.fault_for(id),
         recovery,
         backoff_seed: cfg.master_seed ^ (id as u64) ^ (incarnation << 32),
     };
-    std::thread::Builder::new()
+    let handle = std::thread::Builder::new()
         .name(format!("tibfit-tenant-{id}"))
         .spawn(move || run_worker(task))
-        .expect("spawning a tenant worker thread")
-}
-
-/// Rebuilds a tenant for a replacement incarnation: last snapshot if
-/// one exists, otherwise fresh from the scenario (the recovery buffer
-/// then replays everything admitted since that base).
-fn rebuild_tenant(cfg: &DaemonConfig, id: usize) -> Result<(Tenant, u64), DaemonError> {
-    let scenario = (cfg.scenario)(tenant_seed(cfg.master_seed, id));
-    let path = tenant_state_path(&cfg.state_dir, id);
-    match read_tenant_state(&path)? {
-        Some(state) => {
-            if state.seed != scenario.seed {
-                return Err(DaemonError::State(format!(
-                    "tenant {id} state file has seed {} but the configuration expects {}",
-                    state.seed, scenario.seed
-                )));
-            }
-            let tenant = Tenant::from_blob(id, scenario, state.kind, cfg.threads, &state.blob)?;
-            let round = state.round;
-            Ok((tenant, round))
-        }
-        None => {
-            let tenant = Tenant::new(id, scenario, EngineKind::Sequential, cfg.threads)?;
-            Ok((tenant, 0))
-        }
-    }
+        .expect("spawning a tenant worker thread");
+    slot.handle = Some(handle);
+    Ok(())
 }
 
 /// Cuts tenant `id`'s decision log back to its snapshot `round` (see
@@ -743,92 +776,61 @@ fn harvest_retired(slot: &mut SlotCore, wait: bool) {
     }
 }
 
-/// Replaces a slot's worker: supersede the log epoch, rebuild the
-/// tenant from its last snapshot, truncate the log to match, replay
-/// the recovery buffer. On failure the tenant is quarantined instead.
+/// Replaces a slot's worker: fence the queue, supersede the log epoch,
+/// reload the tenant from its last snapshot and start it, replaying the
+/// recovery buffer. On failure the tenant is quarantined instead.
 fn respawn_slot(cfg: &DaemonConfig, slot: &mut SlotCore, probation_until: u64) {
     // A wedged (unfinished) worker is retired, not joined: its epoch is
     // superseded below and its cancel flag set, so it can only exit.
     retire_worker(slot);
-    let outcome: Result<(), DaemonError> = (|| {
-        // Fence FIRST: bumping the queue generation stops a
-        // still-running old incarnation (a wedge, or a watchdog false
-        // positive under CPU starvation) from consuming items,
-        // acknowledging ticks, or committing a snapshot after this
-        // point. Only then is it safe to read the state file and
-        // truncate the log — nothing can move them anymore.
-        let (generation, recovery) = slot.queue.recovery_view();
-        // Epoch-supersede the sink before truncating: a woken old
-        // worker exits through its flush path, and its block must be
-        // rejected rather than appended to a log we are about to (or
-        // just did) truncate.
-        lock_sink(&slot.sink).supersede();
-        let (mut tenant, round) = rebuild_tenant(cfg, slot.id)?;
-        cut_log_to_snapshot(&decision_log_path(&cfg.decisions_dir, slot.id), slot.id, round)?;
-        let epoch = lock_sink(&slot.sink).reopen()?;
-        tenant.set_positions(Arc::clone(&slot.positions));
-        slot.cancel = Arc::new(AtomicBool::new(false));
-        slot.incarnation += 1;
-        slot.handle = Some(spawn_incarnation(
-            cfg,
-            slot.id,
-            tenant,
-            Arc::clone(&slot.queue),
-            Arc::clone(&slot.shared),
-            Arc::clone(&slot.sink),
-            epoch,
-            Arc::clone(&slot.cancel),
-            slot.incarnation,
-            generation,
-            recovery,
-        ));
-        Ok(())
-    })();
-    match outcome {
+    // Fence FIRST: bumping the queue generation stops a still-running
+    // old incarnation (a wedge, or a watchdog false positive under CPU
+    // starvation) from consuming items, acknowledging ticks, or
+    // committing a snapshot after this point. Only then is it safe to
+    // read the state file and truncate the log — nothing can move them
+    // anymore.
+    let (generation, recovery) = slot.route.queue.recovery_view();
+    // Epoch-supersede the sink before truncating: a woken old worker
+    // exits through its flush path, and its block must be rejected
+    // rather than appended to a log we are about to (or just did)
+    // truncate.
+    lock_sink(&slot.sink).supersede();
+    let attempt = slot.incarnation + 1;
+    let started = load_tenant(cfg, slot.id).and_then(|(tenant, meta)| {
+        start_worker(cfg, slot, tenant, meta.round, attempt, generation, recovery)
+    });
+    match started {
         Ok(()) => {
-            slot.health = Health::Probation {
-                until_check: probation_until,
-            };
-            slot.shared.health.store(HEALTH_PROBATION, Ordering::SeqCst);
+            slot.set_health(HEALTH_PROBATION, probation_until);
             slot.misses = 0;
-            slot.last_heartbeat = slot.shared.heartbeat.load(Ordering::SeqCst);
+            slot.last_heartbeat = slot.route.shared.heartbeat.load(Ordering::SeqCst);
         }
         Err(e) => {
-            let attempted = slot.incarnation + 1;
-            record_error(slot, attempted, e.to_string());
-            slot.health = Health::Quarantined {
-                until_check: probation_until,
-            };
-            slot.shared.health.store(HEALTH_QUARANTINED, Ordering::SeqCst);
-            slot.queue.abandon_tick();
+            record_error(slot, attempt, e.to_string());
+            slot.quarantine(probation_until);
         }
     }
 }
 
 fn watchdog_check(cfg: &DaemonConfig, slot: &mut SlotCore, check_no: u64) -> f64 {
     let policy = cfg.watchdog;
-    match slot.health {
-        Health::Quarantined { until_check } => {
-            if check_no >= until_check {
+    match slot.health() {
+        HEALTH_QUARANTINED => {
+            if check_no >= slot.until_check {
                 slot.restarts += 1;
                 respawn_slot(cfg, slot, check_no + policy.probation_checks);
             }
             return 0.0;
         }
-        Health::Probation { until_check } => {
-            if check_no >= until_check {
-                slot.health = Health::Active;
-                slot.shared.health.store(HEALTH_ACTIVE, Ordering::SeqCst);
-            }
-        }
-        Health::Active => {}
+        HEALTH_PROBATION if check_no >= slot.until_check => slot.set_health(HEALTH_ACTIVE, 0),
+        _ => {}
     }
 
     let finished = slot.handle.as_ref().is_none_or(JoinHandle::is_finished);
-    let heartbeat = slot.shared.heartbeat.load(Ordering::SeqCst);
+    let heartbeat = slot.route.shared.heartbeat.load(Ordering::SeqCst);
     let advanced = heartbeat != slot.last_heartbeat;
     slot.last_heartbeat = heartbeat;
-    let outstanding = slot.queue.has_outstanding();
+    let outstanding = slot.route.queue.has_outstanding();
 
     if finished {
         // A worker only returns cleanly at shutdown, and the watchdog
@@ -854,11 +856,7 @@ fn watchdog_check(cfg: &DaemonConfig, slot: &mut SlotCore, check_no: u64) -> f64
         slot.restarts += 1;
         if slot.restart_checks.len() > policy.crash_loop_limit {
             retire_worker(slot);
-            slot.health = Health::Quarantined {
-                until_check: check_no + policy.probation_checks,
-            };
-            slot.shared.health.store(HEALTH_QUARANTINED, Ordering::SeqCst);
-            slot.queue.abandon_tick();
+            slot.quarantine(check_no + policy.probation_checks);
             return 0.0;
         }
         respawn_slot(cfg, slot, check_no + policy.probation_checks);
@@ -892,6 +890,7 @@ fn watchdog_loop(cfg: Arc<DaemonConfig>, sup: Arc<SupervisorShared>) {
 }
 
 /// Router-side view of one tenant (no supervisor lock on the hot path).
+#[derive(Clone)]
 struct RouterSlot {
     queue: Arc<SharedQueue>,
     positions: Arc<PositionView>,
@@ -929,35 +928,22 @@ struct BundleSeed {
 }
 
 /// Builds one tenant slot from the state directory: resume from the
-/// tenant's snapshot if present (fresh otherwise), truncate its
-/// decision log to the snapshot round, and spawn its worker. The shared
-/// build path for startup, fleet adoption, and migration install.
+/// tenant's snapshot if present (fresh otherwise), seed its queue with
+/// the snapshot's highwaters and counters, and start incarnation 0. The
+/// shared build path for startup, fleet adoption, and migration
+/// install; the router map gets a clone of the slot's `route`.
 fn build_slot(
     cfg: &DaemonConfig,
     id: usize,
     seed: Option<BundleSeed>,
-) -> Result<(SlotCore, RouterSlot), DaemonError> {
-    let scenario = (cfg.scenario)(tenant_seed(cfg.master_seed, id));
-    let path = tenant_state_path(&cfg.state_dir, id);
+) -> Result<SlotCore, DaemonError> {
+    let (tenant, meta) = load_tenant(cfg, id)?;
     let queue = Arc::new(SharedQueue::with_snapshot_every(
         cfg.queue,
         cfg.snapshot_every,
     ));
-    let (tenant, round) = match read_tenant_state(&path)? {
-        Some(state) => {
-            if state.seed != scenario.seed {
-                return Err(DaemonError::State(format!(
-                    "tenant {id} state file has seed {} but the configuration expects {}",
-                    state.seed, scenario.seed
-                )));
-            }
-            let tenant = Tenant::from_blob(id, scenario, state.kind, cfg.threads, &state.blob)?;
-            queue.seed_highwater(state.highwater.iter().copied());
-            queue.seed_stats(state.stats);
-            (tenant, state.round)
-        }
-        None => (Tenant::new(id, scenario, EngineKind::Sequential, cfg.threads)?, 0),
-    };
+    queue.seed_highwater(meta.highwater);
+    queue.seed_stats(meta.stats);
     let mut recovery = Vec::new();
     let mut initial_ticks = 0u64;
     if let Some(seed) = seed {
@@ -969,48 +955,28 @@ fn build_slot(
         recovery = seed.recovery;
         initial_ticks = seed.replay_ticks;
     }
-    let log_path = decision_log_path(&cfg.decisions_dir, id);
-    cut_log_to_snapshot(&log_path, id, round)?;
-    let sink = Arc::new(Mutex::new(LogSink::new(log_path)));
-    let epoch = lock_sink(&sink).reopen()?;
-    let positions = tenant.positions();
-    let shared = Arc::new(SlotShared {
-        heartbeat: AtomicU64::new(0),
-        applied: AtomicU64::new(0),
-        shed_quarantine: AtomicU64::new(0),
-        health: AtomicU8::new(HEALTH_ACTIVE),
-        query_latency: latency::Histogram::new(),
-    });
-    let cancel = Arc::new(AtomicBool::new(false));
-    let handle = spawn_incarnation(
-        cfg,
+    let mut slot = SlotCore {
         id,
-        tenant,
-        Arc::clone(&queue),
-        Arc::clone(&shared),
-        Arc::clone(&sink),
-        epoch,
-        Arc::clone(&cancel),
-        0,
-        0,
-        recovery,
-    );
-    let route = RouterSlot {
-        queue: Arc::clone(&queue),
-        positions: Arc::clone(&positions),
-        shared: Arc::clone(&shared),
-        ticks: Arc::new(AtomicU64::new(initial_ticks)),
-    };
-    let core = SlotCore {
-        id,
-        queue,
-        shared,
-        sink,
-        positions,
-        cancel,
-        handle: Some(handle),
+        route: RouterSlot {
+            queue,
+            positions: tenant.positions(),
+            shared: Arc::new(SlotShared {
+                heartbeat: AtomicU64::new(0),
+                applied: AtomicU64::new(0),
+                shed_quarantine: AtomicU64::new(0),
+                health: AtomicU8::new(HEALTH_ACTIVE),
+                query_latency: latency::Histogram::new(),
+            }),
+            ticks: Arc::new(AtomicU64::new(initial_ticks)),
+        },
+        sink: Arc::new(Mutex::new(LogSink::new(decision_log_path(
+            &cfg.decisions_dir,
+            id,
+        )))),
+        cancel: Arc::new(AtomicBool::new(false)),
+        handle: None,
         retired: Vec::new(),
-        health: Health::Active,
+        until_check: 0,
         misses: 0,
         last_heartbeat: 0,
         incarnation: 0,
@@ -1018,7 +984,8 @@ fn build_slot(
         restart_checks: VecDeque::new(),
         last_error: None,
     };
-    Ok((core, route))
+    start_worker(cfg, &mut slot, tenant, meta.round, 0, 0, recovery)?;
+    Ok(slot)
 }
 
 /// The daemon: build with [`Daemon::new`] (which resumes from any
@@ -1061,8 +1028,8 @@ impl Daemon {
         let mut slots = Vec::with_capacity(owned.len());
         let mut router = BTreeMap::new();
         for id in owned {
-            let (core, route) = build_slot(&cfg, id, None)?;
-            router.insert(id, route);
+            let core = build_slot(&cfg, id, None)?;
+            router.insert(id, core.route.clone());
             slots.push(core);
         }
         let sup = Arc::new(SupervisorShared {
@@ -1152,14 +1119,8 @@ impl Daemon {
                 drained_early = true;
                 break;
             }
-            raw.clear();
-            let n = input.read_until(b'\n', &mut raw).map_err(DaemonError::Io)?;
-            if n == 0 {
+            let Some(parsed) = read_frame(&mut input, &mut raw).map_err(DaemonError::Io)? else {
                 break;
-            }
-            let parsed = match std::str::from_utf8(&raw) {
-                Ok(text) => parse_line(text.trim_end_matches('\n')),
-                Err(_) => Err(IngestError::NotUtf8),
             };
             match parsed {
                 Ok(None) => {}
@@ -1315,11 +1276,11 @@ impl Daemon {
         }
         let mut slots = lock_slots(&self.sup);
         for slot in slots.iter() {
-            slot.queue.close();
+            slot.route.queue.close();
         }
         let mut tenants = Vec::with_capacity(slots.len());
         for slot in slots.iter_mut() {
-            let quarantined = matches!(slot.health, Health::Quarantined { .. });
+            let quarantined = slot.health() == HEALTH_QUARANTINED;
             if quarantined {
                 // No worker is listening on a quarantined queue; the
                 // handle (if any) is already dead or canceled.
@@ -1334,9 +1295,9 @@ impl Daemon {
             harvest_retired(slot, true);
             tenants.push(TenantSummary {
                 id: slot.id,
-                applied: slot.shared.applied.load(Ordering::SeqCst),
-                stats: slot.queue.stats(),
-                shed_quarantine: slot.shared.shed_quarantine.load(Ordering::SeqCst),
+                applied: slot.route.shared.applied.load(Ordering::SeqCst),
+                stats: slot.route.queue.stats(),
+                shed_quarantine: slot.route.shared.shed_quarantine.load(Ordering::SeqCst),
                 restarts: slot.restarts,
                 quarantined,
                 last_error: slot.last_error.as_ref().map(|(_, e)| e.clone()),
@@ -1649,21 +1610,16 @@ fn adopt_tenant(ctx: &FleetCtx, tenant: usize) -> Result<(), DaemonError> {
     if read_router(&ctx.router).contains_key(&tenant) {
         return Ok(());
     }
-    let (core, route) = build_slot(&ctx.cfg, tenant, None)?;
+    let core = build_slot(&ctx.cfg, tenant, None)?;
+    let route = core.route.clone();
     let mut ticks = 0u64;
     if let Some(path) = &ctx.fs.fcfg.catchup_replay {
         let file = File::open(path).map_err(DaemonError::Io)?;
         let mut reader = BufReader::new(file);
         let mut raw = Vec::new();
-        loop {
-            raw.clear();
-            if reader.read_until(b'\n', &mut raw).map_err(DaemonError::Io)? == 0 {
-                break;
-            }
-            let Ok(text) = std::str::from_utf8(&raw) else {
-                continue;
-            };
-            match parse_line(text.trim_end_matches('\n')) {
+        // Catch-up skips bad lines and other tenants' records.
+        while let Some(parsed) = read_frame(&mut reader, &mut raw).map_err(DaemonError::Io)? {
+            match parsed {
                 Ok(Some(Frame::Report(r))) if r.tenant == tenant => {
                     route.queue.offer(r);
                 }
@@ -1740,7 +1696,7 @@ fn install_bundle(ctx: &FleetCtx, bundle: MigrationBundle) -> Result<(), Migrate
         .iter()
         .filter(|i| matches!(i, WorkItem::TickEnd(_)))
         .count() as u64;
-    let (core, route) = build_slot(
+    let core = build_slot(
         cfg,
         tenant,
         Some(BundleSeed {
@@ -1752,24 +1708,13 @@ fn install_bundle(ctx: &FleetCtx, bundle: MigrationBundle) -> Result<(), Migrate
     )
     .map_err(|e| MigrateError::Mismatch(format!("install: {e}")))?;
     for r in bundle.pending {
-        route.queue.offer(r);
+        core.route.queue.offer(r);
     }
-    write_router(&ctx.router).insert(tenant, route);
+    write_router(&ctx.router).insert(tenant, core.route.clone());
     lock_slots(&ctx.sup).push(core);
     ctx.fs.migrations_in.fetch_add(1, Ordering::SeqCst);
     ctx.fs.touch();
     Ok(())
-}
-
-fn wait_drained(queue: &SharedQueue, deadline: Duration) -> bool {
-    let until = Instant::now() + deadline;
-    while queue.has_outstanding() {
-        if Instant::now() > until {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    true
 }
 
 /// Operator-driven live migration: quiesce the tenant, capture its
@@ -1794,7 +1739,9 @@ fn migrate_out(ctx: &FleetCtx, tenant: usize, dest: usize) -> Result<(), Migrate
             "tenant {tenant} is not hosted here"
         )));
     };
-    if !wait_drained(&route.queue, Duration::from_secs(10)) {
+    // Every issued tick complete means nothing issued is left to apply:
+    // a tick's items are queued before its `TickEnd`.
+    if !route.queue.wait_settled(Duration::from_secs(10)) {
         write_router(&ctx.router).insert(tenant, route);
         return Err(MigrateError::Mismatch(format!(
             "tenant {tenant} did not drain in time"
@@ -1817,9 +1764,9 @@ fn migrate_out(ctx: &FleetCtx, tenant: usize, dest: usize) -> Result<(), Migrate
     };
     // Fence the worker (it exits through its flush path) and capture
     // the stable views.
-    let (_generation, replay) = core.queue.recovery_view();
-    let pending = core.queue.drain_pending();
-    let (live_highwater, live_stats) = core.queue.snapshot_view();
+    let (_generation, replay) = core.route.queue.recovery_view();
+    let pending = core.route.queue.drain_pending();
+    let (live_highwater, live_stats) = core.route.queue.snapshot_view();
     if let Some(handle) = core.handle.take() {
         // Joining guarantees the worker's final flush hit the log file
         // before the destination truncates and regenerates it.
@@ -1861,7 +1808,7 @@ fn migrate_out(ctx: &FleetCtx, tenant: usize, dest: usize) -> Result<(), Migrate
             // Keep serving locally: restore the pending records and
             // respawn the worker from snapshot + recovery buffer.
             for r in pending {
-                core.queue.offer(r);
+                core.route.queue.offer(r);
             }
             respawn_slot(&ctx.cfg, &mut core, 0);
             lock_slots(&ctx.sup).push(core);
@@ -2107,7 +2054,8 @@ mod tests {
         cfg.scenario = small_scenario;
         cfg.snapshot_every = 3;
         std::fs::create_dir_all(&cfg.decisions_dir).unwrap();
-        let (mut slot, route) = build_slot(&cfg, 0, None).unwrap();
+        let mut slot = build_slot(&cfg, 0, None).unwrap();
+        let route = slot.route.clone();
         let scenario = small_scenario(tenant_seed(11, 0));
         let mut reference = scenario.sequential().unwrap();
         let engine_points = |engine: &tibfit_experiments::multicluster::MultiClusterSim| {
@@ -2138,11 +2086,11 @@ mod tests {
                 // A replacement restores tick 6's snapshot and replays
                 // tick 7 before it takes tick 8.
                 respawn_slot(&cfg, &mut slot, 0);
-                assert!(matches!(slot.health, Health::Probation { .. }));
+                assert_eq!(slot.health(), HEALTH_PROBATION);
             }
         }
         assert!(slot.incarnation >= 1, "the worker was respawned");
-        slot.queue.close();
+        slot.route.queue.close();
         slot.handle.take().unwrap().join().unwrap().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2154,10 +2102,10 @@ mod tests {
         let mut cfg = DaemonConfig::standard(1, 7, dir.clone());
         cfg.scenario = small_scenario;
         std::fs::create_dir_all(&cfg.decisions_dir).unwrap();
-        let (mut slot, _route) = build_slot(&cfg, 0, None).unwrap();
+        let mut slot = build_slot(&cfg, 0, None).unwrap();
         // Shut the real worker down: its final snapshot is the state
         // file the respawn below reads.
-        slot.queue.close();
+        slot.route.queue.close();
         slot.handle.take().unwrap().join().unwrap().unwrap();
 
         // Incarnation 0 is now a worker that panics only when released,
@@ -2172,7 +2120,7 @@ mod tests {
         let mut other = cfg.clone();
         other.master_seed = 8;
         respawn_slot(&other, &mut slot, 0);
-        assert!(matches!(slot.health, Health::Quarantined { .. }));
+        assert_eq!(slot.health(), HEALTH_QUARANTINED);
         assert_eq!(slot.retired.len(), 1, "the retired worker is still running");
         let typed = slot.last_error.clone().expect("the respawn recorded its error");
         assert!(typed.1.contains("seed"), "{}", typed.1);

@@ -32,6 +32,7 @@
 //! Blank lines and comments parse to `Ok(None)`.
 
 use std::fmt;
+use std::io::{self, BufRead};
 
 /// Longest accepted line, in bytes. A well-formed report is < 120
 /// bytes; the cap keeps a garbage (or hostile) upstream from growing
@@ -207,6 +208,25 @@ fn end_of<'a>(mut it: impl Iterator<Item = &'a str>) -> Result<(), IngestError> 
         return Err(IngestError::TrailingGarbage);
     }
     Ok(())
+}
+
+/// The byte-level framing layer: reads the next newline-terminated line
+/// of `input` into `raw` and parses it. `Ok(None)` at end of stream; a
+/// line that is not UTF-8 parses to [`IngestError::NotUtf8`]. The router
+/// and fleet catch-up both read ingest through this, each with its own
+/// policy for what a parsed line means.
+pub(crate) fn read_frame(
+    input: &mut impl BufRead,
+    raw: &mut Vec<u8>,
+) -> io::Result<Option<Result<Option<Frame>, IngestError>>> {
+    raw.clear();
+    if input.read_until(b'\n', raw)? == 0 {
+        return Ok(None);
+    }
+    Ok(Some(match std::str::from_utf8(raw) {
+        Ok(text) => parse_line(text.trim_end_matches('\n')),
+        Err(_) => Err(IngestError::NotUtf8),
+    }))
 }
 
 /// Parses one line into a frame. `Ok(None)` for blank lines and

@@ -11,10 +11,12 @@
 //! between the moves, must also come out byte-identical and drop zero
 //! records.
 
+use std::collections::BTreeSet;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
+use std::process::{Command, Output, Stdio};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use tibfit_daemon::fleet::owner_of;
@@ -33,13 +35,31 @@ fn fresh_dir(tag: &str) -> PathBuf {
 }
 
 /// A currently-free localhost port (bind-then-drop; the tiny TOCTOU
-/// window is acceptable for tests).
+/// window is acceptable for tests). The tests in this binary run in
+/// parallel, so a port is never handed out twice: the OS may offer a
+/// dropped port again before the daemon it was meant for has bound it.
 fn free_port() -> u16 {
-    TcpListener::bind("127.0.0.1:0")
-        .expect("bind :0")
-        .local_addr()
-        .expect("local addr")
-        .port()
+    static HANDED_OUT: Mutex<BTreeSet<u16>> = Mutex::new(BTreeSet::new());
+    let mut handed_out = HANDED_OUT.lock().unwrap_or_else(PoisonError::into_inner);
+    loop {
+        let port = TcpListener::bind("127.0.0.1:0")
+            .expect("bind :0")
+            .local_addr()
+            .expect("local addr")
+            .port();
+        if handed_out.insert(port) {
+            return port;
+        }
+    }
+}
+
+/// A daemon's stdout and stderr, for an assertion message.
+fn output_text(out: &Output) -> String {
+    format!(
+        "stdout:\n{}\nstderr:\n{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    )
 }
 
 fn run_ok(args: &[&str]) -> String {
@@ -190,7 +210,7 @@ fn failover_cycle(k: u64, fleet_seed: u64) {
                 ]);
             }
             cmd.stdout(Stdio::piped())
-                .stderr(Stdio::null())
+                .stderr(Stdio::piped())
                 .spawn()
                 .expect("daemon spawns")
         })
@@ -212,14 +232,15 @@ fn failover_cycle(k: u64, fleet_seed: u64) {
         assert!(
             out.status.success(),
             "k={k}: survivor {i} must exit cleanly:\n{}",
-            String::from_utf8_lossy(&out.stdout)
+            output_text(out)
         );
         let stdout = String::from_utf8_lossy(&out.stdout);
         rebalances += counter(&stdout, "fleet.rebalance.count");
     }
     assert!(
         rebalances >= 1,
-        "k={k}: the victim's tenant must be adopted"
+        "k={k}: the victim's tenant must be adopted:\n{}",
+        outs.iter().map(output_text).collect::<Vec<_>>().join("\n")
     );
     assert_eq!(
         want,
@@ -265,7 +286,7 @@ fn raced_real_sigkill_rebalances_byte_identical() {
         .map(|i| {
             fleet_serve_cmd(replay, &shared_s, seed, i, &ports, fleet_seed, 2000)
                 .stdout(Stdio::piped())
-                .stderr(Stdio::null())
+                .stderr(Stdio::piped())
                 .spawn()
                 .expect("daemon spawns")
         })
@@ -281,11 +302,7 @@ fn raced_real_sigkill_rebalances_byte_identical() {
     assert!(!outs[victim].status.success());
     for (i, out) in outs.iter().enumerate() {
         if i != victim {
-            assert!(
-                out.status.success(),
-                "survivor {i}:\n{}",
-                String::from_utf8_lossy(&out.stdout)
-            );
+            assert!(out.status.success(), "survivor {i}:\n{}", output_text(out));
         }
     }
     assert_eq!(
@@ -421,7 +438,7 @@ fn rolling_migrate_drill_is_byte_identical_and_lossless() {
                     "100",
                 ])
                 .stdout(Stdio::piped())
-                .stderr(Stdio::null())
+                .stderr(Stdio::piped())
                 .spawn()
                 .expect("daemon spawns")
         })
@@ -472,7 +489,7 @@ fn rolling_migrate_drill_is_byte_identical_and_lossless() {
         assert!(
             out.status.success(),
             "daemon {i} must exit cleanly:\n{}",
-            String::from_utf8_lossy(&out.stdout)
+            output_text(out)
         );
     }
     let out0 = String::from_utf8_lossy(&outs[0].stdout);
