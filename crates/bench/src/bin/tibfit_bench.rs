@@ -50,6 +50,7 @@ use tibfit_adversary::behavior::NodeBehavior;
 use tibfit_adversary::CorrectNode;
 use tibfit_bench::{cpu_sample, format_ns, json_number};
 use tibfit_daemon::fleet::{owner_of, FleetConfig, FleetPolicy, PeerSpec};
+use tibfit_daemon::net_io::fleet_call;
 use tibfit_daemon::{Daemon, DaemonConfig};
 use tibfit_core::engine::{Aggregator, TibfitEngine};
 use tibfit_core::location::LocatedReport;
@@ -288,7 +289,8 @@ fn run_all(quick: bool) -> Vec<(&'static str, f64)> {
     let reb_thread = std::thread::spawn(move || reb_daemon.run(Cursor::new(Vec::new())));
     let mut fleet_rebalance_ns = 0u128;
     while start.elapsed() < Duration::from_secs(10) {
-        if let Ok(lines) = fleet_request(reb_addr, "STATUS") {
+        let status = fleet_call(&reb_addr.to_string(), "STATUS", None, Duration::from_secs(10));
+        if let Ok(lines) = status {
             if (0..2).all(|t| lines.iter().any(|l| l == &format!("S tenant {t} 0"))) {
                 fleet_rebalance_ns = start.elapsed().as_nanos().max(1);
                 break;
@@ -373,7 +375,9 @@ fn run_all(quick: bool) -> Vec<(&'static str, f64)> {
     std::thread::sleep(Duration::from_millis(300));
     let start = Instant::now();
     for t in 0..2 {
-        let reply = fleet_request(addr_a, &format!("MIGRATE {t} 1")).expect("migrate round trip");
+        let command = format!("MIGRATE {t} 1");
+        let reply = fleet_call(&addr_a.to_string(), &command, None, Duration::from_secs(10))
+            .expect("migrate round trip");
         assert_eq!(
             reply.last().map(String::as_str),
             Some(format!("MOK {t}").as_str()),
@@ -406,36 +410,6 @@ fn run_all(quick: bool) -> Vec<(&'static str, f64)> {
     let _ = std::fs::remove_dir_all(&fleet_root);
 
     out
-}
-
-/// One command round trip against a daemon's fleet port: sends the
-/// line, reads until a terminal reply (`… end` for STATUS dumps,
-/// `MOK`/`MERR` for migrations) or EOF.
-fn fleet_request(addr: SocketAddr, command: &str) -> std::io::Result<Vec<String>> {
-    use std::io::{BufRead, BufReader, Write};
-    let stream = std::net::TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-    let mut w = &stream;
-    writeln!(w, "{command}")?;
-    w.flush()?;
-    let mut reader = BufReader::new(&stream);
-    let mut lines = Vec::new();
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            break;
-        }
-        let trimmed = line.trim_end().to_string();
-        let terminal = trimmed.ends_with(" end")
-            || trimmed.starts_with("MOK ")
-            || trimmed.starts_with("MERR ");
-        lines.push(trimmed);
-        if terminal {
-            break;
-        }
-    }
-    Ok(lines)
 }
 
 /// Renders the flat JSON report.

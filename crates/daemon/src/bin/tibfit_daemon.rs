@@ -14,13 +14,14 @@
 //! writes final snapshots, and exits 0 — a restart resumes
 //! byte-identically from the state directory.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::Duration;
 
 use tibfit_daemon::fleet::{FleetConfig, FleetPolicy, PeerSpec};
-use tibfit_daemon::net_io::{stream_replay, FanInSource, ListenSource, DEFAULT_STREAM_DEADLINE_MS};
+use tibfit_daemon::net_io::{
+    fleet_call, stream_replay, FanInSource, ListenSource, DEFAULT_STREAM_DEADLINE_MS,
+};
 use tibfit_daemon::{Daemon, DaemonConfig, DaemonReport};
 use tibfit_experiments::replay::{replay_records, write_replay};
 use tibfit_faults::ProcessCrashPlan;
@@ -344,35 +345,8 @@ fn run_stream(args: &mut ArgStream) -> Result<(), String> {
     Ok(())
 }
 
-/// Sends one fleet-port command line and returns the reply lines
-/// (`limit` bounds how many are read; `None` reads until the `… end`
-/// sentinel or EOF).
-fn fleet_request(addr: &str, command: &str, limit: Option<usize>) -> Result<Vec<String>, String> {
-    let stream =
-        TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
-        .map_err(|e| e.to_string())?;
-    let mut w = &stream;
-    writeln!(w, "{command}").map_err(|e| e.to_string())?;
-    w.flush().map_err(|e| e.to_string())?;
-    let mut reader = BufReader::new(&stream);
-    let mut lines = Vec::new();
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line).map_err(|e| e.to_string())? == 0 {
-            break;
-        }
-        let trimmed = line.trim_end().to_string();
-        let is_end = trimmed.ends_with(" end");
-        lines.push(trimmed);
-        if is_end || limit.is_some_and(|n| lines.len() >= n) {
-            break;
-        }
-    }
-    Ok(lines)
-}
+/// Bounds the connect and every read and write of a fleet command.
+const FLEET_TIMEOUT: Duration = Duration::from_secs(30);
 
 fn run_migrate(args: &mut ArgStream) -> Result<(), String> {
     let mut connect: Option<String> = None;
@@ -390,7 +364,9 @@ fn run_migrate(args: &mut ArgStream) -> Result<(), String> {
     let connect = connect.ok_or("migrate requires --connect")?;
     let tenant = tenant.ok_or("migrate requires --tenant")?;
     let dest = dest.ok_or("migrate requires --dest")?;
-    let reply = fleet_request(&connect, &format!("MIGRATE {tenant} {dest}"), Some(1))?;
+    let command = format!("MIGRATE {tenant} {dest}");
+    let reply = fleet_call(&connect, &command, None, FLEET_TIMEOUT)
+        .map_err(|e| format!("fleet port {connect}: {e}"))?;
     match reply.first().map(String::as_str) {
         Some(ok) if ok == format!("MOK {tenant}") => {
             println!("migrated tenant {tenant} to daemon {dest}");
@@ -411,7 +387,9 @@ fn run_status(args: &mut ArgStream) -> Result<(), String> {
         }
     }
     let connect = connect.ok_or("status requires --connect")?;
-    for line in fleet_request(&connect, "STATUS", None)? {
+    for line in fleet_call(&connect, "STATUS", None, FLEET_TIMEOUT)
+        .map_err(|e| format!("fleet port {connect}: {e}"))?
+    {
         println!("{line}");
     }
     Ok(())

@@ -26,12 +26,13 @@
 //! install).
 
 use std::fmt;
-use std::io::{BufRead, Write};
+use std::time::Duration;
 
 use tibfit_sim::snapshot::{FrameError, SnapshotError, SnapshotReader, SnapshotWriter};
 
+use crate::net_io::fleet_call;
 use crate::queue::{QueueStats, WorkItem};
-use crate::wire::Report;
+use crate::wire::{parse_fleet_line, FleetMsg, Report};
 
 /// Section tag: bundle metadata (tenant id, seed, snapshot round).
 const TAG_MIGRATE_META: u8 = 30;
@@ -316,29 +317,19 @@ pub fn decode_bundle(bytes: &[u8]) -> Result<MigrationBundle, MigrateError> {
 ///
 /// # Errors
 ///
-/// [`MigrateError::Io`] / [`MigrateError::Frame`] on transport
-/// failure, [`MigrateError::Refused`] if the peer answers `MERR` (or
-/// anything other than a matching `MOK`).
+/// [`MigrateError::Io`] on transport failure (a 30 s timeout bounds
+/// the connect and every read and write), [`MigrateError::Refused`]
+/// if the peer answers `MERR` (or anything other than a matching
+/// `MOK`).
 pub fn push_bundle(addr: &str, tenant: usize, encoded: &[u8]) -> Result<(), MigrateError> {
-    let stream = std::net::TcpStream::connect(addr).map_err(MigrateError::Io)?;
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+    let command = format!("MPUSH {tenant}");
+    let reply = fleet_call(addr, &command, Some(encoded), Duration::from_secs(30))
         .map_err(MigrateError::Io)?;
-    let mut writer = std::io::BufWriter::new(&stream);
-    writeln!(writer, "MPUSH {tenant}").map_err(MigrateError::Io)?;
-    tibfit_sim::snapshot::write_framed(&mut writer, encoded)?;
-    drop(writer);
-    let mut reply = String::new();
-    std::io::BufReader::new(&stream)
-        .read_line(&mut reply)
-        .map_err(MigrateError::Io)?;
-    match crate::wire::parse_fleet_line(&reply) {
-        Ok(Some(crate::wire::FleetMsg::PushOk { tenant: t })) if t == tenant => Ok(()),
-        Ok(Some(crate::wire::FleetMsg::PushErr(reason))) => Err(MigrateError::Refused(reason)),
-        _ => Err(MigrateError::Refused(format!(
-            "unexpected reply {:?}",
-            reply.trim_end()
-        ))),
+    let reply = reply.first().map_or("", String::as_str);
+    match parse_fleet_line(reply) {
+        Ok(Some(FleetMsg::PushOk { tenant: t })) if t == tenant => Ok(()),
+        Ok(Some(FleetMsg::PushErr(reason))) => Err(MigrateError::Refused(reason)),
+        _ => Err(MigrateError::Refused(format!("unexpected reply {reply:?}"))),
     }
 }
 

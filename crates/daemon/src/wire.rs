@@ -32,7 +32,7 @@
 //! Blank lines and comments parse to `Ok(None)`.
 
 use std::fmt;
-use std::io::{self, BufRead};
+use std::io::{self, BufRead, Read};
 
 /// Longest accepted line, in bytes. A well-formed report is < 120
 /// bytes; the cap keeps a garbage (or hostile) upstream from growing
@@ -210,23 +210,54 @@ fn end_of<'a>(mut it: impl Iterator<Item = &'a str>) -> Result<(), IngestError> 
     Ok(())
 }
 
-/// The byte-level framing layer: reads the next newline-terminated line
-/// of `input` into `raw` and parses it. `Ok(None)` at end of stream; a
-/// line that is not UTF-8 parses to [`IngestError::NotUtf8`]. The router
-/// and fleet catch-up both read ingest through this, each with its own
-/// policy for what a parsed line means.
+/// The bounded line framer every socket and replay reader goes through:
+/// reads the next line of `input` into `raw` and returns its text,
+/// newline excluded. `Ok(None)` at end of stream.
+///
+/// At most `MAX_LINE_BYTES + 1` bytes ever enter `raw`. A longer line
+/// keeps its first `MAX_LINE_BYTES + 1` bytes there, the rest is counted
+/// and discarded, and it yields [`IngestError::Oversized`] with its full
+/// length, whatever its bytes. A line within the cap that is not UTF-8
+/// yields [`IngestError::NotUtf8`]. Exactly the line and its newline
+/// are consumed, so a framed payload may follow on the same reader.
+pub(crate) fn read_bounded_line<'a>(
+    input: &mut impl BufRead,
+    raw: &'a mut Vec<u8>,
+) -> io::Result<Option<Result<&'a str, IngestError>>> {
+    raw.clear();
+    if input.by_ref().take(MAX_LINE_BYTES as u64 + 1).read_until(b'\n', raw)? == 0 {
+        return Ok(None);
+    }
+    if raw.last() == Some(&b'\n') {
+        raw.pop();
+    } else if raw.len() > MAX_LINE_BYTES {
+        let mut len = raw.len();
+        loop {
+            let available = match input.fill_buf() {
+                Ok(available) => available,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            let end = available.iter().position(|&b| b == b'\n');
+            let skip = end.unwrap_or(available.len());
+            len += skip;
+            input.consume(skip + usize::from(end.is_some()));
+            if end.is_some() || skip == 0 {
+                return Ok(Some(Err(IngestError::Oversized { len })));
+            }
+        }
+    }
+    Ok(Some(std::str::from_utf8(raw).map_err(|_| IngestError::NotUtf8)))
+}
+
+/// [`read_bounded_line`] then [`parse_line`]: the router, fleet
+/// catch-up and the fan-in readers all decode ingest through this, each
+/// with its own policy for what a parsed line means.
 pub(crate) fn read_frame(
     input: &mut impl BufRead,
     raw: &mut Vec<u8>,
 ) -> io::Result<Option<Result<Option<Frame>, IngestError>>> {
-    raw.clear();
-    if input.read_until(b'\n', raw)? == 0 {
-        return Ok(None);
-    }
-    Ok(Some(match std::str::from_utf8(raw) {
-        Ok(text) => parse_line(text.trim_end_matches('\n')),
-        Err(_) => Err(IngestError::NotUtf8),
-    }))
+    Ok(read_bounded_line(input, raw)?.map(|line| line.and_then(parse_line)))
 }
 
 /// Parses one line into a frame. `Ok(None)` for blank lines and
@@ -478,6 +509,45 @@ mod tests {
         );
         let oversized = format!("R {}", "9".repeat(MAX_LINE_BYTES));
         assert!(matches!(parse_line(&oversized).unwrap_err(), IngestError::Oversized { .. }));
+    }
+
+    #[test]
+    fn the_framer_bounds_an_endless_line_and_resyncs_after_it() {
+        const HUGE: usize = 16 << 20;
+        let mut input = io::BufReader::new(io::repeat(b'x').take(HUGE as u64).chain(&b"\nT\n"[..]));
+        let mut raw = Vec::new();
+        assert_eq!(
+            read_frame(&mut input, &mut raw).unwrap(),
+            Some(Err(IngestError::Oversized { len: HUGE }))
+        );
+        assert!(raw.capacity() < 64 << 10, "kept {} bytes", raw.capacity());
+        assert_eq!(read_frame(&mut input, &mut raw).unwrap(), Some(Ok(Some(Frame::Tick))));
+        assert_eq!(read_frame(&mut input, &mut raw).unwrap(), None);
+    }
+
+    #[test]
+    fn the_framer_types_each_line_and_stops_at_its_newline() {
+        let mut bytes = b"T\r\n\xff\xfe\n".to_vec();
+        bytes.extend(std::iter::repeat_n(b'9', MAX_LINE_BYTES));
+        bytes.extend_from_slice(b"\n");
+        bytes.extend(std::iter::repeat_n(b'\xff', MAX_LINE_BYTES + 1));
+        bytes.extend_from_slice(b"\npayload");
+        let mut input = io::Cursor::new(bytes);
+        let mut raw = Vec::new();
+        assert_eq!(read_bounded_line(&mut input, &mut raw).unwrap(), Some(Ok("T\r")));
+        let not_utf8 = read_bounded_line(&mut input, &mut raw).unwrap();
+        assert_eq!(not_utf8, Some(Err(IngestError::NotUtf8)));
+        let at_cap = read_bounded_line(&mut input, &mut raw).unwrap().unwrap().unwrap();
+        assert_eq!(at_cap.len(), MAX_LINE_BYTES);
+        // Over the cap, length wins over encoding.
+        assert_eq!(
+            read_bounded_line(&mut input, &mut raw).unwrap(),
+            Some(Err(IngestError::Oversized { len: MAX_LINE_BYTES + 1 }))
+        );
+        assert_eq!(raw.len(), MAX_LINE_BYTES + 1);
+        let mut rest = String::new();
+        input.read_to_string(&mut rest).unwrap();
+        assert_eq!(rest, "payload");
     }
 
     #[test]

@@ -143,3 +143,47 @@ fn dead_peer_is_quarantined_and_its_tenants_adopted() {
         assert!(!summary.quarantined);
     }
 }
+
+/// One raw command line against a fleet port; the reply until close.
+fn raw_fleet_reply(addr: SocketAddr, line: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect to the fleet port");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    stream.write_all(line).expect("send the command");
+    let mut reply = String::new();
+    std::io::Read::read_to_string(&mut stream, &mut reply).expect("reply until close");
+    reply
+}
+
+#[test]
+fn the_fleet_port_answers_a_bad_command_with_merr() {
+    let root = fresh_dir("merr");
+    let mut cfg = DaemonConfig::standard(TENANTS, 43, root.join("state"));
+    cfg.fleet = Some(FleetConfig {
+        id: 0,
+        peers: Vec::new(),
+        seed: 43,
+        listen: "127.0.0.1:0".into(),
+        linger_ms: 0,
+        catchup_replay: None,
+        policy: FleetPolicy::default(),
+    });
+    let mut daemon = Daemon::new(cfg).expect("fleet daemon");
+    let fleet_addr = daemon.fleet_addr().expect("fleet port bound");
+
+    assert_eq!(
+        raw_fleet_reply(fleet_addr, b"\xff\xfe STATUS\n"),
+        "MERR line is not valid UTF-8\n"
+    );
+    let mut long = vec![b'A'; 5000];
+    long.push(b'\n');
+    assert_eq!(
+        raw_fleet_reply(fleet_addr, &long),
+        "MERR line of 5000 bytes exceeds the 4096-byte frame cap\n"
+    );
+    // The port still serves a good command afterwards.
+    assert!(raw_fleet_reply(fleet_addr, b"STATUS\n").ends_with("S end\n"));
+
+    daemon.run(Cursor::new(String::new())).expect("run");
+}
