@@ -347,7 +347,9 @@ impl TrustTable {
     /// (one paid exponential).
     fn refresh_cache(&mut self, i: usize) {
         self.cached_ti[i] = TrustIndex { v: self.counters[i] }.value(&self.params);
-        self.exp_evals += 1;
+        // The bookkeeping counters wrap at `u64::MAX` in every build: a
+        // restored table starts them wherever its checkpoint said.
+        self.exp_evals = self.exp_evals.wrapping_add(1);
         self.sync_weight(i);
     }
 
@@ -443,7 +445,7 @@ impl TrustTable {
     /// Panics if the id is out of range.
     #[must_use]
     pub fn trust_of(&self, node: NodeId) -> f64 {
-        self.ti_reads.set(self.ti_reads.get() + 1);
+        self.ti_reads.set(self.ti_reads.get().wrapping_add(1));
         self.cached_ti[node.index()]
     }
 
@@ -505,7 +507,7 @@ impl TrustTable {
     #[must_use]
     pub fn cumulative_trust(&self, group: &[NodeId]) -> f64 {
         let (sum, reads) = fold_group_f64(&self.weights, group);
-        self.ti_reads.set(self.ti_reads.get() + reads);
+        self.ti_reads.set(self.ti_reads.get().wrapping_add(reads));
         sum
     }
 
@@ -902,20 +904,23 @@ impl TrustTable {
         }
     }
 
-    /// Rebuilds a table from checkpointed state, bit-for-bit.
+    /// Rebuilds a table from checkpointed state, bit-for-bit, moving
+    /// the state's per-node vectors in.
     ///
     /// Cached TI values are restored verbatim (after verifying each one
     /// against recomputation from its counter), *not* recomputed through
     /// [`TrustTable::install`]/[`TrustTable::set_counter`] — those paths
     /// bump `exp_evals`, and a restored table must report the same
-    /// eval counts the original would.
+    /// eval counts the original would. A zero counter (every node that
+    /// has never been judged faulty) is checked against 1.0, which is
+    /// exactly `e^(−0)`, without calling `exp`.
     ///
     /// # Errors
     ///
     /// A [`TrustStateError`] naming the first invariant the state
     /// violates; corrupt blobs are rejected here rather than producing a
     /// subtly wrong table.
-    pub fn from_state(state: &TrustTableState) -> Result<Self, TrustStateError> {
+    pub fn from_state(state: TrustTableState) -> Result<Self, TrustStateError> {
         let n = state.counters.len();
         if n == 0 || state.cached_ti.len() != n || state.status.len() != n {
             return Err(TrustStateError::LengthMismatch);
@@ -936,7 +941,8 @@ impl TrustTable {
             if !(v.is_finite() && v >= 0.0) {
                 return Err(TrustStateError::BadCounter);
             }
-            if cached.to_bits() != (-params.lambda * v).exp().to_bits() {
+            let ti = if v == 0.0 { 1.0 } else { (-params.lambda * v).exp() };
+            if cached.to_bits() != ti.to_bits() {
                 return Err(TrustStateError::CacheMismatch);
             }
         }
@@ -957,10 +963,10 @@ impl TrustTable {
             .collect();
         Ok(TrustTable {
             params,
-            counters: state.counters.clone(),
-            cached_ti: state.cached_ti.clone(),
+            counters: state.counters,
+            cached_ti: state.cached_ti,
             weights,
-            status: state.status.clone(),
+            status: state.status,
             isolation_threshold: state.isolation_threshold,
             reintegration: state.reintegration.map(|(quarantine_rounds, probation_rounds)| {
                 ReintegrationPolicy {
@@ -1412,7 +1418,7 @@ mod tests {
         let _ = t.cumulative_trust(&[NodeId(0), NodeId(2)]);
 
         let state = t.export_state();
-        let r = TrustTable::from_state(&state).unwrap();
+        let r = TrustTable::from_state(state.clone()).unwrap();
         assert_eq!(r.exp_evals(), t.exp_evals());
         assert_eq!(r.ti_reads(), t.ti_reads());
         for i in 0..4 {
@@ -1449,41 +1455,69 @@ mod tests {
     fn from_state_rejects_corrupt_states() {
         let t = TrustTable::new(params(), 2);
         let good = t.export_state();
-        assert!(TrustTable::from_state(&good).is_ok());
+        assert!(TrustTable::from_state(good.clone()).is_ok());
 
         let mut s = good.clone();
         s.cached_ti.pop();
-        assert_eq!(TrustTable::from_state(&s).unwrap_err(), TrustStateError::LengthMismatch);
+        assert_eq!(TrustTable::from_state(s).unwrap_err(), TrustStateError::LengthMismatch);
 
         let mut s = good.clone();
         s.counters.clear();
         s.cached_ti.clear();
         s.status.clear();
-        assert_eq!(TrustTable::from_state(&s).unwrap_err(), TrustStateError::LengthMismatch);
+        assert_eq!(TrustTable::from_state(s).unwrap_err(), TrustStateError::LengthMismatch);
 
         let mut s = good.clone();
         s.lambda = -1.0;
-        assert_eq!(TrustTable::from_state(&s).unwrap_err(), TrustStateError::BadParams);
+        assert_eq!(TrustTable::from_state(s).unwrap_err(), TrustStateError::BadParams);
 
         let mut s = good.clone();
         s.counters[0] = f64::NAN;
-        assert_eq!(TrustTable::from_state(&s).unwrap_err(), TrustStateError::BadCounter);
+        assert_eq!(TrustTable::from_state(s).unwrap_err(), TrustStateError::BadCounter);
 
         let mut s = good.clone();
         s.cached_ti[1] = 0.75;
-        assert_eq!(TrustTable::from_state(&s).unwrap_err(), TrustStateError::CacheMismatch);
+        assert_eq!(TrustTable::from_state(s).unwrap_err(), TrustStateError::CacheMismatch);
 
         let mut s = good.clone();
         s.isolation_threshold = Some(1.5);
-        assert_eq!(TrustTable::from_state(&s).unwrap_err(), TrustStateError::BadThreshold);
+        assert_eq!(TrustTable::from_state(s).unwrap_err(), TrustStateError::BadThreshold);
 
         let mut s = good.clone();
         s.reintegration = Some((0, 2));
         assert_eq!(
-            TrustTable::from_state(&s).unwrap_err(),
+            TrustTable::from_state(s).unwrap_err(),
             TrustStateError::BadReintegration
         );
         assert!(!TrustStateError::BadReintegration.to_string().is_empty());
+    }
+
+    #[test]
+    fn from_state_checks_a_repeated_counter_exactly() {
+        // Counters repeat (every fresh node sits at 0, which skips the
+        // `exp`, and judgements move counters in equal steps): a cached
+        // TI one ulp off must still be caught on a node whose counter an
+        // earlier node already had, and on the earlier one.
+        let mut t = TrustTable::new(params(), 6);
+        for node in [1, 4] {
+            t.record_faulty(NodeId(node));
+            t.record_faulty(NodeId(node));
+        }
+        t.record_faulty(NodeId(2));
+        let good = t.export_state();
+        assert_eq!(good.counters[1].to_bits(), good.counters[4].to_bits());
+        assert_eq!(good.counters[0].to_bits(), good.counters[5].to_bits());
+        assert!(TrustTable::from_state(good.clone()).is_ok());
+        let ulps = |x: f64, by: i64| f64::from_bits(x.to_bits().wrapping_add_signed(by));
+        for (node, by) in [(4, 1), (4, -1), (1, 1), (5, -1), (0, 1)] {
+            let mut s = good.clone();
+            s.cached_ti[node] = ulps(s.cached_ti[node], by);
+            assert_eq!(
+                TrustTable::from_state(s).unwrap_err(),
+                TrustStateError::CacheMismatch,
+                "node {node}"
+            );
+        }
     }
 
     /// The pre-SoA reference: filter isolated members, then left-fold the
@@ -1572,7 +1606,7 @@ mod tests {
         );
         assert_eq!(u.cumulative_trust(&[NodeId(1)]), 0.0);
         // ...and a restored table rebuilds the same weights.
-        let r = TrustTable::from_state(&u.export_state()).unwrap();
+        let r = TrustTable::from_state(u.export_state()).unwrap();
         assert_eq!(
             r.cumulative_trust(&[NodeId(0), NodeId(1)]).to_bits(),
             u.cumulative_trust(&[NodeId(0), NodeId(1)]).to_bits()

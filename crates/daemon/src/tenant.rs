@@ -685,6 +685,36 @@ mod tests {
         assert!(changed > 100, "only {changed} of 150 rounds moved a trust counter");
     }
 
+    #[test]
+    fn a_restored_big_field_writes_the_lines_of_the_tenant_it_was_saved_from() {
+        // The big_field benchmark shape, restored through the one-pass
+        // decoder mid-run: the restored tenant must continue with the
+        // very decision lines (declarations and trust digests) the
+        // saved tenant writes.
+        let sc = FieldScenario {
+            nodes: 4096,
+            clusters: 256,
+            field: 640.0,
+            faulty: 1024,
+            ..FieldScenario::mobile(tenant_seed(42, 0))
+        };
+        let events = sc.events(40);
+        let mut live = Tenant::new(0, sc.clone(), EngineKind::Sequential, 1).unwrap();
+        for (i, p) in events[..20].iter().enumerate() {
+            live.apply(&report(i as u64 + 1, p.x, p.y));
+        }
+        let mut w = SnapshotWriter::new();
+        live.save_engine_into(&mut w).unwrap();
+        let mut restored =
+            Tenant::from_blob(0, sc, EngineKind::Sequential, 1, &w.finish()).unwrap();
+        assert_eq!(restored.trust_digest(), live.trust_digest());
+        for (i, p) in events[20..].iter().enumerate() {
+            let r = report(i as u64 + 21, p.x, p.y);
+            assert_eq!(restored.apply(&r), live.apply(&r), "record {}", i + 21);
+        }
+        assert_eq!(restored.trust_bits(), live.trust_bits());
+    }
+
     /// Every node's position in node-id order, as the view holds them.
     fn engine_points(tenant: &Tenant) -> Vec<(f64, f64)> {
         let mut out = Vec::new();

@@ -33,13 +33,11 @@
 
 use std::cell::Cell;
 
-use tibfit_adversary::behavior::{BehaviorSnapshot, NodeBehavior, RoundContext};
+use tibfit_adversary::behavior::{NodeBehavior, RoundContext};
 use tibfit_core::engine::{Aggregator, TibfitEngine};
 use tibfit_core::location::LocatedReport;
-use tibfit_core::trust::{
-    TrustParams, TrustRecord, TrustTable, TrustTableState, TrustTableStateRef,
-};
-use tibfit_net::channel::{ChannelModel, ChannelSnapshot};
+use tibfit_core::trust::{TrustParams, TrustRecord, TrustTableStateRef};
+use tibfit_net::channel::ChannelModel;
 use tibfit_net::geometry::Point;
 use tibfit_net::topology::{CellBox, NodeId, SiteIndex, SiteLattice, Topology};
 use tibfit_sim::rng::{RngState, SimRng};
@@ -230,32 +228,9 @@ pub(crate) const COUNTER_NAMES: [&str; 7] = [
     "trust.exp_evals",
 ];
 
-/// Everything a cluster needs to be rebuilt bit-identically: membership,
-/// geometry, behaviour snapshots, channel snapshot, RNG state, the full
-/// trust-table state (including the cached-TI column, so the restored
-/// engine's `exp_evals` evolution matches the original), and the trace
-/// counter values — what a checkpoint's cluster section decodes into.
-///
-/// Checkpoints are taken only at round boundaries, where no timers are
-/// in flight and no reports are buffered — so no event-queue section is
-/// needed here.
-#[derive(Debug, Clone)]
-pub(crate) struct ClusterCapture {
-    pub(crate) index: usize,
-    pub(crate) head_position: Point,
-    pub(crate) members: Vec<NodeId>,
-    pub(crate) positions: Vec<Point>,
-    pub(crate) behaviors: Vec<BehaviorSnapshot>,
-    pub(crate) channel: ChannelSnapshot,
-    pub(crate) rng: RngState,
-    pub(crate) trust: TrustTableState,
-    /// Values of the counters in [`COUNTER_NAMES`], same order.
-    pub(crate) counters: [u64; COUNTER_NAMES.len()],
-}
-
 /// The deployment-wide part of a checkpoint: everything except the
-/// clusters. A [`MultiClusterSim`] is rebuilt from it plus the cluster
-/// captures.
+/// clusters. A [`MultiClusterSim`] is rebuilt from it plus the restored
+/// clusters ([`MultiClusterSim::from_parts`]).
 #[derive(Debug, Clone)]
 pub(crate) struct DeploymentHeader {
     pub(crate) config: MultiClusterConfig,
@@ -371,9 +346,16 @@ pub(crate) struct ClusterState {
 impl ClusterState {
     /// `non_quiet` is the number of `behaviors` that are not
     /// [`NodeBehavior::quiet_unless_sensed`], counted by the caller in
-    /// the pass that built them.
+    /// the pass that built them. `engine` tracks the members in
+    /// local-id order: a fresh one for a new deployment, the restored
+    /// table for a checkpoint. The trace counters start at zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a position lies outside the `field_w`×`field_h` field
+    /// ([`Topology::from_positions`]).
     #[allow(clippy::too_many_arguments)]
-    fn new(
+    pub(crate) fn new(
         index: usize,
         head_position: Point,
         members: Vec<NodeId>,
@@ -383,6 +365,7 @@ impl ClusterState {
         non_quiet: usize,
         channel: Box<dyn ChannelModel + Send>,
         rng: SimRng,
+        engine: TibfitEngine,
         field_w: f64,
         field_h: f64,
     ) -> Self {
@@ -394,9 +377,9 @@ impl ClusterState {
                 .filter(|b| !b.quiet_unless_sensed())
                 .count()
         );
+        debug_assert_eq!(engine.table().len(), members.len());
         let bounds = Bounds::of(&positions);
         let local_topo = Topology::from_positions(positions, field_w, field_h);
-        let engine = TibfitEngine::new(config.trust, members.len());
         let mut trace = Trace::disabled();
         let c_delivered = trace.register_counter("reports.delivered");
         let c_dropped = trace.register_counter("reports.dropped");
@@ -472,9 +455,8 @@ impl ClusterState {
         self.engine.table().state_ref()
     }
 
-    /// Values of the counters in [`COUNTER_NAMES`], same order, read
-    /// through their registered handles.
-    pub(crate) fn trace_counters(&self) -> [u64; COUNTER_NAMES.len()] {
+    /// Handles of the counters in [`COUNTER_NAMES`], same order.
+    fn counter_ids(&self) -> [CounterId; COUNTER_NAMES.len()] {
         [
             self.c_delivered,
             self.c_dropped,
@@ -484,7 +466,23 @@ impl ClusterState {
             self.c_handoff_in,
             self.c_exp_evals,
         ]
-        .map(|id| self.trace.counter_value(id))
+    }
+
+    /// Values of the counters in [`COUNTER_NAMES`], same order, read
+    /// through their registered handles.
+    pub(crate) fn trace_counters(&self) -> [u64; COUNTER_NAMES.len()] {
+        self.counter_ids().map(|id| self.trace.counter_value(id))
+    }
+
+    /// Sets the counters in [`COUNTER_NAMES`] to `values` (same order)
+    /// through their registered handles — the inverse of
+    /// [`Self::trace_counters`] on a cluster whose counters are still
+    /// zero, as [`Self::new`] leaves them.
+    pub(crate) fn restore_trace_counters(&mut self, values: [u64; COUNTER_NAMES.len()]) {
+        debug_assert_eq!(self.trace_counters(), [0; COUNTER_NAMES.len()]);
+        for (id, value) in self.counter_ids().into_iter().zip(values) {
+            self.trace.bump_by(id, value);
+        }
     }
 
     /// Raw trust counter of a local member (lossless, for snapshots).
@@ -564,9 +562,12 @@ impl ClusterState {
             batch,
         );
         // Exponentials actually paid by this decision (trust-cache
-        // refreshes): uncached, every weight read would cost one.
-        self.trace
-            .bump_by(self.c_exp_evals, self.engine.table().exp_evals() - exp_before);
+        // refreshes): uncached, every weight read would cost one. The
+        // count wraps (see `Trace::bump`), so the difference does too.
+        self.trace.bump_by(
+            self.c_exp_evals,
+            self.engine.table().exp_evals().wrapping_sub(exp_before),
+        );
         for &(local, judgement) in &result.judgements {
             self.behaviors[local.index()].observe_judgement(judgement);
             judged.push(self.members[local.index()]);
@@ -612,7 +613,7 @@ impl ClusterState {
     /// in member order so the retained node is deterministic.
     ///
     /// In place: survivors keep their order, their buffers and their
-    /// cached trust ([`TrustTable::retain_nodes`]); nothing is rebuilt.
+    /// cached trust ([`retain_nodes`](tibfit_core::trust::TrustTable::retain_nodes)); nothing is rebuilt.
     /// A member still inside [`ClusterState::own_cell`] stays without a
     /// nearest-site lookup: the box proves the lookup would name this
     /// cluster.
@@ -677,7 +678,7 @@ impl ClusterState {
     /// In place: every buffer grows by exactly one slot when full and is
     /// never shrunk (doubling growth across hundreds of clusters would
     /// show up in resident memory), and only the arrival's trust index
-    /// is recomputed ([`TrustTable::insert_node`]).
+    /// is recomputed ([`insert_node`](tibfit_core::trust::TrustTable::insert_node)).
     fn admit(&mut self, h: Handoff) {
         debug_assert_eq!(h.dst, self.index, "handoff routed to wrong cluster");
         let at = self
@@ -698,84 +699,6 @@ impl ClusterState {
     /// Field dimensions this cluster clamps drift to.
     fn field(&self) -> (f64, f64) {
         (self.field_w, self.field_h)
-    }
-
-    /// Rebuilds a cluster from a capture, bit-identically.
-    ///
-    /// The engine is reconstructed via [`TrustTable::from_state`] (which
-    /// restores the cached-TI column verbatim instead of recomputing it)
-    /// so the restored cluster's `trust.exp_evals` trajectory continues
-    /// exactly where the original's left off. Counters are replayed by
-    /// name into a fresh trace.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Invalid`] on any internally inconsistent field —
-    /// a corrupt blob must surface as an error, never a panic.
-    pub(crate) fn from_capture(
-        cap: ClusterCapture,
-        config: MultiClusterConfig,
-        field_w: f64,
-        field_h: f64,
-    ) -> Result<Self, SnapshotError> {
-        let n = cap.members.len();
-        if n == 0 {
-            return Err(SnapshotError::Invalid("cluster has no members"));
-        }
-        if cap.positions.len() != n || cap.behaviors.len() != n || cap.trust.counters.len() != n {
-            return Err(SnapshotError::Invalid("cluster vectors disagree in length"));
-        }
-        if !cap.members.windows(2).all(|w| w[0] < w[1]) {
-            return Err(SnapshotError::Invalid("cluster members not strictly ascending"));
-        }
-        let finite = |p: &Point| p.x.is_finite() && p.y.is_finite();
-        if !finite(&cap.head_position) || !cap.positions.iter().all(finite) {
-            return Err(SnapshotError::Invalid("non-finite position"));
-        }
-        if cap.trust.lambda.to_bits() != config.trust.lambda.to_bits()
-            || cap.trust.fault_rate.to_bits() != config.trust.fault_rate.to_bits()
-        {
-            return Err(SnapshotError::Invalid("cluster trust params disagree with config"));
-        }
-        let mut non_quiet = 0;
-        let behaviors = cap
-            .behaviors
-            .iter()
-            .map(|snapshot| {
-                let b = snapshot.restore()?;
-                non_quiet += usize::from(!b.quiet_unless_sensed());
-                Ok(b)
-            })
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(SnapshotError::Invalid)?;
-        let channel = cap
-            .channel
-            .restore()
-            .map_err(|_| SnapshotError::Invalid("channel snapshot out of range"))?;
-        let rng = SimRng::from_state(cap.rng)
-            .ok_or(SnapshotError::Invalid("rng state degenerate"))?;
-        let table =
-            TrustTable::from_state(&cap.trust).map_err(|e| SnapshotError::Invalid(e.message()))?;
-        let mut state = ClusterState::new(
-            cap.index,
-            cap.head_position,
-            cap.members,
-            cap.positions,
-            config,
-            behaviors,
-            non_quiet,
-            channel,
-            rng,
-            field_w,
-            field_h,
-        );
-        state.engine = TibfitEngine::from_table(table);
-        for (name, value) in COUNTER_NAMES.into_iter().zip(cap.counters) {
-            if value > 0 {
-                state.trace.count_by(name, value);
-            }
-        }
-        Ok(state)
     }
 }
 
@@ -821,6 +744,7 @@ fn partition_clusters(
             non_quiet += usize::from(!behavior.quiet_unless_sensed());
             cluster_behaviors.push(behavior);
         }
+        let engine = TibfitEngine::new(config.trust, members.len());
         clusters.push(ClusterState::new(
             ci,
             ch_sites[ci],
@@ -831,6 +755,7 @@ fn partition_clusters(
             non_quiet,
             channels(ci),
             SimRng::stream(master_seed, ci as u64),
+            engine,
             topo.width(),
             topo.height(),
         ));

@@ -762,6 +762,24 @@ impl SectionReader<'_> {
         Ok(count)
     }
 
+    /// Reads `count` fixed-size records of `W` bytes, `decode(record)`
+    /// each, with one bounds check for the whole run — the mirror of
+    /// [`SectionBuf::put_records`]. On error nothing is consumed.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Truncated`] if the section holds fewer than
+    /// `count · W` more bytes.
+    pub fn take_records<T, const W: usize>(
+        &mut self,
+        count: usize,
+        decode: impl FnMut(&[u8; W]) -> T,
+    ) -> Result<Vec<T>, SnapshotError> {
+        let len = count.checked_mul(W).ok_or(SnapshotError::Truncated)?;
+        let (records, _) = self.take(len)?.as_chunks::<W>();
+        Ok(records.iter().map(decode).collect())
+    }
+
     /// Reads an `f64` from raw bits. The caller validates range.
     ///
     /// # Errors
@@ -873,6 +891,65 @@ mod tests {
             s.put_u8(7);
         });
         assert_eq!(one_pass.finish(), each.finish());
+    }
+
+    #[test]
+    fn take_records_reads_back_what_put_records_wrote() {
+        let words = [0u64, 1, u64::MAX, 0x0123_4567_89ab_cdef];
+        let pairs = [(1.5f64, -0.0f64), (f64::MIN_POSITIVE, 3e300)];
+        let mut w = SnapshotWriter::new();
+        w.section(3, |s| {
+            s.put_u8(9);
+            s.put_records(&words, |w| w.to_le_bytes());
+            s.put_records(&pairs, |&(x, y)| {
+                let mut b = [0; 16];
+                b[..8].copy_from_slice(&x.to_bits().to_le_bytes());
+                b[8..].copy_from_slice(&y.to_bits().to_le_bytes());
+                b
+            });
+            s.put_u8(7);
+        });
+        let blob = w.finish();
+        let mut r = SnapshotReader::new(&blob).unwrap();
+        let mut s = r.section(3).unwrap();
+        assert_eq!(s.take_u8().unwrap(), 9);
+        assert_eq!(s.take_records(words.len(), |b| u64::from_le_bytes(*b)).unwrap(), words);
+        assert!(s.take_records(0, |b: &[u8; 8]| b[0]).unwrap().is_empty());
+        let f = |b: &[u8]| f64::from_bits(u64::from_le_bytes(b.try_into().unwrap()));
+        let got = s.take_records(pairs.len(), |b: &[u8; 16]| (f(&b[..8]), f(&b[8..]))).unwrap();
+        let bits = |v: &[(f64, f64)]| -> Vec<(u64, u64)> {
+            v.iter().map(|(x, y)| (x.to_bits(), y.to_bits())).collect()
+        };
+        assert_eq!(bits(&got), bits(&pairs));
+        assert_eq!(s.take_u8().unwrap(), 7);
+        s.end().unwrap();
+    }
+
+    #[test]
+    fn take_records_on_a_short_section_is_truncated_and_consumes_nothing() {
+        let mut w = SnapshotWriter::new();
+        w.section(1, |s| {
+            s.put_records(&[1u64, 2, 3], |w| w.to_le_bytes());
+            s.put_u8(5);
+        });
+        // A second section right behind the first: a read past the
+        // first section's end would see its bytes.
+        w.section(2, |s| s.put_records(&[4u64; 4], |w| w.to_le_bytes()));
+        let blob = w.finish();
+        let mut r = SnapshotReader::new(&blob).unwrap();
+        let mut s = r.section(1).unwrap();
+        let u64s = |b: &[u8; 8]| u64::from_le_bytes(*b);
+        assert_eq!(s.take_records(4, u64s), Err(SnapshotError::Truncated));
+        assert_eq!(s.take_records(usize::MAX, u64s), Err(SnapshotError::Truncated));
+        assert_eq!(s.take_records(usize::MAX / 8 + 1, u64s), Err(SnapshotError::Truncated));
+        // Nothing was consumed: the section still reads as written.
+        assert_eq!(s.take_records(3, u64s).unwrap(), [1, 2, 3]);
+        assert_eq!(s.take_records(1, |b: &[u8; 1]| b[0]).unwrap(), [5]);
+        assert_eq!(s.take_records(1, |b: &[u8; 1]| b[0]), Err(SnapshotError::Truncated));
+        s.end().unwrap();
+        let mut s = r.section(2).unwrap();
+        assert_eq!(s.take_records(4, u64s).unwrap(), [4; 4]);
+        s.end().unwrap();
     }
 
     fn sample_blob() -> Vec<u8> {

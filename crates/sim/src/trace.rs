@@ -157,18 +157,19 @@ impl Trace {
     }
 
     /// Increments an interned counter: one branch plus an indexed add.
+    /// Counters wrap at `u64::MAX` in every build (a restored value can
+    /// be anything a checkpoint held), as the add does in release.
     #[inline]
     pub fn bump(&mut self, id: CounterId) {
-        if self.counters_on {
-            self.counter_slots[id.0 as usize] += 1;
-        }
+        self.bump_by(id, 1);
     }
 
-    /// Adds `n` to an interned counter.
+    /// Adds `n` to an interned counter, wrapping like [`Trace::bump`].
     #[inline]
     pub fn bump_by(&mut self, id: CounterId, n: u64) {
         if self.counters_on {
-            self.counter_slots[id.0 as usize] += n;
+            let slot = &mut self.counter_slots[id.0 as usize];
+            *slot = slot.wrapping_add(n);
         }
     }
 

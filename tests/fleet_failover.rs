@@ -34,23 +34,38 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A currently-free localhost port (bind-then-drop; the tiny TOCTOU
-/// window is acceptable for tests). The tests in this binary run in
-/// parallel, so a port is never handed out twice: the OS may offer a
-/// dropped port again before the daemon it was meant for has bound it.
+/// The first port of the kernel's ephemeral range, which every
+/// outgoing connection takes its local port from (32768 where the range
+/// cannot be read).
+fn ephemeral_floor() -> u16 {
+    std::fs::read_to_string("/proc/sys/net/ipv4/ip_local_port_range")
+        .ok()
+        .and_then(|range| range.split_whitespace().next()?.parse().ok())
+        .unwrap_or(32768)
+}
+
+/// A currently-free localhost port for a daemon to listen on, below the
+/// ephemeral range: a port from that range could be taken as the local
+/// end of another daemon's probe or fleet connection before its own
+/// daemon binds it. Each candidate is checked with a bind (the window
+/// until the daemon binds it is acceptable for tests), and the tests in
+/// this binary run in parallel, so a port is never handed out twice.
 fn free_port() -> u16 {
     static HANDED_OUT: Mutex<BTreeSet<u16>> = Mutex::new(BTreeSet::new());
     let mut handed_out = HANDED_OUT.lock().unwrap_or_else(PoisonError::into_inner);
-    loop {
-        let port = TcpListener::bind("127.0.0.1:0")
-            .expect("bind :0")
-            .local_addr()
-            .expect("local addr")
-            .port();
-        if handed_out.insert(port) {
-            return port;
-        }
-    }
+    let top = ephemeral_floor().max(2048);
+    let bottom = top / 2;
+    let span = u32::from(top - bottom);
+    // Start each test process at its own offset, so concurrent runs of
+    // this binary probe different ports first.
+    let start = std::process::id() % span;
+    (0..span)
+        .map(|i| bottom + u16::try_from((start + i) % span).expect("span fits a port"))
+        .find(|&port| !handed_out.contains(&port) && TcpListener::bind(("127.0.0.1", port)).is_ok())
+        .inspect(|&port| {
+            handed_out.insert(port);
+        })
+        .expect("a free port below the ephemeral range")
 }
 
 /// A daemon's stdout and stderr, for an assertion message.
