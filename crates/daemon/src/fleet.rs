@@ -15,12 +15,16 @@
 //! Each daemon probes its peers on a fixed cadence and keeps the same
 //! Impact-style trust the in-process watchdog keeps for workers:
 //! `trust = e^(-λ · consecutive_misses)`, reset by any successful
-//! contact. A peer whose trust crosses the floor is *quarantined*
-//! (declared dead): its tenants are deterministically rebalanced onto
-//! the survivors and, like a quarantined worker slot, ownership does
-//! not bounce back — a reappearing peer walks the probation ladder
-//! (consecutive successful probes) before it counts as alive again for
-//! *future* placement decisions.
+//! contact. A peer whose trust crosses the floor becomes a *suspect*:
+//! still alive for placement, re-probed once at double timeout. Only a
+//! failed confirm *quarantines* it (declares it dead): its tenants are
+//! deterministically rebalanced onto the survivors and, like a
+//! quarantined worker slot, ownership does not bounce back — a
+//! reappearing peer walks the probation ladder (consecutive successful
+//! contacts) before it counts as alive again for *future* placement
+//! decisions. [`PeerMonitor::step`] makes every one of these decisions
+//! from the events and the time it is given; the daemon's monitor loop
+//! only paces the rounds, probes and adopts.
 //!
 //! Misses are only counted after a peer has been contacted at least
 //! once or its startup grace has elapsed, so a fleet that boots in an
@@ -85,7 +89,7 @@ pub(crate) fn misses_under_floor(lambda: f64, floor: f64) -> u32 {
 }
 
 /// One peer daemon's identity and fleet address.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PeerSpec {
     /// Fleet id (stable across restarts; feeds the placement hash).
     pub id: usize,
@@ -177,11 +181,16 @@ pub fn owner_of(seed: u64, tenant: usize, alive: &[usize]) -> Option<usize> {
 }
 
 /// Where a peer stands in the quarantine lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PeerState {
     /// Healthy (or within grace): counts as alive for placement.
     Active,
-    /// Trust crossed the floor: declared dead, tenants rebalanced.
+    /// Its trust just crossed the floor, and a confirming re-probe is
+    /// due. Still alive for placement: only a failed confirm
+    /// quarantines it, and any contact clears the suspicion.
+    Suspect,
+    /// The confirming re-probe failed: declared dead, tenants
+    /// rebalanced.
     Quarantined,
     /// A quarantined peer answering probes again; climbing the
     /// probation ladder back to Active.
@@ -189,7 +198,7 @@ pub enum PeerState {
 }
 
 /// One peer's Impact-style health view.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PeerView {
     /// The peer's identity.
     pub spec: PeerSpec,
@@ -197,7 +206,7 @@ pub struct PeerView {
     pub state: PeerState,
     /// Consecutive missed probes.
     pub misses: u32,
-    /// Whether any probe has ever succeeded.
+    /// Whether the peer has ever been heard from.
     pub contacted: bool,
     /// Consecutive successes while in probation.
     pub probation_successes: u32,
@@ -222,45 +231,44 @@ impl PeerView {
         (-policy.lambda * f64::from(self.misses)).exp()
     }
 
-    /// Records a successful probe. Returns `true` if the peer just
-    /// completed probation and is alive again for future placement.
-    pub fn on_success(&mut self, policy: &FleetPolicy) -> bool {
+    /// Whether this peer counts as alive for placement decisions.
+    #[must_use]
+    pub fn is_alive(&self) -> bool {
+        matches!(self.state, PeerState::Active | PeerState::Suspect)
+    }
+
+    /// Any contact: a probe or re-probe reply, or an incoming `FPING`.
+    fn on_contact(&mut self, policy: &FleetPolicy) {
         self.contacted = true;
         self.misses = 0;
         match self.state {
-            PeerState::Active => false,
+            PeerState::Active | PeerState::Suspect => self.state = PeerState::Active,
             PeerState::Quarantined | PeerState::Probation => {
-                self.state = PeerState::Probation;
                 self.probation_successes += 1;
                 if self.probation_successes >= policy.probation_probes {
                     self.state = PeerState::Active;
                     self.probation_successes = 0;
-                    true
                 } else {
-                    false
+                    self.state = PeerState::Probation;
                 }
             }
         }
     }
 
-    /// Records a missed probe. `in_grace` suppresses misses for a
-    /// never-contacted peer (boot-order tolerance). Returns `true` if
-    /// this miss pushed an Active peer under the floor — the caller's
-    /// cue to rebalance.
-    pub fn on_miss(&mut self, policy: &FleetPolicy, in_grace: bool) -> bool {
+    /// A missed probe; `in_grace` ignores it for a never-contacted
+    /// peer. Returns whether the peer is a suspect to re-probe.
+    fn on_miss(&mut self, policy: &FleetPolicy, in_grace: bool) -> bool {
         if !self.contacted && in_grace {
             return false;
         }
         self.misses = self.misses.saturating_add(1);
         match self.state {
-            PeerState::Active => {
-                if self.trust(policy) < policy.trust_floor {
-                    self.state = PeerState::Quarantined;
-                    true
-                } else {
-                    false
-                }
+            PeerState::Active if self.trust(policy) < policy.trust_floor => {
+                self.state = PeerState::Suspect;
+                true
             }
+            PeerState::Active | PeerState::Quarantined => false,
+            PeerState::Suspect => true,
             PeerState::Probation => {
                 // A miss during probation sends the peer back to the
                 // bottom of the ladder.
@@ -268,14 +276,124 @@ impl PeerView {
                 self.probation_successes = 0;
                 false
             }
-            PeerState::Quarantined => false,
+        }
+    }
+}
+
+/// What the [`PeerMonitor`] heard of one peer, by id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PeerEvent {
+    /// Any contact: a probe or re-probe reply, or an incoming `FPING`.
+    Contact(usize),
+    /// A round's probe got no reply.
+    Missed(usize),
+    /// The re-probe of a suspect got no reply.
+    ConfirmMissed(usize),
+}
+
+/// What a [`PeerMonitor::step`] asks of its caller.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct MonitorStep {
+    /// Suspects to re-probe at double timeout: a reply is a
+    /// [`PeerEvent::Contact`], silence a [`PeerEvent::ConfirmMissed`].
+    pub reprobe: Vec<usize>,
+    /// Tenants to adopt, in id order: those the alive roster now places
+    /// on this daemon and that it does not host. Empty unless a confirm
+    /// failed.
+    pub adopt: Vec<usize>,
+}
+
+/// The fleet's failure detector: every peer's view, and the placement
+/// inputs a rebalance needs. A plain step function of its events and
+/// the time, with no clock or socket of its own.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PeerMonitor {
+    fcfg: FleetConfig,
+    tenants: usize,
+    peers: Vec<PeerView>,
+}
+
+impl PeerMonitor {
+    /// A monitor of `fcfg`'s peers, all fully trusted, for a fleet
+    /// hosting `tenants` tenants.
+    #[must_use]
+    pub fn new(fcfg: &FleetConfig, tenants: usize) -> Self {
+        let peers = fcfg.peers.iter().cloned().map(PeerView::new).collect();
+        PeerMonitor {
+            fcfg: fcfg.clone(),
+            tenants,
+            peers,
         }
     }
 
-    /// Whether this peer counts as alive for placement decisions.
+    /// Every peer's view, in configuration order.
     #[must_use]
-    pub fn is_alive(&self) -> bool {
-        self.state == PeerState::Active
+    pub fn peers(&self) -> &[PeerView] {
+        &self.peers
+    }
+
+    /// The alive roster, sorted: this daemon plus every peer counting
+    /// as alive.
+    #[must_use]
+    pub fn alive(&self) -> Vec<usize> {
+        let mut ids: Vec<usize> = self
+            .peers
+            .iter()
+            .filter(|p| p.is_alive())
+            .map(|p| p.spec.id)
+            .collect();
+        ids.push(self.fcfg.id);
+        ids.sort_unstable();
+        ids
+    }
+
+    /// Feeds `events` observed at `now_ms` (milliseconds since the fleet
+    /// started; misses of a never-contacted peer count only from
+    /// `grace_ms` on). A floor-crossing miss makes its peer a suspect to
+    /// re-probe; a failed confirm quarantines the suspect and asks to
+    /// adopt what the reduced roster places here and `hosted` says is
+    /// not hosted yet. Events about unknown peers are ignored.
+    pub fn step(
+        &mut self,
+        now_ms: u64,
+        events: &[PeerEvent],
+        hosted: impl Fn(usize) -> bool,
+    ) -> MonitorStep {
+        let policy = self.fcfg.policy;
+        let in_grace = now_ms < policy.grace_ms;
+        let mut out = MonitorStep::default();
+        let mut confirmed_dead = false;
+        for &event in events {
+            let (PeerEvent::Contact(peer)
+            | PeerEvent::Missed(peer)
+            | PeerEvent::ConfirmMissed(peer)) = event;
+            let Some(view) = self.peers.iter_mut().find(|p| p.spec.id == peer) else {
+                continue;
+            };
+            match event {
+                PeerEvent::Contact(_) => view.on_contact(&policy),
+                PeerEvent::Missed(_) => {
+                    if view.on_miss(&policy, in_grace) {
+                        out.reprobe.push(peer);
+                    }
+                }
+                PeerEvent::ConfirmMissed(_) => {
+                    if view.state == PeerState::Suspect {
+                        view.state = PeerState::Quarantined;
+                        confirmed_dead = true;
+                    }
+                }
+            }
+        }
+        if confirmed_dead {
+            let alive = self.alive();
+            out.adopt = (0..self.tenants)
+                .filter(|&t| {
+                    owner_of(self.fcfg.seed, t, &alive) == Some(self.fcfg.id) && !hosted(t)
+                })
+                .collect();
+        }
+        out
     }
 }
 
@@ -345,56 +463,420 @@ mod tests {
         assert_eq!(misses_under_floor(1e-12, 0.5), 1_000);
     }
 
+    fn fleet_config(peers: &[usize], seed: u64, policy: FleetPolicy) -> FleetConfig {
+        FleetConfig {
+            id: 0,
+            peers: peers
+                .iter()
+                .map(|&id| PeerSpec {
+                    id,
+                    addr: format!("peer{id}"),
+                })
+                .collect(),
+            seed,
+            listen: "127.0.0.1:0".into(),
+            linger_ms: 0,
+            catchup_replay: None,
+            policy,
+        }
+    }
+
+    fn probe(peer: usize, ok: bool) -> PeerEvent {
+        if ok {
+            PeerEvent::Contact(peer)
+        } else {
+            PeerEvent::Missed(peer)
+        }
+    }
+
+    fn confirm(peer: usize, ok: bool) -> PeerEvent {
+        if ok {
+            PeerEvent::Contact(peer)
+        } else {
+            PeerEvent::ConfirmMissed(peer)
+        }
+    }
+
+    fn state_of(monitor: &PeerMonitor, peer: usize) -> PeerState {
+        monitor
+            .peers()
+            .iter()
+            .find(|p| p.spec.id == peer)
+            .unwrap()
+            .state
+    }
+
     #[test]
     fn trust_decays_and_quarantines_at_the_floor() {
-        let policy = FleetPolicy::default();
-        let mut peer = PeerView::new(PeerSpec { id: 1, addr: "x".into() });
-        peer.contacted = true;
+        let policy = FleetPolicy {
+            grace_ms: 0,
+            ..FleetPolicy::default()
+        };
+        let mut monitor = PeerMonitor::new(&fleet_config(&[1], 5, policy), 4);
         let expected = policy.misses_to_quarantine();
-        let mut died_at = 0;
+        let mut suspected_at = 0;
         for miss in 1..=expected {
-            if peer.on_miss(&policy, false) {
-                died_at = miss;
+            if monitor.step(0, &[probe(1, false)], |_| false).reprobe == [1] {
+                suspected_at = miss;
             }
         }
-        assert_eq!(died_at, expected);
-        assert_eq!(peer.state, PeerState::Quarantined);
-        assert!(peer.trust(&policy) < policy.trust_floor);
+        assert_eq!(suspected_at, expected);
+        assert_eq!(state_of(&monitor, 1), PeerState::Suspect);
+        assert!(monitor.peers()[0].trust(&policy) < policy.trust_floor);
+        assert_eq!(monitor.alive(), [0, 1], "a suspect still counts as alive");
+        // The failed confirm quarantines it and adopts every tenant.
+        let step = monitor.step(0, &[confirm(1, false)], |_| false);
+        assert_eq!(state_of(&monitor, 1), PeerState::Quarantined);
+        assert_eq!(step.adopt, [0, 1, 2, 3]);
+        assert_eq!(monitor.alive(), [0]);
     }
 
     #[test]
     fn grace_suppresses_misses_until_first_contact() {
-        let policy = FleetPolicy::default();
-        let mut peer = PeerView::new(PeerSpec { id: 1, addr: "x".into() });
-        for _ in 0..100 {
-            assert!(!peer.on_miss(&policy, true));
+        let policy = FleetPolicy {
+            grace_ms: 1_000,
+            ..FleetPolicy::default()
+        };
+        let mut monitor = PeerMonitor::new(&fleet_config(&[1], 5, policy), 4);
+        for now in 0..100 {
+            assert_eq!(
+                monitor.step(now, &[probe(1, false)], |_| false),
+                MonitorStep::default()
+            );
         }
-        assert_eq!(peer.misses, 0);
-        assert!(peer.is_alive());
-        // After first contact, grace no longer applies.
-        assert!(!peer.on_success(&policy));
-        assert!(!peer.on_miss(&policy, true));
-        assert_eq!(peer.misses, 1);
+        assert_eq!(monitor.peers()[0].misses, 0);
+        assert!(monitor.peers()[0].is_alive());
+        // Misses count once grace has elapsed, or after first contact.
+        monitor.step(1_000, &[probe(1, false)], |_| false);
+        assert_eq!(monitor.peers()[0].misses, 1);
+        let mut monitor = PeerMonitor::new(&fleet_config(&[1], 5, policy), 4);
+        monitor.step(0, &[PeerEvent::Contact(1), probe(1, false)], |_| false);
+        assert_eq!(monitor.peers()[0].misses, 1);
     }
 
     #[test]
     fn probation_ladder_reintegrates_and_resets_on_miss() {
-        let policy = FleetPolicy { probation_probes: 2, ..FleetPolicy::default() };
-        let mut peer = PeerView::new(PeerSpec { id: 1, addr: "x".into() });
-        peer.contacted = true;
-        while peer.state == PeerState::Active {
-            peer.on_miss(&policy, false);
+        let policy = FleetPolicy {
+            probation_probes: 2,
+            grace_ms: 0,
+            ..FleetPolicy::default()
+        };
+        let mut monitor = PeerMonitor::new(&fleet_config(&[1], 5, policy), 4);
+        while state_of(&monitor, 1) == PeerState::Active {
+            monitor.step(0, &[probe(1, false)], |_| false);
         }
-        assert!(!peer.on_success(&policy));
-        assert_eq!(peer.state, PeerState::Probation);
+        monitor.step(0, &[confirm(1, false)], |_| false);
+        monitor.step(0, &[probe(1, true)], |_| false);
+        assert_eq!(state_of(&monitor, 1), PeerState::Probation);
         // A miss mid-probation falls back to quarantine.
-        assert!(!peer.on_miss(&policy, false));
-        assert_eq!(peer.state, PeerState::Quarantined);
-        // Two clean successes reintegrate.
-        assert!(!peer.on_success(&policy));
-        assert!(peer.on_success(&policy));
-        assert_eq!(peer.state, PeerState::Active);
-        assert!((peer.trust(&policy) - 1.0).abs() < 1e-12);
+        assert_eq!(
+            monitor.step(0, &[probe(1, false)], |_| false),
+            MonitorStep::default()
+        );
+        assert_eq!(state_of(&monitor, 1), PeerState::Quarantined);
+        // Two clean contacts, a probe reply and an incoming ping,
+        // reintegrate.
+        monitor.step(0, &[probe(1, true)], |_| false);
+        assert_eq!(monitor.alive(), [0]);
+        monitor.step(0, &[PeerEvent::Contact(1)], |_| false);
+        assert_eq!(state_of(&monitor, 1), PeerState::Active);
+        assert!((monitor.peers()[0].trust(&policy) - 1.0).abs() < 1e-12);
+    }
+
+    /// A placement seed under which, with self 0 and peers 1 and 2,
+    /// each peer owns a tenant and one of peer 2's moves to self when
+    /// peer 2 dies.
+    fn spread_seed(tenants: usize) -> u64 {
+        (0..1000u64)
+            .find(|&s| {
+                let owns = |d| (0..tenants).any(|t| owner_of(s, t, &[0, 1, 2]) == Some(d));
+                owns(1)
+                    && (0..tenants).any(|t| {
+                        owner_of(s, t, &[0, 1, 2]) == Some(2) && owner_of(s, t, &[0, 1]) == Some(0)
+                    })
+            })
+            .expect("some seed spreads the tenants")
+    }
+
+    /// The confirming re-probe decides: a peer that answers it stays
+    /// alive, so when another peer is confirmed dead right after, only
+    /// the dead peer's tenants are adopted.
+    #[test]
+    fn a_peer_that_answers_the_confirm_stays_alive() {
+        const TENANTS: usize = 6;
+        let seed = spread_seed(TENANTS);
+        let policy = FleetPolicy {
+            grace_ms: 0,
+            ..FleetPolicy::default()
+        };
+        let mut monitor = PeerMonitor::new(&fleet_config(&[1, 2], seed, policy), TENANTS);
+        let hosted: Vec<usize> = (0..TENANTS)
+            .filter(|&t| owner_of(seed, t, &[0, 1, 2]) == Some(0))
+            .collect();
+        let is_hosted = |t| hosted.contains(&t);
+        // Peer 1 misses 4 probes, then answers the confirm; peer 2
+        // starts missing one round later.
+        for round in 1..=4 {
+            let step = monitor.step(0, &[probe(1, false), probe(2, round == 1)], is_hosted);
+            assert_eq!(step.reprobe, if round == 4 { vec![1] } else { vec![] });
+        }
+        assert_eq!(
+            monitor.step(0, &[confirm(1, true)], is_hosted),
+            MonitorStep::default()
+        );
+        assert_eq!(state_of(&monitor, 1), PeerState::Active);
+        let step = monitor.step(0, &[probe(1, true), probe(2, false)], is_hosted);
+        assert_eq!(step.reprobe, [2]);
+        let step = monitor.step(0, &[confirm(2, false)], is_hosted);
+        let peer_2s: Vec<usize> = (0..TENANTS)
+            .filter(|&t| {
+                owner_of(seed, t, &[0, 1, 2]) == Some(2) && owner_of(seed, t, &[0, 1]) == Some(0)
+            })
+            .collect();
+        assert!(!peer_2s.is_empty());
+        assert_eq!(
+            step.adopt, peer_2s,
+            "only the dead peer's tenants are adopted"
+        );
+        assert_eq!(monitor.alive(), [0, 1]);
+    }
+
+    /// One peer's outcome in one enumerated round.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    enum Round {
+        Ok,
+        /// The probe misses and a re-probe, if asked for, is left
+        /// unanswered this round.
+        Miss,
+        MissConfirmOk,
+        MissConfirmFail,
+        /// An incoming `FPING` instead of a probe.
+        Ping,
+    }
+
+    const ROUNDS: [Round; 5] = [
+        Round::Ok,
+        Round::Miss,
+        Round::MissConfirmOk,
+        Round::MissConfirmFail,
+        Round::Ping,
+    ];
+
+    /// The harness's own account of a peer, which the monitor is held
+    /// to.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+    struct Shadow {
+        contacted: bool,
+        misses: u32,
+        /// Confirmed dead and not yet reintegrated.
+        dead: bool,
+        /// Consecutive contacts since it was declared dead.
+        ladder: u32,
+    }
+
+    impl Shadow {
+        fn contact(&mut self, policy: &FleetPolicy) {
+            self.contacted = true;
+            self.misses = 0;
+            if self.dead {
+                self.ladder += 1;
+                if self.ladder >= policy.probation_probes {
+                    self.dead = false;
+                    self.ladder = 0;
+                }
+            }
+        }
+    }
+
+    #[derive(Clone, PartialEq, Eq, Hash)]
+    struct World {
+        peers: Vec<PeerView>,
+        shadows: [Shadow; 2],
+        hosted: Vec<usize>,
+    }
+
+    struct Harness {
+        policy: FleetPolicy,
+        seed: u64,
+        tenants: usize,
+        /// Rounds are this many milliseconds apart.
+        round_ms: u64,
+        seen: std::collections::HashSet<(usize, World)>,
+    }
+
+    impl Harness {
+        fn explore(
+            &mut self,
+            monitor: &PeerMonitor,
+            world: &World,
+            depth: usize,
+            path: &mut Vec<[Round; 2]>,
+        ) {
+            if depth == 8 || !self.seen.insert((depth, world.clone())) {
+                return;
+            }
+            for a in ROUNDS {
+                for b in ROUNDS {
+                    path.push([a, b]);
+                    let (next_monitor, next_world) =
+                        self.round(monitor, world, depth, [a, b], path);
+                    self.explore(&next_monitor, &next_world, depth + 1, path);
+                    path.pop();
+                }
+            }
+        }
+
+        /// Runs one round as the monitor loop does: every probe (or
+        /// ping), then the re-probes asked for, then the adoption; and
+        /// asserts the round against the shadows.
+        fn round(
+            &self,
+            monitor: &PeerMonitor,
+            world: &World,
+            depth: usize,
+            outcomes: [Round; 2],
+            path: &[[Round; 2]],
+        ) -> (PeerMonitor, World) {
+            let policy = self.policy;
+            let now = depth as u64 * self.round_ms;
+            let in_grace = now < policy.grace_ms;
+            let mut monitor = monitor.clone();
+            let mut world = world.clone();
+            let ids = [1usize, 2];
+            let at = format!("round {} of {path:?}", depth + 1);
+            let hosted = world.hosted.clone();
+            let is_hosted = |t: usize| hosted.contains(&t);
+
+            let probes: Vec<PeerEvent> = ids
+                .iter()
+                .zip(outcomes)
+                .map(|(&peer, outcome)| match outcome {
+                    Round::Ok => probe(peer, true),
+                    Round::Ping => PeerEvent::Contact(peer),
+                    _ => probe(peer, false),
+                })
+                .collect();
+            let first = monitor.step(now, &probes, is_hosted);
+            assert!(
+                first.adopt.is_empty(),
+                "an adoption without a confirm, {at}"
+            );
+            let mut expect_reprobe = Vec::new();
+            for (i, outcome) in outcomes.into_iter().enumerate() {
+                let shadow = &mut world.shadows[i];
+                if matches!(outcome, Round::Ok | Round::Ping) {
+                    shadow.contact(&policy);
+                    continue;
+                }
+                if !shadow.contacted && in_grace {
+                    continue;
+                }
+                shadow.misses += 1;
+                shadow.ladder = 0;
+                if !shadow.dead && shadow.misses >= policy.misses_to_quarantine() {
+                    expect_reprobe.push(ids[i]);
+                }
+            }
+            assert_eq!(
+                first.reprobe, expect_reprobe,
+                "re-probe exactly the alive peers under the floor, {at}"
+            );
+
+            let mut confirms = Vec::new();
+            let mut failed_confirm = false;
+            for &peer in &first.reprobe {
+                let i = peer - 1;
+                match outcomes[i] {
+                    Round::MissConfirmOk => {
+                        confirms.push(confirm(peer, true));
+                        world.shadows[i].contact(&policy);
+                    }
+                    Round::MissConfirmFail => {
+                        confirms.push(confirm(peer, false));
+                        world.shadows[i].dead = true;
+                        failed_confirm = true;
+                    }
+                    _ => {}
+                }
+            }
+            let adopt = if confirms.is_empty() {
+                Vec::new()
+            } else {
+                monitor.step(now, &confirms, is_hosted).adopt
+            };
+            let mut alive: Vec<usize> = ids
+                .iter()
+                .zip(&world.shadows)
+                .filter(|(_, s)| !s.dead)
+                .map(|(&id, _)| id)
+                .collect();
+            alive.insert(0, 0);
+            if failed_confirm {
+                let expected: Vec<usize> = (0..self.tenants)
+                    .filter(|&t| owner_of(self.seed, t, &alive) == Some(0) && !is_hosted(t))
+                    .collect();
+                assert_eq!(
+                    adopt, expected,
+                    "adopt what the alive roster places here, {at}"
+                );
+            } else {
+                assert!(
+                    adopt.is_empty(),
+                    "no adoption without a failed confirm, {at}"
+                );
+            }
+            assert_eq!(
+                monitor.alive(),
+                alive,
+                "dead only after a failed confirm, alive again only after \
+                 {} consecutive contacts, {at}",
+                policy.probation_probes
+            );
+            world.hosted.extend(adopt);
+            world.hosted.sort_unstable();
+            world.peers = monitor.peers().to_vec();
+            (monitor, world)
+        }
+    }
+
+    /// Every pair of per-round outcome sequences of two peers, up to 8
+    /// rounds, before, across and after the boot grace: a peer is only
+    /// declared dead by a failed confirm, only then are tenants adopted
+    /// (exactly those the alive roster places here and not hosted yet),
+    /// and a dead peer is alive again only after `probation_probes`
+    /// consecutive contacts.
+    #[test]
+    fn every_two_peer_outcome_sequence_up_to_eight_rounds_keeps_the_invariants() {
+        const TENANTS: usize = 6;
+        let seed = spread_seed(TENANTS);
+        for grace_rounds in [0u64, 3, 100] {
+            let policy = FleetPolicy {
+                grace_ms: grace_rounds * 50,
+                probation_probes: 2,
+                ..FleetPolicy::default()
+            };
+            let monitor = PeerMonitor::new(&fleet_config(&[1, 2], seed, policy), TENANTS);
+            let world = World {
+                peers: monitor.peers().to_vec(),
+                shadows: [Shadow::default(); 2],
+                hosted: (0..TENANTS)
+                    .filter(|&t| owner_of(seed, t, &[0, 1, 2]) == Some(0))
+                    .collect(),
+            };
+            let mut harness = Harness {
+                policy,
+                seed,
+                tenants: TENANTS,
+                round_ms: 50,
+                seen: std::collections::HashSet::new(),
+            };
+            harness.explore(&monitor, &world, 0, &mut Vec::new());
+            assert!(
+                harness.seen.len() > 300,
+                "only {} states reached",
+                harness.seen.len()
+            );
+        }
     }
 
     #[test]

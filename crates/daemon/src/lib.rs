@@ -16,7 +16,7 @@
 //!   explicit backpressure at tick boundaries, per-tick admission by
 //!   trust impact, and shed records advancing the dedup highwater so
 //!   the shed set is a pure function of `(seed, stream)`.
-//! - **Watchdog supervision** ([`supervisor`]): an Impact-style
+//! - **Watchdog supervision** ([`watchdog`], [`supervisor`]): an Impact-style
 //!   per-tenant trust level over missed progress checks; wedged or
 //!   panicked workers restart from snapshot + recovery buffer,
 //!   crash-loopers are quarantined and later reintegrated on
@@ -42,9 +42,11 @@ pub mod queue;
 pub mod state;
 pub mod supervisor;
 pub mod tenant;
+pub mod watchdog;
 pub mod wire;
 
-pub use supervisor::{Daemon, DaemonConfig, DaemonReport, TenantSummary, WatchdogPolicy, WorkerFault};
+pub use supervisor::{Daemon, DaemonConfig, DaemonReport, TenantSummary, WorkerFault};
+pub use watchdog::WatchdogPolicy;
 pub use tenant::EngineKind;
 
 /// Every way the daemon itself can fail (worker/ingest faults are

@@ -128,6 +128,9 @@ pub enum Offer {
     Duplicate,
     /// Pending set at cap — shed on arrival.
     Overflow,
+    /// The tenant is unrouted (migrating out): dropped uncounted, for
+    /// the router to count as foreign.
+    Unrouted,
 }
 
 /// Counters mirrored into snapshots and the final report.
@@ -187,6 +190,11 @@ struct QueueState {
     stats: QueueStats,
     shed_log: Vec<(u64, u64, u64)>,
     closed: bool,
+    /// Whether the router feeds the tenant. Cleared while an outbound
+    /// migration captures it: from then on nothing is admitted and no
+    /// tick is issued, so the capture sees every record either in its
+    /// replay and pending set or not at all.
+    routed: bool,
     /// Worker-incarnation fence. [`SharedQueue::recovery_view`] bumps
     /// it, after which the superseded incarnation's `pop`,
     /// `complete_tick`, and snapshot commits are rejected — a worker
@@ -244,17 +252,12 @@ impl SharedQueue {
                 stats: QueueStats::default(),
                 shed_log: Vec::new(),
                 closed: false,
+                routed: true,
                 generation: 0,
             }),
             work_available: Condvar::new(),
             drained: Condvar::new(),
         }
-    }
-
-    /// The queue's sizing policy.
-    #[must_use]
-    pub fn policy(&self) -> QueuePolicy {
-        self.policy
     }
 
     fn lock(&self) -> MutexGuard<'_, QueueState> {
@@ -298,9 +301,32 @@ impl SharedQueue {
         std::mem::take(&mut st.pending)
     }
 
+    /// Routes the tenant or unroutes it (see [`Offer::Unrouted`]). An
+    /// [`SharedQueue::end_tick`] parked on the worker returns without
+    /// issuing once the tenant is unrouted.
+    pub fn set_routed(&self, routed: bool) {
+        self.lock().routed = routed;
+        self.drained.notify_all();
+    }
+
+    /// Whether the tenant is routed.
+    #[must_use]
+    pub fn routed(&self) -> bool {
+        self.lock().routed
+    }
+
+    /// The last tick issued (or seeded).
+    #[must_use]
+    pub fn last_tick(&self) -> u64 {
+        self.lock().issued_ticks
+    }
+
     /// Offers a record. Never blocks.
     pub fn offer(&self, report: Report) -> Offer {
         let mut st = self.lock();
+        if !st.routed {
+            return Offer::Unrouted;
+        }
         st.stats.offered += 1;
         let key = (report.src, report.seq);
         let seen = st.highwater.get(&report.src).copied().unwrap_or(0) >= report.seq;
@@ -323,7 +349,9 @@ impl SharedQueue {
     }
 
     /// Queues a read-only query; flushed to the worker at the next tick
-    /// boundary (answers reflect end-of-tick state).
+    /// boundary (answers reflect end-of-tick state). An unrouted
+    /// tenant's query waits for the tenant to be routed again, and goes
+    /// with the queue if its migration completes.
     pub fn offer_query(&self, query: Query) {
         self.lock().queries.push(query);
     }
@@ -346,7 +374,7 @@ impl SharedQueue {
     ///   [`QueuePolicy::capacity`].
     ///
     /// A tick within budget admits every pending record and never calls
-    /// `impact`.
+    /// `impact`. A closed or unrouted queue issues nothing.
     pub fn end_tick(&self, tick: u64, impact: impl Fn(&Report) -> u64) -> TickAdmission {
         let mut st = self.lock();
         let sheds = st.pending.len() > self.policy.tick_budget;
@@ -354,6 +382,7 @@ impl SharedQueue {
         let must_wait = |st: &QueueState| {
             let settle = if sheds { st.issued_ticks } else { st.barrier };
             !st.closed
+                && st.routed
                 && (st.completed_ticks < settle
                     || st.in_flight_records + admit > self.policy.capacity)
         };
@@ -366,7 +395,7 @@ impl SharedQueue {
                     .unwrap_or_else(PoisonError::into_inner);
             }
         }
-        if st.closed {
+        if st.closed || !st.routed {
             return TickAdmission::default();
         }
 
@@ -1071,6 +1100,38 @@ mod tests {
         q.end_tick(3, |_| 0);
         q.abandon_tick();
         assert!(q.wait_settled(Duration::ZERO));
+    }
+
+    /// A migration unroutes a tenant whose router is parked at the
+    /// snapshot-tick barrier: the parked tick must not be issued once
+    /// the capture may have begun, or its records would move the
+    /// highwaters without reaching the replay buffer or pending set.
+    #[test]
+    fn unrouting_releases_a_parked_tick_without_issuing_it() {
+        let q = Arc::new(SharedQueue::new(policy(16, 8)));
+        q.offer(report(1, 1, 0.0));
+        q.end_tick(1, |_| 0);
+        q.offer(report(1, 2, 0.0));
+        let h = close_in_background(&q, 2);
+        wait_for_backpressure(&q, 1);
+        q.set_routed(false);
+        assert_eq!(h.join().unwrap(), TickAdmission::default());
+        assert_eq!(q.last_tick(), 1);
+        assert_eq!(q.offer(report(1, 3, 0.0)), Offer::Unrouted);
+        assert_eq!(q.end_tick(2, |_| 0), TickAdmission::default());
+        // The worker finishes tick 1; the capture sees tick 1 in the
+        // replay buffer and tick 2's record still pending.
+        assert_eq!(pop_tick(&q, 1), vec![report(1, 1, 0.0)]);
+        q.complete_tick(0, 1);
+        assert!(q.wait_settled(Duration::ZERO));
+        let (_, replay) = q.recovery_view();
+        assert_eq!(replay, vec![WorkItem::Record(report(1, 1, 0.0)), WorkItem::TickEnd(1)]);
+        assert_eq!(q.drain_pending(), vec![report(1, 2, 0.0)]);
+        assert_eq!(q.snapshot_view().0, vec![(1, 1)]);
+        assert_eq!(q.stats().offered, 2);
+        // Routed again (a failed migration): the tenant takes records.
+        q.set_routed(true);
+        assert_eq!(q.offer(report(1, 3, 0.0)), Offer::Pending);
     }
 
     #[test]

@@ -8,16 +8,26 @@
 //!   backpressure — see `queue`), and honours shutdown requests.
 //! - **Workers** (one per tenant): pop admitted work, run engine
 //!   rounds, append decision lines, snapshot on a tick cadence.
-//! - **Watchdog**: an Impact-style failure detector. Each tenant
-//!   carries a trust level `e^(-λ·v)` where `v` counts consecutive
-//!   missed progress checks (a check is missed when the heartbeat did
-//!   not advance *and* work is outstanding — an idle worker is
-//!   healthy). A worker whose trust falls under the floor, or whose
-//!   thread has died, is restarted from its last snapshot plus the
-//!   queue's recovery buffer — zero admitted records lost. A tenant
-//!   that keeps failing is quarantined (its ingest shed, its tick
-//!   barrier released so other tenants keep flowing), then
-//!   reintegrated on probation after a cool-down.
+//! - **Watchdog**: every check interval it observes each slot (worker
+//!   finished, heartbeat, outstanding work) and hands that to the
+//!   slot's [`Watch`], the Impact-style detector in `watchdog`, then
+//!   carries out its verdict: respawn the worker from its last snapshot
+//!   plus the queue's recovery buffer (zero admitted records lost), or
+//!   quarantine the tenant (its ingest shed, its tick barrier released
+//!   so other tenants keep flowing). Every respawn, this one or an
+//!   aborted migration's, tells the watch at once whether a worker
+//!   started. It never holds the tenant table's lock while it respawns.
+//! - **Fleet** (fleet mode): a monitor thread probes the peers and feeds
+//!   the outcomes to the `fleet::PeerMonitor`, adopting the tenants its
+//!   step names; a listener answers the fleet port, one thread per
+//!   connection.
+//!
+//! Every hosted tenant is one `Slot` in one table, the `Tenants`
+//! map. The router reads a slot's queue and health without a
+//! supervisor lock; its worker and watchdog state sit behind the
+//! slot's own lock. Whether the router feeds a tenant is the queue's
+//! own state, so a migration's unroute and the router's admissions and
+//! tick issues are ordered by the queue lock.
 //!
 //! ## Decision-log epochs
 //!
@@ -27,7 +37,7 @@
 //! by an epoch number — writes from a superseded incarnation are
 //! silently dropped.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -44,61 +54,24 @@ use tibfit_sim::shutdown;
 use tibfit_sim::snapshot::read_framed;
 
 use crate::backoff::JitteredBackoff;
-use crate::fleet::{misses_under_floor, owner_of, FleetConfig, PeerState, PeerView};
+use crate::fleet::{owner_of, FleetConfig, MonitorStep, PeerEvent, PeerMonitor, PeerState};
 use crate::latency;
 use crate::migrate::{
     decode_bundle, encode_bundle, push_bundle, MigrateError, MigrationBundle, MAX_BUNDLE_BYTES,
 };
 use crate::net_io::{accept_polling, bind_polling, fleet_call};
-use crate::queue::{QueuePolicy, QueueStats, SharedQueue, WorkItem};
+use crate::queue::{Offer, QueuePolicy, QueueStats, SharedQueue, WorkItem};
 use crate::state::{
     decision_log_path, decode_tenant_state, encode_tenant_state, read_tenant_snapshot,
     read_tenant_state, remove_tenant_state, tenant_state_path, truncate_decision_log,
     write_tenant_state,
 };
 use crate::tenant::{EngineKind, PositionView, Tenant};
+use crate::watchdog::{Action, Health, Observed, Watch, WatchdogPolicy};
 use crate::wire::{
     parse_fleet_line, read_bounded_line, read_frame, FleetMsg, Frame, Query, Report,
 };
 use crate::DaemonError;
-
-/// Impact-style watchdog tuning.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WatchdogPolicy {
-    /// Milliseconds between progress checks.
-    pub check_interval_ms: u64,
-    /// Trust decay per missed check: trust = `e^(-lambda * misses)`.
-    pub lambda: f64,
-    /// Suspect (and restart) a worker whose trust falls below this.
-    pub trust_floor: f64,
-    /// Sliding window, in checks, for counting restarts.
-    pub crash_loop_window: u64,
-    /// Restarts within the window that trigger quarantine.
-    pub crash_loop_limit: usize,
-    /// Quarantine cool-down and probation length, in checks.
-    pub probation_checks: u64,
-}
-
-impl Default for WatchdogPolicy {
-    fn default() -> Self {
-        WatchdogPolicy {
-            check_interval_ms: 20,
-            lambda: 0.6,
-            trust_floor: 0.25,
-            crash_loop_window: 500,
-            crash_loop_limit: 3,
-            probation_checks: 25,
-        }
-    }
-}
-
-impl WatchdogPolicy {
-    /// Checks a worker must miss before its trust crosses the floor.
-    #[must_use]
-    pub fn misses_to_suspect(&self) -> u32 {
-        misses_under_floor(self.lambda, self.trust_floor)
-    }
-}
 
 /// Test-only fault injection for a tenant worker (compiled in, never
 /// reachable from the CLI).
@@ -209,14 +182,6 @@ pub struct LogSink {
 }
 
 impl LogSink {
-    fn new(path: PathBuf) -> Self {
-        LogSink {
-            path,
-            epoch: 0,
-            file: None,
-        }
-    }
-
     /// Supersedes the current epoch without opening a new file: the
     /// old incarnation's unflushed buffer is dropped, its file handle
     /// closed and all its future writes rejected, while the log file
@@ -276,77 +241,82 @@ impl LogSink {
     }
 }
 
-/// A slot's health, the byte in [`SlotShared::health`]. The router
-/// sheds a quarantined tenant's ingest; the watchdog moves a slot
-/// between the three, each quarantine or probation ending at the
-/// slot's `until_check`.
-const HEALTH_ACTIVE: u8 = 0;
-const HEALTH_QUARANTINED: u8 = 1;
-const HEALTH_PROBATION: u8 = 2;
+type WorkerHandle = JoinHandle<Result<(), DaemonError>>;
 
-/// Counters and flags shared by router, worker, and watchdog.
-struct SlotShared {
+/// One hosted tenant: the only record of it. The router, the worker
+/// and the watchdog share it; the router and worker touch only its
+/// queue and atomics, and the worker and watchdog state sit behind
+/// `sup`, the slot's own lock.
+struct Slot {
+    id: usize,
+    queue: SharedQueue,
+    positions: Arc<PositionView>,
+    /// The watch's [`Health`], published for the router, which sheds a
+    /// quarantined tenant's ingest.
+    health: AtomicU8,
     heartbeat: AtomicU64,
     applied: AtomicU64,
     shed_quarantine: AtomicU64,
-    health: AtomicU8,
     /// Wall-clock latency of each answered query, for the p99 figure.
     query_latency: latency::Histogram,
+    sink: Mutex<LogSink>,
+    sup: Mutex<Supervision>,
 }
 
-struct SlotCore {
-    id: usize,
-    /// The router's handles to this tenant: the same `Arc`s its entry
-    /// in the router map holds.
-    route: RouterSlot,
-    sink: Arc<Mutex<LogSink>>,
+/// A slot's worker and watchdog state.
+#[derive(Default)]
+struct Supervision {
+    watch: Watch,
+    /// An outbound migration owns the slot: the watchdog leaves it be.
+    detached: bool,
     cancel: Arc<AtomicBool>,
-    handle: Option<JoinHandle<Result<(), DaemonError>>>,
+    handle: Option<WorkerHandle>,
     /// Superseded incarnations that had not finished when replaced — a
     /// wedge, or a panic still unwinding. Each is canceled and fenced,
     /// so it can only exit; its outcome is harvested once it has. Each
     /// handle carries its incarnation.
-    retired: Vec<(u64, JoinHandle<Result<(), DaemonError>>)>,
-    /// The check at which a quarantine or probation ends.
-    until_check: u64,
-    misses: u32,
-    last_heartbeat: u64,
+    retired: Vec<(u64, WorkerHandle)>,
     incarnation: u64,
-    restarts: u64,
-    restart_checks: VecDeque<u64>,
     /// The newest error and the incarnation it belongs to (see
     /// [`record_error`]).
     last_error: Option<(u64, String)>,
 }
 
-impl SlotCore {
-    fn health(&self) -> u8 {
-        self.route.shared.health.load(Ordering::SeqCst)
+impl Slot {
+    fn quarantined(&self) -> bool {
+        self.health.load(Ordering::SeqCst) == Health::Quarantined as u8
     }
 
-    fn set_health(&mut self, health: u8, until_check: u64) {
-        self.route.shared.health.store(health, Ordering::SeqCst);
-        self.until_check = until_check;
+    fn set_health(&self, health: Health) {
+        self.health.store(health as u8, Ordering::SeqCst);
     }
 
-    /// Sheds the tenant until check `until_check`: its undelivered work
-    /// is dropped and its issued ticks released, so the router never
-    /// waits on it. The recovery buffer stays for the respawn.
-    fn quarantine(&mut self, until_check: u64) {
-        self.set_health(HEALTH_QUARANTINED, until_check);
-        self.route.queue.abandon_tick();
+    /// Sheds the tenant: its undelivered work is dropped and its issued
+    /// ticks released, so the router never waits on it. The recovery
+    /// buffer stays for the respawn.
+    fn quarantine(&self) {
+        self.set_health(Health::Quarantined);
+        self.queue.abandon_tick();
     }
 }
 
-struct SupervisorShared {
-    slots: Mutex<Vec<SlotCore>>,
-    stop: AtomicBool,
-    /// Minimum observed Σ-trust across checks, as f64 bits.
-    min_impact_bits: AtomicU64,
+/// The tenant table: every hosted tenant's slot by id, shared with the
+/// watchdog and the fleet threads so adoption and migration can add or
+/// remove tenants while the router is streaming.
+type Tenants = Arc<RwLock<BTreeMap<usize, Arc<Slot>>>>;
+
+fn read_tenants(tenants: &Tenants) -> std::sync::RwLockReadGuard<'_, BTreeMap<usize, Arc<Slot>>> {
+    tenants.read().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn lock_slots(sup: &SupervisorShared) -> MutexGuard<'_, Vec<SlotCore>> {
-    sup.slots.lock().unwrap_or_else(PoisonError::into_inner)
+fn write_tenants(tenants: &Tenants) -> std::sync::RwLockWriteGuard<'_, BTreeMap<usize, Arc<Slot>>> {
+    tenants.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The slots, cloned out of the table so a caller that blocks (a tick
+/// barrier, a join) holds no lock on it.
+fn slots_of(tenants: &Tenants) -> Vec<Arc<Slot>> {
+    read_tenants(tenants).values().cloned().collect()
 }
 
 /// Per-tenant wrap-up in the final report.
@@ -420,9 +390,7 @@ struct WorkerTask {
     /// longer consume work or publish state, even if still running.
     generation: u64,
     tenant: Tenant,
-    queue: Arc<SharedQueue>,
-    shared: Arc<SlotShared>,
-    sink: Arc<Mutex<LogSink>>,
+    slot: Arc<Slot>,
     epoch: u64,
     cancel: Arc<AtomicBool>,
     state_path: PathBuf,
@@ -436,12 +404,14 @@ enum Step {
     Exit,
 }
 
-fn lock_sink(sink: &Mutex<LogSink>) -> MutexGuard<'_, LogSink> {
-    sink.lock().unwrap_or_else(PoisonError::into_inner)
+/// Locks `m`, recovering the guard from a panicked holder: every
+/// update under these locks leaves the data valid at each step.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn write_snapshot(task: &WorkerTask) -> Result<(), DaemonError> {
-    let (highwater, stats) = task.queue.snapshot_view();
+    let (highwater, stats) = task.slot.queue.snapshot_view();
     let bytes = encode_tenant_state(&task.tenant, &highwater, stats)?;
     let mut backoff = JitteredBackoff::new(task.backoff_seed, 2, 64);
     let mut attempts = 0u32;
@@ -451,14 +421,13 @@ fn write_snapshot(task: &WorkerTask) -> Result<(), DaemonError> {
         // superseded worker must not publish a snapshot the respawn
         // sequence no longer accounts for (it already read the old
         // state file), nor clear the replay its replacement needs.
-        match task.queue.commit_snapshot(task.generation, || {
+        match task.slot.queue.commit_snapshot(task.generation, || {
             write_tenant_state(&task.state_path, &bytes)
         }) {
             Ok(_committed) => return Ok(()),
-            Err(e) if attempts < 3 => {
+            Err(_) if attempts < 3 => {
                 attempts += 1;
                 std::thread::sleep(backoff.next_delay());
-                let _ = e;
             }
             Err(e) => return Err(e),
         }
@@ -505,7 +474,7 @@ fn flush_answers(task: &WorkerTask, out: &mut TickOutput) {
     drop(stdout);
     for asked in out.asked.drain(..) {
         let nanos = u64::try_from(asked.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        task.shared.query_latency.record(nanos);
+        task.slot.query_latency.record(nanos);
     }
     out.answers.clear();
 }
@@ -518,7 +487,7 @@ const LINE_BUFFER_FLUSH_BYTES: usize = 64 * 1024;
 /// block and clears the buffer.
 fn flush_lines(task: &WorkerTask, buf: &mut String) -> Result<(), DaemonError> {
     if !buf.is_empty() {
-        lock_sink(&task.sink).write_block(task.epoch, buf)?;
+        lock(&task.slot.sink).write_block(task.epoch, buf)?;
         buf.clear();
     }
     Ok(())
@@ -529,7 +498,7 @@ fn flush_lines(task: &WorkerTask, buf: &mut String) -> Result<(), DaemonError> {
 fn flush_output(task: &WorkerTask, out: &mut TickOutput) -> Result<(), DaemonError> {
     flush_answers(task, out);
     flush_lines(task, &mut out.lines)?;
-    lock_sink(&task.sink).flush(task.epoch)
+    lock(&task.slot.sink).flush(task.epoch)
 }
 
 fn process_item(
@@ -564,8 +533,8 @@ fn process_item(
             if out.lines.len() >= LINE_BUFFER_FLUSH_BYTES {
                 flush_lines(task, &mut out.lines)?;
             }
-            task.shared.applied.fetch_add(1, Ordering::SeqCst);
-            task.shared.heartbeat.fetch_add(1, Ordering::SeqCst);
+            task.slot.applied.fetch_add(1, Ordering::SeqCst);
+            task.slot.heartbeat.fetch_add(1, Ordering::SeqCst);
         }
         WorkItem::TickEnd(t) => {
             // The router reads the view only after this tick completes.
@@ -576,16 +545,16 @@ fn process_item(
             // highwater map is ahead of the replay cursor, and pairing
             // it with a mid-replay engine state would poison a later
             // process restart.
-            if live && task.queue.is_snapshot_tick(t) {
+            if live && task.slot.queue.is_snapshot_tick(t) {
                 write_snapshot(task)?;
             }
-            task.queue.complete_tick(task.generation, t);
-            task.shared.heartbeat.fetch_add(1, Ordering::SeqCst);
+            task.slot.queue.complete_tick(task.generation, t);
+            task.slot.heartbeat.fetch_add(1, Ordering::SeqCst);
         }
         WorkItem::Query(q) => {
             out.asked.push(Instant::now());
             answer_query(&task.tenant, q, &mut out.answers);
-            task.shared.heartbeat.fetch_add(1, Ordering::SeqCst);
+            task.slot.heartbeat.fetch_add(1, Ordering::SeqCst);
         }
         WorkItem::Shutdown => {
             flush_output(task, out)?;
@@ -605,7 +574,7 @@ fn run_worker(mut task: WorkerTask) -> Result<(), DaemonError> {
         }
     }
     loop {
-        let Some(item) = task.queue.pop(task.generation) else {
+        let Some(item) = task.slot.queue.pop(task.generation) else {
             // Queue closed (or this incarnation superseded) without a
             // Shutdown item reaching us: write what we have and flush
             // the sink to disk — nothing later will. A superseded
@@ -662,34 +631,33 @@ fn load_tenant(cfg: &DaemonConfig, id: usize) -> Result<(Tenant, SnapshotMeta), 
 /// Starts worker `incarnation` of the slot on `tenant`, restored at
 /// snapshot `round`: cuts the decision log back to that round, opens a
 /// new sink epoch, attaches the tenant to the router's position view,
-/// and spawns the worker fenced at queue `generation`, with `recovery`
-/// to replay before it takes live work. This is the only place a
-/// tenant worker thread is spawned. On error nothing is spawned and
-/// the slot keeps its incarnation.
+/// and spawns the worker fenced at queue generation `fenced.0`, with
+/// the recovery buffer `fenced.1` to replay before it takes live work.
+/// This is the only place a tenant worker thread is spawned. On error
+/// nothing is spawned and the slot keeps its incarnation.
 fn start_worker(
     cfg: &DaemonConfig,
-    slot: &mut SlotCore,
+    slot: &Arc<Slot>,
+    sup: &mut Supervision,
     mut tenant: Tenant,
     round: u64,
     incarnation: u64,
-    generation: u64,
-    recovery: Vec<WorkItem>,
+    fenced: (u64, Vec<WorkItem>),
 ) -> Result<(), DaemonError> {
     let id = slot.id;
     cut_log_to_snapshot(&decision_log_path(&cfg.decisions_dir, id), id, round)?;
-    let epoch = lock_sink(&slot.sink).reopen()?;
-    tenant.set_positions(Arc::clone(&slot.route.positions));
-    slot.cancel = Arc::new(AtomicBool::new(false));
-    slot.incarnation = incarnation;
+    let epoch = lock(&slot.sink).reopen()?;
+    tenant.set_positions(Arc::clone(&slot.positions));
+    sup.cancel = Arc::new(AtomicBool::new(false));
+    sup.incarnation = incarnation;
+    let (generation, recovery) = fenced;
     let task = WorkerTask {
         incarnation,
         generation,
         tenant,
-        queue: Arc::clone(&slot.route.queue),
-        shared: Arc::clone(&slot.route.shared),
-        sink: Arc::clone(&slot.sink),
+        slot: Arc::clone(slot),
         epoch,
-        cancel: Arc::clone(&slot.cancel),
+        cancel: Arc::clone(&sup.cancel),
         state_path: tenant_state_path(&cfg.state_dir, id),
         fault: cfg.fault_for(id),
         recovery,
@@ -699,7 +667,7 @@ fn start_worker(
         .name(format!("tibfit-tenant-{id}"))
         .spawn(move || run_worker(task))
         .expect("spawning a tenant worker thread");
-    slot.handle = Some(handle);
+    sup.handle = Some(handle);
     Ok(())
 }
 
@@ -731,22 +699,9 @@ fn cut_log_to_snapshot(log: &Path, id: usize, round: u64) -> Result<(), DaemonEr
 /// ranks as the incarnation it tried to start. So a retired worker
 /// that finishes unwinding late never overwrites the typed error of a
 /// respawn that failed after it was retired.
-fn record_error(slot: &mut SlotCore, incarnation: u64, msg: String) {
-    if slot.last_error.as_ref().is_none_or(|(at, _)| incarnation >= *at) {
-        slot.last_error = Some((incarnation, msg));
-    }
-}
-
-/// Records how worker `incarnation` ended.
-fn record_exit(
-    slot: &mut SlotCore,
-    incarnation: u64,
-    outcome: std::thread::Result<Result<(), DaemonError>>,
-) {
-    match outcome {
-        Ok(Ok(())) => {}
-        Ok(Err(e)) => record_error(slot, incarnation, e.to_string()),
-        Err(_) => record_error(slot, incarnation, "worker panicked".into()),
+fn record_error(sup: &mut Supervision, incarnation: u64, msg: String) {
+    if sup.last_error.as_ref().is_none_or(|(at, _)| incarnation >= *at) {
+        sup.last_error = Some((incarnation, msg));
     }
 }
 
@@ -755,24 +710,28 @@ fn record_exit(
 /// one stays retired until a later harvest: a worker that panicked may
 /// still be unwinding when the watchdog replaces it, and its panic must
 /// not be lost.
-fn retire_worker(slot: &mut SlotCore) {
-    slot.cancel.store(true, Ordering::SeqCst);
-    let incarnation = slot.incarnation;
-    slot.retired
-        .extend(slot.handle.take().map(|h| (incarnation, h)));
-    harvest_retired(slot, false);
+fn retire_worker(sup: &mut Supervision) {
+    sup.cancel.store(true, Ordering::SeqCst);
+    let incarnation = sup.incarnation;
+    sup.retired
+        .extend(sup.handle.take().map(|h| (incarnation, h)));
+    harvest_retired(sup, false);
 }
 
-/// Joins retired incarnations and records their outcomes: the finished
+/// Joins retired incarnations and records how they ended: the finished
 /// ones only, or (`wait`) all of them. Waiting is safe because every
 /// retired worker is canceled and fenced out of its queue, so it can
 /// only exit.
-fn harvest_retired(slot: &mut SlotCore, wait: bool) {
+fn harvest_retired(sup: &mut Supervision, wait: bool) {
     let mut i = 0;
-    while i < slot.retired.len() {
-        if wait || slot.retired[i].1.is_finished() {
-            let (incarnation, handle) = slot.retired.remove(i);
-            record_exit(slot, incarnation, handle.join());
+    while i < sup.retired.len() {
+        if wait || sup.retired[i].1.is_finished() {
+            let (incarnation, handle) = sup.retired.remove(i);
+            match handle.join() {
+                Ok(Ok(())) => {}
+                Ok(Err(e)) => record_error(sup, incarnation, e.to_string()),
+                Err(_) => record_error(sup, incarnation, "worker panicked".into()),
+            }
         } else {
             i += 1;
         }
@@ -781,213 +740,145 @@ fn harvest_retired(slot: &mut SlotCore, wait: bool) {
 
 /// Replaces a slot's worker: fence the queue, supersede the log epoch,
 /// reload the tenant from its last snapshot and start it, replaying the
-/// recovery buffer. On failure the tenant is quarantined instead.
-fn respawn_slot(cfg: &DaemonConfig, slot: &mut SlotCore, probation_until: u64) {
+/// recovery buffer. The watch learns the outcome at once, and the
+/// slot's health is published: on probation, or quarantined if no
+/// worker started.
+fn respawn_slot(cfg: &DaemonConfig, slot: &Arc<Slot>, sup: &mut Supervision) {
     // A wedged (unfinished) worker is retired, not joined: its epoch is
     // superseded below and its cancel flag set, so it can only exit.
-    retire_worker(slot);
+    retire_worker(sup);
     // Fence FIRST: bumping the queue generation stops a still-running
     // old incarnation (a wedge, or a watchdog false positive under CPU
     // starvation) from consuming items, acknowledging ticks, or
     // committing a snapshot after this point. Only then is it safe to
     // read the state file and truncate the log — nothing can move them
     // anymore.
-    let (generation, recovery) = slot.route.queue.recovery_view();
+    let fenced = slot.queue.recovery_view();
     // Epoch-supersede the sink before truncating: a woken old worker
     // exits through its flush path, and its block must be rejected
     // rather than appended to a log we are about to (or just did)
     // truncate.
-    lock_sink(&slot.sink).supersede();
-    let attempt = slot.incarnation + 1;
+    lock(&slot.sink).supersede();
+    let attempt = sup.incarnation + 1;
     let started = load_tenant(cfg, slot.id).and_then(|(tenant, meta)| {
-        start_worker(cfg, slot, tenant, meta.round, attempt, generation, recovery)
+        start_worker(cfg, slot, sup, tenant, meta.round, attempt, fenced)
     });
+    sup.watch.respawned(started.is_ok(), slot.heartbeat.load(Ordering::SeqCst));
     match started {
-        Ok(()) => {
-            slot.set_health(HEALTH_PROBATION, probation_until);
-            slot.misses = 0;
-            slot.last_heartbeat = slot.route.shared.heartbeat.load(Ordering::SeqCst);
-        }
+        Ok(()) => slot.set_health(sup.watch.health()),
         Err(e) => {
-            record_error(slot, attempt, e.to_string());
-            slot.quarantine(probation_until);
+            record_error(sup, attempt, e.to_string());
+            slot.quarantine();
         }
     }
 }
 
-fn watchdog_check(cfg: &DaemonConfig, slot: &mut SlotCore, check_no: u64) -> f64 {
-    let policy = cfg.watchdog;
-    match slot.health() {
-        HEALTH_QUARANTINED => {
-            if check_no >= slot.until_check {
-                slot.restarts += 1;
-                respawn_slot(cfg, slot, check_no + policy.probation_checks);
-            }
-            return 0.0;
-        }
-        HEALTH_PROBATION if check_no >= slot.until_check => slot.set_health(HEALTH_ACTIVE, 0),
-        _ => {}
+/// One watchdog check of one slot: observe, let the watch decide, and
+/// carry the verdict out. Returns the trust the check saw, or `None`
+/// for a slot an outbound migration has detached.
+fn supervise(cfg: &DaemonConfig, slot: &Arc<Slot>, check_no: u64) -> Option<f64> {
+    let mut sup = lock(&slot.sup);
+    if sup.detached {
+        return None;
     }
-
-    let finished = slot.handle.as_ref().is_none_or(JoinHandle::is_finished);
-    let heartbeat = slot.route.shared.heartbeat.load(Ordering::SeqCst);
-    let advanced = heartbeat != slot.last_heartbeat;
-    slot.last_heartbeat = heartbeat;
-    let outstanding = slot.route.queue.has_outstanding();
-
-    if finished {
-        // A worker only returns cleanly at shutdown, and the watchdog
-        // is stopped before shutdown begins: a finished thread here
-        // died (panic or error).
-        slot.misses = policy.misses_to_suspect();
-    } else if advanced || !outstanding {
-        slot.misses = slot.misses.saturating_sub(1);
-    } else {
-        slot.misses += 1;
-    }
-
-    let trust = (-policy.lambda * f64::from(slot.misses)).exp();
-    if trust < policy.trust_floor || finished {
-        slot.restart_checks.push_back(check_no);
-        while slot
-            .restart_checks
-            .front()
-            .is_some_and(|&c| c + policy.crash_loop_window < check_no)
-        {
-            slot.restart_checks.pop_front();
+    let observed = Observed {
+        finished: sup.handle.as_ref().is_none_or(JoinHandle::is_finished),
+        heartbeat: slot.heartbeat.load(Ordering::SeqCst),
+        outstanding: slot.queue.has_outstanding(),
+    };
+    let (action, trust) = sup.watch.check(&cfg.watchdog, check_no, observed);
+    match action {
+        Action::Keep => slot.set_health(sup.watch.health()),
+        Action::Respawn => respawn_slot(cfg, slot, &mut sup),
+        Action::Quarantine => {
+            retire_worker(&mut sup);
+            slot.quarantine();
         }
-        slot.restarts += 1;
-        if slot.restart_checks.len() > policy.crash_loop_limit {
-            retire_worker(slot);
-            slot.quarantine(check_no + policy.probation_checks);
-            return 0.0;
-        }
-        respawn_slot(cfg, slot, check_no + policy.probation_checks);
-        // Report the trust observed at detection time — respawn resets
-        // the miss counter, but this check still saw a failed worker.
-        return trust;
     }
-    trust
+    Some(trust)
 }
 
-fn watchdog_loop(cfg: Arc<DaemonConfig>, sup: Arc<SupervisorShared>) {
+/// Checks every slot on the policy cadence until `stop`, and returns the
+/// minimum over checks of Σ(e^(-λ·v))/slots.
+fn watchdog_loop(cfg: &DaemonConfig, tenants: &Tenants, stop: &AtomicBool) -> f64 {
     let interval = Duration::from_millis(cfg.watchdog.check_interval_ms.max(1));
+    let mut min_impact = 1.0f64;
     let mut check_no = 0u64;
-    while !sup.stop.load(Ordering::SeqCst) {
+    while !stop.load(Ordering::SeqCst) {
         std::thread::sleep(interval);
         check_no += 1;
-        let mut slots = lock_slots(&sup);
-        let mut sum = 0.0;
-        let n = slots.len().max(1);
-        for slot in slots.iter_mut() {
-            sum += watchdog_check(&cfg, slot, check_no);
+        let (mut sum, mut n) = (0.0, 0usize);
+        for slot in slots_of(tenants) {
+            if let Some(trust) = supervise(cfg, &slot, check_no) {
+                sum += trust;
+                n += 1;
+            }
         }
-        drop(slots);
-        let impact = sum / n as f64;
-        let prev = f64::from_bits(sup.min_impact_bits.load(Ordering::SeqCst));
-        if impact < prev {
-            sup.min_impact_bits
-                .store(impact.to_bits(), Ordering::SeqCst);
-        }
+        min_impact = min_impact.min(sum / n.max(1) as f64);
     }
-}
-
-/// Router-side view of one tenant (no supervisor lock on the hot path).
-#[derive(Clone)]
-struct RouterSlot {
-    queue: Arc<SharedQueue>,
-    positions: Arc<PositionView>,
-    shared: Arc<SlotShared>,
-    /// Per-tenant tick counter. Tenants join the daemon at different
-    /// global ticks (adoption, migration), so each slot numbers its own
-    /// ticks — the numbering every tenant's recovery replay and
-    /// decision log is keyed to.
-    ticks: Arc<AtomicU64>,
-}
-
-/// The live tenant routing table, shared with the fleet threads so
-/// adoption and migration can add or remove tenants while the router
-/// is streaming.
-type RouterMap = Arc<RwLock<BTreeMap<usize, RouterSlot>>>;
-
-fn read_router(router: &RouterMap) -> std::sync::RwLockReadGuard<'_, BTreeMap<usize, RouterSlot>> {
-    router.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn write_router(
-    router: &RouterMap,
-) -> std::sync::RwLockWriteGuard<'_, BTreeMap<usize, RouterSlot>> {
-    router.write().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Queue seeding for a slot built from a migration bundle: the live
-/// highwaters/stats (ahead of the snapshot's), the recovery buffer to
-/// replay, and how many renumbered ticks that buffer completes.
-struct BundleSeed {
-    live_highwater: Vec<(u64, u64)>,
-    live_stats: QueueStats,
-    recovery: Vec<WorkItem>,
-    replay_ticks: u64,
+    min_impact
 }
 
 /// Builds one tenant slot from the state directory: resume from the
 /// tenant's snapshot if present (fresh otherwise), seed its queue with
-/// the snapshot's highwaters and counters, and start incarnation 0. The
-/// shared build path for startup, fleet adoption, and migration
-/// install; the router map gets a clone of the slot's `route`.
+/// the snapshot's highwaters and counters, and start incarnation 0. A
+/// migration `bundle` also seeds the live highwaters and counters, has
+/// the worker replay its recovery buffer, and re-offers its pending
+/// records. The shared build path for startup, fleet adoption, and
+/// migration install; the caller enters the slot into the tenant table.
 fn build_slot(
     cfg: &DaemonConfig,
     id: usize,
-    seed: Option<BundleSeed>,
-) -> Result<SlotCore, DaemonError> {
+    bundle: Option<MigrationBundle>,
+) -> Result<Arc<Slot>, DaemonError> {
     let (tenant, meta) = load_tenant(cfg, id)?;
-    let queue = Arc::new(SharedQueue::with_snapshot_every(
-        cfg.queue,
-        cfg.snapshot_every,
-    ));
+    let queue = SharedQueue::with_snapshot_every(cfg.queue, cfg.snapshot_every);
     queue.seed_highwater(meta.highwater);
     queue.seed_stats(meta.stats);
-    let mut recovery = Vec::new();
-    let mut initial_ticks = 0u64;
-    if let Some(seed) = seed {
-        queue.seed_highwater(seed.live_highwater);
-        queue.seed_stats(seed.live_stats);
-        // The replay completes ticks 1..=replay_ticks; marking them
+    let (mut recovery, mut pending) = (Vec::new(), Vec::new());
+    if let Some(bundle) = bundle {
+        queue.seed_highwater(bundle.live_highwater);
+        queue.seed_stats(bundle.live_stats);
+        // The replay completes renumbered ticks 1..=k; marking them
         // issued makes the next end_tick wait for the replay to settle.
-        queue.seed_ticks(seed.replay_ticks);
-        recovery = seed.recovery;
-        initial_ticks = seed.replay_ticks;
+        queue.seed_ticks(
+            bundle
+                .replay
+                .iter()
+                .filter(|i| matches!(i, WorkItem::TickEnd(_)))
+                .count() as u64,
+        );
+        recovery = bundle.replay;
+        pending = bundle.pending;
     }
-    let mut slot = SlotCore {
+    let slot = Arc::new(Slot {
         id,
-        route: RouterSlot {
-            queue,
-            positions: tenant.positions(),
-            shared: Arc::new(SlotShared {
-                heartbeat: AtomicU64::new(0),
-                applied: AtomicU64::new(0),
-                shed_quarantine: AtomicU64::new(0),
-                health: AtomicU8::new(HEALTH_ACTIVE),
-                query_latency: latency::Histogram::new(),
-            }),
-            ticks: Arc::new(AtomicU64::new(initial_ticks)),
-        },
-        sink: Arc::new(Mutex::new(LogSink::new(decision_log_path(
-            &cfg.decisions_dir,
-            id,
-        )))),
-        cancel: Arc::new(AtomicBool::new(false)),
-        handle: None,
-        retired: Vec::new(),
-        until_check: 0,
-        misses: 0,
-        last_heartbeat: 0,
-        incarnation: 0,
-        restarts: 0,
-        restart_checks: VecDeque::new(),
-        last_error: None,
-    };
-    start_worker(cfg, &mut slot, tenant, meta.round, 0, 0, recovery)?;
+        queue,
+        positions: tenant.positions(),
+        health: AtomicU8::new(Health::Active as u8),
+        heartbeat: AtomicU64::new(0),
+        applied: AtomicU64::new(0),
+        shed_quarantine: AtomicU64::new(0),
+        query_latency: latency::Histogram::new(),
+        sink: Mutex::new(LogSink {
+            path: decision_log_path(&cfg.decisions_dir, id),
+            epoch: 0,
+            file: None,
+        }),
+        sup: Mutex::new(Supervision::default()),
+    });
+    start_worker(
+        cfg,
+        &slot,
+        &mut lock(&slot.sup),
+        tenant,
+        meta.round,
+        0,
+        (0, recovery),
+    )?;
+    for r in pending {
+        slot.queue.offer(r);
+    }
     Ok(slot)
 }
 
@@ -996,11 +887,23 @@ fn build_slot(
 /// [`Daemon::run`].
 pub struct Daemon {
     cfg: Arc<DaemonConfig>,
-    sup: Arc<SupervisorShared>,
-    router: RouterMap,
-    watchdog: Option<JoinHandle<()>>,
+    tenants: Tenants,
+    /// Stops the watchdog (and with it the fleet monitor and listener).
+    stop: Arc<AtomicBool>,
+    /// Returns the minimum impact trust it observed.
+    watchdog: Option<JoinHandle<f64>>,
     fleet: Option<FleetRuntime>,
     ticks: u64,
+}
+
+/// The router's ingest counters.
+#[derive(Default)]
+struct IngestCounts {
+    /// Rejected lines by [`crate::wire::IngestError::kind`].
+    rejected: BTreeMap<&'static str, u64>,
+    /// Records for a valid tenant this daemon does not route (fleet
+    /// mode: placed on a peer, or migrating out).
+    foreign: u64,
 }
 
 impl Daemon {
@@ -1028,39 +931,29 @@ impl Daemon {
             }
             None => (0..cfg.tenants).collect(),
         };
-        let mut slots = Vec::with_capacity(owned.len());
-        let mut router = BTreeMap::new();
+        let mut tenants = BTreeMap::new();
         for id in owned {
-            let core = build_slot(&cfg, id, None)?;
-            router.insert(id, core.route.clone());
-            slots.push(core);
+            tenants.insert(id, build_slot(&cfg, id, None)?);
         }
-        let sup = Arc::new(SupervisorShared {
-            slots: Mutex::new(slots),
-            stop: AtomicBool::new(false),
-            min_impact_bits: AtomicU64::new(1.0f64.to_bits()),
-        });
-        let router: RouterMap = Arc::new(RwLock::new(router));
+        let tenants: Tenants = Arc::new(RwLock::new(tenants));
+        let stop = Arc::new(AtomicBool::new(false));
         let watchdog = std::thread::Builder::new()
             .name("tibfit-watchdog".into())
             .spawn({
                 let cfg = Arc::clone(&cfg);
-                let sup = Arc::clone(&sup);
-                move || watchdog_loop(cfg, sup)
+                let tenants = Arc::clone(&tenants);
+                let stop = Arc::clone(&stop);
+                move || watchdog_loop(&cfg, &tenants, &stop)
             })
             .expect("spawning the watchdog thread");
         let fleet = match &cfg.fleet {
-            Some(_) => Some(start_fleet(
-                Arc::clone(&cfg),
-                Arc::clone(&sup),
-                Arc::clone(&router),
-            )?),
+            Some(fcfg) => Some(start_fleet(&cfg, fcfg.clone(), &tenants, &stop)?),
             None => None,
         };
         Ok(Daemon {
             cfg,
-            sup,
-            router,
+            tenants,
+            stop,
             watchdog: Some(watchdog),
             fleet,
             ticks: 0,
@@ -1079,8 +972,8 @@ impl Daemon {
     #[must_use]
     pub fn query_latency_p99_us(&self) -> f64 {
         let merged = latency::Histogram::new();
-        for slot in read_router(&self.router).values() {
-            merged.merge_from(&slot.shared.query_latency);
+        for slot in read_tenants(&self.tenants).values() {
+            merged.merge_from(&slot.query_latency);
         }
         #[allow(clippy::cast_precision_loss)]
         let ns = merged.percentile(99.0) as f64;
@@ -1089,16 +982,18 @@ impl Daemon {
 
     fn close_tick(&mut self) {
         self.ticks += 1;
-        for slot in read_router(&self.router).values() {
-            if slot.shared.health.load(Ordering::SeqCst) == HEALTH_QUARANTINED {
+        // Out of the table: the tick barrier may wait on a worker, and
+        // the watchdog must be able to read the table to respawn it.
+        for slot in slots_of(&self.tenants) {
+            if slot.quarantined() {
                 continue;
             }
             // Per-slot numbering: an adopted or migrated-in tenant
-            // joined mid-run and counts its own ticks.
-            let tick = slot.ticks.fetch_add(1, Ordering::SeqCst) + 1;
-            let positions = Arc::clone(&slot.positions);
-            slot.queue
-                .end_tick(tick, move |r| positions.impact_of(r.x, r.y));
+            // joined mid-run and counts its own ticks. The queue of an
+            // unrouted (migrating) tenant issues nothing, atomically
+            // with the migration's capture.
+            let tick = slot.queue.last_tick() + 1;
+            slot.queue.end_tick(tick, |r| slot.positions.impact_of(r.x, r.y));
         }
     }
 
@@ -1112,8 +1007,7 @@ impl Daemon {
     /// the report, not here (the daemon outlives its workers). Call
     /// once: the run ends with a full drain and worker shutdown.
     pub fn run(&mut self, input: impl BufRead) -> Result<DaemonReport, DaemonError> {
-        let mut rejected = 0u64;
-        let mut rejected_by_kind: BTreeMap<&'static str, u64> = BTreeMap::new();
+        let mut counts = IngestCounts::default();
         let mut drained_early = false;
         let mut input = input;
         let mut raw = Vec::new();
@@ -1127,8 +1021,8 @@ impl Daemon {
             };
             match parsed {
                 Ok(None) => {}
-                Ok(Some(Frame::Report(r))) => self.route_report(r, &mut rejected, &mut rejected_by_kind),
-                Ok(Some(Frame::Query(q))) => self.route_query(q, &mut rejected, &mut rejected_by_kind),
+                Ok(Some(Frame::Report(r))) => self.route_report(r, &mut counts),
+                Ok(Some(Frame::Query(q))) => self.route_query(q, &mut counts),
                 Ok(Some(Frame::Tick)) => {
                     self.close_tick();
                     if self.cfg.crash_plan.fires_after(self.ticks) {
@@ -1143,16 +1037,13 @@ impl Daemon {
                         break;
                     }
                 }
-                Err(e) => {
-                    rejected += 1;
-                    *rejected_by_kind.entry(e.kind()).or_insert(0) += 1;
-                }
+                Err(e) => *counts.rejected.entry(e.kind()).or_insert(0) += 1,
             }
         }
         if !drained_early {
             self.linger();
         }
-        self.finish(rejected, rejected_by_kind, drained_early)
+        self.finish(counts, drained_early)
     }
 
     /// Fleet mode keeps serving the fleet port after ingest EOF: peers
@@ -1170,42 +1061,29 @@ impl Daemon {
         }
     }
 
-    fn route_report(
-        &self,
-        r: Report,
-        rejected: &mut u64,
-        by_kind: &mut BTreeMap<&'static str, u64>,
-    ) {
-        let router = read_router(&self.router);
-        let Some(slot) = router.get(&r.tenant) else {
-            drop(router);
-            if r.tenant < self.cfg.tenants {
-                // Fleet mode: a valid tenant placed on a peer. Ignored
-                // without touching any highwater — if this daemon ever
-                // adopts the tenant, catch-up re-admits the record in
-                // its original batch context.
-                if let Some(fleet) = &self.fleet {
-                    fleet.shared.foreign.fetch_add(1, Ordering::SeqCst);
-                }
-            } else {
-                *rejected += 1;
-                *by_kind.entry("unknown_tenant").or_insert(0) += 1;
+    fn route_report(&self, r: Report, counts: &mut IngestCounts) {
+        let tenants = read_tenants(&self.tenants);
+        match tenants.get(&r.tenant) {
+            Some(slot) if slot.quarantined() && slot.queue.routed() => {
+                slot.shed_quarantine.fetch_add(1, Ordering::SeqCst);
             }
-            return;
-        };
-        if slot.shared.health.load(Ordering::SeqCst) == HEALTH_QUARANTINED {
-            slot.shared.shed_quarantine.fetch_add(1, Ordering::SeqCst);
-            return;
+            // A tenant migrating out refuses the record under its
+            // queue lock, so the capture has it or it is foreign.
+            Some(slot) => {
+                if slot.queue.offer(r) == Offer::Unrouted {
+                    counts.foreign += 1;
+                }
+            }
+            // Fleet mode: a valid tenant placed on a peer. Ignored
+            // without touching any highwater — if this daemon ever
+            // adopts the tenant, catch-up re-admits the record in its
+            // original batch context.
+            None if r.tenant < self.cfg.tenants => counts.foreign += 1,
+            None => *counts.rejected.entry("unknown_tenant").or_insert(0) += 1,
         }
-        slot.queue.offer(r);
     }
 
-    fn route_query(
-        &self,
-        q: Query,
-        rejected: &mut u64,
-        by_kind: &mut BTreeMap<&'static str, u64>,
-    ) {
+    fn route_query(&self, q: Query, counts: &mut IngestCounts) {
         let id = match q {
             Query::Status => {
                 // Spans every tenant and the peer roster: answered here,
@@ -1217,29 +1095,24 @@ impl Daemon {
             }
             Query::Trust { tenant, .. } | Query::Round { tenant } => tenant,
         };
-        let router = read_router(&self.router);
-        let Some(slot) = router.get(&id) else {
-            drop(router);
-            if id >= self.cfg.tenants {
-                *rejected += 1;
-                *by_kind.entry("unknown_tenant").or_insert(0) += 1;
+        let tenants = read_tenants(&self.tenants);
+        match tenants.get(&id) {
+            Some(slot) if !slot.quarantined() => slot.queue.offer_query(q),
+            None if id >= self.cfg.tenants => {
+                *counts.rejected.entry("unknown_tenant").or_insert(0) += 1
             }
-            return;
-        };
-        if slot.shared.health.load(Ordering::SeqCst) == HEALTH_QUARANTINED {
-            return;
+            _ => {}
         }
-        slot.queue.offer_query(q);
     }
 
     /// The `Q status` answer: self id, per-peer state + trust, and the
     /// current tenant placement as this daemon computes it.
     fn status_lines(&self) -> Vec<String> {
         match &self.fleet {
-            Some(fleet) => status_dump("A status", &self.cfg, &fleet.shared, &self.router),
+            Some(fleet) => status_dump("A status", &fleet.shared),
             None => {
                 let mut out = vec!["A status self -".to_string()];
-                for id in read_router(&self.router).keys() {
+                for id in read_tenants(&self.tenants).keys() {
                     out.push(format!("A status tenant {id} self"));
                 }
                 out.push("A status end".to_string());
@@ -1250,76 +1123,68 @@ impl Daemon {
 
     fn finish(
         &mut self,
-        rejected: u64,
-        rejected_by_kind: BTreeMap<&'static str, u64>,
+        counts: IngestCounts,
         drained_early: bool,
     ) -> Result<DaemonReport, DaemonError> {
-        // Stop the fleet threads first: the monitor may be mid-adoption
-        // and the listener mid-install; both finish their current
-        // operation before exiting, so the slot set is stable below.
-        let fleet_summary = self.fleet.take().map(FleetRuntime::stop);
+        // Stop the fleet threads first and close the fleet: an adoption,
+        // install or migration in flight completes, and any later one is
+        // refused, so the tenant table is final below.
+        let fleet_summary = self.fleet.take().map(|f| f.stop(counts.foreign));
         // A final tick flushes any open batch and pending queries.
         self.close_tick();
+        let slots = slots_of(&self.tenants);
         // Pipelined ticks let a worker trail its router by up to one
         // snapshot window. Wait, with the watchdog still running, until
         // every live worker has applied all it was issued: a worker
         // that panics or wedges in that window is respawned and replays
         // it, as anywhere mid-stream. A quarantined tenant has no
         // worker to wait for.
-        for slot in read_router(&self.router).values() {
-            while slot.shared.health.load(Ordering::SeqCst) != HEALTH_QUARANTINED
-                && !slot.queue.wait_settled(Duration::from_millis(5))
-            {}
+        for slot in &slots {
+            while !slot.quarantined() && !slot.queue.wait_settled(Duration::from_millis(5)) {}
         }
         // Stop the watchdog before closing queues so it cannot
         // misread a cleanly exiting worker as a crash.
-        self.sup.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.watchdog.take() {
-            let _ = h.join();
-        }
-        let mut slots = lock_slots(&self.sup);
-        for slot in slots.iter() {
-            slot.route.queue.close();
+        self.stop.store(true, Ordering::SeqCst);
+        let min_impact_trust = self
+            .watchdog
+            .take()
+            .map_or(1.0, |h| h.join().unwrap_or(0.0));
+        for slot in &slots {
+            slot.queue.close();
         }
         let mut tenants = Vec::with_capacity(slots.len());
-        for slot in slots.iter_mut() {
-            let quarantined = slot.health() == HEALTH_QUARANTINED;
-            if quarantined {
-                // No worker is listening on a quarantined queue; the
-                // handle (if any) is already dead or canceled.
-                retire_worker(slot);
-            } else if let Some(handle) = slot.handle.take() {
-                let incarnation = slot.incarnation;
-                record_exit(slot, incarnation, handle.join());
-            }
-            // A panic that was still unwinding when its worker was
-            // replaced reaches the report, unless a newer incarnation or
-            // respawn attempt recorded an error since.
-            harvest_retired(slot, true);
+        for slot in &slots {
+            let mut sup = lock(&slot.sup);
+            // Every worker exits now: the live one on its queue's
+            // Shutdown, a quarantined tenant's had already died or been
+            // canceled. Join them all; a panic that was still unwinding
+            // when its worker was replaced reaches the report, unless a
+            // newer incarnation or respawn attempt recorded an error
+            // since.
+            retire_worker(&mut sup);
+            harvest_retired(&mut sup, true);
+            let quarantined = slot.quarantined();
             tenants.push(TenantSummary {
                 id: slot.id,
-                applied: slot.route.shared.applied.load(Ordering::SeqCst),
-                stats: slot.route.queue.stats(),
-                shed_quarantine: slot.route.shared.shed_quarantine.load(Ordering::SeqCst),
-                restarts: slot.restarts,
+                applied: slot.applied.load(Ordering::SeqCst),
+                stats: slot.queue.stats(),
+                shed_quarantine: slot.shed_quarantine.load(Ordering::SeqCst),
+                restarts: sup.watch.restarts(),
                 quarantined,
-                last_error: slot.last_error.as_ref().map(|(_, e)| e.clone()),
+                last_error: sup.last_error.as_ref().map(|(_, e)| e.clone()),
             });
         }
-        drop(slots);
-        // Adopted slots were appended as they arrived; report in id
-        // order regardless.
-        tenants.sort_by_key(|t| t.id);
         Ok(DaemonReport {
             ticks: self.ticks,
-            rejected,
-            rejected_by_kind: rejected_by_kind
+            rejected: counts.rejected.values().sum(),
+            rejected_by_kind: counts
+                .rejected
                 .into_iter()
                 .map(|(k, v)| (k.to_string(), v))
                 .collect(),
             tenants,
             drained_early,
-            min_impact_trust: f64::from_bits(self.sup.min_impact_bits.load(Ordering::SeqCst)),
+            min_impact_trust,
             fleet: fleet_summary,
         })
     }
@@ -1328,33 +1193,45 @@ impl Daemon {
     /// [`QueuePolicy::record_shed`]).
     #[must_use]
     pub fn shed_log_of(&self, tenant: usize) -> Vec<(u64, u64, u64)> {
-        read_router(&self.router)
+        read_tenants(&self.tenants)
             .get(&tenant)
             .map(|s| s.queue.shed_log())
             .unwrap_or_default()
     }
 }
 
-/// State shared between the router, the fleet listener, and the peer
-/// monitor.
-struct FleetShared {
-    fcfg: FleetConfig,
-    peers: Mutex<Vec<PeerView>>,
-    /// Serializes adopt/install/migrate so two administrative paths
-    /// cannot race on the same tenant.
-    admin: Mutex<()>,
-    rebalances: AtomicU64,
-    migrations_in: AtomicU64,
-    migrations_out: AtomicU64,
-    migrate_failed: AtomicU64,
-    foreign: AtomicU64,
-    adopted: Mutex<Vec<usize>>,
-    start: Instant,
-    last_activity_ms: AtomicU64,
-    stop: AtomicBool,
+/// What the admin paths (adopt, install, migrate) record, under the
+/// lock that serializes them.
+#[derive(Default)]
+struct Admin {
+    /// The daemon has stopped: installs and migrations are refused.
+    closed: bool,
+    /// Tenants adopted from dead peers, in adoption order.
+    adopted: Vec<usize>,
+    migrations_in: u64,
+    migrations_out: u64,
+    migrate_failed: u64,
 }
 
-impl FleetShared {
+/// Fleet mode's shared state: what the monitor thread, the listener and
+/// its connection threads, and the router's status answer work on.
+struct Fleet {
+    cfg: Arc<DaemonConfig>,
+    fcfg: FleetConfig,
+    tenants: Tenants,
+    /// The daemon's stop flag.
+    daemon_stop: Arc<AtomicBool>,
+    /// Stops the monitor and the listener.
+    stop: AtomicBool,
+    monitor: Mutex<PeerMonitor>,
+    /// Serializes adopt/install/migrate so two administrative paths
+    /// cannot race on the same tenant.
+    admin: Mutex<Admin>,
+    start: Instant,
+    last_activity_ms: AtomicU64,
+}
+
+impl Fleet {
     fn elapsed_ms(&self) -> u64 {
         u64::try_from(self.start.elapsed().as_millis()).unwrap_or(u64::MAX)
     }
@@ -1370,216 +1247,159 @@ impl FleetShared {
             .saturating_sub(self.last_activity_ms.load(Ordering::SeqCst))
     }
 
-    fn lock_peers(&self) -> MutexGuard<'_, Vec<PeerView>> {
-        self.peers.lock().unwrap_or_else(PoisonError::into_inner)
+    fn stopped(&self) -> bool {
+        self.stop.load(Ordering::SeqCst) || self.daemon_stop.load(Ordering::SeqCst)
     }
-}
 
-/// Alive member ids (self + peers counting as alive), sorted — the
-/// roster placement is computed over.
-fn alive_ids(fs: &FleetShared, peers: &[PeerView]) -> Vec<usize> {
-    let mut ids: Vec<usize> = peers
-        .iter()
-        .filter(|p| p.is_alive())
-        .map(|p| p.spec.id)
-        .collect();
-    ids.push(fs.fcfg.id);
-    ids.sort_unstable();
-    ids
+    fn hosts(&self, tenant: usize) -> bool {
+        read_tenants(&self.tenants).contains_key(&tenant)
+    }
+
+    /// Feeds `events` seen at `now_ms` to the peer monitor.
+    fn observe(&self, now_ms: u64, events: &[PeerEvent]) -> MonitorStep {
+        lock(&self.monitor).step(now_ms, events, |t| self.hosts(t))
+    }
+
+    fn addr_of(&self, peer: usize) -> Option<&str> {
+        let spec = self.fcfg.peers.iter().find(|p| p.id == peer)?;
+        Some(&spec.addr)
+    }
+
+    /// One probe round trip: `FPING <self>` → expect any `FPONG`.
+    fn answers(&self, peer: usize, timeout: Duration) -> bool {
+        let ping = format!("FPING {}", self.fcfg.id);
+        self.addr_of(peer).is_some_and(|addr| {
+            fleet_call(addr, &ping, None, timeout).is_ok_and(|reply| {
+                matches!(
+                    reply.first().map(|line| parse_fleet_line(line)),
+                    Some(Ok(Some(FleetMsg::Pong { .. })))
+                )
+            })
+        })
+    }
 }
 
 /// Everything [`Daemon`] needs to shut fleet mode down and report.
 struct FleetRuntime {
-    shared: Arc<FleetShared>,
+    shared: Arc<Fleet>,
     local_addr: std::net::SocketAddr,
-    monitor: Option<JoinHandle<()>>,
-    listener: Option<JoinHandle<()>>,
+    /// The monitor and listener threads.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl FleetRuntime {
-    fn stop(mut self) -> FleetSummary {
+    /// Stops the monitor and listener, closes the fleet once any admin
+    /// path in flight has finished, and reports. `foreign` is the
+    /// router's count.
+    fn stop(self, foreign: u64) -> FleetSummary {
         self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.monitor.take() {
-            let _ = h.join();
+        for thread in self.threads {
+            let _ = thread.join();
         }
-        if let Some(h) = self.listener.take() {
-            let _ = h.join();
-        }
+        // Connection threads are detached: one may still deliver an
+        // `MPUSH` or `MIGRATE`, which the closed flag refuses.
+        let mut admin = lock(&self.shared.admin);
+        admin.closed = true;
         let policy = self.shared.fcfg.policy;
-        let peer_trust = self
-            .shared
-            .lock_peers()
+        let peer_trust = lock(&self.shared.monitor)
+            .peers()
             .iter()
             .map(|p| (p.spec.id, p.trust(&policy)))
             .collect();
-        let adopted = self
-            .shared
-            .adopted
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
         FleetSummary {
             id: self.shared.fcfg.id,
-            adopted,
-            rebalances: self.shared.rebalances.load(Ordering::SeqCst),
-            migrations_in: self.shared.migrations_in.load(Ordering::SeqCst),
-            migrations_out: self.shared.migrations_out.load(Ordering::SeqCst),
-            migrate_failed: self.shared.migrate_failed.load(Ordering::SeqCst),
-            foreign: self.shared.foreign.load(Ordering::SeqCst),
+            adopted: admin.adopted.clone(),
+            rebalances: admin.adopted.len() as u64,
+            migrations_in: admin.migrations_in,
+            migrations_out: admin.migrations_out,
+            migrate_failed: admin.migrate_failed,
+            foreign,
             peer_trust,
         }
     }
 }
 
-/// Shared handles the fleet threads operate on.
-#[derive(Clone)]
-struct FleetCtx {
-    cfg: Arc<DaemonConfig>,
-    sup: Arc<SupervisorShared>,
-    router: RouterMap,
-    fs: Arc<FleetShared>,
-}
-
+/// Binds the fleet port and starts the monitor and listener threads.
 fn start_fleet(
-    cfg: Arc<DaemonConfig>,
-    sup: Arc<SupervisorShared>,
-    router: RouterMap,
+    cfg: &Arc<DaemonConfig>,
+    fcfg: FleetConfig,
+    tenants: &Tenants,
+    daemon_stop: &Arc<AtomicBool>,
 ) -> Result<FleetRuntime, DaemonError> {
-    let fcfg = cfg.fleet.clone().expect("start_fleet requires a fleet config");
     let listener = bind_polling(&fcfg.listen).map_err(DaemonError::Io)?;
     let local_addr = listener.local_addr().map_err(DaemonError::Io)?;
-    let peers: Vec<PeerView> = fcfg.peers.iter().cloned().map(PeerView::new).collect();
-    let fs = Arc::new(FleetShared {
+    let fleet = Arc::new(Fleet {
+        cfg: Arc::clone(cfg),
+        monitor: Mutex::new(PeerMonitor::new(&fcfg, cfg.tenants)),
         fcfg,
-        peers: Mutex::new(peers),
-        admin: Mutex::new(()),
-        rebalances: AtomicU64::new(0),
-        migrations_in: AtomicU64::new(0),
-        migrations_out: AtomicU64::new(0),
-        migrate_failed: AtomicU64::new(0),
-        foreign: AtomicU64::new(0),
-        adopted: Mutex::new(Vec::new()),
+        tenants: Arc::clone(tenants),
+        daemon_stop: Arc::clone(daemon_stop),
+        stop: AtomicBool::new(false),
+        admin: Mutex::default(),
         start: Instant::now(),
         last_activity_ms: AtomicU64::new(0),
-        stop: AtomicBool::new(false),
     });
-    let ctx = FleetCtx {
-        cfg,
-        sup,
-        router,
-        fs: Arc::clone(&fs),
-    };
-    let listener_handle = std::thread::Builder::new()
-        .name("tibfit-fleet-listen".into())
-        .spawn({
-            let ctx = ctx.clone();
-            move || listener_loop(&ctx, &listener)
-        })
-        .expect("spawning the fleet listener thread");
-    let monitor_handle = std::thread::Builder::new()
-        .name("tibfit-fleet-monitor".into())
-        .spawn(move || monitor_loop(&ctx))
-        .expect("spawning the fleet monitor thread");
+    let (monitor, listen) = (Arc::clone(&fleet), Arc::clone(&fleet));
+    let threads = vec![
+        std::thread::Builder::new()
+            .name("tibfit-fleet-monitor".into())
+            .spawn(move || monitor_loop(&monitor))
+            .expect("spawning the fleet monitor thread"),
+        std::thread::Builder::new()
+            .name("tibfit-fleet-listen".into())
+            .spawn(move || listener_loop(&listen, &listener))
+            .expect("spawning the fleet listener thread"),
+    ];
     Ok(FleetRuntime {
-        shared: fs,
+        shared: fleet,
         local_addr,
-        monitor: Some(monitor_handle),
-        listener: Some(listener_handle),
+        threads,
     })
 }
 
-/// One probe round trip: `FPING <self>` → expect any `FPONG`.
-fn probe_peer(addr: &str, self_id: usize, timeout: Duration) -> bool {
-    fleet_call(addr, &format!("FPING {self_id}"), None, timeout).is_ok_and(|reply| {
-        matches!(
-            reply.first().map(|line| parse_fleet_line(line)),
-            Some(Ok(Some(FleetMsg::Pong { .. })))
-        )
-    })
-}
-
-/// A peer contacted *us* — as good as a probe success for its health
-/// view (and it ends its boot grace).
-fn mark_peer_alive(ctx: &FleetCtx, id: usize) {
-    let policy = ctx.fs.fcfg.policy;
-    let mut peers = ctx.fs.lock_peers();
-    if let Some(view) = peers.iter_mut().find(|p| p.spec.id == id) {
-        let _ = view.on_success(&policy);
-    }
-}
-
-/// Probes every peer on the policy cadence; a peer whose trust crosses
-/// the floor (confirmed by one slower re-probe) triggers deterministic
-/// rebalancing of its tenants onto the survivors.
-fn monitor_loop(ctx: &FleetCtx) {
-    let policy = ctx.fs.fcfg.policy;
+/// Probes every peer on the policy cadence and feeds the outcomes to
+/// the peer monitor: it names the suspects to re-probe (once, at double
+/// timeout, so a single stall cannot split ownership) and, when a
+/// confirm fails, the tenants to adopt.
+fn monitor_loop(fleet: &Fleet) {
+    let policy = fleet.fcfg.policy;
     let interval = Duration::from_millis(policy.check_interval_ms.max(1));
     let timeout = Duration::from_millis(policy.probe_timeout_ms.max(1));
-    let self_id = ctx.fs.fcfg.id;
-    while !ctx.fs.stop.load(Ordering::SeqCst) && !ctx.sup.stop.load(Ordering::SeqCst) {
+    while !fleet.stopped() {
         std::thread::sleep(interval);
-        let in_grace = ctx.fs.elapsed_ms() < policy.grace_ms;
-        let specs: Vec<(usize, String)> = ctx
-            .fs
-            .lock_peers()
-            .iter()
-            .map(|p| (p.spec.id, p.spec.addr.clone()))
-            .collect();
-        let mut rebalance_needed = false;
-        for (id, addr) in specs {
-            if ctx.fs.stop.load(Ordering::SeqCst) {
+        let now_ms = fleet.elapsed_ms();
+        let mut probes = Vec::with_capacity(fleet.fcfg.peers.len());
+        for spec in &fleet.fcfg.peers {
+            if fleet.stop.load(Ordering::SeqCst) {
                 return;
             }
-            let ok = probe_peer(&addr, self_id, timeout);
-            let newly_dead = {
-                let mut peers = ctx.fs.lock_peers();
-                let Some(view) = peers.iter_mut().find(|p| p.spec.id == id) else {
-                    continue;
-                };
-                if ok {
-                    let _ = view.on_success(&policy);
-                    false
+            probes.push(if fleet.answers(spec.id, timeout) {
+                PeerEvent::Contact(spec.id)
+            } else {
+                PeerEvent::Missed(spec.id)
+            });
+        }
+        let suspects = fleet.observe(now_ms, &probes).reprobe;
+        if suspects.is_empty() {
+            continue;
+        }
+        let confirms: Vec<PeerEvent> = suspects
+            .into_iter()
+            .map(|peer| {
+                if fleet.answers(peer, timeout * 2) {
+                    PeerEvent::Contact(peer)
                 } else {
-                    view.on_miss(&policy, in_grace)
+                    PeerEvent::ConfirmMissed(peer)
                 }
-            };
-            if newly_dead {
-                // Double-check with a slower probe before declaring a
-                // peer dead: a single stall must not split ownership.
-                if probe_peer(&addr, self_id, timeout * 2) {
-                    let mut peers = ctx.fs.lock_peers();
-                    if let Some(view) = peers.iter_mut().find(|p| p.spec.id == id) {
-                        let _ = view.on_success(&policy);
-                    }
-                } else {
-                    rebalance_needed = true;
-                }
+            })
+            .collect();
+        for tenant in fleet.observe(now_ms, &confirms).adopt {
+            if let Err(e) = adopt_tenant(fleet, tenant) {
+                eprintln!(
+                    "tibfit-daemon: fleet {}: adopting tenant {tenant} failed: {e}",
+                    fleet.fcfg.id
+                );
             }
-        }
-        if rebalance_needed {
-            rebalance(ctx);
-        }
-    }
-}
-
-/// Adopts every tenant the reduced alive roster now places on this
-/// daemon and that it does not already host.
-fn rebalance(ctx: &FleetCtx) {
-    let alive = {
-        let peers = ctx.fs.lock_peers();
-        alive_ids(&ctx.fs, &peers)
-    };
-    let seed = ctx.fs.fcfg.seed;
-    let self_id = ctx.fs.fcfg.id;
-    for tenant in 0..ctx.cfg.tenants {
-        if owner_of(seed, tenant, &alive) != Some(self_id) {
-            continue;
-        }
-        if read_router(&ctx.router).contains_key(&tenant) {
-            continue;
-        }
-        if let Err(e) = adopt_tenant(ctx, tenant) {
-            eprintln!("tibfit-daemon: fleet {self_id}: adopting tenant {tenant} failed: {e}");
         }
     }
 }
@@ -1588,17 +1408,15 @@ fn rebalance(ctx: &FleetCtx) {
 /// exactly as crash-restart does, then catch up to the head of the
 /// stream by re-streaming the catch-up replay file through this slot
 /// (dedup regenerates the decision-log suffix byte-identically). The
-/// slot only becomes routable after catch-up, so the live router never
-/// interleaves ticks with it.
-fn adopt_tenant(ctx: &FleetCtx, tenant: usize) -> Result<(), DaemonError> {
-    let _admin = ctx.fs.admin.lock().unwrap_or_else(PoisonError::into_inner);
-    if read_router(&ctx.router).contains_key(&tenant) {
+/// slot only enters the tenant table after catch-up, so the live
+/// router never interleaves ticks with it.
+fn adopt_tenant(fleet: &Fleet, tenant: usize) -> Result<(), DaemonError> {
+    let mut admin = lock(&fleet.admin);
+    if fleet.hosts(tenant) {
         return Ok(());
     }
-    let core = build_slot(&ctx.cfg, tenant, None)?;
-    let route = core.route.clone();
-    let mut ticks = 0u64;
-    if let Some(path) = &ctx.fs.fcfg.catchup_replay {
+    let slot = build_slot(&fleet.cfg, tenant, None)?;
+    if let Some(path) = &fleet.fcfg.catchup_replay {
         let file = File::open(path).map_err(DaemonError::Io)?;
         let mut reader = BufReader::new(file);
         let mut raw = Vec::new();
@@ -1606,40 +1424,38 @@ fn adopt_tenant(ctx: &FleetCtx, tenant: usize) -> Result<(), DaemonError> {
         while let Some(parsed) = read_frame(&mut reader, &mut raw).map_err(DaemonError::Io)? {
             match parsed {
                 Ok(Some(Frame::Report(r))) if r.tenant == tenant => {
-                    route.queue.offer(r);
+                    slot.queue.offer(r);
                 }
                 Ok(Some(Frame::Tick)) => {
-                    ticks += 1;
-                    let positions = Arc::clone(&route.positions);
-                    route
-                        .queue
-                        .end_tick(ticks, move |r| positions.impact_of(r.x, r.y));
+                    slot.queue.end_tick(slot.queue.last_tick() + 1, |r| {
+                        slot.positions.impact_of(r.x, r.y)
+                    });
                 }
                 _ => {}
             }
         }
     }
-    route.ticks.store(ticks, Ordering::SeqCst);
-    write_router(&ctx.router).insert(tenant, route);
-    lock_slots(&ctx.sup).push(core);
-    ctx.fs.rebalances.fetch_add(1, Ordering::SeqCst);
-    ctx.fs
-        .adopted
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .push(tenant);
-    ctx.fs.touch();
+    write_tenants(&fleet.tenants).insert(tenant, slot);
+    admin.adopted.push(tenant);
+    fleet.touch();
     Ok(())
 }
 
+/// The refusal an install or migration gets once the daemon has stopped.
+fn stopped_error() -> MigrateError {
+    MigrateError::Refused("the daemon has stopped".into())
+}
+
 /// Installs a pushed migration bundle: validate, persist the embedded
-/// state file, rebuild the tenant from it, seed the live highwaters,
-/// replay the renumbered recovery buffer, re-offer the pending
-/// records, and only then make the tenant routable. Fail-closed: any
-/// error installs nothing.
-fn install_bundle(ctx: &FleetCtx, bundle: MigrationBundle) -> Result<(), MigrateError> {
-    let _admin = ctx.fs.admin.lock().unwrap_or_else(PoisonError::into_inner);
-    let cfg = &ctx.cfg;
+/// state file, rebuild the tenant from it and the bundle (see
+/// [`build_slot`]), and only then enter the tenant in the table. Fail-closed:
+/// any error, or a daemon that has stopped, installs nothing.
+fn install_bundle(fleet: &Fleet, bundle: MigrationBundle) -> Result<(), MigrateError> {
+    let mut admin = lock(&fleet.admin);
+    if admin.closed {
+        return Err(stopped_error());
+    }
+    let cfg = &fleet.cfg;
     let tenant = bundle.tenant;
     if tenant >= cfg.tenants {
         return Err(MigrateError::Mismatch(format!(
@@ -1654,7 +1470,7 @@ fn install_bundle(ctx: &FleetCtx, bundle: MigrationBundle) -> Result<(), Migrate
             bundle.seed, scenario.seed
         )));
     }
-    if read_router(&ctx.router).contains_key(&tenant) {
+    if fleet.hosts(tenant) {
         return Err(MigrateError::Mismatch(format!(
             "tenant {tenant} is already hosted here"
         )));
@@ -1676,29 +1492,11 @@ fn install_bundle(ctx: &FleetCtx, bundle: MigrationBundle) -> Result<(), Migrate
         write_tenant_state(&path, &bundle.state_bytes)
             .map_err(|e| MigrateError::Mismatch(format!("state write: {e}")))?;
     }
-    let replay_ticks = bundle
-        .replay
-        .iter()
-        .filter(|i| matches!(i, WorkItem::TickEnd(_)))
-        .count() as u64;
-    let core = build_slot(
-        cfg,
-        tenant,
-        Some(BundleSeed {
-            live_highwater: bundle.live_highwater,
-            live_stats: bundle.live_stats,
-            recovery: bundle.replay,
-            replay_ticks,
-        }),
-    )
-    .map_err(|e| MigrateError::Mismatch(format!("install: {e}")))?;
-    for r in bundle.pending {
-        core.route.queue.offer(r);
-    }
-    write_router(&ctx.router).insert(tenant, core.route.clone());
-    lock_slots(&ctx.sup).push(core);
-    ctx.fs.migrations_in.fetch_add(1, Ordering::SeqCst);
-    ctx.fs.touch();
+    let slot = build_slot(cfg, tenant, Some(bundle))
+        .map_err(|e| MigrateError::Mismatch(format!("install: {e}")))?;
+    write_tenants(&fleet.tenants).insert(tenant, slot);
+    admin.migrations_in += 1;
+    fleet.touch();
     Ok(())
 }
 
@@ -1707,58 +1505,50 @@ fn install_bundle(ctx: &FleetCtx, bundle: MigrationBundle) -> Result<(), Migrate
 /// ship the bundle, and release the tenant only on the destination's
 /// acknowledgement. Any failure re-offers the pending records,
 /// respawns the worker, and keeps serving locally.
-fn migrate_out(ctx: &FleetCtx, tenant: usize, dest: usize) -> Result<(), MigrateError> {
-    let _admin = ctx.fs.admin.lock().unwrap_or_else(PoisonError::into_inner);
-    let dest_addr = ctx
-        .fs
-        .fcfg
-        .peers
-        .iter()
-        .find(|p| p.id == dest)
-        .map(|p| p.addr.clone())
+fn migrate_out(fleet: &Fleet, tenant: usize, dest: usize) -> Result<(), MigrateError> {
+    let mut admin = lock(&fleet.admin);
+    if admin.closed {
+        return Err(stopped_error());
+    }
+    let dest_addr = fleet
+        .addr_of(dest)
         .ok_or_else(|| MigrateError::Mismatch(format!("unknown destination daemon {dest}")))?;
-    // Unroute first: no new records or ticks reach the tenant while it
-    // is being captured.
-    let Some(route) = write_router(&ctx.router).remove(&tenant) else {
+    let Some(slot) = read_tenants(&fleet.tenants).get(&tenant).cloned() else {
         return Err(MigrateError::Mismatch(format!(
             "tenant {tenant} is not hosted here"
         )));
     };
+    // Unroute first: from here the queue admits no record and issues no
+    // tick, so the capture below sees all the tenant ever took. The
+    // watchdog still supervises its drain.
+    slot.queue.set_routed(false);
     // Every issued tick complete means nothing issued is left to apply:
     // a tick's items are queued before its `TickEnd`.
-    if !route.queue.wait_settled(Duration::from_secs(10)) {
-        write_router(&ctx.router).insert(tenant, route);
+    if !slot.queue.wait_settled(Duration::from_secs(10)) {
+        slot.queue.set_routed(true);
         return Err(MigrateError::Mismatch(format!(
             "tenant {tenant} did not drain in time"
         )));
     }
     // Detach the slot from the watchdog so the fenced worker below is
     // not mistaken for a crash and respawned mid-transfer.
-    let core = {
-        let mut slots = lock_slots(&ctx.sup);
-        slots
-            .iter()
-            .position(|s| s.id == tenant)
-            .map(|i| slots.remove(i))
-    };
-    let Some(mut core) = core else {
-        write_router(&ctx.router).insert(tenant, route);
-        return Err(MigrateError::Mismatch(format!(
-            "tenant {tenant} has no supervisor slot"
-        )));
+    let handle = {
+        let mut sup = lock(&slot.sup);
+        sup.detached = true;
+        sup.handle.take()
     };
     // Fence the worker (it exits through its flush path) and capture
     // the stable views.
-    let (_generation, replay) = core.route.queue.recovery_view();
-    let pending = core.route.queue.drain_pending();
-    let (live_highwater, live_stats) = core.route.queue.snapshot_view();
-    if let Some(handle) = core.handle.take() {
+    let (_generation, replay) = slot.queue.recovery_view();
+    let pending = slot.queue.drain_pending();
+    let (live_highwater, live_stats) = slot.queue.snapshot_view();
+    if let Some(handle) = handle {
         // Joining guarantees the worker's final flush hit the log file
         // before the destination truncates and regenerates it.
         let _ = handle.join();
     }
-    let scenario = (ctx.cfg.scenario)(tenant_seed(ctx.cfg.master_seed, tenant));
-    let state_path = tenant_state_path(&ctx.cfg.state_dir, tenant);
+    let scenario = (fleet.cfg.scenario)(tenant_seed(fleet.cfg.master_seed, tenant));
+    let state_path = tenant_state_path(&fleet.cfg.state_dir, tenant);
     let outcome = (|| -> Result<(), MigrateError> {
         // The newest valid slot's container, byte for byte as it was
         // committed.
@@ -1778,28 +1568,31 @@ fn migrate_out(ctx: &FleetCtx, tenant: usize, dest: usize) -> Result<(), Migrate
             replay,
             pending: pending.clone(),
         };
-        push_bundle(&dest_addr, tenant, &encode_bundle(&bundle))
+        push_bundle(dest_addr, tenant, &encode_bundle(&bundle))
     })();
     match outcome {
         Ok(()) => {
             // Released: the destination owns the tenant (and its log
             // file) now. Supersede the sink so nothing stale can write.
-            lock_sink(&core.sink).supersede();
-            ctx.fs.migrations_out.fetch_add(1, Ordering::SeqCst);
-            ctx.fs.touch();
+            lock(&slot.sink).supersede();
+            write_tenants(&fleet.tenants).remove(&tenant);
+            admin.migrations_out += 1;
+            fleet.touch();
             Ok(())
         }
         Err(e) => {
             // Keep serving locally: restore the pending records and
             // respawn the worker from snapshot + recovery buffer.
             for r in pending {
-                core.route.queue.offer(r);
+                slot.queue.offer(r);
             }
-            respawn_slot(&ctx.cfg, &mut core, 0);
-            lock_slots(&ctx.sup).push(core);
-            write_router(&ctx.router).insert(tenant, route);
-            ctx.fs.migrate_failed.fetch_add(1, Ordering::SeqCst);
-            ctx.fs.touch();
+            let mut sup = lock(&slot.sup);
+            respawn_slot(&fleet.cfg, &slot, &mut sup);
+            sup.detached = false;
+            drop(sup);
+            slot.queue.set_routed(true);
+            admin.migrate_failed += 1;
+            fleet.touch();
             Err(e)
         }
     }
@@ -1807,19 +1600,15 @@ fn migrate_out(ctx: &FleetCtx, tenant: usize, dest: usize) -> Result<(), Migrate
 
 /// Renders the status dump (fleet port `STATUS` and ingest `Q status`
 /// share it, under different line prefixes).
-fn status_dump(
-    prefix: &str,
-    cfg: &DaemonConfig,
-    fs: &FleetShared,
-    router: &RouterMap,
-) -> Vec<String> {
-    let policy = fs.fcfg.policy;
-    let mut out = vec![format!("{prefix} self {}", fs.fcfg.id)];
+fn status_dump(prefix: &str, fleet: &Fleet) -> Vec<String> {
+    let policy = fleet.fcfg.policy;
+    let mut out = vec![format!("{prefix} self {}", fleet.fcfg.id)];
     let alive = {
-        let peers = fs.lock_peers();
-        for p in peers.iter() {
+        let monitor = lock(&fleet.monitor);
+        for p in monitor.peers() {
             let state = match p.state {
                 PeerState::Active => "active",
+                PeerState::Suspect => "suspect",
                 PeerState::Quarantined => "quarantined",
                 PeerState::Probation => "probation",
             };
@@ -1829,14 +1618,14 @@ fn status_dump(
                 p.trust(&policy)
             ));
         }
-        alive_ids(fs, &peers)
+        monitor.alive()
     };
-    let hosted = read_router(router);
-    for tenant in 0..cfg.tenants {
-        let owner = if hosted.contains_key(&tenant) {
-            fs.fcfg.id.to_string()
+    let hosted = read_tenants(&fleet.tenants);
+    for tenant in 0..fleet.cfg.tenants {
+        let owner = if hosted.get(&tenant).is_some_and(|s| s.queue.routed()) {
+            fleet.fcfg.id.to_string()
         } else {
-            owner_of(fs.fcfg.seed, tenant, &alive)
+            owner_of(fleet.fcfg.seed, tenant, &alive)
                 .map_or_else(|| "-".to_string(), |o| o.to_string())
         };
         out.push(format!("{prefix} tenant {tenant} {owner}"));
@@ -1845,28 +1634,27 @@ fn status_dump(
     out
 }
 
-fn listener_loop(ctx: &FleetCtx, listener: &TcpListener) {
+fn listener_loop(fleet: &Arc<Fleet>, listener: &TcpListener) {
     // Accept latency lands on every fleet round trip (probe, STATUS,
     // and twice per MIGRATE: the command and the bundle push), so the
     // poll must stay well under the migrate-restore budget.
     const POLL: Duration = Duration::from_millis(1);
-    let stop = || ctx.fs.stop.load(Ordering::SeqCst) || ctx.sup.stop.load(Ordering::SeqCst);
     // A failed accept is retried on the next poll.
-    while let Ok(Some(stream)) = accept_polling(listener, POLL, stop, |_| Ok(())) {
+    while let Ok(Some(stream)) = accept_polling(listener, POLL, || fleet.stopped(), |_| Ok(())) {
         // Connections are short-lived (one command each); a thread per
         // connection keeps probe replies prompt while an install or
         // migration is in flight.
-        let ctx = ctx.clone();
+        let fleet = Arc::clone(fleet);
         let _ = std::thread::Builder::new()
             .name("tibfit-fleet-conn".into())
-            .spawn(move || handle_fleet_conn(&ctx, &stream));
+            .spawn(move || handle_fleet_conn(&fleet, &stream));
     }
 }
 
 /// One fleet-port connection: a single command line, an optional framed
 /// payload (`MPUSH`), and the reply, ended by closing the connection.
 /// A line the framer rejects (not UTF-8, oversized) is answered `MERR`.
-fn handle_fleet_conn(ctx: &FleetCtx, stream: &TcpStream) {
+fn handle_fleet_conn(fleet: &Fleet, stream: &TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
     let Ok(read_half) = stream.try_clone() else {
         return;
@@ -1879,29 +1667,25 @@ fn handle_fleet_conn(ctx: &FleetCtx, stream: &TcpStream) {
     let mut w = stream;
     match line.and_then(parse_fleet_line) {
         Ok(Some(FleetMsg::Ping { from })) => {
-            mark_peer_alive(ctx, from);
-            let _ = writeln!(w, "FPONG {}", ctx.fs.fcfg.id);
+            // Any contact clears a suspicion (and ends boot grace).
+            fleet.observe(fleet.elapsed_ms(), &[PeerEvent::Contact(from)]);
+            let _ = writeln!(w, "FPONG {}", fleet.fcfg.id);
         }
         Ok(Some(FleetMsg::Status)) => {
-            for l in status_dump("S", &ctx.cfg, &ctx.fs, &ctx.router) {
+            for l in status_dump("S", fleet) {
                 let _ = writeln!(w, "{l}");
             }
         }
-        Ok(Some(FleetMsg::Migrate { tenant, dest })) => match migrate_out(ctx, tenant, dest) {
-            Ok(()) => {
-                let _ = writeln!(w, "MOK {tenant}");
-            }
-            Err(e) => {
-                let _ = writeln!(w, "MERR {e}");
-            }
-        },
+        Ok(Some(FleetMsg::Migrate { tenant, dest })) => {
+            reply_admin(w, tenant, migrate_out(fleet, tenant, dest));
+        }
         Ok(Some(FleetMsg::Push { tenant })) => {
             let installed = read_framed(&mut reader, MAX_BUNDLE_BYTES)
                 .map_err(MigrateError::from)
                 .and_then(|bytes| decode_bundle(&bytes))
                 .and_then(|bundle| {
                     if bundle.tenant == tenant {
-                        install_bundle(ctx, bundle)
+                        install_bundle(fleet, bundle)
                     } else {
                         Err(MigrateError::Mismatch(format!(
                             "MPUSH names tenant {tenant} but the bundle carries {}",
@@ -1909,14 +1693,7 @@ fn handle_fleet_conn(ctx: &FleetCtx, stream: &TcpStream) {
                         )))
                     }
                 });
-            match installed {
-                Ok(()) => {
-                    let _ = writeln!(w, "MOK {tenant}");
-                }
-                Err(e) => {
-                    let _ = writeln!(w, "MERR {e}");
-                }
-            }
+            reply_admin(w, tenant, installed);
         }
         // Replies and noise are ignored; a reply line is never a
         // request.
@@ -1927,6 +1704,14 @@ fn handle_fleet_conn(ctx: &FleetCtx, stream: &TcpStream) {
         }
     }
     let _ = w.flush();
+}
+
+/// Answers a `MIGRATE` or `MPUSH` with `MOK <tenant>` or `MERR <why>`.
+fn reply_admin(mut w: &TcpStream, tenant: usize, outcome: Result<(), MigrateError>) {
+    let _ = match outcome {
+        Ok(()) => writeln!(w, "MOK {tenant}"),
+        Err(e) => writeln!(w, "MERR {e}"),
+    };
 }
 
 impl DaemonReport {
@@ -2033,8 +1818,7 @@ mod tests {
         cfg.scenario = small_scenario;
         cfg.snapshot_every = 3;
         std::fs::create_dir_all(&cfg.decisions_dir).unwrap();
-        let mut slot = build_slot(&cfg, 0, None).unwrap();
-        let route = slot.route.clone();
+        let slot = build_slot(&cfg, 0, None).unwrap();
         let scenario = small_scenario(tenant_seed(11, 0));
         let mut reference = scenario.sequential().unwrap();
         let engine_points = |engine: &tibfit_experiments::multicluster::MultiClusterSim| {
@@ -2042,12 +1826,12 @@ mod tests {
             engine.for_each_position(|node, p| out[node.index()] = (p.x, p.y));
             out
         };
-        assert_eq!(route.positions.points(), engine_points(&reference));
+        assert_eq!(slot.positions.points(), engine_points(&reference));
         let per_tick = 3;
         let events = scenario.events(12 * per_tick);
         for tick in 1..=12u64 {
             for (k, p) in events[(tick as usize - 1) * per_tick..][..per_tick].iter().enumerate() {
-                route.queue.offer(Report {
+                slot.queue.offer(Report {
                     tenant: 0,
                     time: tick,
                     src: 0,
@@ -2057,20 +1841,53 @@ mod tests {
                 });
                 reference.run_event(*p);
             }
-            let positions = Arc::clone(&route.positions);
-            route.queue.end_tick(tick, move |r| positions.impact_of(r.x, r.y));
-            assert!(route.queue.wait_settled(Duration::from_secs(30)), "tick {tick}");
-            assert_eq!(route.positions.points(), engine_points(&reference), "tick {tick}");
+            slot.queue
+                .end_tick(tick, |r| slot.positions.impact_of(r.x, r.y));
+            assert!(
+                slot.queue.wait_settled(Duration::from_secs(30)),
+                "tick {tick}"
+            );
+            assert_eq!(
+                slot.positions.points(),
+                engine_points(&reference),
+                "tick {tick}"
+            );
             if tick == 7 {
                 // A replacement restores tick 6's snapshot and replays
                 // tick 7 before it takes tick 8.
-                respawn_slot(&cfg, &mut slot, 0);
-                assert_eq!(slot.health(), HEALTH_PROBATION);
+                respawn_slot(&cfg, &slot, &mut lock(&slot.sup));
+                assert_eq!(slot.health.load(Ordering::SeqCst), Health::Probation as u8);
             }
         }
-        assert!(slot.incarnation >= 1, "the worker was respawned");
-        slot.route.queue.close();
-        slot.handle.take().unwrap().join().unwrap().unwrap();
+        let mut sup = lock(&slot.sup);
+        assert!(sup.incarnation >= 1, "the worker was respawned");
+        slot.queue.close();
+        sup.handle.take().unwrap().join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A respawn the watch did not order (an aborted migration's)
+    /// still reaches it: a quarantined slot is on probation at once, so
+    /// the router stops shedding its ingest, and no restart is counted.
+    #[test]
+    fn a_respawn_out_of_quarantine_is_on_probation_at_once() {
+        let dir = std::env::temp_dir().join(format!("tibfit-unquarantine-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = DaemonConfig::standard(1, 9, dir.clone());
+        cfg.scenario = small_scenario;
+        std::fs::create_dir_all(&cfg.decisions_dir).unwrap();
+        let slot = build_slot(&cfg, 0, None).unwrap();
+        let mut sup = lock(&slot.sup);
+        sup.watch.respawned(false, 0);
+        slot.quarantine();
+        respawn_slot(&cfg, &slot, &mut sup);
+        assert_eq!(sup.watch.health(), Health::Probation);
+        assert!(!slot.quarantined());
+        assert_eq!(sup.watch.restarts(), 0);
+        slot.queue.close();
+        retire_worker(&mut sup);
+        harvest_retired(&mut sup, true);
+        assert_eq!(sup.last_error, None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2081,16 +1898,17 @@ mod tests {
         let mut cfg = DaemonConfig::standard(1, 7, dir.clone());
         cfg.scenario = small_scenario;
         std::fs::create_dir_all(&cfg.decisions_dir).unwrap();
-        let mut slot = build_slot(&cfg, 0, None).unwrap();
+        let slot = build_slot(&cfg, 0, None).unwrap();
+        let mut sup = lock(&slot.sup);
         // Shut the real worker down: its final snapshot is the state
         // file the respawn below reads.
-        slot.route.queue.close();
-        slot.handle.take().unwrap().join().unwrap().unwrap();
+        slot.queue.close();
+        sup.handle.take().unwrap().join().unwrap().unwrap();
 
         // Incarnation 0 is now a worker that panics only when released,
         // so it is still running when the watchdog retires it.
         let (release, gate) = std::sync::mpsc::channel::<()>();
-        slot.handle = Some(std::thread::spawn(move || {
+        sup.handle = Some(std::thread::spawn(move || {
             let _ = gate.recv();
             panic!("injected late panic");
         }));
@@ -2098,17 +1916,25 @@ mod tests {
         // and fails with a typed error.
         let mut other = cfg.clone();
         other.master_seed = 8;
-        respawn_slot(&other, &mut slot, 0);
-        assert_eq!(slot.health(), HEALTH_QUARANTINED);
-        assert_eq!(slot.retired.len(), 1, "the retired worker is still running");
-        let typed = slot.last_error.clone().expect("the respawn recorded its error");
+        respawn_slot(&other, &slot, &mut sup);
+        assert!(slot.quarantined());
+        assert_eq!(
+            sup.watch.health(),
+            Health::Quarantined,
+            "the watch learns the respawn failed at once"
+        );
+        assert_eq!(sup.retired.len(), 1, "the retired worker is still running");
+        let typed = sup
+            .last_error
+            .clone()
+            .expect("the respawn recorded its error");
         assert!(typed.1.contains("seed"), "{}", typed.1);
 
         // Only now does the retired incarnation finish, panicking.
         release.send(()).unwrap();
-        harvest_retired(&mut slot, true);
-        assert!(slot.retired.is_empty());
-        assert_eq!(slot.last_error, Some(typed), "the late panic is older");
+        harvest_retired(&mut sup, true);
+        assert!(sup.retired.is_empty());
+        assert_eq!(sup.last_error, Some(typed), "the late panic is older");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -4,13 +4,17 @@
 //! query while the daemon is still serving.
 
 use std::io::{BufRead, BufReader, Cursor, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::time::Duration;
 
 use tibfit_daemon::fleet::{owner_of, FleetConfig, FleetPolicy, PeerSpec};
-use tibfit_daemon::{Daemon, DaemonConfig};
-use tibfit_experiments::replay::{render_replay, replay_records};
+use tibfit_daemon::migrate::{decode_bundle, encode_bundle, MigrationBundle};
+use tibfit_daemon::net_io::ListenSource;
+use tibfit_daemon::queue::{QueueStats, WorkItem};
+use tibfit_daemon::{Daemon, DaemonConfig, WatchdogPolicy, WorkerFault};
+use tibfit_experiments::replay::{render_replay, replay_records, tenant_seed, FieldScenario};
+use tibfit_sim::snapshot::{read_framed, write_framed};
 
 const TENANTS: usize = 2;
 
@@ -186,4 +190,187 @@ fn the_fleet_port_answers_a_bad_command_with_merr() {
     assert!(raw_fleet_reply(fleet_addr, b"STATUS\n").ends_with("S end\n"));
 
     daemon.run(Cursor::new(String::new())).expect("run");
+}
+
+/// A migration bundle that lands after [`Daemon::run`] has returned is
+/// refused: the daemon no longer supervises anything it would install,
+/// so the source must keep serving the tenant.
+#[test]
+fn an_mpush_after_the_daemon_stopped_is_refused() {
+    let root = fresh_dir("late-mpush");
+    let master = 44u64;
+    // A placement seed under which peer 1 owns tenant 0, so this
+    // daemon does not host it and would accept it.
+    let fleet_seed = (0..1000u64)
+        .find(|&s| owner_of(s, 0, &[0, 1]) == Some(1))
+        .expect("some seed places tenant 0 on peer 1");
+    let mut cfg = DaemonConfig::standard(TENANTS, master, root.join("state"));
+    cfg.fleet = Some(FleetConfig {
+        id: 0,
+        peers: vec![PeerSpec {
+            id: 1,
+            addr: "127.0.0.1:1".into(),
+        }],
+        seed: fleet_seed,
+        listen: "127.0.0.1:0".into(),
+        linger_ms: 0,
+        catchup_replay: None,
+        // Peer 1 is never contacted, and its grace outlasts the test:
+        // nothing is adopted.
+        policy: FleetPolicy {
+            grace_ms: 600_000,
+            ..FleetPolicy::default()
+        },
+    });
+    let mut daemon = Daemon::new(cfg).expect("fleet daemon");
+    let fleet_addr = daemon.fleet_addr().expect("fleet port bound");
+
+    let mut push = TcpStream::connect(fleet_addr).expect("connect to the fleet port");
+    push.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    push.write_all(b"MPUSH 0\n").expect("send MPUSH");
+    push.flush().expect("flush MPUSH");
+    // The listener accepts in arrival order: once a later STATUS is
+    // answered, the MPUSH connection has its own handler thread.
+    assert!(status_query(fleet_addr).is_some_and(|lines| lines.contains(&"S end".to_string())));
+
+    let report = daemon.run(Cursor::new(String::new())).expect("run");
+    assert_eq!(report.fleet.expect("fleet summary").migrations_in, 0);
+
+    let bundle = MigrationBundle {
+        tenant: 0,
+        seed: FieldScenario::mobile(tenant_seed(master, 0)).seed,
+        state_round: 0,
+        state_bytes: Vec::new(),
+        live_highwater: Vec::new(),
+        live_stats: QueueStats::default(),
+        replay: Vec::new(),
+        pending: Vec::new(),
+    };
+    write_framed(&mut push, &encode_bundle(&bundle)).expect("send the bundle");
+    push.flush().expect("flush the bundle");
+    let mut reply = String::new();
+    std::io::Read::read_to_string(&mut push, &mut reply).expect("reply until close");
+    assert!(
+        reply.starts_with("MERR "),
+        "a stopped daemon must refuse the install: {reply:?}"
+    );
+}
+
+/// A destination that acknowledges the first `MPUSH` and returns the
+/// bundle it was sent. Probes go unanswered.
+fn start_accepting_peer() -> (SocketAddr, std::thread::JoinHandle<MigrationBundle>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake peer");
+    let addr = listener.local_addr().expect("fake peer addr");
+    let handle = std::thread::spawn(move || loop {
+        let (stream, _) = listener.accept().expect("the source connects");
+        let mut reader = BufReader::new(&stream);
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("command line");
+        if line.trim_end() != "MPUSH 0" {
+            continue;
+        }
+        let bytes = read_framed(&mut reader, 1 << 30).expect("framed bundle");
+        let bundle = decode_bundle(&bytes).expect("bundle decodes");
+        let mut w = &stream;
+        writeln!(w, "MOK 0").expect("acknowledge");
+        return bundle;
+    });
+    (addr, handle)
+}
+
+/// `MIGRATE` lands while the router is parked at a snapshot-tick
+/// barrier behind a wedged worker. Every record offered for the tenant
+/// must then be in the bundle (applied into its state, in its replay
+/// buffer, or pending) or counted foreign: none may move the highwaters
+/// without reaching the bundle.
+#[test]
+fn a_migrate_while_the_router_waits_on_a_snapshot_tick_loses_no_record() {
+    let root = fresh_dir("migrate-parked");
+    let master = 45u64;
+    let fleet_seed = (0..1000u64)
+        .find(|&s| owner_of(s, 0, &[0, 1]) == Some(0))
+        .expect("some seed places tenant 0 on daemon 0");
+    let (dest_addr, dest) = start_accepting_peer();
+    let mut cfg = DaemonConfig::standard(1, master, root.join("state"));
+    // Every tick is a snapshot tick, so tick 3 waits for tick 2.
+    cfg.snapshot_every = 1;
+    // The first worker wedges on tick 2's first record; the watchdog
+    // replaces it after a few slow checks, well after the MIGRATE.
+    cfg.faults = vec![(
+        0,
+        WorkerFault {
+            wedge_at_round: Some(3),
+            ..WorkerFault::default()
+        },
+    )];
+    cfg.watchdog = WatchdogPolicy {
+        check_interval_ms: 200,
+        ..WatchdogPolicy::default()
+    };
+    cfg.fleet = Some(FleetConfig {
+        id: 0,
+        peers: vec![PeerSpec {
+            id: 1,
+            addr: dest_addr.to_string(),
+        }],
+        seed: fleet_seed,
+        listen: "127.0.0.1:0".into(),
+        linger_ms: 0,
+        catchup_replay: None,
+        policy: FleetPolicy {
+            grace_ms: 600_000,
+            ..FleetPolicy::default()
+        },
+    });
+    let text = render_replay(&replay_records(1, master, 8, 2));
+    let lines: Vec<&str> = text.lines().collect();
+    let offered = lines.iter().filter(|l| l.starts_with("R ")).count() as u64;
+    // Through the `T` that closes tick 3.
+    let parked = lines
+        .iter()
+        .enumerate()
+        .filter(|(_, l)| **l == "T")
+        .nth(2)
+        .expect("three ticks")
+        .0
+        + 1;
+
+    let source = ListenSource::bind("127.0.0.1:0", Some(1)).expect("ingest listener");
+    let ingest_addr = source.local_addr().expect("ingest addr");
+    let mut daemon = Daemon::new(cfg).expect("fleet daemon");
+    let fleet_addr = daemon.fleet_addr().expect("fleet port");
+    let server = std::thread::spawn(move || daemon.run(source).expect("fleet run"));
+
+    let mut ingest = TcpStream::connect(ingest_addr).expect("ingest connect");
+    for line in &lines[..parked] {
+        writeln!(ingest, "{line}").expect("ticks 1-3");
+    }
+    ingest.flush().expect("flush ticks 1-3");
+    std::thread::sleep(Duration::from_millis(100));
+    let reply = raw_fleet_reply(fleet_addr, b"MIGRATE 0 1\n");
+    assert!(reply.starts_with("MOK"), "the migration completes: {reply:?}");
+    for line in &lines[parked..] {
+        writeln!(ingest, "{line}").expect("the rest");
+    }
+    drop(ingest);
+
+    let bundle = dest.join().expect("fake peer thread");
+    let report = server.join().expect("daemon thread");
+    let fleet = report.fleet.expect("fleet summary");
+    assert_eq!(fleet.migrations_out, 1);
+    let replayed = bundle
+        .replay
+        .iter()
+        .filter(|i| matches!(i, WorkItem::Record(_)))
+        .count() as u64;
+    assert_eq!(
+        bundle.state_round + replayed + bundle.pending.len() as u64 + fleet.foreign,
+        offered,
+        "state round {}, {replayed} replayed, {} pending, {} foreign",
+        bundle.state_round,
+        bundle.pending.len(),
+        fleet.foreign
+    );
+    let _ = std::fs::remove_dir_all(&root);
 }
