@@ -3,7 +3,7 @@
 //! common [`Aggregator`] interface so experiments can swap them freely.
 
 use crate::binary::{decide_binary, judge_binary};
-use crate::location::{decide_located, judge_located, LocatedDecision, LocatedReport};
+use crate::location::{DecisionScratch, LocatedDecision, LocatedReport};
 use crate::trust::{Judgement, TrustParams, TrustTable};
 use crate::vote::{VoteOutcome, Weighting};
 use tibfit_net::topology::{NodeId, Topology};
@@ -29,6 +29,14 @@ pub struct LocatedRound {
 }
 
 impl LocatedRound {
+    /// The allocating form of a decision left in `scratch`.
+    fn from_scratch(scratch: &DecisionScratch) -> Self {
+        LocatedRound {
+            decisions: scratch.located_decisions(),
+            judgements: scratch.judgements().to_vec(),
+        }
+    }
+
     /// All locations where an event was declared this round.
     #[must_use]
     pub fn declared_locations(&self) -> Vec<tibfit_net::geometry::Point> {
@@ -125,6 +133,22 @@ impl TibfitEngine {
     pub fn table_mut(&mut self) -> &mut TrustTable {
         &mut self.table
     }
+
+    /// [`Aggregator::located_round`] into a caller-owned scratch: decides
+    /// the batch against the current trust, then applies every
+    /// judgement. The decisions and judgements stay in `scratch`
+    /// ([`DecisionScratch::decisions`], [`DecisionScratch::judgements`]).
+    pub fn located_round_into(
+        &mut self,
+        topo: &Topology,
+        r_s: f64,
+        r_error: f64,
+        reports: &[LocatedReport],
+        scratch: &mut DecisionScratch,
+    ) {
+        scratch.decide(topo, r_s, r_error, reports, &Weighting::Trust(&self.table));
+        self.table.apply_judgements(scratch.judgements());
+    }
 }
 
 impl Aggregator for TibfitEngine {
@@ -149,15 +173,9 @@ impl Aggregator for TibfitEngine {
         r_error: f64,
         reports: &[LocatedReport],
     ) -> LocatedRound {
-        let decisions =
-            decide_located(topo, r_s, r_error, reports, &Weighting::Trust(&self.table));
-        let judgements: Vec<(NodeId, Judgement)> =
-            decisions.iter().flat_map(judge_located).collect();
-        self.table.apply_judgements(&judgements);
-        LocatedRound {
-            decisions,
-            judgements,
-        }
+        let mut scratch = DecisionScratch::default();
+        self.located_round_into(topo, r_s, r_error, reports, &mut scratch);
+        LocatedRound::from_scratch(&scratch)
     }
 
     fn trust_of(&self, node: NodeId) -> Option<f64> {
@@ -203,13 +221,9 @@ impl Aggregator for BaselineEngine {
         r_error: f64,
         reports: &[LocatedReport],
     ) -> LocatedRound {
-        let decisions = decide_located(topo, r_s, r_error, reports, &Weighting::Uniform);
-        let judgements: Vec<(NodeId, Judgement)> =
-            decisions.iter().flat_map(judge_located).collect();
-        LocatedRound {
-            decisions,
-            judgements,
-        }
+        let mut scratch = DecisionScratch::default();
+        scratch.decide(topo, r_s, r_error, reports, &Weighting::Uniform);
+        LocatedRound::from_scratch(&scratch)
     }
 
     fn trust_of(&self, _node: NodeId) -> Option<f64> {

@@ -50,6 +50,12 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+// The decision path's test reference (`location/reference.rs`) names this
+// crate `tibfit_core`, so the experiments crate's tests can include the
+// same file.
+#[cfg(test)]
+extern crate self as tibfit_core;
+
 pub mod binary;
 pub mod concurrent;
 pub mod engine;

@@ -94,6 +94,9 @@ impl VoteOutcome {
 /// about an event outside the node's sensing range is by definition a false
 /// alarm (paper §2.1) and cannot support the event.
 ///
+/// Node ids are dense table indices: membership is a mark array as long
+/// as the largest neighbor id, not a scan of `reporters`.
+///
 /// ```rust
 /// use tibfit_core::vote::{run_vote, Weighting};
 /// use tibfit_net::topology::NodeId;
@@ -109,24 +112,49 @@ pub fn run_vote(
     reporters: &[NodeId],
     weighting: &Weighting<'_>,
 ) -> VoteOutcome {
-    let mut r = Vec::new();
-    let mut nr = Vec::new();
-    for &n in neighbors {
-        if reporters.contains(&n) {
-            r.push(n);
-        } else {
-            nr.push(n);
+    let len = neighbors.iter().map(|n| n.index() + 1).max().unwrap_or(0);
+    let mut reported = vec![false; len];
+    for r in reporters {
+        if let Some(mark) = reported.get_mut(r.index()) {
+            *mark = true;
         }
     }
-    let rw = weighting.group_weight(&r);
-    let nrw = weighting.group_weight(&nr);
+    let mut r = Vec::new();
+    let mut nr = Vec::new();
+    let (event_declared, rw, nrw) =
+        vote_into(neighbors, |n| reported[n.index()], weighting, &mut r, &mut nr);
     VoteOutcome {
-        event_declared: rw > nrw,
+        event_declared,
         reporting_weight: rw,
         non_reporting_weight: nrw,
         reporters: r,
         non_reporters: nr,
     }
+}
+
+/// The vote itself, into caller-owned buffers: fills `r` with the
+/// neighbors `is_reporter` accepts and `nr` with the rest, both in
+/// neighbor order (the CTI fold's order), and returns whether `R`
+/// outweighs `NR` with the two weights.
+pub(crate) fn vote_into(
+    neighbors: &[NodeId],
+    is_reporter: impl Fn(NodeId) -> bool,
+    weighting: &Weighting<'_>,
+    r: &mut Vec<NodeId>,
+    nr: &mut Vec<NodeId>,
+) -> (bool, f64, f64) {
+    r.clear();
+    nr.clear();
+    for &n in neighbors {
+        if is_reporter(n) {
+            r.push(n);
+        } else {
+            nr.push(n);
+        }
+    }
+    let rw = weighting.group_weight(r);
+    let nrw = weighting.group_weight(nr);
+    (rw > nrw, rw, nrw)
 }
 
 #[cfg(test)]

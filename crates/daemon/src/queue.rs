@@ -329,7 +329,11 @@ impl SharedQueue {
         }
         st.stats.offered += 1;
         let key = (report.src, report.seq);
-        let seen = st.highwater.get(&report.src).copied().unwrap_or(0) >= report.seq;
+        // A feed with no highwater yet has seen nothing, not `seq 0`.
+        let seen = st
+            .highwater
+            .get(&report.src)
+            .is_some_and(|&hw| hw >= report.seq);
         if seen || st.pending_keys.contains(&key) {
             st.stats.duplicates += 1;
             return Offer::Duplicate;
@@ -702,6 +706,18 @@ mod tests {
         );
         assert_eq!(q.pop(0), Some(WorkItem::TickEnd(1)));
         assert_eq!(q.shed_log(), vec![(1, 1, 4), (1, 1, 1)]);
+    }
+
+    #[test]
+    fn a_new_feed_admits_its_seq_zero() {
+        let q = SharedQueue::new(policy(4, 4));
+        assert_eq!(q.offer(report(7, 0, 0.0)), Offer::Pending);
+        assert_eq!(q.stats().duplicates, 0);
+        // Once admitted, seq 0 has a highwater like any other seq.
+        q.end_tick(1, |_| 0);
+        assert_eq!(q.offer(report(7, 0, 0.0)), Offer::Duplicate);
+        assert_eq!(q.offer(report(7, 1, 0.0)), Offer::Pending);
+        assert_eq!(q.stats().duplicates, 1);
     }
 
     #[test]

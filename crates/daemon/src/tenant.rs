@@ -109,6 +109,8 @@ pub struct Tenant {
     /// The per-record trust digest, re-hashed only from the first
     /// trust word that changed since the previous record.
     digest: TrustDigest,
+    /// The last record's round result, its buffers reused.
+    result: MultiRoundResult,
 }
 
 /// Multiplier of the decision-line fingerprint. NOT the standard
@@ -233,6 +235,7 @@ impl Tenant {
             positions_stale: false,
             engine,
             digest: TrustDigest::default(),
+            result: MultiRoundResult::new(Point::default()),
         }
     }
 
@@ -360,22 +363,24 @@ impl Tenant {
     /// Runs one admitted report's event round and appends its decision
     /// line to `out` (no trailing newline), leaving the shared position
     /// view for the tick's end. The worker's per-record hot path: the
-    /// trust digest patches only the judged words and line formatting
-    /// reuses the caller's buffer, so a steady-state apply performs no
-    /// heap allocation beyond what the engine round itself needs.
+    /// engine round fills the tenant's reused result, the trust digest
+    /// patches only the judged words and line formatting reuses the
+    /// caller's buffer, so once the buffers have grown a record
+    /// allocates nothing outside a re-election round.
     pub(crate) fn apply_record(&mut self, report: &Report, out: &mut String) {
         let stimulus = Point::new(report.x, report.y);
-        let result = self.engine.run_event(stimulus);
+        self.engine.run_event_into(stimulus, &mut self.result);
         self.positions_stale = true;
-        self.decision_line_into(report, &result, out);
+        self.decision_line_into(report, out);
     }
 
-    /// Formats the decision line for a completed round into `out`.
+    /// Formats the decision line for the last round into `out`.
     /// Deterministic byte-for-byte: coordinates use shortest round-trip
     /// formatting, the digest pins the full trust state.
-    fn decision_line_into(&mut self, report: &Report, result: &MultiRoundResult, out: &mut String) {
+    fn decision_line_into(&mut self, report: &Report, out: &mut String) {
         use std::fmt::Write;
-        let round = self.round();
+        let result = &self.result;
+        let round = self.engine.round();
         let _ = write!(out, "D {round} {} {} at=", report.src, report.seq);
         if result.declared.is_empty() {
             out.push('-');

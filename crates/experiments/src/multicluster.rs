@@ -35,7 +35,7 @@ use std::cell::Cell;
 
 use tibfit_adversary::behavior::{NodeBehavior, RoundContext};
 use tibfit_core::engine::{Aggregator, TibfitEngine};
-use tibfit_core::location::LocatedReport;
+use tibfit_core::location::{Decided, DecisionScratch, LocatedReport, JUDGED_CLUSTERS};
 use tibfit_core::trust::{TrustParams, TrustRecord, TrustTableStateRef};
 use tibfit_net::channel::ChannelModel;
 use tibfit_net::geometry::Point;
@@ -541,25 +541,26 @@ impl ClusterState {
     /// Phase 2: the head decides from its fragment and judges its
     /// members; judgements feed straight back into the member behaviours
     /// this cluster owns. An empty batch decides nothing (silence about
-    /// an event nobody reported is not evidence). Appends declared
-    /// locations to `declared` and the global id of every judged member
-    /// (the only counters a round writes) to `judged`.
-    fn decide_into(
+    /// an event nobody reported is not evidence). Appends the global id
+    /// of every judged member (the only counters a round writes) to
+    /// `judged`, and returns the decisions, which stay in `scratch`.
+    fn decide_into<'s>(
         &mut self,
         batch: &[LocatedReport],
-        declared: &mut Vec<Point>,
+        scratch: &'s mut DecisionScratch,
         judged: &mut Vec<NodeId>,
-    ) {
+    ) -> &'s [Decided] {
         if batch.is_empty() {
-            return;
+            return &[];
         }
         self.trace.bump(self.c_decided);
         let exp_before = self.engine.table().exp_evals();
-        let result = self.engine.located_round(
+        self.engine.located_round_into(
             &self.local_topo,
             self.config.sensing_radius,
             self.config.r_error,
             batch,
+            scratch,
         );
         // Exponentials actually paid by this decision (trust-cache
         // refreshes): uncached, every weight read would cost one. The
@@ -568,20 +569,13 @@ impl ClusterState {
             self.c_exp_evals,
             self.engine.table().exp_evals().wrapping_sub(exp_before),
         );
-        for &(local, judgement) in &result.judgements {
+        for &(local, judgement) in scratch.judgements() {
             self.behaviors[local.index()].observe_judgement(judgement);
             judged.push(self.members[local.index()]);
         }
-        let before = declared.len();
-        declared.extend(
-            result
-                .decisions
-                .iter()
-                .filter(|d| d.event_declared)
-                .map(|d| d.location),
-        );
-        self.trace
-            .bump_by(self.c_declared, (declared.len() - before) as u64);
+        let declared = scratch.decisions().iter().filter(|d| d.event_declared).count();
+        self.trace.bump_by(self.c_declared, declared as u64);
+        scratch.decisions()
     }
 
     /// End-of-round mobility: each member takes a Gaussian step (clamped
@@ -775,6 +769,16 @@ pub struct MultiRoundResult {
 }
 
 impl MultiRoundResult {
+    /// An empty result for `event`: nothing declared.
+    #[must_use]
+    pub fn new(event: Point) -> Self {
+        MultiRoundResult {
+            event,
+            declared: Vec::new(),
+            declaring_clusters: Vec::new(),
+        }
+    }
+
     /// Whether the event was detected within `r_error`.
     #[must_use]
     pub fn detected_within(&self, r_error: f64) -> bool {
@@ -782,31 +786,18 @@ impl MultiRoundResult {
             .iter()
             .any(|d| d.distance_to(self.event) <= r_error)
     }
-}
 
-/// Merges per-cluster declarations at the base station: declarations
-/// within `r_error` of an accepted one are averaged into it, others open
-/// a new accepted location. Input order is cluster order, which both
-/// engines produce identically.
-fn merge_declarations(
-    event: Point,
-    declared: Vec<(usize, Point)>,
-    r_error: f64,
-) -> MultiRoundResult {
-    let mut merged: Vec<Point> = Vec::new();
-    let mut declaring_clusters = Vec::new();
-    for (ci, d) in declared {
-        declaring_clusters.push(ci);
-        if let Some(existing) = merged.iter_mut().find(|m| m.distance_to(d) <= r_error) {
+    /// Merges one cluster's declaration at the base station: a
+    /// declaration within `r_error` of an accepted one is averaged into
+    /// it, otherwise it opens a new accepted location. Declarations
+    /// arrive in cluster order.
+    fn merge_declaration(&mut self, cluster: usize, d: Point, r_error: f64) {
+        self.declaring_clusters.push(cluster);
+        if let Some(existing) = self.declared.iter_mut().find(|m| m.distance_to(d) <= r_error) {
             *existing = Point::new((existing.x + d.x) / 2.0, (existing.y + d.y) / 2.0);
         } else {
-            merged.push(d);
+            self.declared.push(d);
         }
-    }
-    MultiRoundResult {
-        event,
-        declared: merged,
-        declaring_clusters,
     }
 }
 
@@ -826,11 +817,13 @@ pub struct MultiClusterSim {
     n_nodes: usize,
     round: u64,
     /// Engine-lifetime scratch, reused every round: one cluster's
-    /// reports, its declared locations, and a re-election's handoffs.
-    /// Per engine, not per cluster — hundreds of per-cluster buffers
-    /// would show up in resident memory.
+    /// reports, its head's decision buffers, and a re-election's
+    /// handoffs. Per engine, not per cluster — hundreds of per-cluster
+    /// buffers would show up in resident memory. The report batch and
+    /// the decision buffers are sized for the largest cluster whenever
+    /// membership changes, so only a re-election round grows them.
     batch: Vec<LocatedReport>,
-    found: Vec<Point>,
+    scratch: DecisionScratch,
     moving: Vec<Handoff>,
     /// Global ids the last [`Self::run_event`] judged, in judgement
     /// order (see [`Self::judged_nodes`]).
@@ -1044,17 +1037,33 @@ impl MultiClusterSim {
     /// then (if configured) nodes drift and, on a re-election boundary,
     /// change clusters.
     pub fn run_event(&mut self, event: Point) -> MultiRoundResult {
+        let mut result = MultiRoundResult::new(event);
+        self.run_event_into(event, &mut result);
+        result
+    }
+
+    /// [`Self::run_event`] into a caller-owned result, whose buffers
+    /// are reused: outside re-election rounds, a round allocates
+    /// nothing once the engine's and the result's buffers have grown.
+    pub fn run_event_into(&mut self, event: Point, result: &mut MultiRoundResult) {
         self.round += 1;
         let round = self.round;
-        let mut declared: Vec<(usize, Point)> = Vec::new();
+        result.event = event;
+        result.declared.clear();
+        result.declaring_clusters.clear();
+        // Room for two declarations per cluster.
+        let room = 2 * self.clusters.len();
+        result.declared.reserve_exact(room);
+        result.declaring_clusters.reserve_exact(room);
         self.judged.clear();
         for cluster in &mut self.clusters {
             self.batch.clear();
             cluster.sense_into(round, event, &mut self.batch);
-            cluster.decide_into(&self.batch, &mut self.found, &mut self.judged);
-            declared.extend(self.found.drain(..).map(|loc| (cluster.index, loc)));
+            let decided = cluster.decide_into(&self.batch, &mut self.scratch, &mut self.judged);
+            for d in decided.iter().filter(|d| d.event_declared) {
+                result.merge_declaration(cluster.index, d.location, self.config.r_error);
+            }
         }
-        let result = merge_declarations(event, declared, self.config.r_error);
 
         for cluster in &mut self.clusters {
             cluster.drift();
@@ -1072,8 +1081,19 @@ impl MultiClusterSim {
                 self.affiliation[h.node.index()] = h.dst;
                 self.clusters[h.dst].admit(h);
             }
+            self.reserve_scratch();
         }
-        result
+    }
+
+    /// Sizes the report batch, the decision buffers and the judged list
+    /// for the largest cluster (a member reports at most once per
+    /// round), growing without doubling.
+    fn reserve_scratch(&mut self) {
+        let largest = self.clusters.iter().map(|c| c.members.len()).max().unwrap_or(0);
+        self.batch.reserve_exact(largest.saturating_sub(self.batch.len()));
+        let judged = (JUDGED_CLUSTERS + 1) * largest;
+        self.judged.reserve_exact(judged.saturating_sub(self.judged.len()));
+        self.scratch.reserve_members(largest);
     }
 
     /// The deployment header of a checkpoint. The sequential engine
@@ -1125,7 +1145,7 @@ impl MultiClusterSim {
             }
             cluster.own_cell = lattice.and_then(|l| l.own_cell_box(cluster.index));
         }
-        MultiClusterSim {
+        let mut sim = MultiClusterSim {
             config,
             lattice,
             sites,
@@ -1134,10 +1154,12 @@ impl MultiClusterSim {
             n_nodes,
             round,
             batch: Vec::new(),
-            found: Vec::new(),
+            scratch: DecisionScratch::default(),
             moving: Vec::new(),
             judged: Vec::new(),
-        }
+        };
+        sim.reserve_scratch();
+        sim
     }
 }
 
@@ -1151,13 +1173,21 @@ impl std::fmt::Debug for MultiClusterSim {
     }
 }
 
+/// The allocating §3.2 decision path, shared with `tibfit-core`'s tests.
+#[cfg(test)]
+#[path = "../../core/src/location/reference.rs"]
+mod decision_reference;
+
 /// The pre-in-place round, kept as the differential reference for the
-/// engines' in-place re-election and event-local sensing: every member
-/// senses every stimulus, and every membership change rebuilds the
+/// engines' in-place re-election, event-local sensing and reused
+/// decision buffers: every member senses every stimulus, each head
+/// decides through the allocating decision path, the base station
+/// merges a collected list, and every membership change rebuilds the
 /// cluster from a sorted slot list with a fresh trust table.
 #[cfg(test)]
 mod reference {
     use super::*;
+    use tibfit_core::vote::Weighting;
 
     /// One member's full state, as reassembled during a rebuild.
     struct MemberSlot {
@@ -1190,6 +1220,62 @@ mod reference {
             }
         }
         batch
+    }
+
+    /// Phase 2 through the allocating decision path: decide, judge, then
+    /// apply every judgement, returning the declared locations.
+    fn decide(c: &mut ClusterState, batch: &[LocatedReport]) -> Vec<Point> {
+        if batch.is_empty() {
+            return Vec::new();
+        }
+        c.trace.bump(c.c_decided);
+        let exp_before = c.engine.table().exp_evals();
+        let decisions = decision_reference::decide_located(
+            &c.local_topo,
+            c.config.sensing_radius,
+            c.config.r_error,
+            batch,
+            &Weighting::Trust(c.engine.table()),
+        );
+        let judgements: Vec<_> = decisions
+            .iter()
+            .flat_map(decision_reference::judge_located)
+            .collect();
+        c.engine.table_mut().apply_judgements(&judgements);
+        c.trace.bump_by(
+            c.c_exp_evals,
+            c.engine.table().exp_evals().wrapping_sub(exp_before),
+        );
+        for &(local, judgement) in &judgements {
+            c.behaviors[local.index()].observe_judgement(judgement);
+        }
+        let found: Vec<Point> = decisions
+            .iter()
+            .filter(|d| d.event_declared)
+            .map(|d| d.location)
+            .collect();
+        c.trace.bump_by(c.c_declared, found.len() as u64);
+        found
+    }
+
+    /// Merges per-cluster declarations at the base station, as one list
+    /// in cluster order.
+    fn merge_declarations(event: Point, declared: Vec<(usize, Point)>, r_error: f64) -> MultiRoundResult {
+        let mut merged: Vec<Point> = Vec::new();
+        let mut declaring_clusters = Vec::new();
+        for (ci, d) in declared {
+            declaring_clusters.push(ci);
+            if let Some(existing) = merged.iter_mut().find(|m| m.distance_to(d) <= r_error) {
+                *existing = Point::new((existing.x + d.x) / 2.0, (existing.y + d.y) / 2.0);
+            } else {
+                merged.push(d);
+            }
+        }
+        MultiRoundResult {
+            event,
+            declared: merged,
+            declaring_clusters,
+        }
     }
 
     fn take_slots(c: &mut ClusterState) -> Vec<MemberSlot> {
@@ -1285,9 +1371,7 @@ mod reference {
         let mut declared = Vec::new();
         for c in &mut sim.clusters {
             let batch = sense_all(c, round, event);
-            let mut found = Vec::new();
-            c.decide_into(&batch, &mut found, &mut Vec::new());
-            declared.extend(found.into_iter().map(|loc| (c.index, loc)));
+            declared.extend(decide(c, &batch).into_iter().map(|loc| (c.index, loc)));
         }
         let result = merge_declarations(event, declared, sim.config.r_error);
         for c in &mut sim.clusters {
@@ -1324,26 +1408,23 @@ mod tests {
     use tibfit_net::channel::BernoulliLoss;
 
     /// Drives `build()`'s deployment through `events` under the engine
-    /// and under the rebuild reference, comparing every round's result
-    /// and, after every re-election (and at the end), the checkpoint
-    /// bytes and the affiliation map.
+    /// and under the reference (allocating decisions, rebuilding
+    /// re-election), comparing after every round the result, the
+    /// checkpoint bytes (trust counters, cached TIs, `ti_reads`,
+    /// `exp_evals` and trace counters included) and the affiliation map.
     fn assert_matches_reference(what: &str, build: impl Fn() -> MultiClusterSim, events: &[Point]) {
         let mut reference = build();
         let mut sim = build();
-        let reelect = reference.config().reelect_every;
         for (r, &e) in events.iter().enumerate() {
             let what = format!("{what} round={}", r + 1);
             assert_eq!(sim.run_event(e), reference::run_event(&mut reference, e), "{what}");
-            let boundary = reelect > 0 && (r as u64 + 1).is_multiple_of(reelect);
-            if boundary || r + 1 == events.len() {
-                assert!(
-                    save_sequential(&sim).unwrap() == save_sequential(&reference).unwrap(),
-                    "{what}: checkpoint bytes differ"
-                );
-                for i in 0..reference.node_count() {
-                    let node = NodeId(i);
-                    assert_eq!(sim.cluster_of(node), reference.cluster_of(node), "{what}: node {i}");
-                }
+            assert!(
+                save_sequential(&sim).unwrap() == save_sequential(&reference).unwrap(),
+                "{what}: checkpoint bytes differ"
+            );
+            for i in 0..reference.node_count() {
+                let node = NodeId(i);
+                assert_eq!(sim.cluster_of(node), reference.cluster_of(node), "{what}: node {i}");
             }
         }
     }
@@ -1789,9 +1870,10 @@ mod tests {
     fn own_cell_reelection_matches_the_reference_on_a_big_field() {
         // The big_field benchmark's shape: 4096 mobile nodes under 256
         // lattice heads, re-elected every 3 rounds. The engine skips the
-        // nearest-site lookup for members inside their own cell's box;
-        // the reference looks up every member. Checkpoint bytes are
-        // compared after every re-election.
+        // nearest-site lookup for members inside their own cell's box
+        // and decides through one reused scratch; the reference looks up
+        // every member and decides through the allocating path.
+        // Checkpoint bytes are compared after every round.
         let scenario = FieldScenario {
             nodes: 4096,
             clusters: 256,

@@ -193,14 +193,28 @@ impl Topology {
     /// Panics if `r_s` is negative.
     #[must_use]
     pub fn event_neighbors(&self, event: Point, r_s: f64) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        self.event_neighbors_into(event, r_s, &mut out);
+        out
+    }
+
+    /// [`Self::event_neighbors`] into a caller-owned buffer (cleared
+    /// first), for hot paths that must not allocate per call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r_s` is negative.
+    pub fn event_neighbors_into(&self, event: Point, r_s: f64, out: &mut Vec<NodeId>) {
         assert!(r_s >= 0.0, "sensing radius must be non-negative");
         let r_sq = r_s * r_s;
-        self.positions
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.distance_sq(event) <= r_sq)
-            .map(|(i, _)| NodeId(i))
-            .collect()
+        out.clear();
+        out.extend(
+            self.positions
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| p.distance_sq(event) <= r_sq)
+                .map(|(i, _)| NodeId(i)),
+        );
     }
 
     /// A uniformly random event location in the field (the paper's event

@@ -225,3 +225,18 @@ fn a_flood_run_admits_the_same_records_as_per_record_position_views() {
 
 /// The digest of the flood run above with per-record position views.
 const FLOOD_DIGEST: u64 = 0x5255_aedb_ad52_9cda;
+
+#[test]
+fn a_feed_starting_at_seq_zero_decides_its_first_record() {
+    // Tenant 0's feed 5 starts at seq 0; its first record is new, not a
+    // duplicate of an unseen highwater.
+    let replay = "R 0 0 5 0 10 10\nR 0 0 5 1 20 20\nT\nR 0 1 5 0 10 10\nT\n";
+    let out = run_daemon("seq-zero", 8, 8, 91, replay);
+    let stats = &out.report.tenants[0].stats;
+    assert_eq!(stats.admitted, 2);
+    assert_eq!(stats.duplicates, 1, "only the re-sent seq 0 is a duplicate");
+    let lines: Vec<&str> = out.decisions[0].lines().collect();
+    assert_eq!(lines.len(), 2, "{lines:?}");
+    assert!(lines[0].starts_with("D 1 5 0 "), "{}", lines[0]);
+    assert!(lines[1].starts_with("D 2 5 1 "), "{}", lines[1]);
+}
