@@ -1,7 +1,9 @@
 //! Socket ingest and the fleet client: the daemon's one network edge.
 //!
 //! Every socket the daemon reads goes through the bounded, UTF-8
-//! checking framer `wire::read_bounded_line`, every listener accepts
+//! checking framer `wire::read_bounded_line` (the router takes a read
+//! buffer's complete lines in place with `wire::frame_in_place`, which
+//! types them the same), every listener accepts
 //! through `accept_polling`, and every fleet-port request/reply goes
 //! through [`fleet_call`].
 //!

@@ -4,9 +4,10 @@
 //!
 //! ## Admission model
 //!
-//! Records accumulate in a *pending* set while a tick is open. When
-//! the router sees a `T` frame it calls [`SharedQueue::end_tick`],
-//! which:
+//! Records accumulate in a *pending* set while a tick is open; the
+//! router offers them a read buffer's run at a time
+//! ([`SharedQueue::offer_batch`]). When the router sees a `T` frame it
+//! calls [`SharedQueue::end_tick`], which:
 //!
 //! 1. **Waits** for the worker only when something it is about to do
 //!    depends on the worker's state. There are four such cases:
@@ -60,6 +61,7 @@
 //! a mid-replay snapshot would pair an old engine state with future
 //! highwaters).
 
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -170,13 +172,58 @@ pub struct TickAdmission {
     pub shed: usize,
 }
 
+/// One feed's pending seqs. A seq above every earlier one, the
+/// in-order case, is pushed onto `ascending` with no set operation;
+/// any other goes to `rest`, so every seq in `rest` is below the last
+/// of `ascending`, and a lookup costs at most a binary search and a
+/// set probe.
+#[derive(Default)]
+struct FeedPending {
+    ascending: Vec<u64>,
+    rest: BTreeSet<u64>,
+}
+
+impl FeedPending {
+    fn contains(&self, seq: u64) -> bool {
+        match self.ascending.last() {
+            Some(&max) if seq <= max => {
+                self.ascending.binary_search(&seq).is_ok() || self.rest.contains(&seq)
+            }
+            _ => false,
+        }
+    }
+
+    /// Adds `seq`, which must not be pending yet.
+    fn insert(&mut self, seq: u64) {
+        if self.ascending.last().is_none_or(|&max| seq > max) {
+            self.ascending.push(seq);
+        } else {
+            self.rest.insert(seq);
+        }
+    }
+}
+
+/// A shedding tick's ranking key: highest impact first, then
+/// `(time, src, seq)`, then the record's index in the pending batch.
+/// Dedup keeps `(src, seq)` unique among pending records, so the key
+/// is unique before the index and any selection or sort by it yields
+/// the one stable ranking.
+type RankKey = (Reverse<u64>, u64, u64, u64, usize);
+
 struct QueueState {
     pending: Vec<Report>,
-    pending_keys: BTreeSet<(u64, u64)>,
-    overflow_keys: Vec<(u64, u64)>,
+    /// The pending seqs of each feed, for same-tick dedup.
+    pending_feeds: BTreeMap<u64, FeedPending>,
+    /// The highest seq of each feed shed on arrival this tick; merged
+    /// into `highwater` at the tick's close.
+    overflow_max: BTreeMap<u64, u64>,
     ready: VecDeque<WorkItem>,
     replay: Vec<WorkItem>,
+    /// Queries waiting for the next tick boundary, at most
+    /// [`QueuePolicy::pending_cap`] of them.
     queries: Vec<Query>,
+    /// Queries refused because `queries` was full.
+    queries_shed: u64,
     highwater: BTreeMap<u64, u64>,
     issued_ticks: u64,
     completed_ticks: u64,
@@ -203,6 +250,36 @@ struct QueueState {
     /// items, acknowledge ticks, or clear the replay buffer out from
     /// under its replacement.
     generation: u64,
+}
+
+impl QueueState {
+    /// Classifies and admits one offered record of a routed queue.
+    fn offer_one(&mut self, report: &Report, policy: &QueuePolicy) -> Offer {
+        self.stats.offered += 1;
+        // A feed with no highwater yet has seen nothing, not `seq 0`.
+        let seen = self
+            .highwater
+            .get(&report.src)
+            .is_some_and(|&hw| hw >= report.seq);
+        let feed = self.pending_feeds.entry(report.src).or_default();
+        if seen || feed.contains(report.seq) {
+            self.stats.duplicates += 1;
+            return Offer::Duplicate;
+        }
+        if self.pending.len() >= policy.pending_cap() {
+            self.stats.shed_overflow += 1;
+            let max = self.overflow_max.entry(report.src).or_insert(report.seq);
+            *max = (*max).max(report.seq);
+            if policy.record_shed {
+                let tick = self.issued_ticks + 1;
+                self.shed_log.push((tick, report.src, report.seq));
+            }
+            return Offer::Overflow;
+        }
+        feed.insert(report.seq);
+        self.pending.push(*report);
+        Offer::Pending
+    }
 }
 
 /// A tenant's ingest queue, shared between the router, its worker, and
@@ -238,11 +315,12 @@ impl SharedQueue {
             snapshot_every: snapshot_every.max(1),
             state: Mutex::new(QueueState {
                 pending: Vec::new(),
-                pending_keys: BTreeSet::new(),
-                overflow_keys: Vec::new(),
+                pending_feeds: BTreeMap::new(),
+                overflow_max: BTreeMap::new(),
                 ready: VecDeque::new(),
                 replay: Vec::new(),
                 queries: Vec::new(),
+                queries_shed: 0,
                 highwater: BTreeMap::new(),
                 issued_ticks: 0,
                 completed_ticks: 0,
@@ -297,7 +375,7 @@ impl SharedQueue {
     #[must_use]
     pub fn drain_pending(&self) -> Vec<Report> {
         let mut st = self.lock();
-        st.pending_keys.clear();
+        st.pending_feeds.clear();
         std::mem::take(&mut st.pending)
     }
 
@@ -321,43 +399,43 @@ impl SharedQueue {
         self.lock().issued_ticks
     }
 
-    /// Offers a record. Never blocks.
+    /// Offers a record. Never blocks. The one-record view of
+    /// [`SharedQueue::offer_batch`].
     pub fn offer(&self, report: Report) -> Offer {
-        let mut st = self.lock();
+        let mut outcome = Offer::Unrouted;
+        self.offer_batch(&[report], |o| outcome = o);
+        outcome
+    }
+
+    /// Offers `reports` in order under one lock, passing each record's
+    /// outcome to `outcome` as it is decided: the same outcomes, counters
+    /// and pending set as one [`SharedQueue::offer`] per record. Never
+    /// blocks.
+    pub fn offer_batch(&self, reports: &[Report], mut outcome: impl FnMut(Offer)) {
+        let mut guard = self.lock();
+        let st = &mut *guard;
         if !st.routed {
-            return Offer::Unrouted;
+            reports.iter().for_each(|_| outcome(Offer::Unrouted));
+            return;
         }
-        st.stats.offered += 1;
-        let key = (report.src, report.seq);
-        // A feed with no highwater yet has seen nothing, not `seq 0`.
-        let seen = st
-            .highwater
-            .get(&report.src)
-            .is_some_and(|&hw| hw >= report.seq);
-        if seen || st.pending_keys.contains(&key) {
-            st.stats.duplicates += 1;
-            return Offer::Duplicate;
+        for r in reports {
+            outcome(st.offer_one(r, &self.policy));
         }
-        if st.pending.len() >= self.policy.pending_cap() {
-            st.stats.shed_overflow += 1;
-            st.overflow_keys.push(key);
-            if self.policy.record_shed {
-                let tick = st.issued_ticks + 1;
-                st.shed_log.push((tick, report.src, report.seq));
-            }
-            return Offer::Overflow;
-        }
-        st.pending.push(report);
-        st.pending_keys.insert(key);
-        Offer::Pending
     }
 
     /// Queues a read-only query; flushed to the worker at the next tick
     /// boundary (answers reflect end-of-tick state). An unrouted
     /// tenant's query waits for the tenant to be routed again, and goes
-    /// with the queue if its migration completes.
+    /// with the queue if its migration completes. A query past
+    /// [`QueuePolicy::pending_cap`] waiting ones is refused and counted
+    /// in [`SharedQueue::queries_shed`].
     pub fn offer_query(&self, query: Query) {
-        self.lock().queries.push(query);
+        let mut st = self.lock();
+        if st.queries.len() >= self.policy.pending_cap() {
+            st.queries_shed += 1;
+        } else {
+            st.queries.push(query);
+        }
     }
 
     /// Closes tick `tick`: waits for the worker if the close depends on
@@ -378,8 +456,24 @@ impl SharedQueue {
     ///   [`QueuePolicy::capacity`].
     ///
     /// A tick within budget admits every pending record and never calls
-    /// `impact`. A closed or unrouted queue issues nothing.
+    /// `impact`. A closed or unrouted queue issues nothing. The
+    /// one-record-at-a-time view of [`SharedQueue::end_tick_with`].
     pub fn end_tick(&self, tick: u64, impact: impl Fn(&Report) -> u64) -> TickAdmission {
+        self.end_tick_with(tick, |batch, out| out.extend(batch.iter().map(impact)))
+    }
+
+    /// [`SharedQueue::end_tick`] with the impacts of a shedding tick
+    /// computed in one call: `impacts` appends one impact per record of
+    /// the pending batch, in batch order.
+    ///
+    /// # Panics
+    ///
+    /// If `impacts` appends other than one impact per record.
+    pub fn end_tick_with(
+        &self,
+        tick: u64,
+        impacts: impl FnOnce(&[Report], &mut Vec<u64>),
+    ) -> TickAdmission {
         let mut st = self.lock();
         let sheds = st.pending.len() > self.policy.tick_budget;
         let admit = st.pending.len().min(self.policy.tick_budget);
@@ -403,47 +497,47 @@ impl SharedQueue {
             return TickAdmission::default();
         }
 
-        // Merge arrival-overflow keys: highwater mutations happen only
-        // here, and never while the worker snapshots (the snapshot tick
-        // is a barrier above).
-        let overflow: Vec<(u64, u64)> = std::mem::take(&mut st.overflow_keys);
-        for (src, seq) in overflow {
+        // Merge the arrival-overflow maxima: highwater mutations happen
+        // only here, and never while the worker snapshots (the snapshot
+        // tick is a barrier above).
+        for (src, seq) in std::mem::take(&mut st.overflow_max) {
             let hw = st.highwater.entry(src).or_insert(0);
             *hw = (*hw).max(seq);
         }
 
-        let key = |r: &Report| (r.time, r.src, r.seq);
         let mut batch = std::mem::take(&mut st.pending);
-        st.pending_keys.clear();
+        st.pending_feeds.clear();
         let outcome = TickAdmission {
             admitted: admit,
             shed: batch.len() - admit,
         };
         if sheds {
-            let mut ranked: Vec<(u64, usize)> = batch
+            let mut impact = Vec::with_capacity(batch.len());
+            impacts(&batch, &mut impact);
+            assert_eq!(impact.len(), batch.len(), "one impact per pending record");
+            let mut ranked: Vec<RankKey> = batch
                 .iter()
+                .zip(impact)
                 .enumerate()
-                .map(|(i, r)| (impact(r), i))
+                .map(|(i, (r, impact))| (Reverse(impact), r.time, r.src, r.seq, i))
                 .collect();
-            ranked.sort_by(|(ia, a), (ib, b)| {
-                ib.cmp(ia).then_with(|| key(&batch[*a]).cmp(&key(&batch[*b])))
-            });
-            let mut kept = vec![false; batch.len()];
-            for &(_, i) in &ranked[..admit] {
-                kept[i] = true;
+            ranked.select_nth_unstable(admit);
+            let (kept, shed) = ranked.split_at_mut(admit);
+            if self.policy.record_shed {
+                shed.sort_unstable();
             }
-            for &(_, i) in &ranked[admit..] {
-                let r = &batch[i];
-                let hw = st.highwater.entry(r.src).or_insert(0);
-                *hw = (*hw).max(r.seq);
+            for &(_, _, src, seq, _) in &*shed {
+                let hw = st.highwater.entry(src).or_insert(0);
+                *hw = (*hw).max(seq);
                 if self.policy.record_shed {
-                    st.shed_log.push((tick, r.src, r.seq));
+                    st.shed_log.push((tick, src, seq));
                 }
             }
-            let mut kept = kept.into_iter();
-            batch.retain(|_| kept.next() == Some(true));
+            kept.sort_unstable_by_key(|&(_, time, src, seq, _)| (time, src, seq));
+            batch = kept.iter().map(|&(.., i)| batch[i]).collect();
+        } else {
+            batch.sort_unstable_by_key(|r| (r.time, r.src, r.seq));
         }
-        batch.sort_by_key(key);
 
         st.stats.shed_budget += outcome.shed as u64;
         st.stats.admitted += outcome.admitted as u64;
@@ -641,6 +735,14 @@ impl SharedQueue {
     #[must_use]
     pub fn stats(&self) -> QueueStats {
         self.lock().stats
+    }
+
+    /// Queries refused because the tenant already had
+    /// [`QueuePolicy::pending_cap`] waiting. Kept out of [`QueueStats`]:
+    /// a per-process counter, like the router's, not snapshot state.
+    #[must_use]
+    pub fn queries_shed(&self) -> u64 {
+        self.lock().queries_shed
     }
 
     /// The shed-key log `(tick, src, seq)` — empty unless
@@ -1148,6 +1250,300 @@ mod tests {
         // Routed again (a failed migration): the tenant takes records.
         q.set_routed(true);
         assert_eq!(q.offer(report(1, 3, 0.0)), Offer::Pending);
+    }
+
+    /// The admission path as it was before batched offers, per-feed
+    /// dedup, arrival-overflow maxima and key-array ranking: one
+    /// `BTreeSet` probe per offer, every overflow key kept until the
+    /// tick closes, and a stable sort of the whole shedding batch. The
+    /// differential reference; it has no worker, waits or replay
+    /// buffer.
+    #[derive(Default)]
+    struct Reference {
+        pending: Vec<Report>,
+        pending_keys: BTreeSet<(u64, u64)>,
+        overflow_keys: Vec<(u64, u64)>,
+        highwater: BTreeMap<u64, u64>,
+        issued_ticks: u64,
+        stats: QueueStats,
+        shed_log: Vec<(u64, u64, u64)>,
+        routed: bool,
+    }
+
+    impl Reference {
+        fn new() -> Self {
+            Reference { routed: true, ..Reference::default() }
+        }
+
+        fn offer(&mut self, policy: &QueuePolicy, report: Report) -> Offer {
+            if !self.routed {
+                return Offer::Unrouted;
+            }
+            self.stats.offered += 1;
+            let key = (report.src, report.seq);
+            let seen = self
+                .highwater
+                .get(&report.src)
+                .is_some_and(|&hw| hw >= report.seq);
+            if seen || self.pending_keys.contains(&key) {
+                self.stats.duplicates += 1;
+                return Offer::Duplicate;
+            }
+            if self.pending.len() >= policy.pending_cap() {
+                self.stats.shed_overflow += 1;
+                self.overflow_keys.push(key);
+                if policy.record_shed {
+                    let tick = self.issued_ticks + 1;
+                    self.shed_log.push((tick, report.src, report.seq));
+                }
+                return Offer::Overflow;
+            }
+            self.pending.push(report);
+            self.pending_keys.insert(key);
+            Offer::Pending
+        }
+
+        /// Closes `tick`; returns the outcome and the admitted records
+        /// in application order.
+        fn end_tick(
+            &mut self,
+            policy: &QueuePolicy,
+            tick: u64,
+            impact: impl Fn(&Report) -> u64,
+        ) -> (TickAdmission, Vec<Report>) {
+            let sheds = self.pending.len() > policy.tick_budget;
+            let admit = self.pending.len().min(policy.tick_budget);
+            for (src, seq) in std::mem::take(&mut self.overflow_keys) {
+                let hw = self.highwater.entry(src).or_insert(0);
+                *hw = (*hw).max(seq);
+            }
+            let key = |r: &Report| (r.time, r.src, r.seq);
+            let mut batch = std::mem::take(&mut self.pending);
+            self.pending_keys.clear();
+            let outcome = TickAdmission {
+                admitted: admit,
+                shed: batch.len() - admit,
+            };
+            if sheds {
+                let mut ranked: Vec<(u64, usize)> =
+                    batch.iter().enumerate().map(|(i, r)| (impact(r), i)).collect();
+                ranked.sort_by(|(ia, a), (ib, b)| {
+                    ib.cmp(ia).then_with(|| key(&batch[*a]).cmp(&key(&batch[*b])))
+                });
+                let mut kept = vec![false; batch.len()];
+                for &(_, i) in &ranked[..admit] {
+                    kept[i] = true;
+                }
+                for &(_, i) in &ranked[admit..] {
+                    let r = &batch[i];
+                    let hw = self.highwater.entry(r.src).or_insert(0);
+                    *hw = (*hw).max(r.seq);
+                    if policy.record_shed {
+                        self.shed_log.push((tick, r.src, r.seq));
+                    }
+                }
+                let mut kept = kept.into_iter();
+                batch.retain(|_| kept.next() == Some(true));
+            }
+            batch.sort_by_key(key);
+            self.stats.shed_budget += outcome.shed as u64;
+            self.stats.admitted += outcome.admitted as u64;
+            for r in &batch {
+                let hw = self.highwater.entry(r.src).or_insert(0);
+                *hw = (*hw).max(r.seq);
+            }
+            self.issued_ticks = tick;
+            (outcome, batch)
+        }
+
+        fn highwaters(&self) -> Vec<(u64, u64)> {
+            self.highwater.iter().map(|(&s, &q)| (s, q)).collect()
+        }
+    }
+
+    /// A seeded record whose feed, seq and time make same-tick and
+    /// cross-tick duplicates, out-of-order and `seq 0` records across
+    /// four feeds, and whose impact (`x`) mostly ties.
+    fn seeded_report(rng: &mut tibfit_sim::rng::SimRng, next_seq: &mut [u64; 4]) -> Report {
+        let src = rng.uniform_usize(4);
+        let seq = match rng.uniform_usize(8) {
+            // A replay from anywhere in the feed's history, `seq 0` too.
+            0 => rng.next_u64() % (next_seq[src] + 1),
+            // A small step back: out of order, often still pending.
+            1 => next_seq[src].saturating_sub(rng.next_u64() % 4),
+            // In order, at times skipping ahead.
+            _ => {
+                next_seq[src] += 1 + rng.next_u64() % 2;
+                next_seq[src]
+            }
+        };
+        Report {
+            tenant: 0,
+            time: rng.next_u64() % 3,
+            src: src as u64,
+            seq,
+            x: if rng.chance(0.8) { 1.0 } else { (rng.next_u64() % 4) as f64 },
+            y: 0.0,
+        }
+    }
+
+    /// Seeded streams through the batched queue and the per-record
+    /// reference: equal outcomes per record, admissions, applied
+    /// records, counters, highwaters and shed logs, with pending caps
+    /// small enough to overflow and impacts that mostly tie.
+    #[test]
+    fn batched_offers_and_ranking_match_the_per_record_reference() {
+        for seed in 0..200u64 {
+            let mut rng = tibfit_sim::rng::SimRng::seed_from(seed);
+            let capacity = 1 + rng.uniform_usize(4);
+            let pol = policy(capacity, 1 + rng.uniform_usize(capacity));
+            let q = SharedQueue::new(pol);
+            let mut reference = Reference::new();
+            let mut next_seq = [0u64; 4];
+            for tick in 1..=12u64 {
+                if rng.chance(0.1) {
+                    let routed = !q.routed();
+                    q.set_routed(routed);
+                    reference.routed = routed;
+                }
+                let offers = rng.uniform_usize(3 * pol.pending_cap() / 2);
+                let mut stream: Vec<Report> =
+                    (0..offers).map(|_| seeded_report(&mut rng, &mut next_seq)).collect();
+                if rng.chance(0.2) {
+                    // A burst re-sent whole: same-tick duplicates.
+                    stream.extend_from_within(..stream.len() / 2);
+                }
+                let mut got = Vec::new();
+                for chunk in stream.chunks(1 + rng.uniform_usize(40)) {
+                    q.offer_batch(chunk, |o| got.push(o));
+                }
+                let want: Vec<Offer> = stream.iter().map(|&r| reference.offer(&pol, r)).collect();
+                assert_eq!(got, want, "seed {seed} tick {tick}: offers");
+                if !reference.routed {
+                    continue;
+                }
+                let impact = |r: &Report| r.x as u64;
+                let (outcome, applied) = reference.end_tick(&pol, tick, impact);
+                assert_eq!(q.end_tick(tick, impact), outcome, "seed {seed} tick {tick}");
+                assert_eq!(pop_tick(&q, tick), applied, "seed {seed} tick {tick}: applied");
+                q.complete_tick(0, tick);
+                let (highwater, stats) = q.snapshot_view();
+                assert_eq!(highwater, reference.highwaters(), "seed {seed} tick {tick}");
+                assert_eq!(stats, reference.stats, "seed {seed} tick {tick}");
+            }
+            assert_eq!(q.shed_log(), reference.shed_log, "seed {seed}");
+        }
+    }
+
+    /// The ranking alone, on shedding batches where nearly every impact
+    /// ties: the selected, applied and shed records and the shed order
+    /// all match the stable sort's, whatever order the records arrived
+    /// in.
+    #[test]
+    fn key_array_ranking_matches_the_stable_sort_under_ties() {
+        for seed in 0..300u64 {
+            let mut rng = tibfit_sim::rng::SimRng::seed_from(1_000 + seed);
+            let pol = policy(64, 1 + rng.uniform_usize(64));
+            let q = SharedQueue::new(pol);
+            let mut reference = Reference::new();
+            let mut records: Vec<Report> = (0..2 * pol.tick_budget + rng.uniform_usize(200))
+                .map(|i| Report {
+                    tenant: 0,
+                    time: rng.next_u64() % 2,
+                    src: rng.next_u64() % 3,
+                    seq: i as u64 + 1,
+                    x: if rng.chance(0.95) { 7.0 } else { 8.0 },
+                    y: 0.0,
+                })
+                .collect();
+            rng.shuffle(&mut records);
+            for &r in &records {
+                assert_eq!(q.offer(r), reference.offer(&pol, r));
+            }
+            let impact = |r: &Report| r.x as u64;
+            let (outcome, applied) = reference.end_tick(&pol, 1, impact);
+            let views = q.end_tick_with(1, |batch, out| {
+                out.extend(batch.iter().map(impact));
+            });
+            assert_eq!(views, outcome, "seed {seed}");
+            assert_eq!(pop_tick(&q, 1), applied, "seed {seed}");
+            assert_eq!(q.shed_log(), reference.shed_log, "seed {seed}");
+            assert_eq!(q.snapshot_view().0, reference.highwaters(), "seed {seed}");
+        }
+    }
+
+    /// Dedup stays a lookup however the seqs arrive: a feed sent in
+    /// descending order, the worst case for the in-order fast path,
+    /// still finds every pending seq and admits every new one.
+    #[test]
+    fn out_of_order_feeds_dedup_exactly() {
+        let q = SharedQueue::new(policy(1 << 12, 1 << 12));
+        for seq in (1..=20_000u64).rev() {
+            assert_eq!(q.offer(report(1, seq, 0.0)), Offer::Pending);
+        }
+        for seq in (1..=20_000u64).step_by(997) {
+            assert_eq!(q.offer(report(1, seq, 0.0)), Offer::Duplicate);
+        }
+        assert_eq!(q.offer(report(1, 20_001, 0.0)), Offer::Pending);
+        assert_eq!(q.offer(report(1, 0, 0.0)), Offer::Pending);
+        assert_eq!(q.pending_len(), 20_002);
+    }
+
+    /// Records shed on arrival keep one highwater entry per feed while
+    /// the tick is open, not one key per record, and close the tick to
+    /// the same highwaters as the kept-keys reference.
+    #[test]
+    fn arrival_overflow_keeps_one_entry_per_feed() {
+        let pol = policy(1, 1);
+        let q = SharedQueue::new(pol);
+        let mut reference = Reference::new();
+        let feeds = 3u64;
+        let mut batch = Vec::with_capacity(1 << 12);
+        for i in 0..1_000_000u64 {
+            let r = report(i % feeds, 1 + (i * 7_919) % 1_000_003, 0.0);
+            batch.push(r);
+            reference.offer(&pol, r);
+            if batch.len() == batch.capacity() {
+                q.offer_batch(&batch, |_| {});
+                batch.clear();
+                assert!(q.lock().overflow_max.len() <= feeds as usize);
+            }
+        }
+        q.offer_batch(&batch, |_| {});
+        assert_eq!(q.lock().overflow_max.len(), feeds as usize);
+        assert!(reference.overflow_keys.len() > 999_000);
+        reference.end_tick(&pol, 1, |_| 0);
+        q.end_tick(1, |_| 0);
+        assert_eq!(q.snapshot_view(), (reference.highwaters(), reference.stats));
+        assert!(q.lock().overflow_max.is_empty());
+    }
+
+    /// Queries beyond the pending cap are refused and counted, for a
+    /// routed tenant and for an unrouted one whose queries wait for it.
+    #[test]
+    fn queries_past_the_pending_cap_are_shed() {
+        let pol = policy(1, 1);
+        let cap = pol.pending_cap();
+        let q = SharedQueue::new(pol);
+        for node in 0..cap + 5 {
+            q.offer_query(Query::Trust { tenant: 0, node });
+        }
+        assert_eq!(q.queries_shed(), 5);
+        q.end_tick(1, |_| 0);
+        let mut answered = 0;
+        while let Some(WorkItem::Query(_)) = q.pop(0) {
+            answered += 1;
+        }
+        assert_eq!(answered, cap);
+        q.complete_tick(0, 1);
+        // Unrouted, the tenant issues nothing and its queries wait.
+        q.set_routed(false);
+        for _ in 0..2 * cap {
+            q.offer_query(Query::Round { tenant: 0 });
+        }
+        assert_eq!(q.queries_shed(), 5 + cap as u64);
+        assert_eq!(q.lock().queries.len(), cap);
+        assert_eq!(q.stats(), QueueStats::default());
     }
 
     #[test]

@@ -3,9 +3,12 @@
 //!
 //! ## Threads
 //!
-//! - **Router** (the caller of [`Daemon::run`]): reads frames, offers
-//!   records to tenant queues, closes ticks (which applies
-//!   backpressure — see `queue`), and honours shutdown requests.
+//! - **Router** (the caller of [`Daemon::run`]): frames each read
+//!   buffer's complete lines in place, offers each run of one tenant's
+//!   records to its queue as one batch, closes ticks (which applies
+//!   backpressure — see `queue`), and honours shutdown requests. It
+//!   offers what it holds before any other frame and before any read
+//!   that can block, so it never waits holding records.
 //! - **Workers** (one per tenant): pop admitted work, run engine
 //!   rounds, append decision lines, snapshot on a tick cadence.
 //! - **Watchdog**: every check interval it observes each slot (worker
@@ -69,7 +72,8 @@ use crate::state::{
 use crate::tenant::{EngineKind, PositionView, Tenant};
 use crate::watchdog::{Action, Health, Observed, Watch, WatchdogPolicy};
 use crate::wire::{
-    parse_fleet_line, read_bounded_line, read_frame, FleetMsg, Frame, Query, Report,
+    frame_in_place, parse_fleet_line, parse_frame, read_bounded_line, read_frame, FleetMsg, Frame,
+    IngestError, Query, Report,
 };
 use crate::DaemonError;
 
@@ -330,6 +334,9 @@ pub struct TenantSummary {
     pub stats: QueueStats,
     /// Records dropped while the tenant was quarantined.
     pub shed_quarantine: u64,
+    /// Queries refused because the tenant already had a full queue's
+    /// worth waiting for a tick boundary.
+    pub queries_shed: u64,
     /// Worker restarts performed by the watchdog.
     pub restarts: u64,
     /// Whether the tenant ended the run quarantined.
@@ -819,6 +826,12 @@ fn watchdog_loop(cfg: &DaemonConfig, tenants: &Tenants, stop: &AtomicBool) -> f6
     min_impact
 }
 
+/// The trust impacts of a shedding tick's records, under one read of
+/// the tenant's position view.
+fn impacts(view: &PositionView, batch: &[Report], out: &mut Vec<u64>) {
+    view.impacts_into(batch.iter().map(|r| (r.x, r.y)), out);
+}
+
 /// Builds one tenant slot from the state directory: resume from the
 /// tenant's snapshot if present (fresh otherwise), seed its queue with
 /// the snapshot's highwaters and counters, and start incarnation 0. A
@@ -897,13 +910,32 @@ pub struct Daemon {
 }
 
 /// The router's ingest counters.
-#[derive(Default)]
+#[derive(Debug, Default, PartialEq)]
 struct IngestCounts {
     /// Rejected lines by [`crate::wire::IngestError::kind`].
     rejected: BTreeMap<&'static str, u64>,
     /// Records for a valid tenant this daemon does not route (fleet
     /// mode: placed on a peer, or migrating out).
     foreign: u64,
+}
+
+/// The router's state between lines: its counters and the run of
+/// consecutive `R` frames for one tenant it has not offered yet.
+#[derive(Default)]
+struct Router {
+    counts: IngestCounts,
+    tenant: usize,
+    batch: Vec<Report>,
+}
+
+impl Router {
+    /// Offers the held run of records.
+    fn flush(&mut self, daemon: &Daemon) {
+        if !self.batch.is_empty() {
+            daemon.route_reports(self.tenant, &self.batch, &mut self.counts);
+            self.batch.clear();
+        }
+    }
 }
 
 impl Daemon {
@@ -993,7 +1025,7 @@ impl Daemon {
             // unrouted (migrating) tenant issues nothing, atomically
             // with the migration's capture.
             let tick = slot.queue.last_tick() + 1;
-            slot.queue.end_tick(tick, |r| slot.positions.impact_of(r.x, r.y));
+            slot.queue.end_tick_with(tick, |batch, out| impacts(&slot.positions, batch, out));
         }
     }
 
@@ -1007,43 +1039,88 @@ impl Daemon {
     /// the report, not here (the daemon outlives its workers). Call
     /// once: the run ends with a full drain and worker shutdown.
     pub fn run(&mut self, input: impl BufRead) -> Result<DaemonReport, DaemonError> {
-        let mut counts = IngestCounts::default();
-        let mut drained_early = false;
-        let mut input = input;
-        let mut raw = Vec::new();
-        loop {
-            if shutdown::requested() {
-                drained_early = true;
-                break;
-            }
-            let Some(parsed) = read_frame(&mut input, &mut raw).map_err(DaemonError::Io)? else {
-                break;
-            };
-            match parsed {
-                Ok(None) => {}
-                Ok(Some(Frame::Report(r))) => self.route_report(r, &mut counts),
-                Ok(Some(Frame::Query(q))) => self.route_query(q, &mut counts),
-                Ok(Some(Frame::Tick)) => {
-                    self.close_tick();
-                    if self.cfg.crash_plan.fires_after(self.ticks) {
-                        self.cfg.crash_plan.execute();
-                    }
-                    if self
-                        .cfg
-                        .drain_after_ticks
-                        .is_some_and(|d| self.ticks >= d)
-                    {
-                        drained_early = true;
-                        break;
-                    }
-                }
-                Err(e) => *counts.rejected.entry(e.kind()).or_insert(0) += 1,
-            }
-        }
+        let (counts, drained_early) = self.ingest(input)?;
         if !drained_early {
             self.linger();
         }
         self.finish(counts, drained_early)
+    }
+
+    /// Routes `input` until end-of-stream (`false`) or a drain request
+    /// (`true`). Each read buffer's complete lines are framed in place;
+    /// a line the buffer cuts, or one over the cap, goes through the
+    /// bounded framer. The held records are offered before every read,
+    /// since a read can block on input.
+    fn ingest(&mut self, mut input: impl BufRead) -> Result<(IngestCounts, bool), DaemonError> {
+        let mut router = Router::default();
+        let mut raw = Vec::new();
+        let drained = loop {
+            router.flush(self);
+            if shutdown::requested() {
+                break true;
+            }
+            let buf = input.fill_buf().map_err(DaemonError::Io)?;
+            if buf.is_empty() {
+                break false;
+            }
+            let (mut used, mut stop) = (0, false);
+            while let Some((line, len)) = frame_in_place(&buf[used..]) {
+                used += len;
+                stop = self.dispatch(line.and_then(parse_frame), &mut router)
+                    || shutdown::requested();
+                if stop {
+                    break;
+                }
+            }
+            input.consume(used);
+            if stop {
+                break true;
+            }
+            if used == 0 {
+                let Some(parsed) = read_frame(&mut input, &mut raw).map_err(DaemonError::Io)? else {
+                    break false;
+                };
+                if self.dispatch(parsed, &mut router) {
+                    break true;
+                }
+            }
+        };
+        router.flush(self);
+        Ok((router.counts, drained))
+    }
+
+    /// Acts on one framed line, holding a report in the router's run
+    /// and offering that run before any other frame. Returns whether
+    /// ingest drains now.
+    fn dispatch(
+        &mut self,
+        parsed: Result<Option<Frame>, IngestError>,
+        router: &mut Router,
+    ) -> bool {
+        match parsed {
+            Ok(None) => {}
+            Ok(Some(Frame::Report(r))) => {
+                if r.tenant != router.tenant {
+                    router.flush(self);
+                    router.tenant = r.tenant;
+                }
+                router.batch.push(r);
+            }
+            Ok(Some(Frame::Query(q))) => {
+                router.flush(self);
+                self.route_query(q, &mut router.counts);
+            }
+            Ok(Some(Frame::Tick)) => {
+                router.flush(self);
+                self.close_tick();
+                if self.cfg.crash_plan.fires_after(self.ticks) {
+                    self.cfg.crash_plan.execute();
+                }
+                return self.cfg.drain_after_ticks.is_some_and(|d| self.ticks >= d);
+            }
+            Err(e) => *router.counts.rejected.entry(e.kind()).or_insert(0) += 1,
+        }
+        false
     }
 
     /// Fleet mode keeps serving the fleet port after ingest EOF: peers
@@ -1061,31 +1138,36 @@ impl Daemon {
         }
     }
 
-    fn route_report(&self, r: Report, counts: &mut IngestCounts) {
+    /// Routes a run of records for `tenant` under one read of the
+    /// tenant table and one queue lock.
+    fn route_reports(&self, tenant: usize, batch: &[Report], counts: &mut IngestCounts) {
+        let n = batch.len() as u64;
         let tenants = read_tenants(&self.tenants);
-        match tenants.get(&r.tenant) {
+        match tenants.get(&tenant) {
             Some(slot) if slot.quarantined() && slot.queue.routed() => {
-                slot.shed_quarantine.fetch_add(1, Ordering::SeqCst);
+                slot.shed_quarantine.fetch_add(n, Ordering::SeqCst);
             }
-            // A tenant migrating out refuses the record under its
-            // queue lock, so the capture has it or it is foreign.
-            Some(slot) => {
-                if slot.queue.offer(r) == Offer::Unrouted {
+            // A tenant migrating out refuses the records under its
+            // queue lock, so the capture has them or they are foreign.
+            Some(slot) => slot.queue.offer_batch(batch, |offer| {
+                if offer == Offer::Unrouted {
                     counts.foreign += 1;
                 }
-            }
+            }),
             // Fleet mode: a valid tenant placed on a peer. Ignored
             // without touching any highwater — if this daemon ever
-            // adopts the tenant, catch-up re-admits the record in its
+            // adopts the tenant, catch-up re-admits the records in their
             // original batch context.
-            None if r.tenant < self.cfg.tenants => counts.foreign += 1,
-            None => *counts.rejected.entry("unknown_tenant").or_insert(0) += 1,
+            None if tenant < self.cfg.tenants => counts.foreign += n,
+            None => *counts.rejected.entry("unknown_tenant").or_insert(0) += n,
         }
     }
 
     fn route_query(&self, q: Query, counts: &mut IngestCounts) {
         let id = match q {
             Query::Status => {
+                #[cfg(test)]
+                tests::observe_status(self);
                 // Spans every tenant and the peer roster: answered here,
                 // immediately, not at a tick boundary.
                 for line in self.status_lines() {
@@ -1169,6 +1251,7 @@ impl Daemon {
                 applied: slot.applied.load(Ordering::SeqCst),
                 stats: slot.queue.stats(),
                 shed_quarantine: slot.shed_quarantine.load(Ordering::SeqCst),
+                queries_shed: slot.queue.queries_shed(),
                 restarts: sup.watch.restarts(),
                 quarantined,
                 last_error: sup.last_error.as_ref().map(|(_, e)| e.clone()),
@@ -1427,8 +1510,8 @@ fn adopt_tenant(fleet: &Fleet, tenant: usize) -> Result<(), DaemonError> {
                     slot.queue.offer(r);
                 }
                 Ok(Some(Frame::Tick)) => {
-                    slot.queue.end_tick(slot.queue.last_tick() + 1, |r| {
-                        slot.positions.impact_of(r.x, r.y)
+                    slot.queue.end_tick_with(slot.queue.last_tick() + 1, |batch, out| {
+                        impacts(&slot.positions, batch, out);
                     });
                 }
                 _ => {}
@@ -1733,6 +1816,7 @@ impl DaemonReport {
             out.push((format!("{p}.admitted"), t.stats.admitted));
             out.push((format!("{p}.shed"), t.stats.shed_total()));
             out.push((format!("{p}.shed.quarantine"), t.shed_quarantine));
+            out.push((format!("{p}.queries_shed"), t.queries_shed));
             out.push((format!("{p}.duplicates"), t.stats.duplicates));
             out.push((format!("{p}.backpressure.waits"), t.stats.backpressure_waits));
             out.push((format!("{p}.restarts"), t.restarts));
@@ -1764,6 +1848,7 @@ impl DaemonReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::parse_line;
 
     fn small_scenario(seed: u64) -> FieldScenario {
         FieldScenario {
@@ -1777,6 +1862,246 @@ mod tests {
             reelect_every: 4,
             seed,
         }
+    }
+
+    thread_local! {
+        /// Every `Q status` the router on this thread answered: each
+        /// slot's `(id, offered, shed_quarantine)` at that moment.
+        static STATUS_SEEN: std::cell::RefCell<Vec<Vec<(usize, u64, u64)>>> =
+            const { std::cell::RefCell::new(Vec::new()) };
+    }
+
+    /// Records what a `Q status` answer sees of the queues.
+    pub(super) fn observe_status(daemon: &Daemon) {
+        let seen = slots_of(&daemon.tenants)
+            .iter()
+            .map(|s| (s.id, s.queue.stats().offered, s.shed_quarantine.load(Ordering::SeqCst)))
+            .collect();
+        STATUS_SEEN.with(|v| v.borrow_mut().push(seen));
+    }
+
+    /// The router as it was before read-buffer framing: one bounded
+    /// read, one parse and one offer per line. The differential
+    /// reference for [`Daemon::ingest`].
+    fn ingest_per_record(daemon: &mut Daemon, mut input: impl BufRead) -> (IngestCounts, bool) {
+        let mut counts = IngestCounts::default();
+        let mut raw = Vec::new();
+        while let Some(line) = read_bounded_line(&mut input, &mut raw).unwrap() {
+            match line.and_then(parse_line) {
+                Ok(None) => {}
+                Ok(Some(Frame::Report(r))) => route_report(daemon, r, &mut counts),
+                Ok(Some(Frame::Query(q))) => daemon.route_query(q, &mut counts),
+                Ok(Some(Frame::Tick)) => {
+                    daemon.close_tick();
+                    if daemon.cfg.drain_after_ticks.is_some_and(|d| daemon.ticks >= d) {
+                        return (counts, true);
+                    }
+                }
+                Err(e) => *counts.rejected.entry(e.kind()).or_insert(0) += 1,
+            }
+        }
+        (counts, false)
+    }
+
+    /// The per-record routing [`Daemon::route_reports`] replaced.
+    fn route_report(daemon: &Daemon, r: Report, counts: &mut IngestCounts) {
+        let tenants = read_tenants(&daemon.tenants);
+        match tenants.get(&r.tenant) {
+            Some(slot) if slot.quarantined() && slot.queue.routed() => {
+                slot.shed_quarantine.fetch_add(1, Ordering::SeqCst);
+            }
+            Some(slot) => {
+                if slot.queue.offer(r) == Offer::Unrouted {
+                    counts.foreign += 1;
+                }
+            }
+            None if r.tenant < daemon.cfg.tenants => counts.foreign += 1,
+            None => *counts.rejected.entry("unknown_tenant").or_insert(0) += 1,
+        }
+    }
+
+    /// A seeded ingest stream over tenants 0..6 (4 and 5 unknown): runs
+    /// of one tenant's records with same-tick and cross-tick
+    /// duplicates, out-of-order and `seq 0` records from three feeds,
+    /// ticks over the budget and over the pending cap, queries of every
+    /// kind, and garbage: bad tags and numbers, non-finite coordinates,
+    /// `\r` endings, non-UTF-8 and oversized lines, blanks, comments.
+    fn seeded_stream(seed: u64) -> Vec<u8> {
+        use crate::wire::MAX_LINE_BYTES;
+        let mut rng = tibfit_sim::rng::SimRng::seed_from(seed);
+        let mut out = Vec::new();
+        let mut next_seq = [[0u64; 3]; 6];
+        for tick in 0..10u64 {
+            let most = if rng.chance(0.3) { 300 } else { 30 };
+            let lines = rng.uniform_usize(most);
+            let mut tenant = 0;
+            for _ in 0..lines {
+                if rng.chance(0.3) {
+                    tenant = [0, 0, 1, 1, 2, 3, 4, 5][rng.uniform_usize(8)];
+                }
+                let line: Vec<u8> = match rng.uniform_usize(40) {
+                    0 => b"Q status".to_vec(),
+                    1 => format!("Q trust {tenant} {}", rng.uniform_usize(20)).into_bytes(),
+                    2 => format!("Q round {tenant}").into_bytes(),
+                    3 => b"R 0 1 2 three 4 5".to_vec(),
+                    4 => format!("R {tenant} {tick} 0 1 NaN 3").into_bytes(),
+                    5 => b"X what".to_vec(),
+                    6 => b"R 1 \xff\xfe 0 1 2 3".to_vec(),
+                    7 => vec![b'9'; MAX_LINE_BYTES + 1 + rng.uniform_usize(3)],
+                    8 => Vec::new(),
+                    9 => b"# a comment".to_vec(),
+                    10 => b"T extra".to_vec(),
+                    _ => {
+                        let src = rng.uniform_usize(3);
+                        let feed = &mut next_seq[tenant][src];
+                        let seq = match rng.uniform_usize(8) {
+                            0 => rng.next_u64() % (*feed + 1),
+                            1 => feed.saturating_sub(rng.next_u64() % 4),
+                            _ => {
+                                *feed += 1;
+                                *feed
+                            }
+                        };
+                        let (x, y) = (rng.uniform_range(0.0, 40.0), rng.uniform_range(0.0, 40.0));
+                        format!("R {tenant} {tick} {src} {seq} {x} {y}").into_bytes()
+                    }
+                };
+                out.extend_from_slice(&line);
+                if rng.chance(0.05) {
+                    out.push(b'\r');
+                }
+                out.push(b'\n');
+            }
+            out.extend_from_slice(b"T\n");
+        }
+        out
+    }
+
+    /// Hands `inner`'s bytes to a `BufReader` and, at every read, checks
+    /// that the router holds no record: every complete `R` line before
+    /// that point for a routed tenant has been offered, or shed as the
+    /// tenant is quarantined.
+    struct FlushProbe<'a> {
+        bytes: &'a [u8],
+        pos: usize,
+        tenants: Tenants,
+        /// Newline offsets of each routed tenant's `R` lines.
+        reports: BTreeMap<usize, Vec<usize>>,
+    }
+
+    impl std::io::Read for FlushProbe<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            for (tenant, ends) in &self.reports {
+                let slot = read_tenants(&self.tenants)[tenant].clone();
+                let taken =
+                    slot.queue.stats().offered + slot.shed_quarantine.load(Ordering::SeqCst);
+                let sent = ends.partition_point(|&end| end < self.pos) as u64;
+                assert_eq!(taken, sent, "tenant {tenant}: held records at byte {}", self.pos);
+            }
+            let n = buf.len().min(self.bytes.len() - self.pos);
+            buf[..n].copy_from_slice(&self.bytes[self.pos..][..n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    /// A daemon of six small tenants for the router differential: 2 is
+    /// quarantined and 3 is unrouted for the whole run, the budget is 2
+    /// and the pending cap 32, and some seeds drain after five ticks.
+    fn router_daemon(dir: &Path, drain: bool) -> Daemon {
+        let _ = std::fs::remove_dir_all(dir);
+        let mut cfg = DaemonConfig::standard(4, 5, dir.to_path_buf());
+        cfg.scenario = small_scenario;
+        cfg.queue = QueuePolicy { capacity: 2, tick_budget: 2, record_shed: true };
+        cfg.drain_after_ticks = drain.then_some(5);
+        let daemon = Daemon::new(cfg).unwrap();
+        let table = read_tenants(&daemon.tenants);
+        // Detached, the watchdog leaves the quarantine in place.
+        lock(&table[&2].sup).detached = true;
+        table[&2].quarantine();
+        table[&3].queue.set_routed(false);
+        drop(table);
+        daemon
+    }
+
+    /// Seeded streams through the read-buffer router, over read buffers
+    /// of 1 to 64 bytes (lines straddle them) and of 8 KiB, and through
+    /// the per-record reference: the same counters, rejections, queue
+    /// stats, highwaters, shed logs and decision logs, the same queue
+    /// state at every `Q status`, and no record held across a read.
+    #[test]
+    fn the_read_buffer_router_matches_the_per_record_router() {
+        let root = std::env::temp_dir().join(format!("tibfit-router-diff-{}", std::process::id()));
+        let mut overflowed = false;
+        for seed in 0..8u64 {
+            let stream = seeded_stream(seed);
+            let drain = seed % 4 == 3;
+            let capacity = if seed % 2 == 0 { 1 + seed as usize * 9 } else { 8 << 10 };
+            let run = |name: &str, batched: bool| {
+                let dir = root.join(format!("{seed}-{name}"));
+                let mut daemon = router_daemon(&dir, drain);
+                STATUS_SEEN.with(|v| v.borrow_mut().clear());
+                let (counts, drained) = if batched {
+                    let mut reports: BTreeMap<usize, Vec<usize>> =
+                        [0, 1, 2].into_iter().map(|t| (t, Vec::new())).collect();
+                    let mut start = 0;
+                    let newlines = stream.iter().enumerate().filter(|(_, &b)| b == b'\n');
+                    for end in newlines.map(|(i, _)| i) {
+                        if let Some((Ok(line), _)) = frame_in_place(&stream[start..=end]) {
+                            if let Ok(Some(Frame::Report(r))) = parse_line(line) {
+                                reports.entry(r.tenant).and_modify(|ends| ends.push(end));
+                            }
+                        }
+                        start = end + 1;
+                    }
+                    let probe = FlushProbe {
+                        bytes: &stream,
+                        pos: 0,
+                        tenants: Arc::clone(&daemon.tenants),
+                        reports,
+                    };
+                    daemon.ingest(BufReader::with_capacity(capacity, probe)).unwrap()
+                } else {
+                    ingest_per_record(&mut daemon, &stream[..])
+                };
+                let status = STATUS_SEEN.with(|v| std::mem::take(&mut *v.borrow_mut()));
+                let shed: Vec<_> = (0..4)
+                    .map(|t| {
+                        let highwater = read_tenants(&daemon.tenants)[&t].queue.snapshot_view().0;
+                        (highwater, daemon.shed_log_of(t))
+                    })
+                    .collect();
+                let report = daemon.finish(counts, drained).unwrap();
+                let logs: Vec<Vec<u8>> = (0..4)
+                    .map(|t| {
+                        std::fs::read(decision_log_path(&dir.join("decisions"), t)).unwrap_or_default()
+                    })
+                    .collect();
+                // Whether a close found its worker done is timing.
+                let tenants: Vec<_> = report
+                    .tenants
+                    .iter()
+                    .map(|t| {
+                        let stats = QueueStats { backpressure_waits: 0, ..t.stats };
+                        (t.id, stats, t.shed_quarantine, t.queries_shed)
+                    })
+                    .collect();
+                let summary =
+                    (report.ticks, report.rejected_by_kind, report.drained_early, tenants);
+                (summary, status, shed, logs)
+            };
+            let (want, want_status, want_shed, want_logs) = run("reference", false);
+            let (got, got_status, got_shed, got_logs) = run("batched", true);
+            assert_eq!(got, want, "seed {seed}");
+            assert_eq!(got_status, want_status, "seed {seed}: queues at Q status");
+            assert_eq!(got_shed, want_shed, "seed {seed}: highwaters and shed logs");
+            assert!(want_shed.iter().any(|(_, l)| !l.is_empty()), "seed {seed} shed nothing");
+            assert!(got_logs == want_logs, "seed {seed}: decision logs differ");
+            assert!(!want_logs[0].is_empty() && !want_logs[1].is_empty(), "seed {seed}");
+            overflowed |= want.3.iter().any(|t| t.1.shed_overflow > 0);
+        }
+        assert!(overflowed, "no seed overflowed the pending cap");
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// The query-latency histogram is fed by the workers' answers: a

@@ -83,18 +83,30 @@ impl PositionView {
 
     /// How many deployed nodes can sense a stimulus at `(x, y)` — the
     /// shedding metric: records nobody can corroborate are shed first.
+    /// Counts as [`PositionView::impacts_into`] does, for one stimulus.
     #[must_use]
     pub fn impact_of(&self, x: f64, y: f64) -> u64 {
-        let pts = self.lock();
-        let r2 = self.radius * self.radius;
-        pts.iter()
-            .filter(|(px, py)| {
-                let dx = px - x;
-                let dy = py - y;
-                dx * dx + dy * dy <= r2
-            })
-            .count() as u64
+        sensing(&self.lock(), self.radius, x, y)
     }
+
+    /// Appends the impact of every stimulus in `stimuli` to `out`, in
+    /// order, under one lock of the view.
+    pub fn impacts_into(&self, stimuli: impl IntoIterator<Item = (f64, f64)>, out: &mut Vec<u64>) {
+        let pts = self.lock();
+        out.extend(stimuli.into_iter().map(|(x, y)| sensing(&pts, self.radius, x, y)));
+    }
+}
+
+/// How many of `pts` lie within `radius` of `(x, y)`.
+fn sensing(pts: &[(f64, f64)], radius: f64, x: f64, y: f64) -> u64 {
+    let r2 = radius * radius;
+    pts.iter()
+        .filter(|(px, py)| {
+            let dx = px - x;
+            let dy = py - y;
+            dx * dx + dy * dy <= r2
+        })
+        .count() as u64
 }
 
 /// One hosted field.

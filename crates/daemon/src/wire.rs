@@ -250,14 +250,46 @@ pub(crate) fn read_bounded_line<'a>(
     Ok(Some(std::str::from_utf8(raw).map_err(|_| IngestError::NotUtf8)))
 }
 
-/// [`read_bounded_line`] then [`parse_line`]: the router, fleet
+/// Frames the line at the start of `buf` in place when `buf` holds all
+/// of it and it is within [`MAX_LINE_BYTES`]: its text, typed as
+/// [`read_bounded_line`] types it, and the bytes it spans with its
+/// newline. `None` for a line `buf` cuts or one over the cap, which
+/// [`read_bounded_line`] must frame.
+pub(crate) fn frame_in_place(buf: &[u8]) -> Option<(Result<&str, IngestError>, usize)> {
+    let len = find_newline(&buf[..buf.len().min(MAX_LINE_BYTES + 1)])?;
+    let line = std::str::from_utf8(&buf[..len]).map_err(|_| IngestError::NotUtf8);
+    Some((line, len + 1))
+}
+
+/// The index of the first `\n` in `buf`, eight bytes at a time: a word
+/// XORed with eight newlines has a zero byte where `buf` has one, and
+/// `(w - 0x01..01) & !w & 0x80..80` marks the lowest zero byte exactly
+/// (a borrow can only mark bytes above it).
+fn find_newline(buf: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    const NEWLINES: u64 = u64::from_ne_bytes([b'\n'; 8]);
+    let mut words = buf.chunks_exact(8);
+    for (i, word) in (&mut words).enumerate() {
+        let w = u64::from_le_bytes(word.try_into().expect("an 8-byte chunk")) ^ NEWLINES;
+        let zeros = w.wrapping_sub(ONES) & !w & HIGHS;
+        if zeros != 0 {
+            return Some(8 * i + zeros.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = words.remainder();
+    let at = tail.iter().position(|&b| b == b'\n')?;
+    Some(buf.len() - tail.len() + at)
+}
+
+/// [`read_bounded_line`] then [`parse_frame`]: the router, fleet
 /// catch-up and the fan-in readers all decode ingest through this, each
 /// with its own policy for what a parsed line means.
 pub(crate) fn read_frame(
     input: &mut impl BufRead,
     raw: &mut Vec<u8>,
 ) -> io::Result<Option<Result<Option<Frame>, IngestError>>> {
-    Ok(read_bounded_line(input, raw)?.map(|line| line.and_then(parse_line)))
+    Ok(read_bounded_line(input, raw)?.map(|line| line.and_then(parse_frame)))
 }
 
 /// Parses one line into a frame. `Ok(None)` for blank lines and
@@ -318,6 +350,119 @@ pub fn parse_line(line: &str) -> Result<Option<Frame>, IngestError> {
             Ok(Some(Frame::Query(frame)))
         }
         other => Err(IngestError::UnknownTag(truncated(other))),
+    }
+}
+
+/// The router's parser: [`parse_line`] with a fast path for a plain
+/// `R` line, its fields split by single spaces and its integers decimal
+/// digits. Every other line goes through [`parse_line`], and the fast
+/// path yields what [`parse_line`] would, to the bit.
+///
+/// # Errors
+///
+/// Exactly those of [`parse_line`].
+pub fn parse_frame(line: &str) -> Result<Option<Frame>, IngestError> {
+    match fast_report(line) {
+        Some(report) => Ok(Some(Frame::Report(report))),
+        None => parse_line(line),
+    }
+}
+
+fn fast_report(line: &str) -> Option<Report> {
+    let mut fields = Fields {
+        text: line.strip_prefix("R ")?,
+        at: 0,
+    };
+    let tenant = usize::try_from(fields.uint()?).ok()?;
+    let time = fields.uint()?;
+    let src = fields.uint()?;
+    let seq = fields.uint()?;
+    let x = fields.coord()?;
+    let y = fields.coord()?;
+    (fields.at >= fields.text.len()).then_some(Report {
+        tenant,
+        time,
+        src,
+        seq,
+        x,
+        y,
+    })
+}
+
+/// Powers of ten a `f64` holds exactly.
+const EXACT_POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// A fast `R` line's fields, read in one pass: each ends at a single
+/// space or the end of the line. `None` wherever [`parse_line`] must
+/// decide instead.
+struct Fields<'a> {
+    text: &'a str,
+    at: usize,
+}
+
+impl Fields<'_> {
+    /// Decimal digits that fit a `u64`, as `str::parse::<u64>` reads
+    /// them.
+    fn uint(&mut self) -> Option<u64> {
+        let bytes = self.text.as_bytes();
+        let start = self.at;
+        let mut n = 0u64;
+        while let Some(&b) = bytes.get(self.at).filter(|&&b| b != b' ') {
+            let digit = b.checked_sub(b'0').filter(|&d| d <= 9)?;
+            n = n.checked_mul(10)?.checked_add(u64::from(digit))?;
+            self.at += 1;
+        }
+        let empty = self.at == start;
+        self.at += 1;
+        (!empty).then_some(n)
+    }
+
+    /// A finite coordinate with the bits `str::parse::<f64>` gives it.
+    /// `[-]digits[.digits]` whose digits, point removed, form a mantissa
+    /// `m <= 2^53` with at most 22 after the point is converted here:
+    /// `m` and `10^k` are exact, so `m / 10^k` is one correctly rounded
+    /// division, the value `str::parse::<f64>` returns (Clinger's fast
+    /// path). Any other number goes through `str::parse::<f64>`.
+    fn coord(&mut self) -> Option<f64> {
+        let bytes = self.text.as_bytes();
+        let start = self.at;
+        let negative = bytes.get(start) == Some(&b'-');
+        self.at += usize::from(negative);
+        let (mut m, mut digits, mut point) = (0u64, 0usize, None);
+        while let Some(&b) = bytes.get(self.at).filter(|&&b| b != b' ') {
+            match b {
+                b'0'..=b'9' => {
+                    m = m.wrapping_mul(10).wrapping_add(u64::from(b - b'0'));
+                    digits += 1;
+                }
+                b'.' if point.is_none() => point = Some(digits),
+                _ => return None,
+            }
+            self.at += 1;
+        }
+        let token = self.text.get(start..self.at)?;
+        self.at += 1;
+        let frac = point.map_or(0, |p| digits - p);
+        let exact = digits <= 19
+            && m <= 1 << 53
+            && frac < EXACT_POW10.len()
+            && digits > frac
+            && (point.is_none() || frac > 0);
+        let value = if exact {
+            #[allow(clippy::cast_precision_loss)]
+            let magnitude = m as f64 / EXACT_POW10[frac];
+            if negative {
+                -magnitude
+            } else {
+                magnitude
+            }
+        } else {
+            token.parse().ok()?
+        };
+        value.is_finite().then_some(value)
     }
 }
 
@@ -548,6 +693,42 @@ mod tests {
         let mut rest = String::new();
         input.read_to_string(&mut rest).unwrap();
         assert_eq!(rest, "payload");
+    }
+
+    /// In-place framing agrees with the bounded framer on every line it
+    /// takes, and leaves to it exactly the lines a buffer cuts or that
+    /// exceed the cap: seeded buffers of `R`-like text, `\r`, invalid
+    /// UTF-8 and lines near the cap.
+    #[test]
+    fn in_place_framing_matches_the_bounded_framer() {
+        let mut rng = tibfit_sim::rng::SimRng::seed_from(17);
+        for _ in 0..2_000 {
+            let mut buf = Vec::new();
+            while buf.len() < 200 {
+                match rng.uniform_usize(6) {
+                    0 => {
+                        let len = MAX_LINE_BYTES - 1 + rng.uniform_usize(3);
+                        buf.extend(std::iter::repeat_n(b'7', len));
+                    }
+                    1 => buf.extend_from_slice(b"\xff\xc3"),
+                    2 => buf.extend_from_slice(b"\r\n"),
+                    _ => buf.extend_from_slice(b"R 0 1 2 3 4.5 -6\n"),
+                }
+            }
+            let buf = &buf[..rng.uniform_usize(buf.len() + 1)];
+            let mut reader = io::Cursor::new(buf);
+            let mut raw = Vec::new();
+            let mut at = 0;
+            while let Some((line, len)) = frame_in_place(&buf[at..]) {
+                let framed = read_bounded_line(&mut reader, &mut raw).unwrap();
+                assert_eq!(Some(line), framed);
+                at += len;
+                assert_eq!(reader.position() as usize, at);
+            }
+            let rest = &buf[at..];
+            let newline = rest.iter().position(|&b| b == b'\n');
+            assert!(newline.is_none_or(|n| n > MAX_LINE_BYTES), "a framable line was left");
+        }
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //!
 //! - [`tibfit_daemon::wire::parse_line`] never panics on any input and
 //!   maps every malformed line to a typed error with a stable counter
-//!   kind.
+//!   kind, and the router's [`tibfit_daemon::wire::parse_frame`], with
+//!   its fast path for plain `R` lines, returns the same frame (to the
+//!   bit) or the same error on every line.
 //! - A daemon fed a garbage-interleaved stream never aborts, counts
 //!   every rejected line under the right kind, and produces decision
 //!   logs byte-identical to the same stream with the garbage removed.
@@ -13,7 +15,7 @@
 
 use std::io::Cursor;
 
-use tibfit_daemon::wire::{parse_line, Frame, MAX_LINE_BYTES};
+use tibfit_daemon::wire::{parse_frame, parse_line, Frame, MAX_LINE_BYTES};
 use tibfit_daemon::{Daemon, DaemonConfig, DaemonReport};
 use tibfit_experiments::replay::{tenant_seed, FieldScenario};
 use tibfit_sim::rng::SimRng;
@@ -29,9 +31,27 @@ const KNOWN_KINDS: &[&str] = &[
     "not_utf8",
 ];
 
-/// Exercises one line: must return without panicking, and any error
-/// must carry a registered kind and a renderable message.
+/// The frame with each report coordinate as its bits, so `-0.0` and
+/// `0.0` differ.
+fn bits(
+    frame: Result<Option<Frame>, tibfit_daemon::wire::IngestError>,
+) -> impl PartialEq + std::fmt::Debug {
+    let coords = match &frame {
+        Ok(Some(Frame::Report(r))) => Some((r.x.to_bits(), r.y.to_bits())),
+        _ => None,
+    };
+    (frame, coords)
+}
+
+/// Exercises one line: must return without panicking, any error must
+/// carry a registered kind and a renderable message, and the router's
+/// parser must agree with `parse_line` to the bit.
 fn probe(line: &str, what: &str) {
+    assert_eq!(
+        bits(parse_frame(line)),
+        bits(parse_line(line)),
+        "parse_frame disagrees for {what}: {line:?}"
+    );
     match parse_line(line) {
         Ok(_) => {}
         Err(e) => {
@@ -128,6 +148,66 @@ fn mutated_valid_frames_never_panic() {
     }
 }
 
+/// The edges of `parse_frame`'s fast path: mantissas at and past
+/// `2^53`, 22 and 23 fraction digits, 19- and 20-digit integers,
+/// signs, zeros, bare points, exponents, `\r` and doubled or trailing
+/// spaces, each in every coordinate and integer position.
+#[test]
+fn the_fast_report_path_agrees_at_its_edges() {
+    let numbers = [
+        "9007199254740992",
+        "9007199254740993",
+        "900719925474099.3",
+        "0.9007199254740993",
+        "0.1234567890123456789012",
+        "0.12345678901234567890123",
+        "0.0000000000000000000001",
+        "0.00000000000000000000001",
+        "9999999999999999999",
+        "10000000000000000000",
+        "18446744073709551615",
+        "18446744073709551616",
+        "-0",
+        "-0.0",
+        "+1",
+        "-1.5",
+        "--1",
+        "1.",
+        ".5",
+        "-.5",
+        "1e3",
+        "1.5E-3",
+        "0x10",
+        "007",
+        "1_0",
+        "",
+        "79.770050729865",
+        "16.29030529930712",
+        "16.290305299307123",
+    ];
+    let base = ["R", "1", "7", "3", "15", "1.5", "-0.25"];
+    for at in 1..base.len() {
+        for n in numbers {
+            let mut fields = base;
+            fields[at] = n;
+            for sep in [" ", "  ", "\t"] {
+                let line = fields.join(sep);
+                probe(&line, "edge");
+                probe(&format!("{line}\r"), "edge with \\r");
+                probe(&format!("{line} "), "edge with a trailing space");
+                probe(&format!("{line} 1"), "edge with an extra field");
+            }
+        }
+    }
+    let mut rng = SimRng::seed_from(0xF0_26);
+    for _ in 0..20_000 {
+        let x = f64::from_bits(rng.next_u64());
+        let y = rng.uniform_range(-1e3, 1e3);
+        probe(&format!("R 0 1 2 3 {x} {y}"), "random coordinates");
+        probe(&format!("R 0 1 2 3 {:.3} {y:.9}", x.clamp(-1e9, 1e9)), "rounded coordinates");
+    }
+}
+
 #[test]
 fn oversized_lines_are_typed_not_fatal() {
     let mut rng = SimRng::seed_from(0xF0_24);
@@ -138,6 +218,7 @@ fn oversized_lines_are_typed_not_fatal() {
             .collect();
         let err = parse_line(&line).expect_err("oversized must reject");
         assert_eq!(err.kind(), "oversized");
+        assert_eq!(parse_frame(&line), Err(err));
     }
 }
 
