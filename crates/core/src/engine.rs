@@ -306,6 +306,34 @@ mod tests {
         assert_eq!(round.judgements.len(), neighbors.len());
     }
 
+    /// The CTI cache makes the §3 weighting `TI = e^(−λ·v)` cheap: a
+    /// decision pays one `exp()` per counter that moved, not one per
+    /// weight read. Of the 12 event neighbours of `(50, 50)`, the first
+    /// tenth (one node) reports `(90, 90)` every round; honest nodes stay
+    /// at the `v = 0` floor. Exact counts, the same on every machine.
+    #[test]
+    fn cti_cache_pays_one_exp_per_moved_counter() {
+        const DECISIONS: u64 = 1000;
+        let topo = Topology::uniform_grid(100, 100.0, 100.0);
+        let mut e = TibfitEngine::new(TrustParams::experiment2(), 100);
+        let event = Point::new(50.0, 50.0);
+        let neighbors = topo.event_neighbors(event, 20.0);
+        assert_eq!(neighbors.len(), 12);
+        let wrong = Point::new(90.0, 90.0);
+        let reports: Vec<LocatedReport> = neighbors
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| LocatedReport::new(n, if i == 0 { wrong } else { event }))
+            .collect();
+        for _ in 0..DECISIONS {
+            e.located_round(&topo, 20.0, 5.0, &reports);
+        }
+        let (exp_evals, ti_reads) = (e.table().exp_evals(), e.table().ti_reads());
+        assert_eq!(exp_evals, 2 * DECISIONS, "exp() paid");
+        assert_eq!(ti_reads, 20 * DECISIONS, "trust-index reads served");
+        assert!(ti_reads >= 5 * exp_evals, "the cache saves at least 5x the exp() calls");
+    }
+
     #[test]
     fn isolation_surfaces_through_engine() {
         let mut e =

@@ -367,8 +367,8 @@ impl TrustTable {
     /// Total `exp()` evaluations paid so far. Reads ([`TrustTable::trust_of`],
     /// [`TrustTable::cumulative_trust`], [`TrustTable::export`]) are served
     /// from the cache and cost none; only an actual change to a node's
-    /// fault counter triggers one. The perf harness compares this against
-    /// the uncached cost of one exponential per weight read.
+    /// fault counter triggers one, against the uncached cost of one
+    /// exponential per weight read ([`TrustTable::ti_reads`]).
     #[must_use]
     pub fn exp_evals(&self) -> u64 {
         self.exp_evals

@@ -462,19 +462,6 @@ impl DesClusterSim {
     pub fn trust_of(&self, node: NodeId) -> Option<f64> {
         self.aggregator.trust_of(node)
     }
-
-    /// Total DES events dispatched so far (the bench harness's
-    /// events/sec numerator).
-    #[must_use]
-    pub fn dispatched(&self) -> u64 {
-        self.engine.dispatched()
-    }
-
-    /// High-water mark of the pending-event queue over the run.
-    #[must_use]
-    pub fn peak_queue_depth(&self) -> usize {
-        self.engine.peak_pending()
-    }
 }
 
 impl std::fmt::Debug for DesClusterSim {

@@ -149,13 +149,6 @@ impl<E> Engine<E> {
         self.queue.len()
     }
 
-    /// High-water mark of the pending-event count over the engine's
-    /// lifetime (the bench harness reports it as `peak_queue_depth`).
-    #[must_use]
-    pub fn peak_pending(&self) -> usize {
-        self.queue.peak_len()
-    }
-
     /// `true` if no live events remain.
     ///
     /// This is exact even in the presence of lazy cancellation.

@@ -93,7 +93,6 @@ pub struct EventQueue<E> {
     /// [`crate::Engine`], whose clock forbids scheduling into the past).
     overdue: BinaryHeap<Entry<E>>,
     len: usize,
-    peak_len: usize,
     next_seq: u64,
 }
 
@@ -111,7 +110,6 @@ impl<E> EventQueue<E> {
             overflow: BinaryHeap::new(),
             overdue: BinaryHeap::new(),
             len: 0,
-            peak_len: 0,
             next_seq: 0,
         }
     }
@@ -121,9 +119,6 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.len += 1;
-        if self.len > self.peak_len {
-            self.peak_len = self.len;
-        }
         let entry = Entry { time, seq, event };
         let t = time.ticks();
         if t < self.base {
@@ -235,14 +230,6 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn len(&self) -> usize {
         self.len
-    }
-
-    /// High-water mark of [`EventQueue::len`] over the queue's lifetime
-    /// (not reset by [`EventQueue::clear`]). The bench harness reports it
-    /// as `peak_queue_depth`.
-    #[must_use]
-    pub fn peak_len(&self) -> usize {
-        self.peak_len
     }
 
     /// `true` when no events are pending.
@@ -408,20 +395,6 @@ mod tests {
         }
         let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec!['a', 'b', 'c', 'd', 'e']);
-    }
-
-    #[test]
-    fn peak_len_tracks_high_water_mark() {
-        let mut q = EventQueue::new();
-        for i in 0..10 {
-            q.push(SimTime::from_ticks(i), i);
-        }
-        for _ in 0..5 {
-            q.pop();
-        }
-        q.push(SimTime::from_ticks(50), 99);
-        assert_eq!(q.peak_len(), 10);
-        assert_eq!(q.len(), 6);
     }
 
     #[test]

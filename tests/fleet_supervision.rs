@@ -3,9 +3,10 @@
 //! fleet trace counters — all observable through the `STATUS` wire
 //! query while the daemon is still serving.
 
-use std::io::{BufRead, BufReader, Cursor, Write};
+use std::io::{BufRead, BufReader, Cursor, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::Duration;
 
 use tibfit_daemon::fleet::{owner_of, FleetConfig, FleetPolicy, PeerSpec};
@@ -257,12 +258,14 @@ fn an_mpush_after_the_daemon_stopped_is_refused() {
     );
 }
 
-/// A destination that acknowledges the first `MPUSH` and returns the
-/// bundle it was sent. Probes go unanswered.
-fn start_accepting_peer() -> (SocketAddr, std::thread::JoinHandle<MigrationBundle>) {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake peer");
-    let addr = listener.local_addr().expect("fake peer addr");
-    let handle = std::thread::spawn(move || loop {
+/// A peer that takes the first `MPUSH 0` on `listener` and returns its
+/// bundle. It acknowledges the push itself, or relays it to the fleet
+/// port `dest` and that daemon's reply back. Probes go unanswered.
+fn start_peer(
+    listener: TcpListener,
+    dest: Option<SocketAddr>,
+) -> std::thread::JoinHandle<MigrationBundle> {
+    std::thread::spawn(move || loop {
         let (stream, _) = listener.accept().expect("the source connects");
         let mut reader = BufReader::new(&stream);
         let mut line = String::new();
@@ -272,11 +275,17 @@ fn start_accepting_peer() -> (SocketAddr, std::thread::JoinHandle<MigrationBundl
         }
         let bytes = read_framed(&mut reader, 1 << 30).expect("framed bundle");
         let bundle = decode_bundle(&bytes).expect("bundle decodes");
-        let mut w = &stream;
-        writeln!(w, "MOK 0").expect("acknowledge");
+        let reply = match dest {
+            None => "MOK 0\n".to_string(),
+            Some(dest) => {
+                let mut push = line.into_bytes();
+                write_framed(&mut push, &bytes).expect("frame the bundle");
+                raw_fleet_reply(dest, &push)
+            }
+        };
+        (&stream).write_all(reply.as_bytes()).expect("reply");
         return bundle;
-    });
-    (addr, handle)
+    })
 }
 
 /// `MIGRATE` lands while the router is parked at a snapshot-tick
@@ -291,7 +300,9 @@ fn a_migrate_while_the_router_waits_on_a_snapshot_tick_loses_no_record() {
     let fleet_seed = (0..1000u64)
         .find(|&s| owner_of(s, 0, &[0, 1]) == Some(0))
         .expect("some seed places tenant 0 on daemon 0");
-    let (dest_addr, dest) = start_accepting_peer();
+    let peer = TcpListener::bind("127.0.0.1:0").expect("bind fake peer");
+    let dest_addr = peer.local_addr().expect("fake peer addr");
+    let dest = start_peer(peer, None);
     let mut cfg = DaemonConfig::standard(1, master, root.join("state"));
     // Every tick is a snapshot tick, so tick 3 waits for tick 2.
     cfg.snapshot_every = 1;
@@ -372,5 +383,121 @@ fn a_migrate_while_the_router_waits_on_a_snapshot_tick_loses_no_record() {
         bundle.pending.len(),
         fleet.foreign
     );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Ingest fed chunk by chunk; a closed channel ends it. It signals each
+/// time the router asks for more, and the router offers every record it
+/// holds before it reads: a signal after a chunk means it is routed.
+struct Feed(Receiver<Vec<u8>>, Sender<()>, Cursor<Vec<u8>>);
+
+impl Read for Feed {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.fill_buf()?.read(out)?;
+        self.consume(n);
+        Ok(n)
+    }
+}
+
+impl BufRead for Feed {
+    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+        if self.2.fill_buf()?.is_empty() {
+            let _ = self.1.send(());
+            self.2 = Cursor::new(self.0.recv().unwrap_or_default());
+        }
+        self.2.fill_buf()
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.2.consume(n);
+    }
+}
+
+/// A tenant whose source has snapshotted migrates into a real
+/// destination daemon. The destination restores the bundle's state and
+/// applies only its replay buffer and pending records, then what
+/// arrives after the move: fewer rounds than the snapshot holds, never
+/// its history. The merged decision logs equal a one-daemon run.
+#[test]
+fn a_migrated_tenant_resumes_from_its_snapshot_byte_identically() {
+    let root = fresh_dir("migrate-real");
+    let text = render_replay(&replay_records(TENANTS, 46, 12, 2));
+    let config = |dir: &str| {
+        let mut cfg = DaemonConfig::standard(TENANTS, 46, root.join(dir));
+        cfg.snapshot_every = 3;
+        cfg
+    };
+    let mut one_daemon = Daemon::new(config("reference")).expect("reference daemon");
+    one_daemon.run(Cursor::new(text.clone())).expect("reference run");
+
+    // Before the move: ten ticks (a snapshot at tick 9, tick 10 in the
+    // replay buffer) and tenant 0's first record of the open tick 11.
+    let lines: Vec<&str> = text.lines().collect();
+    let ticks = lines.iter().enumerate().filter(|(_, l)| **l == "T");
+    let cut = ticks.map(|(i, _)| i).nth(9).expect("ten ticks") + 2;
+    let (before, after) = (lines[..cut].join("\n") + "\n", lines[cut..].join("\n") + "\n");
+    let arriving = lines[cut..].iter().filter(|l| l.starts_with("R 0 ")).count() as u64;
+
+    // Daemon 0 hosts both tenants. Daemon 1 knows it by an address that
+    // refuses connections, and the relay answers no probe: neither ever
+    // hears from the other, so both stay in boot grace.
+    let fleet_seed = (0..1000u64)
+        .find(|&s| (0..TENANTS).all(|t| owner_of(s, t, &[0, 1]) == Some(0)))
+        .expect("some seed places every tenant on daemon 0");
+    let member = |id: usize, addr: String| {
+        let mut cfg = config("fleet");
+        cfg.fleet = Some(FleetConfig {
+            id,
+            peers: vec![PeerSpec { id: 1 - id, addr }],
+            seed: fleet_seed,
+            listen: "127.0.0.1:0".into(),
+            linger_ms: 0,
+            catchup_replay: None,
+            policy: FleetPolicy {
+                grace_ms: 600_000,
+                ..FleetPolicy::default()
+            },
+        });
+        Daemon::new(cfg).expect("fleet daemon")
+    };
+    let relay = TcpListener::bind("127.0.0.1:0").expect("bind the relay");
+    let mut source = member(0, relay.local_addr().expect("relay addr").to_string());
+    let source_addr = source.fleet_addr().expect("source fleet port");
+    let mut dest = member(1, "127.0.0.1:1".into());
+    // The relay's port stays bound until the source has stopped probing it.
+    let _relay_port = relay.try_clone().expect("relay handle");
+    let pushed = start_peer(relay, dest.fleet_addr());
+
+    let ((chunks, feed), (asked_tx, asked)) = (channel(), channel());
+    let feed = Feed(feed, asked_tx, Cursor::default());
+    let server = std::thread::spawn(move || source.run(feed).expect("source run"));
+    chunks.send(before.into_bytes()).expect("feed the source");
+    // One ask for the chunk, one once it is routed.
+    let ask = || asked.recv_timeout(Duration::from_secs(30));
+    ask().and_then(|()| ask()).expect("the router asks for input");
+    assert_eq!(raw_fleet_reply(source_addr, b"MIGRATE 0 1\n"), "MOK 0\n");
+    let bundle = pushed.join().expect("relay thread");
+    chunks.send(after.clone().into_bytes()).expect("feed the source");
+    drop(chunks);
+    let source_report = server.join().expect("source thread");
+    let dest_report = dest.run(Cursor::new(after)).expect("destination run");
+
+    assert_eq!(source_report.fleet.expect("fleet").migrations_out, 1);
+    assert_eq!(dest_report.fleet.expect("fleet").migrations_in, 1);
+    let replayed = bundle.replay.iter().filter(|i| matches!(i, WorkItem::Record(_))).count();
+    let (replayed, pending) = (replayed as u64, bundle.pending.len() as u64);
+    assert!(
+        bundle.state_round > 0 && replayed > 0 && pending > 0,
+        "state round {}, {replayed} replayed, {pending} pending",
+        bundle.state_round
+    );
+    let applied = dest_report.tenants.iter().find(|s| s.id == 0).expect("tenant 0").applied;
+    assert_eq!(applied, replayed + pending + arriving, "{arriving} arrived after the move");
+    assert!(applied < bundle.state_round, "{applied} >= {}", bundle.state_round);
+    for t in 0..TENANTS {
+        let log = format!("decisions/tenant{t}.log");
+        let read = |dir: &str| std::fs::read(root.join(dir).join(&log)).expect("decision log");
+        assert!(read("fleet") == read("reference"), "tenant {t}: the merged log differs");
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
