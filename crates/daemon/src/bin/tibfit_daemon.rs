@@ -16,12 +16,10 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Duration;
 
 use tibfit_daemon::fleet::{FleetConfig, FleetPolicy, PeerSpec};
-use tibfit_daemon::net_io::{
-    fleet_call, stream_replay, FanInSource, ListenSource, DEFAULT_STREAM_DEADLINE_MS,
-};
+use tibfit_daemon::driver::admin_call;
+use tibfit_daemon::net_io::{stream_replay, FanInSource, ListenSource, DEFAULT_STREAM_DEADLINE_MS};
 use tibfit_daemon::{Daemon, DaemonConfig, DaemonReport};
 use tibfit_experiments::replay::{replay_records, write_replay};
 use tibfit_faults::ProcessCrashPlan;
@@ -345,9 +343,6 @@ fn run_stream(args: &mut ArgStream) -> Result<(), String> {
     Ok(())
 }
 
-/// Bounds the connect and every read and write of a fleet command.
-const FLEET_TIMEOUT: Duration = Duration::from_secs(30);
-
 fn run_migrate(args: &mut ArgStream) -> Result<(), String> {
     let mut connect: Option<String> = None;
     let mut tenant: Option<usize> = None;
@@ -365,7 +360,7 @@ fn run_migrate(args: &mut ArgStream) -> Result<(), String> {
     let tenant = tenant.ok_or("migrate requires --tenant")?;
     let dest = dest.ok_or("migrate requires --dest")?;
     let command = format!("MIGRATE {tenant} {dest}");
-    let reply = fleet_call(&connect, &command, None, FLEET_TIMEOUT)
+    let reply = admin_call(&connect, &command, None)
         .map_err(|e| format!("fleet port {connect}: {e}"))?;
     match reply.first().map(String::as_str) {
         Some(ok) if ok == format!("MOK {tenant}") => {
@@ -387,7 +382,7 @@ fn run_status(args: &mut ArgStream) -> Result<(), String> {
         }
     }
     let connect = connect.ok_or("status requires --connect")?;
-    for line in fleet_call(&connect, "STATUS", None, FLEET_TIMEOUT)
+    for line in admin_call(&connect, "STATUS", None)
         .map_err(|e| format!("fleet port {connect}: {e}"))?
     {
         println!("{line}");

@@ -23,8 +23,10 @@
 //! reappearing peer walks the probation ladder (consecutive successful
 //! contacts) before it counts as alive again for *future* placement
 //! decisions. [`PeerMonitor::step`] makes every one of these decisions
-//! from the events and the time it is given; the daemon's monitor loop
-//! only paces the rounds, probes and adopts.
+//! from the events and the time it is given, and [`monitor_round`]
+//! strings one round's probes, confirms and steps together around a
+//! probe closure; the driver's monitor loop only paces the rounds, sends
+//! the probes and adopts.
 //!
 //! Misses are only counted after a peer has been contacted at least
 //! once or its startup grace has elapsed, so a fleet that boots in an
@@ -32,6 +34,7 @@
 //! one.
 
 use std::path::PathBuf;
+use std::sync::{Mutex, PoisonError};
 
 use crate::DaemonError;
 
@@ -395,6 +398,35 @@ impl PeerMonitor {
         }
         out
     }
+}
+
+/// One round of the peer monitor: probe every peer with `probe(peer,
+/// timeout_ms)`, feed the outcomes seen at `now_ms`, re-probe each
+/// suspect the step names once, at double timeout, feed those, and
+/// return the tenants to adopt. The monitor is locked only while it steps, never
+/// across a probe: the fleet listener feeds each incoming `FPING` into
+/// the same monitor, and two daemons probing each other under their own
+/// locks would each wait out the other's probe and count it missed.
+pub fn monitor_round(
+    monitor: &Mutex<PeerMonitor>,
+    now_ms: u64,
+    mut probe: impl FnMut(usize, u64) -> bool,
+    hosted: impl Fn(usize) -> bool,
+) -> Vec<usize> {
+    let lock = || monitor.lock().unwrap_or_else(PoisonError::into_inner);
+    let peers: Vec<usize> = lock().peers.iter().map(|p| p.spec.id).collect();
+    let timeout_ms = lock().fcfg.policy.probe_timeout_ms.max(1);
+    let mut events = |peers: Vec<usize>, timeout_ms: u64, missed: fn(usize) -> PeerEvent| {
+        let event = |peer| match probe(peer, timeout_ms) {
+            true => PeerEvent::Contact(peer),
+            false => missed(peer),
+        };
+        peers.into_iter().map(event).collect::<Vec<_>>()
+    };
+    let probes = events(peers, timeout_ms, PeerEvent::Missed);
+    let suspects = lock().step(now_ms, &probes, &hosted).reprobe;
+    let confirms = events(suspects, timeout_ms * 2, PeerEvent::ConfirmMissed);
+    lock().step(now_ms, &confirms, &hosted).adopt
 }
 
 #[cfg(test)]
@@ -904,5 +936,56 @@ mod tests {
             policy: FleetPolicy::default(),
         };
         assert_eq!(cfg.clone().validated().unwrap().roster(), vec![0, 1, 2]);
+    }
+
+    /// `monitor_round` against a scripted probe. Peer 1 never answers a
+    /// round's probe and peer 2 always does; the probe records each
+    /// `(peer, timeout_ms)` it is asked. Peer 1 turns suspect on its
+    /// fourth miss and is re-probed once, at twice the probe timeout. A
+    /// confirm it answers adopts nothing and keeps it alive; a confirm it
+    /// misses adopts exactly what the roster without it places here,
+    /// minus what is hosted already.
+    #[test]
+    fn a_monitor_round_reprobes_suspects_and_adopts_only_on_a_failed_confirm() {
+        const TENANTS: usize = 12;
+        // Peer 1's tenants that move here when it dies: at least two.
+        let moved_under = |s: u64| -> Vec<usize> {
+            let moves =
+                |t| owner_of(s, t, &[0, 1, 2]) == Some(1) && owner_of(s, t, &[0, 2]) == Some(0);
+            (0..TENANTS).filter(|&t| moves(t)).collect()
+        };
+        let seed = (0..1000u64).find(|&s| moved_under(s).len() >= 2).unwrap();
+        let moved = moved_under(seed);
+        // Hosted: this daemon's own tenants and the first one that moves.
+        let hosted: Vec<usize> = (0..TENANTS)
+            .filter(|&t| owner_of(seed, t, &[0, 1, 2]) == Some(0) || t == moved[0])
+            .collect();
+        let policy = FleetPolicy { grace_ms: 0, probe_timeout_ms: 100, ..FleetPolicy::default() };
+        for confirm_answers in [true, false] {
+            let fcfg = fleet_config(&[1, 2], seed, policy);
+            let monitor = Mutex::new(PeerMonitor::new(&fcfg, TENANTS));
+            for round in 1..=policy.misses_to_quarantine() {
+                let mut asked = Vec::new();
+                let probe = |peer, timeout_ms| {
+                    asked.push((peer, timeout_ms));
+                    peer == 2 || (timeout_ms == 200 && confirm_answers)
+                };
+                let adopt = monitor_round(&monitor, 0, probe, |t| hosted.contains(&t));
+                if round < policy.misses_to_quarantine() {
+                    assert_eq!(asked, [(1, 100), (2, 100)], "round {round}");
+                    assert_eq!(adopt, Vec::<usize>::new());
+                    continue;
+                }
+                assert_eq!(asked, [(1, 100), (2, 100), (1, 200)], "a suspect is re-probed at 2x");
+                let monitor = monitor.lock().unwrap();
+                if confirm_answers {
+                    assert_eq!(adopt, Vec::<usize>::new());
+                    assert_eq!(state_of(&monitor, 1), PeerState::Active);
+                } else {
+                    assert_eq!(adopt, moved[1..]);
+                    assert_eq!(state_of(&monitor, 1), PeerState::Quarantined);
+                }
+            }
+        }
     }
 }

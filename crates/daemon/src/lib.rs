@@ -23,6 +23,9 @@
 //!   probation, without disturbing other tenants.
 //! - **Typed, panic-free ingest** ([`wire`]): every malformed line is
 //!   a counted [`wire::IngestError`], never an abort.
+//!
+//! The decisions are plain functions of their inputs, time included;
+//! every thread, clock read and fleet socket is in [`driver`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,8 +37,8 @@ use tibfit_experiments::multicluster::MultiClusterError;
 use tibfit_sim::snapshot::SnapshotError;
 
 pub mod backoff;
+pub mod driver;
 pub mod fleet;
-pub mod latency;
 pub mod migrate;
 pub mod net_io;
 pub mod queue;
@@ -63,9 +66,6 @@ pub enum DaemonError {
     Checkpoint(CheckpointError),
     /// A retry schedule's total-deadline budget ran out.
     RetryExhausted(backoff::RetryExhausted),
-    /// A live migration transfer failed (the source tenant is left
-    /// intact and serving).
-    Migrate(migrate::MigrateError),
     /// Invalid configuration.
     Config(String),
     /// A state file contradicts the configuration (e.g. seed
@@ -81,7 +81,6 @@ impl fmt::Display for DaemonError {
             DaemonError::Snapshot(e) => write!(f, "snapshot rejected: {e}"),
             DaemonError::Checkpoint(e) => write!(f, "checkpoint failed: {e}"),
             DaemonError::RetryExhausted(e) => write!(f, "gave up: {e}"),
-            DaemonError::Migrate(e) => write!(f, "migration failed: {e}"),
             DaemonError::Config(msg) => write!(f, "invalid configuration: {msg}"),
             DaemonError::State(msg) => write!(f, "unusable state: {msg}"),
         }
@@ -96,7 +95,6 @@ impl std::error::Error for DaemonError {
             DaemonError::Snapshot(e) => Some(e),
             DaemonError::Checkpoint(e) => Some(e),
             DaemonError::RetryExhausted(e) => Some(e),
-            DaemonError::Migrate(e) => Some(e),
             DaemonError::Config(_) | DaemonError::State(_) => None,
         }
     }

@@ -24,15 +24,20 @@
 //! and a failed transfer leaves the source tenant untouched (the
 //! source only releases a tenant after the receiver acknowledges the
 //! install).
+//!
+//! The decisions of a transfer live here too, with no I/O: the source
+//! side is the [`Migration`] step machine, which returns each
+//! [`Effect`] for the driver to carry out, and the receiving side is
+//! [`check_install`].
 
 use std::fmt;
-use std::time::Duration;
 
 use tibfit_sim::snapshot::{FrameError, SnapshotError, SnapshotReader, SnapshotWriter};
 
-use crate::net_io::fleet_call;
 use crate::queue::{QueueStats, WorkItem};
-use crate::wire::{parse_fleet_line, FleetMsg, Report};
+use crate::state::decode_tenant_state;
+use crate::wire::Report;
+use crate::DaemonError;
 
 /// Section tag: bundle metadata (tenant id, seed, snapshot round).
 const TAG_MIGRATE_META: u8 = 30;
@@ -312,25 +317,204 @@ pub fn decode_bundle(bytes: &[u8]) -> Result<MigrationBundle, MigrateError> {
     })
 }
 
-/// Ships an encoded bundle to a peer's fleet port: `MPUSH <tenant>`,
-/// the framed bytes, then waits for `MOK <tenant>` / `MERR <reason>`.
+/// What an outbound migration or an install is decided on: the facts
+/// about this daemon, gathered under the lock that serializes adoption,
+/// install and migration, so they hold until the caller lets go of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Facts {
+    /// The daemon has stopped: installs and migrations are refused.
+    pub closed: bool,
+    /// The fleet's tenant count; tenant ids run `0..tenants`.
+    pub tenants: usize,
+    /// The configured scenario seed of the tenant in question.
+    pub seed: u64,
+    /// The tenant in question is hosted here.
+    pub hosted: bool,
+    /// A migration's destination is a configured peer.
+    pub dest_known: bool,
+}
+
+/// What the driver must do next for an outbound [`Migration`]. The first
+/// three are answered by one `Migration::on_*` call each; the last three
+/// end the migration, and which one it is decides what is counted.
+#[derive(Debug)]
+pub enum Effect {
+    /// Unroute the tenant (its queue admits no record and issues no tick
+    /// from here on), wait for its issued ticks to complete, and answer
+    /// [`Migration::on_settled`].
+    Unroute,
+    /// Detach the slot from the watchdog, fence its worker, take the
+    /// queue's recovery buffer, pending records and live views, join the
+    /// worker, read the newest state slot, and answer
+    /// [`Migration::on_captured`].
+    Capture,
+    /// Ship the bundle to the destination and answer
+    /// [`Migration::on_pushed`] with its reply.
+    Push(MigrationBundle),
+    /// The destination installed the tenant: supersede its log sink and
+    /// drop it from the table. Counted in `migrations_out`.
+    Release,
+    /// Keep serving locally: respawn the worker from its snapshot and
+    /// recovery buffer, then route the tenant again with `reoffer` back
+    /// in its open tick. Counted in `migrate_failed`; fails with `error`.
+    Abort {
+        /// The captured pending records.
+        reoffer: Vec<Report>,
+        /// Why the migration failed.
+        error: MigrateError,
+    },
+    /// The queue never settled, so nothing was captured and the worker
+    /// still serves the tenant: route it again. Counted in neither; fails
+    /// with the error it carries.
+    Reroute(MigrateError),
+}
+
+/// What [`Effect::Capture`] took.
+#[derive(Debug)]
+pub struct Captured {
+    /// The recovery buffer since the last snapshot.
+    pub replay: Vec<WorkItem>,
+    /// The open tick's pending records.
+    pub pending: Vec<Report>,
+    /// The live dedup highwaters.
+    pub live_highwater: Vec<(u64, u64)>,
+    /// The live queue counters.
+    pub live_stats: QueueStats,
+    /// The newest state slot's container bytes and round, `None` for a
+    /// tenant that never snapshotted, or why the slot could not be read.
+    pub state: Result<Option<(Vec<u8>, u64)>, DaemonError>,
+}
+
+/// One outbound live migration as a step machine that does no I/O:
+/// unroute, capture, push, then release on the destination's `MOK`, or
+/// abort and keep serving. [`Migration::start`] makes the refusals and
+/// returns the first [`Effect`]; each `on_*` call takes the outcome of
+/// the effect before it and returns the next one, until an ending one.
+#[derive(Debug)]
+pub struct Migration {
+    tenant: usize,
+    seed: u64,
+    /// The captured pending records, kept for an abort after the push.
+    pending: Vec<Report>,
+}
+
+impl Migration {
+    /// Starts moving `tenant` to daemon `dest`, or refuses: the daemon
+    /// has stopped, the destination is unknown, or the tenant is not
+    /// hosted here. The first effect is always [`Effect::Unroute`].
+    ///
+    /// # Errors
+    ///
+    /// [`MigrateError::Refused`] once the daemon has stopped,
+    /// [`MigrateError::Mismatch`] for the other two refusals.
+    pub fn start(
+        tenant: usize,
+        dest: usize,
+        facts: &Facts,
+    ) -> Result<(Self, Effect), MigrateError> {
+        if facts.closed {
+            return Err(MigrateError::Refused("the daemon has stopped".into()));
+        }
+        if !facts.dest_known {
+            return Err(MigrateError::Mismatch(format!("unknown destination daemon {dest}")));
+        }
+        if !facts.hosted {
+            return Err(MigrateError::Mismatch(format!("tenant {tenant} is not hosted here")));
+        }
+        let migration = Migration {
+            tenant,
+            seed: facts.seed,
+            pending: Vec::new(),
+        };
+        Ok((migration, Effect::Unroute))
+    }
+
+    /// Whether every issued tick completed in time: capture, or give up
+    /// with nothing captured.
+    pub fn on_settled(&self, settled: bool) -> Effect {
+        if settled {
+            return Effect::Capture;
+        }
+        let why = format!("tenant {} did not drain in time", self.tenant);
+        Effect::Reroute(MigrateError::Mismatch(why))
+    }
+
+    /// Packs the capture into the bundle to push, or aborts when the
+    /// state slot could not be read.
+    pub fn on_captured(&mut self, captured: Captured) -> Effect {
+        let (state_bytes, state_round) = match captured.state {
+            Ok(state) => state.unwrap_or_default(),
+            Err(e) => {
+                let error = match e {
+                    DaemonError::Io(e) => MigrateError::Io(e),
+                    e => MigrateError::Mismatch(format!("state file: {e}")),
+                };
+                let reoffer = captured.pending;
+                return Effect::Abort { reoffer, error };
+            }
+        };
+        self.pending.clone_from(&captured.pending);
+        Effect::Push(MigrationBundle {
+            tenant: self.tenant,
+            seed: self.seed,
+            state_round,
+            state_bytes,
+            live_highwater: captured.live_highwater,
+            live_stats: captured.live_stats,
+            replay: captured.replay,
+            pending: captured.pending,
+        })
+    }
+
+    /// The destination's answer: release on its `MOK`, abort otherwise.
+    pub fn on_pushed(&mut self, pushed: Result<(), MigrateError>) -> Effect {
+        match pushed {
+            Ok(()) => Effect::Release,
+            Err(error) => {
+                let reoffer = std::mem::take(&mut self.pending);
+                Effect::Abort { reoffer, error }
+            }
+        }
+    }
+}
+
+/// Whether this daemon may install `bundle`: it is refused once the
+/// daemon has stopped, for a tenant outside the fleet's range, for a
+/// seed other than the configured one, for a tenant already hosted here,
+/// and for embedded state that does not decode or disagrees with the
+/// bundle. The caller then writes (or, for an empty state, removes) the
+/// state file and builds the slot.
 ///
 /// # Errors
 ///
-/// [`MigrateError::Io`] on transport failure (a 30 s timeout bounds
-/// the connect and every read and write), [`MigrateError::Refused`]
-/// if the peer answers `MERR` (or anything other than a matching
-/// `MOK`).
-pub fn push_bundle(addr: &str, tenant: usize, encoded: &[u8]) -> Result<(), MigrateError> {
-    let command = format!("MPUSH {tenant}");
-    let reply = fleet_call(addr, &command, Some(encoded), Duration::from_secs(30))
-        .map_err(MigrateError::Io)?;
-    let reply = reply.first().map_or("", String::as_str);
-    match parse_fleet_line(reply) {
-        Ok(Some(FleetMsg::PushOk { tenant: t })) if t == tenant => Ok(()),
-        Ok(Some(FleetMsg::PushErr(reason))) => Err(MigrateError::Refused(reason)),
-        _ => Err(MigrateError::Refused(format!("unexpected reply {reply:?}"))),
+/// [`MigrateError::Refused`] once the daemon has stopped,
+/// [`MigrateError::Mismatch`] for every other refusal.
+pub fn check_install(bundle: &MigrationBundle, facts: &Facts) -> Result<(), MigrateError> {
+    let (tenant, seed) = (bundle.tenant, facts.seed);
+    let mismatch = |why: String| Err(MigrateError::Mismatch(why));
+    if facts.closed {
+        return Err(MigrateError::Refused("the daemon has stopped".into()));
     }
+    if tenant >= facts.tenants {
+        let why = format!("tenant {tenant} is outside this fleet's 0..{} range", facts.tenants);
+        return mismatch(why);
+    }
+    if bundle.seed != seed {
+        let got = bundle.seed;
+        let why = format!("bundle seed {got} does not match the configured scenario seed {seed}");
+        return mismatch(why);
+    }
+    if facts.hosted {
+        return mismatch(format!("tenant {tenant} is already hosted here"));
+    }
+    if !bundle.state_bytes.is_empty() {
+        let st = decode_tenant_state(&bundle.state_bytes)
+            .map_err(|e| MigrateError::Mismatch(format!("embedded state: {e}")))?;
+        if st.id != tenant || st.seed != seed || st.round != bundle.state_round {
+            return mismatch("embedded state disagrees with the bundle metadata".into());
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -462,6 +646,136 @@ mod tests {
         ] {
             assert!(!e.to_string().is_empty());
             assert_eq!(e.kind(), kind);
+        }
+    }
+
+    fn facts() -> Facts {
+        Facts { closed: false, tenants: 4, seed: 0xFEED, hosted: false, dest_known: true }
+    }
+
+    /// Tenant 3's state file bytes at round 0, under seed `0xFEED`.
+    fn state_bytes() -> Vec<u8> {
+        use tibfit_experiments::replay::FieldScenario;
+        let mobile = FieldScenario::mobile(0xFEED);
+        let scenario = FieldScenario { nodes: 16, clusters: 2, field: 40.0, faulty: 4, ..mobile };
+        let kind = crate::EngineKind::Sequential;
+        let tenant = crate::tenant::Tenant::new(3, scenario, kind, 1).unwrap();
+        crate::state::encode_tenant_state(&tenant, &[(3, 40)], QueueStats::default()).unwrap()
+    }
+
+    /// One case per refusal, in the order they are checked: each
+    /// refused by kind and message, and the unchanged bundle accepted,
+    /// with and without embedded state.
+    #[test]
+    fn check_install_refuses_each_case_by_kind_and_message() {
+        let state_bytes = state_bytes();
+        let good = MigrationBundle { state_bytes, state_round: 0, ..sample_bundle() };
+        assert!(check_install(&good, &facts()).is_ok());
+        let fresh = MigrationBundle { state_bytes: Vec::new(), ..sample_bundle() };
+        assert!(check_install(&fresh, &facts()).is_ok(), "no snapshot: nothing to decode");
+        let cases: Vec<(&str, MigrationBundle, Facts, &str, &str)> = vec![
+            ("closed", good.clone(), Facts { closed: true, hosted: true, ..facts() }, "refused",
+                "peer refused: the daemon has stopped"),
+            ("out of range", MigrationBundle { tenant: 4, ..good.clone() }, facts(), "mismatch",
+                "bundle mismatch: tenant 4 is outside this fleet's 0..4 range"),
+            ("seed", MigrationBundle { seed: 7, ..good.clone() }, facts(), "mismatch",
+                "bundle mismatch: bundle seed 7 does not match the configured scenario seed 65261"),
+            ("hosted", good.clone(), Facts { hosted: true, ..facts() }, "mismatch",
+                "bundle mismatch: tenant 3 is already hosted here"),
+            ("state round", MigrationBundle { state_round: 12, ..good.clone() }, facts(),
+                "mismatch", "bundle mismatch: embedded state disagrees with the bundle metadata"),
+            ("state tenant", MigrationBundle { tenant: 2, ..good.clone() }, facts(),
+                "mismatch", "bundle mismatch: embedded state disagrees with the bundle metadata"),
+            ("state bytes", MigrationBundle { state_bytes: vec![1, 2, 3], ..good.clone() }, facts(),
+                "mismatch", "bundle mismatch: embedded state: "),
+        ];
+        for (name, bundle, facts, kind, message) in cases {
+            let e = check_install(&bundle, &facts).expect_err(name);
+            assert_eq!(e.kind(), kind, "{name}");
+            assert!(e.to_string().starts_with(message), "{name}: {e}");
+            if name != "state bytes" {
+                assert_eq!(e.to_string(), message, "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_migration_refuses_before_it_unroutes() {
+        let start = |f: Facts| Migration::start(3, 9, &f).map(|(_, effect)| effect);
+        for (f, kind, message) in [
+            (Facts { closed: true, dest_known: false, ..facts() }, "refused",
+                "peer refused: the daemon has stopped"),
+            (Facts { dest_known: false, ..facts() }, "mismatch",
+                "bundle mismatch: unknown destination daemon 9"),
+            (facts(), "mismatch", "bundle mismatch: tenant 3 is not hosted here"),
+        ] {
+            let e = start(f).expect_err(message);
+            assert_eq!((e.kind(), e.to_string().as_str()), (kind, message));
+        }
+        assert!(matches!(start(Facts { hosted: true, ..facts() }), Ok(Effect::Unroute)));
+    }
+
+    fn captured(state: Result<Option<(Vec<u8>, u64)>, DaemonError>) -> Captured {
+        let bundle = sample_bundle();
+        Captured {
+            replay: bundle.replay,
+            pending: bundle.pending,
+            live_highwater: bundle.live_highwater,
+            live_stats: bundle.live_stats,
+            state,
+        }
+    }
+
+    /// Every path through the steps: the bundle packs the capture, a
+    /// `MOK` releases, and a failed push or state read aborts with the
+    /// captured pending records to re-offer, while an unsettled queue
+    /// reroutes with nothing captured.
+    #[test]
+    fn each_step_returns_the_next_effect() {
+        let started = || Migration::start(3, 9, &Facts { hosted: true, ..facts() }).unwrap().0;
+        let pending = sample_bundle().pending;
+
+        let mut m = started();
+        assert!(matches!(m.on_settled(true), Effect::Capture));
+        let state = Ok(Some((vec![1, 2, 3, 4, 5], 12)));
+        let Effect::Push(bundle) = m.on_captured(captured(state)) else {
+            panic!("a capture with its state is pushed");
+        };
+        assert_eq!(bundle, sample_bundle());
+        assert!(matches!(m.on_pushed(Ok(())), Effect::Release));
+
+        let mut m = started();
+        let Effect::Push(bundle) = m.on_captured(captured(Ok(None))) else {
+            panic!("a tenant without a snapshot is pushed");
+        };
+        assert_eq!((bundle.state_bytes, bundle.state_round), (Vec::new(), 0));
+        match m.on_pushed(Err(MigrateError::Refused("busy".into()))) {
+            Effect::Abort { reoffer, error } => {
+                assert_eq!(reoffer, pending);
+                assert_eq!(error.to_string(), "peer refused: busy");
+            }
+            other => panic!("a refused push aborts, not {other:?}"),
+        }
+
+        let eof = std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "eof");
+        for (state, kind) in [
+            (DaemonError::Io(eof), "io"),
+            (DaemonError::State("torn".into()), "mismatch"),
+        ] {
+            match started().on_captured(captured(Err(state))) {
+                Effect::Abort { reoffer, error } => {
+                    assert_eq!(reoffer, pending);
+                    assert_eq!(error.kind(), kind);
+                }
+                other => panic!("an unreadable state slot aborts, not {other:?}"),
+            }
+        }
+
+        match started().on_settled(false) {
+            Effect::Reroute(e) => {
+                assert_eq!(e.to_string(), "bundle mismatch: tenant 3 did not drain in time");
+            }
+            other => panic!("an unsettled queue reroutes, not {other:?}"),
         }
     }
 }

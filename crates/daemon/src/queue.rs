@@ -387,6 +387,18 @@ impl SharedQueue {
         self.drained.notify_all();
     }
 
+    /// Routes the tenant again after a migration that did not complete,
+    /// offering `reports` (its captured pending records) under the same
+    /// lock: they are back in the open tick before the router can close
+    /// it. While unrouted the queue would refuse them.
+    pub fn reroute(&self, reports: &[Report]) {
+        let mut st = self.lock();
+        st.routed = true;
+        for r in reports {
+            st.offer_one(r, &self.policy);
+        }
+    }
+
     /// Whether the tenant is routed.
     #[must_use]
     pub fn routed(&self) -> bool {
@@ -693,7 +705,7 @@ impl SharedQueue {
         let view = (st.generation, st.replay.clone());
         drop(st);
         // Wake any superseded worker parked in `pop` so it notices the
-        // fence and exits instead of sleeping until the next notify.
+        // fence and exits instead of waiting for the next notify.
         self.work_available.notify_all();
         view
     }

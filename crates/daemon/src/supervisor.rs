@@ -1,29 +1,7 @@
-//! The daemon proper: per-tenant worker threads, the router that feeds
-//! them, and the watchdog that restarts them.
-//!
-//! ## Threads
-//!
-//! - **Router** (the caller of [`Daemon::run`]): frames each read
-//!   buffer's complete lines in place, offers each run of one tenant's
-//!   records to its queue as one batch, closes ticks (which applies
-//!   backpressure — see `queue`), and honours shutdown requests. It
-//!   offers what it holds before any other frame and before any read
-//!   that can block, so it never waits holding records.
-//! - **Workers** (one per tenant): pop admitted work, run engine
-//!   rounds, append decision lines, snapshot on a tick cadence.
-//! - **Watchdog**: every check interval it observes each slot (worker
-//!   finished, heartbeat, outstanding work) and hands that to the
-//!   slot's [`Watch`], the Impact-style detector in `watchdog`, then
-//!   carries out its verdict: respawn the worker from its last snapshot
-//!   plus the queue's recovery buffer (zero admitted records lost), or
-//!   quarantine the tenant (its ingest shed, its tick barrier released
-//!   so other tenants keep flowing). Every respawn, this one or an
-//!   aborted migration's, tells the watch at once whether a worker
-//!   started. It never holds the tenant table's lock while it respawns.
-//! - **Fleet** (fleet mode): a monitor thread probes the peers and feeds
-//!   the outcomes to the `fleet::PeerMonitor`, adopting the tenants its
-//!   step names; a listener answers the fleet port, one thread per
-//!   connection.
+//! The daemon proper: the tenant table, the router that feeds it, and
+//! the supervision that keeps each tenant's worker alive. Its threads,
+//! clocks and fleet sockets are in `driver`, which also lists which
+//! thread runs what.
 //!
 //! Every hosted tenant is one `Slot` in one table, the `Tenants`
 //! map. The router reads a slot's queue and health without a
@@ -42,39 +20,29 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufRead, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::time::Duration;
 
 use tibfit_experiments::replay::{tenant_seed, FieldScenario};
 use tibfit_faults::ProcessCrashPlan;
 use tibfit_sim::shutdown;
-use tibfit_sim::snapshot::read_framed;
 
-use crate::backoff::JitteredBackoff;
-use crate::fleet::{owner_of, FleetConfig, MonitorStep, PeerEvent, PeerMonitor, PeerState};
-use crate::latency;
-use crate::migrate::{
-    decode_bundle, encode_bundle, push_bundle, MigrateError, MigrationBundle, MAX_BUNDLE_BYTES,
+use crate::driver::{
+    spawn_watchdog, spawn_worker, start_fleet, status_dump, Fleet, WatchdogHandle, WorkerHandle,
+    WorkerTask,
 };
-use crate::net_io::{accept_polling, bind_polling, fleet_call};
+use crate::fleet::{owner_of, FleetConfig};
+use crate::migrate::MigrationBundle;
 use crate::queue::{Offer, QueuePolicy, QueueStats, SharedQueue, WorkItem};
 use crate::state::{
-    decision_log_path, decode_tenant_state, encode_tenant_state, read_tenant_snapshot,
-    read_tenant_state, remove_tenant_state, tenant_state_path, truncate_decision_log,
-    write_tenant_state,
+    decision_log_path, read_tenant_state, tenant_state_path, truncate_decision_log,
 };
 use crate::tenant::{EngineKind, PositionView, Tenant};
 use crate::watchdog::{Action, Health, Observed, Watch, WatchdogPolicy};
-use crate::wire::{
-    frame_in_place, parse_fleet_line, parse_frame, read_bounded_line, read_frame, FleetMsg, Frame,
-    IngestError, Query, Report,
-};
+use crate::wire::{frame_in_place, parse_frame, read_frame, Frame, IngestError, Query, Report};
 use crate::DaemonError;
 
 /// Test-only fault injection for a tenant worker (compiled in, never
@@ -193,7 +161,7 @@ impl LogSink {
     /// Truncation cuts that same file in place; `reopen` then opens it
     /// by path for appending under yet another epoch. The epoch, not
     /// the file, is what keeps the old incarnation out.
-    fn supersede(&mut self) {
+    pub(crate) fn supersede(&mut self) {
         if let Some(old) = self.file.take() {
             let _ = old.into_parts();
         }
@@ -224,7 +192,7 @@ impl LogSink {
     /// which keeps supersession all-or-nothing (a superseded worker's
     /// buffered lines vanish exactly like its dropped `BufWriter`
     /// contents used to — recovery replay regenerates them).
-    fn write_block(&mut self, epoch: u64, block: &str) -> Result<(), DaemonError> {
+    pub(crate) fn write_block(&mut self, epoch: u64, block: &str) -> Result<(), DaemonError> {
         if epoch != self.epoch {
             return Ok(());
         }
@@ -234,7 +202,7 @@ impl LogSink {
         Ok(())
     }
 
-    fn flush(&mut self, epoch: u64) -> Result<(), DaemonError> {
+    pub(crate) fn flush(&mut self, epoch: u64) -> Result<(), DaemonError> {
         if epoch != self.epoch {
             return Ok(());
         }
@@ -245,36 +213,32 @@ impl LogSink {
     }
 }
 
-type WorkerHandle = JoinHandle<Result<(), DaemonError>>;
-
 /// One hosted tenant: the only record of it. The router, the worker
 /// and the watchdog share it; the router and worker touch only its
 /// queue and atomics, and the worker and watchdog state sit behind
 /// `sup`, the slot's own lock.
-struct Slot {
-    id: usize,
-    queue: SharedQueue,
-    positions: Arc<PositionView>,
+pub(crate) struct Slot {
+    pub(crate) id: usize,
+    pub(crate) queue: SharedQueue,
+    pub(crate) positions: Arc<PositionView>,
     /// The watch's [`Health`], published for the router, which sheds a
     /// quarantined tenant's ingest.
     health: AtomicU8,
-    heartbeat: AtomicU64,
-    applied: AtomicU64,
+    pub(crate) heartbeat: AtomicU64,
+    pub(crate) applied: AtomicU64,
     shed_quarantine: AtomicU64,
-    /// Wall-clock latency of each answered query, for the p99 figure.
-    query_latency: latency::Histogram,
-    sink: Mutex<LogSink>,
-    sup: Mutex<Supervision>,
+    pub(crate) sink: Mutex<LogSink>,
+    pub(crate) sup: Mutex<Supervision>,
 }
 
 /// A slot's worker and watchdog state.
 #[derive(Default)]
-struct Supervision {
+pub(crate) struct Supervision {
     watch: Watch,
     /// An outbound migration owns the slot: the watchdog leaves it be.
-    detached: bool,
+    pub(crate) detached: bool,
     cancel: Arc<AtomicBool>,
-    handle: Option<WorkerHandle>,
+    pub(crate) handle: Option<WorkerHandle>,
     /// Superseded incarnations that had not finished when replaced — a
     /// wedge, or a panic still unwinding. Each is canceled and fenced,
     /// so it can only exit; its outcome is harvested once it has. Each
@@ -307,19 +271,19 @@ impl Slot {
 /// The tenant table: every hosted tenant's slot by id, shared with the
 /// watchdog and the fleet threads so adoption and migration can add or
 /// remove tenants while the router is streaming.
-type Tenants = Arc<RwLock<BTreeMap<usize, Arc<Slot>>>>;
+pub(crate) type Tenants = Arc<RwLock<BTreeMap<usize, Arc<Slot>>>>;
 
-fn read_tenants(tenants: &Tenants) -> std::sync::RwLockReadGuard<'_, BTreeMap<usize, Arc<Slot>>> {
+pub(crate) fn read_tenants(tenants: &Tenants) -> RwLockReadGuard<'_, BTreeMap<usize, Arc<Slot>>> {
     tenants.read().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn write_tenants(tenants: &Tenants) -> std::sync::RwLockWriteGuard<'_, BTreeMap<usize, Arc<Slot>>> {
+pub(crate) fn write_tenants(tenants: &Tenants) -> RwLockWriteGuard<'_, BTreeMap<usize, Arc<Slot>>> {
     tenants.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The slots, cloned out of the table so a caller that blocks (a tick
 /// barrier, a join) holds no lock on it.
-fn slots_of(tenants: &Tenants) -> Vec<Arc<Slot>> {
+pub(crate) fn slots_of(tenants: &Tenants) -> Vec<Arc<Slot>> {
     read_tenants(tenants).values().cloned().collect()
 }
 
@@ -368,7 +332,7 @@ pub struct DaemonReport {
 }
 
 /// Fleet-mode wrap-up in the final report.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetSummary {
     /// This daemon's fleet id.
     pub id: usize,
@@ -389,211 +353,10 @@ pub struct FleetSummary {
     pub peer_trust: Vec<(usize, f64)>,
 }
 
-struct WorkerTask {
-    incarnation: u64,
-    /// Queue-generation fence: the worker passes this to every `pop`,
-    /// `complete_tick`, and snapshot commit, so once the watchdog
-    /// supersedes it (respawn bumps the queue generation) it can no
-    /// longer consume work or publish state, even if still running.
-    generation: u64,
-    tenant: Tenant,
-    slot: Arc<Slot>,
-    epoch: u64,
-    cancel: Arc<AtomicBool>,
-    state_path: PathBuf,
-    fault: WorkerFault,
-    recovery: Vec<WorkItem>,
-    backoff_seed: u64,
-}
-
-enum Step {
-    Continue,
-    Exit,
-}
-
 /// Locks `m`, recovering the guard from a panicked holder: every
 /// update under these locks leaves the data valid at each step.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn write_snapshot(task: &WorkerTask) -> Result<(), DaemonError> {
-    let (highwater, stats) = task.slot.queue.snapshot_view();
-    let bytes = encode_tenant_state(&task.tenant, &highwater, stats)?;
-    let mut backoff = JitteredBackoff::new(task.backoff_seed, 2, 64);
-    let mut attempts = 0u32;
-    loop {
-        // The state-file write and the replay-buffer clear commit
-        // atomically under the queue lock, fenced by generation: a
-        // superseded worker must not publish a snapshot the respawn
-        // sequence no longer accounts for (it already read the old
-        // state file), nor clear the replay its replacement needs.
-        match task.slot.queue.commit_snapshot(task.generation, || {
-            write_tenant_state(&task.state_path, &bytes)
-        }) {
-            Ok(_committed) => return Ok(()),
-            Err(_) if attempts < 3 => {
-                attempts += 1;
-                std::thread::sleep(backoff.next_delay());
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// What a worker accumulates between tick boundaries.
-#[derive(Default)]
-struct TickOutput {
-    /// Decision lines, pushed to the sink as one block.
-    lines: String,
-    /// Query answers, written to stdout as one block.
-    answers: String,
-    /// When each buffered answer's query was popped, for its latency
-    /// sample.
-    asked: Vec<Instant>,
-}
-
-fn answer_query(tenant: &Tenant, query: Query, out: &mut String) {
-    match query {
-        Query::Trust { tenant: id, node } => match tenant.trust_of(node) {
-            Some(v) => writeln!(out, "A trust {id} {node} {v}"),
-            None => writeln!(out, "A trust {id} {node} -"),
-        },
-        Query::Round { tenant: id } => writeln!(out, "A round {id} {}", tenant.round()),
-        // Status is answered at the router (it spans every tenant and
-        // the peer roster) and never enqueued to a worker.
-        Query::Status => Ok(()),
-    }
-    .expect("formatting into a String cannot fail");
-}
-
-/// Writes the buffered answers to stdout in one locked write, then
-/// records each query's latency, write included. A failed write (the
-/// reader went away) drops the answers; it must not stop decisions.
-fn flush_answers(task: &WorkerTask, out: &mut TickOutput) {
-    if out.answers.is_empty() {
-        return;
-    }
-    let mut stdout = std::io::stdout().lock();
-    let _ = stdout
-        .write_all(out.answers.as_bytes())
-        .and_then(|()| stdout.flush());
-    drop(stdout);
-    for asked in out.asked.drain(..) {
-        let nanos = u64::try_from(asked.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        task.slot.query_latency.record(nanos);
-    }
-    out.answers.clear();
-}
-
-/// Worker-local decision-line buffer above this size is pushed to the
-/// sink mid-tick, bounding memory on record-dense ticks.
-const LINE_BUFFER_FLUSH_BYTES: usize = 64 * 1024;
-
-/// Pushes the worker's buffered decision lines to the sink as one
-/// block and clears the buffer.
-fn flush_lines(task: &WorkerTask, buf: &mut String) -> Result<(), DaemonError> {
-    if !buf.is_empty() {
-        lock(&task.slot.sink).write_block(task.epoch, buf)?;
-        buf.clear();
-    }
-    Ok(())
-}
-
-/// Writes out everything the worker holds: answers to stdout, decision
-/// lines to the sink, and the sink to its file.
-fn flush_output(task: &WorkerTask, out: &mut TickOutput) -> Result<(), DaemonError> {
-    flush_answers(task, out);
-    flush_lines(task, &mut out.lines)?;
-    lock(&task.slot.sink).flush(task.epoch)
-}
-
-fn process_item(
-    task: &mut WorkerTask,
-    item: WorkItem,
-    live: bool,
-    out: &mut TickOutput,
-) -> Result<Step, DaemonError> {
-    match item {
-        WorkItem::Record(r) => {
-            let next_round = task.tenant.round() + 1;
-            if task.fault.wedge_at_round == Some(next_round) && task.incarnation == 0 {
-                while !task.cancel.load(Ordering::SeqCst) {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                return Ok(Step::Exit);
-            }
-            if task.fault.panic_at_round == Some(next_round)
-                && task.incarnation < task.fault.fail_incarnations
-            {
-                panic!(
-                    "injected worker fault: tenant round {next_round}, incarnation {}",
-                    task.incarnation
-                );
-            }
-            // Buffer the line worker-side instead of taking the sink
-            // mutex per record; blocks go to the sink at tick
-            // boundaries (or at the size cap on record-dense ticks).
-            // The position view is published once, at the tick's end.
-            task.tenant.apply_record(&r, &mut out.lines);
-            out.lines.push('\n');
-            if out.lines.len() >= LINE_BUFFER_FLUSH_BYTES {
-                flush_lines(task, &mut out.lines)?;
-            }
-            task.slot.applied.fetch_add(1, Ordering::SeqCst);
-            task.slot.heartbeat.fetch_add(1, Ordering::SeqCst);
-        }
-        WorkItem::TickEnd(t) => {
-            // The router reads the view only after this tick completes.
-            task.tenant.publish_positions();
-            // Answers first: they never wait on the log or a snapshot.
-            flush_output(task, out)?;
-            // Snapshots are suppressed during recovery replay: the live
-            // highwater map is ahead of the replay cursor, and pairing
-            // it with a mid-replay engine state would poison a later
-            // process restart.
-            if live && task.slot.queue.is_snapshot_tick(t) {
-                write_snapshot(task)?;
-            }
-            task.slot.queue.complete_tick(task.generation, t);
-            task.slot.heartbeat.fetch_add(1, Ordering::SeqCst);
-        }
-        WorkItem::Query(q) => {
-            out.asked.push(Instant::now());
-            answer_query(&task.tenant, q, &mut out.answers);
-            task.slot.heartbeat.fetch_add(1, Ordering::SeqCst);
-        }
-        WorkItem::Shutdown => {
-            flush_output(task, out)?;
-            write_snapshot(task)?;
-            return Ok(Step::Exit);
-        }
-    }
-    Ok(Step::Continue)
-}
-
-fn run_worker(mut task: WorkerTask) -> Result<(), DaemonError> {
-    let mut out = TickOutput::default();
-    let recovery = std::mem::take(&mut task.recovery);
-    for item in recovery {
-        if let Step::Exit = process_item(&mut task, item, false, &mut out)? {
-            return Ok(());
-        }
-    }
-    loop {
-        let Some(item) = task.slot.queue.pop(task.generation) else {
-            // Queue closed (or this incarnation superseded) without a
-            // Shutdown item reaching us: write what we have and flush
-            // the sink to disk — nothing later will. A superseded
-            // incarnation's block and flush are epoch-dropped; its
-            // answers are not, as no replacement re-answers them.
-            flush_output(&task, &mut out)?;
-            return Ok(());
-        };
-        if let Step::Exit = process_item(&mut task, item, true, &mut out)? {
-            return Ok(());
-        }
-    }
 }
 
 /// What a tenant's newest state slot holds besides the engine: the
@@ -640,7 +403,7 @@ fn load_tenant(cfg: &DaemonConfig, id: usize) -> Result<(Tenant, SnapshotMeta), 
 /// new sink epoch, attaches the tenant to the router's position view,
 /// and spawns the worker fenced at queue generation `fenced.0`, with
 /// the recovery buffer `fenced.1` to replay before it takes live work.
-/// This is the only place a tenant worker thread is spawned. On error
+/// Every tenant worker thread is spawned here, by the driver. On error
 /// nothing is spawned and the slot keeps its incarnation.
 fn start_worker(
     cfg: &DaemonConfig,
@@ -670,11 +433,7 @@ fn start_worker(
         recovery,
         backoff_seed: cfg.master_seed ^ (id as u64) ^ (incarnation << 32),
     };
-    let handle = std::thread::Builder::new()
-        .name(format!("tibfit-tenant-{id}"))
-        .spawn(move || run_worker(task))
-        .expect("spawning a tenant worker thread");
-    sup.handle = Some(handle);
+    sup.handle = Some(spawn_worker(task));
     Ok(())
 }
 
@@ -750,7 +509,7 @@ fn harvest_retired(sup: &mut Supervision, wait: bool) {
 /// recovery buffer. The watch learns the outcome at once, and the
 /// slot's health is published: on probation, or quarantined if no
 /// worker started.
-fn respawn_slot(cfg: &DaemonConfig, slot: &Arc<Slot>, sup: &mut Supervision) {
+pub(crate) fn respawn_slot(cfg: &DaemonConfig, slot: &Arc<Slot>, sup: &mut Supervision) {
     // A wedged (unfinished) worker is retired, not joined: its epoch is
     // superseded below and its cancel flag set, so it can only exit.
     retire_worker(sup);
@@ -783,13 +542,13 @@ fn respawn_slot(cfg: &DaemonConfig, slot: &Arc<Slot>, sup: &mut Supervision) {
 /// One watchdog check of one slot: observe, let the watch decide, and
 /// carry the verdict out. Returns the trust the check saw, or `None`
 /// for a slot an outbound migration has detached.
-fn supervise(cfg: &DaemonConfig, slot: &Arc<Slot>, check_no: u64) -> Option<f64> {
+pub(crate) fn supervise(cfg: &DaemonConfig, slot: &Arc<Slot>, check_no: u64) -> Option<f64> {
     let mut sup = lock(&slot.sup);
     if sup.detached {
         return None;
     }
     let observed = Observed {
-        finished: sup.handle.as_ref().is_none_or(JoinHandle::is_finished),
+        finished: sup.handle.as_ref().is_none_or(WorkerHandle::is_finished),
         heartbeat: slot.heartbeat.load(Ordering::SeqCst),
         outstanding: slot.queue.has_outstanding(),
     };
@@ -805,30 +564,9 @@ fn supervise(cfg: &DaemonConfig, slot: &Arc<Slot>, check_no: u64) -> Option<f64>
     Some(trust)
 }
 
-/// Checks every slot on the policy cadence until `stop`, and returns the
-/// minimum over checks of Σ(e^(-λ·v))/slots.
-fn watchdog_loop(cfg: &DaemonConfig, tenants: &Tenants, stop: &AtomicBool) -> f64 {
-    let interval = Duration::from_millis(cfg.watchdog.check_interval_ms.max(1));
-    let mut min_impact = 1.0f64;
-    let mut check_no = 0u64;
-    while !stop.load(Ordering::SeqCst) {
-        std::thread::sleep(interval);
-        check_no += 1;
-        let (mut sum, mut n) = (0.0, 0usize);
-        for slot in slots_of(tenants) {
-            if let Some(trust) = supervise(cfg, &slot, check_no) {
-                sum += trust;
-                n += 1;
-            }
-        }
-        min_impact = min_impact.min(sum / n.max(1) as f64);
-    }
-    min_impact
-}
-
 /// The trust impacts of a shedding tick's records, under one read of
 /// the tenant's position view.
-fn impacts(view: &PositionView, batch: &[Report], out: &mut Vec<u64>) {
+pub(crate) fn impacts(view: &PositionView, batch: &[Report], out: &mut Vec<u64>) {
     view.impacts_into(batch.iter().map(|r| (r.x, r.y)), out);
 }
 
@@ -839,7 +577,7 @@ fn impacts(view: &PositionView, batch: &[Report], out: &mut Vec<u64>) {
 /// the worker replay its recovery buffer, and re-offers its pending
 /// records. The shared build path for startup, fleet adoption, and
 /// migration install; the caller enters the slot into the tenant table.
-fn build_slot(
+pub(crate) fn build_slot(
     cfg: &DaemonConfig,
     id: usize,
     bundle: Option<MigrationBundle>,
@@ -872,7 +610,6 @@ fn build_slot(
         heartbeat: AtomicU64::new(0),
         applied: AtomicU64::new(0),
         shed_quarantine: AtomicU64::new(0),
-        query_latency: latency::Histogram::new(),
         sink: Mutex::new(LogSink {
             path: decision_log_path(&cfg.decisions_dir, id),
             epoch: 0,
@@ -901,11 +638,11 @@ fn build_slot(
 pub struct Daemon {
     cfg: Arc<DaemonConfig>,
     tenants: Tenants,
-    /// Stops the watchdog (and with it the fleet monitor and listener).
+    /// Stops the watchdog.
     stop: Arc<AtomicBool>,
     /// Returns the minimum impact trust it observed.
-    watchdog: Option<JoinHandle<f64>>,
-    fleet: Option<FleetRuntime>,
+    watchdog: Option<WatchdogHandle>,
+    fleet: Option<Arc<Fleet>>,
     ticks: u64,
 }
 
@@ -969,19 +706,8 @@ impl Daemon {
         }
         let tenants: Tenants = Arc::new(RwLock::new(tenants));
         let stop = Arc::new(AtomicBool::new(false));
-        let watchdog = std::thread::Builder::new()
-            .name("tibfit-watchdog".into())
-            .spawn({
-                let cfg = Arc::clone(&cfg);
-                let tenants = Arc::clone(&tenants);
-                let stop = Arc::clone(&stop);
-                move || watchdog_loop(&cfg, &tenants, &stop)
-            })
-            .expect("spawning the watchdog thread");
-        let fleet = match &cfg.fleet {
-            Some(fcfg) => Some(start_fleet(&cfg, fcfg.clone(), &tenants, &stop)?),
-            None => None,
-        };
+        let watchdog = spawn_watchdog(Arc::clone(&cfg), Arc::clone(&tenants), Arc::clone(&stop));
+        let fleet = cfg.fleet.clone().map(|fcfg| start_fleet(&cfg, fcfg, &tenants)).transpose()?;
         Ok(Daemon {
             cfg,
             tenants,
@@ -997,19 +723,6 @@ impl Daemon {
     #[must_use]
     pub fn fleet_addr(&self) -> Option<std::net::SocketAddr> {
         self.fleet.as_ref().map(|f| f.local_addr)
-    }
-
-    /// Merged p99 query-answer latency across every tenant slot, in
-    /// microseconds. Zero until the first query is answered.
-    #[must_use]
-    pub fn query_latency_p99_us(&self) -> f64 {
-        let merged = latency::Histogram::new();
-        for slot in read_tenants(&self.tenants).values() {
-            merged.merge_from(&slot.query_latency);
-        }
-        #[allow(clippy::cast_precision_loss)]
-        let ns = merged.percentile(99.0) as f64;
-        ns / 1_000.0
     }
 
     fn close_tick(&mut self) {
@@ -1040,8 +753,8 @@ impl Daemon {
     /// once: the run ends with a full drain and worker shutdown.
     pub fn run(&mut self, input: impl BufRead) -> Result<DaemonReport, DaemonError> {
         let (counts, drained_early) = self.ingest(input)?;
-        if !drained_early {
-            self.linger();
+        if let Some(fleet) = self.fleet.as_ref().filter(|_| !drained_early) {
+            fleet.linger();
         }
         self.finish(counts, drained_early)
     }
@@ -1123,21 +836,6 @@ impl Daemon {
         false
     }
 
-    /// Fleet mode keeps serving the fleet port after ingest EOF: peers
-    /// may still be rebalancing onto us or migrating tenants in/out.
-    /// The linger window restarts on every fleet event and ends early
-    /// on a shutdown signal.
-    fn linger(&self) {
-        let Some(fleet) = &self.fleet else {
-            return;
-        };
-        let linger_ms = fleet.shared.fcfg.linger_ms;
-        fleet.shared.touch();
-        while !shutdown::requested() && fleet.shared.idle_ms() < linger_ms {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-    }
-
     /// Routes a run of records for `tenant` under one read of the
     /// tenant table and one queue lock.
     fn route_reports(&self, tenant: usize, batch: &[Report], counts: &mut IngestCounts) {
@@ -1191,7 +889,7 @@ impl Daemon {
     /// current tenant placement as this daemon computes it.
     fn status_lines(&self) -> Vec<String> {
         match &self.fleet {
-            Some(fleet) => status_dump("A status", &fleet.shared),
+            Some(fleet) => status_dump("A status", fleet),
             None => {
                 let mut out = vec!["A status self -".to_string()];
                 for id in read_tenants(&self.tenants).keys() {
@@ -1283,520 +981,6 @@ impl Daemon {
     }
 }
 
-/// What the admin paths (adopt, install, migrate) record, under the
-/// lock that serializes them.
-#[derive(Default)]
-struct Admin {
-    /// The daemon has stopped: installs and migrations are refused.
-    closed: bool,
-    /// Tenants adopted from dead peers, in adoption order.
-    adopted: Vec<usize>,
-    migrations_in: u64,
-    migrations_out: u64,
-    migrate_failed: u64,
-}
-
-/// Fleet mode's shared state: what the monitor thread, the listener and
-/// its connection threads, and the router's status answer work on.
-struct Fleet {
-    cfg: Arc<DaemonConfig>,
-    fcfg: FleetConfig,
-    tenants: Tenants,
-    /// The daemon's stop flag.
-    daemon_stop: Arc<AtomicBool>,
-    /// Stops the monitor and the listener.
-    stop: AtomicBool,
-    monitor: Mutex<PeerMonitor>,
-    /// Serializes adopt/install/migrate so two administrative paths
-    /// cannot race on the same tenant.
-    admin: Mutex<Admin>,
-    start: Instant,
-    last_activity_ms: AtomicU64,
-}
-
-impl Fleet {
-    fn elapsed_ms(&self) -> u64 {
-        u64::try_from(self.start.elapsed().as_millis()).unwrap_or(u64::MAX)
-    }
-
-    /// Restarts the linger window (any fleet event counts as activity).
-    fn touch(&self) {
-        self.last_activity_ms
-            .store(self.elapsed_ms(), Ordering::SeqCst);
-    }
-
-    fn idle_ms(&self) -> u64 {
-        self.elapsed_ms()
-            .saturating_sub(self.last_activity_ms.load(Ordering::SeqCst))
-    }
-
-    fn stopped(&self) -> bool {
-        self.stop.load(Ordering::SeqCst) || self.daemon_stop.load(Ordering::SeqCst)
-    }
-
-    fn hosts(&self, tenant: usize) -> bool {
-        read_tenants(&self.tenants).contains_key(&tenant)
-    }
-
-    /// Feeds `events` seen at `now_ms` to the peer monitor.
-    fn observe(&self, now_ms: u64, events: &[PeerEvent]) -> MonitorStep {
-        lock(&self.monitor).step(now_ms, events, |t| self.hosts(t))
-    }
-
-    fn addr_of(&self, peer: usize) -> Option<&str> {
-        let spec = self.fcfg.peers.iter().find(|p| p.id == peer)?;
-        Some(&spec.addr)
-    }
-
-    /// One probe round trip: `FPING <self>` → expect any `FPONG`.
-    fn answers(&self, peer: usize, timeout: Duration) -> bool {
-        let ping = format!("FPING {}", self.fcfg.id);
-        self.addr_of(peer).is_some_and(|addr| {
-            fleet_call(addr, &ping, None, timeout).is_ok_and(|reply| {
-                matches!(
-                    reply.first().map(|line| parse_fleet_line(line)),
-                    Some(Ok(Some(FleetMsg::Pong { .. })))
-                )
-            })
-        })
-    }
-}
-
-/// Everything [`Daemon`] needs to shut fleet mode down and report.
-struct FleetRuntime {
-    shared: Arc<Fleet>,
-    local_addr: std::net::SocketAddr,
-    /// The monitor and listener threads.
-    threads: Vec<JoinHandle<()>>,
-}
-
-impl FleetRuntime {
-    /// Stops the monitor and listener, closes the fleet once any admin
-    /// path in flight has finished, and reports. `foreign` is the
-    /// router's count.
-    fn stop(self, foreign: u64) -> FleetSummary {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        for thread in self.threads {
-            let _ = thread.join();
-        }
-        // Connection threads are detached: one may still deliver an
-        // `MPUSH` or `MIGRATE`, which the closed flag refuses.
-        let mut admin = lock(&self.shared.admin);
-        admin.closed = true;
-        let policy = self.shared.fcfg.policy;
-        let peer_trust = lock(&self.shared.monitor)
-            .peers()
-            .iter()
-            .map(|p| (p.spec.id, p.trust(&policy)))
-            .collect();
-        FleetSummary {
-            id: self.shared.fcfg.id,
-            adopted: admin.adopted.clone(),
-            rebalances: admin.adopted.len() as u64,
-            migrations_in: admin.migrations_in,
-            migrations_out: admin.migrations_out,
-            migrate_failed: admin.migrate_failed,
-            foreign,
-            peer_trust,
-        }
-    }
-}
-
-/// Binds the fleet port and starts the monitor and listener threads.
-fn start_fleet(
-    cfg: &Arc<DaemonConfig>,
-    fcfg: FleetConfig,
-    tenants: &Tenants,
-    daemon_stop: &Arc<AtomicBool>,
-) -> Result<FleetRuntime, DaemonError> {
-    let listener = bind_polling(&fcfg.listen).map_err(DaemonError::Io)?;
-    let local_addr = listener.local_addr().map_err(DaemonError::Io)?;
-    let fleet = Arc::new(Fleet {
-        cfg: Arc::clone(cfg),
-        monitor: Mutex::new(PeerMonitor::new(&fcfg, cfg.tenants)),
-        fcfg,
-        tenants: Arc::clone(tenants),
-        daemon_stop: Arc::clone(daemon_stop),
-        stop: AtomicBool::new(false),
-        admin: Mutex::default(),
-        start: Instant::now(),
-        last_activity_ms: AtomicU64::new(0),
-    });
-    let (monitor, listen) = (Arc::clone(&fleet), Arc::clone(&fleet));
-    let threads = vec![
-        std::thread::Builder::new()
-            .name("tibfit-fleet-monitor".into())
-            .spawn(move || monitor_loop(&monitor))
-            .expect("spawning the fleet monitor thread"),
-        std::thread::Builder::new()
-            .name("tibfit-fleet-listen".into())
-            .spawn(move || listener_loop(&listen, &listener))
-            .expect("spawning the fleet listener thread"),
-    ];
-    Ok(FleetRuntime {
-        shared: fleet,
-        local_addr,
-        threads,
-    })
-}
-
-/// Probes every peer on the policy cadence and feeds the outcomes to
-/// the peer monitor: it names the suspects to re-probe (once, at double
-/// timeout, so a single stall cannot split ownership) and, when a
-/// confirm fails, the tenants to adopt.
-fn monitor_loop(fleet: &Fleet) {
-    let policy = fleet.fcfg.policy;
-    let interval = Duration::from_millis(policy.check_interval_ms.max(1));
-    let timeout = Duration::from_millis(policy.probe_timeout_ms.max(1));
-    while !fleet.stopped() {
-        std::thread::sleep(interval);
-        let now_ms = fleet.elapsed_ms();
-        let mut probes = Vec::with_capacity(fleet.fcfg.peers.len());
-        for spec in &fleet.fcfg.peers {
-            if fleet.stop.load(Ordering::SeqCst) {
-                return;
-            }
-            probes.push(if fleet.answers(spec.id, timeout) {
-                PeerEvent::Contact(spec.id)
-            } else {
-                PeerEvent::Missed(spec.id)
-            });
-        }
-        let suspects = fleet.observe(now_ms, &probes).reprobe;
-        if suspects.is_empty() {
-            continue;
-        }
-        let confirms: Vec<PeerEvent> = suspects
-            .into_iter()
-            .map(|peer| {
-                if fleet.answers(peer, timeout * 2) {
-                    PeerEvent::Contact(peer)
-                } else {
-                    PeerEvent::ConfirmMissed(peer)
-                }
-            })
-            .collect();
-        for tenant in fleet.observe(now_ms, &confirms).adopt {
-            if let Err(e) = adopt_tenant(fleet, tenant) {
-                eprintln!(
-                    "tibfit-daemon: fleet {}: adopting tenant {tenant} failed: {e}",
-                    fleet.fcfg.id
-                );
-            }
-        }
-    }
-}
-
-/// Takes over a dead peer's tenant: resume from its shared state file
-/// exactly as crash-restart does, then catch up to the head of the
-/// stream by re-streaming the catch-up replay file through this slot
-/// (dedup regenerates the decision-log suffix byte-identically). The
-/// slot only enters the tenant table after catch-up, so the live
-/// router never interleaves ticks with it.
-fn adopt_tenant(fleet: &Fleet, tenant: usize) -> Result<(), DaemonError> {
-    let mut admin = lock(&fleet.admin);
-    if fleet.hosts(tenant) {
-        return Ok(());
-    }
-    let slot = build_slot(&fleet.cfg, tenant, None)?;
-    if let Some(path) = &fleet.fcfg.catchup_replay {
-        let file = File::open(path).map_err(DaemonError::Io)?;
-        let mut reader = BufReader::new(file);
-        let mut raw = Vec::new();
-        // Catch-up skips bad lines and other tenants' records.
-        while let Some(parsed) = read_frame(&mut reader, &mut raw).map_err(DaemonError::Io)? {
-            match parsed {
-                Ok(Some(Frame::Report(r))) if r.tenant == tenant => {
-                    slot.queue.offer(r);
-                }
-                Ok(Some(Frame::Tick)) => {
-                    slot.queue.end_tick_with(slot.queue.last_tick() + 1, |batch, out| {
-                        impacts(&slot.positions, batch, out);
-                    });
-                }
-                _ => {}
-            }
-        }
-    }
-    write_tenants(&fleet.tenants).insert(tenant, slot);
-    admin.adopted.push(tenant);
-    fleet.touch();
-    Ok(())
-}
-
-/// The refusal an install or migration gets once the daemon has stopped.
-fn stopped_error() -> MigrateError {
-    MigrateError::Refused("the daemon has stopped".into())
-}
-
-/// Installs a pushed migration bundle: validate, persist the embedded
-/// state file, rebuild the tenant from it and the bundle (see
-/// [`build_slot`]), and only then enter the tenant in the table. Fail-closed:
-/// any error, or a daemon that has stopped, installs nothing.
-fn install_bundle(fleet: &Fleet, bundle: MigrationBundle) -> Result<(), MigrateError> {
-    let mut admin = lock(&fleet.admin);
-    if admin.closed {
-        return Err(stopped_error());
-    }
-    let cfg = &fleet.cfg;
-    let tenant = bundle.tenant;
-    if tenant >= cfg.tenants {
-        return Err(MigrateError::Mismatch(format!(
-            "tenant {tenant} is outside this fleet's 0..{} range",
-            cfg.tenants
-        )));
-    }
-    let scenario = (cfg.scenario)(tenant_seed(cfg.master_seed, tenant));
-    if bundle.seed != scenario.seed {
-        return Err(MigrateError::Mismatch(format!(
-            "bundle seed {} does not match the configured scenario seed {}",
-            bundle.seed, scenario.seed
-        )));
-    }
-    if fleet.hosts(tenant) {
-        return Err(MigrateError::Mismatch(format!(
-            "tenant {tenant} is already hosted here"
-        )));
-    }
-    let path = tenant_state_path(&cfg.state_dir, tenant);
-    if bundle.state_bytes.is_empty() {
-        // The source never snapshotted: the replay buffer is the whole
-        // history and must rebuild from a fresh engine, so every slot
-        // an earlier hosting left behind goes.
-        remove_tenant_state(&path).map_err(MigrateError::Io)?;
-    } else {
-        let st = decode_tenant_state(&bundle.state_bytes)
-            .map_err(|e| MigrateError::Mismatch(format!("embedded state: {e}")))?;
-        if st.id != tenant || st.seed != scenario.seed || st.round != bundle.state_round {
-            return Err(MigrateError::Mismatch(
-                "embedded state disagrees with the bundle metadata".into(),
-            ));
-        }
-        write_tenant_state(&path, &bundle.state_bytes)
-            .map_err(|e| MigrateError::Mismatch(format!("state write: {e}")))?;
-    }
-    let slot = build_slot(cfg, tenant, Some(bundle))
-        .map_err(|e| MigrateError::Mismatch(format!("install: {e}")))?;
-    write_tenants(&fleet.tenants).insert(tenant, slot);
-    admin.migrations_in += 1;
-    fleet.touch();
-    Ok(())
-}
-
-/// Operator-driven live migration: quiesce the tenant, capture its
-/// snapshot + live queue views + recovery buffer + pending records,
-/// ship the bundle, and release the tenant only on the destination's
-/// acknowledgement. Any failure re-offers the pending records,
-/// respawns the worker, and keeps serving locally.
-fn migrate_out(fleet: &Fleet, tenant: usize, dest: usize) -> Result<(), MigrateError> {
-    let mut admin = lock(&fleet.admin);
-    if admin.closed {
-        return Err(stopped_error());
-    }
-    let dest_addr = fleet
-        .addr_of(dest)
-        .ok_or_else(|| MigrateError::Mismatch(format!("unknown destination daemon {dest}")))?;
-    let Some(slot) = read_tenants(&fleet.tenants).get(&tenant).cloned() else {
-        return Err(MigrateError::Mismatch(format!(
-            "tenant {tenant} is not hosted here"
-        )));
-    };
-    // Unroute first: from here the queue admits no record and issues no
-    // tick, so the capture below sees all the tenant ever took. The
-    // watchdog still supervises its drain.
-    slot.queue.set_routed(false);
-    // Every issued tick complete means nothing issued is left to apply:
-    // a tick's items are queued before its `TickEnd`.
-    if !slot.queue.wait_settled(Duration::from_secs(10)) {
-        slot.queue.set_routed(true);
-        return Err(MigrateError::Mismatch(format!(
-            "tenant {tenant} did not drain in time"
-        )));
-    }
-    // Detach the slot from the watchdog so the fenced worker below is
-    // not mistaken for a crash and respawned mid-transfer.
-    let handle = {
-        let mut sup = lock(&slot.sup);
-        sup.detached = true;
-        sup.handle.take()
-    };
-    // Fence the worker (it exits through its flush path) and capture
-    // the stable views.
-    let (_generation, replay) = slot.queue.recovery_view();
-    let pending = slot.queue.drain_pending();
-    let (live_highwater, live_stats) = slot.queue.snapshot_view();
-    if let Some(handle) = handle {
-        // Joining guarantees the worker's final flush hit the log file
-        // before the destination truncates and regenerates it.
-        let _ = handle.join();
-    }
-    let scenario = (fleet.cfg.scenario)(tenant_seed(fleet.cfg.master_seed, tenant));
-    let state_path = tenant_state_path(&fleet.cfg.state_dir, tenant);
-    let outcome = (|| -> Result<(), MigrateError> {
-        // The newest valid slot's container, byte for byte as it was
-        // committed.
-        let (state_bytes, state_round) = match read_tenant_snapshot(&state_path) {
-            Ok(Some(stored)) => (stored.bytes, stored.state.round),
-            Ok(None) => (Vec::new(), 0),
-            Err(DaemonError::Io(e)) => return Err(MigrateError::Io(e)),
-            Err(e) => return Err(MigrateError::Mismatch(format!("state file: {e}"))),
-        };
-        let bundle = MigrationBundle {
-            tenant,
-            seed: scenario.seed,
-            state_round,
-            state_bytes,
-            live_highwater,
-            live_stats,
-            replay,
-            pending: pending.clone(),
-        };
-        push_bundle(dest_addr, tenant, &encode_bundle(&bundle))
-    })();
-    match outcome {
-        Ok(()) => {
-            // Released: the destination owns the tenant (and its log
-            // file) now. Supersede the sink so nothing stale can write.
-            lock(&slot.sink).supersede();
-            write_tenants(&fleet.tenants).remove(&tenant);
-            admin.migrations_out += 1;
-            fleet.touch();
-            Ok(())
-        }
-        Err(e) => {
-            // Keep serving locally: restore the pending records and
-            // respawn the worker from snapshot + recovery buffer.
-            for r in pending {
-                slot.queue.offer(r);
-            }
-            let mut sup = lock(&slot.sup);
-            respawn_slot(&fleet.cfg, &slot, &mut sup);
-            sup.detached = false;
-            drop(sup);
-            slot.queue.set_routed(true);
-            admin.migrate_failed += 1;
-            fleet.touch();
-            Err(e)
-        }
-    }
-}
-
-/// Renders the status dump (fleet port `STATUS` and ingest `Q status`
-/// share it, under different line prefixes).
-fn status_dump(prefix: &str, fleet: &Fleet) -> Vec<String> {
-    let policy = fleet.fcfg.policy;
-    let mut out = vec![format!("{prefix} self {}", fleet.fcfg.id)];
-    let alive = {
-        let monitor = lock(&fleet.monitor);
-        for p in monitor.peers() {
-            let state = match p.state {
-                PeerState::Active => "active",
-                PeerState::Suspect => "suspect",
-                PeerState::Quarantined => "quarantined",
-                PeerState::Probation => "probation",
-            };
-            out.push(format!(
-                "{prefix} peer {} {state} {:.6}",
-                p.spec.id,
-                p.trust(&policy)
-            ));
-        }
-        monitor.alive()
-    };
-    let hosted = read_tenants(&fleet.tenants);
-    for tenant in 0..fleet.cfg.tenants {
-        let owner = if hosted.get(&tenant).is_some_and(|s| s.queue.routed()) {
-            fleet.fcfg.id.to_string()
-        } else {
-            owner_of(fleet.fcfg.seed, tenant, &alive)
-                .map_or_else(|| "-".to_string(), |o| o.to_string())
-        };
-        out.push(format!("{prefix} tenant {tenant} {owner}"));
-    }
-    out.push(format!("{prefix} end"));
-    out
-}
-
-fn listener_loop(fleet: &Arc<Fleet>, listener: &TcpListener) {
-    // Accept latency lands on every fleet round trip (probe, STATUS,
-    // and twice per MIGRATE: the command and the bundle push), so the
-    // poll must stay well under the migrate-restore budget.
-    const POLL: Duration = Duration::from_millis(1);
-    // A failed accept is retried on the next poll.
-    while let Ok(Some(stream)) = accept_polling(listener, POLL, || fleet.stopped(), |_| Ok(())) {
-        // Connections are short-lived (one command each); a thread per
-        // connection keeps probe replies prompt while an install or
-        // migration is in flight.
-        let fleet = Arc::clone(fleet);
-        let _ = std::thread::Builder::new()
-            .name("tibfit-fleet-conn".into())
-            .spawn(move || handle_fleet_conn(&fleet, &stream));
-    }
-}
-
-/// One fleet-port connection: a single command line, an optional framed
-/// payload (`MPUSH`), and the reply, ended by closing the connection.
-/// A line the framer rejects (not UTF-8, oversized) is answered `MERR`.
-fn handle_fleet_conn(fleet: &Fleet, stream: &TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut raw = Vec::new();
-    let Ok(Some(line)) = read_bounded_line(&mut reader, &mut raw) else {
-        return;
-    };
-    let mut w = stream;
-    match line.and_then(parse_fleet_line) {
-        Ok(Some(FleetMsg::Ping { from })) => {
-            // Any contact clears a suspicion (and ends boot grace).
-            fleet.observe(fleet.elapsed_ms(), &[PeerEvent::Contact(from)]);
-            let _ = writeln!(w, "FPONG {}", fleet.fcfg.id);
-        }
-        Ok(Some(FleetMsg::Status)) => {
-            for l in status_dump("S", fleet) {
-                let _ = writeln!(w, "{l}");
-            }
-        }
-        Ok(Some(FleetMsg::Migrate { tenant, dest })) => {
-            reply_admin(w, tenant, migrate_out(fleet, tenant, dest));
-        }
-        Ok(Some(FleetMsg::Push { tenant })) => {
-            let installed = read_framed(&mut reader, MAX_BUNDLE_BYTES)
-                .map_err(MigrateError::from)
-                .and_then(|bytes| decode_bundle(&bytes))
-                .and_then(|bundle| {
-                    if bundle.tenant == tenant {
-                        install_bundle(fleet, bundle)
-                    } else {
-                        Err(MigrateError::Mismatch(format!(
-                            "MPUSH names tenant {tenant} but the bundle carries {}",
-                            bundle.tenant
-                        )))
-                    }
-                });
-            reply_admin(w, tenant, installed);
-        }
-        // Replies and noise are ignored; a reply line is never a
-        // request.
-        Ok(Some(FleetMsg::Pong { .. } | FleetMsg::PushOk { .. } | FleetMsg::PushErr(_)))
-        | Ok(None) => {}
-        Err(e) => {
-            let _ = writeln!(w, "MERR {e}");
-        }
-    }
-    let _ = w.flush();
-}
-
-/// Answers a `MIGRATE` or `MPUSH` with `MOK <tenant>` or `MERR <why>`.
-fn reply_admin(mut w: &TcpStream, tenant: usize, outcome: Result<(), MigrateError>) {
-    let _ = match outcome {
-        Ok(()) => writeln!(w, "MOK {tenant}"),
-        Err(e) => writeln!(w, "MERR {e}"),
-    };
-}
-
 impl DaemonReport {
     /// Renders the trace-counter block (`daemon.*` keys) the CLI prints
     /// on exit.
@@ -1848,7 +1032,9 @@ impl DaemonReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::parse_line;
+    use std::io::BufReader;
+
+    use crate::wire::{parse_line, read_bounded_line};
 
     fn small_scenario(seed: u64) -> FieldScenario {
         FieldScenario {
@@ -2102,33 +1288,6 @@ mod tests {
         }
         assert!(overflowed, "no seed overflowed the pending cap");
         let _ = std::fs::remove_dir_all(&root);
-    }
-
-    /// The query-latency histogram is fed by the workers' answers: a
-    /// replay with `Q trust`/`Q round` lines yields a positive p99, and a
-    /// replay without queries leaves it at zero.
-    #[test]
-    fn query_latency_p99_is_recorded_only_for_answered_queries() {
-        use tibfit_experiments::replay::{render_replay, replay_records};
-        let stream = render_replay(&replay_records(1, 7, 2, 1));
-        let run = |name: &str, replay: String| {
-            let dir = std::env::temp_dir()
-                .join(format!("tibfit-query-p99-{name}-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            let mut daemon = Daemon::new(DaemonConfig::standard(1, 7, dir.clone())).unwrap();
-            daemon.run(std::io::Cursor::new(replay.into_bytes())).unwrap();
-            let p99 = daemon.query_latency_p99_us();
-            let _ = std::fs::remove_dir_all(&dir);
-            p99
-        };
-        assert_eq!(run("none", stream.clone()), 0.0);
-        let mut queried = stream;
-        for i in 0..8 {
-            let _ = writeln!(queried, "Q trust 0 {i}");
-        }
-        queried.push_str("Q round 0\n");
-        let p99 = run("some", queried);
-        assert!(p99 > 0.0, "no query latencies recorded: {p99}");
     }
 
     /// The router's view of a mobile tenant equals the engine's node

@@ -2,8 +2,9 @@
 //! a plain step function: [`Watch::check`] takes the check number and
 //! what the check observed of one tenant slot, and returns what the
 //! supervisor must do. It reads no clock and touches no thread, so every
-//! sequence of observations can be enumerated in a test; the
-//! supervisor's loop waits out each interval, observes and acts.
+//! sequence of observations can be enumerated in a test; the driver's
+//! loop waits out each interval, and `supervisor::supervise` observes
+//! and acts.
 //!
 //! A slot carries trust `e^(-λ·v)`, where `v` counts missed progress
 //! checks: a check is missed when the heartbeat did not advance *and*

@@ -12,7 +12,8 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use tibfit_daemon::fleet::{owner_of, FleetConfig, FleetPolicy, PeerSpec};
-use tibfit_daemon::migrate::{encode_bundle, push_bundle, MigrationBundle};
+use tibfit_daemon::driver::push_bundle;
+use tibfit_daemon::migrate::{encode_bundle, MigrationBundle};
 use tibfit_daemon::net_io::ListenSource;
 use tibfit_daemon::queue::QueueStats;
 use tibfit_daemon::state::{
