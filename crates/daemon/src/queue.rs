@@ -1013,6 +1013,18 @@ mod tests {
         }
     }
 
+    /// Joins `h` once it has finished, failing with `what` if it has not
+    /// within 10 s: a thread parked for good then fails the test instead
+    /// of hanging it.
+    fn join_within<T>(h: std::thread::JoinHandle<T>, what: &str) -> T {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !h.is_finished() {
+            assert!(Instant::now() < deadline, "{what}: still blocked after 10 s");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        h.join().unwrap()
+    }
+
     /// Pops tick `tick`'s items, returning its records.
     fn pop_tick(q: &SharedQueue, tick: u64) -> Vec<Report> {
         let mut records = Vec::new();
@@ -1245,7 +1257,10 @@ mod tests {
         let h = close_in_background(&q, 2);
         wait_for_backpressure(&q, 1);
         q.set_routed(false);
-        assert_eq!(h.join().unwrap(), TickAdmission::default());
+        assert_eq!(
+            join_within(h, "unrouting must release the parked tick"),
+            TickAdmission::default()
+        );
         assert_eq!(q.last_tick(), 1);
         assert_eq!(q.offer(report(1, 3, 0.0)), Offer::Unrouted);
         assert_eq!(q.end_tick(2, |_| 0), TickAdmission::default());

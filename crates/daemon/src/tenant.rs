@@ -142,15 +142,48 @@ fn fnv1a_u64s(words: &[u64]) -> u64 {
     fnv1a_fold(TRUST_DIGEST_BASIS, words)
 }
 
-/// The FNV state after hashing `words` on from state `h`.
+/// `ZERO_RUN_STEP[k]` is [`TRUST_DIGEST_PRIME`]`^(8k)`: a zero byte
+/// leaves `h ^ 0 = h`, so hashing `k` zero words multiplies the FNV
+/// state by this, for `k` up to 64.
+const ZERO_RUN_STEP: [u64; 65] = {
+    let mut step = [1u64; 65];
+    let mut k = 1;
+    while k < step.len() {
+        let mut byte = 0;
+        step[k] = step[k - 1];
+        while byte < 8 {
+            step[k] = step[k].wrapping_mul(TRUST_DIGEST_PRIME);
+            byte += 1;
+        }
+        k += 1;
+    }
+    step
+};
+
+/// The FNV state after hashing `words` on from state `h`. A run of zero
+/// words (most of a trust vector: a counter no decision has judged) is
+/// folded in one multiply per 64 words.
 fn fnv1a_fold(mut h: u64, words: &[u64]) -> u64 {
+    let mut zeros = 0;
     for &bits in words {
+        if bits == 0 {
+            zeros += 1;
+            if zeros == ZERO_RUN_STEP.len() - 1 {
+                h = h.wrapping_mul(ZERO_RUN_STEP[zeros]);
+                zeros = 0;
+            }
+            continue;
+        }
+        if zeros != 0 {
+            h = h.wrapping_mul(ZERO_RUN_STEP[zeros]);
+            zeros = 0;
+        }
         for byte in bits.to_le_bytes() {
             h ^= u64::from(byte);
             h = h.wrapping_mul(TRUST_DIGEST_PRIME);
         }
     }
-    h
+    h.wrapping_mul(ZERO_RUN_STEP[zeros])
 }
 
 /// Trust words per cached FNV state of a [`TrustDigest`].
@@ -538,6 +571,62 @@ mod tests {
         assert_eq!(fnv1a_u64s(&[0]), 0x21ae_156a_281a_39c5);
         assert_eq!(fnv1a_u64s(&[1, 2]), 0xe64a_ea73_63c8_e066);
         assert_eq!(fnv1a_u64s(&[0x0123_4567_89ab_cdef]), 0xd5a3_39af_4776_1c55);
+    }
+
+    /// FNV-1a over every byte of `words`, zero words included: what
+    /// `fnv1a_fold` must equal.
+    fn byte_loop_fold(mut h: u64, words: &[u64]) -> u64 {
+        for &bits in words {
+            for byte in bits.to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(TRUST_DIGEST_PRIME);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn zero_runs_fold_like_the_byte_loop() {
+        let mut rng = SimRng::seed_from(0x2E80);
+        let mut vectors: Vec<(String, Vec<u64>)> = Vec::new();
+        for run in [0usize, 1, 2, 63, 64, 65, 128, 129, 4096] {
+            vectors.push((format!("{run} zeros"), vec![0; run]));
+            let mut framed = vec![rng.next_u64() | 1];
+            framed.extend(std::iter::repeat_n(0, run));
+            framed.push(0x8000_0000_0000_0000);
+            vectors.push((format!("{run} zeros between words"), framed));
+        }
+        // Non-zero words with zero bytes at either end.
+        vectors.push((
+            "zero low or high bytes".into(),
+            vec![0xff00, 0, 0x00ff_0000_0000_0000, 0x0100_0000_0000_0000, 0, 0, 1, 0x80],
+        ));
+        // Trust-table-like vectors: mostly zero, at several densities.
+        for (i, nonzero) in [0.0, 0.02, 0.14, 0.5, 1.0].into_iter().enumerate() {
+            for n in [1usize, 63, 64, 65, 1000, 4133] {
+                let mut word = || {
+                    if rng.chance(nonzero) {
+                        rng.next_u64() >> rng.uniform_usize(64)
+                    } else {
+                        0
+                    }
+                };
+                let words = (0..n).map(|_| word()).collect();
+                vectors.push((format!("seeded {i} n {n}"), words));
+            }
+        }
+        for (what, words) in &vectors {
+            for h in [TRUST_DIGEST_BASIS, 0, 1, rng.next_u64()] {
+                assert_eq!(fnv1a_fold(h, words), byte_loop_fold(h, words), "{what} from {h:#x}");
+            }
+            // A fold resumed at any block boundary, as `TrustDigest`
+            // does, ends in the same state.
+            let mut h = TRUST_DIGEST_BASIS;
+            for chunk in words.chunks(DIGEST_BLOCK) {
+                h = fnv1a_fold(h, chunk);
+            }
+            assert_eq!(h, byte_loop_fold(TRUST_DIGEST_BASIS, words), "{what} by blocks");
+        }
     }
 
     /// The digest a decision line carries.

@@ -29,7 +29,11 @@
 //! step from the owning cluster's stream) and affiliation is re-evaluated
 //! every `reelect_every` rounds: a node now nearest a different head is
 //! handed off — fault counter, diagnosis state, and behaviour move with
-//! it, so a liar cannot launder its record by crossing a border.
+//! it, so a liar cannot launder its record by crossing a border. The
+//! engine draws all clusters' drift steps together, in chunks of at most
+//! 1024 Box–Muller transforms ([`NormalChunk`]); every stream
+//! still yields exactly the normals, and ends in exactly the state, of
+//! its own member-by-member loop.
 
 use std::cell::Cell;
 
@@ -40,9 +44,14 @@ use tibfit_core::trust::{TrustParams, TrustRecord, TrustTableStateRef};
 use tibfit_net::channel::ChannelModel;
 use tibfit_net::geometry::Point;
 use tibfit_net::topology::{CellBox, NodeId, SiteIndex, SiteLattice, Topology};
-use tibfit_sim::rng::{RngState, SimRng};
+use tibfit_sim::rng::{NormalChunk, RngState, SimRng};
 use tibfit_sim::snapshot::SnapshotError;
 use tibfit_sim::trace::{CounterId, Trace};
+
+/// Box–Muller transforms per drift chunk: one member's step is one
+/// transform, so this bounds the engine's drift scratch whatever the
+/// field's size.
+const DRIFT_CHUNK: usize = 1024;
 
 /// Configuration of a multi-cluster deployment.
 #[derive(Debug, Clone, Copy)]
@@ -578,25 +587,25 @@ impl ClusterState {
         scratch.decisions()
     }
 
-    /// End-of-round mobility: each member takes a Gaussian step (clamped
-    /// to the field) drawn from this cluster's stream, in member order.
-    fn drift(&mut self) {
-        if self.config.drift_sigma <= 0.0 {
-            return;
-        }
-        let mut bounds = Bounds::EMPTY;
-        for local in 0..self.members.len() {
-            let id = NodeId(local);
-            let p = self.local_topo.position(id);
-            let dx = self.rng.normal(0.0, self.config.drift_sigma);
-            let dy = self.rng.normal(0.0, self.config.drift_sigma);
+    /// End-of-round mobility for members `first..`: member `first + i`
+    /// takes the Gaussian step `σ·z[2i], σ·z[2i + 1]`, clamped to the
+    /// field, where `z` are standard normals this cluster's stream drew
+    /// in member order. A drift that starts at member 0 restarts the
+    /// bounding box.
+    fn drift_members(&mut self, first: usize, z: &[f64], sigma: f64) {
+        let (w, h) = (self.field_w, self.field_h);
+        let mut bounds = if first == 0 { Bounds::EMPTY } else { self.bounds };
+        let (steps, odd) = z.as_chunks::<2>();
+        debug_assert!(odd.is_empty(), "two normals per member");
+        // `0.0 + σ·z` is the sum `SimRng::normal(0.0, σ)` returns.
+        self.local_topo.move_nodes(first, steps, |p, [zx, zy]| {
             let moved = Point::new(
-                (p.x + dx).clamp(0.0, self.field_w),
-                (p.y + dy).clamp(0.0, self.field_h),
+                (p.x + (0.0 + sigma * zx)).clamp(0.0, w),
+                (p.y + (0.0 + sigma * zy)).clamp(0.0, h),
             );
-            self.local_topo.set_position(id, moved);
             bounds.include(moved);
-        }
+            moved
+        });
         self.bounds = bounds;
     }
 
@@ -828,6 +837,10 @@ pub struct MultiClusterSim {
     /// Global ids the last [`Self::run_event`] judged, in judgement
     /// order (see [`Self::judged_nodes`]).
     judged: Vec<NodeId>,
+    /// Drift scratch: one chunk's normals, and per lane the cluster and
+    /// the first member it moves.
+    normals: NormalChunk,
+    drift_lanes: Vec<(usize, usize)>,
 }
 
 impl MultiClusterSim {
@@ -1046,6 +1059,14 @@ impl MultiClusterSim {
     /// are reused: outside re-election rounds, a round allocates
     /// nothing once the engine's and the result's buffers have grown.
     pub fn run_event_into(&mut self, event: Point, result: &mut MultiRoundResult) {
+        self.decide_round(event, result);
+        self.drift();
+        self.reelect_if_due();
+    }
+
+    /// The decision half of a round: every cluster senses and decides,
+    /// and the base station merges the declarations into `result`.
+    fn decide_round(&mut self, event: Point, result: &mut MultiRoundResult) {
         self.round += 1;
         let round = self.round;
         result.event = event;
@@ -1064,11 +1085,49 @@ impl MultiClusterSim {
                 result.merge_declaration(cluster.index, d.location, self.config.r_error);
             }
         }
+    }
 
-        for cluster in &mut self.clusters {
-            cluster.drift();
+    /// End-of-round mobility: every member takes a Gaussian step
+    /// (clamped to the field) drawn from its cluster's stream, in member
+    /// order. The steps are drawn a chunk of [`DRIFT_CHUNK`] members at
+    /// a time across clusters; a cluster cut by a chunk's end goes on in
+    /// the next one, whose lane starts with the spare the cut left.
+    fn drift(&mut self) {
+        let sigma = self.config.drift_sigma;
+        if sigma <= 0.0 {
+            return;
         }
-        if self.config.reelect_every > 0 && round.is_multiple_of(self.config.reelect_every) {
+        assert!(sigma.is_finite(), "drift sigma must be finite, got {sigma}");
+        // The next (cluster, member) to queue.
+        let (mut ci, mut first) = (0, 0);
+        while ci < self.clusters.len() {
+            self.normals.clear();
+            self.drift_lanes.clear();
+            while ci < self.clusters.len() && self.normals.transforms() < DRIFT_CHUNK {
+                let cluster = &mut self.clusters[ci];
+                let left = cluster.members.len() - first;
+                let take = left.min(DRIFT_CHUNK - self.normals.transforms());
+                self.normals.queue(&mut cluster.rng, 2 * take);
+                self.drift_lanes.push((ci, first));
+                if take == left {
+                    (ci, first) = (ci + 1, 0);
+                } else {
+                    first += take;
+                }
+            }
+            self.normals.evaluate();
+            for (lane, &(ci, first)) in self.drift_lanes.iter().enumerate() {
+                let cluster = &mut self.clusters[ci];
+                let z = self.normals.finish(lane, &mut cluster.rng);
+                cluster.drift_members(first, z, sigma);
+            }
+        }
+    }
+
+    /// On a re-election boundary, members nearest another site change
+    /// clusters.
+    fn reelect_if_due(&mut self) {
+        if self.config.reelect_every > 0 && self.round.is_multiple_of(self.config.reelect_every) {
             // All departures leave before any arrival is admitted.
             // Admission order does not matter: a
             // cluster's state after its arrivals is the same in any
@@ -1157,6 +1216,8 @@ impl MultiClusterSim {
             scratch: DecisionScratch::default(),
             moving: Vec::new(),
             judged: Vec::new(),
+            normals: NormalChunk::default(),
+            drift_lanes: Vec::new(),
         };
         sim.reserve_scratch();
         sim
@@ -1179,10 +1240,11 @@ impl std::fmt::Debug for MultiClusterSim {
 mod decision_reference;
 
 /// The pre-in-place round, kept as the differential reference for the
-/// engines' in-place re-election, event-local sensing and reused
-/// decision buffers: every member senses every stimulus, each head
-/// decides through the allocating decision path, the base station
-/// merges a collected list, and every membership change rebuilds the
+/// engines' in-place re-election, event-local sensing, reused decision
+/// buffers and chunked drift: every member senses every stimulus, each
+/// head decides through the allocating decision path, the base station
+/// merges a collected list, every cluster drifts member by member
+/// through `SimRng::normal`, and every membership change rebuilds the
 /// cluster from a sorted slot list with a fresh trust table.
 #[cfg(test)]
 mod reference {
@@ -1364,6 +1426,29 @@ mod reference {
         rebuild(c, slots);
     }
 
+    /// End-of-round mobility one cluster at a time: each member takes a
+    /// Gaussian step (clamped to the field) drawn from the cluster's
+    /// stream by `SimRng::normal`, in member order.
+    pub(super) fn drift(c: &mut ClusterState) {
+        if c.config.drift_sigma <= 0.0 {
+            return;
+        }
+        let mut bounds = Bounds::EMPTY;
+        for local in 0..c.members.len() {
+            let id = NodeId(local);
+            let p = c.local_topo.position(id);
+            let dx = c.rng.normal(0.0, c.config.drift_sigma);
+            let dy = c.rng.normal(0.0, c.config.drift_sigma);
+            let moved = Point::new(
+                (p.x + dx).clamp(0.0, c.field_w),
+                (p.y + dy).clamp(0.0, c.field_h),
+            );
+            c.local_topo.set_position(id, moved);
+            bounds.include(moved);
+        }
+        c.bounds = bounds;
+    }
+
     /// One round of `sim` the old way.
     pub(super) fn run_event(sim: &mut MultiClusterSim, event: Point) -> MultiRoundResult {
         sim.round += 1;
@@ -1375,7 +1460,7 @@ mod reference {
         }
         let result = merge_declarations(event, declared, sim.config.r_error);
         for c in &mut sim.clusters {
-            c.drift();
+            drift(c);
         }
         if sim.config.reelect_every > 0 && round.is_multiple_of(sim.config.reelect_every) {
             let mut inbound: Vec<Vec<Handoff>> =
@@ -1897,6 +1982,100 @@ mod tests {
             .sum();
         assert!(handoffs > 0, "no handoff — the test would be vacuous");
         assert_matches_reference("big field", || scenario.sequential().unwrap(), &events);
+    }
+
+    /// Drives `build()`'s deployment through `events` under the engine
+    /// and under a copy whose drift is the reference's cluster-by-cluster
+    /// scalar loop, comparing checkpoint bytes after every round. Cluster
+    /// `spared`'s stream is first given a pending Box–Muller spare, which
+    /// every later draw (all in pairs) keeps pending, so that cluster
+    /// enters every drift with one. Returns how many rounds had a drift
+    /// chunk end inside a cluster.
+    fn assert_drift_matches_scalar(
+        what: &str,
+        build: impl Fn() -> MultiClusterSim,
+        spared: usize,
+        events: &[Point],
+    ) -> usize {
+        let mut cut_rounds = 0;
+        let mut sim = build();
+        let mut scalar = build();
+        for s in [&mut sim, &mut scalar] {
+            let _ = s.clusters[spared].rng.standard_normal();
+        }
+        let mut result = MultiRoundResult::new(Point::new(0.0, 0.0));
+        for (r, &e) in events.iter().enumerate() {
+            let what = format!("{what} round={}", r + 1);
+            sim.run_event(e);
+            scalar.decide_round(e, &mut result);
+            assert!(
+                scalar.clusters[spared].rng.state().gauss_spare.is_some(),
+                "{what}: cluster {spared} enters drift without a spare"
+            );
+            cut_rounds += usize::from(a_chunk_cuts_a_cluster(&scalar));
+            for c in &mut scalar.clusters {
+                reference::drift(c);
+            }
+            scalar.reelect_if_due();
+            assert!(
+                save_sequential(&sim).unwrap() == save_sequential(&scalar).unwrap(),
+                "{what}: checkpoint bytes differ"
+            );
+        }
+        cut_rounds
+    }
+
+    /// Whether a drift chunk ends inside a cluster, so that its lane
+    /// continues in the next chunk.
+    fn a_chunk_cuts_a_cluster(sim: &MultiClusterSim) -> bool {
+        let mut queued = 0;
+        sim.clusters.iter().any(|c| {
+            let before = queued / DRIFT_CHUNK;
+            queued += c.members.len();
+            queued / DRIFT_CHUNK > before && !queued.is_multiple_of(DRIFT_CHUNK)
+        })
+    }
+
+    #[test]
+    fn chunked_drift_matches_the_scalar_reference() {
+        let mobile = FieldScenario::mobile(0xD1);
+        let wide = FieldScenario {
+            nodes: 300,
+            clusters: 9,
+            field: 150.0,
+            faulty: 75,
+            drift_sigma: 5.0,
+            ..FieldScenario::mobile(0xD2)
+        };
+        let big = FieldScenario {
+            nodes: 4096,
+            clusters: 256,
+            field: 640.0,
+            faulty: 1024,
+            ..FieldScenario::mobile(0xD3)
+        };
+        // Two clusters of about 1250 members: each spans two chunks.
+        let two_big = FieldScenario {
+            nodes: 2500,
+            clusters: 2,
+            field: 250.0,
+            faulty: 625,
+            ..FieldScenario::mobile(0xD4)
+        };
+        for (what, scenario, rounds) in [
+            ("mobile", mobile, 60),
+            ("sigma 5", wide, 40),
+            ("big field", big, 30),
+            ("two big clusters", two_big, 6),
+        ] {
+            let spared = scenario.clusters / 2;
+            let events = scenario.events(rounds);
+            let build = || scenario.sequential().unwrap();
+            let cut_rounds = assert_drift_matches_scalar(what, build, spared, &events);
+            if scenario.nodes > DRIFT_CHUNK {
+                assert!(cut_rounds > 0, "{what}: no cluster ever spans two chunks");
+            }
+        }
     }
 
     #[test]

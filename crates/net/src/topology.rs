@@ -239,6 +239,31 @@ impl Topology {
         self.positions[id.0] = position;
     }
 
+    /// Moves nodes `first..first + steps.len()` in one pass: node
+    /// `first + i` goes to `to(its position, steps[i])`. `to` must keep
+    /// every node inside the field, as a clamp to it does; unlike
+    /// [`Topology::set_position`], that is checked in debug builds only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past the last node.
+    pub fn move_nodes<S: Copy>(
+        &mut self,
+        first: usize,
+        steps: &[S],
+        mut to: impl FnMut(Point, S) -> Point,
+    ) {
+        let (w, h) = (self.width, self.height);
+        for (p, &step) in self.positions[first..first + steps.len()].iter_mut().zip(steps) {
+            let moved = to(*p, step);
+            debug_assert!(
+                (0.0..=w).contains(&moved.x) && (0.0..=h).contains(&moved.y),
+                "position {moved} outside the {w}x{h} field"
+            );
+            *p = moved;
+        }
+    }
+
     fn check_inside(&self, position: Point) {
         assert!(
             (0.0..=self.width).contains(&position.x)
@@ -752,6 +777,29 @@ mod tests {
     #[should_panic(expected = "outside")]
     fn from_positions_validates_bounds() {
         let _ = Topology::from_positions(vec![Point::new(200.0, 0.0)], 100.0, 100.0);
+    }
+
+    #[test]
+    fn move_nodes_moves_only_its_range() {
+        let mut t = Topology::uniform_grid(9, 30.0, 30.0);
+        let before = t.positions().to_vec();
+        t.move_nodes(3, &[1.0, 2.0], |p, d| Point::new(p.x + d, p.y));
+        for (i, (&a, &b)) in before.iter().zip(t.positions()).enumerate() {
+            let d = match i {
+                3 => 1.0,
+                4 => 2.0,
+                _ => 0.0,
+            };
+            assert_eq!(b, Point::new(a.x + d, a.y), "node {i}");
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside")]
+    fn move_nodes_checks_bounds_in_debug_builds() {
+        let mut t = Topology::uniform_grid(4, 10.0, 10.0);
+        t.move_nodes(0, &[()], |_, ()| Point::new(11.0, 0.0));
     }
 
     #[test]

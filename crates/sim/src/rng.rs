@@ -219,16 +219,22 @@ impl SimRng {
         if let Some(z) = self.gauss_spare.take() {
             return z;
         }
-        // Draw u1 in (0, 1] to keep ln(u1) finite.
+        let (u1, u2) = self.box_muller_uniforms();
+        let r = box_muller_radius(u1);
+        let theta = box_muller_angle(u2);
+        self.gauss_spare = Some(r * theta.sin());
+        r * theta.cos()
+    }
+
+    /// The two uniforms of one Box–Muller transform, in stream order:
+    /// `u1` in `(0, 1]` (clamped up to `f64::MIN_POSITIVE`, which keeps
+    /// `ln(u1)` finite) and `u2` in `[0, 1)`.
+    fn box_muller_uniforms(&mut self) -> (f64, f64) {
         let mut u1 = self.uniform_f64();
         if u1 <= f64::MIN_POSITIVE {
             u1 = f64::MIN_POSITIVE;
         }
-        let u2 = self.uniform_f64();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * std::f64::consts::PI * u2;
-        self.gauss_spare = Some(r * theta.sin());
-        r * theta.cos()
+        (u1, self.uniform_f64())
     }
 
     /// A normal sample with the given mean and standard deviation.
@@ -263,6 +269,179 @@ impl SimRng {
         self.shuffle(&mut idx);
         idx.truncate(k);
         idx
+    }
+}
+
+/// The Box–Muller radius of the uniform `u1`.
+fn box_muller_radius(u1: f64) -> f64 {
+    (-2.0 * u1.ln()).sqrt()
+}
+
+/// The Box–Muller angle of the uniform `u2`.
+fn box_muller_angle(u2: f64) -> f64 {
+    2.0 * std::f64::consts::PI * u2
+}
+
+/// Standard normals of several [`SimRng`] streams, drawn together: each
+/// stream's normals are bit for bit what the same number of
+/// [`SimRng::standard_normal`] calls would return, and each stream is
+/// left in the same state, spare included.
+///
+/// [`NormalChunk::queue`] takes a stream's pending spare and draws, in
+/// stream order, the uniforms of every transform its remaining normals
+/// need. [`NormalChunk::evaluate`] then takes every radius, and every
+/// angle's `sin`/`cos` in angle order: a counting sort on `u2` into up
+/// to 256 buckets. Both are pure functions, so the order changes no
+/// result, but glibc's `sincos` branches on its argument's range and
+/// quadrant, and angles in order keep those branches predictable.
+/// [`NormalChunk::finish`] hands each stream its normals and parks its
+/// new spare. The scratch grows to the largest chunk queued and is
+/// reused after [`NormalChunk::clear`].
+///
+/// ```rust
+/// use tibfit_sim::rng::{NormalChunk, SimRng};
+/// let (mut a, mut b) = (SimRng::seed_from(1), SimRng::seed_from(2));
+/// let (mut a2, mut b2) = (a.clone(), b.clone());
+/// let mut chunk = NormalChunk::default();
+/// let (lane_a, lane_b) = (chunk.queue(&mut a, 3), chunk.queue(&mut b, 4));
+/// chunk.evaluate();
+/// let za: Vec<f64> = (0..3).map(|_| a2.standard_normal()).collect();
+/// let zb: Vec<f64> = (0..4).map(|_| b2.standard_normal()).collect();
+/// assert_eq!(chunk.finish(lane_a, &mut a), za);
+/// assert_eq!(chunk.finish(lane_b, &mut b), zb);
+/// assert_eq!(a.state(), a2.state());
+/// ```
+#[derive(Debug, Default)]
+pub struct NormalChunk {
+    /// Per transform: its `u1`, then, once evaluated, its radius.
+    radius: Vec<f64>,
+    /// Per transform: its `u2`.
+    u2: Vec<f64>,
+    /// Per transform: where its `r·cos` goes in `out`; its `r·sin` goes
+    /// in the next slot.
+    slot: Vec<u32>,
+    /// Transform indices in angle-bucket order.
+    order: Vec<u32>,
+    /// Counting-sort bucket offsets.
+    buckets: Vec<u32>,
+    /// Every lane's normals, lane after lane. A lane whose last
+    /// transform leaves a spare has one more slot, which holds it.
+    out: Vec<f64>,
+    lanes: Vec<Lane>,
+}
+
+/// One [`NormalChunk::queue`] call's share of the chunk's output.
+#[derive(Debug, Clone, Copy)]
+struct Lane {
+    start: usize,
+    len: usize,
+    /// The slot after the lane's normals holds its stream's new spare.
+    parks_spare: bool,
+}
+
+impl NormalChunk {
+    /// Empties the chunk, keeping its buffers.
+    pub fn clear(&mut self) {
+        self.radius.clear();
+        self.u2.clear();
+        self.slot.clear();
+        self.out.clear();
+        self.lanes.clear();
+    }
+
+    /// Box–Muller transforms queued since the last clear.
+    #[must_use]
+    pub fn transforms(&self) -> usize {
+        self.u2.len()
+    }
+
+    /// Queues the next `n` standard normals of `rng` as a new lane and
+    /// returns its index. Takes `rng`'s pending spare (the first of the
+    /// `n`) and draws the uniforms of the `⌈(n − spare)/2⌉` transforms
+    /// the rest need, so `rng` must not be used again before
+    /// [`NormalChunk::finish`] parks its new spare.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chunk's output outgrows `u32` indices.
+    pub fn queue(&mut self, rng: &mut SimRng, n: usize) -> usize {
+        let start = self.out.len();
+        let mut next = start;
+        if n > 0 {
+            if let Some(z) = rng.gauss_spare.take() {
+                self.out.push(z);
+                next += 1;
+            }
+        }
+        let transforms = (start + n - next).div_ceil(2);
+        let end = next + 2 * transforms;
+        assert!(u32::try_from(end).is_ok(), "a normal chunk is indexed by u32");
+        self.out.resize(end, 0.0);
+        for slot in (next..end).step_by(2) {
+            let (u1, u2) = rng.box_muller_uniforms();
+            self.radius.push(u1);
+            self.u2.push(u2);
+            self.slot.push(slot as u32);
+        }
+        self.lanes.push(Lane {
+            start,
+            len: n,
+            parks_spare: end > start + n,
+        });
+        self.lanes.len() - 1
+    }
+
+    /// Evaluates every queued transform, writing its `r·cos` and `r·sin`
+    /// into its lane. Called once, after the chunk's last
+    /// [`NormalChunk::queue`].
+    pub fn evaluate(&mut self) {
+        for u in &mut self.radius {
+            *u = box_muller_radius(*u);
+        }
+        let n = self.u2.len();
+        let buckets = (n / 16).next_power_of_two().clamp(1, 256);
+        // `u2 < 1` and the scale is a power of two, so the product is
+        // exact and below `buckets`.
+        let scale = buckets as f64;
+        let bucket = |u: f64| (u * scale) as usize;
+        self.buckets.clear();
+        self.buckets.resize(buckets + 1, 0);
+        for &u in &self.u2 {
+            self.buckets[bucket(u) + 1] += 1;
+        }
+        for b in 1..=buckets {
+            self.buckets[b] += self.buckets[b - 1];
+        }
+        self.order.resize(n, 0);
+        for (t, &u) in self.u2.iter().enumerate() {
+            let at = &mut self.buckets[bucket(u)];
+            self.order[*at as usize] = t as u32;
+            *at += 1;
+        }
+        for &t in &self.order {
+            let t = t as usize;
+            let (sin, cos) = box_muller_angle(self.u2[t]).sin_cos();
+            let r = self.radius[t];
+            let at = self.slot[t] as usize;
+            self.out[at] = r * cos;
+            self.out[at + 1] = r * sin;
+        }
+    }
+
+    /// Lane `lane`'s normals, after [`NormalChunk::evaluate`]; parks the
+    /// spare its last transform left on `rng`, the stream it was queued
+    /// from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no lane `lane` was queued.
+    pub fn finish(&self, lane: usize, rng: &mut SimRng) -> &[f64] {
+        let Lane { start, len, parks_spare } = self.lanes[lane];
+        let end = start + len;
+        if parks_spare {
+            rng.gauss_spare = Some(self.out[end]);
+        }
+        &self.out[start..end]
     }
 }
 
@@ -425,6 +604,70 @@ mod tests {
         })
         .is_none());
         assert!(SimRng::from_state(RngState { s: [1, 0, 0, 0], gauss_spare: Some(0.5) }).is_some());
+    }
+
+    /// Queues `n` normals of every stream in `streams` into one chunk
+    /// and checks each lane and each stream's final state, spare
+    /// included, against `n` scalar `standard_normal` calls.
+    fn assert_chunk_matches_scalar(streams: &[(RngState, usize)], what: &str) {
+        let mut rngs: Vec<SimRng> = streams
+            .iter()
+            .map(|&(s, _)| SimRng::from_state(s).unwrap())
+            .collect();
+        let mut chunk = NormalChunk::default();
+        // A leftover chunk must not leak into the next one.
+        chunk.queue(&mut SimRng::seed_from(0), 9);
+        chunk.evaluate();
+        chunk.clear();
+        let lanes: Vec<usize> = rngs
+            .iter_mut()
+            .zip(streams)
+            .map(|(rng, &(_, n))| chunk.queue(rng, n))
+            .collect();
+        chunk.evaluate();
+        for (i, (&(state, n), rng)) in streams.iter().zip(&mut rngs).enumerate() {
+            let mut scalar = SimRng::from_state(state).unwrap();
+            let want: Vec<u64> = (0..n).map(|_| scalar.standard_normal().to_bits()).collect();
+            let got: Vec<u64> = chunk.finish(lanes[i], rng).iter().map(|z| z.to_bits()).collect();
+            assert_eq!(got, want, "{what}: stream {i}, {n} normals");
+            assert_eq!(rng.state(), scalar.state(), "{what}: stream {i} state");
+            assert_eq!(rng.next_u64(), scalar.next_u64(), "{what}: stream {i} continues");
+        }
+    }
+
+    #[test]
+    fn normal_chunk_matches_scalar_draws_bit_for_bit() {
+        let spared = |seed: u64| {
+            let mut r = SimRng::seed_from(seed);
+            let _ = r.standard_normal();
+            r.state()
+        };
+        let plain = |seed: u64| SimRng::seed_from(seed).state();
+        for n in [0usize, 1, 2, 3, 7, 64, 1001] {
+            assert_chunk_matches_scalar(&[(plain(n as u64), n)], "no spare");
+            assert_chunk_matches_scalar(&[(spared(n as u64), n)], "spare");
+        }
+        // Many lanes of mixed sizes and spares in one chunk, past 256
+        // angle buckets.
+        let mut rng = SimRng::seed_from(0xC4);
+        let mixed: Vec<(RngState, usize)> = (0..120)
+            .map(|i| {
+                let n = rng.uniform_usize(90);
+                (if i % 3 == 0 { spared(i) } else { plain(i) }, n)
+            })
+            .collect();
+        assert_chunk_matches_scalar(&mixed, "mixed lanes");
+        assert_chunk_matches_scalar(&[(plain(5), 9000)], "one long lane");
+        // The clamped-u1 edge: s0 = s3 = 0 makes the next output 0, so
+        // u1 = 0 is clamped to MIN_POSITIVE before its log.
+        let zero_first = RngState { s: [0, 1, 2, 0], gauss_spare: None };
+        assert_eq!(SimRng::from_state(zero_first).unwrap().uniform_f64(), 0.0);
+        assert_chunk_matches_scalar(&[(zero_first, 1), (zero_first, 6)], "clamped u1");
+        let spared_zero = RngState { gauss_spare: Some(-0.25), ..zero_first };
+        assert_chunk_matches_scalar(
+            &[(spared_zero, 0), (spared_zero, 2), (spared_zero, 3)],
+            "clamped u1 after a spare",
+        );
     }
 
     #[test]
