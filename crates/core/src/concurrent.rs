@@ -50,20 +50,13 @@ pub struct ConcurrentCollector {
     r_error: f64,
     t_out: Duration,
     circles: Vec<Circle>,
-    /// Recycled report buffers: released circles and drained caller
-    /// groups park their `Vec`s here so the steady-state submit/poll
-    /// cycle allocates nothing.
-    spare: Vec<Vec<LocatedReport>>,
-    /// Union-find scratch for [`ConcurrentCollector::poll_into`].
+    /// Union-find scratch for [`ConcurrentCollector::poll`].
     scratch_parent: Vec<usize>,
     /// `(root, circle index)` pairs, sorted to enumerate components.
     scratch_order: Vec<(usize, usize)>,
     /// Indices of circles released this poll.
     scratch_release: Vec<usize>,
 }
-
-/// Cap on pooled buffers; beyond this, freed buffers are just dropped.
-const SPARE_CAP: usize = 32;
 
 impl ConcurrentCollector {
     /// Creates a collector.
@@ -82,7 +75,6 @@ impl ConcurrentCollector {
             r_error,
             t_out,
             circles: Vec::new(),
-            spare: Vec::new(),
             scratch_parent: Vec::new(),
             scratch_order: Vec::new(),
             scratch_release: Vec::new(),
@@ -113,12 +105,9 @@ impl ConcurrentCollector {
                 return;
             }
         }
-        // Reuse a pooled buffer for the new circle's report list.
-        let mut reports = self.spare.pop().unwrap_or_default();
-        reports.push(report);
         self.circles.push(Circle {
             center: report.location,
-            reports,
+            reports: vec![report],
             expires: now + self.t_out,
         });
     }
@@ -153,34 +142,18 @@ impl ConcurrentCollector {
     /// paper §3.3 step 4.
     pub fn poll(&mut self, now: SimTime) -> Vec<Vec<LocatedReport>> {
         let mut groups = Vec::new();
-        self.poll_into(now, &mut groups);
-        groups
-    }
-
-    /// Allocation-free form of [`ConcurrentCollector::poll`]: released
-    /// groups are appended to `out` (which is cleared first), and any
-    /// buffers left in `out` from a previous call are recycled into the
-    /// collector's pool. The DES hot loop calls this with one reused
-    /// `Vec`, so steady-state polling performs no heap allocation.
-    pub fn poll_into(&mut self, now: SimTime, out: &mut Vec<Vec<LocatedReport>>) {
-        for mut group in out.drain(..) {
-            if self.spare.len() < SPARE_CAP {
-                group.clear();
-                self.spare.push(group);
-            }
-        }
         let n = self.circles.len();
         if n == 0 {
-            return;
+            return groups;
         }
         if n == 1 {
             // Fast path: the overwhelmingly common single-circle case
             // needs no component analysis.
             if self.circles[0].expires <= now {
                 let circle = self.circles.pop().expect("length checked");
-                out.push(circle.reports);
+                groups.push(circle.reports);
             }
-            return;
+            return groups;
         }
         self.find_components();
         // scratch_order is (root, index) sorted, so components appear as
@@ -197,36 +170,27 @@ impl ConcurrentCollector {
             }
             let comp = &order[start..end];
             if comp.iter().all(|&(_, i)| self.circles[i].expires <= now) {
-                let mut group = self.spare.pop().unwrap_or_default();
+                let mut group = Vec::new();
                 for &(_, i) in comp {
                     group.extend(self.circles[i].reports.iter().copied());
                     self.scratch_release.push(i);
                 }
-                out.push(group);
+                groups.push(group);
             }
             start = end;
         }
         self.scratch_order = order;
         self.scratch_release.sort_unstable();
-        for k in (0..self.scratch_release.len()).rev() {
-            let circle = self.circles.remove(self.scratch_release[k]);
-            if self.spare.len() < SPARE_CAP {
-                let mut reports = circle.reports;
-                reports.clear();
-                self.spare.push(reports);
-            }
+        for &i in self.scratch_release.iter().rev() {
+            self.circles.remove(i);
         }
+        groups
     }
 
     /// Forces out every buffered group regardless of deadlines (end of
     /// simulation).
     pub fn flush(&mut self) -> Vec<Vec<LocatedReport>> {
         self.poll(SimTime::MAX)
-    }
-
-    /// Allocation-free form of [`ConcurrentCollector::flush`].
-    pub fn flush_into(&mut self, out: &mut Vec<Vec<LocatedReport>>) {
-        self.poll_into(SimTime::MAX, out);
     }
 
     /// Union-find over the "circles overlap" graph, into scratch

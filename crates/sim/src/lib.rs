@@ -6,8 +6,8 @@
 //! actually exercises:
 //!
 //! * a simulated clock with integer-tick resolution ([`SimTime`]),
-//! * a stable event queue with timer scheduling and cancellation
-//!   ([`EventQueue`], [`Engine`]),
+//! * an engine that pops scheduled events in time order, FIFO among
+//!   same-time events ([`Engine`]),
 //! * seedable, reproducible randomness and the distributions the paper's
 //!   workloads need ([`rng::SimRng`]),
 //! * statistics accumulators for building the paper's figures
@@ -44,7 +44,6 @@
 
 mod clock;
 mod engine;
-mod queue;
 
 pub mod rng;
 pub mod shutdown;
@@ -53,5 +52,4 @@ pub mod stats;
 pub mod trace;
 
 pub use clock::{Duration, SimTime};
-pub use engine::{Engine, TimerHandle};
-pub use queue::{EventQueue, WHEEL_SPAN};
+pub use engine::Engine;

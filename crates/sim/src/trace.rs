@@ -11,14 +11,10 @@
 //! Counters are *interned*: a name is registered once with
 //! [`Trace::register_counter`], which hands back a [`CounterId`] — an
 //! index into a flat `Vec<u64>`. Bumping through the id
-//! ([`Trace::bump`]) is a branch-predictable indexed add with no map
+//! ([`Trace::bump`]) is a bounds-checked indexed add with no map
 //! lookup, which is what the per-event hot path pays. The string-keyed
 //! [`Trace::count`]/[`Trace::counter`] API is kept for cold callers and
 //! tests; it interns on first use via a short linear scan.
-//!
-//! Counters can be switched off entirely with
-//! [`Trace::without_counters`]; in that mode every bump costs exactly
-//! one (perfectly predicted) branch.
 
 use std::collections::VecDeque;
 
@@ -56,29 +52,14 @@ pub struct CounterId(u32);
 /// assert_eq!(trace.events().len(), 1);
 /// assert_eq!(trace.counter("reports_delivered"), 2);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     events: VecDeque<TraceEvent>,
     capacity: usize,
     counter_names: Vec<&'static str>,
     counter_slots: Vec<u64>,
-    counters_on: bool,
     enabled: bool,
     dropped: u64,
-}
-
-impl Default for Trace {
-    fn default() -> Self {
-        Trace {
-            events: VecDeque::new(),
-            capacity: 0,
-            counter_names: Vec::new(),
-            counter_slots: Vec::new(),
-            counters_on: true,
-            enabled: false,
-            dropped: 0,
-        }
-    }
 }
 
 impl Trace {
@@ -105,26 +86,10 @@ impl Trace {
         }
     }
 
-    /// Switches counters off. A bump on a counter-disabled trace costs
-    /// exactly one branch (the `counters_on` check) — the documented
-    /// zero-overhead mode for throughput benchmarking.
-    #[must_use]
-    pub fn without_counters(mut self) -> Self {
-        self.counters_on = false;
-        self
-    }
-
     /// Whether event recording is on.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Whether counter bumps accumulate (see
-    /// [`Trace::without_counters`]).
-    #[must_use]
-    pub fn counters_enabled(&self) -> bool {
-        self.counters_on
     }
 
     /// Records an event (no-op when disabled). The oldest event is
@@ -156,7 +121,7 @@ impl Trace {
         CounterId((self.counter_names.len() - 1) as u32)
     }
 
-    /// Increments an interned counter: one branch plus an indexed add.
+    /// Increments an interned counter: a bounds-checked indexed add.
     /// Counters wrap at `u64::MAX` in every build (a restored value can
     /// be anything a checkpoint held), as the add does in release.
     #[inline]
@@ -167,10 +132,8 @@ impl Trace {
     /// Adds `n` to an interned counter, wrapping like [`Trace::bump`].
     #[inline]
     pub fn bump_by(&mut self, id: CounterId, n: u64) {
-        if self.counters_on {
-            let slot = &mut self.counter_slots[id.0 as usize];
-            *slot = slot.wrapping_add(n);
-        }
+        let slot = &mut self.counter_slots[id.0 as usize];
+        *slot = slot.wrapping_add(n);
     }
 
     /// Increments a named counter (works even when event recording is
@@ -345,18 +308,6 @@ mod tests {
         trace.bump(id);
         assert_eq!(trace.counter("shared"), 2);
         assert_eq!(trace.counter_value(id), 2);
-    }
-
-    #[test]
-    fn without_counters_drops_bumps() {
-        let mut trace = Trace::disabled().without_counters();
-        assert!(!trace.counters_enabled());
-        let id = trace.register_counter("x");
-        trace.bump(id);
-        trace.count("x");
-        trace.count_by("x", 10);
-        assert_eq!(trace.counter("x"), 0);
-        assert!(trace.counters().is_empty());
     }
 
     #[test]

@@ -6,24 +6,24 @@
 
 use tibfit_sim::rng::SimRng;
 use tibfit_sim::stats::{Running, Series};
-use tibfit_sim::{Engine, EventQueue, SimTime};
+use tibfit_sim::{Engine, SimTime};
 
 /// Deterministic per-case seeds for the sweep loops.
 fn case_seeds(n: u64) -> impl Iterator<Item = u64> {
     (0..n).map(|i| 0x5EED_0000u64.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
-/// The event queue always yields events in non-decreasing time order,
-/// regardless of insertion order.
+/// The engine always yields events in non-decreasing time order,
+/// regardless of scheduling order.
 #[test]
 fn queue_pops_sorted() {
     for seed in case_seeds(50) {
         let mut rng = SimRng::seed_from(seed);
         let n = 1 + rng.uniform_usize(199);
         let times: Vec<u64> = (0..n).map(|_| rng.next_u64() % 1_000_000).collect();
-        let mut q = EventQueue::new();
+        let mut q = Engine::new();
         for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_ticks(t), i);
+            q.schedule_at(SimTime::from_ticks(t), i);
         }
         let mut prev = SimTime::ZERO;
         let mut count = 0;
@@ -43,45 +43,38 @@ fn queue_ties_are_fifo() {
         let mut rng = SimRng::seed_from(seed);
         let n = 1 + rng.uniform_usize(99);
         let t = rng.next_u64() % 1000;
-        let mut q = EventQueue::new();
+        let mut q = Engine::new();
         for i in 0..n {
-            q.push(SimTime::from_ticks(t), i);
+            q.schedule_at(SimTime::from_ticks(t), i);
         }
         let order: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, (0..n).collect::<Vec<_>>());
     }
 }
 
-/// The engine clock never goes backwards and dispatches every
-/// non-cancelled event exactly once.
+/// The engine clock never goes backwards and pops every scheduled
+/// event exactly once.
 #[test]
 fn engine_dispatches_all_live_events() {
     for seed in case_seeds(50) {
         let mut rng = SimRng::seed_from(seed);
         let n = 1 + rng.uniform_usize(99);
         let times: Vec<u64> = (0..n).map(|_| rng.next_u64() % 100_000).collect();
-        let cancel_mask: Vec<bool> = (0..n).map(|_| rng.chance(0.5)).collect();
         let mut engine = Engine::new();
-        let handles: Vec<_> = times
-            .iter()
-            .map(|&t| engine.schedule_at(SimTime::from_ticks(t), t))
-            .collect();
-        let mut live = 0usize;
-        for (h, &c) in handles.iter().zip(cancel_mask.iter()) {
-            if c {
-                engine.cancel(*h);
-            } else {
-                live += 1;
-            }
+        for (i, &t) in times.iter().enumerate() {
+            engine.schedule_at(SimTime::from_ticks(t), i);
         }
-        let mut seen = 0usize;
+        let mut seen = vec![false; n];
         let mut prev = SimTime::ZERO;
-        while let Some((t, _)) = engine.pop() {
+        while let Some((t, i)) = engine.pop() {
             assert!(t >= prev);
+            assert_eq!(engine.now(), t);
+            assert_eq!(t.ticks(), times[i]);
+            assert!(!seen[i], "event {i} popped twice");
+            seen[i] = true;
             prev = t;
-            seen += 1;
         }
-        assert_eq!(seen, live);
+        assert!(seen.iter().all(|&s| s), "an event was never popped");
     }
 }
 
